@@ -311,6 +311,22 @@ trap - EXIT
 rm -f "$RJAM_SOCK" rjam_ci_job_transcript.ndjson
 rm -f rjam_ci_ref1 rjam_ci_ref2 rjam_ci_ref3 rjam_ci_out1 rjam_ci_out2 rjam_ci_out3
 
+step "e2e benchmark unit tests (the traced shadow must reproduce every export)"
+# The benchmark is a package of its own (crates/bench/src/bin/e2e). Its
+# shadow test fails if campaign synthesis stops matching the public-call
+# mirror the per-layer trace is built on.
+cargo test -q --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+
+step "e2e benchmark smoke: detect_sweep at seed 1 reproduces the committed digests"
+# 50 wifi_detection jobs through a live rjamd; every export is checked
+# against digests_seed1.txt, and the summary line must count no failure.
+bash crates/bench/src/bin/e2e/run.sh --workload detect_sweep --seed 1 --seconds 1 --trace 0 \
+    > rjam_ci_e2e.out
+tail -n 1 rjam_ci_e2e.out | grep -q '"failed":0[,}]' || {
+    echo "e2e smoke: jobs failed or no summary line"; tail -n 1 rjam_ci_e2e.out; exit 1;
+}
+rm -f rjam_ci_e2e.out
+
 step "deprecated-API purge holds: no allow(deprecated) anywhere in crates/"
 if grep -rn "allow(deprecated)" crates/; then
     echo "allow(deprecated) crept back into the workspace"; exit 1

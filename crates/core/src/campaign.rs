@@ -19,9 +19,10 @@ use rjam_channel::noise::NoiseSource;
 use rjam_fpga::{CoreEvent, DspLaneBank, LaneBankScratch};
 use rjam_mac::model::{JammerKind, Scenario};
 use rjam_mac::{run_scenario, IperfReport, MacObsDelta, ScenarioRun};
+use rjam_phy80211::tx::{modulate_frame_into, single_long_preamble, single_short_preamble, Frame};
 use rjam_sdr::complex::{Cf64, IqI16};
 use rjam_sdr::power::{db_to_lin, mean_power, scale_to_power};
-use rjam_sdr::resample::{fractional_delay, to_usrp_rate};
+use rjam_sdr::resample::{fractional_delay_into, to_usrp_rate_into};
 use rjam_sdr::rng::Rng;
 use std::collections::BTreeMap;
 
@@ -70,22 +71,62 @@ const FA_CHUNK: usize = 65_536;
 /// Downlink frames per WiMAX work unit.
 const WIMAX_FRAMES_PER_UNIT: usize = 4;
 
-/// Builds the 25 MSPS emission waveform for one trial. Each frame gets a
-/// random fractional sampling phase — transmitter and receiver clocks are
-/// unsynchronized, which is a first-order contributor to the paper's
-/// measured (sub-ideal) detection rates.
-fn emission_waveform(kind: WifiEmission, rate: rjam_phy80211::Rate, rng: &mut Rng) -> Vec<Cf64> {
-    let native = match kind {
+/// Per-worker buffers the emission synthesis writes through: once they have
+/// grown to a frame's size, synthesizing a frame allocates nothing.
+#[derive(Default)]
+struct SynthScratch {
+    /// PSDU bytes of the frame being built.
+    psdu: Vec<u8>,
+    /// The frame at its native rate.
+    native: Vec<Cf64>,
+    /// The frame at 25 MSPS, before the fractional delay.
+    up: Vec<Cf64>,
+    /// The emission waveform [`emission_waveform`] leaves for the caller.
+    wave: Vec<Cf64>,
+}
+
+/// Builds the 25 MSPS emission waveform for one trial into `s.wave`. Each
+/// frame gets a random fractional sampling phase — transmitter and receiver
+/// clocks are unsynchronized, which is a first-order contributor to the
+/// paper's measured (sub-ideal) detection rates.
+fn emission_waveform(
+    kind: WifiEmission,
+    rate: rjam_phy80211::Rate,
+    rng: &mut Rng,
+    s: &mut SynthScratch,
+) {
+    match kind {
         WifiEmission::FullFrames { psdu_len } => {
-            let mut psdu = vec![0u8; psdu_len];
-            rng.fill_bytes(&mut psdu);
-            rjam_phy80211::tx::modulate_frame(&rjam_phy80211::tx::Frame::new(rate, psdu))
+            s.psdu.clear();
+            s.psdu.resize(psdu_len, 0);
+            rng.fill_bytes(&mut s.psdu);
+            let frame = Frame::new(rate, std::mem::take(&mut s.psdu));
+            modulate_frame_into(&frame, &mut s.native);
+            s.psdu = frame.psdu;
         }
-        WifiEmission::SingleShortPreamble => rjam_phy80211::tx::single_short_preamble(),
-        WifiEmission::SingleLongPreamble => rjam_phy80211::tx::single_long_preamble(),
-    };
-    let up = to_usrp_rate(&native, rjam_sdr::WIFI_SAMPLE_RATE);
-    fractional_delay(&up, rng.uniform() * 0.999)
+        WifiEmission::SingleShortPreamble => s.native = single_short_preamble(),
+        WifiEmission::SingleLongPreamble => s.native = single_long_preamble(),
+    }
+    to_usrp_rate_into(&s.native, rjam_sdr::WIFI_SAMPLE_RATE, &mut s.up);
+    fractional_delay_into(&s.up, rng.uniform() * 0.999, &mut s.wave);
+}
+
+/// Lays one received frame into `stream`: `LEAD_IN` noise samples, the
+/// waveform with noise added, then `TAIL` noise samples. Returns the
+/// frame's detection window `[lo, hi)` relative to the stream start; `hi`
+/// allows 64 samples of pipeline lag.
+fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<Cf64>) -> (u64, u64) {
+    stream.clear();
+    for _ in 0..LEAD_IN {
+        stream.push(noise.next_sample());
+    }
+    let lo = stream.len() as u64;
+    stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
+    let hi = stream.len() as u64 + 64;
+    for _ in 0..TAIL {
+        stream.push(noise.next_sample());
+    }
+    (lo, hi)
 }
 
 /// Counts detections whose sample index falls inside `[lo, hi)`.
@@ -206,6 +247,7 @@ fn detection_lane_counts(
 ) -> Option<Vec<usize>> {
     struct DetLanePool {
         bank: DspLaneBank,
+        synth: SynthScratch,
         stream: Vec<Cf64>,
         quant: Vec<IqI16>,
         scratch: LaneBankScratch,
@@ -218,6 +260,7 @@ fn detection_lane_counts(
         seed,
         || DetLanePool {
             bank: lane_bank_for(presets, DEFAULT_LOCKOUT).expect("presets checked above"),
+            synth: SynthScratch::default(),
             stream: Vec::new(),
             quant: Vec::new(),
             scratch: LaneBankScratch::default(),
@@ -231,19 +274,15 @@ fn detection_lane_counts(
             let mut noise = NoiseSource::new(noise_power, rng.fork());
             let mut detected = vec![0usize; presets.len()];
             for _ in 0..frames {
-                let mut wave = emission_waveform(emission, rjam_phy80211::Rate::R12, &mut rng);
-                scale_to_power(&mut wave, RX_LEVEL);
-                pool.stream.clear();
-                for _ in 0..LEAD_IN {
-                    pool.stream.push(noise.next_sample());
-                }
-                let frame_lo = pool.stream.len() as u64;
-                pool.stream
-                    .extend(wave.iter().map(|&s| s + noise.next_sample()));
-                let frame_hi = pool.stream.len() as u64 + 64; // allow pipeline lag
-                for _ in 0..TAIL {
-                    pool.stream.push(noise.next_sample());
-                }
+                emission_waveform(
+                    emission,
+                    rjam_phy80211::Rate::R12,
+                    &mut rng,
+                    &mut pool.synth,
+                );
+                scale_to_power(&mut pool.synth.wave, RX_LEVEL);
+                let (frame_lo, frame_hi) =
+                    frame_stream(&pool.synth.wave, &mut noise, &mut pool.stream);
                 let base = pool.bank.samples_processed();
                 pool.quant.clear();
                 pool.quant
@@ -488,6 +527,7 @@ impl WifiDetectionSpec {
         struct DetectionPool {
             jammer: ReactiveJammer,
             scratch: BlockScratch,
+            synth: SynthScratch,
             stream: Vec<Cf64>,
         }
         let energy_detector = matches!(self.preset, DetectionPreset::EnergyRise { .. });
@@ -512,6 +552,7 @@ impl WifiDetectionSpec {
                     if energy_detector { 0 } else { DEFAULT_LOCKOUT },
                 ),
                 scratch: BlockScratch::new(),
+                synth: SynthScratch::default(),
                 stream: Vec::new(),
             },
             |pool, ctx| {
@@ -525,24 +566,19 @@ impl WifiDetectionSpec {
                 let mut detected_frames = 0usize;
                 let mut total_triggers = 0usize;
                 for _ in 0..frames {
-                    let mut wave =
-                        emission_waveform(self.emission, rjam_phy80211::Rate::R12, &mut rng);
+                    emission_waveform(
+                        self.emission,
+                        rjam_phy80211::Rate::R12,
+                        &mut rng,
+                        &mut pool.synth,
+                    );
+                    let wave = &mut pool.synth.wave;
                     if let ChannelModel::Rayleigh { taps, rms } = self.channel {
                         let ch = rjam_channel::MultipathChannel::rayleigh(taps, rms, &mut rng);
-                        wave = ch.apply(&wave);
+                        *wave = ch.apply(wave);
                     }
-                    scale_to_power(&mut wave, RX_LEVEL);
-                    pool.stream.clear();
-                    for _ in 0..LEAD_IN {
-                        pool.stream.push(noise.next_sample());
-                    }
-                    let frame_lo = pool.stream.len() as u64;
-                    pool.stream
-                        .extend(wave.iter().map(|&s| s + noise.next_sample()));
-                    let frame_hi = pool.stream.len() as u64 + 64; // allow pipeline lag
-                    for _ in 0..TAIL {
-                        pool.stream.push(noise.next_sample());
-                    }
+                    scale_to_power(wave, RX_LEVEL);
+                    let (frame_lo, frame_hi) = frame_stream(wave, &mut noise, &mut pool.stream);
                     let base = pool.jammer.core_mut().samples_processed();
                     pool.jammer
                         .process_block_into(&pool.stream, &mut pool.scratch);
@@ -1004,6 +1040,10 @@ impl WimaxDetectionSpec {
         struct WimaxPool {
             jammer: ReactiveJammer,
             scratch: BlockScratch,
+            /// The frame at 25 MSPS, before the fractional delay.
+            up: Vec<Cf64>,
+            /// The received frame.
+            wave: Vec<Cf64>,
         }
         let detection = if self.fused {
             DetectionPreset::WimaxFused {
@@ -1041,6 +1081,8 @@ impl WimaxDetectionSpec {
                     100_000,
                 ),
                 scratch: BlockScratch::new(),
+                up: Vec::new(),
+                wave: Vec::new(),
             },
             |pool, ctx| {
                 let lo = ctx.index * WIMAX_FRAMES_PER_UNIT;
@@ -1059,9 +1101,10 @@ impl WimaxDetectionSpec {
                 let mut latency_acc = 0.0f64;
                 for _ in 0..n {
                     let native = gen.next_frame();
-                    let up = to_usrp_rate(&native, rjam_sdr::WIMAX_SAMPLE_RATE);
+                    to_usrp_rate_into(&native, rjam_sdr::WIMAX_SAMPLE_RATE, &mut pool.up);
                     // Random per-frame sampling phase (unsynchronized clocks).
-                    let mut wave = fractional_delay(&up, rng.uniform() * 0.999);
+                    fractional_delay_into(&pool.up, rng.uniform() * 0.999, &mut pool.wave);
+                    let wave = &mut pool.wave;
                     // Scale relative to the active subframe power.
                     let active = (gen.dl_subframe_samples() as f64 * 25.0 / 11.4) as usize;
                     let p = mean_power(&wave[..active.min(wave.len())]);
@@ -1073,8 +1116,8 @@ impl WimaxDetectionSpec {
                         *s += noise.next_sample();
                     }
                     let base = pool.jammer.core_mut().samples_processed();
-                    pool.jammer.process_block_into(&wave, &mut pool.scratch);
-                    scope.capture(&wave);
+                    pool.jammer.process_block_into(wave, &mut pool.scratch);
+                    scope.capture(wave);
                     // Mark the frame at its actual position in the receive
                     // stream (the per-frame fractional resample makes
                     // frames a sample or two short of the nominal

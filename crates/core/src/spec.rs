@@ -64,6 +64,12 @@ impl From<ParseError> for SpecError {
     }
 }
 
+/// Largest Rayleigh channel a job may request, in taps at 25 MSPS. The
+/// channel draws and convolves every tap per frame, so an unbounded count
+/// could stall the daemon or abort it on a failed allocation; the stock
+/// experiments use at most 12.
+pub const MAX_CHANNEL_TAPS: usize = 64;
+
 fn field_err(field: &'static str, reason: impl Into<String>) -> SpecError {
     SpecError::Field {
         field,
@@ -262,8 +268,11 @@ impl CampaignRequest {
                     }
                 }
                 if let ChannelModel::Rayleigh { taps, rms } = channel {
-                    if *taps == 0 {
-                        return Err(field_err("channel.taps", "0 taps"));
+                    if !(1..=MAX_CHANNEL_TAPS).contains(taps) {
+                        return Err(field_err(
+                            "channel.taps",
+                            format!("{taps} is not in 1..={MAX_CHANNEL_TAPS}"),
+                        ));
                     }
                     if !rms.is_finite() || *rms <= 0.0 {
                         return Err(field_err("channel.rms", format!("{rms} is not positive")));
@@ -975,6 +984,39 @@ mod tests {
             let err = req.validate().expect_err("must reject");
             assert!(err.to_string().contains(field), "{err} should name {field}");
         }
+    }
+
+    #[test]
+    fn channel_taps_are_bounded() {
+        let with_taps = |taps| {
+            wifi_with(|r| {
+                if let CampaignRequest::WifiDetection { channel, .. } = r {
+                    *channel = ChannelModel::Rayleigh { taps, rms: 2.0 };
+                }
+            })
+        };
+        for taps in [1, 8, MAX_CHANNEL_TAPS] {
+            with_taps(taps).validate().expect("in range");
+        }
+        for taps in [0, MAX_CHANNEL_TAPS + 1, 1_000_000_000_000] {
+            let err = with_taps(taps).validate().expect_err("out of range");
+            assert!(
+                matches!(
+                    &err,
+                    SpecError::Field {
+                        field: "channel.taps",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
+        // The wire path rejects it the same way, before anything runs.
+        let line = with_taps(8)
+            .to_json()
+            .replace("\"taps\":8", "\"taps\":1000000000000");
+        let err = CampaignRequest::from_json(&line).expect_err("rejects");
+        assert!(err.to_string().contains("channel.taps"), "{err}");
     }
 
     #[test]

@@ -579,6 +579,41 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_channel_taps_are_refused_and_the_daemon_keeps_serving() {
+        let _guard = test_lock().lock().unwrap();
+        let d = Daemon::start(CampaignEngine::with_threads(1), 4);
+        let submit = |taps: &str| {
+            let line = format!(
+                "{{\"req\":\"submit\",\"spec\":{{\"campaign\":\"wifi_detection\",\
+                 \"preset\":{{\"kind\":\"wifi_short\",\"threshold\":0.35}},\
+                 \"emission\":{{\"kind\":\"full_frames\",\"psdu_len\":60}},\
+                 \"channel\":{{\"kind\":\"rayleigh\",\"taps\":{taps},\"rms\":2}},\
+                 \"snrs_db\":[6],\"trials\":2,\"seed\":5}},\"v\":\"rjam-job-v1\"}}"
+            );
+            match d.serve_line(&line) {
+                Serve::Lines(lines) => JobResponse::from_line(&lines[0]).expect("reply parses"),
+                Serve::Watch(_) => panic!("a submit is not a watch"),
+            }
+        };
+        // 1e12 taps would have reached Vec::with_capacity(1e12) and aborted.
+        match submit("1e12") {
+            JobResponse::Error(e) => {
+                assert_eq!(e.kind, JobErrorKind::BadSpec);
+                assert!(e.message.contains("channel.taps"), "{}", e.message);
+            }
+            other => panic!("expected a bad_spec error, got {other:?}"),
+        }
+        assert!(d.status(None).unwrap().is_empty(), "nothing enqueued");
+        match submit("8") {
+            JobResponse::Accepted { job, .. } => {
+                assert_eq!(wait_done(&d, &job).state, JobState::Done);
+            }
+            other => panic!("expected accepted, got {other:?}"),
+        }
+        d.shutdown();
+    }
+
+    #[test]
     fn queue_bound_applies_backpressure() {
         let _guard = test_lock().lock().unwrap();
         // Capacity 2: big first job occupies the runner soon, leaving the

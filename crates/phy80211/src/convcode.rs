@@ -35,7 +35,7 @@ impl CodeRate {
 
     /// Puncture keep-pattern over the A/B output pair stream, as
     /// `(a_kept, b_kept)` per input bit within the pattern period.
-    fn pattern(self) -> &'static [(bool, bool)] {
+    pub(crate) fn pattern(self) -> &'static [(bool, bool)] {
         match self {
             CodeRate::Half => &[(true, true)],
             CodeRate::TwoThirds => &[(true, true), (true, false)],
@@ -45,19 +45,49 @@ impl CodeRate {
 }
 
 #[inline]
-fn parity(x: u8) -> u8 {
+const fn parity(x: u8) -> u8 {
     (x.count_ones() & 1) as u8
+}
+
+/// Encoder output pair for every 7-bit register value
+/// `(input << 6) | state`: bit 0 is output A (g0 parity), bit 1 output B
+/// (g1 parity).
+const ENC_OUT: [u8; 128] = {
+    let mut table = [0u8; 128];
+    let mut reg = 0;
+    while reg < 128 {
+        table[reg] = parity(reg as u8 & G0) | (parity(reg as u8 & G1) << 1);
+        reg += 1;
+    }
+    table
+};
+
+/// The rate-1/2 mother encoder as a streaming state machine, starting in
+/// state 0.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Encoder {
+    state: u8,
+}
+
+impl Encoder {
+    /// Shifts in bit `b` and returns its `(A, B)` output pair.
+    #[inline]
+    pub(crate) fn push(&mut self, b: u8) -> (u8, u8) {
+        let reg = ((b << 6) | self.state) & 0x7F;
+        self.state = reg >> 1;
+        let out = ENC_OUT[reg as usize];
+        (out & 1, out >> 1)
+    }
 }
 
 /// Encodes `bits` with the rate-1/2 mother code (no tail added here).
 pub fn encode_half(bits: &[u8]) -> Vec<u8> {
-    let mut state: u8 = 0;
+    let mut enc = Encoder::default();
     let mut out = Vec::with_capacity(bits.len() * 2);
     for &b in bits {
-        let reg = (b << 6) | state;
-        out.push(parity(reg & G0));
-        out.push(parity(reg & G1));
-        state = (reg >> 1) & 0x3F;
+        let (a, b) = enc.push(b);
+        out.push(a);
+        out.push(b);
     }
     out
 }
@@ -319,6 +349,14 @@ mod tests {
         assert_eq!(encode_half(&[0, 0, 0]), vec![0, 0, 0, 0, 0, 0]);
         let ir = encode_half(&[1, 0, 0, 0, 0, 0, 0]);
         assert_eq!(ir, vec![1, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1]);
+    }
+
+    #[test]
+    fn encoder_table_matches_parities() {
+        for reg in 0..128u8 {
+            let want = parity(reg & G0) | (parity(reg & G1) << 1);
+            assert_eq!(ENC_OUT[reg as usize], want, "reg {reg:#b}");
+        }
     }
 
     #[test]

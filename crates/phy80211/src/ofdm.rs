@@ -7,7 +7,7 @@
 
 use crate::bits::pilot_polarity;
 use crate::preamble::sub_to_bin;
-use crate::{CP_LEN, FFT_LEN, N_SD};
+use crate::{CP_LEN, FFT_LEN, N_SD, SYM_LEN};
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::fft::Fft;
 
@@ -29,24 +29,42 @@ pub fn data_subcarriers() -> [i32; N_SD] {
 /// Pilot subcarrier indices and their base values (before polarity).
 pub const PILOTS: [(i32, f64); 4] = [(-21, 1.0), (-7, 1.0), (7, 1.0), (21, -1.0)];
 
+/// FFT bins of the data subcarriers, in transmission order.
+pub(crate) fn data_bins() -> [usize; N_SD] {
+    data_subcarriers().map(sub_to_bin)
+}
+
 /// Builds one time-domain OFDM data symbol (80 samples with CP) from 48
 /// mapped constellation points. `symbol_index` selects the pilot polarity
 /// (0 is the SIGNAL symbol).
 pub fn build_symbol(points: &[Cf64], symbol_index: usize, fft: &Fft) -> Vec<Cf64> {
     assert_eq!(points.len(), N_SD, "48 data points per symbol");
-    let mut freq = vec![Cf64::ZERO; FFT_LEN];
-    for (p, &k) in points.iter().zip(data_subcarriers().iter()) {
-        freq[sub_to_bin(k)] = *p;
+    let mut freq = [Cf64::ZERO; FFT_LEN];
+    for (p, bin) in points.iter().zip(data_bins()) {
+        freq[bin] = *p;
     }
+    let mut out = Vec::with_capacity(SYM_LEN);
+    emit_symbol(&mut freq, symbol_index, fft, &mut out);
+    out
+}
+
+/// Finishes one OFDM symbol whose data bins the caller has loaded into
+/// `freq` (every other bin zero): writes the pilots for `symbol_index`,
+/// runs the IFFT in place and appends the cyclic prefix and the symbol to
+/// `out`.
+pub(crate) fn emit_symbol(
+    freq: &mut [Cf64; FFT_LEN],
+    symbol_index: usize,
+    fft: &Fft,
+    out: &mut Vec<Cf64>,
+) {
     let pol = pilot_polarity(symbol_index);
     for (k, v) in PILOTS {
         freq[sub_to_bin(k)] = Cf64::new(v * pol, 0.0);
     }
-    fft.inverse(&mut freq);
-    let mut out = Vec::with_capacity(FFT_LEN + CP_LEN);
+    fft.inverse(freq);
     out.extend_from_slice(&freq[FFT_LEN - CP_LEN..]);
-    out.extend_from_slice(&freq);
-    out
+    out.extend_from_slice(freq);
 }
 
 /// Extracted contents of one received OFDM symbol.

@@ -1,15 +1,16 @@
 //! Frame transmission: PSDU to 20 MSPS baseband waveform (clause 18.3.5).
 
-use crate::bits::{bytes_to_bits, Scrambler};
-use crate::convcode::encode;
-use crate::interleave::interleave;
-use crate::modmap::map_stream;
-use crate::ofdm::build_symbol;
+use crate::bits::Scrambler;
+use crate::convcode::{CodeRate, Encoder};
+use crate::interleave::interleave_position;
+use crate::modmap::{map_bits, Modulation};
+use crate::ofdm::{data_bins, emit_symbol};
 use crate::preamble::plcp_preamble;
 use crate::signal::{signal_bits, Rate};
-use crate::{FFT_LEN, N_SD};
+use crate::{FFT_LEN, N_SD, PREAMBLE_LEN, SYM_LEN};
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::fft::Fft;
+use std::sync::OnceLock;
 
 /// A PHY frame to transmit.
 #[derive(Clone, Debug)]
@@ -43,55 +44,199 @@ impl Frame {
     }
 }
 
-/// Assembles the DATA-field bit stream: SERVICE + PSDU + tail + pad,
-/// scrambled, with the tail bits re-zeroed after scrambling.
-fn data_bits(frame: &Frame) -> Vec<u8> {
-    let rate = frame.rate;
-    let n_sym = rate.n_data_symbols(frame.psdu.len());
-    let n_bits = n_sym * rate.n_dbps();
-    let mut bits = Vec::with_capacity(n_bits);
-    bits.extend_from_slice(&[0u8; 16]); // SERVICE (all zeros pre-scrambling)
-    bits.extend(bytes_to_bits(&frame.psdu));
-    let tail_pos = bits.len();
-    bits.extend_from_slice(&[0u8; 6]); // tail
-    bits.resize(n_bits, 0); // pad bits
-    let mut scr = Scrambler::new(frame.scrambler_seed);
-    scr.process(&mut bits);
-    // Tail bits are transmitted as zeros so the decoder terminates.
-    for b in &mut bits[tail_pos..tail_pos + 6] {
-        *b = 0;
+/// Maps one OFDM symbol's coded bits onto its subcarriers for one
+/// modulation: the interleaver and the constellation as lookup tables.
+struct SymbolMap {
+    /// N_CBPS.
+    n_cbps: usize,
+    /// For coded bit `k` of a symbol: the data subcarrier its interleaved
+    /// position lands on, and its bit index within that subcarrier's code.
+    slots: Vec<(u8, u8)>,
+    /// Constellation point per code (`b0` is bit 0), from [`map_bits`].
+    points: Vec<Cf64>,
+}
+
+impl SymbolMap {
+    fn new(m: Modulation) -> Self {
+        let n_bpsc = m.bits_per_symbol();
+        let n_cbps = N_SD * n_bpsc;
+        let slots = (0..n_cbps)
+            .map(|k| {
+                let p = interleave_position(k, n_cbps, n_bpsc);
+                ((p / n_bpsc) as u8, (p % n_bpsc) as u8)
+            })
+            .collect();
+        let points = (0..1usize << n_bpsc)
+            .map(|code| {
+                let bits: Vec<u8> = (0..n_bpsc).map(|j| ((code >> j) & 1) as u8).collect();
+                map_bits(&bits, m)
+            })
+            .collect();
+        SymbolMap {
+            n_cbps,
+            slots,
+            points,
+        }
     }
-    bits
+}
+
+/// Everything [`modulate_frame`] needs that does not depend on the frame,
+/// computed once by the same code that used to run per frame.
+struct TxTables {
+    fft: Fft,
+    preamble: Vec<Cf64>,
+    data_bins: [usize; N_SD],
+    /// One map per modulation, in [`modulation_index`] order.
+    maps: [SymbolMap; 4],
+}
+
+fn modulation_index(m: Modulation) -> usize {
+    match m {
+        Modulation::Bpsk => 0,
+        Modulation::Qpsk => 1,
+        Modulation::Qam16 => 2,
+        Modulation::Qam64 => 3,
+    }
+}
+
+fn tables() -> &'static TxTables {
+    static TABLES: OnceLock<TxTables> = OnceLock::new();
+    TABLES.get_or_init(|| TxTables {
+        fft: Fft::new(FFT_LEN),
+        preamble: plcp_preamble(),
+        data_bins: data_bins(),
+        maps: [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+        ]
+        .map(SymbolMap::new),
+    })
+}
+
+/// Streams information bits through encoder, puncturer, interleaver and
+/// mapper into whole OFDM symbols appended to `out`.
+struct SymbolWriter<'a> {
+    tables: &'static TxTables,
+    map: &'static SymbolMap,
+    pattern: &'static [(bool, bool)],
+    /// Position of the next information bit in the puncture period.
+    pattern_pos: usize,
+    enc: Encoder,
+    /// Coded bits already placed in the current symbol.
+    k: usize,
+    /// Constellation code per data subcarrier of the current symbol.
+    codes: [u8; N_SD],
+    symbol_index: usize,
+    out: &'a mut Vec<Cf64>,
+}
+
+impl<'a> SymbolWriter<'a> {
+    fn new(m: Modulation, rate: CodeRate, symbol_index: usize, out: &'a mut Vec<Cf64>) -> Self {
+        let tables = tables();
+        SymbolWriter {
+            tables,
+            map: &tables.maps[modulation_index(m)],
+            pattern: rate.pattern(),
+            pattern_pos: 0,
+            enc: Encoder::default(),
+            k: 0,
+            codes: [0; N_SD],
+            symbol_index,
+            out,
+        }
+    }
+
+    /// Encodes one information bit and punctures its output pair.
+    #[inline]
+    fn push_bit(&mut self, bit: u8) {
+        let (a, b) = self.enc.push(bit);
+        let (keep_a, keep_b) = self.pattern[self.pattern_pos];
+        self.pattern_pos += 1;
+        if self.pattern_pos == self.pattern.len() {
+            self.pattern_pos = 0;
+        }
+        if keep_a {
+            self.push_coded(a);
+        }
+        if keep_b {
+            self.push_coded(b);
+        }
+    }
+
+    /// Places one coded bit at its interleaved position; a full symbol is
+    /// mapped, transformed and appended.
+    #[inline]
+    fn push_coded(&mut self, c: u8) {
+        let (sc, j) = self.map.slots[self.k];
+        self.codes[sc as usize] |= c << j;
+        self.k += 1;
+        if self.k == self.map.n_cbps {
+            let mut freq = [Cf64::ZERO; FFT_LEN];
+            for (code, &bin) in self.codes.iter_mut().zip(&self.tables.data_bins) {
+                freq[bin] = self.map.points[*code as usize];
+                *code = 0;
+            }
+            emit_symbol(&mut freq, self.symbol_index, &self.tables.fft, self.out);
+            self.symbol_index += 1;
+            self.k = 0;
+        }
+    }
 }
 
 /// Modulates a complete PHY frame into its 20 MSPS baseband waveform:
 /// preamble, SIGNAL symbol and DATA symbols.
 pub fn modulate_frame(frame: &Frame) -> Vec<Cf64> {
-    let fft = Fft::new(FFT_LEN);
+    let mut out = Vec::new();
+    modulate_frame_into(frame, &mut out);
+    out
+}
+
+/// [`modulate_frame`] into a caller-owned buffer: `out` is cleared and
+/// refilled, so a reused buffer stops allocating once it is large enough.
+///
+/// The DATA field is SERVICE + PSDU + tail + pad, scrambled, with the tail
+/// bits re-zeroed after scrambling; the convolutional encoder runs
+/// continuously over it (clause 18.3.5.6) and interleaving is per symbol.
+/// Bits stream straight into symbols through cached interleaver and
+/// constellation tables; the preamble and the FFT plan are built once per
+/// process.
+pub fn modulate_frame_into(frame: &Frame, out: &mut Vec<Cf64>) {
     let rate = frame.rate;
-    let mut wave = plcp_preamble();
+    let len = frame.psdu.len();
+    let n_sym = rate.n_data_symbols(len);
+    out.clear();
+    out.reserve(PREAMBLE_LEN + SYM_LEN * (1 + n_sym));
+    out.extend_from_slice(&tables().preamble);
 
     // SIGNAL: BPSK rate-1/2, pilot index 0.
-    let sig_bits = signal_bits(rate, frame.psdu.len());
-    let sig_coded = encode(&sig_bits, crate::convcode::CodeRate::Half);
-    let sig_inter = interleave(&sig_coded, 48, 1);
-    let sig_points = map_stream(&sig_inter, crate::modmap::Modulation::Bpsk);
-    wave.extend(build_symbol(&sig_points, 0, &fft));
-
-    // DATA symbols: the convolutional encoder runs continuously over the
-    // whole DATA field (clause 18.3.5.6); interleaving is per symbol.
-    let bits = data_bits(frame);
-    let n_cbps = rate.n_cbps();
-    let n_bpsc = rate.modulation().bits_per_symbol();
-    let coded = encode(&bits, rate.code_rate());
-    debug_assert_eq!(coded.len() % n_cbps, 0);
-    for (sym_idx, chunk) in coded.chunks(n_cbps).enumerate() {
-        let inter = interleave(chunk, n_cbps, n_bpsc);
-        let points = map_stream(&inter, rate.modulation());
-        debug_assert_eq!(points.len(), N_SD);
-        wave.extend(build_symbol(&points, sym_idx + 1, &fft));
+    let mut w = SymbolWriter::new(Modulation::Bpsk, CodeRate::Half, 0, out);
+    for bit in signal_bits(rate, len) {
+        w.push_bit(bit);
     }
-    wave
+    debug_assert_eq!(w.k, 0, "SIGNAL fills exactly one symbol");
+
+    // DATA symbols.
+    let mut w = SymbolWriter::new(rate.modulation(), rate.code_rate(), 1, out);
+    let mut scr = Scrambler::new(frame.scrambler_seed);
+    for _ in 0..16 {
+        w.push_bit(scr.next_bit()); // SERVICE (all zeros pre-scrambling)
+    }
+    for &byte in &frame.psdu {
+        for k in 0..8 {
+            w.push_bit(((byte >> k) & 1) ^ scr.next_bit());
+        }
+    }
+    // Tail bits are transmitted as zeros so the decoder terminates.
+    for _ in 0..6 {
+        scr.next_bit();
+        w.push_bit(0);
+    }
+    for _ in 16 + 8 * len + 6..n_sym * rate.n_dbps() {
+        w.push_bit(scr.next_bit()); // pad bits
+    }
+    debug_assert_eq!(w.k, 0, "DATA fills whole symbols");
 }
 
 /// Builds a "pseudo-frame" containing only a single short training symbol
@@ -109,14 +254,138 @@ pub fn single_long_preamble() -> Vec<Cf64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::bytes_to_bits;
+    use crate::interleave::interleave;
+    use crate::modmap::map_stream;
+    use crate::ofdm::PILOTS;
+    use crate::preamble::sub_to_bin;
+    use crate::CP_LEN;
     use rjam_sdr::power::mean_power;
     use rjam_sdr::rng::Rng;
+
+    /// The transmitter as first written, stage by stage with a vector per
+    /// stage: the reference the streaming writer must match bit for bit.
+    fn reference_modulate(frame: &Frame) -> Vec<Cf64> {
+        fn encode(bits: &[u8], rate: CodeRate) -> Vec<u8> {
+            let parity = |x: u8| (x.count_ones() & 1) as u8;
+            let mut state: u8 = 0;
+            let mut coded = Vec::with_capacity(bits.len() * 2);
+            for &b in bits {
+                let reg = (b << 6) | state;
+                coded.push(parity(reg & 0o133));
+                coded.push(parity(reg & 0o171));
+                state = (reg >> 1) & 0x3F;
+            }
+            let pat = rate.pattern();
+            let mut out = Vec::with_capacity(coded.len());
+            for (i, pair) in coded.chunks(2).enumerate() {
+                let (keep_a, keep_b) = pat[i % pat.len()];
+                if keep_a {
+                    out.push(pair[0]);
+                }
+                if keep_b {
+                    out.push(pair[1]);
+                }
+            }
+            out
+        }
+        fn build_symbol(points: &[Cf64], symbol_index: usize, fft: &Fft) -> Vec<Cf64> {
+            let mut freq = vec![Cf64::ZERO; FFT_LEN];
+            for (p, &k) in points.iter().zip(crate::ofdm::data_subcarriers().iter()) {
+                freq[sub_to_bin(k)] = *p;
+            }
+            let pol = crate::bits::pilot_polarity(symbol_index);
+            for (k, v) in PILOTS {
+                freq[sub_to_bin(k)] = Cf64::new(v * pol, 0.0);
+            }
+            fft.inverse(&mut freq);
+            let mut out = Vec::with_capacity(FFT_LEN + CP_LEN);
+            out.extend_from_slice(&freq[FFT_LEN - CP_LEN..]);
+            out.extend_from_slice(&freq);
+            out
+        }
+        fn data_bits(frame: &Frame) -> Vec<u8> {
+            let rate = frame.rate;
+            let n_bits = rate.n_data_symbols(frame.psdu.len()) * rate.n_dbps();
+            let mut bits = Vec::with_capacity(n_bits);
+            bits.extend_from_slice(&[0u8; 16]);
+            bits.extend(bytes_to_bits(&frame.psdu));
+            let tail_pos = bits.len();
+            bits.extend_from_slice(&[0u8; 6]);
+            bits.resize(n_bits, 0);
+            Scrambler::new(frame.scrambler_seed).process(&mut bits);
+            for b in &mut bits[tail_pos..tail_pos + 6] {
+                *b = 0;
+            }
+            bits
+        }
+
+        let fft = Fft::new(FFT_LEN);
+        let rate = frame.rate;
+        let mut wave = plcp_preamble();
+        let sig_coded = encode(&signal_bits(rate, frame.psdu.len()), CodeRate::Half);
+        let sig_points = map_stream(&interleave(&sig_coded, 48, 1), Modulation::Bpsk);
+        wave.extend(build_symbol(&sig_points, 0, &fft));
+        let n_cbps = rate.n_cbps();
+        let n_bpsc = rate.modulation().bits_per_symbol();
+        let coded = encode(&data_bits(frame), rate.code_rate());
+        for (sym_idx, chunk) in coded.chunks(n_cbps).enumerate() {
+            let points = map_stream(&interleave(chunk, n_cbps, n_bpsc), rate.modulation());
+            wave.extend(build_symbol(&points, sym_idx + 1, &fft));
+        }
+        wave
+    }
+
+    fn bits(buf: &[Cf64]) -> Vec<(u64, u64)> {
+        buf.iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    }
+
+    rjam_testkit::props! {
+        cases = 48;
+
+        /// Every rate, PSDU lengths across the whole 0..=4095 field and
+        /// any scrambler seed: the streaming writer reproduces the staged
+        /// reference bit for bit, also into a dirty reused buffer.
+        fn modulate_matches_reference_bits(
+            rate in 0usize..8,
+            len in 0usize..4096,
+            scrambler_seed in 1u8..128,
+            seed in rjam_testkit::any::<u64>(),
+        ) {
+            let mut psdu = vec![0u8; len];
+            Rng::seed_from(seed).fill_bytes(&mut psdu);
+            let frame = Frame {
+                rate: Rate::ALL[rate],
+                psdu,
+                scrambler_seed,
+            };
+            let mut out = vec![Cf64::ONE; 3];
+            modulate_frame_into(&frame, &mut out);
+            rjam_testkit::prop_assert_eq!(bits(&out), bits(&reference_modulate(&frame)));
+        }
+    }
 
     fn test_frame(rate: Rate, len: usize) -> Frame {
         let mut rng = Rng::seed_from(70);
         let mut psdu = vec![0u8; len];
         rng.fill_bytes(&mut psdu);
         Frame::new(rate, psdu)
+    }
+
+    #[test]
+    fn modulate_matches_reference_at_the_length_extremes() {
+        for rate in Rate::ALL {
+            for len in [0, 1, 4095] {
+                let frame = test_frame(rate, len);
+                assert_eq!(
+                    bits(&modulate_frame(&frame)),
+                    bits(&reference_modulate(&frame)),
+                    "{rate:?} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

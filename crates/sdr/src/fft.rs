@@ -15,8 +15,15 @@ use crate::complex::Cf64;
 pub struct Fft {
     n: usize,
     rev: Vec<u32>,
-    /// Twiddles for the forward transform: `e^{-j 2 pi k / n}` for `k < n/2`.
-    tw: Vec<Cf64>,
+    /// Forward-transform twiddles `tw[j] = e^{-j 2 pi j / n}` (`j < n/2`) in
+    /// the order the butterfly stages read them: the stage of half-length
+    /// `h` reads `tw[k * n / (2h)]` for `k < h`, stored from offset `h - 1`.
+    /// The last stage reads every `tw[j]` in order.
+    stage_tw: Vec<Cf64>,
+    /// `stage_tw` conjugated, for the inverse transform. Conjugation only
+    /// flips a sign bit, so these are exactly the values the butterfly
+    /// would conjugate on the fly.
+    stage_tw_inv: Vec<Cf64>,
 }
 
 impl Fft {
@@ -33,10 +40,23 @@ impl Fft {
         let rev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        let tw = (0..n / 2)
+        let tw: Vec<Cf64> = (0..n / 2)
             .map(|k| Cf64::from_angle(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
             .collect();
-        Fft { n, rev, tw }
+        let mut stage_tw = Vec::with_capacity(n.saturating_sub(1));
+        let mut half = 1;
+        while half < n {
+            let step = n / (2 * half);
+            stage_tw.extend((0..half).map(|k| tw[k * step]));
+            half <<= 1;
+        }
+        let stage_tw_inv = stage_tw.iter().map(|w| w.conj()).collect();
+        Fft {
+            n,
+            rev,
+            stage_tw,
+            stage_tw_inv,
+        }
     }
 
     /// Transform size.
@@ -56,7 +76,7 @@ impl Fft {
     /// # Panics
     /// Panics if `buf.len()` differs from the plan size.
     pub fn forward(&self, buf: &mut [Cf64]) {
-        self.transform(buf, false);
+        self.transform(buf, &self.stage_tw);
     }
 
     /// In-place inverse FFT with `1/n` normalization, so
@@ -65,41 +85,36 @@ impl Fft {
     /// # Panics
     /// Panics if `buf.len()` differs from the plan size.
     pub fn inverse(&self, buf: &mut [Cf64]) {
-        self.transform(buf, true);
+        self.transform(buf, &self.stage_tw_inv);
         let k = 1.0 / self.n as f64;
         for s in buf.iter_mut() {
             *s = s.scale(k);
         }
     }
 
-    fn transform(&self, buf: &mut [Cf64], inverse: bool) {
+    /// Bit-reversal permutation, then iterative Cooley-Tukey butterflies
+    /// with the per-stage twiddle table `stage_tw`.
+    fn transform(&self, buf: &mut [Cf64], stage_tw: &[Cf64]) {
         assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
-        // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.rev[i] as usize;
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
                 buf.swap(i, j);
             }
         }
-        // Iterative Cooley-Tukey butterflies.
-        let mut len = 2;
-        while len <= self.n {
-            let half = len / 2;
-            let step = self.n / len;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
-                    let w = if inverse {
-                        self.tw[k * step].conj()
-                    } else {
-                        self.tw[k * step]
-                    };
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+        let mut half = 1;
+        while half < self.n {
+            let tw = &stage_tw[half - 1..2 * half - 1];
+            for block in buf.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let x = *a;
+                    let y = *b * w;
+                    *a = x + y;
+                    *b = x - y;
                 }
             }
-            len <<= 1;
+            half <<= 1;
         }
     }
 }
@@ -136,6 +151,77 @@ mod tests {
                     .sum()
             })
             .collect()
+    }
+
+    /// The butterfly loop as first written, conjugating the twiddle inside
+    /// the loop: the reference the table-driven transform must match bit
+    /// for bit.
+    fn reference_transform(plan: &Fft, buf: &mut [Cf64], inverse: bool) {
+        let tw = &plan.stage_tw[plan.n / 2 - 1..];
+        for i in 0..plan.n {
+            let j = plan.rev[i] as usize;
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= plan.n {
+            let half = len / 2;
+            let step = plan.n / len;
+            for start in (0..plan.n).step_by(len) {
+                for k in 0..half {
+                    let w = if inverse {
+                        tw[k * step].conj()
+                    } else {
+                        tw[k * step]
+                    };
+                    let a = buf[start + k];
+                    let b = buf[start + k + half] * w;
+                    buf[start + k] = a + b;
+                    buf[start + k + half] = a - b;
+                }
+            }
+            len <<= 1;
+        }
+        if inverse {
+            let k = 1.0 / plan.n as f64;
+            for s in buf.iter_mut() {
+                *s = s.scale(k);
+            }
+        }
+    }
+
+    fn bits(buf: &[Cf64]) -> Vec<(u64, u64)> {
+        buf.iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    }
+
+    rjam_testkit::props! {
+        cases = 24;
+
+        /// Forward and inverse transforms at both OFDM sizes are
+        /// bit-identical to the reference butterfly loop.
+        fn transform_matches_reference_bits(
+            n in rjam_testkit::one_of(vec![64usize, 1024]),
+            seed in rjam_testkit::any::<u64>(),
+            inverse in rjam_testkit::any::<bool>(),
+        ) {
+            let mut rng = Rng::seed_from(seed);
+            let x: Vec<Cf64> = (0..n)
+                .map(|_| Cf64::new(rng.gaussian(), rng.gaussian()))
+                .collect();
+            let plan = Fft::new(n);
+            let mut fast = x.clone();
+            if inverse {
+                plan.inverse(&mut fast);
+            } else {
+                plan.forward(&mut fast);
+            }
+            let mut slow = x;
+            reference_transform(&plan, &mut slow, inverse);
+            rjam_testkit::prop_assert_eq!(bits(&fast), bits(&slow));
+        }
     }
 
     #[test]
