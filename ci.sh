@@ -43,12 +43,21 @@ test -s BENCH_dsp_lanes.json
 cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_dsp_lanes.json
 
 step "lane bank scaling gate (lanes_16 vs lanes_1 aggregate throughput)"
-# Fails the build if the bitsliced lane bank stops amortizing its popcount
-# pass: 16 lanes sharing one template must deliver at least 4x the
+# Fails the build if the lane bank stops amortizing its shared correlator
+# evaluation: 16 lanes sharing one template must deliver at least 4x the
 # single-lane aggregate throughput (RJAM_LANE_SCALING_MIN). The speedup is
 # instruction-level sharing on one core, so unlike the thread-scaling gate
 # below there is no core-count escape hatch.
 cargo run -q --release --offline -p rjam-bench --bin check_lane_scaling -- BENCH_dsp_lanes.json
+
+step "DSP core bench smoke (full core, energy, jam controller, personality switch)"
+# The microbench of the per-sample core path every detection, false-alarm
+# and WiMAX job runs, including the register-level reconfiguration path.
+RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
+    RJAM_BENCH_OUT="$(pwd)" \
+    cargo bench -q -p rjam-bench --offline --bench dsp_core
+test -s BENCH_dsp_core.json
+cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_dsp_core.json
 
 step "campaign engine bench smoke (threads 1/2/4 + inline determinism cross-check)"
 # The bench itself panics if any sharded run diverges bitwise from the

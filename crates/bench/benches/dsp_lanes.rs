@@ -1,7 +1,7 @@
-//! Scaling: the bitsliced DSP lane bank versus running the same hypotheses
+//! Scaling: the DSP lane bank versus running the same hypotheses
 //! through separate correlator instances. Each lane is a distinct
 //! (template, threshold, lockout) tuple over one shared stream; because
-//! lanes that share a template also share the bit-plane popcount pass, a
+//! lanes that share a template also share one metric evaluation, a
 //! threshold sweep amortizes the expensive part and aggregate throughput
 //! (lane-samples per second) should grow nearly linearly with lane count.
 //!
@@ -93,7 +93,7 @@ fn main() {
         });
     }
 
-    // Worst case: 16 distinct templates (no shared popcount pass), and the
+    // Worst case: 16 distinct templates (no shared evaluation), and the
     // trigger-collecting datapath used by the campaign detection sweeps.
     let mut bank = multi_template_bank(16);
     let elems = (stream.len() * 16) as u64;

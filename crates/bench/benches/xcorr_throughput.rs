@@ -1,7 +1,9 @@
-//! Ablation: the bit-sliced cross-correlator versus the literal 64-tap
+//! Ablation: the table-driven cross-correlator versus the literal 64-tap
 //! reference datapath. The FPGA evaluates all taps in one clock; the
-//! bit-sliced software model keeps whole-workspace Monte Carlo sweeps
-//! tractable, and this bench quantifies by how much.
+//! table-driven software model (16 lookups per sample) keeps
+//! whole-workspace Monte Carlo sweeps tractable, and this bench quantifies
+//! by how much. The fast record keeps its historical `xcorr_bitsliced`
+//! name so baselines stay comparable.
 
 use rjam_bench::harness::Harness;
 use rjam_fpga::xcorr::Coeff3;

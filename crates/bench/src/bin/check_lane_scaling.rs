@@ -1,9 +1,8 @@
 //! Lane-bank scaling gate over `BENCH_dsp_lanes.json`: fails when packing
-//! detection hypotheses into the bitsliced lane bank stops paying for
-//! itself.
+//! detection hypotheses into the lane bank stops paying for itself.
 //!
 //! The whole point of `DspLaneBank` is that lanes sharing one template also
-//! share the bit-plane popcount pass, so a 16-lane threshold sweep should
+//! share one metric evaluation, so a 16-lane threshold sweep should
 //! cost far less than 16 separate correlator runs. The bench reports
 //! *aggregate* throughput (elements = samples x lanes), which makes the
 //! contract easy to state: the `lane_bank` sweep's `lanes_16` aggregate
@@ -71,7 +70,7 @@ fn check(path: &str) -> Result<(), String> {
     } else {
         Err(format!(
             "LANE SCALING REGRESSION: lanes_16 aggregate throughput is only {ratio:.2}x \
-             lanes_1 (bound {bound}x); the lane bank is no longer amortizing its popcount pass"
+             lanes_1 (bound {bound}x); the lane bank is no longer amortizing its metric evaluation"
         ))
     }
 }

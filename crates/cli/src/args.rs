@@ -685,7 +685,7 @@ NOTES:
   detect/roc probe against full 802.11g frames; selecting --preset wimax
   there measures cross-standard rejection (it should stay near zero).
   fa --grid sweeps a comma-separated list of threshold fractions over the
-  *same* noise stream in one bitsliced lane-bank pass (one row per
+  *same* noise stream in one lane-bank pass (one row per
   fraction); it needs a correlator preset, not energy.
   stats without a file runs a short live exercise and renders its metrics,
   including the trigger-to-TX latency histogram against the response budget

@@ -170,8 +170,8 @@ fn lane_bank_for(presets: &[DetectionPreset], lockout: u64) -> Option<DspLaneBan
 /// for N correlator presets in one streaming pass: identical unit
 /// boundaries, identical per-unit noise streams (`shard_seed(seed, index)`),
 /// identical quantization — but every threshold rides one lane of a shared
-/// [`DspLaneBank`], so the sign-bit popcount pass is paid once per distinct
-/// template instead of once per preset. Returns one `(triggers, samples)`
+/// [`DspLaneBank`], so the correlator's table lookups are paid once per
+/// distinct template instead of once per preset. Returns one `(triggers, samples)`
 /// pair per preset, each bit-identical to a dedicated `run_counts` run of
 /// that preset at the same seed. `None` when the presets don't fit a bank.
 fn false_alarm_lane_counts(
@@ -760,8 +760,8 @@ impl FalseAlarmSpec {
 
     /// Sweeps a grid of correlation-threshold fractions in **one** noise
     /// pass: every fraction becomes a [`DspLaneBank`] lane over the base
-    /// preset's template, so the sign-bit popcount pass is paid once per
-    /// sample instead of once per grid point. Unit boundaries, per-unit
+    /// preset's template, so the correlator's table lookups are paid once
+    /// per sample instead of once per grid point. Unit boundaries, per-unit
     /// noise streams and quantization are exactly those of
     /// [`FalseAlarmSpec::run_counts`], so the `k`-th `(triggers, samples)`
     /// pair is bit-identical to running
@@ -866,7 +866,7 @@ impl RocSpec<'_> {
     /// For correlator presets the sweep runs on a [`DspLaneBank`]: all
     /// thresholds become lanes of one bank, the shared noise and emission
     /// streams are synthesized and sign-sliced **once**, and every
-    /// threshold's comparator rides the same popcount pass. The produced
+    /// threshold's comparator reads the same correlator metric. The produced
     /// points are bit-identical to the per-threshold nested path (the unit
     /// seeds, streams, quantization and the final float divisions all
     /// match), which remains as the fallback for energy presets and

@@ -226,6 +226,14 @@ pub enum ConfigError {
         /// The rejected value in dB.
         value_db: f64,
     },
+    /// The trigger combination does not fit the three-stage event builder:
+    /// an `Any` mode with no source, or a `Sequence` outside 1..=3 stages.
+    UnsupportedTriggerMode {
+        /// True for a `Sequence`, false for an `Any` mode.
+        sequence: bool,
+        /// Sources (`Any`) or stages (`Sequence`) in the rejected mode.
+        len: usize,
+    },
 }
 
 /// Correlator rail named by [`ConfigError::CoeffOutOfRange`].
@@ -273,6 +281,20 @@ impl core::fmt::Display for ConfigError {
                 write!(
                     f,
                     "energy_{edge}_db = {value_db} outside the detector's 3-30 dB range"
+                )
+            }
+            ConfigError::UnsupportedTriggerMode {
+                sequence: false, ..
+            } => {
+                write!(f, "trigger_mode Any needs at least one trigger source")
+            }
+            ConfigError::UnsupportedTriggerMode {
+                sequence: true,
+                len,
+            } => {
+                write!(
+                    f,
+                    "trigger_mode Sequence has {len} stages; the event builder runs 1..=3"
                 )
             }
         }
@@ -350,8 +372,9 @@ impl CoreConfig {
 
     /// Checks every field against the hardware's representable ranges:
     /// coefficients in the 3-bit signed range `-4..=3`, a nonzero
-    /// correlation threshold, and energy thresholds inside the detector's
-    /// 3-30 dB window.
+    /// correlation threshold, energy thresholds inside the detector's
+    /// 3-30 dB window, and a trigger mode the three-stage event builder can
+    /// run (at least one `Any` source, 1..=3 `Sequence` stages).
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (index, &value) in self.coeff_i.iter().enumerate() {
             if !(-4..=3).contains(&value) {
@@ -386,7 +409,7 @@ impl CoreConfig {
                 value_db: self.energy_low_db,
             });
         }
-        Ok(())
+        self.trigger_mode.check()
     }
 
     /// Validates and returns the configuration, consuming it.
@@ -503,10 +526,6 @@ pub struct DspCore {
     energy: EnergyDifferentiator,
     builder: TriggerBuilder,
     jammer: JamController,
-    /// Which sources feed the jam trigger (cached from JammerControl).
-    src_xcorr: bool,
-    src_energy_high: bool,
-    src_energy_low: bool,
     events: Vec<CoreEvent>,
     now: u64,
     /// Optional packet-assembly FIFO (Fig. 1): captures the triggering
@@ -525,9 +544,6 @@ impl DspCore {
             energy: EnergyDifferentiator::new(),
             builder: TriggerBuilder::new(TriggerMode::Any(vec![TriggerSource::EnergyHigh])),
             jammer: JamController::new(),
-            src_xcorr: false,
-            src_energy_high: true,
-            src_energy_low: false,
             events: Vec::new(),
             now: 0,
             capture: None,
@@ -604,10 +620,10 @@ impl DspCore {
             ctrl |= jammer_control::CONTINUOUS;
         }
         let (srcs, window, sequence) = match &cfg.trigger_mode {
-            TriggerMode::Any(s) => (s.clone(), 0u64, false),
-            TriggerMode::Sequence { stages, window } => (stages.clone(), *window, true),
+            TriggerMode::Any(s) => (s, 0u64, false),
+            TriggerMode::Sequence { stages, window } => (stages, *window, true),
         };
-        for s in &srcs {
+        for s in srcs {
             ctrl |= match s {
                 TriggerSource::Xcorr => jammer_control::SRC_XCORR,
                 TriggerSource::EnergyHigh => jammer_control::SRC_ENERGY_HIGH,
@@ -644,9 +660,6 @@ impl DspCore {
         self.energy.set_threshold_low_db(cfg.energy_low_db);
         self.energy.set_lockout(cfg.lockout);
         self.builder = TriggerBuilder::new(cfg.trigger_mode.clone());
-        self.src_xcorr = srcs.contains(&TriggerSource::Xcorr);
-        self.src_energy_high = srcs.contains(&TriggerSource::EnergyHigh);
-        self.src_energy_low = srcs.contains(&TriggerSource::EnergyLow);
         self.jammer.set_waveform(cfg.waveform.clone());
         self.jammer.set_uptime_samples(cfg.uptime_samples);
         self.jammer.set_delay_samples(cfg.delay_samples);
@@ -741,12 +754,9 @@ impl DspCore {
             }
         }
 
-        let masked = Pulses {
-            xcorr: pulses.xcorr && self.src_xcorr,
-            energy_high: pulses.energy_high && self.src_energy_high,
-            energy_low: pulses.energy_low && self.src_energy_low,
-        };
-        let jam_trigger = self.builder.push(masked);
+        // The builder only ever tests the sources its mode names, which
+        // are exactly the sources enabled in JammerControl.
+        let jam_trigger = self.builder.push(pulses);
         if jam_trigger {
             self.events.push(CoreEvent::JamTrigger { sample, cycle });
             if rjam_obs::enabled() {
@@ -818,14 +828,17 @@ impl DspCore {
         tx: &mut Vec<IqI16>,
         active: &mut Vec<bool>,
     ) {
+        // Size both buffers as silence once; only transmitting samples
+        // are written below.
         tx.clear();
+        tx.resize(rx.len(), IqI16::ZERO);
         active.clear();
-        tx.reserve(rx.len());
-        active.reserve(rx.len());
-        for &s in rx {
-            let out = self.process(s);
-            active.push(out.tx.is_some());
-            tx.push(out.tx.unwrap_or(IqI16::ZERO));
+        active.resize(rx.len(), false);
+        for (n, &s) in rx.iter().enumerate() {
+            if let Some(sample) = self.process(s).tx {
+                tx[n] = sample;
+                active[n] = true;
+            }
         }
     }
 
@@ -1355,24 +1368,6 @@ mod tests {
     }
 
     #[test]
-    fn process_block_into_matches_allocating_path() {
-        let mut a = DspCore::new();
-        let mut b = DspCore::new();
-        a.configure(&energy_jam_config());
-        b.configure(&energy_jam_config());
-        let mut stream = quiet(300);
-        stream.extend(loud(500));
-        let (tx_alloc, active_alloc) = a.process_block(&stream);
-        // Pre-dirty the reusable buffers: process_block_into must clear them.
-        let mut tx = vec![IqI16::new(7, 7); 9];
-        let mut active = vec![true; 3];
-        b.process_block_into(&stream, &mut tx, &mut active);
-        assert_eq!(tx, tx_alloc);
-        assert_eq!(active, active_alloc);
-        assert_eq!(tx.len(), stream.len());
-    }
-
-    #[test]
     fn builder_accepts_valid_personality() {
         let cfg = CoreConfig::builder()
             .coeffs([3; 64], [-4; 64])
@@ -1454,6 +1449,50 @@ mod tests {
         ));
         // The default personality itself is valid.
         CoreConfig::default().validate().expect("default is valid");
+    }
+
+    #[test]
+    fn builder_rejects_trigger_modes_the_event_builder_cannot_run() {
+        let err = CoreConfig::builder()
+            .trigger_mode(TriggerMode::Any(Vec::new()))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnsupportedTriggerMode {
+                sequence: false,
+                len: 0
+            }
+        );
+        assert!(err.to_string().contains("at least one trigger source"));
+        for len in [0, 4] {
+            let err = CoreConfig::builder()
+                .trigger_mode(TriggerMode::Sequence {
+                    stages: vec![TriggerSource::Xcorr; len],
+                    window: 10,
+                })
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::UnsupportedTriggerMode {
+                    sequence: true,
+                    len
+                }
+            );
+            assert!(err.to_string().contains("1..=3"), "{err}");
+        }
+        // Every trigger mode that validates configures a core.
+        for len in 1..=3 {
+            let cfg = CoreConfig::builder()
+                .trigger_mode(TriggerMode::Sequence {
+                    stages: vec![TriggerSource::EnergyHigh; len],
+                    window: 10,
+                })
+                .build()
+                .expect("1..=3 stages are valid");
+            DspCore::new().configure(&cfg);
+        }
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Bitsliced DSP lane bank: many correlator hypotheses per popcount pass.
+//! DSP lane bank: many correlator hypotheses per metric evaluation.
 //!
 //! The paper's FPGA evaluates all 64 correlator taps in one clock; the
-//! software analogue ([`crate::CrossCorrelator::push`]) already bit-slices
-//! one core's taps into `u64` popcounts, but each pass still serves exactly
-//! one (template, threshold, lockout) tuple. Workspace-scale studies —
-//! ROC threshold sweeps, false-alarm grids, fleets of modeled radios
-//! listening to one air stream — re-run that identical pass N times over
-//! the same sign bits.
+//! software analogue ([`crate::CrossCorrelator::push`]) evaluates one
+//! core's taps with 16 lookups into tables compiled from its template, but
+//! each evaluation still serves exactly one (template, threshold, lockout)
+//! tuple. Workspace-scale studies — ROC threshold sweeps, false-alarm
+//! grids, fleets of modeled radios listening to one air stream — re-run
+//! that identical evaluation N times over the same sign bits.
 //!
-//! [`DspLaneBank`] amortizes the pass: up to [`MAX_LANES`] independent
-//! detection *lanes* share one pair of sign-history shift registers, and
-//! lanes that share a template also share its precomputed bit-plane rails,
-//! so the expensive popcount evaluation runs once per *distinct template*
-//! per sample while the per-lane work collapses to a threshold compare and
-//! trigger/lockout bookkeeping. A threshold sweep over one template is the
-//! ideal case: one metric evaluation feeds all lanes.
+//! [`DspLaneBank`] amortizes the evaluation: up to [`MAX_LANES`]
+//! independent detection *lanes* share one interleaved sign-history
+//! register, and lanes that share a template also share its compiled
+//! lookup tables, so the metric is computed once per *distinct template*
+//! per sample — by the same kernel the single correlator runs — while the
+//! per-lane work collapses to a threshold compare and trigger/lockout
+//! bookkeeping. A threshold sweep over one template is the ideal case: one
+//! metric evaluation feeds all lanes.
 //!
 //! Two datapaths are provided, sharing one classifier so they cannot
 //! diverge:
@@ -35,24 +36,23 @@
 //! `reset()` is bit-equivalent to a fresh bank, so banks pool in
 //! `CampaignEngine::run_units` like any other unit state.
 
-use crate::xcorr::{Coeff3, Rail, XcorrOutput};
+use crate::xcorr::{shift_signs, Coeff3, TemplateTables, XcorrOutput};
 use rjam_sdr::complex::IqI16;
 
 /// Maximum number of lanes one bank can hold.
 ///
-/// 64 matches the shift-register width: a bank never needs more hypotheses
-/// than it has history bits before a second bank is cheaper anyway (each
-/// additional bank shares nothing but code).
+/// 64 matches the sign history's depth in samples: a bank never needs more
+/// hypotheses than it has history samples before a second bank is cheaper
+/// anyway (each additional bank shares nothing but code).
 pub const MAX_LANES: usize = 64;
 
-/// One distinct template's precomputed rails, shared by every lane that
-/// loaded the same coefficients.
+/// One distinct template's compiled lookup tables, shared by every lane
+/// that loaded the same coefficients.
 #[derive(Clone, Debug)]
 struct TemplateGroup {
     coeff_i: [i8; 64],
     coeff_q: [i8; 64],
-    rail_i: Rail,
-    rail_q: Rail,
+    tables: TemplateTables,
 }
 
 /// Per-lane classifier state, mirroring [`crate::CrossCorrelator`] exactly.
@@ -95,15 +95,14 @@ impl LaneBankScratch {
 }
 
 /// A bank of up to [`MAX_LANES`] cross-correlator hypotheses sharing one
-/// sign-bit stream and, per distinct template, one set of bit-plane rails.
+/// sign-bit stream and, per distinct template, one set of lookup tables.
 #[derive(Clone, Debug)]
 pub struct DspLaneBank {
     groups: Vec<TemplateGroup>,
     lanes: Vec<LaneState>,
-    /// Shared sign histories: bit k set when the sample `k` pushes ago was
-    /// negative; bit 0 is the newest sample.
-    neg_i: u64,
-    neg_q: u64,
+    /// Shared interleaved (I, Q) sign history, as in
+    /// [`crate::CrossCorrelator`].
+    hist: u128,
     /// Samples consumed; every lane's window is valid once >= 64.
     fed: u64,
 }
@@ -114,14 +113,13 @@ impl DspLaneBank {
         DspLaneBank {
             groups: Vec::new(),
             lanes: Vec::new(),
-            neg_i: 0,
-            neg_q: 0,
+            hist: 0,
             fed: 0,
         }
     }
 
     /// Adds a detection lane and returns its index. Lanes with identical
-    /// coefficient templates share one rail evaluation per sample.
+    /// coefficient templates share one metric evaluation per sample.
     ///
     /// # Panics
     /// Panics if the bank already holds [`MAX_LANES`] lanes or any
@@ -144,20 +142,10 @@ impl DspLaneBank {
         {
             Some(g) => g,
             None => {
-                // Reverse tap order once at load time, exactly like
-                // CrossCorrelator::rebuild_rails: mask bit k holds the sample
-                // k pushes ago, so tap 63-k sits at plane position k.
-                let mut rev_i = [Coeff3::new(0); 64];
-                let mut rev_q = [Coeff3::new(0); 64];
-                for k in 0..64 {
-                    rev_i[k] = Coeff3::new(ci[63 - k]);
-                    rev_q[k] = Coeff3::new(cq[63 - k]);
-                }
                 self.groups.push(TemplateGroup {
                     coeff_i: *ci,
                     coeff_q: *cq,
-                    rail_i: Rail::new(&rev_i),
-                    rail_q: Rail::new(&rev_q),
+                    tables: TemplateTables::new(&ci.map(Coeff3::new), &cq.map(Coeff3::new)),
                 });
                 self.groups.len() - 1
             }
@@ -183,7 +171,7 @@ impl DspLaneBank {
         self.lanes.is_empty()
     }
 
-    /// Number of distinct templates (shared rail evaluations per sample).
+    /// Number of distinct templates (shared metric evaluations per sample).
     pub fn groups(&self) -> usize {
         self.groups.len()
     }
@@ -232,8 +220,7 @@ impl DspLaneBank {
     /// bank with the same lanes, which is the pooling contract
     /// `CampaignEngine::run_units` relies on.
     pub fn reset(&mut self) {
-        self.neg_i = 0;
-        self.neg_q = 0;
+        self.hist = 0;
         self.fed = 0;
         for lane in &mut self.lanes {
             lane.lockout_left = 0;
@@ -244,19 +231,16 @@ impl DspLaneBank {
 
     #[inline]
     fn step(&mut self, s: IqI16) {
-        self.neg_i = (self.neg_i << 1) | u64::from(s.i < 0);
-        self.neg_q = (self.neg_q << 1) | u64::from(s.q < 0);
+        self.hist = shift_signs(self.hist, s);
         self.fed += 1;
     }
 
     /// Evaluates each distinct template's metric once for the current
-    /// histories — the shared popcount pass all lanes amortize.
+    /// history — the shared evaluation all lanes amortize.
     #[inline]
     fn group_metrics(&self, metrics: &mut [u64; MAX_LANES]) {
-        for (g, grp) in self.groups.iter().enumerate() {
-            let re = grp.rail_i.corr(self.neg_i) + grp.rail_q.corr(self.neg_q);
-            let im = grp.rail_i.corr(self.neg_q) - grp.rail_q.corr(self.neg_i);
-            metrics[g] = (re as i64 * re as i64 + im as i64 * im as i64) as u64;
+        for (m, grp) in metrics.iter_mut().zip(&self.groups) {
+            *m = grp.tables.metric(self.hist);
         }
     }
 

@@ -13,6 +13,8 @@
 //! * [`TriggerMode::Sequence`] — the three-stage FSM proper: the enabled
 //!   sources must fire in order within the programmed window.
 
+use crate::core::ConfigError;
+
 /// A detector output that can arm the builder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TriggerSource {
@@ -50,13 +52,41 @@ pub struct Pulses {
     pub energy_low: bool,
 }
 
-impl Pulses {
-    fn has(&self, src: TriggerSource) -> bool {
-        match src {
-            TriggerSource::Xcorr => self.xcorr,
-            TriggerSource::EnergyHigh => self.energy_high,
-            TriggerSource::EnergyLow => self.energy_low,
+impl TriggerMode {
+    /// Checks that the three-stage event builder can run this mode: an
+    /// `Any` mode needs at least one source, a `Sequence` 1..=3 stages.
+    pub(crate) fn check(&self) -> Result<(), ConfigError> {
+        match self {
+            TriggerMode::Any(srcs) if srcs.is_empty() => Err(ConfigError::UnsupportedTriggerMode {
+                sequence: false,
+                len: 0,
+            }),
+            TriggerMode::Sequence { stages, .. } if !(1..=3).contains(&stages.len()) => {
+                Err(ConfigError::UnsupportedTriggerMode {
+                    sequence: true,
+                    len: stages.len(),
+                })
+            }
+            _ => Ok(()),
         }
+    }
+}
+
+impl TriggerSource {
+    /// The source's bit in a [`Pulses::bits`] mask.
+    fn bit(self) -> u8 {
+        match self {
+            TriggerSource::Xcorr => 1,
+            TriggerSource::EnergyHigh => 2,
+            TriggerSource::EnergyLow => 4,
+        }
+    }
+}
+
+impl Pulses {
+    /// The pulses as a mask of [`TriggerSource::bit`]s.
+    fn bits(&self) -> u8 {
+        u8::from(self.xcorr) | u8::from(self.energy_high) << 1 | u8::from(self.energy_low) << 2
     }
 }
 
@@ -64,6 +94,9 @@ impl Pulses {
 #[derive(Clone, Debug)]
 pub struct TriggerBuilder {
     mode: TriggerMode,
+    /// [`TriggerMode::Any`]'s source list compiled to a [`Pulses::bits`]
+    /// mask (0 in sequence mode, which tests one stage's bit at a time).
+    any_mask: u8,
     /// Next sequence stage awaiting its pulse.
     stage: usize,
     /// Sample index when stage 0 fired (sequence mode).
@@ -76,22 +109,19 @@ impl TriggerBuilder {
     /// Creates a builder in the given mode.
     ///
     /// # Panics
-    /// Panics on an empty source list or a sequence longer than three stages
-    /// (the hardware has three).
+    /// Panics on an empty source list or a sequence outside 1..=3 stages
+    /// (the hardware has three), the modes `CoreConfig::validate` rejects.
     pub fn new(mode: TriggerMode) -> Self {
-        match &mode {
-            TriggerMode::Any(srcs) => {
-                assert!(!srcs.is_empty(), "at least one trigger source required");
-            }
-            TriggerMode::Sequence { stages, .. } => {
-                assert!(
-                    (1..=3).contains(&stages.len()),
-                    "hardware supports 1..=3 sequence stages"
-                );
-            }
+        if let Err(e) = mode.check() {
+            panic!("{e}");
         }
+        let any_mask = match &mode {
+            TriggerMode::Any(srcs) => srcs.iter().fold(0, |m, s| m | s.bit()),
+            TriggerMode::Sequence { .. } => 0,
+        };
         TriggerBuilder {
             mode,
+            any_mask,
             stage: 0,
             armed_at: None,
             now: 0,
@@ -108,7 +138,7 @@ impl TriggerBuilder {
         let now = self.now;
         self.now += 1;
         match &self.mode {
-            TriggerMode::Any(srcs) => srcs.iter().any(|&s| pulses.has(s)),
+            TriggerMode::Any(_) => pulses.bits() & self.any_mask != 0,
             TriggerMode::Sequence { stages, window } => {
                 // Window expiry aborts a partial sequence.
                 if let Some(t0) = self.armed_at {
@@ -117,7 +147,7 @@ impl TriggerBuilder {
                         self.armed_at = None;
                     }
                 }
-                if self.stage < stages.len() && pulses.has(stages[self.stage]) {
+                if self.stage < stages.len() && pulses.bits() & stages[self.stage].bit() != 0 {
                     if self.stage == 0 {
                         self.armed_at = Some(now);
                     }

@@ -18,11 +18,14 @@
 //!
 //! * [`CrossCorrelator::push_reference`] — the straightforward 64-tap loop,
 //!   matching the block diagram one multiply-accumulate at a time;
-//! * [`CrossCorrelator::push`] — a bit-sliced form that keeps the sign
-//!   history in two `u64` shift registers and evaluates each rail with a
-//!   handful of popcounts over precomputed coefficient bit-planes. This is
-//!   the software analogue of the FPGA evaluating all 64 taps in one clock,
-//!   and is what makes workspace-scale Monte Carlo sweeps tractable.
+//! * [`CrossCorrelator::push`] — a table-driven form that keeps the sign
+//!   history in one interleaved 128-bit (I, Q) register, two bits per
+//!   sample, and evaluates the whole complex sum with 16 lookups into
+//!   tables compiled from the template at load time. Each table covers
+//!   four taps: its 256 entries hold the packed (re, im) partial sums for
+//!   every combination of their eight sign bits. This is the software
+//!   analogue of the FPGA evaluating all 64 taps in one clock, and is what
+//!   makes workspace-scale Monte Carlo sweeps tractable.
 //!
 //! Property tests assert the two agree on random streams.
 
@@ -54,54 +57,109 @@ impl Coeff3 {
     }
 }
 
-/// Precomputed bit-planes for one 64-tap coefficient rail.
+/// Shifts one sample's sign bits into an interleaved sign history.
 ///
-/// For sign inputs `s in {+1,-1}` encoded as a "negative" bitmask `b`
-/// (bit set when the sample is negative), the rail sum is
-///
-/// ```text
-///   sum_k s_k c_k = C_total - 2 * sum_{k: b_k} c_k
-/// ```
-///
-/// and the masked coefficient sum decomposes over the two's-complement
-/// bit-planes of the 3-bit coefficients: `c = -4 c2 + 2 c1 + c0`, so three
-/// popcounts evaluate it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Rail {
-    p0: u64,
-    p1: u64,
-    p2: u64,
-    total: i32,
+/// Bit `2k` of the history is set when the I component of the sample `k`
+/// pushes ago was negative, bit `2k + 1` when its Q component was; bit
+/// pair 0 is the newest sample. A 64-tap window fills the 128 bits.
+#[inline]
+pub(crate) fn shift_signs(hist: u128, s: IqI16) -> u128 {
+    (hist << 2) | u128::from(s.i < 0) | (u128::from(s.q < 0) << 1)
 }
 
-impl Rail {
-    pub(crate) fn new(coeffs: &[Coeff3; 64]) -> Self {
-        let (mut p0, mut p1, mut p2) = (0u64, 0u64, 0u64);
-        let mut total = 0i32;
-        for (k, c) in coeffs.iter().enumerate() {
-            let bits = (c.0 as u8) & 0x7;
-            if bits & 1 != 0 {
-                p0 |= 1 << k;
-            }
-            if bits & 2 != 0 {
-                p1 |= 1 << k;
-            }
-            if bits & 4 != 0 {
-                p2 |= 1 << k;
-            }
-            total += c.0 as i32;
-        }
-        Rail { p0, p1, p2, total }
+/// Taps per lookup table: four samples' (I, Q) sign bits index 256 entries.
+const TAPS_PER_CHUNK: usize = 4;
+
+/// Lookup tables per 64-tap template.
+const CHUNKS: usize = 64 / TAPS_PER_CHUNK;
+
+/// Bias added to each half of a table entry so both stay non-negative.
+/// One tap adds at most `|cI| + |cQ| = 8` to either sum, so four taps stay
+/// within `-32..=32`.
+const CHUNK_BIAS: i32 = 8 * TAPS_PER_CHUNK as i32;
+
+/// A 64-tap template compiled into [`CHUNKS`] lookup tables: the
+/// correlator kernel that [`CrossCorrelator::push`] and the lane bank's
+/// per-template evaluation share.
+///
+/// Entry `e` of table `c` holds the complex partial sum
+///
+/// ```text
+///   re = sum_j sI[k] cI[63-k] + sQ[k] cQ[63-k]
+///   im = sum_j sQ[k] cI[63-k] - sI[k] cQ[63-k]      k = 4c + j, j = 0..4
+/// ```
+///
+/// for the signs (`s = +1`, or `-1` where the bit is set) that the eight
+/// bits of `e` encode — byte `c` of the interleaved history. Each half is
+/// biased by [`CHUNK_BIAS`] and packed into one `u32` as
+/// `(im + bias) << 16 | (re + bias)`; the 16 biased halves sum to at most
+/// 1024, so adding whole entries never carries between halves. One table
+/// set is 16 KB.
+#[derive(Clone)]
+pub(crate) struct TemplateTables {
+    chunks: Box<[[u32; 256]; CHUNKS]>,
+}
+
+impl TemplateTables {
+    /// Compiles a template given as taps oldest-first (tap 63 meets the
+    /// newest sample).
+    pub(crate) fn new(ci: &[Coeff3; 64], cq: &[Coeff3; 64]) -> Self {
+        let mut t = TemplateTables {
+            chunks: Box::new([[0; 256]; CHUNKS]),
+        };
+        t.compile(ci, cq);
+        t
     }
 
-    /// Correlation of the rail against a sign history encoded as a
-    /// negative-sample bitmask.
+    /// Recompiles the tables in place, with no heap allocation.
+    pub(crate) fn compile(&mut self, ci: &[Coeff3; 64], cq: &[Coeff3; 64]) {
+        for (c, table) in self.chunks.iter_mut().enumerate() {
+            // terms[j][bits]: the packed contribution of the sample
+            // k = 4c + j pushes ago, for its two sign bits.
+            let terms: [[u32; 4]; TAPS_PER_CHUNK] = std::array::from_fn(|j| {
+                let k = TAPS_PER_CHUNK * c + j;
+                let (tap_i, tap_q) = (i32::from(ci[63 - k].0), i32::from(cq[63 - k].0));
+                std::array::from_fn(|bits| {
+                    let si = if bits & 1 != 0 { -1 } else { 1 };
+                    let sq = if bits & 2 != 0 { -1 } else { 1 };
+                    pack(si * tap_i + sq * tap_q, sq * tap_i - si * tap_q)
+                })
+            });
+            for (e, entry) in table.iter_mut().enumerate() {
+                *entry = terms
+                    .iter()
+                    .enumerate()
+                    .fold(pack(CHUNK_BIAS, CHUNK_BIAS), |acc, (j, term)| {
+                        acc.wrapping_add(term[(e >> (2 * j)) & 3])
+                    });
+            }
+        }
+    }
+
+    /// The squared correlation magnitude `re^2 + im^2` for a sign history
+    /// (see [`shift_signs`]): 16 lookups and adds.
     #[inline]
-    pub(crate) fn corr(&self, neg_mask: u64) -> i32 {
-        let masked = (neg_mask & self.p0).count_ones() as i32
-            + 2 * (neg_mask & self.p1).count_ones() as i32
-            - 4 * (neg_mask & self.p2).count_ones() as i32;
-        self.total - 2 * masked
+    pub(crate) fn metric(&self, hist: u128) -> u64 {
+        let mut acc = 0u32;
+        for (table, byte) in self.chunks.iter().zip(hist.to_le_bytes()) {
+            acc += table[usize::from(byte)];
+        }
+        let bias = CHUNKS as i64 * CHUNK_BIAS as i64;
+        let re = i64::from(acc & 0xFFFF) - bias;
+        let im = i64::from(acc >> 16) - bias;
+        (re * re + im * im) as u64
+    }
+}
+
+/// Packs a signed (re, im) pair into one `u32` in wrapping arithmetic; the
+/// pair decodes exactly once both halves are back in `0..65536`.
+fn pack(re: i32, im: i32) -> u32 {
+    (re as u32).wrapping_add((im as u32) << 16)
+}
+
+impl std::fmt::Debug for TemplateTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TemplateTables").finish_non_exhaustive()
     }
 }
 
@@ -110,12 +168,9 @@ impl Rail {
 pub struct CrossCorrelator {
     coeff_i: [Coeff3; 64],
     coeff_q: [Coeff3; 64],
-    rail_i: Rail,
-    rail_q: Rail,
-    /// Sign histories: bit k set when the sample `k` taps ago was negative.
-    /// Bit 0 is the newest sample.
-    neg_i: u64,
-    neg_q: u64,
+    tables: TemplateTables,
+    /// Interleaved (I, Q) sign history, see [`shift_signs`].
+    hist: u128,
     threshold: u64,
     /// Samples consumed; the window is valid once >= 64.
     fed: u64,
@@ -145,10 +200,8 @@ impl CrossCorrelator {
         CrossCorrelator {
             coeff_i: zero,
             coeff_q: zero,
-            rail_i: Rail::new(&zero),
-            rail_q: Rail::new(&zero),
-            neg_i: 0,
-            neg_q: 0,
+            tables: TemplateTables::new(&zero, &zero),
+            hist: 0,
             threshold: u64::MAX,
             fed: 0,
             lockout_left: 0,
@@ -162,11 +215,9 @@ impl CrossCorrelator {
     /// # Panics
     /// Panics unless both rails have exactly 64 taps.
     pub fn load_coeffs(&mut self, ci: &[Coeff3], cq: &[Coeff3]) {
-        assert_eq!(ci.len(), 64, "I rail must have 64 taps");
-        assert_eq!(cq.len(), 64, "Q rail must have 64 taps");
-        self.coeff_i.copy_from_slice(ci);
-        self.coeff_q.copy_from_slice(cq);
-        self.rebuild_rails();
+        let ci: &[Coeff3; 64] = ci.try_into().expect("I rail must have 64 taps");
+        let cq: &[Coeff3; 64] = cq.try_into().expect("Q rail must have 64 taps");
+        self.set_template(ci, cq);
     }
 
     /// Loads coefficients from raw `i8` values (register-bus unpacked form).
@@ -177,11 +228,18 @@ impl CrossCorrelator {
     /// # Panics
     /// Panics if any coefficient is outside `-4..=3`.
     pub fn load_coeffs_raw(&mut self, ci: &[i8; 64], cq: &[i8; 64]) {
-        for k in 0..64 {
-            self.coeff_i[k] = Coeff3::new(ci[k]);
-            self.coeff_q[k] = Coeff3::new(cq[k]);
+        self.set_template(&ci.map(Coeff3::new), &cq.map(Coeff3::new));
+    }
+
+    /// Latches a template, recompiling the lookup tables only when the
+    /// coefficients changed: a personality switch that keeps its template
+    /// costs no table build.
+    fn set_template(&mut self, ci: &[Coeff3; 64], cq: &[Coeff3; 64]) {
+        if self.coeff_i != *ci || self.coeff_q != *cq {
+            self.coeff_i = *ci;
+            self.coeff_q = *cq;
+            self.tables.compile(ci, cq);
         }
-        self.rebuild_rails();
     }
 
     /// Sets the detection threshold on the squared-magnitude metric.
@@ -218,34 +276,30 @@ impl CrossCorrelator {
         (max_i * max_i) as u64
     }
 
-    /// Feeds one sample through the bit-sliced datapath.
+    /// Feeds one sample through the table-driven datapath.
     #[inline]
     pub fn push(&mut self, s: IqI16) -> XcorrOutput {
-        self.neg_i = (self.neg_i << 1) | u64::from(s.i < 0);
-        self.neg_q = (self.neg_q << 1) | u64::from(s.q < 0);
+        self.hist = shift_signs(self.hist, s);
         self.fed += 1;
-        // Complex correlation with template conjugate:
-        //   re = sI.cI + sQ.cQ     im = sQ.cI - sI.cQ
-        // Rails were built with tap order reversed so that plane bit k lines
-        // up with the sample k pushes ago (mask bit k).
-        let re = self.rail_i.corr(self.neg_i) + self.rail_q.corr(self.neg_q);
-        let im = self.rail_i.corr(self.neg_q) - self.rail_q.corr(self.neg_i);
-        let metric = (re as i64 * re as i64 + im as i64 * im as i64) as u64;
+        let metric = self.tables.metric(self.hist);
         self.classify(metric)
     }
 
     /// Feeds one sample through the literal 64-tap loop (reference model).
     pub fn push_reference(&mut self, s: IqI16) -> XcorrOutput {
-        self.neg_i = (self.neg_i << 1) | u64::from(s.i < 0);
-        self.neg_q = (self.neg_q << 1) | u64::from(s.q < 0);
+        self.hist = shift_signs(self.hist, s);
         self.fed += 1;
         let mut re = 0i32;
         let mut im = 0i32;
+        let mut signs = self.hist;
         for k in 0..64 {
-            // Bit k of the mask is the sample k pushes ago; it lines up with
-            // coefficient tap 63-k (taps stored oldest-first).
-            let si: i32 = if (self.neg_i >> k) & 1 == 1 { -1 } else { 1 };
-            let sq: i32 = if (self.neg_q >> k) & 1 == 1 { -1 } else { 1 };
+            // Complex correlation with the template conjugate:
+            //   re = sI.cI + sQ.cQ     im = sQ.cI - sI.cQ
+            // The low bit pair of `signs` is the sample k pushes ago; it
+            // lines up with coefficient tap 63-k (taps stored oldest-first).
+            let si: i32 = if signs & 1 == 1 { -1 } else { 1 };
+            let sq: i32 = if signs & 2 == 2 { -1 } else { 1 };
+            signs >>= 2;
             let ci = self.coeff_i[63 - k].0 as i32;
             let cq = self.coeff_q[63 - k].0 as i32;
             re += si * ci + sq * cq;
@@ -276,8 +330,7 @@ impl CrossCorrelator {
 
     /// Resets the streaming state, keeping coefficients and thresholds.
     pub fn reset(&mut self) {
-        self.neg_i = 0;
-        self.neg_q = 0;
+        self.hist = 0;
         self.fed = 0;
         self.lockout_left = 0;
         self.was_above = false;
@@ -287,22 +340,6 @@ impl CrossCorrelator {
 impl Default for CrossCorrelator {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl CrossCorrelator {
-    // Mask bit k holds the sample k pushes ago, so coefficient tap 63-k must
-    // sit at plane position k: reverse the tap order once at load time and
-    // keep the hot loop branch-free.
-    fn rebuild_rails(&mut self) {
-        let mut rev_i = [Coeff3(0); 64];
-        let mut rev_q = [Coeff3(0); 64];
-        for k in 0..64 {
-            rev_i[k] = self.coeff_i[63 - k];
-            rev_q[k] = self.coeff_q[63 - k];
-        }
-        self.rail_i = Rail::new(&rev_i);
-        self.rail_q = Rail::new(&rev_q);
     }
 }
 
@@ -348,6 +385,33 @@ mod tests {
     }
 
     #[test]
+    fn extreme_templates_agree_at_table_bounds() {
+        // All -4, 3 or 0 on each rail, fed whole windows of one sign pair,
+        // drives every packed per-table sum to its bound. A constant window
+        // gives z = 64 (sI + j sQ)(a - j b), so |z|^2 = 8192 (a^2 + b^2).
+        let signs = [(1000, 1000), (1000, -1000), (-1000, 1000), (-1000, -1000)];
+        for a in [-4i8, 3, 0] {
+            for b in [-4i8, 3, 0] {
+                let mut fast = CrossCorrelator::new();
+                let mut slow = CrossCorrelator::new();
+                fast.load_coeffs_raw(&[a; 64], &[b; 64]);
+                slow.load_coeffs_raw(&[a; 64], &[b; 64]);
+                let mut peak = 0;
+                for (i, q) in signs {
+                    for _ in 0..64 {
+                        let s = IqI16::new(i, q);
+                        let out = fast.push(s);
+                        assert_eq!(out, slow.push_reference(s), "rails {a}/{b}");
+                        peak = peak.max(out.metric);
+                    }
+                }
+                let bound = 8192 * (i32::from(a).pow(2) + i32::from(b).pow(2));
+                assert_eq!(peak, bound as u64, "rails {a}/{b}");
+            }
+        }
+    }
+
+    #[test]
     fn mismatched_stream_stays_low() {
         let mut rng = Rng::seed_from(11);
         let (ci, cq) =
@@ -365,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_bitsliced_agree() {
+    fn reference_and_table_agree() {
         let mut rng = Rng::seed_from(12);
         let ci: Vec<Coeff3> = (0..64)
             .map(|_| Coeff3::saturating(rng.below(8) as i32 - 4))

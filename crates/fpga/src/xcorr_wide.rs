@@ -13,7 +13,10 @@
 use crate::xcorr::Coeff3;
 use rjam_sdr::complex::IqI16;
 
-/// One coefficient rail as chunked bit-planes (see `xcorr::Rail`).
+/// One coefficient rail as chunked two's-complement bit-planes: for a
+/// negative-sample mask `m`, the rail sum is `total - 2 * sum_{k in m} c_k`,
+/// and the masked sum is three popcounts per 64-bit chunk
+/// (`c = -4 c2 + 2 c1 + c0`).
 #[derive(Clone, Debug)]
 struct WideRail {
     p0: Vec<u64>,

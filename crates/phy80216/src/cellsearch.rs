@@ -9,9 +9,8 @@
 
 use crate::pn::pn_sequence;
 use crate::preamble::preamble_carriers;
-use crate::{CP_LEN, FFT_LEN};
+use crate::{fft_plan, CP_LEN, FFT_LEN};
 use rjam_sdr::complex::Cf64;
-use rjam_sdr::fft::Fft;
 
 /// A cell-search hypothesis score.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -37,7 +36,7 @@ pub fn score_cells(preamble_symbol: &[Cf64]) -> Vec<CellScore> {
         "one CP-stripped OFDMA symbol"
     );
     let mut freq = preamble_symbol.to_vec();
-    Fft::new(FFT_LEN).forward(&mut freq);
+    fft_plan().forward(&mut freq);
     let mut scores = Vec::with_capacity(3 * 32);
     for segment in 0..3u8 {
         let carriers = preamble_carriers(segment);

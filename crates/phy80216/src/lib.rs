@@ -34,6 +34,9 @@ pub use cellsearch::{identify_cell, identify_from_frame};
 pub use frame::{DownlinkConfig, DownlinkGenerator};
 pub use preamble::{preamble_carriers, preamble_symbol};
 
+use rjam_sdr::fft::Fft;
+use std::sync::OnceLock;
+
 /// OFDMA FFT size for the 10 MHz profile.
 pub const FFT_LEN: usize = 1024;
 
@@ -57,6 +60,14 @@ pub const CP_LEN: usize = FFT_LEN / 8;
 
 /// OFDMA symbol length in samples.
 pub const SYM_LEN: usize = FFT_LEN + CP_LEN;
+
+/// The process-wide [`FFT_LEN`]-point plan every OFDMA symbol shares.
+/// Building a plan costs 512 `sin`/`cos` pairs; `Fft::forward`/`inverse`
+/// take `&self`, so one plan serves every thread.
+pub(crate) fn fft_plan() -> &'static Fft {
+    static PLAN: OnceLock<Fft> = OnceLock::new();
+    PLAN.get_or_init(|| Fft::new(FFT_LEN))
+}
 
 /// TDD frame duration in seconds (5 ms).
 pub const FRAME_DURATION: f64 = 5.0e-3;

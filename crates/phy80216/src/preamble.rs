@@ -7,9 +7,8 @@
 //! (nearly) three repetitions of a N/3-sample code.
 
 use crate::pn::pn_sequence;
-use crate::{CP_LEN, FFT_LEN, PN_LEN, PREAMBLE_POSITIONS};
+use crate::{fft_plan, CP_LEN, FFT_LEN, PN_LEN, PREAMBLE_POSITIONS};
 use rjam_sdr::complex::Cf64;
-use rjam_sdr::fft::Fft;
 
 /// Absolute FFT-bin indices of segment `segment`'s preamble carriers.
 pub fn preamble_carriers(segment: u8) -> Vec<usize> {
@@ -53,7 +52,7 @@ pub fn preamble_symbol(id_cell: u8, segment: u8) -> Vec<Cf64> {
     for (chip, &bin) in pn.iter().zip(&carriers) {
         freq[bin] = Cf64::new(*chip as f64 * boost, 0.0);
     }
-    Fft::new(FFT_LEN).inverse(&mut freq);
+    fft_plan().inverse(&mut freq);
     let mut out = Vec::with_capacity(FFT_LEN + CP_LEN);
     out.extend_from_slice(&freq[FFT_LEN - CP_LEN..]);
     out.extend_from_slice(&freq);
@@ -79,7 +78,7 @@ pub fn data_symbol(bits: &mut dyn Iterator<Item = u8>) -> Vec<Cf64> {
         let b1 = bits.next().unwrap_or(0);
         freq[bin] = Cf64::new(if b0 == 1 { k } else { -k }, if b1 == 1 { k } else { -k });
     }
-    Fft::new(FFT_LEN).inverse(&mut freq);
+    fft_plan().inverse(&mut freq);
     let mut out = Vec::with_capacity(FFT_LEN + CP_LEN);
     out.extend_from_slice(&freq[FFT_LEN - CP_LEN..]);
     out.extend_from_slice(&freq);
@@ -165,7 +164,7 @@ mod tests {
         let mut bits = std::iter::repeat(1u8);
         let sym = data_symbol(&mut bits);
         let mut freq = sym[CP_LEN..].to_vec();
-        Fft::new(FFT_LEN).forward(&mut freq);
+        fft_plan().forward(&mut freq);
         assert!(freq[0].abs() < 1e-9, "DC must be null");
     }
 }

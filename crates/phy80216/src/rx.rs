@@ -6,9 +6,8 @@
 //! tests can show a jam burst corrupting downlink *data*, not just that a
 //! burst happened.
 
-use crate::{CP_LEN, FFT_LEN, PREAMBLE_POSITIONS};
+use crate::{fft_plan, CP_LEN, FFT_LEN, PREAMBLE_POSITIONS};
 use rjam_sdr::complex::Cf64;
-use rjam_sdr::fft::Fft;
 
 /// Demodulates one data symbol (CP included, 1152 samples) into the QPSK
 /// bit stream it carries (2 bits per used subcarrier, 1702 bits), assuming
@@ -19,7 +18,7 @@ use rjam_sdr::fft::Fft;
 pub fn demod_data_symbol(symbol: &[Cf64]) -> Vec<u8> {
     assert_eq!(symbol.len(), CP_LEN + FFT_LEN, "one full OFDMA symbol");
     let mut freq = symbol[CP_LEN..].to_vec();
-    Fft::new(FFT_LEN).forward(&mut freq);
+    fft_plan().forward(&mut freq);
     let mut bits = Vec::with_capacity((PREAMBLE_POSITIONS - 1) * 2);
     for pos in 0..PREAMBLE_POSITIONS {
         let logical = pos as i32 - (PREAMBLE_POSITIONS as i32 / 2);
