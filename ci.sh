@@ -9,6 +9,12 @@ step() {
     echo "==== $* ===="
 }
 
+# The CI gate tool (crates/bench/src/bin/check.rs): exits 0 on pass, 1 on
+# invalid input or a regression, 2 on a usage error.
+check() {
+    cargo run -q --release --offline -p rjam-bench --bin check -- "$@"
+}
+
 step "rustfmt (check only)"
 cargo fmt --check
 
@@ -20,6 +26,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 step "release build"
 cargo build --workspace --release --offline
+
+step "committed baselines are valid bench reports"
+check bench baselines/BENCH_*.json
 
 step "tests (unit + integration + property)"
 cargo test -q --workspace --offline
@@ -33,22 +42,23 @@ RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
 
 step "bench report is valid JSON"
 test -s BENCH_xcorr_throughput.json
-cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_xcorr_throughput.json
+check bench BENCH_xcorr_throughput.json
 
 step "lane bank bench smoke (lanes 1/4/16/64, block sizes, multi-template)"
 RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
     RJAM_BENCH_OUT="$(pwd)" \
     cargo bench -q -p rjam-bench --offline --bench dsp_lanes
 test -s BENCH_dsp_lanes.json
-cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_dsp_lanes.json
+check bench BENCH_dsp_lanes.json
 
 step "lane bank scaling gate (lanes_16 vs lanes_1 aggregate throughput)"
 # Fails the build if the lane bank stops amortizing its shared correlator
 # evaluation: 16 lanes sharing one template must deliver at least 4x the
-# single-lane aggregate throughput (RJAM_LANE_SCALING_MIN). The speedup is
-# instruction-level sharing on one core, so unlike the thread-scaling gate
-# below there is no core-count escape hatch.
-cargo run -q --release --offline -p rjam-bench --bin check_lane_scaling -- BENCH_dsp_lanes.json
+# single-lane aggregate throughput. The bench counts samples x lanes, so
+# that is the lanes_16 median at most 4x the lanes_1 median. The speedup
+# is instruction-level sharing on one core, so unlike the thread-scaling
+# gate below there is no core-count escape hatch.
+check ratio BENCH_dsp_lanes.json lanes_16 lanes_1 --max-ratio 4
 
 step "DSP core bench smoke (full core, energy, jam controller, personality switch)"
 # The microbench of the per-sample core path every detection, false-alarm
@@ -57,7 +67,15 @@ RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
     RJAM_BENCH_OUT="$(pwd)" \
     cargo bench -q -p rjam-bench --offline --bench dsp_core
 test -s BENCH_dsp_core.json
-cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_dsp_core.json
+check bench BENCH_dsp_core.json
+
+step "PHY chain and MAC campaign bench smokes (schema only, no gate or baseline)"
+# The two bench targets no gate reads: a smoke run keeps them compiling,
+# running and emitting schema-valid reports.
+RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
+    RJAM_BENCH_OUT="$(pwd)" \
+    cargo bench -q -p rjam-bench --offline --bench phy_chain --bench mac_campaign
+check bench BENCH_phy_chain.json BENCH_mac_campaign.json
 
 step "campaign engine bench smoke (threads 1/2/4 + inline determinism cross-check)"
 # The bench itself panics if any sharded run diverges bitwise from the
@@ -66,15 +84,17 @@ RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
     RJAM_BENCH_OUT="$(pwd)" \
     cargo bench -q -p rjam-bench --offline --bench campaign_engine
 test -s BENCH_campaign_engine.json
-cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_campaign_engine.json
+check bench BENCH_campaign_engine.json
 
 step "campaign engine scaling gate (threads_4 vs threads_1 medians)"
-# Fails the build if the parallel engine regresses: on >= 4 cores the
+# Fails the build if the parallel engine regresses. When the threads_4
+# record ran on at least 4 host cores (its own host_cores field), the
 # 4-thread median must be a real speedup (<= 0.7x serial); on smaller
-# runners, where speedup is physically impossible, it must at least stay
+# hosts, where speedup is physically impossible, it must at least stay
 # within scheduling-overhead range of serial (<= 1.15x). The old
 # one-shard-per-point engine sat at 1.19x and would fail either bound.
-cargo run -q --release --offline -p rjam-bench --bin check_scaling -- BENCH_campaign_engine.json
+check ratio BENCH_campaign_engine.json threads_4 threads_1 \
+    --max-ratio 0.7 --oversubscribed-max-ratio 1.15
 
 step "health monitor bench smoke (paired monitored/unmonitored slices + detector updates)"
 # One process emits both suites: BENCH_health.json (monitored) and
@@ -85,8 +105,7 @@ RJAM_BENCH_SAMPLES=5 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
     cargo bench -q -p rjam-bench --offline --bench health_monitor
 test -s BENCH_health.json
 test -s BENCH_health_unmonitored.json
-cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- \
-    BENCH_health.json BENCH_health_unmonitored.json
+check bench BENCH_health.json BENCH_health_unmonitored.json
 
 step "health monitor overhead gate (monitored <= 1.02x unmonitored, paired mins)"
 # The monitor's per-frame cost is one branch plus window arithmetic; the
@@ -97,8 +116,7 @@ step "health monitor overhead gate (monitored <= 1.02x unmonitored, paired mins)
 # real regression trips every fresh measurement.
 health_gate_ok=0
 for health_gate_attempt in 1 2 3; do
-    if cargo run -q --release --offline -p rjam-bench --bin check_baseline -- \
-        BENCH_health.json BENCH_health_unmonitored.json \
+    if check baseline BENCH_health.json BENCH_health_unmonitored.json \
         --max-ratio 1.02 --stat min; then
         health_gate_ok=1
         break
@@ -113,30 +131,25 @@ test "$health_gate_ok" = 1
 step "perf baseline gate (fresh smoke medians vs committed baselines/)"
 # Bounds median regressions against committed snapshots measured on the
 # same runner class with the same smoke settings. The default bound
-# (RJAM_BASELINE_RATIO, 1.25) absorbs shared-runner noise while still
-# catching algorithmic regressions; after an intentional perf change,
-# regenerate the snapshots (see baselines/README.md) in the same PR.
-# The campaign gate watches the serial record only: oversubscribed
-# threads_2/4 wall-clocks on a small runner are scheduler noise, and
-# check_scaling above already bounds them *relative to* threads_1 within
-# this same run.
-cargo run -q --release --offline -p rjam-bench --bin check_baseline -- \
-    BENCH_xcorr_throughput.json baselines/BENCH_xcorr_throughput.json
-cargo run -q --release --offline -p rjam-bench --bin check_baseline -- \
-    BENCH_campaign_engine.json baselines/BENCH_campaign_engine.json \
+# (1.25x, the checker's REGRESSION_RATIO) absorbs shared-runner noise
+# while still catching algorithmic regressions; after an intentional perf
+# change, regenerate the snapshots (see baselines/README.md) in the same
+# PR. The campaign gate watches the serial record only: oversubscribed
+# threads_2/4 wall-clocks on a small runner are scheduler noise, and the
+# thread-scaling gate above already bounds them *relative to* threads_1
+# within this same run.
+check baseline BENCH_xcorr_throughput.json baselines/BENCH_xcorr_throughput.json
+check baseline BENCH_campaign_engine.json baselines/BENCH_campaign_engine.json \
     --params threads_1
 # The lane-bank gate watches the 16-lane records only: the sub-millisecond
-# lanes_1 smoke run is dominated by scheduler noise, and check_lane_scaling
-# above already bounds it *relative to* lanes_16 within this same run.
-cargo run -q --release --offline -p rjam-bench --bin check_baseline -- \
-    BENCH_dsp_lanes.json baselines/BENCH_dsp_lanes.json \
-    --params lanes_16
+# lanes_1 smoke run is dominated by scheduler noise, and the lane-scaling
+# gate above already bounds it *relative to* lanes_16 within this same run.
+check baseline BENCH_dsp_lanes.json baselines/BENCH_dsp_lanes.json --params lanes_16
 # The health gate watches the detector microbench only: the scenario-slice
 # records exist for the paired overhead comparison above, and their
 # sub-millisecond wall-clocks are scheduler noise against a snapshot from
 # another run.
-cargo run -q --release --offline -p rjam-bench --bin check_baseline -- \
-    BENCH_health.json baselines/BENCH_health.json \
+check baseline BENCH_health.json baselines/BENCH_health.json \
     --params cusum_ewma_quantile_1m
 
 step "campaign determinism: RJAM_THREADS=1 and RJAM_THREADS=4 outputs are byte-identical"
@@ -173,8 +186,7 @@ RJAM_BENCH_SAMPLES=5 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
 RJAM_BENCH_SAMPLES=5 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
     RJAM_BENCH_OUT="$(pwd)/target/ci_obs_on" \
     cargo bench -q -p rjam-bench --offline --bench campaign_engine
-cargo run -q --release --offline -p rjam-bench --bin check_baseline -- \
-    target/ci_obs_on/BENCH_campaign_engine.json \
+check baseline target/ci_obs_on/BENCH_campaign_engine.json \
     target/ci_obs_off/BENCH_campaign_engine.json \
     --max-ratio 1.02 --params threads_1
 
@@ -202,13 +214,11 @@ cargo run -q --release --offline -p rjam-cli -- \
 test -s rjam_ci_progress.ndjson
 grep -q "campaign_started" rjam_ci_progress.ndjson
 grep -q "campaign_done" rjam_ci_progress.ndjson
-cargo run -q --release --offline -p rjam-bench --bin check_progress_json -- \
-    rjam_ci_progress.ndjson
+check progress rjam_ci_progress.ndjson
 cargo run -q --release --offline -p rjam-cli -- \
     --progress detect --preset wifi-short --snr 3 --frames 16 \
     > /dev/null 2> rjam_ci_progress_err.ndjson
-cargo run -q --release --offline -p rjam-bench --bin check_progress_json -- \
-    rjam_ci_progress_err.ndjson
+check progress rjam_ci_progress_err.ndjson
 rm -f rjam_ci_progress.ndjson rjam_ci_progress_err.ndjson
 
 step "engine profile report: rjamctl report attributes >= 95% of worker wall-clock"
@@ -234,8 +244,7 @@ cargo run -q --release --offline -p rjam-cli -- \
 test -s rjam_ci_trace.json
 grep -q '"schema": "rjam-trace-v1"' rjam_ci_trace.json
 grep -q '"traceEvents"' rjam_ci_trace_chrome.json
-cargo run -q --release --offline -p rjam-bench --bin check_trace_json -- \
-    --require-chain rjam_ci_trace.json
+check trace --require-chain rjam_ci_trace.json
 rm -f rjam_ci_trace.json rjam_ci_trace_chrome.json
 
 step "link-health smoke: jammed run alarms within 32 frames, clean run stays silent"
@@ -251,14 +260,12 @@ if cargo run -q --release --offline -p rjam-cli -- \
 fi
 grep -q "link health: ALARMED" rjam_ci_health_jam.out
 grep -q "prr_collapse" rjam_ci_health_jam.out
-cargo run -q --release --offline -p rjam-bench --bin check_health_json -- \
-    --require-alarm --alarm-within 32 rjam_ci_health_jam.ndjson
+check health --require-alarm --alarm-within 32 rjam_ci_health_jam.ndjson
 cargo run -q --release --offline -p rjam-cli -- \
     monitor --jammer off --seconds 1 --out rjam_ci_health_clean.ndjson \
     > rjam_ci_health_clean.out
 grep -q "link health: HEALTHY" rjam_ci_health_clean.out
-cargo run -q --release --offline -p rjam-bench --bin check_health_json -- \
-    --forbid-alarm rjam_ci_health_clean.ndjson
+check health --forbid-alarm rjam_ci_health_clean.ndjson
 rm -f rjam_ci_health_jam.ndjson rjam_ci_health_jam.out
 rm -f rjam_ci_health_clean.ndjson rjam_ci_health_clean.out
 
@@ -284,8 +291,7 @@ printf '%s\n%s\n' \
     "{\"req\":\"submit\",\"spec\":$SPEC3,\"v\":\"rjam-job-v1\"}" \
     '{"req":"watch","job":"job-1","v":"rjam-job-v1"}' \
     | "$RJAMD" --stdio --threads 2 > rjam_ci_job_transcript.ndjson
-cargo run -q --release --offline -p rjam-bench --bin check_job_json -- \
-    --job job-1 --require-done rjam_ci_job_transcript.ndjson
+check job --job job-1 --require-done rjam_ci_job_transcript.ndjson
 
 # Live socket soak at 4 threads.
 RJAM_SOCK="$(pwd)/target/rjam_ci_rjamd.sock"

@@ -7,7 +7,7 @@
 //! multi-core hardware the 4-thread record shows real parallel speedup;
 //! on a single-core runner all three records collapse to roughly the same
 //! wall-clock (the residual is pool setup and scheduling, which the
-//! `check_scaling` gate bounds) — the numbers written to
+//! `check ratio` thread-scaling gate bounds) — the numbers written to
 //! `BENCH_campaign_engine.json` are measured, never extrapolated.
 //!
 //! Every iteration also cross-checks determinism: the sharded result is

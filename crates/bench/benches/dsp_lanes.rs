@@ -7,8 +7,9 @@
 //!
 //! Elements are counted as `samples x lanes`, so the reported throughput is
 //! the *aggregate* rate; divide by the lane count for per-lane Msamp/s.
-//! `check_lane_scaling` gates the `lane_bank` sweep records: 16 lanes must
-//! deliver at least 4x the single-lane aggregate.
+//! `check ratio` gates the `lane_bank` sweep records: 16 lanes must
+//! deliver at least 4x the single-lane aggregate, i.e. the `lanes_16`
+//! median may be at most 4x the `lanes_1` median.
 
 use rjam_bench::harness::Harness;
 use rjam_fpga::{DspLaneBank, LaneBankScratch};
@@ -66,7 +67,7 @@ fn main() {
     let mut h = Harness::new("dsp_lanes");
 
     // Aggregate throughput vs lane count (shared template, block datapath).
-    // These are the records `check_lane_scaling` gates on.
+    // These are the records the lane-scaling gate (`check ratio`) reads.
     for lanes in [1usize, 4, 16, 64] {
         let mut bank = sweep_bank(lanes);
         let elems = (stream.len() * lanes) as u64;

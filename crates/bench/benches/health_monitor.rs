@@ -4,14 +4,14 @@
 //! is measured with a `HealthMonitor` attached (suite `health`) and
 //! without one (suite `health_unmonitored`), under identical
 //! (bench, params) labels, in several alternating off/on rounds. CI feeds
-//! both reports to `check_baseline --max-ratio 1.02 --stat min`: the
+//! both reports to `check baseline --max-ratio 1.02 --stat min`: the
 //! monitored run must stay within 2 % of the unmonitored one — the
 //! monitor's per-frame cost is one branch plus window arithmetic, so
 //! anything above that is a regression in the MAC hot path. The gate is
 //! built for a contended runner: short 0.02 s scenario slices dodge
 //! scheduler preemption, best-of-N (spikes only ever inflate a sample)
 //! absorbs background load, and the alternating rounds — min-merged by
-//! `check_baseline`, which collapses duplicate labels to their best
+//! `check baseline`, which collapses duplicate labels to their best
 //! value — cancel the few-percent block-to-block CPU drift that a single
 //! all-off-then-all-on layout turns into a systematic bias.
 //!
@@ -51,7 +51,7 @@ fn main() {
         // few-percent "overhead" (measured ~3 % on a contended box, while
         // a finely interleaved probe of the same pair measures < 0.5 %),
         // and alternating which side goes first cancels drift that is
-        // linear across a round. check_baseline min-merges the duplicate
+        // linear across a round. `check baseline` min-merges the duplicate
         // labels.
         for round in 0..4 {
             let run_off = |off: &mut Harness| {

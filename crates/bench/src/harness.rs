@@ -32,6 +32,7 @@
 //!   capture to `TRACE_<suite>_<bench>.json` (`rjam-trace-v1`);
 //! * `RJAM_BENCH_TRACE_CAP` — capacity of that sink (default 8192 events).
 
+use rjam_obs::json::{write_number, write_string};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -102,12 +103,12 @@ impl BenchRecord {
     fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"bench\":{},\"params\":{},\"median_ns\":{},\"p95_ns\":{},\"min_ns\":{},\"throughput\":{}",
-            json_string(&self.bench),
-            json_string(&self.params),
-            json_number(self.median_ns),
-            json_number(self.p95_ns),
-            json_number(self.min_ns),
-            json_number(self.throughput),
+            write_string(&self.bench),
+            write_string(&self.params),
+            write_number(self.median_ns),
+            write_number(self.p95_ns),
+            write_number(self.min_ns),
+            write_number(self.throughput),
         );
         out.push_str(&format!(
             ",\"host_cores\":{},\"threads\":{}",
@@ -119,9 +120,9 @@ impl BenchRecord {
                 if k > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_string(name));
+                out.push_str(&write_string(name));
                 out.push(':');
-                out.push_str(&json_number(*v));
+                out.push_str(&write_number(*v));
             }
             out.push('}');
         }
@@ -419,252 +420,10 @@ fn fmt_si(v: f64) -> String {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite JSON number; NaN/inf have no JSON form, so they map to 0.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::from("0")
-    }
-}
-
-pub mod json {
-    //! Minimal recursive-descent JSON parser, used to validate that the
-    //! harness reports round-trip (and by smoke tooling to inspect them).
-
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any JSON number (held as f64).
-        Number(f64),
-        /// String literal.
-        String(String),
-        /// Array of values.
-        Array(Vec<Value>),
-        /// Object (sorted keys).
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        /// Member lookup on objects.
-        #[must_use]
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Object(m) => m.get(key),
-                _ => None,
-            }
-        }
-
-        /// Numeric content, if any.
-        #[must_use]
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// String content, if any.
-        #[must_use]
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Array content, if any.
-        #[must_use]
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document (rejecting trailing garbage).
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected '{lit}' at offset {pos}", pos = *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err(String::from("unexpected end of input")),
-            Some(b'n') => expect(b, pos, "null").map(|()| Value::Null),
-            Some(b't') => expect(b, pos, "true").map(|()| Value::Bool(true)),
-            Some(b'f') => expect(b, pos, "false").map(|()| Value::Bool(false)),
-            Some(b'"') => parse_string(b, pos).map(Value::String),
-            Some(b'[') => parse_array(b, pos),
-            Some(b'{') => parse_object(b, pos),
-            Some(_) => parse_number(b, pos),
-        }
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // consume '['
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {pos}", pos = *pos)),
-            }
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // consume '{'
-        let mut map = std::collections::BTreeMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            expect(b, pos, ":")?;
-            let value = parse_value(b, pos)?;
-            map.insert(key, value);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at offset {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err(String::from("unterminated string")),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {pos}", pos = *pos)),
-                    }
-                    *pos += 1;
-                }
-                Some(&c) if c < 0x80 => {
-                    out.push(c as char);
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole code point.
-                    let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("empty UTF-8 tail")?;
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("bad number '{text}' at offset {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rjam_obs::json;
 
     fn fast_config(dir: &std::path::Path) -> BenchConfig {
         BenchConfig {
@@ -716,15 +475,9 @@ mod tests {
         let doc = json::parse(&on_disk).expect("report must be valid JSON");
         let rows = doc.as_array().expect("top level is an array");
         assert_eq!(rows.len(), 2);
-        let first = &rows[0];
-        assert_eq!(
-            first.get("bench").and_then(json::Value::as_str),
-            Some("alpha")
-        );
-        assert_eq!(
-            first.get("params").and_then(json::Value::as_str),
-            Some("n=64")
-        );
+        let first = rows[0].as_object().expect("records are objects");
+        assert_eq!(first["bench"].as_str(), Some("alpha"));
+        assert_eq!(first["params"].as_str(), Some("n=64"));
         for field in [
             "median_ns",
             "p95_ns",
@@ -733,19 +486,13 @@ mod tests {
             "host_cores",
             "threads",
         ] {
-            let v = first.get(field).and_then(json::Value::as_f64).unwrap();
+            let v = first[field].as_f64().unwrap();
             assert!(v > 0.0, "{field} must be positive, got {v}");
         }
         // Both benches ran without set_threads: records default to 1 worker
         // on however many cores the host has.
-        assert_eq!(
-            first.get("threads").and_then(json::Value::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            first.get("host_cores").and_then(json::Value::as_f64),
-            Some(host_cores() as f64)
-        );
+        assert_eq!(first["threads"].as_f64(), Some(1.0));
+        assert_eq!(first["host_cores"].as_f64(), Some(host_cores() as f64));
         std::fs::remove_file(path).ok();
     }
 
@@ -783,13 +530,11 @@ mod tests {
 
         let text = h.to_json();
         let doc = json::parse(&text).expect("report with counters parses");
-        let obj = doc.as_array().unwrap()[0]
-            .get("counters")
+        let record = doc.as_array().unwrap()[0].as_object().unwrap();
+        let counters = record["counters"]
+            .as_object()
             .expect("counters object serialized");
-        assert_eq!(
-            obj.get("bench.test_bump").and_then(json::Value::as_f64),
-            Some(1.0)
-        );
+        assert_eq!(counters["bench.test_bump"].as_f64(), Some(1.0));
     }
 
     #[cfg(feature = "obs")]
@@ -829,35 +574,5 @@ mod tests {
         assert!(!trace_flag_enabled(Some("0")));
         assert!(trace_flag_enabled(Some("1")));
         assert!(trace_flag_enabled(Some("yes")));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let doc =
-            json::parse("{\"a\\n\" : [1, -2.5e3, true, null, {\"k\":\"v\\u0041\"}], \"b\": []}")
-                .unwrap();
-        let arr = doc.get("a\n").and_then(json::Value::as_array).unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.0));
-        assert_eq!(arr[1].as_f64(), Some(-2500.0));
-        assert_eq!(arr[2], json::Value::Bool(true));
-        assert_eq!(arr[3], json::Value::Null);
-        assert_eq!(arr[4].get("k").and_then(json::Value::as_str), Some("vA"));
-        assert_eq!(doc.get("b").and_then(json::Value::as_array), Some(&[][..]));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(json::parse("[1, 2").is_err());
-        assert!(json::parse("{\"a\":}").is_err());
-        assert!(json::parse("[] trailing").is_err());
-        assert!(json::parse("nulle").is_err());
-    }
-
-    #[test]
-    fn json_string_escaping_round_trips() {
-        let nasty = "he said \"hi\"\n\tback\\slash\u{1}";
-        let encoded = format!("[{}]", json_string(nasty));
-        let doc = json::parse(&encoded).unwrap();
-        assert_eq!(doc.as_array().unwrap()[0].as_str(), Some(nasty));
     }
 }

@@ -699,7 +699,7 @@ NOTES:
   baseline, CUSUM, Page-Hinkley, rolling quantiles) judge the windowed
   PRR, jam rate, false-alarm drift, trigger-to-TX budget and worker
   utilization, and each transition is logged as a rjam-health-v1 event
-  (--out writes the NDJSON stream; validate it with check_health_json).
+  (--out writes the NDJSON stream; validate it with check health).
   The exit code is the verdict: 0 healthy, 1 alarmed.
   report runs a reference detection sweep through the campaign engine and
   renders its telemetry: per-worker busy/idle/merge-wait with utilization,

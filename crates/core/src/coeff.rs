@@ -23,19 +23,13 @@ pub struct Template {
 }
 
 impl Template {
-    /// A recommended detection threshold for this template as a fraction of
-    /// its ideal (noise-free, perfectly aligned) correlator peak.
-    ///
-    /// The ideal peak of the sign-bit correlator with matched input is
-    /// `(sum |cI| + sum |cQ|)^2` (all sign decisions agree).
+    /// A detection threshold for this template as a fraction (clamped to
+    /// `0..=1`) of its normalisation constant
+    /// [`rjam_fpga::xcorr::max_metric`], the metric of a noise-free,
+    /// perfectly aligned matched input.
     pub fn threshold_at_fraction(&self, fraction: f64) -> u64 {
-        let sum: i64 = self
-            .coeff_i
-            .iter()
-            .chain(self.coeff_q.iter())
-            .map(|&c| (c as i64).abs())
-            .sum();
-        (((sum * sum) as f64) * fraction.clamp(0.0, 1.0)) as u64
+        let norm = rjam_fpga::xcorr::max_metric(self.coeff_i, self.coeff_q);
+        (norm as f64 * fraction.clamp(0.0, 1.0)) as u64
     }
 }
 

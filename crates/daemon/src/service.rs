@@ -614,6 +614,41 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_bad_request_and_the_daemon_keeps_serving() {
+        let _guard = test_lock().lock().unwrap();
+        let d = Daemon::start(CampaignEngine::with_threads(1), 4);
+        let reply = |line: String| {
+            // Parse on a default-stack thread, as every `rjamd --socket`
+            // connection does.
+            let lines = std::thread::scope(|s| {
+                s.spawn(|| match d.serve_line(&line) {
+                    Serve::Lines(lines) => lines,
+                    Serve::Watch(_) => panic!("not a watch request"),
+                })
+                .join()
+                .expect("connection thread survives")
+            });
+            JobResponse::from_line(&lines[0]).expect("reply parses")
+        };
+        // 20 000 `[` then 20 000 `]`: 40 000 bytes that used to overflow
+        // the connection thread's stack and abort the whole daemon.
+        match reply("[".repeat(20_000) + &"]".repeat(20_000)) {
+            JobResponse::Error(e) => assert_eq!(e.kind, JobErrorKind::BadRequest),
+            other => panic!("expected a bad_request error, got {other:?}"),
+        }
+        let submit = JobRequest::Submit {
+            spec: fa_spec(1 << 16, 6),
+        };
+        match reply(submit.to_line()) {
+            JobResponse::Accepted { job, .. } => {
+                assert_eq!(wait_done(&d, &job).state, JobState::Done);
+            }
+            other => panic!("expected accepted, got {other:?}"),
+        }
+        d.shutdown();
+    }
+
+    #[test]
     fn queue_bound_applies_backpressure() {
         let _guard = test_lock().lock().unwrap();
         // Capacity 2: big first job occupies the runner soon, leaving the

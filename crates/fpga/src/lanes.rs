@@ -17,18 +17,18 @@
 //! bookkeeping. A threshold sweep over one template is the ideal case: one
 //! metric evaluation feeds all lanes.
 //!
-//! Two datapaths are provided, sharing one classifier so they cannot
-//! diverge:
+//! Two datapaths are provided, both running the single correlator's
+//! classifier per lane so they cannot diverge:
 //!
 //! * [`DspLaneBank::push_into`] — per-sample, emitting a full
 //!   [`XcorrOutput`] per lane (metric, comparator, trigger), for callers
 //!   that need every lane's metric stream;
 //! * [`DspLaneBank::process_block_into`] — block-oriented hot path that
 //!   hoists the warmup-window check and all event bookkeeping out of the
-//!   per-sample loop: the warmup prefix of the block runs the general
-//!   classifier, the main body runs a branch-reduced always-valid loop,
-//!   and the only per-sample outputs are appended trigger sample indices
-//!   (rare) plus cumulative per-lane counters.
+//!   per-sample loop: the block's warmup prefix and its always-valid main
+//!   body each run with the window check folded to a constant, and the
+//!   only per-sample outputs are appended trigger sample indices (rare)
+//!   plus cumulative per-lane counters.
 //!
 //! The enforced invariant is bit-equality with N independent
 //! [`crate::CrossCorrelator`] instances fed the same stream — property
@@ -36,7 +36,7 @@
 //! `reset()` is bit-equivalent to a fresh bank, so banks pool in
 //! `CampaignEngine::run_units` like any other unit state.
 
-use crate::xcorr::{shift_signs, Coeff3, TemplateTables, XcorrOutput};
+use crate::xcorr::{self, shift_signs, Classifier, Coeff3, TemplateTables, XcorrOutput};
 use rjam_sdr::complex::IqI16;
 
 /// Maximum number of lanes one bank can hold.
@@ -55,15 +55,25 @@ struct TemplateGroup {
     tables: TemplateTables,
 }
 
-/// Per-lane classifier state, mirroring [`crate::CrossCorrelator`] exactly.
+/// One lane: its template group, the classifier [`crate::CrossCorrelator`]
+/// also runs, and a cumulative trigger count.
 #[derive(Clone, Debug)]
 struct LaneState {
     group: usize,
-    threshold: u64,
-    lockout: u64,
-    lockout_left: u64,
-    was_above: bool,
+    classifier: Classifier,
     triggers: u64,
+}
+
+impl LaneState {
+    /// Classifies one sample's metric, counting triggers.
+    #[inline(always)]
+    fn classify(&mut self, metric: u64, window_valid: bool) -> XcorrOutput {
+        let out = self.classifier.step(metric, window_valid);
+        if out.trigger {
+            self.triggers += 1;
+        }
+        out
+    }
 }
 
 /// Reusable per-block output buffers for [`DspLaneBank::process_block_into`].
@@ -152,10 +162,7 @@ impl DspLaneBank {
         };
         self.lanes.push(LaneState {
             group,
-            threshold,
-            lockout,
-            lockout_left: 0,
-            was_above: false,
+            classifier: Classifier::new(threshold, lockout),
             triggers: 0,
         });
         self.lanes.len() - 1
@@ -194,24 +201,14 @@ impl DspLaneBank {
         self.lanes.iter().map(|l| l.triggers).collect()
     }
 
-    /// Maximum possible metric for `lane`'s template. Like
-    /// [`crate::CrossCorrelator::max_metric`], the bound
-    /// `(sum |cI| + sum |cQ|)^2` is exactly attained: a matched sign stream
-    /// drives the real accumulator to the absolute-coefficient sum with the
-    /// imaginary at zero, and a 90-degree-rotated copy swaps the two, so
-    /// `re^2 + im^2` peaks at exactly that square.
+    /// `lane`'s template threshold normalisation constant, see
+    /// [`xcorr::max_metric`].
     ///
     /// # Panics
     /// Panics if `lane` is out of range.
     pub fn max_metric(&self, lane: usize) -> u64 {
         let g = &self.groups[self.lanes[lane].group];
-        let max_i: i64 = g
-            .coeff_i
-            .iter()
-            .chain(g.coeff_q.iter())
-            .map(|&c| (c as i64).abs())
-            .sum();
-        (max_i * max_i) as u64
+        xcorr::max_metric(g.coeff_i, g.coeff_q)
     }
 
     /// Resets all streaming state — sign histories, warmup, per-lane
@@ -223,8 +220,7 @@ impl DspLaneBank {
         self.hist = 0;
         self.fed = 0;
         for lane in &mut self.lanes {
-            lane.lockout_left = 0;
-            lane.was_above = false;
+            lane.classifier.reset();
             lane.triggers = 0;
         }
     }
@@ -244,27 +240,6 @@ impl DspLaneBank {
         }
     }
 
-    /// The classifier, byte-for-byte the logic of
-    /// `CrossCorrelator::classify` applied to one lane.
-    #[inline]
-    fn classify_lane(lane: &mut LaneState, metric: u64, window_valid: bool) -> XcorrOutput {
-        let above = window_valid && metric >= lane.threshold;
-        let mut trigger = false;
-        if lane.lockout_left > 0 {
-            lane.lockout_left -= 1;
-        } else if above && !lane.was_above {
-            trigger = true;
-            lane.lockout_left = lane.lockout;
-            lane.triggers += 1;
-        }
-        lane.was_above = above;
-        XcorrOutput {
-            metric: if window_valid { metric } else { 0 },
-            above,
-            trigger,
-        }
-    }
-
     /// Feeds one sample to every lane, writing one [`XcorrOutput`] per lane.
     ///
     /// # Panics
@@ -276,7 +251,7 @@ impl DspLaneBank {
         let mut metrics = [0u64; MAX_LANES];
         self.group_metrics(&mut metrics);
         for (lane, slot) in self.lanes.iter_mut().zip(out.iter_mut()) {
-            *slot = Self::classify_lane(lane, metrics[lane.group], valid);
+            *slot = lane.classify(metrics[lane.group], valid);
         }
     }
 
@@ -298,41 +273,33 @@ impl DspLaneBank {
     }
 
     fn run_block(&mut self, block: &[IqI16], mut sink: Option<&mut LaneBankScratch>) {
-        let mut metrics = [0u64; MAX_LANES];
         // Samples pushed while fed <= 62 classify with an invalid window;
-        // from the 64th sample on the window is always valid, so the main
-        // body skips the check entirely.
+        // from the 64th sample on the window is always valid, so each part
+        // runs with the check folded to a constant.
         let head_len = (63u64.saturating_sub(self.fed) as usize).min(block.len());
         let (head, body) = block.split_at(head_len);
-        for &s in head {
+        self.run_samples(head, false, &mut sink);
+        self.run_samples(body, true, &mut sink);
+    }
+
+    #[inline(always)]
+    fn run_samples(
+        &mut self,
+        samples: &[IqI16],
+        window_valid: bool,
+        sink: &mut Option<&mut LaneBankScratch>,
+    ) {
+        let mut metrics = [0u64; MAX_LANES];
+        for &s in samples {
             self.step(s);
             self.group_metrics(&mut metrics);
             let now = self.fed - 1;
-            let valid = self.fed >= 64;
             for (k, lane) in self.lanes.iter_mut().enumerate() {
-                if Self::classify_lane(lane, metrics[lane.group], valid).trigger {
+                if lane.classify(metrics[lane.group], window_valid).trigger {
                     if let Some(sc) = sink.as_deref_mut() {
                         sc.triggers[k].push(now);
                     }
                 }
-            }
-        }
-        for &s in body {
-            self.step(s);
-            self.group_metrics(&mut metrics);
-            let now = self.fed - 1;
-            for (k, lane) in self.lanes.iter_mut().enumerate() {
-                let above = metrics[lane.group] >= lane.threshold;
-                if lane.lockout_left > 0 {
-                    lane.lockout_left -= 1;
-                } else if above && !lane.was_above {
-                    lane.lockout_left = lane.lockout;
-                    lane.triggers += 1;
-                    if let Some(sc) = sink.as_deref_mut() {
-                        sc.triggers[k].push(now);
-                    }
-                }
-                lane.was_above = above;
             }
         }
     }

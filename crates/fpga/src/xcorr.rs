@@ -171,14 +171,9 @@ pub struct CrossCorrelator {
     tables: TemplateTables,
     /// Interleaved (I, Q) sign history, see [`shift_signs`].
     hist: u128,
-    threshold: u64,
     /// Samples consumed; the window is valid once >= 64.
     fed: u64,
-    /// Refractory period: samples remaining before re-arm.
-    lockout_left: u64,
-    lockout: u64,
-    /// Previous above-threshold state for edge detection.
-    was_above: bool,
+    classifier: Classifier,
 }
 
 /// Per-sample correlator output.
@@ -192,6 +187,83 @@ pub struct XcorrOutput {
     pub trigger: bool,
 }
 
+/// The trigger classifier behind every correlator output: warm-up gating,
+/// threshold compare, rising-edge detection and post-trigger lockout.
+///
+/// [`CrossCorrelator`], each [`crate::DspLaneBank`] lane and
+/// [`crate::WideCorrelator`] hold one and call [`Classifier::step`] once per
+/// sample with the metric they computed, so the three cannot diverge.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Classifier {
+    /// Threshold on the squared-magnitude metric.
+    pub(crate) threshold: u64,
+    /// Refractory period after a trigger, in samples.
+    pub(crate) lockout: u64,
+    /// Samples remaining before re-arm.
+    lockout_left: u64,
+    /// Previous above-threshold state for edge detection.
+    was_above: bool,
+}
+
+impl Classifier {
+    pub(crate) fn new(threshold: u64, lockout: u64) -> Self {
+        Classifier {
+            threshold,
+            lockout,
+            lockout_left: 0,
+            was_above: false,
+        }
+    }
+
+    /// Classifies one sample's metric. `window_valid` is false while the
+    /// correlator window is still filling: the metric reads 0 and nothing
+    /// is above threshold.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, metric: u64, window_valid: bool) -> XcorrOutput {
+        let above = window_valid && metric >= self.threshold;
+        let mut trigger = false;
+        if self.lockout_left > 0 {
+            self.lockout_left -= 1;
+        } else if above && !self.was_above {
+            trigger = true;
+            self.lockout_left = self.lockout;
+        }
+        self.was_above = above;
+        XcorrOutput {
+            metric: if window_valid { metric } else { 0 },
+            above,
+            trigger,
+        }
+    }
+
+    /// Clears the lockout and edge state, keeping threshold and lockout.
+    pub(crate) fn reset(&mut self) {
+        self.lockout_left = 0;
+        self.was_above = false;
+    }
+}
+
+/// The normalisation constant host thresholds are fractions of:
+/// `(sum |cI| + sum |cQ|)^2` over a template's two coefficient rails.
+///
+/// It is the metric of a matched sign stream (re reaches the absolute
+/// coefficient sum with im = 0) and of its 90-degree-rotated copy, but it
+/// is *not* the largest metric a template can produce: `|z|^2` can exceed
+/// it, up to `2 (sum sqrt(cI^2 + cQ^2))^2`. Rails all -4 / all 3 reach
+/// 204 800 against 200 704 (`extreme_templates_agree_at_table_bounds`), so
+/// a threshold at fraction 1.0 can still fire.
+/// [`CrossCorrelator::max_metric`], [`crate::DspLaneBank::max_metric`],
+/// [`crate::WideCorrelator::max_metric`] and the host's template
+/// thresholds all use this one definition.
+pub fn max_metric(ci: impl IntoIterator<Item = i8>, cq: impl IntoIterator<Item = i8>) -> u64 {
+    let sum: u64 = ci
+        .into_iter()
+        .chain(cq)
+        .map(|c| u64::from(c.unsigned_abs()))
+        .sum();
+    sum * sum
+}
+
 impl CrossCorrelator {
     /// Creates a correlator with all-zero coefficients and an effectively
     /// disabled threshold.
@@ -202,11 +274,8 @@ impl CrossCorrelator {
             coeff_q: zero,
             tables: TemplateTables::new(&zero, &zero),
             hist: 0,
-            threshold: u64::MAX,
             fed: 0,
-            lockout_left: 0,
-            lockout: 0,
-            was_above: false,
+            classifier: Classifier::new(u64::MAX, 0),
         }
     }
 
@@ -244,36 +313,23 @@ impl CrossCorrelator {
 
     /// Sets the detection threshold on the squared-magnitude metric.
     pub fn set_threshold(&mut self, threshold: u64) {
-        self.threshold = threshold;
+        self.classifier.threshold = threshold;
     }
 
     /// Current threshold.
     pub fn threshold(&self) -> u64 {
-        self.threshold
+        self.classifier.threshold
     }
 
     /// Sets the post-trigger lockout (refractory) period in samples.
     pub fn set_lockout(&mut self, samples: u64) {
-        self.lockout = samples;
+        self.classifier.lockout = samples;
     }
 
-    /// Maximum possible metric for the loaded template (used by hosts to
-    /// place thresholds as a fraction of the peak).
+    /// The loaded template's threshold normalisation constant, see
+    /// [`max_metric`].
     pub fn max_metric(&self) -> u64 {
-        let max_i: i64 = self
-            .coeff_i
-            .iter()
-            .chain(self.coeff_q.iter())
-            .map(|c| (c.0 as i64).abs())
-            .sum();
-        // Each accumulator can reach at most the sum of absolute coefficient
-        // magnitudes across both rails, and that bound is exactly attained:
-        // a matched sign stream drives re to max_i with im = 0, and a
-        // 90-degree-rotated copy drives im to max_i with re = 0 (see
-        // `matched_template_peaks_at_alignment` and
-        // `rotated_input_appears_in_imaginary_rail`). The metric re^2 + im^2
-        // therefore peaks at exactly max_i^2.
-        (max_i * max_i) as u64
+        max_metric(self.coeff_i.map(Coeff3::get), self.coeff_q.map(Coeff3::get))
     }
 
     /// Feeds one sample through the table-driven datapath.
@@ -282,7 +338,7 @@ impl CrossCorrelator {
         self.hist = shift_signs(self.hist, s);
         self.fed += 1;
         let metric = self.tables.metric(self.hist);
-        self.classify(metric)
+        self.classifier.step(metric, self.fed >= 64)
     }
 
     /// Feeds one sample through the literal 64-tap loop (reference model).
@@ -306,34 +362,14 @@ impl CrossCorrelator {
             im += sq * ci - si * cq;
         }
         let metric = (re as i64 * re as i64 + im as i64 * im as i64) as u64;
-        self.classify(metric)
-    }
-
-    #[inline]
-    fn classify(&mut self, metric: u64) -> XcorrOutput {
-        let window_valid = self.fed >= 64;
-        let above = window_valid && metric >= self.threshold;
-        let mut trigger = false;
-        if self.lockout_left > 0 {
-            self.lockout_left -= 1;
-        } else if above && !self.was_above {
-            trigger = true;
-            self.lockout_left = self.lockout;
-        }
-        self.was_above = above;
-        XcorrOutput {
-            metric: if window_valid { metric } else { 0 },
-            above,
-            trigger,
-        }
+        self.classifier.step(metric, self.fed >= 64)
     }
 
     /// Resets the streaming state, keeping coefficients and thresholds.
     pub fn reset(&mut self) {
         self.hist = 0;
         self.fed = 0;
-        self.lockout_left = 0;
-        self.was_above = false;
+        self.classifier.reset();
     }
 }
 

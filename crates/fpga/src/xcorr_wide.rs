@@ -10,7 +10,7 @@
 //! `ablation_corr_len` binary): the same sign-bit/3-bit-coefficient
 //! arithmetic, over any window length, using chunked 64-bit bit-planes.
 
-use crate::xcorr::Coeff3;
+use crate::xcorr::{self, Classifier, Coeff3, XcorrOutput};
 use rjam_sdr::complex::IqI16;
 
 /// One coefficient rail as chunked two's-complement bit-planes: for a
@@ -74,22 +74,10 @@ pub struct WideCorrelator {
     neg_q: Vec<u64>,
     /// Mask clearing bits at or beyond `len` in the last chunk.
     tail_mask: u64,
-    threshold: u64,
+    /// The template's threshold normalisation constant.
+    max_metric: u64,
     fed: u64,
-    lockout: u64,
-    lockout_left: u64,
-    was_above: bool,
-}
-
-/// Per-sample output, mirroring the 64-tap core's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WideOutput {
-    /// Squared correlation magnitude.
-    pub metric: u64,
-    /// Above-threshold comparator state.
-    pub above: bool,
-    /// Armed rising-edge trigger pulse.
-    pub trigger: bool,
+    classifier: Classifier,
 }
 
 impl WideCorrelator {
@@ -119,11 +107,12 @@ impl WideCorrelator {
             } else {
                 (1u64 << tail_bits) - 1
             },
-            threshold: u64::MAX,
+            max_metric: xcorr::max_metric(
+                coeff_i.iter().map(|c| c.get()),
+                coeff_q.iter().map(|c| c.get()),
+            ),
             fed: 0,
-            lockout: 0,
-            lockout_left: 0,
-            was_above: false,
+            classifier: Classifier::new(u64::MAX, 0),
         }
     }
 
@@ -139,19 +128,19 @@ impl WideCorrelator {
 
     /// Sets the detection threshold on the squared-magnitude metric.
     pub fn set_threshold(&mut self, threshold: u64) {
-        self.threshold = threshold;
+        self.classifier.threshold = threshold;
     }
 
     /// Current threshold (parity with [`CrossCorrelator::threshold`]).
     ///
     /// [`CrossCorrelator::threshold`]: crate::CrossCorrelator::threshold
     pub fn threshold(&self) -> u64 {
-        self.threshold
+        self.classifier.threshold
     }
 
     /// Sets the post-trigger lockout in samples.
     pub fn set_lockout(&mut self, samples: u64) {
-        self.lockout = samples;
+        self.classifier.lockout = samples;
     }
 
     /// Resets the streaming state, keeping coefficients, threshold and
@@ -161,32 +150,13 @@ impl WideCorrelator {
         self.neg_i.fill(0);
         self.neg_q.fill(0);
         self.fed = 0;
-        self.lockout_left = 0;
-        self.was_above = false;
+        self.classifier.reset();
     }
 
-    /// Ideal (fully matched) metric for threshold placement:
-    /// `(sum |cI| + sum |cQ|)^2`, recovered from the bit-planes.
+    /// The template's threshold normalisation constant, see
+    /// [`xcorr::max_metric`].
     pub fn max_metric(&self) -> u64 {
-        let sum_abs = |r: &WideRail| -> i64 {
-            let mut acc = 0i64;
-            for w in 0..r.p0.len() {
-                for bit in 0..64 {
-                    let bits = ((r.p0[w] >> bit) & 1)
-                        | (((r.p1[w] >> bit) & 1) << 1)
-                        | (((r.p2[w] >> bit) & 1) << 2);
-                    let v = if bits & 0x4 != 0 {
-                        (bits | !0x7u64) as i64
-                    } else {
-                        bits as i64
-                    };
-                    acc += v.abs();
-                }
-            }
-            acc
-        };
-        let total = sum_abs(&self.rail_i) + sum_abs(&self.rail_q);
-        (total * total) as u64
+        self.max_metric
     }
 
     #[inline]
@@ -203,28 +173,14 @@ impl WideCorrelator {
     }
 
     /// Feeds one sample.
-    pub fn push(&mut self, s: IqI16) -> WideOutput {
+    pub fn push(&mut self, s: IqI16) -> XcorrOutput {
         Self::shift_in(&mut self.neg_i, s.i < 0, self.tail_mask);
         Self::shift_in(&mut self.neg_q, s.q < 0, self.tail_mask);
         self.fed += 1;
         let re = self.rail_i.corr(&self.neg_i) + self.rail_q.corr(&self.neg_q);
         let im = self.rail_i.corr(&self.neg_q) - self.rail_q.corr(&self.neg_i);
         let metric = (re * re + im * im) as u64;
-        let valid = self.fed >= self.len as u64;
-        let above = valid && metric >= self.threshold;
-        let mut trigger = false;
-        if self.lockout_left > 0 {
-            self.lockout_left -= 1;
-        } else if above && !self.was_above {
-            trigger = true;
-            self.lockout_left = self.lockout;
-        }
-        self.was_above = above;
-        WideOutput {
-            metric: if valid { metric } else { 0 },
-            above,
-            trigger,
-        }
+        self.classifier.step(metric, self.fed >= self.len as u64)
     }
 
     /// Estimated FPGA footprint at this window length, scaling the paper's

@@ -1,13 +1,22 @@
-//! Minimal JSON writer/parser — the same dependency-free dialect as
-//! `rjam-bench::harness`.
+//! Minimal JSON writer/parser: the workspace's one dependency-free dialect.
 //!
-//! The writer side is a pair of escaping/formatting helpers used by
-//! [`crate::snapshot::MetricsSnapshot::to_json`]; the reader side is a small
-//! recursive-descent parser for loading snapshots back (`rjam stats <file>`).
-//! Numbers parse as `f64` (counters stay exact through 2^53, far beyond any
-//! realistic run).
+//! The writer side is a set of escaping/formatting helpers used by
+//! [`crate::snapshot::MetricsSnapshot::to_json`], the wire protocols and the
+//! bench harness's `BENCH_*.json` reports; the reader side is a small
+//! recursive-descent parser for loading all of them back (`rjam stats
+//! <file>`, `rjamd` request lines, the `check` CI tool). Numbers parse as
+//! `f64` (counters stay exact through 2^53, far beyond any realistic run).
+//! Nesting is bounded by [`MAX_DEPTH`], so no input line can exhaust the
+//! parsing thread's stack.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, and `rjamd` parses every request line on a default-stack
+/// connection thread, so an unbounded depth would let one line of `[`s
+/// overflow the stack and abort the daemon. Every document the workspace
+/// writes is a few levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,11 +133,13 @@ pub fn write_value(v: &Value) -> String {
     }
 }
 
-/// Parses a complete JSON document.
+/// Parses a complete JSON document. Nesting deeper than [`MAX_DEPTH`] is
+/// an error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -142,6 +153,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -171,8 +184,12 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -180,6 +197,14 @@ impl<'a> Parser<'a> {
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -358,5 +383,32 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+        assert!(parse("[1, 2").is_err());
+        assert!(parse("{\"a\":}").is_err());
+        assert!(parse("nulle").is_err());
+    }
+
+    #[test]
+    fn parses_escaped_keys_exponents_and_unicode_escapes() {
+        let doc =
+            parse("{\"a\\n\" : [1, -2.5e3, true, null, {\"k\":\"v\\u0041\"}], \"b\": []}").unwrap();
+        let obj = doc.as_object().unwrap();
+        let arr = obj["a\n"].as_array().unwrap();
+        assert_eq!(arr[1].as_f64(), Some(-2500.0));
+        assert_eq!(arr[4].as_object().unwrap()["k"].as_str(), Some("vA"));
+        assert_eq!(obj["b"].as_array(), Some(&[][..]));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        // 20 000 levels recurse far past a default 2 MiB thread stack; the
+        // limit turns the line into an error before the stack runs out.
+        let deep = "[".repeat(20_000) + &"]".repeat(20_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let deep_obj = "{\"a\":".repeat(MAX_DEPTH + 1) + "0" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&deep_obj).is_err());
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_limit).is_ok(), "{MAX_DEPTH} levels parse");
     }
 }

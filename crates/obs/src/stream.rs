@@ -16,8 +16,8 @@
 //! — to a process-wide sink installed by the front-end (`rjamctl
 //! --progress[=FILE]` points it at stderr or a file). Every event kind
 //! round-trips through [`ProgressEvent::from_line`]; a whole stream is
-//! checked by [`parse_stream`] + [`validate_chain`] (the `check_progress_json`
-//! validator bin wraps both). This is the per-job stream the ROADMAP's
+//! checked by [`parse_stream`] + [`validate_chain`] (the `check progress`
+//! CI gate wraps both). This is the per-job stream the ROADMAP's
 //! `rjamd` daemon will serve.
 //!
 //! The protocol types and parser are always compiled (validators must read
