@@ -158,7 +158,10 @@ step "campaign determinism: RJAM_THREADS=1 and RJAM_THREADS=4 outputs are byte-i
 for cmd in \
     "detect --preset wifi-short --snr 5 --frames 20" \
     "fa --preset wifi-long --threshold 0.34 --samples 2000000" \
-    "iperf --jammer reactive-long --sir 14 --seconds 1"; do
+    "iperf --jammer reactive-long --sir 14 --seconds 1" \
+    "roc --preset wifi-short --frames 16 --fa-samples 524288" \
+    "roc --preset energy --frames 16 --fa-samples 524288" \
+    "fa --preset energy --grid 6,10 --samples 1000000"; do
     RJAM_THREADS=1 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t1.out
     RJAM_THREADS=4 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t4.out
     diff rjam_ci_t1.out rjam_ci_t4.out || {

@@ -177,9 +177,9 @@ pub enum Command {
         cell: u8,
         /// WiMAX segment.
         segment: u8,
-        /// Comma-separated threshold-fraction grid (correlator presets):
-        /// every fraction is measured over the *same* noise stream in one
-        /// lane-bank pass.
+        /// Comma-separated threshold grid in the preset's own unit
+        /// (fractions, or dB for the energy preset): every threshold is
+        /// measured over the *same* noise stream.
         grid: Option<Vec<f64>>,
     },
     /// iperf-style jamming run at one SIR.
@@ -452,7 +452,7 @@ fn opt_maybe<T: std::str::FromStr>(p: &ParsedArgs, key: &str) -> Result<Option<T
     }
 }
 
-/// Parses a `--grid` value: comma-separated threshold fractions.
+/// Parses a `--grid` value: comma-separated thresholds.
 fn parse_grid(p: &ParsedArgs) -> Result<Option<Vec<f64>>, CliError> {
     let Some(raw) = p.options.get("grid") else {
         return Ok(None);
@@ -462,7 +462,7 @@ fn parse_grid(p: &ParsedArgs) -> Result<Option<Vec<f64>>, CliError> {
         .map(|s| {
             s.trim()
                 .parse::<f64>()
-                .map_err(|_| CliError::usage(format!("--grid: cannot parse '{s}' as a fraction")))
+                .map_err(|_| CliError::usage(format!("--grid: cannot parse '{s}' as a number")))
         })
         .collect::<Result<Vec<f64>, CliError>>()?;
     // split(',') always yields at least one element, and empty elements
@@ -486,12 +486,48 @@ fn job_id(p: &ParsedArgs, verb: &str) -> Result<String, CliError> {
         .ok_or_else(|| CliError::usage(format!("{verb} requires a job id")))
 }
 
+/// The flags (without `--`) the `USAGE` lines of subcommand `verb` name,
+/// or `None` when `verb` has no usage line. A subcommand accepts exactly
+/// these flags — the rule the `check` tool applies to its own usage lines.
+fn usage_flags(verb: &str) -> Option<Vec<&'static str>> {
+    let mut flags = None;
+    let mut inside = false;
+    for line in USAGE.lines() {
+        if let Some(cmd) = line.strip_prefix("  rjamctl ") {
+            inside = cmd.split_whitespace().next() == Some(verb);
+        } else if !line.starts_with("    ") {
+            inside = false;
+        }
+        if inside {
+            flags.get_or_insert_with(Vec::new).extend(
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter_map(|word| word.strip_prefix("--")),
+            );
+        }
+    }
+    flags
+}
+
 /// Parses a full command line (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     let Some(verb) = argv.first() else {
         return Ok(Command::Help);
     };
     let rest = split(&argv[1..])?;
+    // A verb without a usage line is not a subcommand; the match below
+    // reports it.
+    if let Some(flags) = usage_flags(verb) {
+        if let Some(bad) = rest
+            .options
+            .keys()
+            .filter(|k| !flags.contains(&k.as_str()))
+            .min()
+        {
+            return Err(CliError::usage(format!(
+                "unknown flag '--{bad}' for '{verb}'"
+            )));
+        }
+    }
     match verb.as_str() {
         "timeline" => Ok(Command::Timeline {
             trials: opt(&rest, "trials", 20)?,
@@ -647,10 +683,11 @@ USAGE:
                     [--snr dB] [--frames N] [--threshold f]
                     [--energy-db dB] [--cell N] [--segment N]
   rjamctl fa        --preset ... [--threshold f] [--energy-db dB] [--samples N]
-                    [--grid f,f,...]
+                    [--grid t,t,...] [--cell N] [--segment N]
   rjamctl iperf     --jammer off|continuous|reactive-long|reactive-short
                     [--sir dB] [--seconds S]
   rjamctl roc       --preset ... [--snr dB] [--frames N] [--fa-samples N]
+                    [--cell N] [--segment N]
   rjamctl classify  <capture.cf32>
   rjamctl resources
   rjamctl stats     [snapshot.json] [--budget-ns NS]
@@ -684,9 +721,11 @@ GLOBAL OPTIONS:
 NOTES:
   detect/roc probe against full 802.11g frames; selecting --preset wimax
   there measures cross-standard rejection (it should stay near zero).
-  fa --grid sweeps a comma-separated list of threshold fractions over the
-  *same* noise stream in one lane-bank pass (one row per
-  fraction); it needs a correlator preset, not energy.
+  fa --grid and roc sweep thresholds in the preset's own unit: correlation
+  fractions, or dB for --preset energy. fa --grid measures a comma-separated
+  list over the *same* noise stream (one row per threshold); roc sweeps
+  fractions 0.26 to 0.54, or 4 to 18 dB, over one noise and one emission
+  stream.
   stats without a file runs a short live exercise and renders its metrics,
   including the trigger-to-TX latency histogram against the response budget
   (derived from the armed presets unless --budget-ns overrides it).
@@ -828,6 +867,57 @@ mod tests {
             let err = parse(&argv(bad)).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Usage, "'{bad}'");
             assert!(err.message().contains("--grid"), "'{bad}' -> {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        for (bad, flag) in [
+            ("roc --preset wifi-short --snr-db 10", "--snr-db"),
+            ("detect --preset wifi-short --bogus 3", "--bogus"),
+            ("resources --frames 3", "--frames"),
+            ("submit --local --spec {} --socket-path x", "--socket-path"),
+        ] {
+            let err = parse(&argv(bad)).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Usage, "'{bad}'");
+            assert!(err.message().contains(flag), "'{bad}' -> {err}");
+        }
+        // A verb that is no subcommand is still reported as such.
+        let err = parse(&argv("frobnicate --x 1")).unwrap_err();
+        assert!(err.message().contains("unknown command"), "{err}");
+    }
+
+    #[test]
+    fn every_usage_flag_parses() {
+        // The USAGE lines are the flag table: every flag they name must
+        // get past the unknown-flag check of its subcommand.
+        let verbs: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  rjamctl "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert!(verbs.len() >= 16, "{verbs:?}");
+        let value = |flag: &str| match flag {
+            "preset" => "wifi-short",
+            "jammer" => "off",
+            "grid" => "0.3,0.4",
+            _ => "1",
+        };
+        for verb in verbs {
+            for flag in usage_flags(verb).expect("has a usage line") {
+                let line = format!("{verb} --{flag} {}", value(flag));
+                if let Err(e) = parse(&argv(&line)) {
+                    assert!(!e.message().contains("unknown flag"), "'{line}' -> {e}");
+                }
+            }
+        }
+        // fa and roc read --cell and --segment, so USAGE must name them.
+        for verb in ["fa", "roc"] {
+            let flags = usage_flags(verb).unwrap();
+            assert!(
+                flags.contains(&"cell") && flags.contains(&"segment"),
+                "{verb}: {flags:?}"
+            );
         }
     }
 

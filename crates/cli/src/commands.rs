@@ -8,11 +8,13 @@ use rjam_core::{CampaignEngine, DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_daemon::{JobRequest, JobResponse};
 use std::fmt::Write as _;
 
-/// Builds the requested detection preset and validates the FPGA core
-/// configuration it compiles to, so a bad operating point (zero correlation
-/// threshold, energy threshold outside the detector's 3-30 dB range) is
-/// rejected *before* any campaign runs — through the console's single
-/// error-exit path, as a usage error.
+/// Builds the requested detection preset and checks it with
+/// [`DetectionPreset::validate`] — the check the job service applies — so a
+/// bad operating point (a fraction outside (0, 1] or one that compiles to a
+/// zero correlator threshold, an energy threshold outside the detector's
+/// 3-30 dB range, a WiMAX cell or segment out of range) is rejected
+/// *before* any campaign runs, through the console's single error-exit
+/// path, as a usage error.
 fn preset_for(
     name: PresetName,
     threshold: f64,
@@ -32,12 +34,26 @@ fn preset_for(
             threshold_db: energy_db,
         },
     };
-    rjam_core::presets::build_config(&p, &JammerPreset::Monitor, 0)
-        .validate()
-        .map_err(|e: rjam_fpga::ConfigError| {
-            CliError::usage(format!("invalid detector configuration: {e}"))
-        })?;
+    p.validate()
+        .map_err(|e| CliError::usage(format!("invalid detector configuration: {e}")))?;
     Ok(p)
+}
+
+/// [`preset_for`] over a threshold sweep: checks every threshold of `grid`,
+/// in the preset's own unit (a correlation fraction, or dB for the energy
+/// detector), and returns the preset at the first one.
+fn sweep_preset_for(
+    name: PresetName,
+    grid: &[f64],
+    cell: u8,
+    segment: u8,
+) -> Result<DetectionPreset, CliError> {
+    // Each threshold goes in as both the fraction and the dB value; the
+    // preset keeps the one in its own unit.
+    for &t in grid {
+        preset_for(name, t, t, cell, segment)?;
+    }
+    preset_for(name, grid[0], grid[0], cell, segment)
 }
 
 /// Executes a parsed command with the environment's engine
@@ -89,31 +105,20 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
             grid,
         } => {
             if let Some(grid) = grid {
-                if matches!(preset, PresetName::Energy) {
-                    return Err(CliError::usage(
-                        "--grid sweeps correlation-threshold fractions; the energy \
-                         preset's threshold is in dB (use --energy-db without --grid)",
-                    ));
-                }
-                let max = rjam_fpga::lanes::MAX_LANES;
-                if grid.len() > max {
-                    return Err(CliError::usage(format!(
-                        "--grid supports at most {max} fractions (one lane each), got {}",
-                        grid.len()
-                    )));
-                }
-                // Validate every grid point through the same config check a
-                // single-threshold run gets.
-                for f in grid {
-                    preset_for(*preset, *f, *energy_db, *cell, *segment)?;
-                }
-                let p = preset_for(*preset, grid[0], *energy_db, *cell, *segment)?;
+                let p = sweep_preset_for(*preset, grid, *cell, *segment)?;
                 let rows = CampaignSpec::false_alarm(&p)
                     .samples(*samples)
                     .seed(0xFA2)
                     .run_grid_counts(engine, grid);
+                // Correlator grids share lane banks (a one-point grid runs
+                // on one core, which counts the same triggers).
+                let pass = if p.template().is_some() {
+                    " (single lane-bank pass)"
+                } else {
+                    ""
+                };
                 let mut out = format!(
-                    "detector: {p:?}\n{} thresholds over one shared noise stream (single lane-bank pass):\n",
+                    "detector: {p:?}\n{} thresholds over one shared noise stream{pass}:\n",
                     grid.len()
                 );
                 for (f, (triggers, processed)) in grid.iter().zip(&rows) {
@@ -201,28 +206,15 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
             cell,
             segment,
         } => {
-            let (name, e_db, thresholds): (PresetName, f64, Vec<f64>) = (
-                *preset,
-                10.0,
-                (0..8).map(|k| 0.26 + 0.04 * k as f64).collect(),
-            );
-            let (cell, segment) = (*cell, *segment);
-            // Validate once at the tightest threshold of the sweep: if the
-            // lowest fraction compiles to a legal core config, every higher
-            // one does too.
-            let lowest = thresholds.iter().cloned().fold(f64::INFINITY, f64::min);
-            preset_for(name, lowest, e_db, cell, segment)?;
-            let make = move |t: f64| match name {
-                PresetName::WifiShort => DetectionPreset::WifiShortPreamble { threshold: t },
-                PresetName::WifiLong => DetectionPreset::WifiLongPreamble { threshold: t },
-                PresetName::Wimax => DetectionPreset::WimaxPreamble {
-                    id_cell: cell,
-                    segment,
-                    threshold: t,
-                },
-                PresetName::Energy => DetectionPreset::EnergyRise { threshold_db: e_db },
-            };
-            let pts = CampaignSpec::roc(&make)
+            // Eight thresholds in the preset's own unit.
+            let thresholds: Vec<f64> = (0..8)
+                .map(|k| match preset {
+                    PresetName::Energy => 4.0 + 2.0 * k as f64,
+                    _ => 0.26 + 0.04 * k as f64,
+                })
+                .collect();
+            let base = sweep_preset_for(*preset, &thresholds, *cell, *segment)?;
+            let pts = CampaignSpec::roc(&base)
                 .emission(WifiEmission::FullFrames { psdu_len: 100 })
                 .snr_db(*snr_db)
                 .thresholds(&thresholds)
@@ -1036,58 +1028,71 @@ mod tests {
                 .unwrap_err();
         assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{err}");
         assert_eq!(err.exit_code(), 2);
-    }
-
-    #[test]
-    fn fa_grid_reports_one_row_per_fraction_and_matches_single_runs() {
-        let grid_out = execute(
-            &parse(&argv(
-                "fa --preset wifi-short --grid 0.22,0.50 --samples 300000",
-            ))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(grid_out.contains("threshold 0.220:"), "{grid_out}");
-        assert!(grid_out.contains("threshold 0.500:"), "{grid_out}");
-        // Every grid row carries the same counts a dedicated single-threshold
-        // run reports for that fraction.
-        for frac in ["0.22", "0.50"] {
-            let single = execute(
-                &parse(&argv(&format!(
-                    "fa --preset wifi-short --threshold {frac} --samples 300000"
-                )))
-                .unwrap(),
-            )
-            .unwrap();
-            let counts = single
-                .lines()
-                .find(|l| l.contains("false alarms"))
-                .unwrap()
-                .to_string();
-            assert!(grid_out.contains(counts.trim()), "{frac}: {grid_out}");
+        // The job service refuses both of these too: a fraction above 1,
+        // and one that compiles to a zero correlator threshold.
+        for cmd in [
+            "detect --preset wifi-short --threshold 1.5 --frames 8",
+            "fa --preset wifi-short --threshold 1e-9 --samples 1000",
+        ] {
+            let err = execute(&parse(&argv(cmd)).unwrap()).unwrap_err();
+            assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
+            assert!(err.message().contains("threshold"), "{cmd}: {err}");
         }
     }
 
     #[test]
-    fn fa_grid_rejects_energy_preset_and_oversized_grids() {
-        let err = execute(&parse(&argv("fa --preset energy --grid 0.2,0.4")).unwrap()).unwrap_err();
-        assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{err}");
-        assert!(err.message().contains("--energy-db"), "{err}");
+    fn fa_grid_reports_one_row_per_fraction_and_matches_single_runs() {
+        // Correlation fractions, and energy thresholds in dB.
+        for (preset, flag, points) in [
+            ("wifi-short", "--threshold", ["0.22", "0.50"]),
+            ("energy", "--energy-db", ["3", "5"]),
+        ] {
+            let grid_out = execute(
+                &parse(&argv(&format!(
+                    "fa --preset {preset} --grid {} --samples 300000",
+                    points.join(",")
+                )))
+                .unwrap(),
+            )
+            .unwrap();
+            // Every grid row carries the same counts a dedicated
+            // single-threshold run reports for that threshold.
+            for t in points {
+                let row = format!("threshold {:.3}:", t.parse::<f64>().unwrap());
+                assert!(grid_out.contains(&row), "{row}: {grid_out}");
+                let single = execute(
+                    &parse(&argv(&format!(
+                        "fa --preset {preset} {flag} {t} --samples 300000"
+                    )))
+                    .unwrap(),
+                )
+                .unwrap();
+                let counts = single
+                    .lines()
+                    .find(|l| l.contains("false alarms"))
+                    .unwrap()
+                    .to_string();
+                assert!(grid_out.contains(counts.trim()), "{t}: {grid_out}");
+            }
+        }
+    }
 
-        let grid: Vec<String> = (0..65).map(|k| format!("0.{:02}", k + 10)).collect();
-        let cmd = format!("fa --preset wifi-short --grid {}", grid.join(","));
-        let err = execute(&parse(&argv(&cmd)).unwrap()).unwrap_err();
-        assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{err}");
-        assert!(err.message().contains("at most"), "{err}");
-
-        // A zero fraction anywhere in the grid hits the same config check a
-        // single-threshold run gets.
-        let err =
-            execute(&parse(&argv("fa --preset wifi-short --grid 0.4,0")).unwrap()).unwrap_err();
-        assert!(
-            err.message().contains("invalid detector configuration"),
-            "{err}"
-        );
+    #[test]
+    fn fa_grid_checks_every_threshold() {
+        // A bad threshold anywhere in the grid hits the same check a
+        // single-threshold run gets: a zero fraction, or a dB value
+        // outside the energy detector's range.
+        for cmd in [
+            "fa --preset wifi-short --grid 0.4,0",
+            "fa --preset energy --grid 6,45",
+        ] {
+            let err = execute(&parse(&argv(cmd)).unwrap()).unwrap_err();
+            assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
+            assert!(
+                err.message().contains("invalid detector configuration"),
+                "{cmd}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1155,6 +1160,34 @@ mod tests {
         .unwrap();
         assert!(out.contains("threshold,fa_per_s,p_detect"), "{out}");
         assert!(out.lines().count() >= 9, "{out}");
+    }
+
+    #[test]
+    fn energy_roc_sweeps_its_own_db_thresholds() {
+        let out = execute(
+            &parse(&argv(
+                "roc --preset energy --snr 10 --frames 24 --fa-samples 400000",
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        let rows: Vec<Vec<f64>> = out
+            .lines()
+            .skip(2)
+            .map(|l| l.split(',').map(|v| v.parse().unwrap()).collect())
+            .collect();
+        let thresholds: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+        assert_eq!(
+            thresholds,
+            [4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0],
+            "{out}"
+        );
+        // One noise and one emission stream for every row: both axes fall
+        // as the threshold rises, and the rows are not all equal.
+        for w in rows.windows(2) {
+            assert!(w[1][1] <= w[0][1] && w[1][2] <= w[0][2], "{out}");
+        }
+        assert!(rows[0] != rows[7], "{out}");
     }
 
     #[test]

@@ -29,6 +29,21 @@ fn bad_flag_value_exits_2() {
 }
 
 #[test]
+fn unknown_flag_exits_2_with_usage() {
+    // A misspelt flag must not run the command with a default in its place.
+    for args in [
+        ["roc", "--preset", "wifi-short", "--snr-db", "10"],
+        ["detect", "--preset", "wifi-short", "--bogus", "3"],
+    ] {
+        let out = rjamctl(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+        assert!(err.contains("USAGE:"), "usage must accompany exit 2: {err}");
+    }
+}
+
+#[test]
 fn garbage_rjam_threads_env_exits_2_with_usage() {
     // The engine alone degrades a bad override to serial, but the console
     // must reject it loudly through the usage-error path — same contract

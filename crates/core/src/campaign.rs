@@ -16,6 +16,7 @@ use crate::presets::{build_config, DetectionPreset, JammerPreset};
 use crate::testbed::TestbedBudget;
 use rjam_channel::monitor::ScopeTrace;
 use rjam_channel::noise::NoiseSource;
+use rjam_fpga::lanes::MAX_LANES;
 use rjam_fpga::{CoreEvent, DspLaneBank, LaneBankScratch};
 use rjam_mac::model::{JammerKind, Scenario};
 use rjam_mac::{run_scenario, IperfReport, MacObsDelta, ScenarioRun};
@@ -25,6 +26,7 @@ use rjam_sdr::power::{db_to_lin, mean_power, scale_to_power};
 use rjam_sdr::resample::{fractional_delay_into, to_usrp_rate_into};
 use rjam_sdr::rng::Rng;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One point of a detection-probability sweep (Figs 6-8).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -113,9 +115,9 @@ fn emission_waveform(
 
 /// Lays one received frame into `stream`: `LEAD_IN` noise samples, the
 /// waveform with noise added, then `TAIL` noise samples. Returns the
-/// frame's detection window `[lo, hi)` relative to the stream start; `hi`
-/// allows 64 samples of pipeline lag.
-fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<Cf64>) -> (u64, u64) {
+/// frame's detection window relative to the stream start; it ends 64
+/// samples past the frame to allow for pipeline lag.
+fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<Cf64>) -> Range<u64> {
     stream.clear();
     for _ in 0..LEAD_IN {
         stream.push(noise.next_sample());
@@ -126,195 +128,146 @@ fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<Cf64>) 
     for _ in 0..TAIL {
         stream.push(noise.next_sample());
     }
-    (lo, hi)
+    lo..hi
 }
 
-/// Whether `e` is the trigger kind a detection or false-alarm campaign
-/// counts: energy rises for the energy detector, correlator hits otherwise.
-fn is_trigger(e: &CoreEvent, energy: bool) -> bool {
-    if energy {
+/// Whether `e` is a trigger a detection or false-alarm campaign counts for
+/// `preset`: energy rises for the energy-rise detector, correlator hits
+/// otherwise.
+fn is_trigger(preset: &DetectionPreset, e: &CoreEvent) -> bool {
+    if let DetectionPreset::EnergyRise { .. } = preset {
         matches!(e, CoreEvent::EnergyHigh { .. })
     } else {
         matches!(e, CoreEvent::XcorrDetection { .. })
     }
 }
 
-/// Counts triggers whose sample index falls inside `[lo, hi)`.
-fn count_in_window(events: &[CoreEvent], lo: u64, hi: u64, energy: bool) -> usize {
-    events
-        .iter()
-        .filter(|e| is_trigger(e, energy) && (lo..hi).contains(&e.sample()))
-        .count()
-}
-
-/// Builds a [`DspLaneBank`] with one lane per preset: the preset's
-/// correlator template plus the `xcorr_threshold` its compiled monitor
-/// config would carry, all at the same lockout the single-core sweeps use.
-/// Returns `None` when any preset is energy-only (no template) or the
-/// grid exceeds the bank capacity — callers fall back to the per-preset
-/// paths in that case.
-fn lane_bank_for(presets: &[DetectionPreset], lockout: u64) -> Option<DspLaneBank> {
-    if presets.is_empty() || presets.len() > rjam_fpga::lanes::MAX_LANES {
-        return None;
-    }
-    let mut bank = DspLaneBank::new();
-    for preset in presets {
-        let t = preset.template()?;
-        let threshold = build_config(preset, &JammerPreset::Monitor, lockout).xcorr_threshold;
-        bank.add_lane(&t.coeff_i, &t.coeff_q, threshold, lockout);
-    }
-    Some(bank)
-}
-
-/// The false-alarm measurement of [`FalseAlarmSpec::run_ckpt`] evaluated
-/// for N correlator presets in one streaming pass: identical unit
-/// boundaries, identical per-unit noise streams (`shard_seed(seed, index)`),
-/// identical quantization — but every threshold rides one lane of a shared
-/// [`DspLaneBank`], so the correlator's table lookups are paid once per
-/// distinct template instead of once per preset. Returns one `(triggers, samples)`
-/// pair per preset, each bit-identical to a dedicated `run_counts` run of
-/// that preset at the same seed. `None` when the presets don't fit a bank.
-fn false_alarm_lane_counts(
-    engine: &CampaignEngine,
-    presets: &[DetectionPreset],
-    samples: usize,
-    seed: u64,
-    kind: &'static str,
-) -> Option<Vec<(u64, u64)>> {
-    struct FaLanePool {
-        bank: DspLaneBank,
-        quant: Vec<IqI16>,
-    }
-    lane_bank_for(presets, DEFAULT_LOCKOUT)?;
-    let n_units = samples.div_ceil(FA_UNIT_SAMPLES);
-    let counts = engine.run(
-        kind,
-        n_units,
-        seed,
-        || FaLanePool {
-            bank: lane_bank_for(presets, DEFAULT_LOCKOUT).expect("presets checked above"),
-            quant: Vec::new(),
-        },
-        |pool, ctx| {
-            let lo = ctx.index * FA_UNIT_SAMPLES;
-            let n = FA_UNIT_SAMPLES.min(samples - lo);
-            pool.bank.reset();
-            // A terminated input still shows the receiver noise floor —
-            // the same stream FalseAlarmSpec::run_counts derives.
-            let mut noise = NoiseSource::new(RX_LEVEL / db_to_lin(20.0), Rng::seed_from(ctx.seed));
-            let mut done = 0usize;
-            while done < n {
-                let m = FA_CHUNK.min(n - done);
-                pool.quant.clear();
-                for _ in 0..m {
-                    pool.quant.push(IqI16::from_cf64(noise.next_sample()));
-                }
-                pool.bank.process_block(&pool.quant);
-                done += m;
-            }
-            (pool.bank.trigger_counts(), n as u64)
-        },
-    );
-    let mut out = vec![(0u64, 0u64); presets.len()];
-    for (lane_triggers, n) in &counts {
-        for (lane, &t) in lane_triggers.iter().enumerate() {
-            out[lane].0 += t;
-            out[lane].1 += n;
-        }
-    }
-    if rjam_obs::enabled() {
-        use rjam_obs::registry::counter;
-        // Truthful accounting: the noise was streamed once, not once per
-        // preset; triggers sum across lanes.
-        counter("core.fa_samples").add(samples as u64);
-        counter("core.fa_triggers").add(out.iter().map(|&(t, _)| t).sum());
-    }
-    Some(out)
-}
-
-/// The detection half of [`WifiDetectionSpec::run`] at one SNR, evaluated
-/// for N correlator presets over one shared emission stream: identical
-/// `(seed-block)` unit boundaries and per-unit frame/noise streams, with
-/// every preset's threshold on its own lane. Returns detected-frame counts
-/// per preset, each bit-identical to a dedicated single-preset sweep at
-/// the same seed. `None` when the presets don't fit a bank.
-fn detection_lane_counts(
-    engine: &CampaignEngine,
-    presets: &[DetectionPreset],
-    emission: WifiEmission,
-    snr_db: f64,
-    frames_per_point: usize,
-    seed: u64,
-    kind: &'static str,
-) -> Option<Vec<usize>> {
-    struct DetLanePool {
-        bank: DspLaneBank,
-        synth: SynthScratch,
-        stream: Vec<Cf64>,
+/// The detectors one measurement drives over a shared stream, one
+/// hypothesis per preset. Two or more presets that all have correlator
+/// templates ride the lanes of one [`DspLaneBank`] per [`MAX_LANES`]
+/// hypotheses, so the stream is quantized
+/// and sign-sliced once for all of them; any other set gets one
+/// monitor-mode core per hypothesis. A lane counts exactly the correlator
+/// hits a core with the same preset and lockout would, so the choice never
+/// shows in the results.
+enum DetectorBank {
+    Cores {
+        cores: Vec<ReactiveJammer>,
+        scratch: BlockScratch,
+    },
+    Lanes {
+        banks: Vec<DspLaneBank>,
         quant: Vec<IqI16>,
         scratch: LaneBankScratch,
-    }
-    lane_bank_for(presets, DEFAULT_LOCKOUT)?;
-    let blocks_per_point = frames_per_point.div_ceil(DETECTION_FRAMES_PER_UNIT).max(1);
-    let cells = engine.run(
-        kind,
-        blocks_per_point,
-        seed,
-        || DetLanePool {
-            bank: lane_bank_for(presets, DEFAULT_LOCKOUT).expect("presets checked above"),
-            synth: SynthScratch::default(),
-            stream: Vec::new(),
+    },
+}
+
+impl DetectorBank {
+    /// Correlator hypotheses run at [`DEFAULT_LOCKOUT`]; energy-rise cores
+    /// at `energy_lockout`.
+    fn new(presets: &[DetectionPreset], energy_lockout: u64) -> Self {
+        if presets.len() < 2 || presets.iter().any(|p| p.template().is_none()) {
+            let cores = presets
+                .iter()
+                .map(|p| {
+                    let lockout = match p {
+                        DetectionPreset::EnergyRise { .. } => energy_lockout,
+                        _ => DEFAULT_LOCKOUT,
+                    };
+                    ReactiveJammer::from_presets(p, &JammerPreset::Monitor, lockout)
+                })
+                .collect();
+            return DetectorBank::Cores {
+                cores,
+                scratch: BlockScratch::new(),
+            };
+        }
+        let banks = presets
+            .chunks(MAX_LANES)
+            .map(|chunk| {
+                let mut bank = DspLaneBank::new();
+                for preset in chunk {
+                    let t = preset.template().expect("every preset has a template");
+                    let cfg = build_config(preset, &JammerPreset::Monitor, DEFAULT_LOCKOUT);
+                    bank.add_lane(&t.coeff_i, &t.coeff_q, cfg.xcorr_threshold, DEFAULT_LOCKOUT);
+                }
+                bank
+            })
+            .collect();
+        DetectorBank::Lanes {
+            banks,
             quant: Vec::new(),
             scratch: LaneBankScratch::default(),
-        },
-        |pool, ctx| {
-            let lo = ctx.index * DETECTION_FRAMES_PER_UNIT;
-            let frames = DETECTION_FRAMES_PER_UNIT.min(frames_per_point - lo);
-            let mut rng = Rng::seed_from(ctx.seed);
-            pool.bank.reset();
-            let noise_power = RX_LEVEL / db_to_lin(snr_db);
-            let mut noise = NoiseSource::new(noise_power, rng.fork());
-            let mut detected = vec![0usize; presets.len()];
-            for _ in 0..frames {
-                emission_waveform(
-                    emission,
-                    rjam_phy80211::Rate::R12,
-                    &mut rng,
-                    &mut pool.synth,
-                );
-                scale_to_power(&mut pool.synth.wave, RX_LEVEL);
-                let (frame_lo, frame_hi) =
-                    frame_stream(&pool.synth.wave, &mut noise, &mut pool.stream);
-                let base = pool.bank.samples_processed();
-                pool.quant.clear();
-                pool.quant
-                    .extend(pool.stream.iter().map(|&s| IqI16::from_cf64(s)));
-                pool.scratch.clear();
-                pool.bank.process_block_into(&pool.quant, &mut pool.scratch);
-                for (lane, hits) in pool.scratch.triggers.iter().take(presets.len()).enumerate() {
-                    if hits
+        }
+    }
+
+    /// Clears every detector's streaming state, keeping its configuration.
+    fn reset(&mut self) {
+        match self {
+            DetectorBank::Cores { cores, .. } => cores.iter_mut().for_each(ReactiveJammer::reset),
+            DetectorBank::Lanes { banks, .. } => banks.iter_mut().for_each(DspLaneBank::reset),
+        }
+    }
+
+    /// Streams `block` through every hypothesis and adds to `hits[h]` the
+    /// triggers hypothesis `h` fires at block offsets inside `window`.
+    fn feed(&mut self, block: &[Cf64], window: Range<u64>, hits: &mut [usize]) {
+        match self {
+            DetectorBank::Cores { cores, scratch } => {
+                for (core, hits) in cores.iter_mut().zip(hits) {
+                    let base = core.core_mut().samples_processed();
+                    let seen = core.events().len();
+                    core.process_block_into(block, scratch);
+                    *hits += core.events()[seen..]
                         .iter()
-                        .any(|&s| s >= base + frame_lo && s < base + frame_hi)
-                    {
-                        detected[lane] += 1;
+                        .filter(|e| {
+                            is_trigger(core.detection(), e) && window.contains(&(e.sample() - base))
+                        })
+                        .count();
+                }
+            }
+            DetectorBank::Lanes {
+                banks,
+                quant,
+                scratch,
+            } => {
+                quant.clear();
+                quant.extend(block.iter().map(|&s| IqI16::from_cf64(s)));
+                for (bank, hits) in banks.iter_mut().zip(hits.chunks_mut(MAX_LANES)) {
+                    let base = bank.samples_processed();
+                    scratch.clear();
+                    bank.process_block_into(quant, scratch);
+                    for (lane, hits) in scratch.triggers.iter().zip(hits) {
+                        *hits += lane
+                            .iter()
+                            .filter(|&&s| window.contains(&(s - base)))
+                            .count();
                     }
                 }
             }
-            detected
-        },
-    );
-    let mut out = vec![0usize; presets.len()];
-    for cell in &cells {
-        for (lane, &d) in cell.iter().enumerate() {
-            out[lane] += d;
         }
     }
-    if rjam_obs::enabled() {
-        use rjam_obs::registry::counter;
-        counter("core.sweep_frames").add(frames_per_point as u64);
-        counter("core.sweep_detections").add(out.iter().map(|&d| d as u64).sum());
+}
+
+/// Per-worker state of the false-alarm and detection bodies: the detector
+/// bank, the buffers the shared stream is built in and one trigger tally
+/// per hypothesis.
+struct MeasurePool {
+    bank: DetectorBank,
+    synth: SynthScratch,
+    stream: Vec<Cf64>,
+    hits: Vec<usize>,
+}
+
+impl MeasurePool {
+    fn new(presets: &[DetectionPreset], energy_lockout: u64) -> Self {
+        MeasurePool {
+            bank: DetectorBank::new(presets, energy_lockout),
+            synth: SynthScratch::default(),
+            stream: Vec::new(),
+            hits: vec![0; presets.len()],
+        }
     }
-    Some(out)
 }
 
 /// Channel model for detection sweeps.
@@ -380,10 +333,11 @@ impl CampaignSpec {
         }
     }
 
-    /// A receiver-operating-characteristic sweep over thresholds.
-    pub fn roc(make_preset: &(dyn Fn(f64) -> DetectionPreset + Sync)) -> RocSpec<'_> {
+    /// A receiver-operating-characteristic sweep over `preset`'s threshold
+    /// (see [`DetectionPreset::with_threshold`] for its unit).
+    pub fn roc(preset: &DetectionPreset) -> RocSpec {
         RocSpec {
-            make_preset,
+            preset: preset.clone(),
             emission: WifiEmission::FullFrames { psdu_len: 60 },
             snr_db: 0.0,
             thresholds: Vec::new(),
@@ -501,72 +455,91 @@ impl WifiDetectionSpec {
             .expect("uncancelled campaign always completes")
     }
 
+    /// Frames of one SNR point split into units of
+    /// `DETECTION_FRAMES_PER_UNIT` frames.
+    fn blocks_per_point(&self) -> usize {
+        self.frames_per_point
+            .div_ceil(DETECTION_FRAMES_PER_UNIT)
+            .max(1)
+    }
+
     /// Number of engine work units this spec runs — the checkpoint keyspace
     /// for [`WifiDetectionSpec::run_ckpt`].
     pub fn n_units(&self) -> usize {
-        let blocks_per_point = self
-            .frames_per_point
-            .div_ceil(DETECTION_FRAMES_PER_UNIT)
-            .max(1);
-        self.snrs_db.len() * blocks_per_point
+        self.snrs_db.len() * self.blocks_per_point()
     }
 
     /// Checkpointed, cancellable [`WifiDetectionSpec::run`]: `done` carries
-    /// per-unit `(detected_frames, total_triggers)` cells across
-    /// interruptions and `cancel` stops the sweep between units. Returns
-    /// `None` when interrupted (completed cells stay in `done`); a later
-    /// call with the same spec and checkpoint resumes and produces the
-    /// **bit-identical** points an uninterrupted run would have — unit
-    /// seeds derive from original unit indices, and the per-point
-    /// reduction sums integers in unit order. With an empty checkpoint and
-    /// no token this is exactly `run`.
+    /// per-unit `(detected_frames, total_triggers)` cells (one per
+    /// hypothesis; here, one) across interruptions and `cancel` stops the
+    /// sweep between units. Returns `None` when interrupted (completed
+    /// cells stay in `done`); a later call with the same spec and
+    /// checkpoint resumes and produces the **bit-identical** points an
+    /// uninterrupted run would have — unit seeds derive from original unit
+    /// indices, and the per-point reduction sums integers in unit order.
+    /// With an empty checkpoint and no token this is exactly `run`.
     pub fn run_ckpt(
         &self,
         engine: &CampaignEngine,
-        done: &mut BTreeMap<usize, (usize, usize)>,
+        done: &mut BTreeMap<usize, Vec<(usize, usize)>>,
         cancel: Option<&CancelToken>,
     ) -> Option<Vec<DetectionPoint>> {
-        struct DetectionPool {
-            jammer: ReactiveJammer,
-            scratch: BlockScratch,
-            synth: SynthScratch,
-            stream: Vec<Cf64>,
-        }
-        let energy_detector = matches!(self.preset, DetectionPreset::EnergyRise { .. });
-        let blocks_per_point = self
-            .frames_per_point
-            .div_ceil(DETECTION_FRAMES_PER_UNIT)
-            .max(1);
-        let cells = engine.run_units(
+        let sums = self.measure(
+            engine,
             "wifi_detection",
-            self.snrs_db.len() * blocks_per_point,
+            std::slice::from_ref(&self.preset),
+            done,
+            cancel,
+        )?;
+        let frames = self.frames_per_point as f64;
+        Some(
+            self.snrs_db
+                .iter()
+                .zip(&sums)
+                .map(|(&snr_db, point)| DetectionPoint {
+                    snr_db,
+                    p_detect: point[0].0 as f64 / frames,
+                    triggers_per_frame: point[0].1 as f64 / frames,
+                })
+                .collect(),
+        )
+    }
+
+    /// The detection unit body, for one hypothesis per preset (the spec's
+    /// own preset is ignored): each unit synthesizes its frames and noise
+    /// once from its own [`crate::engine::ShardCtx`] seed and streams them
+    /// through every hypothesis. Returns, per SNR point and preset, the
+    /// `(detected_frames, total_triggers)` sums in unit order — for each
+    /// preset exactly what a one-preset run at the same seed counts.
+    fn measure(
+        &self,
+        engine: &CampaignEngine,
+        kind: &'static str,
+        presets: &[DetectionPreset],
+        done: &mut BTreeMap<usize, Vec<(usize, usize)>>,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Vec<Vec<(usize, usize)>>> {
+        let blocks_per_point = self.blocks_per_point();
+        let cells = engine.run_units(
+            kind,
+            self.n_units(),
             self.seed,
             done,
             cancel,
-            || DetectionPool {
-                // Correlation sweeps use a lockout so the 10 STS
-                // repetitions count as one detection; the energy sweep
-                // counts raw rise triggers (the paper reports "multiple
-                // detections per frame" in the mid-SNR band).
-                jammer: ReactiveJammer::from_presets(
-                    &self.preset,
-                    &JammerPreset::Monitor,
-                    if energy_detector { 0 } else { DEFAULT_LOCKOUT },
-                ),
-                scratch: BlockScratch::new(),
-                synth: SynthScratch::default(),
-                stream: Vec::new(),
-            },
+            // Correlation sweeps use a lockout so the 10 STS repetitions
+            // count as one detection; the energy sweep counts raw rise
+            // triggers (the paper reports "multiple detections per frame"
+            // in the mid-SNR band).
+            || MeasurePool::new(presets, 0),
             |pool, ctx| {
                 let snr_db = self.snrs_db[ctx.index / blocks_per_point];
                 let lo = (ctx.index % blocks_per_point) * DETECTION_FRAMES_PER_UNIT;
                 let frames = DETECTION_FRAMES_PER_UNIT.min(self.frames_per_point - lo);
                 let mut rng = Rng::seed_from(ctx.seed);
-                pool.jammer.reset();
+                pool.bank.reset();
                 let noise_power = RX_LEVEL / db_to_lin(snr_db);
                 let mut noise = NoiseSource::new(noise_power, rng.fork());
-                let mut detected_frames = 0usize;
-                let mut total_triggers = 0usize;
+                let mut cell = vec![(0usize, 0usize); presets.len()];
                 for _ in 0..frames {
                     emission_waveform(
                         self.emission,
@@ -580,52 +553,41 @@ impl WifiDetectionSpec {
                         *wave = ch.apply(wave);
                     }
                     scale_to_power(wave, RX_LEVEL);
-                    let (frame_lo, frame_hi) = frame_stream(wave, &mut noise, &mut pool.stream);
-                    let base = pool.jammer.core_mut().samples_processed();
-                    pool.jammer
-                        .process_block_into(&pool.stream, &mut pool.scratch);
-                    let n = count_in_window(
-                        pool.jammer.events(),
-                        base + frame_lo,
-                        base + frame_hi,
-                        energy_detector,
-                    );
-                    if n > 0 {
-                        detected_frames += 1;
+                    let window = frame_stream(wave, &mut noise, &mut pool.stream);
+                    pool.hits.fill(0);
+                    pool.bank.feed(&pool.stream, window, &mut pool.hits);
+                    for ((detected, triggers), &n) in cell.iter_mut().zip(&pool.hits) {
+                        *detected += usize::from(n > 0);
+                        *triggers += n;
                     }
-                    total_triggers += n;
                 }
-                (detected_frames, total_triggers)
+                cell
             },
         )?;
         // Per-point reduction in unit order: integer sums, so the merged
         // ratios are bit-identical regardless of how units were grouped.
-        let points: Vec<DetectionPoint> = self
-            .snrs_db
-            .iter()
-            .enumerate()
-            .map(|(p, &snr_db)| {
-                let (detected, triggers) = cells[p * blocks_per_point..(p + 1) * blocks_per_point]
-                    .iter()
-                    .fold((0usize, 0usize), |(d, t), &(cd, ct)| (d + cd, t + ct));
-                DetectionPoint {
-                    snr_db,
-                    p_detect: detected as f64 / self.frames_per_point as f64,
-                    triggers_per_frame: triggers as f64 / self.frames_per_point as f64,
+        let sums: Vec<Vec<(usize, usize)>> = cells
+            .chunks(blocks_per_point)
+            .map(|point| {
+                let mut sum = vec![(0usize, 0usize); presets.len()];
+                for cell in point {
+                    for ((d, t), &(cd, ct)) in sum.iter_mut().zip(cell) {
+                        *d += cd;
+                        *t += ct;
+                    }
                 }
+                sum
             })
             .collect();
         if rjam_obs::enabled() {
             use rjam_obs::registry::counter;
+            // The frames were streamed once, however many hypotheses saw them.
             let frames = (self.snrs_db.len() * self.frames_per_point) as u64;
-            let detected: f64 = points
-                .iter()
-                .map(|p| p.p_detect * self.frames_per_point as f64)
-                .sum();
+            let detected: usize = sums.iter().flatten().map(|&(d, _)| d).sum();
             counter("core.sweep_frames").add(frames);
-            counter("core.sweep_detections").add(detected.round() as u64);
+            counter("core.sweep_detections").add(detected as u64);
         }
-        Some(points)
+        Some(sums)
     }
 }
 
@@ -690,115 +652,102 @@ impl FalseAlarmSpec {
     /// scratch buffers (reset between units); per-unit counts are summed
     /// in unit order.
     ///
-    /// `done` carries per-unit `(triggers, samples)` pairs across
-    /// interruptions and `cancel` stops the measurement between units.
-    /// Returns `None` when interrupted; resuming with the same spec and
-    /// checkpoint yields the bit-identical totals of an uninterrupted run.
+    /// `done` carries per-unit trigger counts (one per hypothesis; here,
+    /// one) across interruptions and `cancel` stops the measurement between
+    /// units. Returns `None` when interrupted; resuming with the same spec
+    /// and checkpoint yields the bit-identical totals of an uninterrupted
+    /// run.
     pub fn run_ckpt(
         &self,
         engine: &CampaignEngine,
-        done: &mut BTreeMap<usize, (u64, u64)>,
+        done: &mut BTreeMap<usize, Vec<usize>>,
         cancel: Option<&CancelToken>,
     ) -> Option<(u64, u64)> {
-        struct FaPool {
-            jammer: ReactiveJammer,
-            scratch: BlockScratch,
-            block: Vec<Cf64>,
-        }
-        let energy_detector = matches!(self.preset, DetectionPreset::EnergyRise { .. });
-        let counts = engine.run_units(
+        let counts = self.measure(
+            engine,
             "false_alarm",
+            std::slice::from_ref(&self.preset),
+            done,
+            cancel,
+        )?;
+        Some(counts[0])
+    }
+
+    /// Sweeps a grid of thresholds, in the preset's own unit (see
+    /// [`DetectionPreset::with_threshold`]), over **one** noise stream: the
+    /// `k`-th `(triggers, samples)` pair is bit-identical to running
+    /// `self.preset.with_threshold(thresholds[k])` through
+    /// [`FalseAlarmSpec::run_counts`] at the same seed — just without
+    /// re-streaming the noise per point.
+    pub fn run_grid_counts(&self, engine: &CampaignEngine, thresholds: &[f64]) -> Vec<(u64, u64)> {
+        let presets: Vec<DetectionPreset> = thresholds
+            .iter()
+            .map(|&t| self.preset.with_threshold(t))
+            .collect();
+        self.measure(engine, "fa_grid", &presets, &mut BTreeMap::new(), None)
+            .expect("uncancelled campaign always completes")
+    }
+
+    /// The false-alarm unit body, for one hypothesis per preset (the
+    /// spec's own preset is ignored): each unit streams its own noise once
+    /// through every hypothesis. Returns `(triggers, samples)` per preset —
+    /// for each preset exactly what a one-preset run at the same seed
+    /// counts.
+    fn measure(
+        &self,
+        engine: &CampaignEngine,
+        kind: &'static str,
+        presets: &[DetectionPreset],
+        done: &mut BTreeMap<usize, Vec<usize>>,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Vec<(u64, u64)>> {
+        let cells = engine.run_units(
+            kind,
             self.n_units(),
             self.seed,
             done,
             cancel,
-            || FaPool {
-                jammer: ReactiveJammer::from_presets(
-                    &self.preset,
-                    &JammerPreset::Monitor,
-                    DEFAULT_LOCKOUT,
-                ),
-                scratch: BlockScratch::new(),
-                block: Vec::new(),
-            },
+            || MeasurePool::new(presets, DEFAULT_LOCKOUT),
             |pool, ctx| {
                 let lo = ctx.index * FA_UNIT_SAMPLES;
                 let n = FA_UNIT_SAMPLES.min(self.samples - lo);
-                pool.jammer.reset();
+                pool.bank.reset();
+                pool.hits.fill(0);
                 // A terminated input still shows the receiver noise floor.
                 let mut noise =
                     NoiseSource::new(RX_LEVEL / db_to_lin(20.0), Rng::seed_from(ctx.seed));
-                let mut done = 0usize;
-                while done < n {
-                    let m = FA_CHUNK.min(n - done);
-                    pool.block.clear();
-                    for _ in 0..m {
-                        pool.block.push(noise.next_sample());
-                    }
-                    pool.jammer
-                        .process_block_into(&pool.block, &mut pool.scratch);
-                    done += m;
+                let mut streamed = 0usize;
+                while streamed < n {
+                    let m = FA_CHUNK.min(n - streamed);
+                    pool.stream.clear();
+                    pool.stream.extend((0..m).map(|_| noise.next_sample()));
+                    pool.bank.feed(&pool.stream, 0..m as u64, &mut pool.hits);
+                    streamed += m;
                 }
-                let events = pool.jammer.events();
-                let triggers = events
-                    .iter()
-                    .filter(|e| is_trigger(e, energy_detector))
-                    .count();
-                (triggers as u64, n as u64)
+                pool.hits.clone()
             },
         )?;
-        let (triggers, samples) = counts
-            .iter()
-            .fold((0u64, 0u64), |(t, s), &(ct, cs)| (t + ct, s + cs));
+        let mut counts = vec![(0u64, self.samples as u64); presets.len()];
+        for cell in &cells {
+            for ((triggers, _), &t) in counts.iter_mut().zip(cell) {
+                *triggers += t as u64;
+            }
+        }
         if rjam_obs::enabled() {
             use rjam_obs::registry::counter;
-            counter("core.fa_samples").add(samples);
-            counter("core.fa_triggers").add(triggers);
+            // The noise was streamed once, however many hypotheses saw it.
+            counter("core.fa_samples").add(self.samples as u64);
+            counter("core.fa_triggers").add(counts.iter().map(|&(t, _)| t).sum());
         }
-        Some((triggers, samples))
-    }
-
-    /// Sweeps a grid of correlation-threshold fractions in **one** noise
-    /// pass: every fraction becomes a [`DspLaneBank`] lane over the base
-    /// preset's template, so the correlator's table lookups are paid once
-    /// per sample instead of once per grid point. Unit boundaries, per-unit
-    /// noise streams and quantization are exactly those of
-    /// [`FalseAlarmSpec::run_counts`], so the `k`-th `(triggers, samples)`
-    /// pair is bit-identical to running
-    /// `self.preset.with_xcorr_fraction(fractions[k])` through
-    /// `run_counts` at the same seed — just without re-streaming the noise
-    /// per point.
-    ///
-    /// # Panics
-    /// Panics if `fractions` is empty, exceeds
-    /// [`rjam_fpga::lanes::MAX_LANES`], or the preset is energy-only
-    /// (energy thresholds are in dB, not peak fractions — see
-    /// [`DetectionPreset::with_xcorr_fraction`]).
-    pub fn run_grid_counts(&self, engine: &CampaignEngine, fractions: &[f64]) -> Vec<(u64, u64)> {
-        assert!(!fractions.is_empty(), "threshold grid is empty");
-        assert!(
-            fractions.len() <= rjam_fpga::lanes::MAX_LANES,
-            "threshold grid exceeds the {}-lane bank capacity",
-            rjam_fpga::lanes::MAX_LANES
-        );
-        let presets: Vec<DetectionPreset> = fractions
-            .iter()
-            .map(|&f| {
-                self.preset.with_xcorr_fraction(f).expect(
-                    "threshold grids need a correlator preset \
-                     (energy thresholds are in dB, not peak fractions)",
-                )
-            })
-            .collect();
-        false_alarm_lane_counts(engine, &presets, self.samples, self.seed, "fa_grid")
-            .expect("correlator presets always fit a lane bank")
+        Some(counts)
     }
 }
 
 /// One point of a receiver-operating-characteristic sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RocPoint {
-    /// Correlation threshold as a fraction of the template's ideal peak.
+    /// Detection threshold in the swept preset's own unit: a fraction of
+    /// the template's ideal peak, or dB for energy presets.
     pub threshold: f64,
     /// Measured false-alarm rate on noise-only input, triggers/second.
     pub fa_per_s: f64,
@@ -807,8 +756,9 @@ pub struct RocPoint {
 }
 
 /// Builder for ROC sweeps — see [`CampaignSpec::roc`].
-pub struct RocSpec<'a> {
-    make_preset: &'a (dyn Fn(f64) -> DetectionPreset + Sync),
+#[derive(Clone, Debug)]
+pub struct RocSpec {
+    preset: DetectionPreset,
     emission: WifiEmission,
     snr_db: f64,
     thresholds: Vec<f64>,
@@ -817,7 +767,7 @@ pub struct RocSpec<'a> {
     seed: u64,
 }
 
-impl RocSpec<'_> {
+impl RocSpec {
     /// What the transmitter emits for the detection half of each point.
     pub fn emission(mut self, emission: WifiEmission) -> Self {
         self.emission = emission;
@@ -830,7 +780,7 @@ impl RocSpec<'_> {
         self
     }
 
-    /// Threshold fractions to sweep.
+    /// Thresholds to sweep, in the preset's own unit.
     pub fn thresholds(mut self, thresholds: &[f64]) -> Self {
         self.thresholds = thresholds.to_vec();
         self
@@ -854,92 +804,48 @@ impl RocSpec<'_> {
         self
     }
 
-    /// Sweeps the correlation threshold to trace the detector's ROC at one
-    /// SNR: the quantitative form of Fig. 6's two-operating-point
-    /// comparison ("aiming for a lower false alarm rate generally
-    /// decreases the probability of detection"). Every threshold's
-    /// false-alarm half reuses the *same* derived noise stream and its
-    /// detection half the *same* derived emission stream, so both ROC axes
-    /// are monotone in the threshold by construction — a stricter threshold
-    /// sees the identical air and can only lose triggers, never gain them.
-    ///
-    /// For correlator presets the sweep runs on a [`DspLaneBank`]: all
-    /// thresholds become lanes of one bank, the shared noise and emission
-    /// streams are synthesized and sign-sliced **once**, and every
-    /// threshold's comparator reads the same correlator metric. The produced
-    /// points are bit-identical to the per-threshold nested path (the unit
-    /// seeds, streams, quantization and the final float divisions all
-    /// match), which remains as the fallback for energy presets and
-    /// oversized grids.
+    /// Sweeps the threshold to trace the detector's ROC at one SNR: the
+    /// quantitative form of Fig. 6's two-operating-point comparison
+    /// ("aiming for a lower false alarm rate generally decreases the
+    /// probability of detection"). Every threshold is one hypothesis of a
+    /// single false-alarm measurement (seed `seed ^ 0xFA`) and a single
+    /// detection measurement at the probe SNR (seed `seed ^ 0xD7`), so all
+    /// thresholds see the *same* noise and the *same* emissions and both
+    /// ROC axes are monotone in the threshold by construction — a stricter
+    /// threshold sees the identical air and can only lose triggers. Each
+    /// point is bit-identical to dedicated one-threshold
+    /// [`FalseAlarmSpec`] and [`WifiDetectionSpec`] runs at those seeds.
     pub fn run(&self, engine: &CampaignEngine) -> Vec<RocPoint> {
-        // Shared streams across thresholds: one for the FA half, one for
-        // the detection half.
-        let fa_seed = self.seed ^ 0xFA;
-        let det_seed = self.seed ^ 0xD7;
         let presets: Vec<DetectionPreset> = self
             .thresholds
             .iter()
-            .map(|&t| (self.make_preset)(t))
+            .map(|&t| self.preset.with_threshold(t))
             .collect();
-        if let Some(fa) =
-            false_alarm_lane_counts(engine, &presets, self.fa_samples, fa_seed, "roc_fa")
-        {
-            let det = detection_lane_counts(
-                engine,
-                &presets,
-                self.emission,
-                self.snr_db,
-                self.frames_per_point,
-                det_seed,
-                "roc_detect",
+        let complete = "uncancelled campaign always completes";
+        let fa = CampaignSpec::false_alarm(&self.preset)
+            .samples(self.fa_samples)
+            .seed(self.seed ^ 0xFA)
+            .measure(engine, "roc_fa", &presets, &mut BTreeMap::new(), None)
+            .expect(complete);
+        let det = CampaignSpec::wifi_detection(&self.preset)
+            .emission(self.emission)
+            .snrs(&[self.snr_db])
+            .trials(self.frames_per_point)
+            .seed(self.seed ^ 0xD7)
+            .measure(engine, "roc_detect", &presets, &mut BTreeMap::new(), None)
+            .expect(complete);
+        self.thresholds
+            .iter()
+            .zip(fa)
+            .zip(&det[0])
+            .map(
+                |((&threshold, (triggers, samples)), &(detected, _))| RocPoint {
+                    threshold,
+                    fa_per_s: false_alarm_rate(triggers, samples),
+                    p_detect: detected as f64 / self.frames_per_point as f64,
+                },
             )
-            .expect("lane applicability is identical for both halves");
-            return self
-                .thresholds
-                .iter()
-                .enumerate()
-                .map(|(k, &thr)| RocPoint {
-                    threshold: thr,
-                    fa_per_s: false_alarm_rate(fa[k].0, fa[k].1),
-                    p_detect: det[k] as f64 / self.frames_per_point as f64,
-                })
-                .collect();
-        }
-        self.run_nested(engine)
-    }
-
-    /// The pre-lane-bank path: one shard per threshold, each running its
-    /// own serial false-alarm and detection sub-campaigns. Kept as the
-    /// fallback for presets a lane bank cannot express (energy detectors)
-    /// and as the reference the lane path is byte-compared against.
-    fn run_nested(&self, engine: &CampaignEngine) -> Vec<RocPoint> {
-        let fa_seed = self.seed ^ 0xFA;
-        let det_seed = self.seed ^ 0xD7;
-        engine.run(
-            "roc",
-            self.thresholds.len(),
-            self.seed,
-            || (),
-            |_, ctx| {
-                let thr = self.thresholds[ctx.index];
-                let preset = (self.make_preset)(thr);
-                let fa = CampaignSpec::false_alarm(&preset)
-                    .samples(self.fa_samples)
-                    .seed(fa_seed)
-                    .run(&CampaignEngine::serial());
-                let det = CampaignSpec::wifi_detection(&preset)
-                    .emission(self.emission)
-                    .snrs(&[self.snr_db])
-                    .trials(self.frames_per_point)
-                    .seed(det_seed)
-                    .run(&CampaignEngine::serial());
-                RocPoint {
-                    threshold: thr,
-                    fa_per_s: fa,
-                    p_detect: det[0].p_detect,
-                }
-            },
-        )
+            .collect()
     }
 }
 
@@ -1002,6 +908,25 @@ impl WimaxDetectionSpec {
         self
     }
 
+    /// The detector the experiment arms: the cell-1, segment-0 preamble
+    /// correlator, fused with a 10 dB energy rise or alone.
+    pub(crate) fn detection(&self) -> DetectionPreset {
+        if self.fused {
+            DetectionPreset::WimaxFused {
+                id_cell: 1,
+                segment: 0,
+                threshold: self.xcorr_threshold,
+                energy_db: 10.0,
+            }
+        } else {
+            DetectionPreset::WimaxPreamble {
+                id_cell: 1,
+                segment: 0,
+                threshold: self.xcorr_threshold,
+            }
+        }
+    }
+
     /// Runs the WiMAX downlink detection/jamming experiment: `frames` TDD
     /// frames from the modeled Air4G base station, received at 25 MSPS
     /// with AWGN at `snr_db`, against either the correlator alone or the
@@ -1041,20 +966,7 @@ impl WimaxDetectionSpec {
             /// The received frame.
             wave: Vec<Cf64>,
         }
-        let detection = if self.fused {
-            DetectionPreset::WimaxFused {
-                id_cell: 1,
-                segment: 0,
-                threshold: self.xcorr_threshold,
-                energy_db: 10.0,
-            }
-        } else {
-            DetectionPreset::WimaxPreamble {
-                id_cell: 1,
-                segment: 0,
-                threshold: self.xcorr_threshold,
-            }
-        };
+        let detection = self.detection();
         let frame_samples_25 = (rjam_phy80216::FRAME_SAMPLES as f64 * 25.0 / 11.4).round() as u64;
         let units = engine.run_units(
             "wimax",
@@ -1750,7 +1662,7 @@ mod tests {
 
     #[test]
     fn roc_tradeoff_monotone() {
-        let pts = CampaignSpec::roc(&|t| DetectionPreset::WifiShortPreamble { threshold: t })
+        let pts = CampaignSpec::roc(&DetectionPreset::WifiShortPreamble { threshold: 0.3 })
             .snr_db(-3.0)
             .thresholds(&[0.22, 0.34, 0.50])
             .trials(30)
@@ -1765,81 +1677,98 @@ mod tests {
     }
 
     #[test]
-    fn roc_lane_path_byte_identical_to_nested_path() {
-        // The tentpole acceptance criterion: the lane-bank ROC export must
-        // be byte-identical to the pre-lane-bank nested path — same unit
-        // seeds, same streams, same quantization, same float divisions.
-        let make = |t: f64| DetectionPreset::WifiShortPreamble { threshold: t };
-        let spec = CampaignSpec::roc(&make)
-            .snr_db(-3.0)
-            .thresholds(&[0.22, 0.34, 0.50])
-            .trials(30)
-            .fa_samples(300_000)
-            .seed(21);
-        let lane = spec.run(&serial());
-        let nested = spec.run_nested(&serial());
-        assert_eq!(
-            crate::export::roc_csv(&lane),
-            crate::export::roc_csv(&nested)
-        );
-        // Raw bits, not just the rounded CSV.
-        for (a, b) in lane.iter().zip(&nested) {
-            assert_eq!(a.fa_per_s.to_bits(), b.fa_per_s.to_bits());
-            assert_eq!(a.p_detect.to_bits(), b.p_detect.to_bits());
+    fn roc_rows_equal_dedicated_single_threshold_runs() {
+        // Every ROC row must be bit-identical to a dedicated one-threshold
+        // false-alarm run at `seed ^ 0xFA` and detection run at
+        // `seed ^ 0xD7` — for correlator thresholds (one lane bank) and
+        // for energy thresholds in dB (one core per threshold), at any
+        // thread count. Every threshold fires on both streams, so a
+        // hypothesis that misses either stream cannot pass.
+        let sweeps = [
+            (
+                DetectionPreset::WifiShortPreamble { threshold: 0.3 },
+                vec![0.10, 0.15, 0.22],
+            ),
+            (
+                DetectionPreset::EnergyRise { threshold_db: 10.0 },
+                vec![3.0, 3.5, 4.0],
+            ),
+        ];
+        let (seed, snr_db, frames, fa_samples) = (21, 5.0, 17, FA_UNIT_SAMPLES + 4_321);
+        for (base, thresholds) in &sweeps {
+            let singles: Vec<(f64, f64)> = thresholds
+                .iter()
+                .map(|&t| {
+                    let preset = base.with_threshold(t);
+                    let fa = CampaignSpec::false_alarm(&preset)
+                        .samples(fa_samples)
+                        .seed(seed ^ 0xFA)
+                        .run(&serial());
+                    let det = CampaignSpec::wifi_detection(&preset)
+                        .snrs(&[snr_db])
+                        .trials(frames)
+                        .seed(seed ^ 0xD7)
+                        .run(&serial());
+                    (fa, det[0].p_detect)
+                })
+                .collect();
+            for threads in [1, 2, 7] {
+                let pts = CampaignSpec::roc(base)
+                    .snr_db(snr_db)
+                    .thresholds(thresholds)
+                    .trials(frames)
+                    .fa_samples(fa_samples)
+                    .seed(seed)
+                    .run(&CampaignEngine::with_threads(threads));
+                assert_eq!(pts.len(), thresholds.len());
+                for ((pt, &t), &(fa, p_detect)) in pts.iter().zip(thresholds).zip(&singles) {
+                    let at = format!("{base:?} at {t}, {threads} threads");
+                    assert!(fa > 0.0 && p_detect > 0.0, "{at}");
+                    assert_eq!(pt.threshold.to_bits(), t.to_bits(), "{at}");
+                    assert_eq!(pt.fa_per_s.to_bits(), fa.to_bits(), "{at}");
+                    assert_eq!(pt.p_detect.to_bits(), p_detect.to_bits(), "{at}");
+                }
+            }
         }
-        // And the lane path itself is thread-count invariant.
-        for threads in [2, 7] {
-            let sharded = spec.run(&CampaignEngine::with_threads(threads));
-            assert_eq!(
-                crate::export::roc_csv(&lane),
-                crate::export::roc_csv(&sharded),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn roc_energy_preset_falls_back_to_nested_path() {
-        // Energy presets have no correlator template: the lane path must
-        // decline and the nested path must produce the points.
-        let make = |_t: f64| DetectionPreset::EnergyRise { threshold_db: 10.0 };
-        let spec = CampaignSpec::roc(&make)
-            .snr_db(5.0)
-            .thresholds(&[0.3, 0.5])
-            .trials(8)
-            .fa_samples(100_000)
-            .seed(22);
-        let pts = spec.run(&serial());
-        assert_eq!(pts.len(), 2);
-        assert_eq!(
-            crate::export::roc_csv(&pts),
-            crate::export::roc_csv(&spec.run_nested(&serial()))
-        );
     }
 
     #[test]
     fn fa_grid_matches_individual_runs() {
-        // Each lane of the grid sweep must reproduce a dedicated
-        // run_counts run of the re-thresholded preset, bit for bit.
-        let preset = DetectionPreset::WifiLongPreamble { threshold: 0.30 };
+        // Each row of a grid sweep must reproduce a dedicated run_counts
+        // run of the re-thresholded preset, bit for bit: correlator
+        // fractions (one lane bank), a 65-point grid (two banks) and
+        // energy thresholds in dB (one core per threshold). Every
+        // threshold fires, so a hypothesis that misses the stream cannot
+        // pass.
         let samples = FA_UNIT_SAMPLES + 12_345; // exercise the remainder unit
-        let spec = CampaignSpec::false_alarm(&preset).samples(samples).seed(33);
-        let grid = [0.08, 0.30, 0.60];
-        let swept = spec.run_grid_counts(&serial(), &grid);
-        assert_eq!(swept.len(), grid.len());
-        for (k, &f) in grid.iter().enumerate() {
-            let single = CampaignSpec::false_alarm(&preset.with_xcorr_fraction(f).unwrap())
-                .samples(samples)
-                .seed(33)
-                .run_counts(&serial());
-            assert_eq!(swept[k], single, "fraction {f}");
-            assert_eq!(swept[k].1, samples as u64, "denominator is the request");
+        let wide: Vec<f64> = (0..65).map(|k| 0.05 + 0.001 * k as f64).collect();
+        let grids = [
+            (
+                DetectionPreset::WifiLongPreamble { threshold: 0.30 },
+                vec![0.08, 0.15, 0.22],
+            ),
+            (DetectionPreset::WifiShortPreamble { threshold: 0.30 }, wide),
+            (
+                DetectionPreset::EnergyRise { threshold_db: 10.0 },
+                vec![3.0, 3.5, 4.0],
+            ),
+        ];
+        for (preset, grid) in &grids {
+            let spec = CampaignSpec::false_alarm(preset).samples(samples).seed(33);
+            let swept = spec.run_grid_counts(&serial(), grid);
+            assert_eq!(swept.len(), grid.len());
+            for (k, &t) in grid.iter().enumerate() {
+                let single = CampaignSpec::false_alarm(&preset.with_threshold(t))
+                    .samples(samples)
+                    .seed(33)
+                    .run_counts(&serial());
+                assert_eq!(swept[k], single, "{preset:?} at {t}");
+                assert_eq!(swept[k].1, samples as u64, "denominator is the request");
+            }
+            // Looser thresholds can only gain triggers on the identical noise.
+            assert!(swept.windows(2).all(|w| w[0].0 >= w[1].0), "{swept:?}");
+            assert!(swept.iter().all(|&(t, _)| t > 0), "{swept:?}");
         }
-        // Looser thresholds can only gain triggers on the identical noise.
-        assert!(
-            swept[0].0 >= swept[1].0 && swept[1].0 >= swept[2].0,
-            "{swept:?}"
-        );
     }
 
     #[test]
@@ -1858,14 +1787,6 @@ mod tests {
             assert_eq!(a[1], b[2], "threads={threads}");
             assert_eq!(a[2], b[0], "threads={threads}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "energy thresholds are in dB")]
-    fn fa_grid_rejects_energy_presets() {
-        let spec = CampaignSpec::false_alarm(&DetectionPreset::EnergyRise { threshold_db: 10.0 })
-            .samples(1000);
-        let _ = spec.run_grid_counts(&serial(), &[0.3]);
     }
 
     #[test]

@@ -310,10 +310,9 @@ impl CampaignEngine {
     /// snapshot with ETA / done) over the units it runs. An interrupted run
     /// leaves the chain truncated (no `campaign_done`), which is what its
     /// watchers should see. Only the *outermost* campaign of an invocation
-    /// emits: nested engine runs (ROC thresholds run whole sub-campaigns
-    /// inside shards) stay silent so one run produces one chain. None of
-    /// this touches results; without `obs` the instrumentation compiles
-    /// out.
+    /// emits: an engine run started inside another run's unit stays silent
+    /// so one run produces one chain. None of this touches results;
+    /// without `obs` the instrumentation compiles out.
     #[allow(clippy::too_many_arguments)]
     pub fn run_units<T, P, M, F>(
         &self,

@@ -7,6 +7,26 @@
 
 use crate::coeff::{self, Template};
 use rjam_fpga::{CoreConfig, JamWaveform, TriggerMode, TriggerSource};
+use std::fmt;
+
+/// Why a [`DetectionPreset`] cannot run, from
+/// [`DetectionPreset::validate`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct PresetError {
+    /// The offending field, named as in the preset's wire form
+    /// (`threshold`, `threshold_db`, `energy_db`, `id_cell`, `segment`).
+    pub field: &'static str,
+    /// The violated constraint.
+    pub reason: String,
+}
+
+impl fmt::Display for PresetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for PresetError {}
 
 /// What to detect.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,20 +94,83 @@ impl DetectionPreset {
         }
     }
 
-    /// Returns a copy of this preset with its correlation-threshold
-    /// fraction replaced by `fraction`, or `None` for energy-only presets
-    /// (whose thresholds are in dB, not peak fractions). This is what lets
-    /// threshold-grid sweeps derive one preset per lane from a base preset.
-    pub fn with_xcorr_fraction(&self, fraction: f64) -> Option<DetectionPreset> {
-        let mut preset = self.clone();
-        match &mut preset {
+    /// The preset's swept threshold in its own unit: the correlation
+    /// fraction for presets with a template (including the fused one), dB
+    /// for energy-only presets.
+    fn threshold(&self) -> f64 {
+        match *self {
             DetectionPreset::WifiShortPreamble { threshold }
             | DetectionPreset::WifiLongPreamble { threshold }
             | DetectionPreset::WimaxPreamble { threshold, .. }
-            | DetectionPreset::WimaxFused { threshold, .. } => *threshold = fraction,
-            DetectionPreset::EnergyRise { .. } | DetectionPreset::EnergyFall { .. } => return None,
+            | DetectionPreset::WimaxFused { threshold, .. } => threshold,
+            DetectionPreset::EnergyRise { threshold_db }
+            | DetectionPreset::EnergyFall { threshold_db } => threshold_db,
         }
-        Some(preset)
+    }
+
+    /// Returns a copy of this preset with its swept threshold replaced by
+    /// `threshold`, in the preset's own unit: a correlation fraction for
+    /// presets with a template, dB for energy-only presets. This is how
+    /// ROC and threshold-grid sweeps derive one hypothesis per grid point
+    /// from a base preset.
+    pub fn with_threshold(&self, threshold: f64) -> DetectionPreset {
+        let mut preset = self.clone();
+        match &mut preset {
+            DetectionPreset::WifiShortPreamble { threshold: t }
+            | DetectionPreset::WifiLongPreamble { threshold: t }
+            | DetectionPreset::WimaxPreamble { threshold: t, .. }
+            | DetectionPreset::WimaxFused { threshold: t, .. }
+            | DetectionPreset::EnergyRise { threshold_db: t }
+            | DetectionPreset::EnergyFall { threshold_db: t } => *t = threshold,
+        }
+        preset
+    }
+
+    /// Checks the preset against what the detector hardware model can run,
+    /// naming the first offending field: a correlation fraction in (0, 1]
+    /// that compiles to a nonzero correlator threshold, energy thresholds
+    /// in [3, 30] dB, a WiMAX cell ID of at most 31 and a segment of at
+    /// most 2. The operator console and the job service both gate on this.
+    pub fn validate(&self) -> Result<(), PresetError> {
+        let err = |field, reason: String| Err(PresetError { field, reason });
+        let check_db = |field, v: f64| {
+            if (3.0..=30.0).contains(&v) {
+                Ok(())
+            } else {
+                err(field, format!("{v} dB is not in [3, 30]"))
+            }
+        };
+        if let DetectionPreset::WimaxPreamble {
+            id_cell, segment, ..
+        }
+        | DetectionPreset::WimaxFused {
+            id_cell, segment, ..
+        } = *self
+        {
+            if id_cell > 31 {
+                return err("id_cell", format!("{id_cell} exceeds 31"));
+            }
+            if segment > 2 {
+                return err("segment", format!("{segment} exceeds 2"));
+            }
+        }
+        let Some(template) = self.template() else {
+            return check_db("threshold_db", self.threshold());
+        };
+        let fraction = self.threshold();
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return err("threshold", format!("{fraction} is not in (0, 1]"));
+        }
+        if template.threshold_at_fraction(fraction) == 0 {
+            return err(
+                "threshold",
+                format!("{fraction} compiles to a zero correlator threshold"),
+            );
+        }
+        match *self {
+            DetectionPreset::WimaxFused { energy_db, .. } => check_db("energy_db", energy_db),
+            _ => Ok(()),
+        }
     }
 
     /// The trigger sources the preset enables.
@@ -126,14 +209,7 @@ impl DetectionPreset {
         if let Some(t) = self.template() {
             cfg.coeff_i = t.coeff_i;
             cfg.coeff_q = t.coeff_q;
-            let frac = match self {
-                DetectionPreset::WifiShortPreamble { threshold }
-                | DetectionPreset::WifiLongPreamble { threshold }
-                | DetectionPreset::WimaxPreamble { threshold, .. }
-                | DetectionPreset::WimaxFused { threshold, .. } => *threshold,
-                DetectionPreset::EnergyRise { .. } | DetectionPreset::EnergyFall { .. } => 1.0,
-            };
-            cfg.xcorr_threshold = t.threshold_at_fraction(frac);
+            cfg.xcorr_threshold = t.threshold_at_fraction(self.threshold());
         } else {
             cfg.xcorr_threshold = u64::MAX;
         }
@@ -345,6 +421,106 @@ mod tests {
             energy_db: 10.0,
         };
         assert_eq!(fused.response_budget_ns(), b.t_resp_xcorr_ns);
+    }
+
+    #[test]
+    fn with_threshold_sets_the_presets_own_unit() {
+        let short = DetectionPreset::WifiShortPreamble { threshold: 0.3 };
+        assert_eq!(
+            short.with_threshold(0.5),
+            DetectionPreset::WifiShortPreamble { threshold: 0.5 }
+        );
+        let fused = DetectionPreset::WimaxFused {
+            id_cell: 3,
+            segment: 1,
+            threshold: 0.4,
+            energy_db: 10.0,
+        };
+        assert_eq!(
+            fused.with_threshold(0.6),
+            DetectionPreset::WimaxFused {
+                id_cell: 3,
+                segment: 1,
+                threshold: 0.6,
+                energy_db: 10.0,
+            }
+        );
+        let energy = DetectionPreset::EnergyRise { threshold_db: 10.0 };
+        assert_eq!(
+            energy.with_threshold(6.0),
+            DetectionPreset::EnergyRise { threshold_db: 6.0 }
+        );
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let wimax = |id_cell, segment, threshold| DetectionPreset::WimaxFused {
+            id_cell,
+            segment,
+            threshold,
+            energy_db: 10.0,
+        };
+        for ok in [
+            DetectionPreset::WifiShortPreamble { threshold: 1.0 },
+            DetectionPreset::WifiLongPreamble { threshold: 0.01 },
+            DetectionPreset::EnergyFall { threshold_db: 3.0 },
+            DetectionPreset::EnergyRise { threshold_db: 30.0 },
+            wimax(31, 2, 0.45),
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        for (bad, field) in [
+            (
+                DetectionPreset::WifiShortPreamble { threshold: 1.5 },
+                "threshold",
+            ),
+            (
+                DetectionPreset::WifiShortPreamble { threshold: 0.0 },
+                "threshold",
+            ),
+            (
+                DetectionPreset::WifiLongPreamble {
+                    threshold: f64::NAN,
+                },
+                "threshold",
+            ),
+            // In (0, 1], but it compiles to a zero correlator threshold,
+            // which would fire on every sample.
+            (
+                DetectionPreset::WifiLongPreamble { threshold: 1e-9 },
+                "threshold",
+            ),
+            (
+                DetectionPreset::EnergyRise { threshold_db: 2.9 },
+                "threshold_db",
+            ),
+            (
+                DetectionPreset::EnergyFall { threshold_db: 45.0 },
+                "threshold_db",
+            ),
+            (wimax(32, 0, 0.45), "id_cell"),
+            (wimax(1, 3, 0.45), "segment"),
+            (
+                DetectionPreset::WimaxFused {
+                    id_cell: 1,
+                    segment: 0,
+                    threshold: 0.45,
+                    energy_db: 31.0,
+                },
+                "energy_db",
+            ),
+        ] {
+            let err = bad.validate().expect_err("must reject");
+            assert_eq!(err.field, field, "{bad:?}: {err}");
+        }
+        // Every preset that validates compiles to a core config the FPGA
+        // model accepts.
+        let cfg = build_config(
+            &DetectionPreset::WifiLongPreamble { threshold: 0.01 },
+            &JammerPreset::Monitor,
+            0,
+        );
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -15,13 +15,22 @@
 //! checkpointable campaign runners the direct API uses, so a job's export
 //! bytes are identical to calling the [`crate::campaign`] builders in
 //! process — interrupted-and-resumed or not, at any thread count.
+//!
+//! ROC sweeps, false-alarm threshold grids and time-to-detect sweeps are
+//! plain data too ([`crate::campaign::RocSpec`] is a base preset plus a
+//! threshold list), but they are not job kinds yet: the end-to-end
+//! benchmark matches the four kinds below exhaustively, so a fifth kind
+//! has to land together with a change to that benchmark. Run them in
+//! process.
 
 use crate::campaign::{
-    false_alarm_rate, CampaignSpec, ChannelModel, JammerUnderTest, WifiEmission,
+    false_alarm_rate, CampaignSpec, ChannelModel, JammerUnderTest, JammingPoint, WifiEmission,
 };
 use crate::engine::{CampaignEngine, CancelToken};
 use crate::export;
 use crate::presets::DetectionPreset;
+use rjam_channel::monitor::ScopeTrace;
+use rjam_mac::MacObsDelta;
 use rjam_obs::json::{self, Value};
 use rjam_obs::ParseError;
 use std::collections::BTreeMap;
@@ -81,10 +90,8 @@ fn field_err(field: &'static str, reason: impl Into<String>) -> SpecError {
 
 /// A campaign a job can run, as data.
 ///
-/// Mirrors the [`CampaignSpec`] builders one-to-one for every campaign
-/// whose description is plain data. ROC sweeps are deliberately absent:
-/// [`crate::campaign::RocSpec`] borrows a preset-factory closure, which
-/// has no serialized form — run those in process.
+/// Mirrors the [`CampaignSpec`] builders one-to-one for the four job
+/// kinds (see the module docs for the sweeps that are not job kinds yet).
 #[derive(Clone, Debug, PartialEq)]
 pub enum CampaignRequest {
     /// A WiFi detection-probability sweep (Figs 6-8) exporting the
@@ -189,57 +196,16 @@ impl CampaignRequest {
     /// gate the job queue relies on.
     pub fn validate(&self) -> Result<(), SpecError> {
         fn check_preset(preset: &DetectionPreset) -> Result<(), SpecError> {
-            match preset {
-                DetectionPreset::WifiShortPreamble { threshold }
-                | DetectionPreset::WifiLongPreamble { threshold } => {
-                    check_fraction("preset.threshold", *threshold)
-                }
-                DetectionPreset::WimaxPreamble {
-                    id_cell,
-                    segment,
-                    threshold,
-                } => {
-                    check_cell(*id_cell, *segment)?;
-                    check_fraction("preset.threshold", *threshold)
-                }
-                DetectionPreset::EnergyRise { threshold_db }
-                | DetectionPreset::EnergyFall { threshold_db } => {
-                    check_db("preset.threshold_db", *threshold_db)
-                }
-                DetectionPreset::WimaxFused {
-                    id_cell,
-                    segment,
-                    threshold,
-                    energy_db,
-                } => {
-                    check_cell(*id_cell, *segment)?;
-                    check_fraction("preset.threshold", *threshold)?;
-                    check_db("preset.energy_db", *energy_db)
-                }
-            }
-        }
-        fn check_fraction(field: &'static str, v: f64) -> Result<(), SpecError> {
-            if v.is_finite() && v > 0.0 && v <= 1.0 {
-                Ok(())
-            } else {
-                Err(field_err(field, format!("{v} is not in (0, 1]")))
-            }
-        }
-        fn check_db(field: &'static str, v: f64) -> Result<(), SpecError> {
-            if v.is_finite() && (3.0..=30.0).contains(&v) {
-                Ok(())
-            } else {
-                Err(field_err(field, format!("{v} dB is not in [3, 30]")))
-            }
-        }
-        fn check_cell(id_cell: u8, segment: u8) -> Result<(), SpecError> {
-            if id_cell > 31 {
-                return Err(field_err("preset.id_cell", format!("{id_cell} exceeds 31")));
-            }
-            if segment > 2 {
-                return Err(field_err("preset.segment", format!("{segment} exceeds 2")));
-            }
-            Ok(())
+            preset.validate().map_err(|e| {
+                let field = match e.field {
+                    "threshold" => "preset.threshold",
+                    "threshold_db" => "preset.threshold_db",
+                    "energy_db" => "preset.energy_db",
+                    "id_cell" => "preset.id_cell",
+                    _ => "preset.segment",
+                };
+                field_err(field, e.reason)
+            })
         }
         fn check_grid(field: &'static str, grid: &[f64]) -> Result<(), SpecError> {
             if grid.is_empty() {
@@ -296,6 +262,7 @@ impl CampaignRequest {
                 Ok(())
             }
             CampaignRequest::Wimax {
+                fused,
                 frames,
                 snr_db,
                 threshold,
@@ -307,7 +274,12 @@ impl CampaignRequest {
                 if !snr_db.is_finite() {
                     return Err(field_err("snr_db", format!("{snr_db} is not finite")));
                 }
-                check_fraction("threshold", *threshold)
+                CampaignSpec::wimax_detection()
+                    .fused(*fused)
+                    .threshold(*threshold)
+                    .detection()
+                    .validate()
+                    .map_err(|e| field_err("threshold", e.reason))
             }
             CampaignRequest::Jamming {
                 sirs_db,
@@ -330,11 +302,9 @@ impl CampaignRequest {
     /// string the corresponding [`crate::export`] function produces from a
     /// direct [`CampaignSpec`] run with the same parameters.
     ///
-    /// `ckpt` persists completed shard work across interruptions for the
-    /// checkpointable kinds (`wifi_detection`, `false_alarm`); `cancel`
-    /// stops the run between units, returning `None`. WiMAX and jamming
-    /// campaigns carry no checkpoint — on resume they re-run from scratch,
-    /// which is still byte-identical by the engine's determinism contract.
+    /// `ckpt` persists completed shard work across interruptions; `cancel`
+    /// stops the run between units, returning `None`. Running again with
+    /// the same checkpoint resumes with only the missing units.
     pub fn run_to_export(
         &self,
         engine: &CampaignEngine,
@@ -385,7 +355,7 @@ impl CampaignRequest {
                     .snr_db(*snr_db)
                     .threshold(*threshold)
                     .seed(*seed)
-                    .run_ckpt(engine, &mut BTreeMap::new(), cancel)?;
+                    .run_ckpt(engine, &mut ckpt.wimax, cancel)?;
                 Some(export::wimax_json(&result))
             }
             CampaignRequest::Jamming {
@@ -398,7 +368,7 @@ impl CampaignRequest {
                     .sirs(sirs_db)
                     .duration_s(*duration_s)
                     .seed(*seed)
-                    .run_ckpt(engine, &mut BTreeMap::new(), cancel)?;
+                    .run_ckpt(engine, &mut ckpt.jamming, cancel)?;
                 Some(export::jamming_csv(&points))
             }
         }
@@ -770,15 +740,15 @@ fn channel_from(o: &Obj) -> Result<ChannelModel, SpecError> {
 
 /// Persisted shard progress of a job — what survives a cancel.
 ///
-/// The checkpointable campaigns store per-unit integer results keyed by
-/// original unit index, exactly the `done` maps their `run_ckpt` methods
-/// consume. WiMAX and jamming campaigns keep no checkpoint and restart
-/// from zero on resume. The checkpoint lives only inside the `rjamd`
-/// process; it has no wire form.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Every job kind stores its per-unit results keyed by original unit
+/// index, exactly the `done` maps the `run_ckpt` methods consume. The
+/// checkpoint lives only inside the `rjamd` process; it has no wire form.
+#[derive(Default)]
 pub struct JobCheckpoint {
-    wifi: BTreeMap<usize, (usize, usize)>,
-    fa: BTreeMap<usize, (u64, u64)>,
+    wifi: BTreeMap<usize, Vec<(usize, usize)>>,
+    fa: BTreeMap<usize, Vec<usize>>,
+    wimax: BTreeMap<usize, (ScopeTrace, usize, f64)>,
+    jamming: BTreeMap<usize, (JammingPoint, MacObsDelta)>,
 }
 
 impl JobCheckpoint {
@@ -789,7 +759,7 @@ impl JobCheckpoint {
 
     /// Completed units recorded so far.
     pub fn units_done(&self) -> usize {
-        self.wifi.len() + self.fa.len()
+        self.wifi.len() + self.fa.len() + self.wimax.len() + self.jamming.len()
     }
 }
 
@@ -868,6 +838,25 @@ mod tests {
             (empty_grid, "snrs_db"),
             (zero_trials, "trials"),
             (bad_threshold, "preset.threshold"),
+            // In (0, 1], but it compiles to a zero correlator threshold.
+            (
+                CampaignRequest::FalseAlarm {
+                    preset: DetectionPreset::WifiShortPreamble { threshold: 1e-9 },
+                    samples: 1,
+                    seed: 0,
+                },
+                "preset.threshold",
+            ),
+            (
+                CampaignRequest::Wimax {
+                    fused: true,
+                    frames: 4,
+                    snr_db: 20.0,
+                    threshold: 1e-9,
+                    seed: 0,
+                },
+                "threshold",
+            ),
             (
                 CampaignRequest::FalseAlarm {
                     preset: DetectionPreset::EnergyRise { threshold_db: 40.0 },

@@ -106,8 +106,8 @@ fn engine_streams_one_valid_chain_and_publishes_a_profile() {
         "at least one in-flight snapshot"
     );
 
-    // --- Scenario 2: nested campaigns (the ROC shape — whole serial
-    // sub-campaigns inside shards) emit exactly one chain.
+    // --- Scenario 2: nested campaigns (whole serial sub-campaigns inside
+    // shards) emit exactly one chain.
     let events = capture(|| {
         CampaignEngine::with_threads(2).run(
             "progress_nested_outer",

@@ -720,6 +720,58 @@ mod tests {
 
     #[cfg(feature = "obs")]
     #[test]
+    fn cancelled_wimax_job_keeps_its_finished_units() {
+        let _guard = test_lock().lock().unwrap();
+        let d = Daemon::start(CampaignEngine::with_threads(1), 4);
+        // Ten 4-frame units on one worker, dispatched in four ranges.
+        let spec = CampaignRequest::Wimax {
+            fused: true,
+            frames: 40,
+            snr_db: 20.0,
+            threshold: 0.45,
+            seed: 11,
+        };
+        let direct = spec
+            .run_to_export(
+                &CampaignEngine::with_threads(3),
+                &mut JobCheckpoint::new(),
+                None,
+            )
+            .unwrap();
+        let (id, _) = d.submit(spec).expect("accepted");
+        // Follow the job until its first range of units is out, then
+        // detach and cancel.
+        let _ = d.watch(&id, &mut |l: &str| {
+            if l.contains("\"shard_finished\"") {
+                Err(std::io::Error::other("first range finished"))
+            } else {
+                Ok(())
+            }
+        });
+        let done = d.cancel(&id).expect("cancel");
+        assert!(
+            done >= 1,
+            "finished units must survive the cancel, got {done}"
+        );
+        let st = d.status(Some(&id)).expect("status")[0].clone();
+        assert_eq!((st.state, st.units_done), (JobState::Cancelled, done));
+        d.resume(&id).expect("resume");
+        assert_eq!(wait_done(&d, &id).state, JobState::Done);
+        let mut last = String::new();
+        d.watch(&id, &mut |l: &str| {
+            last = l.to_string();
+            Ok(())
+        })
+        .expect("watch");
+        match JobResponse::from_line(&last).unwrap() {
+            JobResponse::Done { export, .. } => assert_eq!(export, direct),
+            other => panic!("expected job_done, got {other:?}"),
+        }
+        d.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
     fn watch_streams_job_tagged_progress() {
         let _guard = test_lock().lock().unwrap();
         let d = Daemon::start(CampaignEngine::with_threads(2), 8);

@@ -264,23 +264,41 @@ props! {
     }
 
     /// Resume equals uninterrupted, at 1, 2 and 7 worker threads: cancel
-    /// a checkpointable job at an arbitrary moment, resume from whatever
-    /// the checkpoint captured, and the final export is byte-identical
-    /// to a never-interrupted run.
+    /// a multi-unit job of every checkpointing kind at an arbitrary
+    /// moment, resume from whatever the checkpoint captured, and the final
+    /// export is byte-identical to a never-interrupted run.
     fn resume_equals_uninterrupted_at_1_2_7_threads(seed in 0u64..1_000_000) cases = 2 {
         let _guard = DAEMON_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = TestRng::seed_from(seed ^ 0xca7c);
-        let spec = fa_request((1 << 18) * 3 + 54_321, seed);
-        for threads in [1usize, 2, 7] {
+        let specs = [
+            fa_request((1 << 18) * 3 + 54_321, seed),
+            CampaignRequest::Wimax {
+                fused: rng.below(2) == 0,
+                frames: 9 + rng.below(4) as usize,
+                snr_db: 10.0,
+                threshold: 0.45,
+                seed,
+            },
+            CampaignRequest::Jamming {
+                jammer: JammerUnderTest::ReactiveLong,
+                sirs_db: grid(&mut rng).into_iter().chain([14.0, 26.0]).collect(),
+                duration_s: 0.1,
+                seed,
+            },
+        ];
+        for (spec, threads) in specs.iter().flat_map(|s| [1usize, 2, 7].map(|t| (s, t))) {
             let engine = CampaignEngine::with_threads(threads);
+            let t0 = std::time::Instant::now();
             let direct = spec
                 .run_to_export(&engine, &mut JobCheckpoint::new(), None)
                 .expect("uninterrupted run completes");
+            // Cancel at a random moment of a run as long as this one.
+            let run_us = t0.elapsed().as_micros() as u64;
 
             let token = CancelToken::new();
             let canceller = {
                 let token = token.clone();
-                let delay = rng.below(3_000);
+                let delay = rng.below(run_us.max(1));
                 std::thread::spawn(move || {
                     std::thread::sleep(std::time::Duration::from_micros(delay));
                     token.cancel();

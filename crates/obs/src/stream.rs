@@ -359,9 +359,9 @@ pub fn active() -> bool {
 }
 
 /// Claims campaign-level ownership of the stream. Returns `true` for the
-/// *outermost* campaign only: nested engine runs (ROC thresholds run whole
-/// sub-campaigns inside shards) see `false` and stay silent, so one
-/// invocation emits one well-formed start→done chain. Pair with
+/// *outermost* campaign only: an engine run started inside another run's
+/// unit sees `false` and stays silent, so one invocation emits one
+/// well-formed start→done chain per top-level run. Pair with
 /// [`end_campaign`].
 pub fn begin_campaign() -> bool {
     CAMPAIGN
