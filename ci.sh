@@ -170,6 +170,42 @@ for cmd in \
 done
 rm -f rjam_ci_t1.out rjam_ci_t4.out
 
+step "MAC figures: run_figures.sh's five MAC sections byte-match figures_output.txt"
+# The figure contract of the MAC simulator, checked on every run: each
+# section is regenerated with run_figures.sh's exact command and compared
+# with its section of the committed transcript (the lines between its
+# header and the next one, less run_figures.sh's two-line separator).
+fig_section() {
+    awk -v h="############ $1 ############" '
+        $0 == h { on = 1; next }
+        on && (/^############ / || $0 == "DONE") {
+            if ($0 != "DONE") n -= 2
+            for (i = 1; i <= n; i++) print buf[i]
+            found = 1
+            exit
+        }
+        on { buf[++n] = $0 }
+        END { if (!found) exit 1 }' figures_output.txt
+}
+for fig in \
+    "fig10 fig10_bandwidth --seconds 10" \
+    "fig11 fig11_prr --seconds 10" \
+    "energy energy_efficiency --seconds 6" \
+    "rtscts ablation_rts_cts --seconds 6" \
+    "health health_time_to_detect --seconds 3 --cadence 8"; do
+    set -- $fig
+    name=$1
+    bin=$2
+    shift 2
+    fig_section "$name" > rjam_ci_fig_want.txt
+    cargo run -q --release --offline -p rjam-bench --bin "$bin" -- "$@" \
+        > rjam_ci_fig_got.txt 2>&1
+    cmp rjam_ci_fig_want.txt rjam_ci_fig_got.txt || {
+        echo "figure drift: '$name' differs from its figures_output.txt section"; exit 1;
+    }
+done
+rm -f rjam_ci_fig_want.txt rjam_ci_fig_got.txt
+
 step "no-default-features: obs layer compiles out (build + clippy)"
 # The whole observability/tracing layer must degrade to zero-sized no-ops
 # when the 'obs' feature is off; any accidental hard dependency on it is a
@@ -328,6 +364,18 @@ kill "$RJAMD_PID" 2> /dev/null || true
 trap - EXIT
 rm -f "$RJAM_SOCK" rjam_ci_job_transcript.ndjson
 rm -f rjam_ci_ref1 rjam_ci_ref2 rjam_ci_ref3 rjam_ci_out1 rjam_ci_out2 rjam_ci_out3
+
+step "rjamd admission smoke: an oversized duration_s is a bad_spec and status still answers"
+# A jamming job asking for 1e15 s of air per SIR point once aborted the
+# daemon on a failed allocation; it must be refused before it is queued.
+printf '%s\n%s\n' \
+    '{"req":"submit","spec":{"campaign":"jamming","jammer":"off","sirs_db":[14],"duration_s":1e15,"seed":1},"v":"rjam-job-v1"}' \
+    '{"req":"status","v":"rjam-job-v1"}' \
+    | "$RJAMD" --stdio --threads 1 > rjam_ci_admission.ndjson
+sed -n 1p rjam_ci_admission.ndjson | grep -q '"code":"bad_spec"'
+sed -n 1p rjam_ci_admission.ndjson | grep -q "duration_s"
+sed -n 2p rjam_ci_admission.ndjson | grep -q '"ev":"status","jobs":\[\]'
+rm -f rjam_ci_admission.ndjson
 
 step "e2e benchmark unit tests (the traced shadow must reproduce every export)"
 # The benchmark is a package of its own (crates/bench/src/bin/e2e). Its

@@ -81,6 +81,13 @@ impl From<ParseError> for SpecError {
 /// experiments use at most 12.
 pub const MAX_CHANNEL_TAPS: usize = 64;
 
+/// Longest simulated run a jamming job may request per SIR point, in
+/// seconds of air: an hour, sixty times the paper's 60 s iperf runs. The
+/// DES keeps a per-second bandwidth series and simulates every datagram,
+/// so an unbounded duration would hold a worker (and its cancel) for as
+/// long as it asked.
+pub const MAX_JAMMING_DURATION_S: f64 = 3600.0;
+
 fn field_err(field: &'static str, reason: impl Into<String>) -> SpecError {
     SpecError::Field {
         field,
@@ -287,10 +294,10 @@ impl CampaignRequest {
                 ..
             } => {
                 check_grid("sirs_db", sirs_db)?;
-                if !duration_s.is_finite() || *duration_s <= 0.0 {
+                if !(*duration_s > 0.0 && *duration_s <= MAX_JAMMING_DURATION_S) {
                     return Err(field_err(
                         "duration_s",
-                        format!("{duration_s} is not positive"),
+                        format!("{duration_s} is not in (0, {MAX_JAMMING_DURATION_S}] s"),
                     ));
                 }
                 Ok(())
@@ -912,6 +919,33 @@ mod tests {
             .replace("\"taps\":8", "\"taps\":1000000000000");
         let err = CampaignRequest::from_json(&line).expect_err("rejects");
         assert!(err.to_string().contains("channel.taps"), "{err}");
+    }
+
+    #[test]
+    fn jamming_duration_is_bounded() {
+        let with_duration = |duration_s| CampaignRequest::Jamming {
+            jammer: JammerUnderTest::ReactiveLong,
+            sirs_db: vec![14.0],
+            duration_s,
+            seed: 1,
+        };
+        // The paper's 60 s runs and every figure, CI and benchmark setting.
+        for d in [0.02, 0.5, 1.0, 3.0, 6.0, 10.0, 60.0, MAX_JAMMING_DURATION_S] {
+            with_duration(d).validate().expect("in range");
+        }
+        for d in [
+            MAX_JAMMING_DURATION_S * 1.001,
+            1e15,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            let err = with_duration(d).validate().expect_err("out of range");
+            assert!(
+                matches!(&err, SpecError::Field { field: "duration_s", reason }
+                    if reason.contains("3600")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

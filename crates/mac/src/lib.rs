@@ -12,7 +12,8 @@
 //!   into SINR segments and pushed through the `rjam-phy80211::per` link
 //!   model, with the PLCP preamble's correlation processing gain and the
 //!   SIGNAL field modeled separately (this is what makes a 10 us burst need
-//!   ~13 dB more power than a 100 us burst, as the paper observes);
+//!   ~13 dB more power than a 100 us burst, as the paper observes); a
+//!   scenario run evaluates it through a bit-exact per-run memo;
 //! * [`sim`] — the DCF state machine: DIFS/backoff/retry/ACK, ARF rate
 //!   fallback, CCA deferral under continuous jamming, beacon tracking and
 //!   disassociation, driven by a saturating UDP flow;

@@ -31,7 +31,7 @@ const T_PREAMBLE_US: f64 = 16.0;
 const T_SIGNAL_US: f64 = 4.0;
 
 /// A jamming burst in microseconds relative to the frame's first sample.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Burst {
     /// Burst start (us, may be negative if jamming began before the frame).
     pub start_us: f64,
@@ -138,6 +138,110 @@ pub fn frame_success_prob(
     let p_data = 1.0 - per_segments(rate, psdu_len, &segments);
 
     (p_pre * p_sig * p_data).clamp(0.0, 1.0)
+}
+
+/// A memo of [`frame_success_prob`] for one scenario run.
+///
+/// The DES evaluates the link model for every beacon, RTS, CTS, data frame
+/// and ACK, but within one run the arguments come from a small fixed set:
+/// the SNRs and SIRs are scenario constants, the PSDU length is the
+/// payload's or a control frame's, the rate is one of eight, and every
+/// reactive burst has the same geometry (`response_us + delay_us`,
+/// `uptime_us`), shifted only by the rate-dependent ACK offset when it
+/// carries over from the data frame. A lookup is keyed by the exact bits of
+/// every argument (`f64::to_bits`, so `0.0` and `-0.0` or two NaN payloads
+/// are different keys) and a miss calls [`frame_success_prob`] itself, so
+/// a hit returns the very `f64` the model would compute; the memo draws no
+/// random numbers.
+///
+/// One run of [`crate::sim::ScenarioRun`] fills at most
+/// [`LinkMemo::RUN_BOUND`] entries, so a lookup is a linear scan: for a
+/// few dozen keys that beats hashing them. Calls with more than two
+/// bursts, which the DES never makes, go straight to the model.
+///
+/// ```
+/// use rjam_mac::link::{frame_success_prob, Burst, LinkMemo};
+/// use rjam_phy80211::Rate;
+/// let burst = [Burst { start_us: 2.64, end_us: 102.64 }];
+/// let mut memo = LinkMemo::new();
+/// let p = memo.frame_success_prob(Rate::R54, 1534, 30.0, 10.0, &burst, false);
+/// assert_eq!(p, frame_success_prob(Rate::R54, 1534, 30.0, 10.0, &burst, false));
+/// assert_eq!(memo.frame_success_prob(Rate::R54, 1534, 30.0, 10.0, &burst, false), p);
+/// assert_eq!(memo.len(), 1);
+/// ```
+#[derive(Default)]
+pub struct LinkMemo {
+    entries: Vec<(LinkKey, f64)>,
+}
+
+impl LinkMemo {
+    /// Most entries one scenario run can create: 1 beacon key, 2 RTS and
+    /// 2 CTS keys (with and without a burst), 16 data keys (8 rates, with
+    /// and without a burst) and 22 ACK keys — 3 ACK rates times with and
+    /// without the ACK's own burst, plus 8 data rates times with and
+    /// without it when the data frame's burst carries over.
+    pub const RUN_BOUND: usize = 43;
+
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`frame_success_prob`], computed once per distinct argument bits.
+    pub fn frame_success_prob(
+        &mut self,
+        rate: Rate,
+        psdu_len: usize,
+        snr_db: f64,
+        sir_db: f64,
+        bursts: &[Burst],
+        continuous: bool,
+    ) -> f64 {
+        let eval = || frame_success_prob(rate, psdu_len, snr_db, sir_db, bursts, continuous);
+        let burst_bits = match *bursts {
+            [] => [None, None],
+            [a] => [Some(a), None],
+            [a, b] => [Some(a), Some(b)],
+            _ => return eval(),
+        }
+        .map(|b| b.map(|b| (b.start_us.to_bits(), b.end_us.to_bits())));
+        let key = LinkKey {
+            rate,
+            psdu_len,
+            snr_db: snr_db.to_bits(),
+            sir_db: sir_db.to_bits(),
+            continuous,
+            bursts: burst_bits,
+        };
+        if let Some(&(_, p)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return p;
+        }
+        let p = eval();
+        self.entries.push((key, p));
+        p
+    }
+
+    /// Distinct argument sets evaluated so far.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True before the first lookup.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+/// The exact bits of one [`frame_success_prob`] call with at most two
+/// bursts, in call order (the overlap sums are order-sensitive).
+#[derive(PartialEq)]
+struct LinkKey {
+    rate: Rate,
+    psdu_len: usize,
+    snr_db: u64,
+    sir_db: u64,
+    continuous: bool,
+    bursts: [Option<(u64, u64)>; 2],
 }
 
 /// Success probability of a fixed-size decision region: `bits * frac`

@@ -17,7 +17,7 @@
 //! the PHY rate down, ten consecutive first-attempt successes step it up.
 
 use crate::iperf::IperfReport;
-use crate::link::{ack_rate, frame_success_prob, Burst};
+use crate::link::{ack_rate, Burst, LinkMemo};
 use crate::model::{
     JammerKind, Scenario, Timings, ACK_BYTES, BEACON_BYTES, CTS_BYTES, PSDU_OVERHEAD, RTS_BYTES,
 };
@@ -181,28 +181,25 @@ struct JamAccounting {
     airtime_us: f64,
 }
 
-/// Draws the reactive jam bursts triggered by one frame transmission.
-fn reactive_bursts(jammer: &JammerKind, rng: &mut Rng, acct: &mut JamAccounting) -> Vec<Burst> {
+/// Draws the reactive jam burst triggered by one frame transmission, if
+/// the detector fires on it.
+fn reactive_burst(jammer: &JammerKind, rng: &mut Rng, acct: &mut JamAccounting) -> Option<Burst> {
     match jammer {
         JammerKind::Reactive {
             uptime_us,
             response_us,
             delay_us,
             detect_prob,
-        } => {
-            if rng.chance(*detect_prob) {
-                let start = response_us + delay_us;
-                acct.bursts += 1;
-                acct.airtime_us += uptime_us;
-                vec![Burst {
-                    start_us: start,
-                    end_us: start + uptime_us,
-                }]
-            } else {
-                Vec::new()
-            }
+        } if rng.chance(*detect_prob) => {
+            let start = response_us + delay_us;
+            acct.bursts += 1;
+            acct.airtime_us += uptime_us;
+            Some(Burst {
+                start_us: start,
+                end_us: start + uptime_us,
+            })
         }
-        _ => Vec::new(),
+        _ => None,
     }
 }
 
@@ -369,16 +366,21 @@ impl<'a> ScenarioRun<'a> {
             self.obs_out,
             self.rng_stream,
             self.health,
+            &mut LinkMemo::new(),
         )
     }
 }
 
+/// The DES loop. Every link evaluation goes through `link`, the run's own
+/// memo of the analytic model: its arguments are scenario constants, so
+/// after the first few frames each one is a table lookup.
 fn run_inner(
     sc: &Scenario,
     trace: Option<&mut TraceSink>,
     obs_out: Option<&mut MacObsDelta>,
     rng_stream: Option<u64>,
     mut health: Option<&mut HealthMonitor>,
+    link: &mut LinkMemo,
 ) -> IperfReport {
     let t = Timings::default();
     let mut rng = Rng::seed_from(rng_stream.unwrap_or(sc.seed));
@@ -396,7 +398,10 @@ fn run_inner(
     let mut next_beacon = t.beacon_interval_us;
     let mut missed_beacons = 0u32;
     let mut disassociated = false;
-    let mut per_second = vec![0u64; sc.duration_s.ceil() as usize];
+    // Grown as deliveries land rather than sized up front, so an absurd
+    // duration costs simulation time, not one huge allocation.
+    let seconds = sc.duration_s.ceil() as usize;
+    let mut per_second: Vec<u64> = Vec::new();
     let mut rate_accum = 0.0f64;
     let mut rate_count = 0u64;
     let mut acct = JamAccounting::default();
@@ -417,7 +422,7 @@ fn run_inner(
                 false
             } else {
                 let g = crate::model::DSSS_SPREADING_GAIN_DB;
-                let p = frame_success_prob(
+                let p = link.frame_success_prob(
                     Rate::R6,
                     BEACON_BYTES,
                     sc.snr_client_db + g,
@@ -510,13 +515,13 @@ fn run_inner(
             if sc.rts_cts {
                 let rts_rate = Rate::R6;
                 let rts_air = rts_rate.frame_airtime_us(RTS_BYTES);
-                let rts_bursts = reactive_bursts(&sc.jammer, &mut rng, &mut acct);
-                let p_rts = frame_success_prob(
+                let rts_burst = reactive_burst(&sc.jammer, &mut rng, &mut acct);
+                let p_rts = link.frame_success_prob(
                     rts_rate,
                     RTS_BYTES,
                     sc.snr_ap_db,
                     sc.sir_ap_db,
-                    &rts_bursts,
+                    rts_burst.as_slice(),
                     continuous,
                 );
                 let rts_ok = rng.chance(p_rts);
@@ -524,13 +529,13 @@ fn run_inner(
                 let mut cts_ok = false;
                 if rts_ok {
                     let cts_air = Rate::R6.frame_airtime_us(CTS_BYTES);
-                    let cts_bursts = reactive_bursts(&sc.jammer, &mut rng, &mut acct);
-                    let p_cts = frame_success_prob(
+                    let cts_burst = reactive_burst(&sc.jammer, &mut rng, &mut acct);
+                    let p_cts = link.frame_success_prob(
                         Rate::R6,
                         CTS_BYTES,
                         sc.snr_client_db,
                         sc.sir_client_db,
-                        &cts_bursts,
+                        cts_burst.as_slice(),
                         continuous,
                     );
                     cts_ok = rng.chance(p_cts);
@@ -553,15 +558,15 @@ fn run_inner(
             // --- Transmit the data frame.
             let rate = rc.rate();
             let airtime = rate.frame_airtime_us(psdu_len);
-            let bursts = reactive_bursts(&sc.jammer, &mut rng, &mut acct);
-            tracer.data_tx(fid, now_us, airtime, attempt, &bursts);
-            frame_jammed |= !bursts.is_empty();
-            let p_data = frame_success_prob(
+            let burst = reactive_burst(&sc.jammer, &mut rng, &mut acct);
+            tracer.data_tx(fid, now_us, airtime, attempt, burst.as_slice());
+            frame_jammed |= burst.is_some();
+            let p_data = link.frame_success_prob(
                 rate,
                 psdu_len,
                 sc.snr_ap_db,
                 sc.sir_ap_db,
-                &bursts,
+                burst.as_slice(),
                 continuous,
             );
             let data_ok = rng.chance(p_data);
@@ -574,24 +579,26 @@ fn run_inner(
                 let a_rate = ack_rate(rate);
                 let a_air = a_rate.frame_airtime_us(ACK_BYTES);
                 // The reactive jammer triggers on the ACK as well; a long
-                // burst from the data frame may also still be up.
-                let mut ack_bursts = reactive_bursts(&sc.jammer, &mut rng, &mut acct);
-                for b in &bursts {
-                    // Translate data-frame bursts into ACK-relative time.
-                    let offset = airtime + t.sifs_us;
-                    if b.end_us > offset {
-                        ack_bursts.push(Burst {
-                            start_us: b.start_us - offset,
-                            end_us: b.end_us - offset,
-                        });
-                    }
+                // burst from the data frame may also still be up, shifted
+                // into ACK-relative time.
+                let offset = airtime + t.sifs_us;
+                let carried = burst.filter(|b| b.end_us > offset).map(|b| Burst {
+                    start_us: b.start_us - offset,
+                    end_us: b.end_us - offset,
+                });
+                let own = reactive_burst(&sc.jammer, &mut rng, &mut acct);
+                let mut ack_bursts = [Burst::default(); 2];
+                let mut n_ack_bursts = 0;
+                for b in [own, carried].into_iter().flatten() {
+                    ack_bursts[n_ack_bursts] = b;
+                    n_ack_bursts += 1;
                 }
-                let p_ack = frame_success_prob(
+                let p_ack = link.frame_success_prob(
                     a_rate,
                     ACK_BYTES,
                     sc.snr_client_db,
                     sc.sir_client_db,
-                    &ack_bursts,
+                    &ack_bursts[..n_ack_bursts],
                     continuous,
                 );
                 ack_ok = rng.chance(p_ack);
@@ -608,7 +615,10 @@ fn run_inner(
                     received += 1;
                     obs.delivered.inc();
                     let sec = (now_us / 1e6) as usize;
-                    if sec < per_second.len() {
+                    if sec < seconds {
+                        if sec >= per_second.len() {
+                            per_second.resize(sec + 1, 0);
+                        }
                         per_second[sec] += 1;
                     }
                     rate_accum += rate.mbps();
@@ -643,6 +653,8 @@ fn run_inner(
         }
     }
 
+    debug_assert!(link.len() <= LinkMemo::RUN_BOUND);
+    per_second.resize(seconds, 0);
     let per_second_kbps: Vec<f64> = per_second
         .iter()
         .map(|&n| n as f64 * sc.payload_bytes as f64 * 8.0 / 1000.0)
@@ -1181,5 +1193,52 @@ mod tests {
             surgical.bandwidth_kbps,
             undelayed.bandwidth_kbps
         );
+    }
+
+    #[test]
+    fn link_memo_stays_within_its_run_bound() {
+        // The campaign's four jammer shapes over the SIRs, seeds and
+        // RTS/CTS settings of rjam-core's pinned report table (whose runs
+        // check the same bound through the debug assertion at run end),
+        // plus a short payload whose data-frame bursts carry over into the
+        // ACK.
+        let reactive = |uptime_us| JammerKind::Reactive {
+            uptime_us,
+            response_us: 2.64,
+            delay_us: 0.0,
+            detect_prob: 0.995,
+        };
+        let jammers = [
+            JammerKind::Off,
+            JammerKind::Continuous,
+            reactive(100.0),
+            reactive(10.0),
+        ];
+        for jammer in jammers {
+            for sir in [-5.0, 1.0, 14.0, 33.0, 60.0] {
+                for (seed, payload_bytes) in [(1, 1470), (0xDC0F, 1470), (7, 100)] {
+                    for rts_cts in [false, true] {
+                        let sc = Scenario {
+                            jammer: jammer.clone(),
+                            sir_ap_db: sir,
+                            sir_client_db: sir,
+                            cca_defer_prob: if jammer == JammerKind::Continuous {
+                                0.2
+                            } else {
+                                0.0
+                            },
+                            payload_bytes,
+                            duration_s: 0.5,
+                            rts_cts,
+                            seed,
+                            ..Scenario::default()
+                        };
+                        let mut link = LinkMemo::new();
+                        run_inner(&sc, None, None, None, None, &mut link);
+                        assert!(link.len() <= LinkMemo::RUN_BOUND, "{sc:?}: {}", link.len());
+                    }
+                }
+            }
+        }
     }
 }

@@ -37,6 +37,7 @@
 
 use crate::json;
 use crate::proto::{self, Envelope, ParseError, Protocol};
+use std::borrow::Cow;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -48,14 +49,17 @@ pub const PROTOCOL: Protocol = Protocol::HEALTH;
 pub const SCHEMA: &str = PROTOCOL.tag;
 
 /// One event of the `rjam-health-v1` stream.
+///
+/// Rule, metric and detector names are `Cow`s: events the monitor raises
+/// borrow its static vocabulary, and only parsed events own their text.
 #[derive(Clone, Debug, PartialEq)]
 pub enum HealthEvent {
     /// A rule's baseline detector has seen enough samples to judge.
     Baseline {
         /// Metric the baseline describes (`mac.prr`, `core.fa_rate`, ...).
-        metric: String,
+        metric: Cow<'static, str>,
         /// Detector that established it (`ewma`).
-        detector: String,
+        detector: Cow<'static, str>,
         /// Baseline mean at establishment.
         mean: f64,
         /// Samples (frames or registry polls) the baseline consumed.
@@ -64,11 +68,11 @@ pub enum HealthEvent {
     /// A rule tripped.
     AlarmRaised {
         /// Rule name (`prr_collapse`, `trigger_storm`, ...).
-        rule: String,
+        rule: Cow<'static, str>,
         /// Metric the rule watches.
-        metric: String,
+        metric: Cow<'static, str>,
         /// Detector that tripped (`cusum`, `page_hinkley`, ...).
-        detector: String,
+        detector: Cow<'static, str>,
         /// Detector statistic at the trip.
         stat: f64,
         /// Threshold the statistic crossed.
@@ -81,9 +85,9 @@ pub enum HealthEvent {
     /// A previously raised rule recovered.
     AlarmCleared {
         /// Rule name.
-        rule: String,
+        rule: Cow<'static, str>,
         /// Metric the rule watches.
-        metric: String,
+        metric: Cow<'static, str>,
         /// Frame count at the clear.
         frame: u64,
     },
@@ -186,15 +190,15 @@ impl HealthEvent {
         let env = Envelope::parse(&PROTOCOL, line)?;
         match env.event("ev")? {
             "baseline_established" => Ok(HealthEvent::Baseline {
-                metric: env.string("metric")?,
-                detector: env.string("detector")?,
+                metric: env.string("metric")?.into(),
+                detector: env.string("detector")?.into(),
                 mean: env.f64("mean")?,
                 samples: env.u64("samples")?,
             }),
             "alarm_raised" => Ok(HealthEvent::AlarmRaised {
-                rule: env.string("rule")?,
-                metric: env.string("metric")?,
-                detector: env.string("detector")?,
+                rule: env.string("rule")?.into(),
+                metric: env.string("metric")?.into(),
+                detector: env.string("detector")?.into(),
                 stat: env.f64("stat")?,
                 threshold: env.f64("threshold")?,
                 frame: env.u64("frame")?,
@@ -210,8 +214,8 @@ impl HealthEvent {
                     .collect::<Result<Vec<_>, ParseError>>()?,
             }),
             "alarm_cleared" => Ok(HealthEvent::AlarmCleared {
-                rule: env.string("rule")?,
-                metric: env.string("metric")?,
+                rule: env.string("rule")?.into(),
+                metric: env.string("metric")?.into(),
                 frame: env.u64("frame")?,
             }),
             "run_summary" => Ok(HealthEvent::RunSummary {
@@ -260,12 +264,12 @@ pub fn validate_chain(events: &[HealthEvent]) -> Result<(), String> {
             }
             HealthEvent::RunSummary { .. } => {}
             HealthEvent::Baseline { metric, .. } => {
-                if !baselined.insert(metric.as_str()) {
+                if !baselined.insert(metric.as_ref()) {
                     return Err(format!("event {k}: duplicate baseline for metric {metric}"));
                 }
             }
             HealthEvent::AlarmRaised { rule, frame, .. } => {
-                if !active.insert(rule.as_str()) {
+                if !active.insert(rule.as_ref()) {
                     return Err(format!(
                         "event {k}: alarm_raised for rule {rule} while already active"
                     ));
@@ -279,7 +283,7 @@ pub fn validate_chain(events: &[HealthEvent]) -> Result<(), String> {
                 last_frame = *frame;
             }
             HealthEvent::AlarmCleared { rule, frame, .. } => {
-                if !active.remove(rule.as_str()) {
+                if !active.remove(rule.as_ref()) {
                     return Err(format!(
                         "event {k}: alarm_cleared for rule {rule} without an active alarm"
                     ));
@@ -696,7 +700,9 @@ mod enabled {
         fa_base: EwmaBaseline,
         fa_baselined: bool,
         fa_state: RuleState,
-        lat_window: RollingQuantile,
+        /// Allocated by the first registry poll that sees a new latency
+        /// reading; MAC-only monitors never need it.
+        lat_window: Option<RollingQuantile>,
         lat_state: RuleState,
         starv_state: RuleState,
         last_fa_triggers: u64,
@@ -704,11 +710,24 @@ mod enabled {
         last_lat_count: u64,
         last_busy_ns: u64,
         last_idle_ns: u64,
+        /// Degraded-frame records `(frame, frame id, jammed)` not yet in
+        /// the flight recorder, oldest first.
+        degraded: Vec<(u64, i64, i64)>,
     }
+
+    /// Registry counters the monitor keeps cursors on, read under one lock.
+    const POLLED_COUNTERS: [&str; 4] = [
+        "core.fa_triggers",
+        "core.fa_samples",
+        "core.engine_busy_ns",
+        "core.engine_idle_ns",
+    ];
 
     impl HealthMonitor {
         /// A monitor with registry cursors captured *now*.
         pub fn new(cfg: HealthConfig) -> Self {
+            let [fa_triggers, fa_samples, busy_ns, idle_ns] =
+                registry::counter_values(POLLED_COUNTERS);
             HealthMonitor {
                 events: Vec::new(),
                 frames: 0,
@@ -727,21 +746,27 @@ mod enabled {
                 fa_base: EwmaBaseline::new(cfg.fa_alpha),
                 fa_baselined: false,
                 fa_state: RuleState::default(),
-                lat_window: RollingQuantile::new(cfg.latency_window),
+                lat_window: None,
                 lat_state: RuleState::default(),
                 starv_state: RuleState::default(),
-                last_fa_triggers: registry::counter_value("core.fa_triggers"),
-                last_fa_samples: registry::counter_value("core.fa_samples"),
-                last_lat_count: registry::histogram_snapshot("fpga.trigger_to_tx_ns").count(),
-                last_busy_ns: registry::counter_value("core.engine_busy_ns"),
-                last_idle_ns: registry::counter_value("core.engine_idle_ns"),
+                last_fa_triggers: fa_triggers,
+                last_fa_samples: fa_samples,
+                last_lat_count: registry::histogram_count("fpga.trigger_to_tx_ns"),
+                last_busy_ns: busy_ns,
+                last_idle_ns: idle_ns,
+                degraded: Vec::new(),
                 cfg,
             }
         }
 
         /// One MAC frame outcome. Degraded frames (lost or jammed) leave a
         /// `health.frame_degraded` event in the flight recorder so later
-        /// alarms can name them.
+        /// alarms can name them. The events are buffered and written under
+        /// one recorder lock at the next window boundary (or alarm,
+        /// [`finish`](HealthMonitor::finish) or drop), in frame order, so
+        /// the recorder ends up holding exactly what per-frame writes
+        /// would have left there.
+        #[inline]
         pub fn note_frame(&mut self, frame_id: u64, delivered: bool, jammed: bool) {
             self.frames += 1;
             self.win_frames += 1;
@@ -752,18 +777,26 @@ mod enabled {
                 self.win_jammed += 1;
             }
             if !delivered || jammed {
-                crate::recorder::record_event(
-                    self.frames,
-                    DEGRADED_KIND,
-                    frame_id as i64,
-                    i64::from(jammed),
-                );
+                self.degraded
+                    .push((self.frames, frame_id as i64, i64::from(jammed)));
+                if self.degraded.len() >= crate::recorder::GLOBAL_CAPACITY {
+                    self.flush_degraded();
+                }
             }
             if self.win_frames >= self.cfg.frame_cadence {
+                self.flush_degraded();
                 self.evaluate_window();
                 self.win_frames = 0;
                 self.win_delivered = 0;
                 self.win_jammed = 0;
+            }
+        }
+
+        /// Writes the buffered degraded-frame records into the flight
+        /// recorder under one lock.
+        fn flush_degraded(&mut self) {
+            if !self.degraded.is_empty() {
+                crate::recorder::record_events(DEGRADED_KIND, self.degraded.drain(..));
             }
         }
 
@@ -848,8 +881,7 @@ mod enabled {
 
             // False-alarm drift: z-score vs an EWMA baseline learned from
             // this run's own healthy polls.
-            let trig = registry::counter_value("core.fa_triggers");
-            let samp = registry::counter_value("core.fa_samples");
+            let [trig, samp, busy, idle] = registry::counter_values(POLLED_COUNTERS);
             let d_trig = trig.saturating_sub(self.last_fa_triggers);
             let d_samp = samp.saturating_sub(self.last_fa_samples);
             self.last_fa_triggers = trig;
@@ -891,8 +923,11 @@ mod enabled {
             let lat = registry::histogram_snapshot("fpga.trigger_to_tx_ns");
             let cnt = lat.count();
             if cnt > self.last_lat_count {
-                self.lat_window.push(lat.quantile(0.99) as f64);
-                let stat = self.lat_window.quantile(0.5);
+                let window = self
+                    .lat_window
+                    .get_or_insert_with(|| RollingQuantile::new(self.cfg.latency_window));
+                window.push(lat.quantile(0.99) as f64);
+                let stat = window.quantile(0.5);
                 if self.lat_state.active {
                     if stat <= self.cfg.latency_budget_ns {
                         self.lat_state = RuleState::default();
@@ -912,8 +947,6 @@ mod enabled {
             self.last_lat_count = cnt;
 
             // Worker starvation: engine idle fraction with >= 2 workers.
-            let busy = registry::counter_value("core.engine_busy_ns");
-            let idle = registry::counter_value("core.engine_idle_ns");
             let d_busy = busy.saturating_sub(self.last_busy_ns);
             let d_idle = idle.saturating_sub(self.last_idle_ns);
             self.last_busy_ns = busy;
@@ -949,6 +982,7 @@ mod enabled {
         ) {
             self.alarms_raised += 1;
             registry::counter("obs.health_alarms").inc();
+            self.flush_degraded();
             let ev = HealthEvent::AlarmRaised {
                 rule: rule.into(),
                 metric: metric.into(),
@@ -977,6 +1011,7 @@ mod enabled {
 
         /// Emits the `run_summary` event and returns the final verdict.
         pub fn finish(&mut self) -> HealthVerdict {
+            self.flush_degraded();
             let verdict = HealthVerdict {
                 healthy: self.alarms_raised == 0,
                 alarms_raised: self.alarms_raised,
@@ -1100,6 +1135,16 @@ mod enabled {
                 state(&self.starv_state, true),
             );
             out
+        }
+    }
+
+    impl Drop for HealthMonitor {
+        fn drop(&mut self) {
+            // Flushing takes the recorder lock, which can panic; a drop
+            // during unwinding must not panic a second time.
+            if !std::thread::panicking() {
+                self.flush_degraded();
+            }
         }
     }
 

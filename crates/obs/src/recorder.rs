@@ -153,6 +153,15 @@ mod enabled {
             .record(t, kind, a, b);
     }
 
+    /// Records a batch of same-kind `(t, a, b)` events into the
+    /// process-wide flight recorder, in order, under one lock.
+    pub fn record_events(kind: &'static str, events: impl IntoIterator<Item = (u64, i64, i64)>) {
+        let mut rec = global().lock().expect("obs recorder lock");
+        for (t, a, b) in events {
+            rec.record(t, kind, a, b);
+        }
+    }
+
     /// Trips the process-wide flight recorder.
     pub fn trip_global(t: u64, reason: &'static str) {
         global().lock().expect("obs recorder lock").trip(t, reason);
@@ -223,6 +232,10 @@ mod disabled {
     /// No-op (`obs` feature disabled).
     #[inline(always)]
     pub fn record_event(_t: u64, _kind: &'static str, _a: i64, _b: i64) {}
+
+    /// No-op (`obs` feature disabled).
+    #[inline(always)]
+    pub fn record_events(_kind: &'static str, _events: impl IntoIterator<Item = (u64, i64, i64)>) {}
 
     /// No-op (`obs` feature disabled).
     #[inline(always)]

@@ -143,6 +143,17 @@ mod enabled {
             .unwrap_or(0)
     }
 
+    /// Current values of several counters under one registry lock, in
+    /// the order named; a name never registered reads 0.
+    pub fn counter_values<const N: usize>(names: [&str; N]) -> [u64; N] {
+        let map = global().counters.lock().expect("obs counter lock");
+        names.map(|name| {
+            map.get(name)
+                .map(|c| c.load(Ordering::Relaxed))
+                .unwrap_or(0)
+        })
+    }
+
     /// Current value of a gauge without creating it.
     pub fn gauge_value(name: &str) -> u64 {
         let map = global().gauges.lock().expect("obs gauge lock");
@@ -158,6 +169,15 @@ mod enabled {
         map.get(name)
             .map(|h| h.lock().expect("obs hist lock").clone())
             .unwrap_or_default()
+    }
+
+    /// Observations recorded in a histogram, read without copying its
+    /// buckets; an unregistered name reads 0.
+    pub fn histogram_count(name: &str) -> u64 {
+        let map = global().hists.lock().expect("obs hist lock");
+        map.get(name)
+            .map(|h| h.lock().expect("obs hist lock").count())
+            .unwrap_or(0)
     }
 
     /// Point-in-time view of every registered metric plus the global
@@ -400,6 +420,12 @@ mod disabled {
         0
     }
 
+    /// All 0 (`obs` feature disabled).
+    #[inline(always)]
+    pub fn counter_values<const N: usize>(_names: [&str; N]) -> [u64; N] {
+        [0; N]
+    }
+
     /// Always 0 (`obs` feature disabled).
     #[inline(always)]
     pub fn gauge_value(_name: &str) -> u64 {
@@ -409,6 +435,12 @@ mod disabled {
     /// Always empty (`obs` feature disabled).
     pub fn histogram_snapshot(_name: &str) -> crate::hist::LogHistogram {
         crate::hist::LogHistogram::new()
+    }
+
+    /// Always 0 (`obs` feature disabled).
+    #[inline(always)]
+    pub fn histogram_count(_name: &str) -> u64 {
+        0
     }
 
     /// Always empty (`obs` feature disabled).
