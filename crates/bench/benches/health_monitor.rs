@@ -22,7 +22,7 @@ use rjam_bench::harness::{BenchConfig, Harness};
 use rjam_core::campaign::{scenario_for, JammerUnderTest};
 use rjam_mac::ScenarioRun;
 use rjam_obs::health::{Cusum, EwmaBaseline, RollingQuantile};
-use rjam_obs::{HealthConfig, HealthMonitor};
+use rjam_obs::HealthMonitor;
 use std::hint::black_box;
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
             let run_on = |on: &mut Harness| {
                 on.bench("iperf_slice", label, || {
                     let sc = scenario_for(jut, sir, 0.02, 77);
-                    let mut mon = HealthMonitor::new(HealthConfig::default());
+                    let mut mon = HealthMonitor::new(16);
                     black_box(ScenarioRun::new(black_box(&sc)).health(&mut mon).run())
                 });
             };

@@ -12,25 +12,25 @@
 //! ```
 
 use rjam_bench::{figure_header, Args};
-use rjam_core::campaign::{CampaignSpec, WifiEmission};
+use rjam_core::campaign::{false_alarm_rate, CampaignSpec, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
 
 /// Measures the FA rate at a ladder of thresholds and picks two operating
 /// points: a strict one with (near-)zero measured FA and the loosest one
 /// whose FA stays within a few triggers per second — the two regimes the
-/// paper's 0.083/s and 0.52/s settings represent. Each measurement is
-/// sharded across the campaign engine's workers.
+/// paper's 0.083/s and 0.52/s settings represent. One noise pass, sharded
+/// across the campaign engine's workers, counts every rung.
 fn calibrate_thresholds(engine: &CampaignEngine, fa_samples: usize) -> ((f64, f64), (f64, f64)) {
     let candidates: Vec<f64> = (0..10).map(|k| 0.24 + 0.02 * k as f64).collect();
-    let rates: Vec<f64> = candidates
-        .iter()
-        .map(|&frac| {
-            CampaignSpec::false_alarm(&DetectionPreset::WifiLongPreamble { threshold: frac })
-                .samples(fa_samples)
-                .seed(0xFA)
-                .run(engine)
-        })
-        .collect();
+    let rates: Vec<f64> = CampaignSpec::false_alarm(&DetectionPreset::WifiLongPreamble {
+        threshold: candidates[0],
+    })
+    .samples(fa_samples)
+    .seed(0xFA)
+    .run_grid_counts(engine, &candidates)
+    .into_iter()
+    .map(|(triggers, samples)| false_alarm_rate(triggers, samples))
+    .collect();
     let strict_idx = rates
         .iter()
         .position(|&fa| fa < 0.1)

@@ -513,7 +513,14 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     let Some(verb) = argv.first() else {
         return Ok(Command::Help);
     };
-    let rest = split(&argv[1..])?;
+    // `submit --local` is the one bare flag: pull it out before the
+    // two-token option split sees it.
+    let local = verb == "submit" && argv.iter().any(|a| a == "--local");
+    let mut args = argv[1..].to_vec();
+    if local {
+        args.retain(|a| a != "--local");
+    }
+    let rest = split(&args)?;
     // A verb without a usage line is not a subcommand; the match below
     // reports it.
     if let Some(flags) = usage_flags(verb) {
@@ -615,12 +622,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             top: opt(&rest, "top", 5)?,
         }),
         "submit" => {
-            // `--local` is a bare flag; pull it out before the two-token
-            // option split sees it.
-            let mut args: Vec<String> = argv[1..].to_vec();
-            let local = args.iter().any(|a| a == "--local");
-            args.retain(|a| a != "--local");
-            let rest = split(&args)?;
             let spec = match (rest.options.get("spec"), rest.options.get("spec-file")) {
                 (Some(s), None) => s.clone(),
                 (None, Some(path)) => std::fs::read_to_string(path)

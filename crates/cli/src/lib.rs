@@ -20,8 +20,9 @@
 //! registry after the command runs (`rjamctl stats FILE` renders it back),
 //! the global `--threads N` flag, which sets the campaign engine's worker
 //! count (campaign results are bit-identical at any `N`), and the global
-//! `--progress[=FILE]` flag, which streams live `rjam-progress-v1` NDJSON
-//! events to stderr (or `FILE`) while campaigns run.
+//! `--progress[=FILE]` flag, which points the engine's live
+//! `rjam-progress-v1` NDJSON stream at stderr (or `FILE`) while campaigns
+//! run.
 //!
 //! This library half holds the argument model and command implementations
 //! so they are unit-testable; `main.rs` is a thin dispatcher. All failures
@@ -35,6 +36,9 @@ pub mod args;
 pub mod commands;
 
 pub use args::{CliError, Command, ErrorKind, ParsedArgs};
+
+use rjam_core::engine::ProgressSink;
+use std::sync::{Arc, Mutex};
 
 /// Entry point shared by the binary and tests: parse and run.
 ///
@@ -63,30 +67,32 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     };
     let (argv, progress) = args::extract_progress(&argv)?;
     let cmd = args::parse(&argv)?;
-    let progress_installed = match progress {
-        Some(args::ProgressTarget::Stderr) => {
-            rjam_obs::stream::install(Box::new(std::io::stderr()));
-            true
-        }
+    let engine = match progress {
+        Some(args::ProgressTarget::Stderr) => engine.with_progress(line_writer(std::io::stderr())),
         Some(args::ProgressTarget::File(path)) => {
             let file = std::fs::File::create(&path)
                 .map_err(|e| CliError::runtime(format!("--progress={path}: {e}")))?;
-            rjam_obs::stream::install(Box::new(file));
-            true
+            engine.with_progress(line_writer(file))
         }
-        None => false,
+        None => engine,
     };
-    let report = commands::execute_with(&cmd, &engine);
-    if progress_installed {
-        // Flush and detach even when the command failed, so a partial
-        // stream is still readable.
-        rjam_obs::stream::uninstall();
-    }
-    let report = report?;
+    let report = commands::execute_with(&cmd, &engine)?;
     if let Some(path) = metrics_out {
         commands::write_metrics_snapshot(&path)?;
     }
     Ok(report)
+}
+
+/// A progress sink writing each line, newline-terminated, to `w` and
+/// flushing it, so the stream is readable while the campaign runs — and
+/// up to the failure point when a command fails. Write errors are
+/// swallowed: telemetry must never fail a campaign.
+fn line_writer(w: impl std::io::Write + Send + 'static) -> ProgressSink {
+    let w = Mutex::new(w);
+    Arc::new(move |line: &str| {
+        let mut w = w.lock().expect("progress writer lock");
+        let _ = writeln!(w, "{line}").and_then(|()| w.flush());
+    })
 }
 
 /// The single error-exit path of the console: reports the failure on

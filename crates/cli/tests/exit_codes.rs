@@ -235,10 +235,16 @@ fn submit_unreachable_socket_exits_1_without_usage() {
 
 #[test]
 fn submit_local_runs_in_process_and_exits_0() {
-    let out = rjamctl(&["submit", "--local", "--spec", FA_SPEC]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fa_per_s"), "{text}");
+    // The bare `--local` flag may come first or last.
+    for args in [
+        ["submit", "--local", "--spec", FA_SPEC],
+        ["submit", "--spec", FA_SPEC, "--local"],
+    ] {
+        let out = rjamctl(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("fa_per_s"), "{args:?}: {text}");
+    }
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! End-to-end checks of `--progress[=FILE]` streaming and `rjamctl report`
 //! through the public [`rjam_cli::run`] entry point.
 //!
-//! These live in their own integration-test binary because the progress
-//! sink and the campaign-stream guard are process-wide; campaigns launched
-//! by parallel tests of another binary would race for stream ownership.
-//! Both scenarios share one `#[test]` for the same reason.
+//! The scenarios share one `#[test]` so that the report's wall-clock
+//! attribution floors are measured without a parallel test's campaign
+//! competing for the same cores.
 
 #![cfg(feature = "obs")]
 
@@ -54,14 +53,16 @@ fn progress_flag_and_report_attribute_real_campaigns() {
     assert_eq!(kind, "wifi_detection");
     assert_eq!(*workers, 2, "--threads reaches the streamed header");
 
-    // --- Scenario 2: a failed run still leaves a readable (partial or
-    // empty) file rather than a poisoned sink for the next run.
+    // --- Scenario 2: a failed run still reports its error and leaves a
+    // readable (here empty) progress file.
     let err = rjam_cli::run(&argv(&format!(
         "--progress={path_s} classify /nonexistent/x.cf32"
     )))
     .unwrap_err();
     assert!(err.message().contains("cannot read"), "{err}");
+    let text = std::fs::read_to_string(&path).expect("progress file created");
     std::fs::remove_file(&path).ok();
+    stream::parse_stream(&text).expect("an empty stream parses");
 
     // --- Scenario 3: `rjamctl report` attributes >= 95 % of worker
     // wall-clock on a real campaign (the ISSUE acceptance bound). Serial

@@ -466,7 +466,7 @@ impl WifiDetectionSpec {
     /// Number of engine work units this spec runs — the checkpoint keyspace
     /// for [`WifiDetectionSpec::run_ckpt`].
     pub fn n_units(&self) -> usize {
-        self.snrs_db.len() * self.blocks_per_point()
+        self.snrs_db.len().saturating_mul(self.blocks_per_point())
     }
 
     /// Checkpointed, cancellable [`WifiDetectionSpec::run`]: `done` carries
@@ -1286,9 +1286,7 @@ impl HealthSweepSpec {
                 let (jut, sir) = grid[ctx.index];
                 let sc = scenario_for(jut, sir, self.duration_s, ctx.seed);
                 let mut delta = MacObsDelta::new();
-                let mut mon = rjam_obs::HealthMonitor::new(rjam_obs::HealthConfig::with_cadence(
-                    self.cadence,
-                ));
+                let mut mon = rjam_obs::HealthMonitor::new(self.cadence);
                 let report = ScenarioRun::new(&sc)
                     .obs_into(&mut delta)
                     .health(&mut mon)

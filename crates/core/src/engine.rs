@@ -52,7 +52,8 @@
 //! silently going wide), else `std::thread::available_parallelism()`.
 
 use rjam_obs::stream::{self, ProgressEvent};
-use rjam_obs::telemetry::{self, EngineProfile, Straggler, WorkerStats};
+use rjam_obs::telemetry::{self, EngineProfile, ProfileStore, Straggler, WorkerStats};
+use rjam_obs::HistSummary;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -194,6 +195,10 @@ impl ShardPlan {
     }
 }
 
+/// Where an engine sends its `rjam-progress-v1` stream: called once per
+/// line, without the newline, from the engine's worker threads.
+pub type ProgressSink = Arc<dyn Fn(&str) + Send + Sync>;
+
 /// A deterministic sharded campaign runner.
 ///
 /// ```
@@ -204,9 +209,15 @@ impl ShardPlan {
 /// // Bit-identical at any thread count:
 /// assert_eq!(squares, CampaignEngine::serial().run("squares", 8, 42, || (), square));
 /// ```
-#[derive(Clone, Debug)]
+///
+/// An engine owns its telemetry: the progress sink its owner attached
+/// ([`Self::with_progress`]) and the profiles its runs published
+/// ([`Self::profile`]). Clones share both.
+#[derive(Clone)]
 pub struct CampaignEngine {
     threads: usize,
+    progress: Option<ProgressSink>,
+    profiles: Arc<Mutex<ProfileStore>>,
 }
 
 impl CampaignEngine {
@@ -231,19 +242,48 @@ impl CampaignEngine {
     /// A single-threaded engine — the reference path the determinism
     /// contract is stated against.
     pub fn serial() -> Self {
-        CampaignEngine { threads: 1 }
+        Self::with_threads(1)
     }
 
     /// An engine with an explicit worker count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         CampaignEngine {
             threads: threads.max(1),
+            progress: None,
+            profiles: Arc::default(),
         }
+    }
+
+    /// Routes this engine's `rjam-progress-v1` stream into `sink`,
+    /// replacing any earlier sink; lines arrive one call at a time, in
+    /// stream order. An engine without a sink — one built inside a unit,
+    /// say — emits nothing.
+    pub fn with_progress(mut self, sink: ProgressSink) -> Self {
+        self.progress = Some(sink);
+        self
     }
 
     /// The worker count this engine will use.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The most recent [`EngineProfile`] this engine or a clone published
+    /// for `kind`; always `None` without the `obs` feature.
+    pub fn profile(&self, kind: &str) -> Option<EngineProfile> {
+        self.profiles
+            .lock()
+            .expect("engine profile lock")
+            .profile(kind)
+    }
+
+    /// Unit-latency summaries per kind over every campaign this engine and
+    /// its clones ran; always empty without the `obs` feature.
+    pub fn kind_summaries(&self) -> Vec<(String, HistSummary)> {
+        self.profiles
+            .lock()
+            .expect("engine profile lock")
+            .kind_summaries()
     }
 
     /// [`Self::run_units`] with an empty checkpoint and no cancel token,
@@ -304,15 +344,13 @@ impl CampaignEngine {
     /// telemetry. With the `obs` feature on, the engine times every unit
     /// and publishes an [`EngineProfile`] (per-worker busy/idle/merge-wait,
     /// unit-latency histogram per kind, stragglers > `STRAGGLER_FACTOR`×
-    /// the median with their seeds) into [`rjam_obs::telemetry`], and —
-    /// when a progress sink is installed ([`rjam_obs::stream::install`]) —
-    /// emits the `rjam-progress-v1` event chain (started / shard finished /
+    /// the median with their seeds) into its own store ([`Self::profile`]),
+    /// and — when it has a progress sink ([`Self::with_progress`]) — emits
+    /// the `rjam-progress-v1` event chain (started / shard finished /
     /// snapshot with ETA / done) over the units it runs. An interrupted run
     /// leaves the chain truncated (no `campaign_done`), which is what its
-    /// watchers should see. Only the *outermost* campaign of an invocation
-    /// emits: an engine run started inside another run's unit stays silent
-    /// so one run produces one chain. None of this touches results;
-    /// without `obs` the instrumentation compiles out.
+    /// watchers should see. None of this touches results; without `obs`
+    /// the instrumentation compiles out.
     #[allow(clippy::too_many_arguments)]
     pub fn run_units<T, P, M, F>(
         &self,
@@ -337,47 +375,51 @@ impl CampaignEngine {
             let plan = ShardPlan::new(todo.len(), workers);
             self.note_run(&plan, workers);
 
-            // Campaign-level stream ownership (outermost run only); the
-            // guard releases it even if a unit panics.
-            let streaming = rjam_obs::enabled() && stream::active() && stream::begin_campaign();
-            let _stream_guard = StreamOwnership(streaming);
-            if streaming {
-                stream::emit(&ProgressEvent::Started {
-                    kind: kind.to_string(),
-                    units: todo.len() as u64,
-                    shards: plan.n_shards() as u64,
-                    workers: workers as u64,
-                    seed,
-                });
+            let progress = self.progress.as_deref().filter(|_| rjam_obs::enabled());
+            if let Some(emit) = progress {
+                emit(
+                    &ProgressEvent::Started {
+                        kind: kind.to_string(),
+                        units: todo.len() as u64,
+                        shards: plan.n_shards() as u64,
+                        workers: workers as u64,
+                        seed,
+                    }
+                    .to_line(),
+                );
             }
             let t0 = Instant::now();
             // Shard completions update the count and emit under one lock so
             // racing workers can never put snapshots out of order on the wire.
-            let progress = Mutex::new(0u64);
+            let finished = Mutex::new(0u64);
             let depth_gauge = rjam_obs::registry::gauge("core.engine_queue_depth");
             let note_shard = |shard: usize, worker: usize, units: usize, busy_ns: u64| {
                 depth_gauge.set(plan.n_shards().saturating_sub(shard + 1) as u64);
-                if !streaming {
+                let Some(emit) = progress else {
                     return;
-                }
-                let mut finished = progress.lock().expect("engine progress lock");
+                };
+                let mut finished = finished.lock().expect("engine progress lock");
                 *finished += units as u64;
                 let total = todo.len() as u64;
                 let elapsed = t0.elapsed().as_nanos() as u64;
-                stream::emit_all(&[
-                    ProgressEvent::ShardFinished {
+                emit(
+                    &ProgressEvent::ShardFinished {
                         shard: shard as u64,
                         worker: worker as u64,
                         units: units as u64,
                         busy_ns,
-                    },
-                    ProgressEvent::Snapshot {
+                    }
+                    .to_line(),
+                );
+                emit(
+                    &ProgressEvent::Snapshot {
                         done: *finished,
                         total,
                         elapsed_ns: elapsed,
                         eta_ns: stream::eta_ns(elapsed, *finished, total),
-                    },
-                ]);
+                    }
+                    .to_line(),
+                );
             };
 
             // The one worker loop: claim ranges until the plan runs out or
@@ -452,7 +494,9 @@ impl CampaignEngine {
             }
             if rjam_obs::enabled() {
                 let complete = slots.iter().all(Option::is_some);
-                publish_run_telemetry(kind, seed, plan.n_shards(), t0, logs, streaming && complete);
+                let done_to = progress.filter(|_| complete);
+                let shards = plan.n_shards();
+                publish_run_telemetry(kind, seed, shards, t0, logs, done_to, &self.profiles);
             }
         }
         if slots.iter().any(Option::is_none) {
@@ -486,19 +530,6 @@ impl Default for CampaignEngine {
     }
 }
 
-/// Releases campaign-level stream ownership on drop, so a panicking unit
-/// cannot leave the process-wide guard stuck and silence every later
-/// campaign.
-struct StreamOwnership(bool);
-
-impl Drop for StreamOwnership {
-    fn drop(&mut self) {
-        if self.0 {
-            stream::end_campaign();
-        }
-    }
-}
-
 /// One worker's raw timing log, turned into [`WorkerStats`] after the run.
 struct WorkerLog {
     worker: usize,
@@ -513,15 +544,16 @@ struct WorkerLog {
 /// actually ran: per-worker buckets, the unit-latency histogram (per kind
 /// and as the `core.engine_unit_ns` registry aggregate), stragglers
 /// (flagged into the flight recorder with their unit index and worker,
-/// reproducible via `shard_seed`), and — when `emit_done` — the terminal
-/// `campaign_done` event.
+/// reproducible via `shard_seed`), and — into `done_to`, when given — the
+/// terminal `campaign_done` event. The profile goes into `store`.
 fn publish_run_telemetry(
     kind: &str,
     seed: u64,
     shards: usize,
     t0: Instant,
     logs: Vec<WorkerLog>,
-    emit_done: bool,
+    done_to: Option<&(dyn Fn(&str) + Send + Sync)>,
+    store: &Mutex<ProfileStore>,
 ) {
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let mut hist = rjam_obs::LogHistogram::new();
@@ -592,17 +624,23 @@ fn publish_run_telemetry(
     rjam_obs::registry::counter("core.engine_stragglers").add(profile.stragglers.len() as u64);
     rjam_obs::registry::gauge("core.engine_queue_depth").set(0);
     rjam_obs::registry::histogram("core.engine_unit_ns").absorb(&hist);
-    if emit_done {
-        stream::emit(&ProgressEvent::Done {
-            units: profile.units,
-            elapsed_ns: wall_ns,
-            workers: profile.workers.len() as u64,
-            busy_ns: profile.busy_ns(),
-            idle_ns: profile.idle_ns(),
-            merge_wait_ns: profile.merge_wait_ns(),
-        });
+    if let Some(emit) = done_to {
+        emit(
+            &ProgressEvent::Done {
+                units: profile.units,
+                elapsed_ns: wall_ns,
+                workers: profile.workers.len() as u64,
+                busy_ns: profile.busy_ns(),
+                idle_ns: profile.idle_ns(),
+                merge_wait_ns: profile.merge_wait_ns(),
+            }
+            .to_line(),
+        );
     }
-    telemetry::publish(profile, &hist);
+    store
+        .lock()
+        .expect("engine profile lock")
+        .publish(profile, &hist);
 }
 
 #[cfg(test)]

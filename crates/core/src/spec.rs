@@ -88,6 +88,22 @@ pub const MAX_CHANNEL_TAPS: usize = 64;
 /// long as it asked.
 pub const MAX_JAMMING_DURATION_S: f64 = 3600.0;
 
+/// Most engine work units one job may run. The engine sizes its result
+/// slots and its to-do list by the unit count before any unit runs, so an
+/// unbounded count could abort the daemon on a failed allocation. 2^18
+/// units admit the paper's 30-minute false-alarm count (4.5 × 10^10
+/// samples at 25 MSPS, 171 662 units of 2^18 samples).
+pub const MAX_JOB_UNITS: usize = 1 << 18;
+
+/// Scope memory one WiMAX frame keeps until its job exports: the frame's
+/// 125 000-sample `f64` envelope at 25 MSPS, once in its unit's capture
+/// and once in the merged one (peak RSS grows by about 1.9 MB per frame).
+const WIMAX_SCOPE_BYTES_PER_FRAME: usize = 2 * 125_000 * 8;
+
+/// Most downlink frames one WiMAX job may request: 512 MiB of scope at
+/// `WIMAX_SCOPE_BYTES_PER_FRAME` (268 frames, 1.34 s of downlink).
+pub const MAX_WIMAX_FRAMES: usize = (512 << 20) / WIMAX_SCOPE_BYTES_PER_FRAME;
+
 fn field_err(field: &'static str, reason: impl Into<String>) -> SpecError {
     SpecError::Field {
         field,
@@ -223,6 +239,15 @@ impl CampaignRequest {
             }
             Ok(())
         }
+        fn check_units(field: &'static str, units: usize) -> Result<(), SpecError> {
+            if units > MAX_JOB_UNITS {
+                return Err(field_err(
+                    field,
+                    format!("the job needs {units} work units, over the limit of {MAX_JOB_UNITS}"),
+                ));
+            }
+            Ok(())
+        }
 
         match self {
             CampaignRequest::WifiDetection {
@@ -257,7 +282,7 @@ impl CampaignRequest {
                 if *frames_per_point == 0 {
                     return Err(field_err("trials", "0 frames per point"));
                 }
-                Ok(())
+                check_units("trials", self.n_units())
             }
             CampaignRequest::FalseAlarm {
                 preset, samples, ..
@@ -266,7 +291,7 @@ impl CampaignRequest {
                 if *samples == 0 {
                     return Err(field_err("samples", "0 noise samples"));
                 }
-                Ok(())
+                check_units("samples", self.n_units())
             }
             CampaignRequest::Wimax {
                 fused,
@@ -275,8 +300,11 @@ impl CampaignRequest {
                 threshold,
                 ..
             } => {
-                if *frames == 0 {
-                    return Err(field_err("frames", "0 frames"));
+                if !(1..=MAX_WIMAX_FRAMES).contains(frames) {
+                    return Err(field_err(
+                        "frames",
+                        format!("{frames} is not in 1..={MAX_WIMAX_FRAMES}"),
+                    ));
                 }
                 if !snr_db.is_finite() {
                     return Err(field_err("snr_db", format!("{snr_db} is not finite")));
@@ -300,7 +328,7 @@ impl CampaignRequest {
                         format!("{duration_s} is not in (0, {MAX_JAMMING_DURATION_S}] s"),
                     ));
                 }
-                Ok(())
+                check_units("sirs_db", self.n_units())
             }
         }
     }
@@ -944,6 +972,69 @@ mod tests {
                 matches!(&err, SpecError::Field { field: "duration_s", reason }
                     if reason.contains("3600")),
                 "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn job_size_is_bounded() {
+        let fa = |samples| CampaignRequest::FalseAlarm {
+            preset: DetectionPreset::WifiShortPreamble { threshold: 0.3 },
+            samples,
+            seed: 1,
+        };
+        let wifi = |trials, n_snrs| {
+            wifi_with(|r| {
+                if let CampaignRequest::WifiDetection {
+                    frames_per_point,
+                    snrs_db,
+                    ..
+                } = r
+                {
+                    *frames_per_point = trials;
+                    *snrs_db = vec![6.0; n_snrs];
+                }
+            })
+        };
+        let wimax = |frames| CampaignRequest::Wimax {
+            fused: true,
+            frames,
+            snr_db: 10.0,
+            threshold: 0.45,
+            seed: 1,
+        };
+        let jamming = |n_sirs| CampaignRequest::Jamming {
+            jammer: JammerUnderTest::Off,
+            sirs_db: vec![14.0; n_sirs],
+            duration_s: 0.02,
+            seed: 1,
+        };
+        let fa_unit = 1 << 18;
+        for ok in [
+            fa(45_000_000_000),
+            fa(MAX_JOB_UNITS * fa_unit),
+            wifi(MAX_JOB_UNITS * 8, 1),
+            wimax(24),
+            wimax(MAX_WIMAX_FRAMES),
+            jamming(MAX_JOB_UNITS),
+        ] {
+            ok.validate().unwrap_or_else(|e| panic!("{e}: {ok:?}"));
+        }
+        let big = 1usize << 53;
+        for (bad, field, limit) in [
+            (fa(big), "samples", MAX_JOB_UNITS),
+            (fa(MAX_JOB_UNITS * fa_unit + 1), "samples", MAX_JOB_UNITS),
+            (wifi(big, 1), "trials", MAX_JOB_UNITS),
+            (wifi(big, 1 << 14), "trials", MAX_JOB_UNITS),
+            (wimax(big), "frames", MAX_WIMAX_FRAMES),
+            (wimax(MAX_WIMAX_FRAMES + 1), "frames", MAX_WIMAX_FRAMES),
+            (jamming(MAX_JOB_UNITS + 1), "sirs_db", MAX_JOB_UNITS),
+        ] {
+            let err = bad.validate().expect_err("over the limit");
+            assert!(
+                matches!(&err, SpecError::Field { field: f, reason }
+                    if *f == field && reason.contains(&limit.to_string())),
+                "{err} should name {field} and {limit}"
             );
         }
     }

@@ -1,40 +1,32 @@
 //! End-to-end `rjam-progress-v1` streaming and engine-profile tests.
 //!
-//! These live in their own integration-test binary (own process) because
-//! the progress sink and the campaign guard are process-wide: unit tests
-//! of other campaigns running in parallel threads of the lib test binary
-//! would race for stream ownership. The scenarios below share one `#[test]`
-//! for the same reason — a second test in this binary would run in
-//! parallel with it, grab the installed sink and race the profile store.
+//! Each test builds and reads only its own engines, so the tests are
+//! independent of one another.
 
 #![cfg(feature = "obs")]
 
 use rjam_core::engine::{shard_seed, CampaignEngine, CancelToken};
 use rjam_obs::stream::{self, ProgressEvent};
-use rjam_obs::telemetry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// A `Write` sink the test can read back after `uninstall`.
-#[derive(Clone, Default)]
-struct Buf(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for Buf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("buf lock").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+/// `engine` with a progress sink that collects its lines, and the lines.
+fn capturing(engine: CampaignEngine) -> (CampaignEngine, Arc<Mutex<Vec<String>>>) {
+    let lines = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&lines);
+    let engine = engine.with_progress(Arc::new(move |line: &str| {
+        sink.lock().expect("lines lock").push(line.to_string());
+    }));
+    (engine, lines)
 }
 
-fn capture<F: FnOnce()>(run: F) -> Vec<ProgressEvent> {
-    let buf = Buf::default();
-    stream::install(Box::new(buf.clone()));
-    run();
-    stream::uninstall();
-    let text = String::from_utf8(buf.0.lock().expect("buf lock").clone()).expect("utf8");
+fn events(lines: &Mutex<Vec<String>>) -> Vec<ProgressEvent> {
+    let text: String = lines
+        .lock()
+        .expect("lines lock")
+        .iter()
+        .map(|l| format!("{l}\n"))
+        .collect();
     stream::parse_stream(&text).unwrap_or_else(|e| panic!("stream parses: {e}\n{text}"))
 }
 
@@ -51,46 +43,33 @@ fn busy_unit(index: usize) -> u64 {
 }
 
 #[test]
-fn engine_streams_one_valid_chain_and_publishes_a_profile() {
-    // --- Scenario 1: a parallel campaign emits a complete, valid chain.
-    let events = capture(|| {
-        let out = CampaignEngine::with_threads(3).run(
-            "progress_e2e",
-            24,
-            0xFEED,
-            || (),
-            |_, ctx| busy_unit(ctx.index),
-        );
-        // Streaming must not perturb results.
-        let serial = CampaignEngine::serial().run(
-            "progress_e2e_serial",
-            24,
-            0xFEED,
-            || (),
-            |_, ctx| busy_unit(ctx.index),
-        );
-        assert_eq!(out, serial, "telemetry must never change outputs");
-    });
-    // Two campaigns ran inside the capture, one after the other: split at
-    // the chain boundary and validate each.
-    let done_positions: Vec<usize> = events
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e, ProgressEvent::Done { .. }))
-        .map(|(k, _)| k)
-        .collect();
-    assert_eq!(done_positions.len(), 2, "two sequential campaigns");
-    let first = &events[..=done_positions[0]];
-    let second = &events[done_positions[0] + 1..];
-    stream::validate_chain(first).expect("parallel chain validates");
-    stream::validate_chain(second).expect("serial chain validates");
+fn parallel_campaign_streams_one_valid_chain_and_publishes_a_profile() {
+    let (engine, lines) = capturing(CampaignEngine::with_threads(3));
+    let out = engine.run(
+        "progress_e2e",
+        24,
+        0xFEED,
+        || (),
+        |_, ctx| busy_unit(ctx.index),
+    );
+    // Streaming must not perturb results.
+    let serial = CampaignEngine::serial().run(
+        "progress_e2e",
+        24,
+        0xFEED,
+        || (),
+        |_, ctx| busy_unit(ctx.index),
+    );
+    assert_eq!(out, serial, "telemetry must never change outputs");
+    let events = events(&lines);
+    stream::validate_chain(&events).expect("parallel chain validates");
     let ProgressEvent::Started {
         kind,
         units,
         workers,
         seed,
         ..
-    } = &first[0]
+    } = &events[0]
     else {
         panic!("first event is campaign_started")
     };
@@ -100,33 +79,81 @@ fn engine_streams_one_valid_chain_and_publishes_a_profile() {
     assert_eq!(*seed, 0xFEED);
     // Snapshots carry a real ETA while in flight.
     assert!(
-        first
+        events
             .iter()
             .any(|e| matches!(e, ProgressEvent::Snapshot { done, total, .. } if done < total)),
         "at least one in-flight snapshot"
     );
 
-    // --- Scenario 2: nested campaigns (whole serial sub-campaigns inside
-    // shards) emit exactly one chain.
-    let events = capture(|| {
-        CampaignEngine::with_threads(2).run(
-            "progress_nested_outer",
-            6,
-            7,
-            || (),
-            |_, ctx| {
-                CampaignEngine::serial()
-                    .run(
-                        "progress_nested_inner",
-                        4,
-                        ctx.seed,
-                        || (),
-                        |_, c| busy_unit(c.index),
-                    )
-                    .len()
-            },
-        );
-    });
+    // The published profile accounts for the run.
+    let p = engine.profile("progress_e2e").expect("profile published");
+    assert_eq!(p.units, 24);
+    assert_eq!(p.shards, 12, "3 workers x OVERSHARD ranges");
+    assert_eq!(p.workers.len(), 3);
+    assert_eq!(p.workers.iter().map(|w| w.units).sum::<u64>(), 24);
+    assert_eq!(p.unit_ns.count, 24);
+    assert!(p.median_unit_ns > 0, "units do real work");
+    // The lower bound is deliberately weak: on an oversubscribed 1-core
+    // runner, worker spawn latency (in the denominator, attributable to
+    // nothing) has been observed to push a debug-build micro-campaign's
+    // fraction down to ~0.3. The tight attribution gates live where they
+    // are meaningful: the serial profile test below (structural, >= 0.95)
+    // and ci.sh's release-build `rjamctl report` gate (>= 95 %).
+    let f = p.attributed_fraction();
+    assert!(
+        f > 0.1 && f <= 1.0,
+        "attribution in a sane range even on a loaded box: {f}"
+    );
+    // Engine aggregates reached the registry.
+    assert!(rjam_obs::registry::counter_value("core.engine_busy_ns") > 0);
+    let unit_hist = rjam_obs::registry::histogram("core.engine_unit_ns").snapshot();
+    assert!(unit_hist.count() >= 24 + 24);
+}
+
+#[test]
+fn serial_campaign_attribution_is_structural() {
+    let (engine, lines) = capturing(CampaignEngine::serial());
+    engine.run(
+        "progress_serial",
+        24,
+        0xFEED,
+        || (),
+        |_, ctx| busy_unit(ctx.index),
+    );
+    stream::validate_chain(&events(&lines)).expect("serial chain validates");
+    // busy + idle == worker wall by construction, so a tight bound holds.
+    let p = engine.profile("progress_serial").expect("serial profile");
+    assert_eq!(p.workers.len(), 1);
+    assert!(
+        p.attributed_fraction() >= 0.95,
+        "serial attribution: {}",
+        p.attributed_fraction()
+    );
+}
+
+#[test]
+fn nested_run_on_a_fresh_engine_stays_silent() {
+    // Whole serial sub-campaigns inside the outer run's units: the inner
+    // engines have no sink, so the stream holds exactly one chain.
+    let (engine, lines) = capturing(CampaignEngine::with_threads(2));
+    engine.run(
+        "progress_nested_outer",
+        6,
+        7,
+        || (),
+        |_, ctx| {
+            CampaignEngine::serial()
+                .run(
+                    "progress_nested_inner",
+                    4,
+                    ctx.seed,
+                    || (),
+                    |_, c| busy_unit(c.index),
+                )
+                .len()
+        },
+    );
+    let events = events(&lines);
     stream::validate_chain(&events).expect("nested run still yields one valid chain");
     assert_eq!(
         events
@@ -141,59 +168,32 @@ fn engine_streams_one_valid_chain_and_publishes_a_profile() {
     };
     assert_eq!(kind, "progress_nested_outer");
     assert_eq!(*units, 6);
+    // The inner engines published into their own stores, not this one.
+    assert!(engine.profile("progress_nested_inner").is_none());
+}
 
-    // --- Scenario 3: the published profile accounts for the run.
-    let p = telemetry::profile_for("progress_e2e").expect("profile published");
-    assert_eq!(p.units, 24);
-    assert_eq!(p.shards, 12, "3 workers x OVERSHARD ranges");
-    assert_eq!(p.workers.len(), 3);
-    assert_eq!(p.workers.iter().map(|w| w.units).sum::<u64>(), 24);
-    assert_eq!(p.unit_ns.count, 24);
-    assert!(p.median_unit_ns > 0, "units do real work");
-    // The lower bound is deliberately weak: on an oversubscribed 1-core
-    // runner, worker spawn latency (in the denominator, attributable to
-    // nothing) has been observed to push a debug-build micro-campaign's
-    // fraction down to ~0.3. The tight attribution gates live where they
-    // are meaningful: the serial profile below (structural, >= 0.95) and
-    // ci.sh's release-build `rjamctl report` gate (>= 95 %).
-    let f = p.attributed_fraction();
-    assert!(
-        f > 0.1 && f <= 1.0,
-        "attribution in a sane range even on a loaded box: {f}"
-    );
-    // The serial campaign's attribution is structural (busy + idle ==
-    // worker wall by construction), so it admits a tight bound.
-    let p = telemetry::profile_for("progress_e2e_serial").expect("serial profile");
-    assert_eq!(p.workers.len(), 1);
-    assert!(
-        p.attributed_fraction() >= 0.95,
-        "serial attribution: {}",
-        p.attributed_fraction()
-    );
-    // Engine aggregates reached the registry.
-    assert!(rjam_obs::registry::counter_value("core.engine_busy_ns") > 0);
-    let unit_hist = rjam_obs::registry::histogram("core.engine_unit_ns").snapshot();
-    assert!(unit_hist.count() >= 24 + 24 + 24 + 6);
-
-    // --- Scenario 4: a run carrying a CancelToken — as every rjamd job
-    // does — streams, profiles and measures merge-wait like any other.
+#[test]
+fn cancellable_run_streams_and_profiles_like_any_other() {
+    // A run carrying a CancelToken — as every rjamd job does — streams,
+    // profiles and measures merge-wait like any other.
+    let (engine, lines) = capturing(CampaignEngine::with_threads(3));
     let token = CancelToken::new();
-    let events = capture(|| {
-        let out = CampaignEngine::with_threads(3)
-            .run_units(
-                "progress_cancellable",
-                24,
-                0xFEED,
-                &mut BTreeMap::new(),
-                Some(&token),
-                || (),
-                |_, ctx| busy_unit(ctx.index),
-            )
-            .expect("an untripped token lets the run complete");
-        assert_eq!(out.len(), 24);
-    });
+    let out = engine
+        .run_units(
+            "progress_cancellable",
+            24,
+            0xFEED,
+            &mut BTreeMap::new(),
+            Some(&token),
+            || (),
+            |_, ctx| busy_unit(ctx.index),
+        )
+        .expect("an untripped token lets the run complete");
+    assert_eq!(out.len(), 24);
+    let events = events(&lines);
     stream::validate_chain(&events).expect("interruptible chain validates");
-    let p = telemetry::profile_for("progress_cancellable")
+    let p = engine
+        .profile("progress_cancellable")
         .expect("interruptible runs publish a profile");
     assert_eq!(p.units, 24);
     assert_eq!(p.workers.iter().map(|w| w.units).sum::<u64>(), 24);
@@ -212,10 +212,14 @@ fn engine_streams_one_valid_chain_and_publishes_a_profile() {
         "campaign_done carries the profile's merge-wait"
     );
     assert!(*merge_wait_ns > 0, "merge-wait is measured, not hard-coded");
+}
 
-    // --- Scenario 5: one unit sleeps ~20x the median: it must be flagged,
-    // with the seed the engine actually used for it.
-    CampaignEngine::with_threads(2).run(
+#[test]
+fn straggler_is_flagged_with_its_seed() {
+    // One unit sleeps ~20x the median: it must be flagged, with the seed
+    // the engine actually used for it.
+    let engine = CampaignEngine::with_threads(2);
+    engine.run(
         "straggler_e2e",
         16,
         0xBAD,
@@ -226,7 +230,7 @@ fn engine_streams_one_valid_chain_and_publishes_a_profile() {
             ctx.index
         },
     );
-    let p = telemetry::profile_for("straggler_e2e").expect("profile");
+    let p = engine.profile("straggler_e2e").expect("profile");
     let s = p
         .stragglers
         .iter()
@@ -246,16 +250,22 @@ fn engine_streams_one_valid_chain_and_publishes_a_profile() {
             .any(|e| e.kind == "engine_straggler" && e.a == 5),
         "straggler reaches the flight recorder"
     );
+}
 
-    // --- Scenario 6: without a sink, campaigns stay silent but still
-    // profile.
-    telemetry::clear();
-    CampaignEngine::with_threads(2).run(
+#[test]
+fn engine_without_a_sink_profiles_into_a_store_its_clones_share() {
+    let engine = CampaignEngine::with_threads(2);
+    engine.run(
         "progress_silent",
         8,
         1,
         || (),
         |_, ctx| busy_unit(ctx.index),
     );
-    assert!(telemetry::profile_for("progress_silent").is_some());
+    assert!(engine.profile("progress_silent").is_some());
+    // A clone shares the store; a fresh engine does not.
+    assert!(engine.clone().profile("progress_silent").is_some());
+    assert!(CampaignEngine::with_threads(2)
+        .profile("progress_silent")
+        .is_none());
 }

@@ -9,10 +9,10 @@
 //! reject-before-enqueue with a typed [`JobError`].
 //!
 //! A `watch` stream interleaves two protocols on one connection: the
-//! job's `rjam-progress-v1` lines (each tagged `"job":"<id>"` by the
-//! daemon's progress scope) and `rjam-job-v1` terminal lines
-//! (`job_metrics`, then `job_done` / `job_cancelled`). Clients route on
-//! the `v` tag.
+//! job's `rjam-progress-v1` lines (each tagged `"job":"<id>"`, as its
+//! first field, by the daemon's progress sink) and `rjam-job-v1`
+//! terminal lines (`job_metrics`, then `job_done` / `job_cancelled`).
+//! Clients route on the `v` tag.
 
 use rjam_core::spec::{CampaignRequest, SpecError};
 use rjam_obs::json::{self, Value};

@@ -3,7 +3,8 @@
 //!
 //! ## Architecture
 //!
-//! One [`Daemon`] owns one [`CampaignEngine`] and one **runner thread**.
+//! One [`Daemon`] owns one **runner thread**, which owns the daemon's
+//! [`CampaignEngine`].
 //! Jobs are validated at submit (reject-before-enqueue), assigned an id
 //! and appended to a bounded FIFO; the runner pops them in order and runs
 //! exactly one at a time, so every job gets the engine's full worker pool
@@ -11,13 +12,13 @@
 //! unfair. Queue depth is bounded (`queue_full` on overflow) and surfaced
 //! as the `daemon.queue_depth` gauge.
 //!
-//! While a job runs, the daemon sets the process progress scope to its id
-//! — the engine's `rjam-progress-v1` lines arrive tagged `"job":"<id>"` —
-//! and routes the progress sink into the job's **replay buffer**. A
-//! `watch` replays the buffer then follows live appends until the job is
-//! terminal, so late watchers see the identical stream early watchers
-//! did. Completion appends a `job_metrics` snapshot and the terminal
-//! `job_done`/`job_cancelled` line to the same buffer.
+//! The engine's progress sink belongs to the daemon: each
+//! `rjam-progress-v1` line the engine emits is tagged `"job":"<id>"` with
+//! the running job's id (the first field of the line) and appended to that
+//! job's **replay buffer**. A `watch` replays the buffer then follows live
+//! appends until the job is terminal, so late watchers see the identical
+//! stream early watchers did. Completion appends a `job_metrics` snapshot
+//! and the terminal `job_done`/`job_cancelled` line to the same buffer.
 //!
 //! Cancellation is cooperative and unit-granular: `cancel` trips the
 //! job's [`CancelToken`]; the engine stops claiming units, merges the
@@ -42,8 +43,8 @@ struct Job {
     state: JobState,
     ckpt: JobCheckpoint,
     cancel: CancelToken,
-    /// Replay buffer: scoped progress lines, then `job_metrics` and the
-    /// terminal line. Watchers follow this by cursor.
+    /// Replay buffer: job-tagged progress lines, then `job_metrics` and
+    /// the terminal line. Watchers follow this by cursor.
     lines: Vec<String>,
     export: Option<String>,
     units_total: usize,
@@ -62,7 +63,6 @@ struct State {
 }
 
 struct Inner {
-    engine: CampaignEngine,
     queue_cap: usize,
     state: Mutex<State>,
     /// Wakes the runner (queue push, shutdown).
@@ -81,34 +81,22 @@ impl Inner {
     }
 }
 
-/// Routes the process progress sink into the running job's replay
-/// buffer. Lines are already job-tagged by the stream scope.
-struct Router {
-    inner: Arc<Inner>,
-    partial: Vec<u8>,
-}
-
-impl std::io::Write for Router {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.partial.extend_from_slice(buf);
-        while let Some(nl) = self.partial.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.partial.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            let mut st = self.inner.state.lock().expect("daemon state lock");
-            if let Some(id) = st.running.clone() {
-                if let Some(job) = st.jobs.get_mut(&id) {
-                    job.lines.push(line);
-                }
-            }
-            drop(st);
-            self.inner.notify_update();
+/// Appends one engine progress line to the running job's replay buffer,
+/// with the job's id spliced in as the line's first field. Progress
+/// parsers ignore unknown fields, so tagged lines stay valid
+/// `rjam-progress-v1`.
+fn append_progress(inner: &Inner, line: &str) {
+    let mut st = inner.state.lock().expect("daemon state lock");
+    if let Some(id) = st.running.clone() {
+        if let Some(job) = st.jobs.get_mut(&id) {
+            // Every progress line starts with `{"`; the tag goes right
+            // after the brace.
+            let tagged = format!("{{\"job\":{},{}", json::write_string(&id), &line[1..]);
+            job.lines.push(tagged);
         }
-        Ok(buf.len())
     }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+    drop(st);
+    inner.notify_update();
 }
 
 /// Handle to a running campaign service. Dropping it without
@@ -120,26 +108,24 @@ pub struct Daemon {
 
 impl Daemon {
     /// Starts a service over `engine` with a queue bound of `queue_cap`
-    /// pending jobs. Installs the process progress sink (obs builds) so
-    /// job progress is captured; a daemon owns its process's streams.
+    /// pending jobs. The engine moves into the runner thread with its
+    /// progress sink pointed at the running job's replay buffer; clones
+    /// of `engine` the caller kept still read its profiles.
     pub fn start(engine: CampaignEngine, queue_cap: usize) -> Daemon {
         let inner = Arc::new(Inner {
-            engine,
             queue_cap: queue_cap.max(1),
             state: Mutex::new(State::default()),
             work: Condvar::new(),
             update: Condvar::new(),
         });
-        if rjam_obs::enabled() {
-            rjam_obs::stream::install(Box::new(Router {
-                inner: Arc::clone(&inner),
-                partial: Vec::new(),
-            }));
-        }
+        let sink_inner = Arc::clone(&inner);
+        let engine = engine.with_progress(Arc::new(move |line: &str| {
+            append_progress(&sink_inner, line)
+        }));
         let runner_inner = Arc::clone(&inner);
         let runner = std::thread::Builder::new()
             .name("rjamd-runner".into())
-            .spawn(move || run_loop(&runner_inner))
+            .spawn(move || run_loop(&runner_inner, &engine))
             .expect("spawn daemon runner");
         Daemon {
             inner,
@@ -406,9 +392,6 @@ impl Daemon {
         if let Some(h) = self.runner.take() {
             h.join().expect("daemon runner panicked");
         }
-        if rjam_obs::enabled() {
-            rjam_obs::stream::uninstall();
-        }
     }
 }
 
@@ -424,7 +407,7 @@ fn unknown(id: &str) -> JobError {
     JobError::new(JobErrorKind::UnknownJob, format!("no job '{id}'"))
 }
 
-fn run_loop(inner: &Inner) {
+fn run_loop(inner: &Inner, engine: &CampaignEngine) {
     loop {
         // Claim the next job (or exit on shutdown).
         let (id, request, mut ckpt, cancel) = {
@@ -452,9 +435,7 @@ fn run_loop(inner: &Inner) {
             }
         };
         inner.notify_update();
-        rjam_obs::stream::set_scope(Some(&id));
-        let result = request.run_to_export(&inner.engine, &mut ckpt, Some(&cancel));
-        rjam_obs::stream::set_scope(None);
+        let result = request.run_to_export(engine, &mut ckpt, Some(&cancel));
         let mut st = inner.state.lock().expect("daemon state lock");
         st.running = None;
         if let Some(job) = st.jobs.get_mut(&id) {
@@ -500,14 +481,6 @@ fn run_loop(inner: &Inner) {
 mod tests {
     use super::*;
     use rjam_core::presets::DetectionPreset;
-    use std::sync::{Mutex as StdMutex, OnceLock};
-
-    /// The progress sink and scope are process-global; daemon tests
-    /// serialize on this.
-    fn test_lock() -> &'static StdMutex<()> {
-        static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| StdMutex::new(()))
-    }
 
     fn fa_spec(samples: usize, seed: u64) -> CampaignRequest {
         CampaignRequest::FalseAlarm {
@@ -530,7 +503,6 @@ mod tests {
 
     #[test]
     fn jobs_run_fifo_and_export_matches_direct() {
-        let _guard = test_lock().lock().unwrap();
         let d = Daemon::start(CampaignEngine::with_threads(2), 8);
         let specs = [
             fa_spec(1 << 18, 3),
@@ -568,7 +540,6 @@ mod tests {
 
     #[test]
     fn invalid_specs_are_rejected_before_enqueue() {
-        let _guard = test_lock().lock().unwrap();
         let d = Daemon::start(CampaignEngine::with_threads(1), 2);
         let err = d.submit(fa_spec(0, 0)).expect_err("0 samples");
         assert_eq!(err.kind, JobErrorKind::BadSpec);
@@ -580,7 +551,6 @@ mod tests {
 
     #[test]
     fn unbounded_channel_taps_are_refused_and_the_daemon_keeps_serving() {
-        let _guard = test_lock().lock().unwrap();
         let d = Daemon::start(CampaignEngine::with_threads(1), 4);
         let submit = |taps: &str| {
             let line = format!(
@@ -615,7 +585,6 @@ mod tests {
 
     #[test]
     fn deeply_nested_line_is_a_bad_request_and_the_daemon_keeps_serving() {
-        let _guard = test_lock().lock().unwrap();
         let d = Daemon::start(CampaignEngine::with_threads(1), 4);
         let reply = |line: String| {
             // Parse on a default-stack thread, as every `rjamd --socket`
@@ -650,7 +619,6 @@ mod tests {
 
     #[test]
     fn queue_bound_applies_backpressure() {
-        let _guard = test_lock().lock().unwrap();
         // Capacity 2: big first job occupies the runner soon, leaving the
         // queue to fill behind it.
         let d = Daemon::start(CampaignEngine::with_threads(1), 2);
@@ -672,7 +640,6 @@ mod tests {
 
     #[test]
     fn cancel_then_resume_is_byte_identical() {
-        let _guard = test_lock().lock().unwrap();
         let d = Daemon::start(CampaignEngine::with_threads(2), 8);
         // 8 units: enough to usually interrupt mid-run.
         let spec = fa_spec(8 << 18, 77);
@@ -721,7 +688,6 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn cancelled_wimax_job_keeps_its_finished_units() {
-        let _guard = test_lock().lock().unwrap();
         let d = Daemon::start(CampaignEngine::with_threads(1), 4);
         // Ten 4-frame units on one worker, dispatched in four ranges.
         let spec = CampaignRequest::Wimax {
@@ -770,43 +736,80 @@ mod tests {
         d.shutdown();
     }
 
+    /// Watches a finished job and checks its progress lines: each carries
+    /// the job's tag as its first field, parses as `rjam-progress-v1`, and
+    /// together they form one complete chain over the job's units.
     #[cfg(feature = "obs")]
-    #[test]
-    fn watch_streams_job_tagged_progress() {
-        let _guard = test_lock().lock().unwrap();
-        let d = Daemon::start(CampaignEngine::with_threads(2), 8);
-        let (id, _) = d.submit(fa_spec(4 << 18, 9)).expect("accepted");
-        wait_done(&d, &id);
+    fn assert_own_chain(d: &Daemon, id: &str, units: usize) {
+        use rjam_obs::stream::{validate_chain, ProgressEvent};
         let mut lines = Vec::new();
-        d.watch(&id, &mut |l: &str| {
+        d.watch(id, &mut |l: &str| {
             lines.push(l.to_string());
             Ok(())
         })
         .expect("watch");
-        let tag = format!("\"job\":\"{id}\"");
-        let progress: Vec<&String> = lines
+        let tag = format!("{{\"job\":\"{id}\",");
+        let events: Vec<ProgressEvent> = lines
             .iter()
             .filter(|l| l.contains("rjam-progress-v1"))
+            .map(|l| {
+                assert!(l.starts_with(&tag), "{id}: tag is not the first field: {l}");
+                ProgressEvent::from_line(l).expect("tagged line parses")
+            })
             .collect();
-        assert!(!progress.is_empty(), "no progress lines captured");
+        validate_chain(&events).unwrap_or_else(|e| panic!("{id}: {e} in {lines:?}"));
         assert!(
-            progress.iter().all(|l| l.contains(&tag)),
-            "untagged progress line in {progress:?}"
+            matches!(events[0], ProgressEvent::Started { units: n, .. } if n == units as u64),
+            "{id}: {:?}",
+            events[0]
         );
-        // And the scoped lines still parse as progress events.
-        for l in &progress {
-            rjam_obs::stream::ProgressEvent::from_line(l).expect("scoped line parses");
-        }
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn watch_streams_job_tagged_progress() {
+        let d = Daemon::start(CampaignEngine::with_threads(2), 8);
+        let (id, _) = d.submit(fa_spec(4 << 18, 9)).expect("accepted");
+        wait_done(&d, &id);
+        assert_own_chain(&d, &id, 4);
         d.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn two_daemons_in_one_process_stream_their_own_chains() {
+        // Both runners work at once; each engine streams into its own
+        // daemon's job, so neither daemon takes the other's progress.
+        let daemons = [
+            Daemon::start(CampaignEngine::with_threads(2), 4),
+            Daemon::start(CampaignEngine::with_threads(1), 4),
+        ];
+        let units = [4, 3];
+        let ids: Vec<String> = daemons
+            .iter()
+            .zip(units)
+            .map(|(d, n)| {
+                d.submit(fa_spec(n << 18, 20 + n as u64))
+                    .expect("accepted")
+                    .0
+            })
+            .collect();
+        for ((d, id), n) in daemons.iter().zip(&ids).zip(units) {
+            assert_eq!(wait_done(d, id).state, JobState::Done, "{id}");
+            assert_own_chain(d, id, n);
+        }
+        for d in daemons {
+            d.shutdown();
+        }
     }
 
     #[cfg(feature = "obs")]
     #[test]
     fn every_job_kind_publishes_an_engine_profile() {
         use rjam_core::campaign::{ChannelModel, JammerUnderTest, WifiEmission};
-        let _guard = test_lock().lock().unwrap();
-        rjam_obs::telemetry::clear();
-        let d = Daemon::start(CampaignEngine::with_threads(2), 8);
+        // A clone shares the engine's profile store.
+        let engine = CampaignEngine::with_threads(2);
+        let d = Daemon::start(engine.clone(), 8);
         let specs = [
             CampaignRequest::WifiDetection {
                 preset: DetectionPreset::WifiShortPreamble { threshold: 0.30 },
@@ -836,7 +839,8 @@ mod tests {
             let (id, _) = d.submit(spec.clone()).expect("accepted");
             assert_eq!(wait_done(&d, &id).state, JobState::Done, "{id}");
             let kind = spec.kind();
-            let p = rjam_obs::telemetry::profile_for(kind)
+            let p = engine
+                .profile(kind)
                 .unwrap_or_else(|| panic!("no engine profile for a {kind} job"));
             assert_eq!(p.units, spec.n_units() as u64, "{kind}");
             let per_worker: u64 = p.workers.iter().map(|w| w.units).sum();

@@ -9,12 +9,6 @@ use rjam_core::spec::JobCheckpoint;
 use rjam_core::{CampaignEngine, CampaignRequest, CancelToken, DetectionPreset};
 use rjam_daemon::{Daemon, JobError, JobErrorKind, JobRequest, JobResponse, JobState, JobStatus};
 use rjam_testkit::{prop_assert, prop_assert_eq, props, TestRng};
-use std::sync::Mutex;
-
-/// The daemon installs a process-global progress sink; tests that start
-/// one (or run campaigns whose telemetry a concurrently running daemon
-/// would capture) serialize on this lock.
-static DAEMON_LOCK: Mutex<()> = Mutex::new(());
 
 // ---- generated, always-valid campaign requests ----
 
@@ -204,7 +198,6 @@ props! {
     /// checkpointed) and the survivors' exports still match a direct
     /// single-process run.
     fn queue_is_fifo_under_interleaved_submit_and_cancel(seed in 0u64..1_000_000) cases = 3 {
-        let _guard = DAEMON_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = TestRng::seed_from(seed ^ 0x51f0);
         let daemon = Daemon::start(CampaignEngine::with_threads(2), 16);
 
@@ -268,7 +261,6 @@ props! {
     /// moment, resume from whatever the checkpoint captured, and the final
     /// export is byte-identical to a never-interrupted run.
     fn resume_equals_uninterrupted_at_1_2_7_threads(seed in 0u64..1_000_000) cases = 2 {
-        let _guard = DAEMON_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = TestRng::seed_from(seed ^ 0xca7c);
         let specs = [
             fa_request((1 << 18) * 3 + 54_321, seed),

@@ -5,7 +5,6 @@
 //! continuous or reactive mode. This crate reproduces that methodology as a
 //! discrete-event simulation:
 //!
-//! * [`des`] — a deterministic event queue (the simulation substrate);
 //! * [`model`] — scenario description: link budgets, jammer behaviour,
 //!   DCF timing constants, calibration constants;
 //! * [`link`] — per-packet success evaluation: jam-burst overlap is turned
@@ -23,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod defense;
-pub mod des;
 pub mod iperf;
 pub mod link;
 pub mod model;

@@ -738,7 +738,7 @@ mod tests {
         let deferred = ScenarioRun::new(&sc).obs_into(&mut delta).run();
         assert_eq!(plain.sent, deferred.sent);
         assert_eq!(plain.received, deferred.received);
-        let mut mon = HealthMonitor::new(rjam_obs::HealthConfig::default());
+        let mut mon = HealthMonitor::new(16);
         let monitored = ScenarioRun::new(&sc).health(&mut mon).run();
         assert_eq!(plain.sent, monitored.sent);
         assert_eq!(plain.received, monitored.received);
@@ -763,7 +763,7 @@ mod tests {
             duration_s: 1.0,
             ..base()
         };
-        let mut mon = HealthMonitor::new(rjam_obs::HealthConfig::default());
+        let mut mon = HealthMonitor::new(16);
         let r = ScenarioRun::new(&sc).health(&mut mon).run();
         assert!(r.prr_percent < 10.0, "prr={}", r.prr_percent);
         let raised = mon

@@ -1,12 +1,10 @@
-//! Property tests for the discrete-event scheduler and the link-model
-//! memo, driven by `rjam-testkit`. The MAC simulator's determinism rests
-//! on the queue popping in (time, insertion) order, and its results on the
-//! memo returning exactly the `f64` the link model computes.
+//! Property tests for the link-model memo, driven by `rjam-testkit`: the
+//! MAC simulator's results rest on the memo returning exactly the `f64`
+//! the link model computes.
 
-use rjam_mac::des::EventQueue;
 use rjam_mac::link::{frame_success_prob, Burst, LinkMemo};
 use rjam_phy80211::Rate;
-use rjam_testkit::{self as tk, prop_assert, prop_assert_eq, props};
+use rjam_testkit::{self as tk, prop_assert_eq, props};
 
 /// A dB argument: one of the edge values the memo keys by bits (signed
 /// zeros, infinities, NaN, ±300 dB) for `pick` < 7, else `x`.
@@ -27,57 +25,6 @@ fn db((pick, x): (usize, f64)) -> f64 {
 
 props! {
     cases = 16;
-
-    /// Events pop in nondecreasing time order, ties break FIFO, and the
-    /// clock never runs backwards.
-    fn event_queue_total_order(
-        offsets in tk::vec(0u64..50, 1..64),
-    ) {
-        let mut q = EventQueue::new();
-        for (k, &dt) in offsets.iter().enumerate() {
-            // Coarse times force plenty of exact ties.
-            q.schedule(dt, k);
-        }
-        prop_assert_eq!(q.len(), offsets.len());
-        let mut popped = Vec::new();
-        while let Some((t, k)) = q.pop() {
-            prop_assert_eq!(t, q.now(), "now() tracks the popped event");
-            popped.push((t, k));
-        }
-        prop_assert_eq!(popped.len(), offsets.len());
-        for w in popped.windows(2) {
-            let ((t0, k0), (t1, k1)) = (w[0], w[1]);
-            prop_assert!(t0 <= t1, "time went backwards: {t0} > {t1}");
-            if t0 == t1 {
-                prop_assert!(k0 < k1, "FIFO tie broken: {k0} before {k1}");
-            }
-        }
-        // Each popped event sits at its scheduled time.
-        for &(t, k) in &popped {
-            prop_assert_eq!(t, offsets[k]);
-        }
-    }
-
-    /// `schedule_in` is `schedule(now + delay)`: interleaving pops with
-    /// relative scheduling still yields a nondecreasing timeline.
-    fn relative_scheduling_monotone(
-        delays in tk::vec(1u64..1_000, 2..32),
-    ) {
-        let mut q = EventQueue::new();
-        q.schedule(0, usize::MAX);
-        let mut last = 0u64;
-        let mut remaining = delays.iter();
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last, "timeline regressed");
-            last = t;
-            if let Some(&d) = remaining.next() {
-                q.schedule_in(d, 0usize);
-                prop_assert_eq!(q.len(), 1);
-            }
-        }
-        prop_assert!(q.is_empty());
-        prop_assert_eq!(last, delays.iter().sum::<u64>());
-    }
 
     /// The memo returns the link model's value bit for bit, on the first
     /// lookup and on repeats, with a neighbouring key in the table: every

@@ -20,16 +20,22 @@
 //!    JSON (Perfetto-loadable) or the compact `rjam-trace-v1` schema;
 //! 5. **engine telemetry** ([`telemetry`]): per-worker busy/idle/merge-wait
 //!    profiles, per-unit-kind latency histograms, and straggler records
-//!    published by the campaign engine and rendered by `rjamctl report`;
+//!    that each campaign engine publishes into its own
+//!    [`telemetry::ProfileStore`], rendered by `rjamctl report`;
 //! 6. a **live progress stream** ([`stream`]): the line-delimited
 //!    `rjam-progress-v1` event protocol (campaign started / shard finished
-//!    / snapshot with ETA / campaign done) the engine emits into a
-//!    process-wide sink (`rjamctl --progress[=FILE]`);
+//!    / snapshot with ETA / campaign done) an engine emits into the line
+//!    sink its owner attached (`rjamctl --progress[=FILE]`, each `rjamd`
+//!    job's replay buffer);
 //! 7. an **online health monitor** ([`health`]): streaming change-point
 //!    detectors (EWMA baselines, CUSUM, Page–Hinkley, rolling quantiles)
 //!    judging registry deltas and the MAC frame feed against a typed rule
-//!    set, emitting the line-delimited `rjam-health-v1` protocol
-//!    (`rjamctl monitor`).
+//!    set, logging the line-delimited `rjam-health-v1` protocol in the
+//!    monitor (`rjamctl monitor`).
+//!
+//! The registry and the flight recorder are the only process-wide state;
+//! progress lines, engine profiles and health logs belong to the engine or
+//! monitor that produced them.
 //!
 //! # Cost model
 //!
@@ -54,14 +60,14 @@ pub mod stream;
 pub mod telemetry;
 pub mod trace;
 
-pub use health::{HealthConfig, HealthEvent, HealthMonitor, HealthVerdict};
+pub use health::{HealthEvent, HealthMonitor, HealthVerdict};
 pub use hist::{HistSummary, LogHistogram};
 pub use proto::{Envelope, ParseError, Protocol};
 pub use recorder::{FlightRecorder, ObsEvent, TripInfo};
 pub use registry::{Counter, Gauge, HistHandle, LocalCounter, LocalHistogram};
 pub use snapshot::MetricsSnapshot;
 pub use stream::ProgressEvent;
-pub use telemetry::{EngineProfile, Straggler, WorkerStats};
+pub use telemetry::{EngineProfile, ProfileStore, Straggler, WorkerStats};
 pub use trace::{
     FrameId, FrameIdGen, FrameTrace, Outcome, SpanKind, TraceDoc, TraceEvent, TraceSink,
 };

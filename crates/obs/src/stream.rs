@@ -13,12 +13,14 @@
 //! {"v":"rjam-progress-v1","ev":"campaign_done","units":96,...}
 //! ```
 //!
-//! — to a process-wide sink installed by the front-end (`rjamctl
-//! --progress[=FILE]` points it at stderr or a file). Every event kind
-//! round-trips through [`ProgressEvent::from_line`]; a whole stream is
-//! checked by [`parse_stream`] + [`validate_chain`] (the `check progress`
-//! CI gate wraps both). This is the per-job stream the ROADMAP's
-//! `rjamd` daemon will serve.
+//! — into the line sink its owner attached with
+//! `CampaignEngine::with_progress` (in `rjam-core`): `rjamctl
+//! --progress[=FILE]` writes the lines to stderr or a file, and `rjamd`
+//! tags each with its job id and appends it to that job's replay buffer.
+//! An engine without a sink emits nothing. Every event kind round-trips
+//! through [`ProgressEvent::from_line`], which ignores unknown fields such
+//! as the job tag; a whole stream is checked by [`parse_stream`] +
+//! [`validate_chain`] (the `check progress` CI gate wraps both).
 //!
 //! The protocol types and parser are always compiled (validators must read
 //! streams even in `--no-default-features` builds); *emission* comes from
@@ -30,9 +32,6 @@
 
 use crate::json;
 use crate::proto::{self, Envelope, ParseError, Protocol};
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// The protocol descriptor for this stream.
 pub const PROTOCOL: Protocol = Protocol::PROGRESS;
@@ -290,115 +289,6 @@ pub fn validate_chain(events: &[ProgressEvent]) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide sink: where `rjamctl --progress` points the engine's stream.
-// ---------------------------------------------------------------------------
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static CAMPAIGN: AtomicBool = AtomicBool::new(false);
-
-fn sink() -> &'static Mutex<Option<Box<dyn Write + Send>>> {
-    static SINK: OnceLock<Mutex<Option<Box<dyn Write + Send>>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(None))
-}
-
-fn scope_cell() -> &'static Mutex<Option<String>> {
-    static SCOPE: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    SCOPE.get_or_init(|| Mutex::new(None))
-}
-
-/// Tags every subsequently emitted line with a job ID: `rjamd` sets the
-/// scope to the running job before handing the engine a campaign, so
-/// watchers can attribute interleaved progress lines. `None` clears it.
-///
-/// The tag rides as an extra `"job"` field; [`ProgressEvent::from_line`]
-/// ignores unknown fields, so scoped streams stay parseable by every
-/// existing consumer.
-pub fn set_scope(job: Option<&str>) {
-    *scope_cell().lock().expect("progress scope lock") = job.map(str::to_string);
-}
-
-/// The currently installed job scope, if any.
-pub fn scope() -> Option<String> {
-    scope_cell().lock().expect("progress scope lock").clone()
-}
-
-/// Splices the scope's `"job"` field into a serialised event line.
-fn scoped_line(line: &str, scope: Option<&str>) -> String {
-    match scope {
-        // Every to_line() output starts with `{"`; inject after the brace.
-        Some(job) if line.starts_with('{') => {
-            format!("{{\"job\":{},{}", json::write_string(job), &line[1..])
-        }
-        _ => line.to_string(),
-    }
-}
-
-/// Installs the process-wide progress writer (stderr, a file, ...).
-/// Replaces any previous sink.
-pub fn install(w: Box<dyn Write + Send>) {
-    *sink().lock().expect("progress sink lock") = Some(w);
-    ACTIVE.store(true, Ordering::Release);
-}
-
-/// Removes the sink (flushing it) and returns it. Emission stops.
-pub fn uninstall() -> Option<Box<dyn Write + Send>> {
-    ACTIVE.store(false, Ordering::Release);
-    let mut guard = sink().lock().expect("progress sink lock");
-    if let Some(w) = guard.as_mut() {
-        let _ = w.flush();
-    }
-    guard.take()
-}
-
-/// True when a sink is installed — the engine's cheap pre-check before it
-/// does any event formatting.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
-}
-
-/// Claims campaign-level ownership of the stream. Returns `true` for the
-/// *outermost* campaign only: an engine run started inside another run's
-/// unit sees `false` and stays silent, so one invocation emits one
-/// well-formed start→done chain per top-level run. Pair with
-/// [`end_campaign`].
-pub fn begin_campaign() -> bool {
-    CAMPAIGN
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-}
-
-/// Releases campaign-level ownership taken by [`begin_campaign`].
-pub fn end_campaign() {
-    CAMPAIGN.store(false, Ordering::Release);
-}
-
-/// Writes events as NDJSON lines to the installed sink, all under one lock
-/// so multi-event sequences (shard_finished + snapshot) are never
-/// interleaved by racing workers. Flushes after the batch: progress must
-/// be observable while the campaign is still running. No-op without a
-/// sink; write errors are swallowed (telemetry must never fail a
-/// campaign).
-pub fn emit_all(events: &[ProgressEvent]) {
-    if !active() {
-        return;
-    }
-    let scope = scope();
-    let mut guard = sink().lock().expect("progress sink lock");
-    if let Some(w) = guard.as_mut() {
-        for ev in events {
-            let _ = writeln!(w, "{}", scoped_line(&ev.to_line(), scope.as_deref()));
-        }
-        let _ = w.flush();
-    }
-}
-
-/// [`emit_all`] for a single event.
-pub fn emit(ev: &ProgressEvent) {
-    emit_all(std::slice::from_ref(ev));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,46 +542,5 @@ mod tests {
         assert_eq!(eta_ns(u64::MAX, u64::MAX, 1), 0);
         // Maximal remaining work saturates instead of overflowing.
         assert_eq!(eta_ns(u64::MAX, 1, u64::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn campaign_guard_is_exclusive() {
-        // Serialise against other tests that might hold the guard.
-        loop {
-            if begin_campaign() {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert!(!begin_campaign(), "nested claim must fail");
-        end_campaign();
-        assert!(begin_campaign(), "released guard can be re-claimed");
-        end_campaign();
-    }
-
-    #[test]
-    fn scoped_lines_carry_the_job_tag_and_still_parse() {
-        for ev in sample_events() {
-            let line = scoped_line(&ev.to_line(), Some("job-7"));
-            assert!(line.starts_with("{\"job\":\"job-7\","), "{line}");
-            let back = ProgressEvent::from_line(&line).expect("scoped line parses");
-            assert_eq!(back, ev);
-            let root = json::parse(&line).unwrap();
-            assert_eq!(
-                root.as_object().unwrap()["job"].as_str(),
-                Some("job-7"),
-                "{line}"
-            );
-        }
-        // No scope: line passes through untouched.
-        let plain = sample_events()[0].to_line();
-        assert_eq!(scoped_line(&plain, None), plain);
-    }
-
-    #[test]
-    fn emit_without_sink_is_a_no_op() {
-        // Must not panic or block; ACTIVE is false by default in tests
-        // unless another test installed a sink, so just exercise the call.
-        emit(&sample_events()[0]);
     }
 }

@@ -8,16 +8,16 @@
 //! waiting on the shard dispenser, merge-wait after its last shard), what
 //! did the unit latency distribution look like, and which units were
 //! stragglers (slower than [`STRAGGLER_FACTOR`]× the median, recorded with
-//! their seed so they can be re-run in isolation) — and publishes it here.
-//! `rjamctl report` renders the last profile; the per-kind histograms
-//! accumulate across campaigns in one process.
+//! their seed so they can be re-run in isolation) — and publishes it into
+//! its own [`ProfileStore`], which the engine's clones share. `rjamctl
+//! report` renders the profile its engine published; the per-kind
+//! histograms accumulate across that engine's campaigns.
 //!
-//! The profile *types* are always compiled (reports and tests need them in
-//! `--no-default-features` builds); the process-wide *store* follows the
-//! `obs` feature like the registry: publishing is a no-op and
-//! [`last_profile`] is `None` when instrumentation is compiled out.
+//! These are plain types, compiled in every build; without the `obs`
+//! feature the engine simply publishes nothing.
 
-use crate::hist::HistSummary;
+use crate::hist::{HistSummary, LogHistogram};
+use std::collections::BTreeMap;
 
 /// Units slower than this multiple of the campaign's median unit time are
 /// flagged as stragglers (and dropped into the flight recorder).
@@ -203,120 +203,44 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-#[cfg(feature = "obs")]
-mod store {
-    use super::EngineProfile;
-    use crate::hist::{HistSummary, LogHistogram};
-    use std::collections::BTreeMap;
-    use std::sync::{Mutex, OnceLock};
+/// The profiles one campaign engine has published, by unit kind: the
+/// latest [`EngineProfile`] of each kind and that kind's unit-latency
+/// histogram, accumulated over every campaign of the kind.
+#[derive(Debug, Default)]
+pub struct ProfileStore {
+    by_kind: BTreeMap<String, (EngineProfile, LogHistogram)>,
+}
 
-    struct Store {
-        last: Mutex<Option<EngineProfile>>,
-        by_kind: Mutex<BTreeMap<String, (EngineProfile, LogHistogram)>>,
-    }
-
-    fn global() -> &'static Store {
-        static STORE: OnceLock<Store> = OnceLock::new();
-        STORE.get_or_init(|| Store {
-            last: Mutex::new(None),
-            by_kind: Mutex::new(BTreeMap::new()),
-        })
-    }
-
+impl ProfileStore {
     /// Publishes a finished campaign's profile and its unit-latency
-    /// histogram. The profile becomes [`last_profile`] and the per-kind
-    /// slot; the histogram accumulates into the kind's running latency
-    /// distribution.
-    pub fn publish(profile: EngineProfile, unit_hist: &LogHistogram) {
-        let store = global();
-        let mut by_kind = store.by_kind.lock().expect("telemetry store lock");
-        match by_kind.get_mut(&profile.kind) {
+    /// histogram: the profile replaces its kind's slot and the histogram
+    /// accumulates into the kind's running latency distribution.
+    pub fn publish(&mut self, profile: EngineProfile, unit_hist: &LogHistogram) {
+        match self.by_kind.get_mut(&profile.kind) {
             Some((slot_profile, slot_hist)) => {
                 slot_hist.absorb(unit_hist);
-                *slot_profile = profile.clone();
+                *slot_profile = profile;
             }
             None => {
-                by_kind.insert(profile.kind.clone(), (profile.clone(), unit_hist.clone()));
+                self.by_kind
+                    .insert(profile.kind.clone(), (profile, unit_hist.clone()));
             }
         }
-        drop(by_kind);
-        *store.last.lock().expect("telemetry store lock") = Some(profile);
     }
 
-    /// The most recently published profile, if any.
-    pub fn last_profile() -> Option<EngineProfile> {
-        global().last.lock().expect("telemetry store lock").clone()
+    /// The most recent profile published under `kind`.
+    pub fn profile(&self, kind: &str) -> Option<EngineProfile> {
+        self.by_kind.get(kind).map(|(p, _)| p.clone())
     }
 
-    /// The most recent profile published under `kind`. Immune to races
-    /// with campaigns of other kinds (tests and `rjamctl report` key on
-    /// this).
-    pub fn profile_for(kind: &str) -> Option<EngineProfile> {
-        global()
-            .by_kind
-            .lock()
-            .expect("telemetry store lock")
-            .get(kind)
-            .map(|(p, _)| p.clone())
-    }
-
-    /// Running unit-latency summaries per kind, accumulated across every
-    /// campaign this process has run.
-    pub fn kind_summaries() -> Vec<(String, HistSummary)> {
-        global()
-            .by_kind
-            .lock()
-            .expect("telemetry store lock")
+    /// Running unit-latency summaries per kind, in kind order.
+    pub fn kind_summaries(&self) -> Vec<(String, HistSummary)> {
+        self.by_kind
             .iter()
             .map(|(k, (_, h))| (k.clone(), h.summary()))
             .collect()
     }
-
-    /// Clears the store (tests).
-    pub fn clear() {
-        let store = global();
-        store.by_kind.lock().expect("telemetry store lock").clear();
-        *store.last.lock().expect("telemetry store lock") = None;
-    }
 }
-
-#[cfg(feature = "obs")]
-pub use store::*;
-
-#[cfg(not(feature = "obs"))]
-mod store {
-    use super::EngineProfile;
-    use crate::hist::{HistSummary, LogHistogram};
-
-    /// No-op publish (`obs` feature disabled).
-    #[inline(always)]
-    pub fn publish(_profile: EngineProfile, _unit_hist: &LogHistogram) {}
-
-    /// Always `None` (`obs` feature disabled).
-    #[inline(always)]
-    pub fn last_profile() -> Option<EngineProfile> {
-        None
-    }
-
-    /// Always `None` (`obs` feature disabled).
-    #[inline(always)]
-    pub fn profile_for(_kind: &str) -> Option<EngineProfile> {
-        None
-    }
-
-    /// Always empty (`obs` feature disabled).
-    #[inline(always)]
-    pub fn kind_summaries() -> Vec<(String, HistSummary)> {
-        Vec::new()
-    }
-
-    /// No-op (`obs` feature disabled).
-    #[inline(always)]
-    pub fn clear() {}
-}
-
-#[cfg(not(feature = "obs"))]
-pub use store::*;
 
 #[cfg(test)]
 mod tests {
@@ -440,25 +364,25 @@ mod tests {
         assert_eq!(fmt_ns(12_000_000_000), "12.00 s");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
-    fn store_round_trips_by_kind() {
-        let mut p = sample_profile();
-        p.kind = "test_store_round_trip".into();
-        let mut h = crate::hist::LogHistogram::new();
+    fn store_keeps_the_latest_profile_and_accumulates_latency_by_kind() {
+        let p = sample_profile();
+        let mut h = LogHistogram::new();
         h.record(100_000);
         h.record(900_000);
-        publish(p.clone(), &h);
-        let back = profile_for("test_store_round_trip").expect("stored");
-        assert_eq!(back, p);
-        // Publishing again accumulates the kind histogram.
-        publish(p.clone(), &h);
-        let sums = kind_summaries();
-        let (_, s) = sums
-            .iter()
-            .find(|(k, _)| k == "test_store_round_trip")
-            .expect("kind summary");
-        assert_eq!(s.count, 4);
-        assert!(last_profile().is_some());
+        let mut store = ProfileStore::default();
+        store.publish(p.clone(), &h);
+        assert_eq!(store.profile("test_kind"), Some(p.clone()));
+        assert_eq!(store.profile("other_kind"), None);
+        // Publishing again replaces the profile and accumulates the kind
+        // histogram.
+        let mut later = p.clone();
+        later.wall_ns = 2_000_000;
+        store.publish(later.clone(), &h);
+        assert_eq!(store.profile("test_kind"), Some(later));
+        let sums = store.kind_summaries();
+        assert_eq!(sums.len(), 1);
+        assert_eq!(sums[0].0, "test_kind");
+        assert_eq!(sums[0].1.count, 4);
     }
 }

@@ -7,7 +7,7 @@
 
 use rjam_obs::health::DEGRADED_KIND;
 use rjam_obs::recorder::{global_dump, global_reset};
-use rjam_obs::{HealthConfig, HealthMonitor};
+use rjam_obs::HealthMonitor;
 
 /// `(frame, frame id, jammed)` of every degraded-frame event recorded.
 fn degraded() -> Vec<(u64, i64, i64)> {
@@ -26,7 +26,7 @@ fn degraded() -> Vec<(u64, i64, i64)> {
 #[test]
 fn degraded_frames_reach_the_recorder_in_order_at_window_finish_and_drop() {
     global_reset();
-    let mut mon = HealthMonitor::new(HealthConfig::with_cadence(4));
+    let mut mon = HealthMonitor::new(4);
     mon.note_frame(0x11, false, false); // lost
     mon.note_frame(0x12, true, true); // delivered, but jammed
     mon.note_frame(0x13, true, false); // clean: never recorded
@@ -38,7 +38,7 @@ fn degraded_frames_reach_the_recorder_in_order_at_window_finish_and_drop() {
     mon.finish();
     assert_eq!(degraded().last(), Some(&(5, 0x15, 0)), "finish flushes");
 
-    let mut dropped = HealthMonitor::new(HealthConfig::with_cadence(4));
+    let mut dropped = HealthMonitor::new(4);
     dropped.note_frame(0x21, false, true);
     drop(dropped);
     assert_eq!(
