@@ -170,9 +170,11 @@ for cmd in \
 done
 rm -f rjam_ci_t1.out rjam_ci_t4.out
 
-step "figures: run_figures.sh's MAC, fig6 and fig7 sections byte-match figures_output.txt"
-# The figure contract of the MAC simulator and of the false-alarm
-# calibration, checked on every run: each section is regenerated with
+step "figures: run_figures.sh's MAC and detection sections byte-match figures_output.txt"
+# The figure contract of the MAC simulator and of every detection figure
+# (fig6/fig7 with their false-alarm calibration, fig8's energy rise and
+# the Rayleigh-fading ablation, all fed by the ADC-domain noise
+# generator), checked on every run: each section is regenerated with
 # run_figures.sh's exact command and compared with its section of the
 # committed transcript (the lines between its header and the next one,
 # less run_figures.sh's two-line separator).
@@ -191,6 +193,8 @@ fig_section() {
 for fig in \
     "fig6 fig6_long_preamble --frames 250 --fa-samples 25000000" \
     "fig7 fig7_short_preamble --frames 250 --fa-samples 12000000" \
+    "fig8 fig8_energy --frames 250" \
+    "fading ablation_fading --frames 150" \
     "fig10 fig10_bandwidth --seconds 10" \
     "fig11 fig11_prr --seconds 10" \
     "energy energy_efficiency --seconds 6" \
@@ -368,21 +372,26 @@ trap - EXIT
 rm -f "$RJAM_SOCK" rjam_ci_job_transcript.ndjson
 rm -f rjam_ci_ref1 rjam_ci_ref2 rjam_ci_ref3 rjam_ci_out1 rjam_ci_out2 rjam_ci_out3
 
-step "rjamd admission smoke: oversized duration_s and samples are bad_specs and status still answers"
+step "rjamd admission smoke: oversized jobs are bad_specs, an over-long line a bad_request, and status still answers"
 # A jamming job asking for 1e15 s of air per SIR point, and a false-alarm
 # job asking for 2^53 noise samples (2^35 engine units), each once aborted
 # the daemon on a failed allocation; both must be refused before they are
-# queued.
-printf '%s\n%s\n%s\n' \
-    '{"req":"submit","spec":{"campaign":"jamming","jammer":"off","sirs_db":[14],"duration_s":1e15,"seed":1},"v":"rjam-job-v1"}' \
-    '{"req":"submit","spec":{"campaign":"false_alarm","preset":{"kind":"wifi_short","threshold":0.3},"samples":9007199254740992,"seed":1},"v":"rjam-job-v1"}' \
-    '{"req":"status","v":"rjam-job-v1"}' \
-    | "$RJAMD" --stdio --threads 1 > rjam_ci_admission.ndjson
+# queued. An 8.5 MB line, past the 8 454 144-byte request-line limit, once
+# grew one buffer without bound; it must be answered and skipped.
+{
+    printf '%s\n%s\n' \
+        '{"req":"submit","spec":{"campaign":"jamming","jammer":"off","sirs_db":[14],"duration_s":1e15,"seed":1},"v":"rjam-job-v1"}' \
+        '{"req":"submit","spec":{"campaign":"false_alarm","preset":{"kind":"wifi_short","threshold":0.3},"samples":9007199254740992,"seed":1},"v":"rjam-job-v1"}'
+    head -c 8500000 /dev/zero | tr '\0' '['
+    printf '\n%s\n' '{"req":"status","v":"rjam-job-v1"}'
+} | "$RJAMD" --stdio --threads 1 > rjam_ci_admission.ndjson
 sed -n 1p rjam_ci_admission.ndjson | grep -q '"code":"bad_spec"'
 sed -n 1p rjam_ci_admission.ndjson | grep -q "duration_s"
 sed -n 2p rjam_ci_admission.ndjson | grep -q '"code":"bad_spec"'
 sed -n 2p rjam_ci_admission.ndjson | grep -q "samples"
-sed -n 3p rjam_ci_admission.ndjson | grep -q '"ev":"status","jobs":\[\]'
+sed -n 3p rjam_ci_admission.ndjson | grep -q '"code":"bad_request"'
+sed -n 3p rjam_ci_admission.ndjson | grep -q "8454144 bytes"
+sed -n 4p rjam_ci_admission.ndjson | grep -q '"ev":"status","jobs":\[\]'
 rm -f rjam_ci_admission.ndjson
 
 step "e2e benchmark unit tests (the traced shadow must reproduce every export)"

@@ -1,9 +1,10 @@
 //! Full custom-core throughput and detection-latency micro-benchmarks:
 //! how much air time the cycle-accurate model processes per wall-clock
 //! second, and the cost of the pieces (energy differentiator, trigger
-//! builder, jam controller) individually.
+//! builder, jam controller) individually, and of the noise that feeds it.
 
 use rjam_bench::harness::Harness;
+use rjam_channel::NoiseSource;
 use rjam_fpga::energy::EnergyDifferentiator;
 use rjam_fpga::{CoreConfig, DspCore, JamController, TriggerMode, TriggerSource};
 use rjam_sdr::complex::IqI16;
@@ -109,6 +110,27 @@ fn main() {
             }
         }
         black_box(acc)
+    });
+
+    // The `channel` layer's two ways to the detector input, at the
+    // false-alarm floor's noise power (20 dB under the 0.02 RX level):
+    // f64 noise then the ADC quantizer (the WiMAX path), and the
+    // ADC-domain generator the false-alarm and detection streams use.
+    // Both produce the same i16 samples.
+    let noise_power = 0.02 / 100.0;
+    let mut f64_src = NoiseSource::new(noise_power, Rng::seed_from(5));
+    let mut f64_out: Vec<IqI16> = Vec::with_capacity(stream.len());
+    h.bench_throughput("noise_f64_1ms_air", "", elems, || {
+        f64_out.clear();
+        f64_out.extend((0..stream.len()).map(|_| IqI16::from_cf64(f64_src.next_sample())));
+        black_box(f64_out.len())
+    });
+    let mut adc_src = NoiseSource::new(noise_power, Rng::seed_from(5));
+    let mut adc_out: Vec<IqI16> = Vec::with_capacity(stream.len());
+    h.bench_throughput("noise_adc_1ms_air", "", elems, || {
+        adc_out.clear();
+        adc_src.adc_noise(stream.len(), &mut adc_out);
+        black_box(adc_out.len())
     });
 
     // Personality switch: the register-level reconfiguration path.

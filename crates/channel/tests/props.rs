@@ -1,13 +1,92 @@
 //! Property tests for the wired-channel models, driven by `rjam-testkit`.
 
 use rjam_channel::{Attenuator, NoiseSource, ScopeTrace};
-use rjam_sdr::complex::Cf64;
+use rjam_sdr::complex::{Cf64, IqI16, FULL_SCALE};
 use rjam_sdr::power::{db_to_lin, mean_power};
 use rjam_sdr::rng::Rng;
 use rjam_testkit::{self as tk, prop_assert, prop_assert_eq, props};
 
+/// What the ADC-domain generator must reproduce: `wave` plus `noise_only`
+/// zeros through `IqI16::from_cf64(w + next_sample())`.
+fn quantized_f64_path(src: &mut NoiseSource, wave: &[Cf64], noise_only: usize) -> Vec<IqI16> {
+    let mut out: Vec<IqI16> = wave
+        .iter()
+        .map(|&w| IqI16::from_cf64(w + src.next_sample()))
+        .collect();
+    out.extend((0..noise_only).map(|_| IqI16::from_cf64(src.next_sample())));
+    out
+}
+
+/// Runs the ADC-domain generator over `wave` then `noise_only` samples and
+/// checks it against [`quantized_f64_path`] on a clone, including where
+/// each source's stream continues.
+fn check_adc_generator(src: NoiseSource, wave: &[Cf64], noise_only: usize) -> Result<(), String> {
+    let mut fast = src.clone();
+    let mut slow = src;
+    let mut got = Vec::new();
+    fast.add_to_adc(wave, &mut got);
+    fast.adc_noise(noise_only, &mut got);
+    let want = quantized_f64_path(&mut slow, wave, noise_only);
+    if let Some(k) = (0..want.len()).find(|&k| got.get(k) != Some(&want[k])) {
+        return Err(format!(
+            "sample {k}: got {:?}, want {:?}",
+            got.get(k),
+            want[k]
+        ));
+    }
+    if got.len() != want.len() || fast.next_sample() != slow.next_sample() {
+        return Err("the generator left its stream elsewhere".into());
+    }
+    Ok(())
+}
+
 props! {
     cases = 16;
+
+    /// The ADC-domain generator is the quantized `f64` path bit for bit:
+    /// wave plus noise and noise alone, at noise powers 0, the false-alarm
+    /// floor (2e-4), detection-sweep levels and σ above the error bound's
+    /// guard, wave amplitudes past clip, lengths 0, 1 and across chunk
+    /// boundaries, and from an `Rng` with a pending Box–Muller spare.
+    fn adc_generator_matches_quantized_f64_path(
+        seed in tk::any::<u64>(),
+        power in tk::one_of(vec![0.0, 2e-4, 0.02, 0.159, 2.0, 8.0]),
+        amp in 0.0f64..1.3,
+        len in tk::one_of(vec![0usize, 1, 63, 64, 65, 130, 700]),
+        noise_only in tk::one_of(vec![0usize, 1, 64, 129, 1000]),
+        spare in tk::any::<bool>(),
+    ) cases = 64 {
+        let mut rng = Rng::seed_from(seed);
+        if spare {
+            rng.gaussian();
+        }
+        let wave: Vec<Cf64> = (0..len)
+            .map(|t| Cf64::from_angle(0.37 * t as f64).scale(amp))
+            .collect();
+        let r = check_adc_generator(NoiseSource::new(power, rng), &wave, noise_only);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
+    /// Components aimed at rounding boundaries — the wave cancels the
+    /// exact noise and adds a half-integer in LSBs — fall inside the fast
+    /// path's margin, take the exact fallback and still match.
+    fn adc_generator_matches_on_rounding_boundaries(
+        seed in tk::any::<u64>(),
+        power in tk::one_of(vec![2e-4, 0.02, 0.5, 2.0]),
+        len in 1usize..300,
+    ) cases = 32 {
+        let src = NoiseSource::new(power, Rng::seed_from(seed));
+        let mut probe = src.clone();
+        let wave: Vec<Cf64> = (0..len)
+            .map(|k| {
+                let n = probe.next_sample();
+                let target = (k as f64 - 149.5) / FULL_SCALE;
+                Cf64::new(target - n.re, target - n.im)
+            })
+            .collect();
+        let r = check_adc_generator(src, &wave, 0);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
 
     /// An attenuator reduces mean power by exactly its loss in dB.
     fn attenuator_power_linearity(loss_db in 0.0f64..80.0, seed in tk::any::<u64>()) {

@@ -113,21 +113,17 @@ fn emission_waveform(
     fractional_delay_into(&s.up, rng.uniform() * 0.999, &mut s.wave);
 }
 
-/// Lays one received frame into `stream`: `LEAD_IN` noise samples, the
-/// waveform with noise added, then `TAIL` noise samples. Returns the
-/// frame's detection window relative to the stream start; it ends 64
-/// samples past the frame to allow for pipeline lag.
-fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<Cf64>) -> Range<u64> {
+/// Lays one received frame into `stream` at the ADC: `LEAD_IN` noise
+/// samples, the waveform with noise added, then `TAIL` noise samples.
+/// Returns the frame's detection window relative to the stream start; it
+/// ends 64 samples past the frame to allow for pipeline lag.
+fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<IqI16>) -> Range<u64> {
     stream.clear();
-    for _ in 0..LEAD_IN {
-        stream.push(noise.next_sample());
-    }
+    noise.adc_noise(LEAD_IN, stream);
     let lo = stream.len() as u64;
-    stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
+    noise.add_to_adc(wave, stream);
     let hi = stream.len() as u64 + 64;
-    for _ in 0..TAIL {
-        stream.push(noise.next_sample());
-    }
+    noise.adc_noise(TAIL, stream);
     lo..hi
 }
 
@@ -142,14 +138,13 @@ fn is_trigger(preset: &DetectionPreset, e: &CoreEvent) -> bool {
     }
 }
 
-/// The detectors one measurement drives over a shared stream, one
+/// The detectors one measurement drives over a shared ADC stream, one
 /// hypothesis per preset. Two or more presets that all have correlator
 /// templates ride the lanes of one [`DspLaneBank`] per [`MAX_LANES`]
-/// hypotheses, so the stream is quantized
-/// and sign-sliced once for all of them; any other set gets one
-/// monitor-mode core per hypothesis. A lane counts exactly the correlator
-/// hits a core with the same preset and lockout would, so the choice never
-/// shows in the results.
+/// hypotheses, so the stream is sign-sliced once for all of them; any
+/// other set gets one monitor-mode core per hypothesis. A lane counts
+/// exactly the correlator hits a core with the same preset and lockout
+/// would, so the choice never shows in the results.
 enum DetectorBank {
     Cores {
         cores: Vec<ReactiveJammer>,
@@ -157,7 +152,6 @@ enum DetectorBank {
     },
     Lanes {
         banks: Vec<DspLaneBank>,
-        quant: Vec<IqI16>,
         scratch: LaneBankScratch,
     },
 }
@@ -196,7 +190,6 @@ impl DetectorBank {
             .collect();
         DetectorBank::Lanes {
             banks,
-            quant: Vec::new(),
             scratch: LaneBankScratch::default(),
         }
     }
@@ -211,13 +204,13 @@ impl DetectorBank {
 
     /// Streams `block` through every hypothesis and adds to `hits[h]` the
     /// triggers hypothesis `h` fires at block offsets inside `window`.
-    fn feed(&mut self, block: &[Cf64], window: Range<u64>, hits: &mut [usize]) {
+    fn feed(&mut self, block: &[IqI16], window: Range<u64>, hits: &mut [usize]) {
         match self {
             DetectorBank::Cores { cores, scratch } => {
                 for (core, hits) in cores.iter_mut().zip(hits) {
                     let base = core.core_mut().samples_processed();
                     let seen = core.events().len();
-                    core.process_block_into(block, scratch);
+                    core.process_adc_block_into(block, scratch);
                     *hits += core.events()[seen..]
                         .iter()
                         .filter(|e| {
@@ -226,17 +219,11 @@ impl DetectorBank {
                         .count();
                 }
             }
-            DetectorBank::Lanes {
-                banks,
-                quant,
-                scratch,
-            } => {
-                quant.clear();
-                quant.extend(block.iter().map(|&s| IqI16::from_cf64(s)));
+            DetectorBank::Lanes { banks, scratch } => {
                 for (bank, hits) in banks.iter_mut().zip(hits.chunks_mut(MAX_LANES)) {
                     let base = bank.samples_processed();
                     scratch.clear();
-                    bank.process_block_into(quant, scratch);
+                    bank.process_block_into(block, scratch);
                     for (lane, hits) in scratch.triggers.iter().zip(hits) {
                         *hits += lane
                             .iter()
@@ -250,12 +237,12 @@ impl DetectorBank {
 }
 
 /// Per-worker state of the false-alarm and detection bodies: the detector
-/// bank, the buffers the shared stream is built in and one trigger tally
-/// per hypothesis.
+/// bank, the buffers the shared ADC stream is built in and one trigger
+/// tally per hypothesis.
 struct MeasurePool {
     bank: DetectorBank,
     synth: SynthScratch,
-    stream: Vec<Cf64>,
+    stream: Vec<IqI16>,
     hits: Vec<usize>,
 }
 
@@ -720,7 +707,7 @@ impl FalseAlarmSpec {
                 while streamed < n {
                     let m = FA_CHUNK.min(n - streamed);
                     pool.stream.clear();
-                    pool.stream.extend((0..m).map(|_| noise.next_sample()));
+                    noise.adc_noise(m, &mut pool.stream);
                     pool.bank.feed(&pool.stream, 0..m as u64, &mut pool.hits);
                     streamed += m;
                 }

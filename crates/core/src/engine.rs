@@ -555,7 +555,8 @@ fn publish_run_telemetry(
     done_to: Option<&(dyn Fn(&str) + Send + Sync)>,
     store: &Mutex<ProfileStore>,
 ) {
-    let wall_ns = t0.elapsed().as_nanos() as u64;
+    let end = Instant::now();
+    let wall_ns = end.duration_since(t0).as_nanos() as u64;
     let mut hist = rjam_obs::LogHistogram::new();
     let mut durations: Vec<(usize, usize, u64)> = Vec::new();
     for log in &logs {
@@ -599,11 +600,15 @@ fn publish_run_telemetry(
         .iter()
         .map(|l| {
             let busy_ns: u64 = l.unit_ns.iter().map(|&(_, d)| d).sum();
+            // A worker that finished early and was merged early waits out
+            // the rest of the campaign: that tail is idle time too.
+            let tail_ns =
+                (end.duration_since(l.finished).as_nanos() as u64).saturating_sub(l.merge_wait_ns);
             WorkerStats {
                 worker: l.worker,
                 units: l.unit_ns.len() as u64,
                 busy_ns,
-                idle_ns: l.wall_ns.saturating_sub(busy_ns),
+                idle_ns: l.wall_ns.saturating_sub(busy_ns) + tail_ns,
                 merge_wait_ns: l.merge_wait_ns,
             }
         })
@@ -808,6 +813,37 @@ mod tests {
         let before = counter_value("core.engine_units");
         CampaignEngine::with_threads(2).run("t", 5, 3, || (), |_, ctx| ctx.index);
         assert!(counter_value("core.engine_units") >= before + 5);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn a_worker_that_finishes_early_is_charged_idle_until_the_end() {
+        // Four one-unit shards: units 0-2 take 20 ms, the last claimed one
+        // 120 ms, so three workers finish ~100 ms before the campaign does.
+        // Unless worker 0 ran the long unit, one of them is merged before
+        // it, with no merge-wait to cover its tail.
+        let engine = CampaignEngine::with_threads(4);
+        engine.run(
+            "early_finish",
+            4,
+            5,
+            || (),
+            |_, ctx| {
+                let ms = if ctx.index == 3 { 120 } else { 20 };
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+            },
+        );
+        let p = engine.profile("early_finish").expect("profile published");
+        assert_eq!(p.workers.len(), 4);
+        for w in &p.workers {
+            let covered = w.busy_ns + w.idle_ns + w.merge_wait_ns;
+            assert!(
+                covered as f64 >= 0.95 * p.wall_ns as f64,
+                "worker {w:?} covers {covered} of {} ns",
+                p.wall_ns
+            );
+        }
+        assert!(p.attributed_fraction() >= 0.95, "{p:?}");
     }
 
     #[test]

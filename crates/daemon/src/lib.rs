@@ -14,7 +14,9 @@
 //!   [`rjam_obs::proto`] envelope, with typed [`proto::JobError`] refusals;
 //! * [`service`] — the [`service::Daemon`]: bounded FIFO queue
 //!   (`daemon.queue_depth` gauge), single runner thread, per-job replay
-//!   buffers for late watchers, cooperative unit-granular cancellation.
+//!   buffers for late watchers, cooperative unit-granular cancellation,
+//!   and the connection loop, which reads request lines of at most
+//!   [`MAX_REQUEST_LINE_BYTES`].
 //!
 //! `rjamctl submit|status|watch|cancel|resume` are the matching clients.
 
@@ -25,4 +27,4 @@ pub mod proto;
 pub mod service;
 
 pub use proto::{JobError, JobErrorKind, JobRequest, JobResponse, JobState, JobStatus};
-pub use service::{Daemon, Serve, DEFAULT_QUEUE_CAP};
+pub use service::{Daemon, Serve, DEFAULT_QUEUE_CAP, MAX_REQUEST_LINE_BYTES};

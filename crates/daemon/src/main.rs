@@ -9,8 +9,8 @@
 //! bound, default 16). Usage errors exit 2 with usage text; runtime
 //! failures exit 1.
 
-use rjam_daemon::{Daemon, Serve};
-use std::io::{BufRead, BufReader, Write};
+use rjam_daemon::Daemon;
+use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -88,45 +88,6 @@ fn parse_opts(argv: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-fn serve_connection(daemon: &Daemon, reader: impl BufRead, mut writer: impl Write) {
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match daemon.serve_line(&line) {
-            Serve::Lines(lines) => {
-                for l in lines {
-                    if writeln!(writer, "{l}")
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            }
-            Serve::Watch(job) => {
-                let result = daemon.watch(&job, &mut |l| {
-                    writeln!(writer, "{l}")?;
-                    writer.flush()
-                });
-                if let Err(e) = result {
-                    let line = rjam_daemon::JobResponse::Error(e).to_line();
-                    if writeln!(writer, "{line}")
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_opts(&argv) {
@@ -148,7 +109,7 @@ fn main() -> ExitCode {
     if opts.stdio {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        serve_connection(&daemon, stdin.lock(), stdout.lock());
+        daemon.serve_connection(stdin.lock(), stdout.lock());
         daemon.shutdown();
         return ExitCode::SUCCESS;
     }
@@ -177,7 +138,7 @@ fn main() -> ExitCode {
                 Ok(s) => s,
                 Err(_) => return,
             });
-            serve_connection(&daemon, reader, stream);
+            daemon.serve_connection(reader, stream);
         }));
     }
     ExitCode::SUCCESS

@@ -28,15 +28,78 @@
 //! so the final export is **byte-identical** to an uninterrupted run.
 
 use crate::proto::{JobError, JobErrorKind, JobRequest, JobResponse, JobState, JobStatus};
-use rjam_core::spec::{CampaignRequest, JobCheckpoint};
+use rjam_core::spec::{CampaignRequest, JobCheckpoint, MAX_JOB_UNITS};
 use rjam_core::{CampaignEngine, CancelToken};
 use rjam_obs::json;
 use std::collections::{BTreeMap, VecDeque};
+use std::io::{BufRead, Write};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Default bound on queued (not yet running) jobs.
 pub const DEFAULT_QUEUE_CAP: usize = 16;
+
+/// Longest request line [`Daemon::serve_connection`] reads, in bytes
+/// without the newline: room for a list field of [`MAX_JOB_UNITS`] numbers
+/// of up to 31 characters each plus a separator, and 64 KiB for the rest
+/// of the request. Any finite `f64` in shortest round-trip form takes at
+/// most 24 characters, and `rjam_obs::json::write_number`, which `rjamctl`
+/// writes requests with, at most 31 for magnitudes in `[1e-12, 1e29)`. A
+/// longer line is answered with `bad_request` and skipped.
+pub const MAX_REQUEST_LINE_BYTES: usize = 32 * MAX_JOB_UNITS + (64 << 10);
+
+/// What [`read_request_line`] found.
+enum RequestLine {
+    /// A complete line is in the buffer.
+    Line,
+    /// The line ran past the limit; it was read through its newline and
+    /// dropped.
+    TooLong,
+    /// The input ended.
+    End,
+}
+
+/// Reads the next line into `buf`, newline and a trailing `\r` dropped,
+/// holding at most `limit` bytes of it; a final unterminated line counts.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    limit: usize,
+) -> std::io::Result<RequestLine> {
+    buf.clear();
+    let mut too_long = false;
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(match (too_long, buf.is_empty()) {
+                (true, _) => RequestLine::TooLong,
+                (false, true) => RequestLine::End,
+                (false, false) => RequestLine::Line,
+            });
+        }
+        let (part, used, ended) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (&chunk[..i], i + 1, true),
+            None => (chunk, chunk.len(), false),
+        };
+        if too_long || buf.len() + part.len() > limit {
+            too_long = true;
+            buf.clear();
+        } else {
+            buf.extend_from_slice(part);
+        }
+        reader.consume(used);
+        if ended {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(if too_long {
+                RequestLine::TooLong
+            } else {
+                RequestLine::Line
+            });
+        }
+    }
+}
 
 struct Job {
     request: CampaignRequest,
@@ -376,6 +439,52 @@ impl Daemon {
         }
     }
 
+    /// Serves one client: answers each request line of `reader` on
+    /// `writer` and streams `watch`es, until the input ends or a write
+    /// fails. A line longer than [`MAX_REQUEST_LINE_BYTES`] gets a
+    /// `bad_request` and the connection keeps serving; a line that is not
+    /// UTF-8 or a read error ends it.
+    pub fn serve_connection(&self, mut reader: impl BufRead, mut writer: impl Write) {
+        let mut buf = Vec::new();
+        let mut send = |l: &str| writeln!(writer, "{l}").and_then(|()| writer.flush());
+        loop {
+            let line = match read_request_line(&mut reader, &mut buf, MAX_REQUEST_LINE_BYTES) {
+                Ok(RequestLine::Line) => match std::str::from_utf8(&buf) {
+                    Ok(line) => line,
+                    Err(_) => return,
+                },
+                Ok(RequestLine::TooLong) => {
+                    let e = JobError::new(
+                        JobErrorKind::BadRequest,
+                        format!("request line longer than {MAX_REQUEST_LINE_BYTES} bytes"),
+                    );
+                    if send(&JobResponse::Error(e).to_line()).is_err() {
+                        return;
+                    }
+                    continue;
+                }
+                Ok(RequestLine::End) | Err(_) => return,
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            match self.serve_line(line) {
+                Serve::Lines(lines) => {
+                    if lines.iter().any(|l| send(l).is_err()) {
+                        return;
+                    }
+                }
+                Serve::Watch(job) => {
+                    if let Err(e) = self.watch(&job, &mut send) {
+                        if send(&JobResponse::Error(e).to_line()).is_err() {
+                            return;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Stops accepting work, drains nothing (queued jobs stay queued),
     /// cancels the running job if any, and joins the runner.
     pub fn shutdown(mut self) {
@@ -481,6 +590,27 @@ fn run_loop(inner: &Inner, engine: &CampaignEngine) {
 mod tests {
     use super::*;
     use rjam_core::presets::DetectionPreset;
+
+    #[test]
+    fn request_lines_are_read_up_to_the_limit() {
+        // The tiny buffer splits lines across fill_buf calls.
+        let input: &[u8] = b"abcd\nabcde\nab\r\n\nabcdefgh\nxyz";
+        let mut reader = std::io::BufReader::with_capacity(3, input);
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        loop {
+            match read_request_line(&mut reader, &mut buf, 4).expect("in-memory read") {
+                RequestLine::Line => got.push(String::from_utf8(buf.clone()).unwrap()),
+                RequestLine::TooLong => got.push("<too long>".into()),
+                RequestLine::End => break,
+            }
+        }
+        assert_eq!(
+            got,
+            ["abcd", "<too long>", "ab", "", "<too long>", "xyz"],
+            "a line at the limit fits, CRLF is stripped, an unterminated last line counts"
+        );
+    }
 
     fn fa_spec(samples: usize, seed: u64) -> CampaignRequest {
         CampaignRequest::FalseAlarm {

@@ -1,5 +1,6 @@
-//! Admission at the wire: a job that asks for more than a size limit
-//! allows — simulated air per SIR point (`MAX_JAMMING_DURATION_S`), engine
+//! Admission at the wire: a request line longer than
+//! `MAX_REQUEST_LINE_BYTES` is a typed `bad_request`, and a job that asks
+//! for more than a size limit allows — simulated air per SIR point (`MAX_JAMMING_DURATION_S`), engine
 //! work units (`MAX_JOB_UNITS`) or WiMAX frames (`MAX_WIMAX_FRAMES`) — is
 //! refused with a typed `bad_spec` before it is enqueued, and the daemon
 //! keeps answering. Each of these submits used to be accepted and then
@@ -8,7 +9,8 @@
 
 use rjam_core::spec::{MAX_JAMMING_DURATION_S, MAX_JOB_UNITS, MAX_WIMAX_FRAMES};
 use rjam_core::CampaignEngine;
-use rjam_daemon::{Daemon, JobErrorKind, JobResponse, Serve};
+use rjam_daemon::{Daemon, JobErrorKind, JobRequest, JobResponse, Serve, MAX_REQUEST_LINE_BYTES};
+use std::io::{BufReader, Read};
 
 fn reply(daemon: &Daemon, line: &str) -> JobResponse {
     match daemon.serve_line(line) {
@@ -62,4 +64,78 @@ fn oversized_requests_are_refused_and_status_still_answers() {
         }
     }
     d.shutdown();
+}
+
+/// A client that streams `flood` bytes of one never-ending line, then a
+/// newline and `tail`, without holding the flood in memory.
+struct Flood {
+    left: usize,
+    tail: std::io::Cursor<Vec<u8>>,
+}
+
+impl Read for Flood {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        if self.left == 0 {
+            return self.tail.read(out);
+        }
+        let n = out.len().min(self.left);
+        out[..n].fill(b'[');
+        self.left -= n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn an_over_long_line_is_a_bad_request_and_the_connection_keeps_serving() {
+    let d = Daemon::start(CampaignEngine::with_threads(1), 4);
+    let client = Flood {
+        left: MAX_REQUEST_LINE_BYTES + 4096,
+        tail: std::io::Cursor::new(b"\n{\"req\":\"status\",\"v\":\"rjam-job-v1\"}\n".to_vec()),
+    };
+    let mut out = Vec::new();
+    d.serve_connection(BufReader::new(client), &mut out);
+    let out = String::from_utf8(out).expect("replies are UTF-8");
+    let replies: Vec<JobResponse> = out
+        .lines()
+        .map(|l| JobResponse::from_line(l).expect("reply parses"))
+        .collect();
+    assert_eq!(replies.len(), 2, "{out}");
+    match &replies[0] {
+        JobResponse::Error(e) => {
+            assert_eq!(e.kind, JobErrorKind::BadRequest);
+            assert!(
+                e.message.contains(&MAX_REQUEST_LINE_BYTES.to_string()),
+                "{}",
+                e.message
+            );
+        }
+        other => panic!("expected a bad_request error, got {other:?}"),
+    }
+    assert!(
+        matches!(&replies[1], JobResponse::Status { jobs } if jobs.is_empty()),
+        "{out}"
+    );
+    d.shutdown();
+}
+
+#[test]
+fn the_largest_admitted_list_fits_in_one_request_line() {
+    // A jamming job runs one unit per SIR point, so MAX_JOB_UNITS points
+    // is the longest list validation admits; 31-character numbers are the
+    // widest the line limit provides for.
+    let sir = "-1234567.8901234567890123456789";
+    assert_eq!(sir.len(), 31);
+    let sirs = vec![sir; MAX_JOB_UNITS].join(",");
+    let line = format!(
+        r#"{{"req":"submit","spec":{{"campaign":"jamming","jammer":"off","sirs_db":[{sirs}],"duration_s":1,"seed":1}},"v":"rjam-job-v1"}}"#
+    );
+    assert!(
+        line.len() <= MAX_REQUEST_LINE_BYTES,
+        "{} > {MAX_REQUEST_LINE_BYTES}",
+        line.len()
+    );
+    match JobRequest::from_line(&line).expect("the request parses") {
+        JobRequest::Submit { spec } => spec.validate().expect("validation admits it"),
+        other => panic!("expected a submit, got {other:?}"),
+    }
 }

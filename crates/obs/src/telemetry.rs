@@ -35,8 +35,9 @@ pub struct WorkerStats {
     pub units: u64,
     /// Time inside unit closures.
     pub busy_ns: u64,
-    /// Time outside unit closures before the worker finished its last
-    /// shard: dispenser claims, pool setup, scheduling gaps.
+    /// Time outside unit closures and merge-wait, up to the campaign's
+    /// end: dispenser claims, pool setup, scheduling gaps, and the tail
+    /// after an early-merged worker's last shard while others still run.
     pub idle_ns: u64,
     /// Time between this worker finishing and the merge joining it.
     pub merge_wait_ns: u64,

@@ -190,6 +190,33 @@ impl Sum for Cf64 {
     }
 }
 
+/// Digital full scale in LSBs: [`IqI16::from_cf64`] maps amplitude 1.0 here.
+pub const FULL_SCALE: f64 = i16::MAX as f64;
+
+/// Rounds one component already scaled to LSBs (`amplitude * FULL_SCALE`)
+/// to the nearest `i16`, ties away from zero, saturating at the `i16`
+/// range; NaN gives 0 and ±0 give 0. This is `x.round().clamp(-32768.0,
+/// 32767.0) as i16` for every `f64`, but without `round`, which baseline
+/// x86-64 (no `roundsd`) reaches through a software call.
+///
+/// Also returns the distance from `x` to the nearest rounding boundary (a
+/// half-integer) — how far `x` may move without changing the result,
+/// below saturation — and NaN for a NaN `x`.
+#[inline]
+pub fn round_lsb(x: f64) -> (i16, f64) {
+    // The clamp keeps the truncating cast in range and exact; NaN passes
+    // through it and casts to 0. `c - t` is exact: `t` is `c` with its
+    // fraction cut off (Sterbenz for |c| >= 1).
+    let c = x.clamp(-32769.0, 32768.0);
+    let t = c as i32;
+    let frac = c - t as f64;
+    let r = t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
+    (
+        r.clamp(i16::MIN as i32, i16::MAX as i32) as i16,
+        (frac.abs() - 0.5).abs(),
+    )
+}
+
 /// A 16-bit signed I/Q sample as produced by the USRP's DDC chain.
 ///
 /// Full scale is `i16::MAX`; [`IqI16::from_cf64`] maps a floating-point
@@ -216,14 +243,13 @@ impl IqI16 {
     /// Quantizes a floating point sample, mapping amplitude 1.0 to full scale.
     ///
     /// Values outside `[-1.0, 1.0]` saturate, mirroring the hardware clip.
+    /// Each component is `round_lsb(x * FULL_SCALE)`.
     #[inline]
     pub fn from_cf64(s: Cf64) -> Self {
-        #[inline]
-        fn q(x: f64) -> i16 {
-            let v = (x * i16::MAX as f64).round();
-            v.clamp(i16::MIN as f64, i16::MAX as f64) as i16
-        }
-        IqI16::new(q(s.re), q(s.im))
+        IqI16::new(
+            round_lsb(s.re * FULL_SCALE).0,
+            round_lsb(s.im * FULL_SCALE).0,
+        )
     }
 
     /// Converts back to floating point with full scale mapped to 1.0.
@@ -338,6 +364,14 @@ mod tests {
         let clipped = IqI16::from_cf64(Cf64::new(4.0, -4.0));
         assert_eq!(clipped.i, i16::MAX);
         assert_eq!(clipped.q, i16::MIN);
+    }
+
+    #[test]
+    fn round_lsb_reports_its_margin() {
+        assert_eq!(round_lsb(3.25), (3, 0.25));
+        assert_eq!(round_lsb(-3.75), (-4, 0.25));
+        assert_eq!(round_lsb(2.5), (3, 0.0));
+        assert!(round_lsb(f64::NAN).1.is_nan());
     }
 
     #[test]

@@ -85,18 +85,35 @@ impl Rng {
         self.uniform() < p
     }
 
-    /// Standard normal variate (mean 0, variance 1) via Box-Muller.
+    /// Standard normal variate (mean 0, variance 1) via Box-Muller: the
+    /// cosine half of a fresh [`PolarDraw`], whose sine half is kept as the
+    /// spare the next call returns.
+    #[inline]
     pub fn gaussian(&mut self) -> f64 {
         if let Some(v) = self.spare.take() {
             return v;
         }
+        let d = self.polar_draw();
+        self.spare = Some(d.sin_part());
+        d.cos_part()
+    }
+
+    /// Draws the uniform pair of one Box-Muller transform, in the order
+    /// [`Rng::gaussian`] draws it. Callers that take both halves of every
+    /// draw produce exactly the variates of two `gaussian` calls per draw,
+    /// provided no spare is pending ([`Rng::has_spare`]).
+    #[inline]
+    pub fn polar_draw(&mut self) -> PolarDraw {
         // Draw u1 in (0,1] to avoid ln(0).
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare = Some(r * theta.sin());
-        r * theta.cos()
+        PolarDraw::new(u1, u2)
+    }
+
+    /// Whether a Box-Muller spare is pending: the next [`Rng::gaussian`]
+    /// returns it instead of drawing.
+    pub fn has_spare(&self) -> bool {
+        self.spare.is_some()
     }
 
     /// Exponential variate with the given rate parameter (mean `1/rate`).
@@ -114,6 +131,42 @@ impl Rng {
             let w = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&w[..chunk.len()]);
         }
+    }
+}
+
+/// One Box-Muller transform in polar form: radius `sqrt(-2 ln u1)` and
+/// angle `2π·u2`. Its two halves [`PolarDraw::cos_part`] and
+/// [`PolarDraw::sin_part`] are the two standard normal variates; this is the
+/// one definition of that transform, so a faster evaluation of the same
+/// draw can fall back to exactly these bits.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct PolarDraw {
+    /// Radius `sqrt(-2 ln u1)`.
+    pub r: f64,
+    /// Angle `2π·u2`, in `[0, 2π)`.
+    pub theta: f64,
+}
+
+impl PolarDraw {
+    /// The transform of `u1` in `(0, 1]` and `u2` in `[0, 1)`.
+    #[inline]
+    pub fn new(u1: f64, u2: f64) -> Self {
+        PolarDraw {
+            r: (-2.0 * u1.ln()).sqrt(),
+            theta: 2.0 * std::f64::consts::PI * u2,
+        }
+    }
+
+    /// The first variate, `r·cos θ`.
+    #[inline]
+    pub fn cos_part(self) -> f64 {
+        self.r * self.theta.cos()
+    }
+
+    /// The second variate, `r·sin θ`.
+    #[inline]
+    pub fn sin_part(self) -> f64 {
+        self.r * self.theta.sin()
     }
 }
 

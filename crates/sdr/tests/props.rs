@@ -1,8 +1,8 @@
 //! Property tests for the SDR DSP primitives, driven by `rjam-testkit`.
 
-use rjam_sdr::complex::{Cf64, IqI16};
+use rjam_sdr::complex::{round_lsb, Cf64, IqI16};
 use rjam_sdr::power::{db_to_lin, lin_to_db, mean_power, scale_to_power};
-use rjam_testkit::{self as tk, prop_assert, props, Gen};
+use rjam_testkit::{self as tk, prop_assert, prop_assert_eq, props, Gen};
 
 /// Arbitrary complex buffer with components in [-1, 1).
 fn any_wave(len: std::ops::Range<usize>) -> impl Gen<Value = Vec<(f64, f64)>> {
@@ -13,8 +13,35 @@ fn to_cf64(pairs: &[(f64, f64)]) -> Vec<Cf64> {
     pairs.iter().map(|&(re, im)| Cf64::new(re, im)).collect()
 }
 
+/// The quantizer `IqI16::from_cf64` used before `round_lsb`.
+fn round_clamp(x: f64) -> i16 {
+    x.round().clamp(i16::MIN as f64, i16::MAX as f64) as i16
+}
+
 props! {
     cases = 16;
+
+    /// `round_lsb` is `round().clamp()` for every `f64`: raw bit patterns
+    /// (NaN payloads, ±∞, subnormals, huge values), half-integers and
+    /// their neighbours across the whole `i16` range and past it, and the
+    /// special values.
+    fn round_lsb_matches_round_clamp(
+        bits in tk::vec(tk::any::<u64>(), 256..257),
+        half in -33_000i32..33_000,
+        ulps in -3i64..4,
+    ) cases = 256 {
+        let tie = half as f64 + 0.5;
+        let near = f64::from_bits((tie.abs().to_bits() as i64 + ulps) as u64).copysign(tie);
+        let specials = [
+            f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0,
+            f64::MIN_POSITIVE, -f64::MIN_POSITIVE, f64::MAX, f64::MIN,
+            0.5, -0.5, 32767.5, -32768.5, 32768.0, -32769.0, 4e9, -4e9,
+            tie, near, half as f64, 0.49999999999999994,
+        ];
+        for x in bits.iter().map(|&b| f64::from_bits(b)).chain(specials) {
+            prop_assert_eq!(round_lsb(x).0, round_clamp(x), "x = {x:e} ({:#x})", x.to_bits());
+        }
+    }
 
     /// dB <-> linear conversions are inverse over the whole dynamic range
     /// experiments use.
