@@ -157,7 +157,9 @@ step "campaign determinism: RJAM_THREADS=1 and RJAM_THREADS=4 outputs are byte-i
 # campaign at different worker counts must print the same bytes.
 for cmd in \
     "detect --preset wifi-short --snr 5 --frames 20" \
+    "detect --preset energy --snr 5 --frames 20" \
     "fa --preset wifi-long --threshold 0.34 --samples 2000000" \
+    "fa --preset energy --samples 1000000" \
     "iperf --jammer reactive-long --sir 14 --seconds 1" \
     "roc --preset wifi-short --frames 16 --fa-samples 524288" \
     "roc --preset energy --frames 16 --fa-samples 524288" \
@@ -366,6 +368,18 @@ for k in 1 2 3; do
         echo "determinism violation: job-$k export differs from direct run"; exit 1;
     }
 done
+
+# Each connection runs on a detached thread, so 500 more sequential
+# connections must leave the daemon's memory mappings where they were
+# (threads kept for a join once added ~2 lines of /proc/PID/maps each).
+maps_before=$(wc -l < "/proc/$RJAMD_PID/maps")
+for _ in $(seq 1 500); do
+    "$RJAMCTL" status --socket "$RJAM_SOCK" > /dev/null
+done
+maps_after=$(wc -l < "/proc/$RJAMD_PID/maps")
+test $((maps_after - maps_before)) -lt 100 || {
+    echo "rjamd mappings grew from $maps_before to $maps_after lines over 500 connections"; exit 1;
+}
 
 kill "$RJAMD_PID" 2> /dev/null || true
 trap - EXIT

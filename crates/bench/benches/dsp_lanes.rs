@@ -1,6 +1,7 @@
 //! Scaling: the DSP lane bank versus running the same hypotheses
 //! through separate correlator instances. Each lane is a distinct
-//! (template, threshold, lockout) tuple over one shared stream; because
+//! correlator trigger (template, threshold, lockout) over one shared
+//! stream; because
 //! lanes that share a template also share one metric evaluation, a
 //! threshold sweep amortizes the expensive part and aggregate throughput
 //! (lane-samples per second) should grow nearly linearly with lane count.
@@ -12,7 +13,7 @@
 //! median may be at most 4x the `lanes_1` median.
 
 use rjam_bench::harness::Harness;
-use rjam_fpga::{DspLaneBank, LaneBankScratch};
+use rjam_fpga::{CoreConfig, DspLaneBank, LaneBankScratch, TriggerMode, TriggerSource};
 use rjam_sdr::complex::IqI16;
 use rjam_sdr::rng::Rng;
 use std::hint::black_box;
@@ -26,6 +27,18 @@ fn template(rng: &mut Rng) -> ([i8; 64], [i8; 64]) {
     (ci, cq)
 }
 
+/// The config of a correlator lane with lockout 1000.
+fn lane(ci: [i8; 64], cq: [i8; 64], threshold: u64) -> CoreConfig {
+    CoreConfig {
+        coeff_i: ci,
+        coeff_q: cq,
+        xcorr_threshold: threshold,
+        lockout: 1_000,
+        trigger_mode: TriggerMode::Any(vec![TriggerSource::Xcorr]),
+        ..CoreConfig::default()
+    }
+}
+
 /// A threshold-sweep bank: every lane shares one template (the ROC /
 /// false-alarm-grid shape), thresholds fanned across the metric range.
 fn sweep_bank(lanes: usize) -> DspLaneBank {
@@ -33,7 +46,7 @@ fn sweep_bank(lanes: usize) -> DspLaneBank {
     let (ci, cq) = template(&mut rng);
     let mut bank = DspLaneBank::new();
     for k in 0..lanes {
-        bank.add_lane(&ci, &cq, 50_000 + 10_000 * k as u64, 1_000);
+        bank.add_lane(&lane(ci, cq, 50_000 + 10_000 * k as u64));
     }
     bank
 }
@@ -45,7 +58,7 @@ fn multi_template_bank(lanes: usize) -> DspLaneBank {
     let mut bank = DspLaneBank::new();
     for k in 0..lanes {
         let (ci, cq) = template(&mut rng);
-        bank.add_lane(&ci, &cq, 50_000 + 10_000 * k as u64, 1_000);
+        bank.add_lane(&lane(ci, cq, 50_000 + 10_000 * k as u64));
     }
     bank
 }

@@ -110,15 +110,8 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
                     .samples(*samples)
                     .seed(0xFA2)
                     .run_grid_counts(engine, grid);
-                // Correlator grids share lane banks (a one-point grid runs
-                // on one core, which counts the same triggers).
-                let pass = if p.template().is_some() {
-                    " (single lane-bank pass)"
-                } else {
-                    ""
-                };
                 let mut out = format!(
-                    "detector: {p:?}\n{} thresholds over one shared noise stream{pass}:\n",
+                    "detector: {p:?}\n{} thresholds over one shared noise stream (single lane-bank pass):\n",
                     grid.len()
                 );
                 for (f, (triggers, processed)) in grid.iter().zip(&rows) {

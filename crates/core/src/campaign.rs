@@ -17,7 +17,7 @@ use crate::testbed::TestbedBudget;
 use rjam_channel::monitor::ScopeTrace;
 use rjam_channel::noise::NoiseSource;
 use rjam_fpga::lanes::MAX_LANES;
-use rjam_fpga::{CoreEvent, DspLaneBank, LaneBankScratch};
+use rjam_fpga::{DspLaneBank, LaneBankScratch};
 use rjam_mac::model::{JammerKind, Scenario};
 use rjam_mac::{run_scenario, IperfReport, MacObsDelta, ScenarioRun};
 use rjam_phy80211::tx::{modulate_frame_into, single_long_preamble, single_short_preamble, Frame};
@@ -127,110 +127,60 @@ fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<IqI16>)
     lo..hi
 }
 
-/// Whether `e` is a trigger a detection or false-alarm campaign counts for
-/// `preset`: energy rises for the energy-rise detector, correlator hits
-/// otherwise.
-fn is_trigger(preset: &DetectionPreset, e: &CoreEvent) -> bool {
-    if let DetectionPreset::EnergyRise { .. } = preset {
-        matches!(e, CoreEvent::EnergyHigh { .. })
-    } else {
-        matches!(e, CoreEvent::XcorrDetection { .. })
+/// The lockout a detection or false-alarm hypothesis runs at: energy-rise
+/// hypotheses at `energy_lockout`, every other at [`DEFAULT_LOCKOUT`].
+fn hypothesis_lockout(preset: &DetectionPreset, energy_lockout: u64) -> u64 {
+    match preset {
+        DetectionPreset::EnergyRise { .. } => energy_lockout,
+        _ => DEFAULT_LOCKOUT,
     }
 }
 
-/// The detectors one measurement drives over a shared ADC stream, one
-/// hypothesis per preset. Two or more presets that all have correlator
-/// templates ride the lanes of one [`DspLaneBank`] per [`MAX_LANES`]
-/// hypotheses, so the stream is sign-sliced once for all of them; any
-/// other set gets one monitor-mode core per hypothesis. A lane counts
-/// exactly the correlator hits a core with the same preset and lockout
-/// would, so the choice never shows in the results.
-enum DetectorBank {
-    Cores {
-        cores: Vec<ReactiveJammer>,
-        scratch: BlockScratch,
-    },
-    Lanes {
-        banks: Vec<DspLaneBank>,
-        scratch: LaneBankScratch,
-    },
+/// The detectors one measurement drives over a shared ADC stream: one
+/// [`DspLaneBank`] lane per preset, [`MAX_LANES`] to a bank, so the stream
+/// is sign-sliced once for all of them. A lane fires where a monitor-mode
+/// core with the preset's config and lockout would log a jam trigger.
+struct DetectorBank {
+    banks: Vec<DspLaneBank>,
+    scratch: LaneBankScratch,
 }
 
 impl DetectorBank {
-    /// Correlator hypotheses run at [`DEFAULT_LOCKOUT`]; energy-rise cores
-    /// at `energy_lockout`.
     fn new(presets: &[DetectionPreset], energy_lockout: u64) -> Self {
-        if presets.len() < 2 || presets.iter().any(|p| p.template().is_none()) {
-            let cores = presets
-                .iter()
-                .map(|p| {
-                    let lockout = match p {
-                        DetectionPreset::EnergyRise { .. } => energy_lockout,
-                        _ => DEFAULT_LOCKOUT,
-                    };
-                    ReactiveJammer::from_presets(p, &JammerPreset::Monitor, lockout)
-                })
-                .collect();
-            return DetectorBank::Cores {
-                cores,
-                scratch: BlockScratch::new(),
-            };
-        }
         let banks = presets
             .chunks(MAX_LANES)
             .map(|chunk| {
                 let mut bank = DspLaneBank::new();
                 for preset in chunk {
-                    let t = preset.template().expect("every preset has a template");
-                    let cfg = build_config(preset, &JammerPreset::Monitor, DEFAULT_LOCKOUT);
-                    bank.add_lane(&t.coeff_i, &t.coeff_q, cfg.xcorr_threshold, DEFAULT_LOCKOUT);
+                    let lockout = hypothesis_lockout(preset, energy_lockout);
+                    bank.add_lane(&build_config(preset, &JammerPreset::Monitor, lockout));
                 }
                 bank
             })
             .collect();
-        DetectorBank::Lanes {
+        DetectorBank {
             banks,
             scratch: LaneBankScratch::default(),
         }
     }
 
-    /// Clears every detector's streaming state, keeping its configuration.
+    /// Clears every lane's streaming state, keeping its configuration.
     fn reset(&mut self) {
-        match self {
-            DetectorBank::Cores { cores, .. } => cores.iter_mut().for_each(ReactiveJammer::reset),
-            DetectorBank::Lanes { banks, .. } => banks.iter_mut().for_each(DspLaneBank::reset),
-        }
+        self.banks.iter_mut().for_each(DspLaneBank::reset);
     }
 
     /// Streams `block` through every hypothesis and adds to `hits[h]` the
     /// triggers hypothesis `h` fires at block offsets inside `window`.
     fn feed(&mut self, block: &[IqI16], window: Range<u64>, hits: &mut [usize]) {
-        match self {
-            DetectorBank::Cores { cores, scratch } => {
-                for (core, hits) in cores.iter_mut().zip(hits) {
-                    let base = core.core_mut().samples_processed();
-                    let seen = core.events().len();
-                    core.process_adc_block_into(block, scratch);
-                    *hits += core.events()[seen..]
-                        .iter()
-                        .filter(|e| {
-                            is_trigger(core.detection(), e) && window.contains(&(e.sample() - base))
-                        })
-                        .count();
-                }
-            }
-            DetectorBank::Lanes { banks, scratch } => {
-                for (bank, hits) in banks.iter_mut().zip(hits.chunks_mut(MAX_LANES)) {
-                    let base = bank.samples_processed();
-                    scratch.clear();
-                    bank.process_block_into(block, scratch);
-                    for (lane, hits) in scratch.triggers.iter().zip(hits) {
-                        *hits += lane
-                            .iter()
-                            .filter(|&&s| window.contains(&(s - base)))
-                            .count();
-                    }
-                }
+        for (bank, hits) in self.banks.iter_mut().zip(hits.chunks_mut(MAX_LANES)) {
+            let base = bank.samples_processed();
+            self.scratch.clear();
+            bank.process_block_into(block, &mut self.scratch);
+            for (lane, hits) in self.scratch.triggers.iter().zip(hits) {
+                *hits += lane
+                    .iter()
+                    .filter(|&&s| window.contains(&(s - base)))
+                    .count();
             }
         }
     }
@@ -432,8 +382,8 @@ impl WifiDetectionSpec {
     /// Runs the sweep over fine-grained `(snr, seed-block)` cells: each
     /// SNR point splits into `DETECTION_FRAMES_PER_UNIT`-frame units, so
     /// the engine always has many more units than workers. Each worker
-    /// owns one pooled detector core, scratch and stream buffer
-    /// ([`ReactiveJammer::reset`] between units instead of a rebuild);
+    /// owns one pooled detector bank and stream buffer (reset between
+    /// units instead of a rebuild);
     /// every unit derives its frames and noise from its own
     /// [`crate::engine::ShardCtx`] seed and per-point results are summed
     /// in unit order, so output is bit-identical at any thread count.
@@ -492,6 +442,25 @@ impl WifiDetectionSpec {
         )
     }
 
+    /// Synthesizes one trial — emission, channel, level and noise — into
+    /// the ADC stream `stream` and returns its detection window.
+    fn trial_stream(
+        &self,
+        rng: &mut Rng,
+        noise: &mut NoiseSource,
+        synth: &mut SynthScratch,
+        stream: &mut Vec<IqI16>,
+    ) -> Range<u64> {
+        emission_waveform(self.emission, rjam_phy80211::Rate::R12, rng, synth);
+        let wave = &mut synth.wave;
+        if let ChannelModel::Rayleigh { taps, rms } = self.channel {
+            let ch = rjam_channel::MultipathChannel::rayleigh(taps, rms, rng);
+            *wave = ch.apply(wave);
+        }
+        scale_to_power(wave, RX_LEVEL);
+        frame_stream(wave, noise, stream)
+    }
+
     /// The detection unit body, for one hypothesis per preset (the spec's
     /// own preset is ignored): each unit synthesizes its frames and noise
     /// once from its own [`crate::engine::ShardCtx`] seed and streams them
@@ -528,19 +497,8 @@ impl WifiDetectionSpec {
                 let mut noise = NoiseSource::new(noise_power, rng.fork());
                 let mut cell = vec![(0usize, 0usize); presets.len()];
                 for _ in 0..frames {
-                    emission_waveform(
-                        self.emission,
-                        rjam_phy80211::Rate::R12,
-                        &mut rng,
-                        &mut pool.synth,
-                    );
-                    let wave = &mut pool.synth.wave;
-                    if let ChannelModel::Rayleigh { taps, rms } = self.channel {
-                        let ch = rjam_channel::MultipathChannel::rayleigh(taps, rms, &mut rng);
-                        *wave = ch.apply(wave);
-                    }
-                    scale_to_power(wave, RX_LEVEL);
-                    let window = frame_stream(wave, &mut noise, &mut pool.stream);
+                    let window =
+                        self.trial_stream(&mut rng, &mut noise, &mut pool.synth, &mut pool.stream);
                     pool.hits.fill(0);
                     pool.bank.feed(&pool.stream, window, &mut pool.hits);
                     for ((detected, triggers), &n) in cell.iter_mut().zip(&pool.hits) {
@@ -635,7 +593,7 @@ impl FalseAlarmSpec {
     /// denominator always equals the requested sample count: the campaign
     /// splits into fixed-size (`FA_UNIT_SAMPLES`, 2^18) sample units whose
     /// boundaries depend only on the request, and the final unit processes
-    /// exactly the remainder. Each worker pools one detector core and
+    /// exactly the remainder. Each worker pools one detector bank and
     /// scratch buffers (reset between units); per-unit counts are summed
     /// in unit order.
     ///
@@ -1400,6 +1358,7 @@ pub fn energy_at_operating_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rjam_fpga::CoreEvent;
 
     fn serial() -> CampaignEngine {
         CampaignEngine::serial()
@@ -1665,10 +1624,10 @@ mod tests {
     fn roc_rows_equal_dedicated_single_threshold_runs() {
         // Every ROC row must be bit-identical to a dedicated one-threshold
         // false-alarm run at `seed ^ 0xFA` and detection run at
-        // `seed ^ 0xD7` — for correlator thresholds (one lane bank) and
-        // for energy thresholds in dB (one core per threshold), at any
-        // thread count. Every threshold fires on both streams, so a
-        // hypothesis that misses either stream cannot pass.
+        // `seed ^ 0xD7` — for correlator thresholds and for energy
+        // thresholds in dB, at any thread count. Every threshold fires on
+        // both streams, so a hypothesis that misses either stream cannot
+        // pass.
         let sweeps = [
             (
                 DetectionPreset::WifiShortPreamble { threshold: 0.3 },
@@ -1722,9 +1681,8 @@ mod tests {
         // Each row of a grid sweep must reproduce a dedicated run_counts
         // run of the re-thresholded preset, bit for bit: correlator
         // fractions (one lane bank), a 65-point grid (two banks) and
-        // energy thresholds in dB (one core per threshold). Every
-        // threshold fires, so a hypothesis that misses the stream cannot
-        // pass.
+        // energy thresholds in dB. Every threshold fires, so a hypothesis
+        // that misses the stream cannot pass.
         let samples = FA_UNIT_SAMPLES + 12_345; // exercise the remainder unit
         let wide: Vec<f64> = (0..65).map(|k| 0.05 + 0.001 * k as f64).collect();
         let grids = [
@@ -1836,6 +1794,195 @@ mod tests {
             .seed(50)
             .run(&CampaignEngine::from_env());
         assert_eq!(explicit, defaulted);
+    }
+
+    /// One preset of every `DetectionPreset` variant, each firing on the
+    /// streams below.
+    fn every_preset() -> Vec<DetectionPreset> {
+        vec![
+            DetectionPreset::WifiShortPreamble { threshold: 0.3 },
+            DetectionPreset::WifiLongPreamble { threshold: 0.1 },
+            DetectionPreset::WimaxPreamble {
+                id_cell: 3,
+                segment: 1,
+                threshold: 0.1,
+            },
+            DetectionPreset::EnergyRise { threshold_db: 6.0 },
+            DetectionPreset::EnergyFall { threshold_db: 6.0 },
+            DetectionPreset::WimaxFused {
+                id_cell: 3,
+                segment: 1,
+                threshold: 0.45,
+                energy_db: 6.0,
+            },
+        ]
+    }
+
+    /// The counting path the lanes replaced, kept as their reference: one
+    /// monitor-mode core per preset, fed `blocks` in order, counting per
+    /// block the jam triggers it logs at offsets inside the block's window.
+    fn core_hits(
+        presets: &[DetectionPreset],
+        energy_lockout: u64,
+        blocks: &[(Vec<IqI16>, Range<u64>)],
+    ) -> Vec<Vec<usize>> {
+        let mut cores: Vec<ReactiveJammer> = presets
+            .iter()
+            .map(|p| {
+                let lockout = hypothesis_lockout(p, energy_lockout);
+                ReactiveJammer::from_presets(p, &JammerPreset::Monitor, lockout)
+            })
+            .collect();
+        blocks
+            .iter()
+            .map(|(block, window)| {
+                cores
+                    .iter_mut()
+                    .map(|core| {
+                        let base = core.core_mut().samples_processed();
+                        let seen = core.events().len();
+                        core.core_mut().process_block(block);
+                        core.events()[seen..]
+                            .iter()
+                            .filter(|e| {
+                                matches!(e, CoreEvent::JamTrigger { .. })
+                                    && window.contains(&(e.sample() - base))
+                            })
+                            .count()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The trials of detection unit `unit` of `spec` at `snr_db` (one SNR
+    /// point), regenerated from the unit's seed as the unit body does.
+    fn unit_trials(
+        spec: &WifiDetectionSpec,
+        snr_db: f64,
+        unit: usize,
+        frames: usize,
+    ) -> Vec<(Vec<IqI16>, Range<u64>)> {
+        let mut rng = Rng::seed_from(crate::engine::shard_seed(spec.seed, unit as u64));
+        let mut noise = NoiseSource::new(RX_LEVEL / db_to_lin(snr_db), rng.fork());
+        let mut synth = SynthScratch::default();
+        (0..frames)
+            .map(|_| {
+                let mut stream = Vec::new();
+                let window = spec.trial_stream(&mut rng, &mut noise, &mut synth, &mut stream);
+                (stream, window)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn detector_bank_counts_the_triggers_monitor_cores_log() {
+        // Frames at three SNRs, then one noise-only block counted whole,
+        // streamed through one bank and through one core per preset.
+        let presets = every_preset();
+        let spec = CampaignSpec::wifi_detection(&presets[0]).seed(61);
+        let mut blocks: Vec<_> = [0.0, 10.0, 20.0]
+            .iter()
+            .enumerate()
+            .flat_map(|(unit, &snr)| unit_trials(&spec, snr, unit, 3))
+            .collect();
+        let mut noise = NoiseSource::new(RX_LEVEL / db_to_lin(20.0), Rng::seed_from(62));
+        let mut tail = Vec::new();
+        noise.adc_noise(FA_CHUNK, &mut tail);
+        blocks.push((tail, 0..FA_CHUNK as u64));
+        for energy_lockout in [0, DEFAULT_LOCKOUT] {
+            let want = core_hits(&presets, energy_lockout, &blocks);
+            let mut bank = DetectorBank::new(&presets, energy_lockout);
+            let got: Vec<Vec<usize>> = blocks
+                .iter()
+                .map(|(block, window)| {
+                    let mut hits = vec![0; presets.len()];
+                    bank.feed(block, window.clone(), &mut hits);
+                    hits
+                })
+                .collect();
+            assert_eq!(got, want, "energy lockout {energy_lockout}");
+            for (h, preset) in presets.iter().enumerate() {
+                let total: usize = want.iter().map(|b| b[h]).sum();
+                assert!(total > 0, "{preset:?} never fired");
+            }
+        }
+    }
+
+    #[test]
+    fn energy_fall_and_fused_false_alarms_count_their_armed_triggers() {
+        // One unit of noise at seed 1: the counts must be what a monitor
+        // core with the preset's config logs (the energy leg's triggers
+        // included), not correlator hits alone.
+        let samples = FA_UNIT_SAMPLES;
+        let presets = [
+            DetectionPreset::EnergyFall { threshold_db: 3.0 },
+            DetectionPreset::WimaxFused {
+                id_cell: 0,
+                segment: 0,
+                threshold: 0.45,
+                energy_db: 3.0,
+            },
+        ];
+        let mut noise = NoiseSource::new(
+            RX_LEVEL / db_to_lin(20.0),
+            Rng::seed_from(crate::engine::shard_seed(1, 0)),
+        );
+        let blocks: Vec<_> = (0..samples / FA_CHUNK)
+            .map(|_| {
+                let mut block = Vec::new();
+                noise.adc_noise(FA_CHUNK, &mut block);
+                (block, 0..FA_CHUNK as u64)
+            })
+            .collect();
+        let want = core_hits(&presets, DEFAULT_LOCKOUT, &blocks);
+        for (h, preset) in presets.iter().enumerate() {
+            let triggers: usize = want.iter().map(|b| b[h]).sum();
+            assert!(triggers > 0, "{preset:?}");
+            let got = CampaignSpec::false_alarm(preset)
+                .samples(samples)
+                .seed(1)
+                .run_counts(&serial());
+            assert_eq!(got, (triggers as u64, samples as u64), "{preset:?}");
+        }
+    }
+
+    #[test]
+    fn energy_fall_and_fused_detections_count_their_armed_triggers() {
+        // 32 frames at 20 dB and seed 1: detected frames and triggers must
+        // be what a monitor core per unit logs inside each frame's window.
+        let frames = 4 * DETECTION_FRAMES_PER_UNIT;
+        let presets = [
+            DetectionPreset::EnergyFall { threshold_db: 10.0 },
+            DetectionPreset::WimaxFused {
+                id_cell: 0,
+                segment: 0,
+                threshold: 0.45,
+                energy_db: 10.0,
+            },
+        ];
+        for preset in &presets {
+            let spec = CampaignSpec::wifi_detection(preset)
+                .snrs(&[20.0])
+                .trials(frames)
+                .seed(1);
+            let (mut detected, mut triggers) = (0, 0);
+            for unit in 0..frames / DETECTION_FRAMES_PER_UNIT {
+                let trials = unit_trials(&spec, 20.0, unit, DETECTION_FRAMES_PER_UNIT);
+                for hits in core_hits(std::slice::from_ref(preset), 0, &trials) {
+                    detected += usize::from(hits[0] > 0);
+                    triggers += hits[0];
+                }
+            }
+            assert!(detected > frames / 2, "{preset:?}: {detected} of {frames}");
+            let pt = spec.run(&serial())[0];
+            assert_eq!(pt.p_detect, detected as f64 / frames as f64, "{preset:?}");
+            assert_eq!(
+                pt.triggers_per_frame,
+                triggers as f64 / frames as f64,
+                "{preset:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,11 +16,10 @@ use rjam_sdr::complex::{Cf64, IqI16};
 /// within one frame; ~40 us at 25 MSPS).
 pub const DEFAULT_LOCKOUT: u64 = 1000;
 
-/// Reusable buffers for [`ReactiveJammer::process_block_into`] and
-/// [`ReactiveJammer::process_adc_block_into`]: the quantized receive block
-/// (the former's only), the fixed-point transmit block and the per-sample
-/// activity mask. Hold one per streaming loop and the jammer's block path
-/// performs no per-block allocation.
+/// Reusable buffers for [`ReactiveJammer::process_block_into`]: the
+/// quantized receive block, the fixed-point transmit block and the
+/// per-sample activity mask. Hold one per streaming loop and the jammer's
+/// block path performs no per-block allocation.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     quant: Vec<IqI16>,
@@ -190,23 +189,16 @@ impl ReactiveJammer {
     }
 
     /// Allocation-free block processing: quantizes `rx` into `scratch`
-    /// and streams it through [`ReactiveJammer::process_adc_block_into`].
-    /// After the first few blocks the buffers reach steady capacity and
-    /// the per-block heap traffic drops to zero.
+    /// and streams it through the core entirely within `scratch`'s
+    /// reusable buffers. After the first few blocks the buffers reach
+    /// steady capacity and the per-block heap traffic drops to zero.
     pub fn process_block_into(&mut self, rx: &[Cf64], scratch: &mut BlockScratch) {
-        let mut quant = std::mem::take(&mut scratch.quant);
-        quant.clear();
-        quant.extend(rx.iter().map(|&s| IqI16::from_cf64(s)));
-        self.process_adc_block_into(&quant, scratch);
-        scratch.quant = quant;
-    }
-
-    /// Streams an already quantized block through the core entirely within
-    /// `scratch`'s reusable output buffers — the campaign engine's
-    /// datapath, fed straight from the ADC-domain noise generator.
-    pub fn process_adc_block_into(&mut self, rx: &[IqI16], scratch: &mut BlockScratch) {
+        scratch.quant.clear();
+        scratch
+            .quant
+            .extend(rx.iter().map(|&s| IqI16::from_cf64(s)));
         self.core
-            .process_block_into(rx, &mut scratch.tx, &mut scratch.active);
+            .process_block_into(&scratch.quant, &mut scratch.tx, &mut scratch.active);
     }
 
     /// Detection/trigger event log.

@@ -193,11 +193,11 @@ impl DetectionPreset {
     /// (T_resp_energy).
     pub fn response_budget_ns(&self) -> f64 {
         let b = crate::timeline::TimelineBudget::paper();
-        let uses_xcorr = match self.trigger_mode() {
-            TriggerMode::Any(sources) => sources.contains(&TriggerSource::Xcorr),
-            TriggerMode::Sequence { stages, .. } => stages.contains(&TriggerSource::Xcorr),
-        };
-        if uses_xcorr {
+        if self
+            .trigger_mode()
+            .sources()
+            .contains(&TriggerSource::Xcorr)
+        {
             b.t_resp_xcorr_ns
         } else {
             b.t_resp_energy_ns

@@ -126,14 +126,15 @@ fn main() -> ExitCode {
     };
     eprintln!("rjamd: listening on {path}");
     let daemon = Arc::new(daemon);
-    let mut handles = Vec::new();
     for conn in listener.incoming() {
         let stream: UnixStream = match conn {
             Ok(s) => s,
             Err(_) => continue,
         };
         let daemon = Arc::clone(&daemon);
-        handles.push(std::thread::spawn(move || {
+        // Detached: dropping the handle lets a finished connection's
+        // thread release its stack instead of waiting for a join.
+        drop(std::thread::spawn(move || {
             let reader = BufReader::new(match stream.try_clone() {
                 Ok(s) => s,
                 Err(_) => return,

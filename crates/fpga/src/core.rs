@@ -619,11 +619,11 @@ impl DspCore {
         if cfg.continuous {
             ctrl |= jammer_control::CONTINUOUS;
         }
-        let (srcs, window, sequence) = match &cfg.trigger_mode {
-            TriggerMode::Any(s) => (s, 0u64, false),
-            TriggerMode::Sequence { stages, window } => (stages, *window, true),
+        let (window, sequence) = match cfg.trigger_mode {
+            TriggerMode::Any(_) => (0u64, false),
+            TriggerMode::Sequence { window, .. } => (window, true),
         };
-        for s in srcs {
+        for s in cfg.trigger_mode.sources() {
             ctrl |= match s {
                 TriggerSource::Xcorr => jammer_control::SRC_XCORR,
                 TriggerSource::EnergyHigh => jammer_control::SRC_ENERGY_HIGH,
@@ -656,9 +656,7 @@ impl DspCore {
         self.xcorr.load_coeffs_raw(&cfg.coeff_i, &cfg.coeff_q);
         self.xcorr.set_threshold(cfg.xcorr_threshold);
         self.xcorr.set_lockout(cfg.lockout);
-        self.energy.set_threshold_high_db(cfg.energy_high_db);
-        self.energy.set_threshold_low_db(cfg.energy_low_db);
-        self.energy.set_lockout(cfg.lockout);
+        self.energy.configure(cfg);
         self.builder = TriggerBuilder::new(cfg.trigger_mode.clone());
         self.jammer.set_waveform(cfg.waveform.clone());
         self.jammer.set_uptime_samples(cfg.uptime_samples);

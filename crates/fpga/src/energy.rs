@@ -21,6 +21,7 @@
 //! `y` in 36, and the threshold products are evaluated in 128 bits, exactly
 //! as a DSP48 cascade would widen them.
 
+use crate::core::CoreConfig;
 use crate::{ENERGY_DELAY, ENERGY_WINDOW};
 use rjam_sdr::complex::IqI16;
 use rjam_sdr::ring::{DelayLine, MovingSum};
@@ -99,6 +100,14 @@ impl EnergyDifferentiator {
     /// direction).
     pub fn set_lockout(&mut self, samples: u64) {
         self.lockout = samples;
+    }
+
+    /// Latches `cfg`'s energy thresholds and lockout, as
+    /// [`crate::DspCore::configure`] does.
+    pub fn configure(&mut self, cfg: &CoreConfig) {
+        self.set_threshold_high_db(cfg.energy_high_db);
+        self.set_threshold_low_db(cfg.energy_low_db);
+        self.set_lockout(cfg.lockout);
     }
 
     /// Feeds one sample.

@@ -1,49 +1,51 @@
-//! DSP lane bank: many correlator hypotheses per metric evaluation.
+//! DSP lane bank: many trigger hypotheses over one receive stream.
 //!
-//! The paper's FPGA evaluates all 64 correlator taps in one clock; the
-//! software analogue ([`crate::CrossCorrelator::push`]) evaluates one
-//! core's taps with 16 lookups into tables compiled from its template, but
-//! each evaluation still serves exactly one (template, threshold, lockout)
-//! tuple. Workspace-scale studies — ROC threshold sweeps, false-alarm
-//! grids, fleets of modeled radios listening to one air stream — re-run
-//! that identical evaluation N times over the same sign bits.
+//! A *lane* is one [`CoreConfig`]'s trigger: the samples on which a
+//! [`crate::DspCore`] configured with that config logs
+//! [`crate::CoreEvent::JamTrigger`]. Each lane runs the core's own blocks
+//! for the sources its trigger mode names — the correlator's trigger
+//! classifier when it names [`TriggerSource::Xcorr`], an
+//! [`EnergyDifferentiator`] when it names an energy edge — through the
+//! core's own [`TriggerBuilder`], so a lane cannot disagree with the core
+//! about what a trigger is.
 //!
-//! [`DspLaneBank`] amortizes the evaluation: up to [`MAX_LANES`]
-//! independent detection *lanes* share one interleaved sign-history
-//! register, and lanes that share a template also share its compiled
-//! lookup tables, so the metric is computed once per *distinct template*
-//! per sample — by the same kernel the single correlator runs — while the
-//! per-lane work collapses to a threshold compare and trigger/lockout
-//! bookkeeping. A threshold sweep over one template is the ideal case: one
-//! metric evaluation feeds all lanes.
+//! Workspace-scale studies — ROC threshold sweeps, false-alarm grids,
+//! fleets of modeled radios listening to one air stream — run many such
+//! hypotheses over the same samples. [`DspLaneBank`] amortizes the
+//! expensive part: up to [`MAX_LANES`] lanes share one interleaved
+//! sign-history register, and correlator lanes that share a template also
+//! share its compiled lookup tables, so the metric is computed once per
+//! *distinct template* per sample — by the same kernel the single
+//! correlator runs. A threshold sweep over one template is the ideal case:
+//! one metric evaluation feeds all lanes.
 //!
-//! Two datapaths are provided, both running the single correlator's
-//! classifier per lane so they cannot diverge:
+//! Two datapaths are provided:
 //!
-//! * [`DspLaneBank::push_into`] — per-sample, emitting a full
-//!   [`XcorrOutput`] per lane (metric, comparator, trigger), for callers
-//!   that need every lane's metric stream;
+//! * [`DspLaneBank::push_into`] — per-sample, one trigger flag per lane;
 //! * [`DspLaneBank::process_block_into`] — block-oriented hot path that
-//!   hoists the warmup-window check and all event bookkeeping out of the
-//!   per-sample loop: the block's warmup prefix and its always-valid main
-//!   body each run with the window check folded to a constant, and the
-//!   only per-sample outputs are appended trigger sample indices (rare)
-//!   plus cumulative per-lane counters.
+//!   hoists the correlator warmup check out of the per-sample loop: the
+//!   block's warmup prefix and its always-valid main body each run with
+//!   the check folded to a constant, and the only per-sample outputs are
+//!   appended trigger sample indices (rare) plus cumulative per-lane
+//!   counters.
 //!
-//! The enforced invariant is bit-equality with N independent
-//! [`crate::CrossCorrelator`] instances fed the same stream — property
-//! tests drive both at random templates, thresholds and lane counts — and
-//! `reset()` is bit-equivalent to a fresh bank, so banks pool in
-//! `CampaignEngine::run_units` like any other unit state.
+//! The enforced invariant is equality with one [`crate::DspCore`] per lane
+//! fed the same stream — property tests drive both at random configs and
+//! block sizes — and `reset()` is bit-equivalent to a fresh bank, so banks
+//! pool in `CampaignEngine::run_units` like any other unit state.
 
-use crate::xcorr::{self, shift_signs, Classifier, Coeff3, TemplateTables, XcorrOutput};
+use crate::core::CoreConfig;
+use crate::energy::EnergyDifferentiator;
+use crate::trigger::{Pulses, TriggerBuilder, TriggerSource};
+use crate::xcorr::{shift_signs, Classifier, Coeff3, TemplateTables};
 use rjam_sdr::complex::IqI16;
 
 /// Maximum number of lanes one bank can hold.
 ///
 /// 64 matches the sign history's depth in samples: a bank never needs more
 /// hypotheses than it has history samples before a second bank is cheaper
-/// anyway (each additional bank shares nothing but code).
+/// anyway (each additional bank shares nothing but code). It is also the
+/// width of the `u64` pulse masks that carry one bit per lane.
 pub const MAX_LANES: usize = 64;
 
 /// One distinct template's compiled lookup tables, shared by every lane
@@ -55,25 +57,21 @@ struct TemplateGroup {
     tables: TemplateTables,
 }
 
-/// One lane: its template group, the classifier [`crate::CrossCorrelator`]
-/// also runs, and a cumulative trigger count.
+/// The correlator of a lane whose trigger mode names it: the lane's
+/// template group and its copy of the classifier
+/// [`crate::CrossCorrelator`] also runs.
 #[derive(Clone, Debug)]
-struct LaneState {
+struct CorrelatorLeg {
+    lane: usize,
     group: usize,
     classifier: Classifier,
-    triggers: u64,
 }
 
-impl LaneState {
-    /// Classifies one sample's metric, counting triggers.
-    #[inline(always)]
-    fn classify(&mut self, metric: u64, window_valid: bool) -> XcorrOutput {
-        let out = self.classifier.step(metric, window_valid);
-        if out.trigger {
-            self.triggers += 1;
-        }
-        out
-    }
+/// One lane's event builder and cumulative trigger count.
+#[derive(Clone, Debug)]
+struct Lane {
+    builder: TriggerBuilder,
+    triggers: u64,
 }
 
 /// Reusable per-block output buffers for [`DspLaneBank::process_block_into`].
@@ -104,68 +102,81 @@ impl LaneBankScratch {
     }
 }
 
-/// A bank of up to [`MAX_LANES`] cross-correlator hypotheses sharing one
-/// sign-bit stream and, per distinct template, one set of lookup tables.
-#[derive(Clone, Debug)]
+/// A bank of up to [`MAX_LANES`] core triggers sharing one stream, its
+/// sign history and, per distinct correlator template, one set of lookup
+/// tables.
+#[derive(Clone, Debug, Default)]
 pub struct DspLaneBank {
     groups: Vec<TemplateGroup>,
-    lanes: Vec<LaneState>,
+    /// One leg per lane whose trigger mode names the correlator.
+    correlators: Vec<CorrelatorLeg>,
+    /// One `(lane, differentiator)` per lane whose trigger mode names an
+    /// energy edge.
+    energy: Vec<(usize, EnergyDifferentiator)>,
+    lanes: Vec<Lane>,
     /// Shared interleaved (I, Q) sign history, as in
     /// [`crate::CrossCorrelator`].
     hist: u128,
-    /// Samples consumed; every lane's window is valid once >= 64.
+    /// Samples consumed; every correlator window is valid once >= 64.
     fed: u64,
 }
 
 impl DspLaneBank {
     /// Creates an empty bank.
     pub fn new() -> Self {
-        DspLaneBank {
-            groups: Vec::new(),
-            lanes: Vec::new(),
-            hist: 0,
-            fed: 0,
-        }
+        Self::default()
     }
 
-    /// Adds a detection lane and returns its index. Lanes with identical
-    /// coefficient templates share one metric evaluation per sample.
+    /// Adds the lane of a core configured with `cfg` and returns its index.
+    /// Only the trigger fields count: template, correlation threshold,
+    /// energy thresholds, trigger mode and lockout. Correlator lanes with
+    /// identical templates share one metric evaluation per sample.
     ///
     /// # Panics
-    /// Panics if the bank already holds [`MAX_LANES`] lanes or any
-    /// coefficient is outside the 3-bit range `-4..=3`.
-    pub fn add_lane(
-        &mut self,
-        ci: &[i8; 64],
-        cq: &[i8; 64],
-        threshold: u64,
-        lockout: u64,
-    ) -> usize {
+    /// Panics if the bank already holds [`MAX_LANES`] lanes, the trigger
+    /// mode names the correlator and a coefficient is outside the 3-bit
+    /// range `-4..=3`, or the event builder cannot run the trigger mode
+    /// (see [`TriggerBuilder::new`]).
+    pub fn add_lane(&mut self, cfg: &CoreConfig) -> usize {
         assert!(
             self.lanes.len() < MAX_LANES,
             "lane bank is full ({MAX_LANES} lanes)"
         );
-        let group = match self
-            .groups
-            .iter()
-            .position(|g| g.coeff_i == *ci && g.coeff_q == *cq)
-        {
-            Some(g) => g,
-            None => {
-                self.groups.push(TemplateGroup {
-                    coeff_i: *ci,
-                    coeff_q: *cq,
-                    tables: TemplateTables::new(&ci.map(Coeff3::new), &cq.map(Coeff3::new)),
-                });
-                self.groups.len() - 1
-            }
-        };
-        self.lanes.push(LaneState {
-            group,
-            classifier: Classifier::new(threshold, lockout),
+        let lane = self.lanes.len();
+        let sources = cfg.trigger_mode.sources();
+        if sources.contains(&TriggerSource::Xcorr) {
+            let (ci, cq) = (&cfg.coeff_i, &cfg.coeff_q);
+            let group = match self
+                .groups
+                .iter()
+                .position(|g| g.coeff_i == *ci && g.coeff_q == *cq)
+            {
+                Some(g) => g,
+                None => {
+                    self.groups.push(TemplateGroup {
+                        coeff_i: *ci,
+                        coeff_q: *cq,
+                        tables: TemplateTables::new(&ci.map(Coeff3::new), &cq.map(Coeff3::new)),
+                    });
+                    self.groups.len() - 1
+                }
+            };
+            self.correlators.push(CorrelatorLeg {
+                lane,
+                group,
+                classifier: Classifier::new(cfg.xcorr_threshold, cfg.lockout),
+            });
+        }
+        if sources.iter().any(|&s| s != TriggerSource::Xcorr) {
+            let mut energy = EnergyDifferentiator::new();
+            energy.configure(cfg);
+            self.energy.push((lane, energy));
+        }
+        self.lanes.push(Lane {
+            builder: TriggerBuilder::new(cfg.trigger_mode.clone()),
             triggers: 0,
         });
-        self.lanes.len() - 1
+        lane
     }
 
     /// Number of lanes.
@@ -173,12 +184,8 @@ impl DspLaneBank {
         self.lanes.len()
     }
 
-    /// True when the bank holds no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Number of distinct templates (shared metric evaluations per sample).
+    /// Number of distinct correlator templates (shared metric evaluations
+    /// per sample).
     pub fn groups(&self) -> usize {
         self.groups.len()
     }
@@ -188,7 +195,7 @@ impl DspLaneBank {
         self.fed
     }
 
-    /// Cumulative trigger pulses on `lane` since construction or reset.
+    /// Cumulative triggers on `lane` since construction or reset.
     ///
     /// # Panics
     /// Panics if `lane` is out of range.
@@ -196,62 +203,86 @@ impl DspLaneBank {
         self.lanes[lane].triggers
     }
 
-    /// Cumulative trigger pulses for every lane, in lane order.
-    pub fn trigger_counts(&self) -> Vec<u64> {
-        self.lanes.iter().map(|l| l.triggers).collect()
-    }
-
-    /// `lane`'s template threshold normalisation constant, see
-    /// [`xcorr::max_metric`].
-    ///
-    /// # Panics
-    /// Panics if `lane` is out of range.
-    pub fn max_metric(&self, lane: usize) -> u64 {
-        let g = &self.groups[self.lanes[lane].group];
-        xcorr::max_metric(g.coeff_i, g.coeff_q)
-    }
-
-    /// Resets all streaming state — sign histories, warmup, per-lane
-    /// lockout/edge state and cumulative counters — keeping templates,
-    /// thresholds and lockout periods. Bit-equivalent to a freshly built
+    /// Resets all streaming state — sign history, warmup, every lane's
+    /// detector, lockout and event-builder state and cumulative counters —
+    /// keeping the lanes' configurations. Bit-equivalent to a freshly built
     /// bank with the same lanes, which is the pooling contract
     /// `CampaignEngine::run_units` relies on.
     pub fn reset(&mut self) {
         self.hist = 0;
         self.fed = 0;
+        for leg in &mut self.correlators {
+            leg.classifier.reset();
+        }
+        for (_, energy) in &mut self.energy {
+            energy.reset();
+        }
         for lane in &mut self.lanes {
-            lane.classifier.reset();
+            lane.builder.reset();
             lane.triggers = 0;
         }
     }
 
-    #[inline]
-    fn step(&mut self, s: IqI16) {
+    /// Feeds one sample through every lane and returns the mask of lanes
+    /// that fired (bit `k` for lane `k`). Each distinct template's metric
+    /// is evaluated once — the shared evaluation all correlator legs
+    /// amortize — and the detectors' pulses gather into one mask per
+    /// source, the wires into the lanes' event builders. Only the builders
+    /// of lanes with a pulse run: the others cannot fire this sample (see
+    /// [`TriggerBuilder::push_at`]).
+    #[inline(always)]
+    fn step(&mut self, s: IqI16, metrics: &mut [u64; MAX_LANES], window_valid: bool) -> u64 {
         self.hist = shift_signs(self.hist, s);
+        let now = self.fed;
         self.fed += 1;
-    }
-
-    /// Evaluates each distinct template's metric once for the current
-    /// history — the shared evaluation all lanes amortize.
-    #[inline]
-    fn group_metrics(&self, metrics: &mut [u64; MAX_LANES]) {
         for (m, grp) in metrics.iter_mut().zip(&self.groups) {
             *m = grp.tables.metric(self.hist);
         }
+        let mut xcorr = 0u64;
+        for leg in &mut self.correlators {
+            if leg
+                .classifier
+                .step(metrics[leg.group], window_valid)
+                .trigger
+            {
+                xcorr |= 1 << leg.lane;
+            }
+        }
+        let (mut high, mut low) = (0u64, 0u64);
+        for (lane, energy) in &mut self.energy {
+            let e = energy.push(s);
+            high |= u64::from(e.trigger_high) << *lane;
+            low |= u64::from(e.trigger_low) << *lane;
+        }
+        let mut pulsed = xcorr | high | low;
+        let mut fired = 0u64;
+        while pulsed != 0 {
+            let k = pulsed.trailing_zeros() as usize;
+            pulsed &= pulsed - 1;
+            let pulses = Pulses {
+                xcorr: xcorr >> k & 1 != 0,
+                energy_high: high >> k & 1 != 0,
+                energy_low: low >> k & 1 != 0,
+            };
+            let lane = &mut self.lanes[k];
+            if lane.builder.push_at(now, pulses) {
+                lane.triggers += 1;
+                fired |= 1 << k;
+            }
+        }
+        fired
     }
 
-    /// Feeds one sample to every lane, writing one [`XcorrOutput`] per lane.
+    /// Feeds one sample to every lane, writing each lane's trigger flag.
     ///
     /// # Panics
     /// Panics unless `out.len()` equals the lane count.
-    pub fn push_into(&mut self, s: IqI16, out: &mut [XcorrOutput]) {
+    pub fn push_into(&mut self, s: IqI16, out: &mut [bool]) {
         assert_eq!(out.len(), self.lanes.len(), "one output slot per lane");
-        self.step(s);
-        let valid = self.fed >= 64;
-        let mut metrics = [0u64; MAX_LANES];
-        self.group_metrics(&mut metrics);
-        for (lane, slot) in self.lanes.iter_mut().zip(out.iter_mut()) {
-            *slot = lane.classify(metrics[lane.group], valid);
+        let valid = self.fed >= 63;
+        let fired = self.step(s, &mut [0; MAX_LANES], valid);
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = fired >> k & 1 != 0;
         }
     }
 
@@ -266,7 +297,7 @@ impl DspLaneBank {
     }
 
     /// Feeds a whole block, advancing cumulative trigger counters only —
-    /// the right call when only [`DspLaneBank::trigger_counts`] matter
+    /// the right call when only [`DspLaneBank::trigger_count`] matters
     /// (e.g. false-alarm tallies).
     pub fn process_block(&mut self, block: &[IqI16]) {
         self.run_block(block, None);
@@ -291,30 +322,23 @@ impl DspLaneBank {
     ) {
         let mut metrics = [0u64; MAX_LANES];
         for &s in samples {
-            self.step(s);
-            self.group_metrics(&mut metrics);
-            let now = self.fed - 1;
-            for (k, lane) in self.lanes.iter_mut().enumerate() {
-                if lane.classify(metrics[lane.group], window_valid).trigger {
-                    if let Some(sc) = sink.as_deref_mut() {
-                        sc.triggers[k].push(now);
-                    }
+            let mut fired = self.step(s, &mut metrics, window_valid);
+            if let Some(sc) = sink.as_deref_mut() {
+                while fired != 0 {
+                    sc.triggers[fired.trailing_zeros() as usize].push(self.fed - 1);
+                    fired &= fired - 1;
                 }
             }
         }
     }
 }
 
-impl Default for DspLaneBank {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CrossCorrelator;
+    use crate::core::CoreEvent;
+    use crate::trigger::TriggerMode;
+    use crate::DspCore;
     use rjam_sdr::rng::Rng;
 
     fn random_template(rng: &mut Rng) -> ([i8; 64], [i8; 64]) {
@@ -330,36 +354,65 @@ mod tests {
         )
     }
 
-    fn reference_core(
-        ci: &[i8; 64],
-        cq: &[i8; 64],
-        threshold: u64,
-        lockout: u64,
-    ) -> CrossCorrelator {
-        let mut xc = CrossCorrelator::new();
-        xc.load_coeffs_raw(ci, cq);
-        xc.set_threshold(threshold);
-        xc.set_lockout(lockout);
-        xc
+    fn xcorr_cfg(ci: &[i8; 64], cq: &[i8; 64], threshold: u64, lockout: u64) -> CoreConfig {
+        CoreConfig {
+            coeff_i: *ci,
+            coeff_q: *cq,
+            xcorr_threshold: threshold,
+            lockout,
+            trigger_mode: TriggerMode::Any(vec![TriggerSource::Xcorr]),
+            ..CoreConfig::default()
+        }
     }
 
-    #[test]
-    fn single_lane_matches_plain_correlator_bit_for_bit() {
-        let mut rng = Rng::seed_from(40);
-        let (ci, cq) = random_template(&mut rng);
-        let mut bank = DspLaneBank::new();
-        bank.add_lane(&ci, &cq, 40_000, 30);
-        let mut xc = reference_core(&ci, &cq, 40_000, 30);
-        let mut out = [XcorrOutput {
-            metric: 0,
-            above: false,
-            trigger: false,
-        }; 1];
-        for _ in 0..1000 {
-            let s = random_sample(&mut rng);
-            bank.push_into(s, &mut out);
-            assert_eq!(out[0], xc.push(s));
+    fn energy_cfg(mode: TriggerMode, db: f64, lockout: u64) -> CoreConfig {
+        CoreConfig {
+            energy_high_db: db,
+            energy_low_db: db,
+            lockout,
+            trigger_mode: mode,
+            ..CoreConfig::default()
         }
+    }
+
+    /// The samples on which a core configured with `cfg` logs `JamTrigger`.
+    fn core_triggers(cfg: &CoreConfig, stream: &[IqI16]) -> Vec<u64> {
+        let mut core = DspCore::new();
+        core.configure(cfg);
+        core.process_block(stream);
+        core.events()
+            .iter()
+            .filter(|e| matches!(e, CoreEvent::JamTrigger { .. }))
+            .map(CoreEvent::sample)
+            .collect()
+    }
+
+    /// Bursts of strong signal over a weak floor, so both energy edges fire.
+    fn bursty_stream(rng: &mut Rng, n: usize) -> Vec<IqI16> {
+        (0..n)
+            .map(|k| {
+                let s = random_sample(rng);
+                if (k / 300) % 2 == 1 {
+                    s
+                } else {
+                    IqI16::new(s.i / 256, s.q / 256)
+                }
+            })
+            .collect()
+    }
+
+    fn per_sample_triggers(bank: &mut DspLaneBank, stream: &[IqI16]) -> Vec<Vec<u64>> {
+        let mut out = vec![false; bank.lanes()];
+        let mut seen = vec![Vec::new(); bank.lanes()];
+        for (n, &s) in stream.iter().enumerate() {
+            bank.push_into(s, &mut out);
+            for (lane, &fired) in out.iter().enumerate() {
+                if fired {
+                    seen[lane].push(n as u64);
+                }
+            }
+        }
+        seen
     }
 
     #[test]
@@ -369,119 +422,112 @@ mod tests {
         let (di, dq) = random_template(&mut rng);
         let mut bank = DspLaneBank::new();
         for k in 0..8 {
-            bank.add_lane(&ci, &cq, 1000 * (k + 1), 0);
+            bank.add_lane(&xcorr_cfg(&ci, &cq, 1000 * (k + 1), 0));
         }
-        bank.add_lane(&di, &dq, 5000, 0);
-        assert_eq!(bank.lanes(), 9);
-        assert_eq!(bank.groups(), 2, "8 shared + 1 distinct template");
+        bank.add_lane(&xcorr_cfg(&di, &dq, 5000, 0));
+        let energy = TriggerMode::Any(vec![TriggerSource::EnergyHigh]);
+        bank.add_lane(&energy_cfg(energy, 10.0, 0));
+        assert_eq!(bank.lanes(), 10);
+        assert_eq!(
+            bank.groups(),
+            2,
+            "8 shared + 1 distinct template, no energy group"
+        );
     }
 
     #[test]
     fn per_lane_lockouts_fire_independently_at_64_lanes() {
         // One periodic matched stream, 64 lanes on the same template with
         // per-lane lockouts: each lane's trigger train must match its own
-        // independent correlator exactly.
+        // core exactly.
         let mut rng = Rng::seed_from(42);
         let signs_i: [i8; 64] = std::array::from_fn(|_| if rng.chance(0.5) { 1 } else { -1 });
         let signs_q: [i8; 64] = std::array::from_fn(|_| if rng.chance(0.5) { 1 } else { -1 });
         let ci: [i8; 64] = std::array::from_fn(|k| 3 * signs_i[k]);
         let cq: [i8; 64] = std::array::from_fn(|k| 3 * signs_q[k]);
+        let stream: Vec<IqI16> = (0..6 * 64)
+            .map(|n| IqI16::new(signs_i[n % 64] as i16 * 1000, signs_q[n % 64] as i16 * 1000))
+            .collect();
         let mut bank = DspLaneBank::new();
-        let mut refs = Vec::new();
-        for lane in 0..MAX_LANES as u64 {
-            // Lockouts straddle the 64-sample alignment period.
-            let lockout = 2 * lane;
-            bank.add_lane(&ci, &cq, 300 * 300, lockout);
-            refs.push(reference_core(&ci, &cq, 300 * 300, lockout));
+        // Lockouts straddle the 64-sample alignment period.
+        let cfgs: Vec<CoreConfig> = (0..MAX_LANES as u64)
+            .map(|lane| xcorr_cfg(&ci, &cq, 300 * 300, 2 * lane))
+            .collect();
+        for cfg in &cfgs {
+            bank.add_lane(cfg);
         }
-        let mut out = vec![
-            XcorrOutput {
-                metric: 0,
-                above: false,
-                trigger: false,
-            };
-            MAX_LANES
-        ];
-        for _round in 0..6 {
-            for k in 0..64 {
-                let s = IqI16::new(signs_i[k] as i16 * 1000, signs_q[k] as i16 * 1000);
-                bank.push_into(s, &mut out);
-                for (lane, xc) in refs.iter_mut().enumerate() {
-                    assert_eq!(out[lane], xc.push(s), "lane {lane}");
-                }
-            }
+        let seen = per_sample_triggers(&mut bank, &stream);
+        for (lane, cfg) in cfgs.iter().enumerate() {
+            assert_eq!(seen[lane], core_triggers(cfg, &stream), "lane {lane}");
         }
         // Sanity: different lockouts produced genuinely different counts.
-        let counts = bank.trigger_counts();
-        assert!(counts.iter().any(|&c| c != counts[0]));
+        assert!((1..MAX_LANES).any(|l| bank.trigger_count(l) != bank.trigger_count(0)));
     }
 
     #[test]
     fn warmup_is_suppressed_per_lane() {
         let mut bank = DspLaneBank::new();
-        bank.add_lane(&[3; 64], &[0; 64], 1, 0);
-        bank.add_lane(&[0; 64], &[3; 64], 1, 0);
-        let mut out = [XcorrOutput {
-            metric: 0,
-            above: false,
-            trigger: false,
-        }; 2];
+        bank.add_lane(&xcorr_cfg(&[3; 64], &[0; 64], 1, 0));
+        bank.add_lane(&xcorr_cfg(&[0; 64], &[3; 64], 1, 0));
+        let mut out = [false; 2];
         for n in 0..63 {
             bank.push_into(IqI16::new(1000, 1000), &mut out);
-            for (lane, o) in out.iter().enumerate() {
-                assert!(!o.trigger, "lane {lane} premature trigger at {n}");
-                assert_eq!(o.metric, 0, "lane {lane} warmup metric at {n}");
-            }
+            assert_eq!(out, [false; 2], "premature trigger at {n}");
         }
         bank.push_into(IqI16::new(1000, 1000), &mut out);
-        assert!(out[0].trigger && out[1].trigger);
+        assert_eq!(out, [true; 2]);
     }
 
     #[test]
-    fn block_path_matches_per_sample_path_at_any_block_size() {
+    fn block_path_matches_per_sample_path_and_the_core_at_any_block_size() {
         let mut rng = Rng::seed_from(43);
-        let stream: Vec<IqI16> = (0..3000).map(|_| random_sample(&mut rng)).collect();
+        let stream = bursty_stream(&mut rng, 3000);
         let (ci, cq) = random_template(&mut rng);
         let (di, dq) = random_template(&mut rng);
-
-        // Reference: per-sample path.
-        let mut per_sample = DspLaneBank::new();
-        per_sample.add_lane(&ci, &cq, 30_000, 10);
-        per_sample.add_lane(&ci, &cq, 60_000, 0);
-        per_sample.add_lane(&di, &dq, 45_000, 200);
-        let mut expect: Vec<Vec<u64>> = vec![Vec::new(); 3];
-        let mut out = vec![
-            XcorrOutput {
-                metric: 0,
-                above: false,
-                trigger: false,
-            };
-            3
+        let fused = CoreConfig {
+            trigger_mode: TriggerMode::Any(vec![TriggerSource::Xcorr, TriggerSource::EnergyLow]),
+            energy_low_db: 6.0,
+            ..xcorr_cfg(&di, &dq, 45_000, 200)
+        };
+        let sequence = CoreConfig {
+            trigger_mode: TriggerMode::Sequence {
+                stages: vec![TriggerSource::EnergyHigh, TriggerSource::Xcorr],
+                window: 400,
+            },
+            energy_high_db: 6.0,
+            ..xcorr_cfg(&ci, &cq, 4_000, 0)
+        };
+        let cfgs = [
+            xcorr_cfg(&ci, &cq, 4_000, 10),
+            xcorr_cfg(&ci, &cq, 8_000, 0),
+            fused,
+            sequence,
+            energy_cfg(TriggerMode::Any(vec![TriggerSource::EnergyHigh]), 10.0, 0),
+            energy_cfg(TriggerMode::Any(vec![TriggerSource::EnergyLow]), 10.0, 100),
         ];
-        for (n, &s) in stream.iter().enumerate() {
-            per_sample.push_into(s, &mut out);
-            for (lane, o) in out.iter().enumerate() {
-                if o.trigger {
-                    expect[lane].push(n as u64);
-                }
-            }
-        }
-
-        for block in [1usize, 7, 63, 64, 65, 500, 3000] {
+        let build = || {
             let mut bank = DspLaneBank::new();
-            bank.add_lane(&ci, &cq, 30_000, 10);
-            bank.add_lane(&ci, &cq, 60_000, 0);
-            bank.add_lane(&di, &dq, 45_000, 200);
+            cfgs.iter().for_each(|cfg| {
+                bank.add_lane(cfg);
+            });
+            bank
+        };
+        let mut per_sample = build();
+        let expect = per_sample_triggers(&mut per_sample, &stream);
+        for (lane, cfg) in cfgs.iter().enumerate() {
+            assert_eq!(expect[lane], core_triggers(cfg, &stream), "lane {lane}");
+            assert!(!expect[lane].is_empty(), "lane {lane} never fired");
+        }
+        for block in [1usize, 7, 63, 64, 65, 500, 3000] {
+            let mut bank = build();
             let mut scratch = LaneBankScratch::default();
             for chunk in stream.chunks(block) {
                 bank.process_block_into(chunk, &mut scratch);
             }
             assert_eq!(scratch.triggers, expect, "block={block}");
-            assert_eq!(
-                bank.trigger_counts(),
-                per_sample.trigger_counts(),
-                "block={block}"
-            );
+            for (lane, triggers) in expect.iter().enumerate() {
+                assert_eq!(bank.trigger_count(lane), triggers.len() as u64);
+            }
             assert_eq!(bank.samples_processed(), stream.len() as u64);
         }
     }
@@ -490,37 +536,30 @@ mod tests {
     fn reset_is_bit_equivalent_to_fresh() {
         let mut rng = Rng::seed_from(44);
         let (ci, cq) = random_template(&mut rng);
-        let (di, dq) = random_template(&mut rng);
+        let sequence = TriggerMode::Sequence {
+            stages: vec![TriggerSource::EnergyHigh, TriggerSource::EnergyLow],
+            window: 700,
+        };
         let build = |bank: &mut DspLaneBank| {
-            bank.add_lane(&ci, &cq, 25_000, 40);
-            bank.add_lane(&di, &dq, 50_000, 3);
+            bank.add_lane(&xcorr_cfg(&ci, &cq, 25_000, 40));
+            bank.add_lane(&energy_cfg(sequence.clone(), 6.0, 3));
         };
         let mut pooled = DspLaneBank::new();
         build(&mut pooled);
-        let dirty: Vec<IqI16> = (0..777).map(|_| random_sample(&mut rng)).collect();
+        let dirty = bursty_stream(&mut rng, 777);
         pooled.process_block(&dirty);
         pooled.reset();
         assert_eq!(pooled.samples_processed(), 0);
-        assert_eq!(pooled.trigger_counts(), vec![0, 0]);
+        assert_eq!((pooled.trigger_count(0), pooled.trigger_count(1)), (0, 0));
 
         let mut fresh = DspLaneBank::new();
         build(&mut fresh);
-        let stream: Vec<IqI16> = (0..1500).map(|_| random_sample(&mut rng)).collect();
+        let stream = bursty_stream(&mut rng, 1500);
         let mut sa = LaneBankScratch::default();
         let mut sb = LaneBankScratch::default();
         pooled.process_block_into(&stream, &mut sa);
         fresh.process_block_into(&stream, &mut sb);
         assert_eq!(sa.triggers, sb.triggers);
-        assert_eq!(pooled.trigger_counts(), fresh.trigger_counts());
-    }
-
-    #[test]
-    fn max_metric_matches_single_core_bound() {
-        let mut bank = DspLaneBank::new();
-        bank.add_lane(&[3; 64], &[-4; 64], 1, 0);
-        let mut xc = CrossCorrelator::new();
-        xc.load_coeffs_raw(&[3; 64], &[-4; 64]);
-        assert_eq!(bank.max_metric(0), xc.max_metric());
     }
 
     #[test]
@@ -528,7 +567,7 @@ mod tests {
     fn rejects_lane_65() {
         let mut bank = DspLaneBank::new();
         for _ in 0..=MAX_LANES {
-            bank.add_lane(&[0; 64], &[0; 64], 1, 0);
+            bank.add_lane(&xcorr_cfg(&[0; 64], &[0; 64], 1, 0));
         }
     }
 }

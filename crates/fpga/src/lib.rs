@@ -22,10 +22,10 @@
 //! * [`core`] — [`core::DspCore`], wiring the blocks together sample by
 //!   sample with full cycle accounting, event logging and host feedback
 //!   flags;
-//! * [`lanes`] — the **DSP lane bank** ([`DspLaneBank`]): up to 64
-//!   independent (template, threshold, lockout) detection hypotheses sharing
-//!   one stream's sign history and, per template, one metric evaluation,
-//!   for workspace-scale sweeps.
+//! * [`lanes`] — the **DSP lane bank** ([`DspLaneBank`]): up to 64 core
+//!   triggers, one [`CoreConfig`] each, sharing one stream's sign history
+//!   and, per correlator template, one metric evaluation, for
+//!   workspace-scale sweeps.
 //!
 //! All arithmetic uses the hardware's bit widths (16-bit I/Q, 31-bit sample
 //! energy, 36-bit windowed energy) so detection statistics — including the

@@ -53,6 +53,14 @@ pub struct Pulses {
 }
 
 impl TriggerMode {
+    /// The sources the mode names: the `Any` set or the `Sequence` stages.
+    pub fn sources(&self) -> &[TriggerSource] {
+        match self {
+            TriggerMode::Any(sources) => sources,
+            TriggerMode::Sequence { stages, .. } => stages,
+        }
+    }
+
     /// Checks that the three-stage event builder can run this mode: an
     /// `Any` mode needs at least one source, a `Sequence` 1..=3 stages.
     pub(crate) fn check(&self) -> Result<(), ConfigError> {
@@ -137,6 +145,16 @@ impl TriggerBuilder {
     pub fn push(&mut self, pulses: Pulses) -> bool {
         let now = self.now;
         self.now += 1;
+        self.push_at(now, pulses)
+    }
+
+    /// [`TriggerBuilder::push`] for the sample with index `now`, counted
+    /// from the last reset, for callers that skip samples without pulses:
+    /// no combination completes on such a sample, and a sequence checks
+    /// its window when its next pulse arrives, so skipping them changes no
+    /// later output.
+    #[inline]
+    pub fn push_at(&mut self, now: u64, pulses: Pulses) -> bool {
         match &self.mode {
             TriggerMode::Any(_) => pulses.bits() & self.any_mask != 0,
             TriggerMode::Sequence { stages, window } => {
@@ -286,6 +304,35 @@ mod tests {
         };
         assert!(!tb.push(both), "one stage per clock, as in hardware");
         assert!(tb.push(both));
+    }
+
+    #[test]
+    fn push_at_on_pulse_samples_matches_push_on_every_sample() {
+        // A sequence that expires (EH at 0, X at 20 > window 10) and one
+        // that completes (EH at 30, X at 35), fed densely and sparsely.
+        let mode = TriggerMode::Sequence {
+            stages: vec![TriggerSource::EnergyHigh, TriggerSource::Xcorr],
+            window: 10,
+        };
+        let pulses = [(0, P_EH), (20, P_X), (30, P_EH), (35, P_X)];
+        let mut dense = TriggerBuilder::new(mode.clone());
+        let fired_dense: Vec<u64> = (0..50)
+            .filter(|&n| {
+                let p = pulses
+                    .iter()
+                    .find(|&&(t, _)| t == n)
+                    .map_or(P_NONE, |&(_, p)| p);
+                dense.push(p)
+            })
+            .collect();
+        let mut sparse = TriggerBuilder::new(mode);
+        let fired_sparse: Vec<u64> = pulses
+            .iter()
+            .filter(|&&(t, p)| sparse.push_at(t, p))
+            .map(|&(t, _)| t)
+            .collect();
+        assert_eq!(fired_dense, [35]);
+        assert_eq!(fired_sparse, fired_dense);
     }
 
     #[test]

@@ -252,9 +252,8 @@ impl Classifier {
 /// it, up to `2 (sum sqrt(cI^2 + cQ^2))^2`. Rails all -4 / all 3 reach
 /// 204 800 against 200 704 (`extreme_templates_agree_at_table_bounds`), so
 /// a threshold at fraction 1.0 can still fire.
-/// [`CrossCorrelator::max_metric`], [`crate::DspLaneBank::max_metric`],
-/// [`crate::WideCorrelator::max_metric`] and the host's template
-/// thresholds all use this one definition.
+/// [`CrossCorrelator::max_metric`], [`crate::WideCorrelator::max_metric`]
+/// and the host's template thresholds all use this one definition.
 pub fn max_metric(ci: impl IntoIterator<Item = i8>, cq: impl IntoIterator<Item = i8>) -> u64 {
     let sum: u64 = ci
         .into_iter()

@@ -4,7 +4,9 @@ use rjam_fpga::fifo::SampleFifo;
 use rjam_fpga::lanes::LaneBankScratch;
 use rjam_fpga::vita::VitaTime;
 use rjam_fpga::xcorr::Coeff3;
-use rjam_fpga::{CrossCorrelator, DspLaneBank, WideCorrelator};
+use rjam_fpga::{
+    CoreConfig, CoreEvent, DspCore, DspLaneBank, TriggerMode, TriggerSource, WideCorrelator,
+};
 use rjam_sdr::complex::IqI16;
 use rjam_sdr::rng::Rng;
 use rjam_testkit::{self as tk, prop_assert, prop_assert_eq, props};
@@ -19,6 +21,47 @@ fn lane_sample(rng: &mut Rng) -> IqI16 {
     IqI16::new(
         (rng.below(65536) as i64 - 32768) as i16,
         (rng.below(65536) as i64 - 32768) as i16,
+    )
+}
+
+/// Random samples in bursts of 20–600 samples, each burst scaled down by
+/// 0–11 bits, so both energy edges fire at many levels.
+fn bursty_stream(rng: &mut Rng, n: usize) -> Vec<IqI16> {
+    let mut stream = Vec::with_capacity(n);
+    while stream.len() < n {
+        let len = (20 + rng.below(581) as usize).min(n - stream.len());
+        let shift = rng.below(12) as u32;
+        stream.extend((0..len).map(|_| {
+            let s = lane_sample(rng);
+            IqI16::new(s.i >> shift, s.q >> shift)
+        }));
+    }
+    stream
+}
+
+/// A random trigger combination: one of the seven non-empty `Any` source
+/// sets, or (one time in eight) a 1–3 stage `Sequence`.
+fn trigger_mode(rng: &mut Rng) -> TriggerMode {
+    const SOURCES: [TriggerSource; 3] = [
+        TriggerSource::Xcorr,
+        TriggerSource::EnergyHigh,
+        TriggerSource::EnergyLow,
+    ];
+    let set = 1 + rng.below(8);
+    if set == 8 {
+        let stages = (0..1 + rng.below(3))
+            .map(|_| SOURCES[rng.below(3) as usize])
+            .collect();
+        return TriggerMode::Sequence {
+            stages,
+            window: rng.below(1_000),
+        };
+    }
+    TriggerMode::Any(
+        (0..3)
+            .filter(|b| set >> b & 1 == 1)
+            .map(|b| SOURCES[b])
+            .collect(),
     )
 }
 
@@ -62,23 +105,25 @@ props! {
         prop_assert!(f.is_empty());
     }
 
-    /// The tentpole invariant: a lane bank at any lane count is bit-identical
-    /// to N independent `CrossCorrelator` instances — random templates (with
-    /// forced sharing so the grouped-rail path is exercised), random
-    /// thresholds and lockouts, random streams. Both datapaths are checked:
-    /// the per-sample `push_into` against every per-sample output, and the
-    /// block path's trigger indices/counters against the collected trigger
-    /// train at a random block size.
-    fn lane_bank_matches_independent_cores(
+    /// The lane contract: at any lane count, each lane fires on exactly
+    /// the samples where a `DspCore` configured with the lane's config logs
+    /// a jam trigger — random templates (with forced sharing so the grouped
+    /// metric path is exercised), correlation thresholds, lockouts, energy
+    /// thresholds of 3–30 dB, every non-empty `Any` source set and random
+    /// 1–3 stage sequences, over a stream of bursts at random levels. Both
+    /// datapaths are checked: the per-sample `push_into`, and the block
+    /// path at a random block size.
+    fn lanes_fire_where_cores_log_jam_triggers(
         seed in 0u64..1_000_000,
         n_lanes in 1usize..=64,
-        n_samples in 64usize..1500,
-        block in 1usize..200,
+        n_samples in 64usize..3000,
+        block in 1usize..400,
     ) {
         let mut rng = Rng::seed_from(seed);
         let mut bank = DspLaneBank::new();
-        let mut cores = Vec::new();
+        let mut expect = Vec::new();
         let mut templates: Vec<([i8; 64], [i8; 64])> = Vec::new();
+        let stream = bursty_stream(&mut rng, n_samples);
         for _ in 0..n_lanes {
             // Reuse an earlier template half the time so lanes share groups.
             let (ci, cq) = if !templates.is_empty() && rng.chance(0.5) {
@@ -88,44 +133,52 @@ props! {
                 templates.push(t);
                 t
             };
-            let threshold = rng.below(200_000);
-            let lockout = rng.below(300);
-            bank.add_lane(&ci, &cq, threshold, lockout);
-            let mut xc = CrossCorrelator::new();
-            xc.load_coeffs_raw(&ci, &cq);
-            xc.set_threshold(threshold);
-            xc.set_lockout(lockout);
-            cores.push(xc);
+            let cfg = CoreConfig {
+                coeff_i: ci,
+                coeff_q: cq,
+                xcorr_threshold: 1 + rng.below(8_000),
+                energy_high_db: 3.0 + 27.0 * rng.uniform(),
+                energy_low_db: 3.0 + 27.0 * rng.uniform(),
+                trigger_mode: trigger_mode(&mut rng),
+                lockout: rng.below(300),
+                ..CoreConfig::default()
+            };
+            bank.add_lane(&cfg);
+            let mut core = DspCore::new();
+            core.configure(&cfg);
+            core.process_block(&stream);
+            let triggers: Vec<u64> = core
+                .events()
+                .iter()
+                .filter(|e| matches!(e, CoreEvent::JamTrigger { .. }))
+                .map(CoreEvent::sample)
+                .collect();
+            expect.push(triggers);
         }
-        let stream: Vec<IqI16> = (0..n_samples).map(|_| lane_sample(&mut rng)).collect();
 
-        // Per-sample path vs independent cores, collecting the reference
-        // trigger train as we go.
-        let mut out = vec![
-            rjam_fpga::xcorr::XcorrOutput { metric: 0, above: false, trigger: false };
-            n_lanes
-        ];
-        let mut expect: Vec<Vec<u64>> = vec![Vec::new(); n_lanes];
+        let mut out = vec![false; n_lanes];
+        let mut seen: Vec<Vec<u64>> = vec![Vec::new(); n_lanes];
         for (n, &s) in stream.iter().enumerate() {
             bank.push_into(s, &mut out);
-            for (lane, xc) in cores.iter_mut().enumerate() {
-                prop_assert_eq!(out[lane], xc.push(s), "lane {} sample {}", lane, n);
-                if out[lane].trigger {
-                    expect[lane].push(n as u64);
+            for (lane, &fired) in out.iter().enumerate() {
+                if fired {
+                    seen[lane].push(n as u64);
                 }
             }
         }
+        prop_assert_eq!(&seen, &expect, "per-sample path");
 
-        // Block path on a fresh bank (same lanes) at a random block size.
-        let mut blocked = bank.clone();
-        blocked.reset();
+        // Block path on a reset bank (same lanes) at a random block size.
+        bank.reset();
         let mut scratch = LaneBankScratch::default();
         for chunk in stream.chunks(block) {
-            blocked.process_block_into(chunk, &mut scratch);
+            bank.process_block_into(chunk, &mut scratch);
         }
         prop_assert_eq!(&scratch.triggers[..n_lanes], &expect[..], "block size {}", block);
-        prop_assert_eq!(blocked.trigger_counts(), bank.trigger_counts());
-        prop_assert_eq!(blocked.samples_processed(), stream.len() as u64);
+        for (lane, triggers) in expect.iter().enumerate() {
+            prop_assert_eq!(bank.trigger_count(lane), triggers.len() as u64);
+        }
+        prop_assert_eq!(bank.samples_processed(), stream.len() as u64);
     }
 
     /// `WideCorrelator::reset` restores the pooling contract: after any

@@ -296,8 +296,6 @@ pub fn run_scenario(sc: &Scenario) -> IperfReport {
 /// * [`ScenarioRun::obs_into`] — batch `mac.*` counter deltas into a
 ///   [`MacObsDelta`] instead of publishing them at run end (the sharded
 ///   campaign engine's deferred-merge path);
-/// * [`ScenarioRun::rng_stream`] — run on a derived PRNG stream without
-///   mutating the scenario (per-shard seed-splitting);
 /// * [`ScenarioRun::health`] — feed every datagram outcome into an online
 ///   [`HealthMonitor`], which judges windowed PRR / jam-rate against its
 ///   rule set as the run progresses (`rjamctl monitor`).
@@ -305,19 +303,16 @@ pub struct ScenarioRun<'a> {
     scenario: &'a Scenario,
     trace: Option<&'a mut TraceSink>,
     obs_out: Option<&'a mut MacObsDelta>,
-    rng_stream: Option<u64>,
     health: Option<&'a mut HealthMonitor>,
 }
 
 impl<'a> ScenarioRun<'a> {
-    /// A run with no trace sink, immediate obs publication, and the
-    /// scenario's own seed.
+    /// A run with no trace sink and immediate obs publication.
     pub fn new(scenario: &'a Scenario) -> Self {
         ScenarioRun {
             scenario,
             trace: None,
             obs_out: None,
-            rng_stream: None,
             health: None,
         }
     }
@@ -340,13 +335,6 @@ impl<'a> ScenarioRun<'a> {
         self
     }
 
-    /// Runs on the given PRNG stream instead of the scenario's `seed`
-    /// field, leaving the scenario untouched.
-    pub fn rng_stream(mut self, seed: u64) -> Self {
-        self.rng_stream = Some(seed);
-        self
-    }
-
     /// Attaches an online health monitor: every datagram's final outcome
     /// (delivered / jammed / missed) is fed to
     /// [`HealthMonitor::note_frame`] as it resolves, so change-point rules
@@ -364,7 +352,6 @@ impl<'a> ScenarioRun<'a> {
             self.scenario,
             self.trace,
             self.obs_out,
-            self.rng_stream,
             self.health,
             &mut LinkMemo::new(),
         )
@@ -378,12 +365,11 @@ fn run_inner(
     sc: &Scenario,
     trace: Option<&mut TraceSink>,
     obs_out: Option<&mut MacObsDelta>,
-    rng_stream: Option<u64>,
     mut health: Option<&mut HealthMonitor>,
     link: &mut LinkMemo,
 ) -> IperfReport {
     let t = Timings::default();
-    let mut rng = Rng::seed_from(rng_stream.unwrap_or(sc.seed));
+    let mut rng = Rng::seed_from(sc.seed);
     let duration_us = sc.duration_s * 1e6;
     let psdu_len = sc.payload_bytes + PSDU_OVERHEAD;
     // CBR arrival interval for the offered load.
@@ -777,19 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_stream_overrides_scenario_seed() {
-        let sc = base();
-        let other_seed = Scenario {
-            seed: 0xD15EA5E,
-            ..base()
-        };
-        let a = ScenarioRun::new(&sc).rng_stream(0xD15EA5E).run();
-        let b = run_scenario(&other_seed);
-        assert_eq!(a.sent, b.sent);
-        assert_eq!(a.received, b.received);
-    }
-
-    #[test]
     fn traced_run_matches_untraced_run() {
         // Attaching a trace sink is observation, not perturbation: the
         // simulated link must behave identically with and without it.
@@ -815,8 +788,12 @@ mod tests {
         // Two deferred runs merged into one batch...
         let mut a = MacObsDelta::new();
         let mut b = MacObsDelta::new();
+        let other = Scenario {
+            seed: 999,
+            ..sc.clone()
+        };
         let ra = ScenarioRun::new(&sc).obs_into(&mut a).run();
-        let rb = ScenarioRun::new(&sc).rng_stream(999).obs_into(&mut b).run();
+        let rb = ScenarioRun::new(&other).obs_into(&mut b).run();
         a.merge(&mut b);
         assert_eq!(a.datagrams_sent(), ra.sent + rb.sent);
         assert_eq!(b.datagrams_sent(), 0, "merge drains the source");
@@ -1234,7 +1211,7 @@ mod tests {
                             ..Scenario::default()
                         };
                         let mut link = LinkMemo::new();
-                        run_inner(&sc, None, None, None, None, &mut link);
+                        run_inner(&sc, None, None, None, &mut link);
                         assert!(link.len() <= LinkMemo::RUN_BOUND, "{sc:?}: {}", link.len());
                     }
                 }

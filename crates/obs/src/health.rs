@@ -28,16 +28,17 @@
 //! The log belongs to the monitor: [`HealthMonitor::events`] returns it,
 //! and `rjamctl monitor --out FILE` writes it once the run has finished.
 //!
-//! Alarms carry *cause attribution*: the most recent degraded `FrameId`s,
-//! pulled back out of the global flight recorder (the MAC feed records a
-//! `health.frame_degraded` event per lost/jammed frame).
+//! Alarms carry *cause attribution*: the monitor's own most recent
+//! degraded `FrameId`s. The MAC feed also leaves a `health.frame_degraded`
+//! event per lost/jammed frame in the global flight recorder, for snapshots
+//! and post-mortems.
 //!
 //! The detectors ([`EwmaBaseline`], [`Cusum`], [`PageHinkley`],
-//! [`RollingQuantile`]) are allocation-free after construction. As with
-//! the rest of the obs layer, the protocol types and parser are always
-//! compiled (validators must read streams even in `--no-default-features`
-//! builds) while the detectors and the monitor compile to zero-sized
-//! no-ops without the `obs` feature.
+//! [`RollingQuantile`]) are allocation-free after construction and read
+//! no registry or recorder, so they are always compiled, like the protocol
+//! types and parser (validators must read streams even in
+//! `--no-default-features` builds); only the monitor compiles to a
+//! zero-sized no-op without the `obs` feature.
 
 use crate::json;
 use crate::proto::{self, Envelope, ParseError, Protocol};
@@ -80,7 +81,8 @@ pub enum HealthEvent {
         threshold: f64,
         /// Frame count at the trip (jam onset is frame 0).
         frame: u64,
-        /// Offending `FrameId`s pulled from the flight recorder.
+        /// The raising monitor's last (up to 8) degraded `FrameId`s,
+        /// oldest first.
         frames: Vec<u64>,
     },
     /// A previously raised rule recovered.
@@ -330,10 +332,215 @@ pub struct HealthVerdict {
     pub frames: u64,
 }
 
+/// Exponentially weighted mean/variance baseline.
+///
+/// The first sample seeds the mean; variance uses the standard EWMA
+/// recurrence `var' = (1 - a) * (var + diff * a * diff)`.
+#[derive(Clone, Copy, Debug)]
+pub struct EwmaBaseline {
+    alpha: f64,
+    mean: f64,
+    var: f64,
+    n: u64,
+}
+
+impl EwmaBaseline {
+    /// A fresh baseline with smoothing factor `alpha` in (0, 1].
+    pub fn new(alpha: f64) -> Self {
+        EwmaBaseline {
+            alpha,
+            mean: 0.0,
+            var: 0.0,
+            n: 0,
+        }
+    }
+
+    /// Absorbs one observation.
+    pub fn update(&mut self, x: f64) {
+        self.n += 1;
+        if self.n == 1 {
+            self.mean = x;
+            self.var = 0.0;
+            return;
+        }
+        let diff = x - self.mean;
+        let incr = self.alpha * diff;
+        self.mean += incr;
+        self.var = (1.0 - self.alpha) * (self.var + diff * incr);
+    }
+
+    /// Current smoothed mean (0 before any sample).
+    pub fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// Current smoothed variance.
+    pub fn var(&self) -> f64 {
+        self.var
+    }
+
+    /// Current smoothed standard deviation.
+    pub fn std(&self) -> f64 {
+        self.var.sqrt()
+    }
+
+    /// Observations absorbed.
+    pub fn samples(&self) -> u64 {
+        self.n
+    }
+}
+
+/// One-sided CUSUM accumulator over deviations from a reference.
+///
+/// Feed it `reference - observed` (so positive deviations are bad);
+/// deviations below `slack` are absorbed as noise, sustained excess
+/// accumulates until `threshold` trips.
+#[derive(Clone, Copy, Debug)]
+pub struct Cusum {
+    slack: f64,
+    threshold: f64,
+    stat: f64,
+}
+
+impl Cusum {
+    /// A fresh accumulator.
+    pub fn new(slack: f64, threshold: f64) -> Self {
+        Cusum {
+            slack,
+            threshold,
+            stat: 0.0,
+        }
+    }
+
+    /// Absorbs one deviation; returns `true` while at/over threshold.
+    pub fn update(&mut self, deviation: f64) -> bool {
+        self.stat = (self.stat + deviation - self.slack).max(0.0);
+        self.stat >= self.threshold
+    }
+
+    /// Current accumulated statistic.
+    pub fn stat(&self) -> f64 {
+        self.stat
+    }
+
+    /// Trip threshold.
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
+    /// Drops the accumulated statistic back to zero.
+    pub fn reset(&mut self) {
+        self.stat = 0.0;
+    }
+}
+
+/// Page–Hinkley upward change-point detector.
+///
+/// Accumulates `x - running_mean - delta`; trips when the accumulator
+/// rises more than `lambda` above its own minimum. A constant input —
+/// even a constantly *bad* one — never trips: this detects *changes*,
+/// which is why the monitor pairs it with the absolute-reference CUSUM.
+#[derive(Clone, Copy, Debug)]
+pub struct PageHinkley {
+    delta: f64,
+    lambda: f64,
+    mean: f64,
+    n: u64,
+    cum: f64,
+    cum_min: f64,
+}
+
+impl PageHinkley {
+    /// A fresh detector with drift allowance `delta`, threshold `lambda`.
+    pub fn new(delta: f64, lambda: f64) -> Self {
+        PageHinkley {
+            delta,
+            lambda,
+            mean: 0.0,
+            n: 0,
+            cum: 0.0,
+            cum_min: 0.0,
+        }
+    }
+
+    /// Absorbs one observation; returns `true` while tripped.
+    pub fn update(&mut self, x: f64) -> bool {
+        self.n += 1;
+        self.mean += (x - self.mean) / self.n as f64;
+        self.cum += x - self.mean - self.delta;
+        self.cum_min = self.cum_min.min(self.cum);
+        self.stat() > self.lambda
+    }
+
+    /// Current statistic (`cum - min(cum)`).
+    pub fn stat(&self) -> f64 {
+        self.cum - self.cum_min
+    }
+
+    /// Forgets everything, including the running mean.
+    pub fn reset(&mut self) {
+        *self = PageHinkley::new(self.delta, self.lambda);
+    }
+}
+
+/// Fixed-capacity rolling-window quantile estimator.
+///
+/// Both the ring and the sort scratch are allocated once at
+/// construction; `push` and `quantile` never allocate.
+#[derive(Clone, Debug)]
+pub struct RollingQuantile {
+    ring: Vec<f64>,
+    scratch: Vec<f64>,
+    head: usize,
+    len: usize,
+}
+
+impl RollingQuantile {
+    /// A window holding the last `capacity` (>= 1) observations.
+    pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        RollingQuantile {
+            ring: vec![0.0; capacity],
+            scratch: vec![0.0; capacity],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// Pushes one observation, evicting the oldest when full.
+    pub fn push(&mut self, x: f64) {
+        self.ring[self.head] = x;
+        self.head = (self.head + 1) % self.ring.len();
+        self.len = (self.len + 1).min(self.ring.len());
+    }
+
+    /// Observations currently in the window.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no observation has been pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Quantile `q` (clamped to [0, 1]) of the window; 0 when empty.
+    pub fn quantile(&mut self, q: f64) -> f64 {
+        if self.len == 0 {
+            return 0.0;
+        }
+        self.scratch[..self.len].copy_from_slice(&self.ring[..self.len]);
+        self.scratch[..self.len].sort_unstable_by(f64::total_cmp);
+        let idx = (q.clamp(0.0, 1.0) * (self.len - 1) as f64).round() as usize;
+        self.scratch[idx]
+    }
+}
+
 #[cfg(feature = "obs")]
 mod enabled {
-    use super::{HealthEvent, HealthVerdict};
+    use super::{Cusum, EwmaBaseline, HealthEvent, HealthVerdict, PageHinkley, RollingQuantile};
     use crate::registry;
+    use std::collections::VecDeque;
 
     /// Windows before the PRR baseline is declared established.
     const BASELINE_WINDOWS: u64 = 1;
@@ -366,214 +573,10 @@ mod enabled {
     /// Minimum new (busy + idle) ns per poll for an idle-fraction estimate.
     const STARVATION_MIN_NS: u64 = 10_000_000;
 
-    /// Exponentially weighted mean/variance baseline.
-    ///
-    /// The first sample seeds the mean; variance uses the standard EWMA
-    /// recurrence `var' = (1 - a) * (var + diff * a * diff)`.
-    #[derive(Clone, Copy, Debug)]
-    pub struct EwmaBaseline {
-        alpha: f64,
-        mean: f64,
-        var: f64,
-        n: u64,
-    }
-
-    impl EwmaBaseline {
-        /// A fresh baseline with smoothing factor `alpha` in (0, 1].
-        pub fn new(alpha: f64) -> Self {
-            EwmaBaseline {
-                alpha,
-                mean: 0.0,
-                var: 0.0,
-                n: 0,
-            }
-        }
-
-        /// Absorbs one observation.
-        pub fn update(&mut self, x: f64) {
-            self.n += 1;
-            if self.n == 1 {
-                self.mean = x;
-                self.var = 0.0;
-                return;
-            }
-            let diff = x - self.mean;
-            let incr = self.alpha * diff;
-            self.mean += incr;
-            self.var = (1.0 - self.alpha) * (self.var + diff * incr);
-        }
-
-        /// Current smoothed mean (0 before any sample).
-        pub fn mean(&self) -> f64 {
-            self.mean
-        }
-
-        /// Current smoothed variance.
-        pub fn var(&self) -> f64 {
-            self.var
-        }
-
-        /// Current smoothed standard deviation.
-        pub fn std(&self) -> f64 {
-            self.var.sqrt()
-        }
-
-        /// Observations absorbed.
-        pub fn samples(&self) -> u64 {
-            self.n
-        }
-    }
-
-    /// One-sided CUSUM accumulator over deviations from a reference.
-    ///
-    /// Feed it `reference - observed` (so positive deviations are bad);
-    /// deviations below `slack` are absorbed as noise, sustained excess
-    /// accumulates until `threshold` trips.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Cusum {
-        slack: f64,
-        threshold: f64,
-        stat: f64,
-    }
-
-    impl Cusum {
-        /// A fresh accumulator.
-        pub fn new(slack: f64, threshold: f64) -> Self {
-            Cusum {
-                slack,
-                threshold,
-                stat: 0.0,
-            }
-        }
-
-        /// Absorbs one deviation; returns `true` while at/over threshold.
-        pub fn update(&mut self, deviation: f64) -> bool {
-            self.stat = (self.stat + deviation - self.slack).max(0.0);
-            self.stat >= self.threshold
-        }
-
-        /// Current accumulated statistic.
-        pub fn stat(&self) -> f64 {
-            self.stat
-        }
-
-        /// Trip threshold.
-        pub fn threshold(&self) -> f64 {
-            self.threshold
-        }
-
-        /// Drops the accumulated statistic back to zero.
-        pub fn reset(&mut self) {
-            self.stat = 0.0;
-        }
-    }
-
-    /// Page–Hinkley upward change-point detector.
-    ///
-    /// Accumulates `x - running_mean - delta`; trips when the accumulator
-    /// rises more than `lambda` above its own minimum. A constant input —
-    /// even a constantly *bad* one — never trips: this detects *changes*,
-    /// which is why the monitor pairs it with the absolute-reference CUSUM.
-    #[derive(Clone, Copy, Debug)]
-    pub struct PageHinkley {
-        delta: f64,
-        lambda: f64,
-        mean: f64,
-        n: u64,
-        cum: f64,
-        cum_min: f64,
-    }
-
-    impl PageHinkley {
-        /// A fresh detector with drift allowance `delta`, threshold `lambda`.
-        pub fn new(delta: f64, lambda: f64) -> Self {
-            PageHinkley {
-                delta,
-                lambda,
-                mean: 0.0,
-                n: 0,
-                cum: 0.0,
-                cum_min: 0.0,
-            }
-        }
-
-        /// Absorbs one observation; returns `true` while tripped.
-        pub fn update(&mut self, x: f64) -> bool {
-            self.n += 1;
-            self.mean += (x - self.mean) / self.n as f64;
-            self.cum += x - self.mean - self.delta;
-            self.cum_min = self.cum_min.min(self.cum);
-            self.stat() > self.lambda
-        }
-
-        /// Current statistic (`cum - min(cum)`).
-        pub fn stat(&self) -> f64 {
-            self.cum - self.cum_min
-        }
-
-        /// Forgets everything, including the running mean.
-        pub fn reset(&mut self) {
-            *self = PageHinkley::new(self.delta, self.lambda);
-        }
-    }
-
-    /// Fixed-capacity rolling-window quantile estimator.
-    ///
-    /// Both the ring and the sort scratch are allocated once at
-    /// construction; `push` and `quantile` never allocate.
-    #[derive(Clone, Debug)]
-    pub struct RollingQuantile {
-        ring: Vec<f64>,
-        scratch: Vec<f64>,
-        head: usize,
-        len: usize,
-    }
-
-    impl RollingQuantile {
-        /// A window holding the last `capacity` (>= 1) observations.
-        pub fn new(capacity: usize) -> Self {
-            let capacity = capacity.max(1);
-            RollingQuantile {
-                ring: vec![0.0; capacity],
-                scratch: vec![0.0; capacity],
-                head: 0,
-                len: 0,
-            }
-        }
-
-        /// Pushes one observation, evicting the oldest when full.
-        pub fn push(&mut self, x: f64) {
-            self.ring[self.head] = x;
-            self.head = (self.head + 1) % self.ring.len();
-            self.len = (self.len + 1).min(self.ring.len());
-        }
-
-        /// Observations currently in the window.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// True when no observation has been pushed yet.
-        pub fn is_empty(&self) -> bool {
-            self.len == 0
-        }
-
-        /// Quantile `q` (clamped to [0, 1]) of the window; 0 when empty.
-        pub fn quantile(&mut self, q: f64) -> f64 {
-            if self.len == 0 {
-                return 0.0;
-            }
-            self.scratch[..self.len].copy_from_slice(&self.ring[..self.len]);
-            self.scratch[..self.len].sort_unstable_by(f64::total_cmp);
-            let idx = (q.clamp(0.0, 1.0) * (self.len - 1) as f64).round() as usize;
-            self.scratch[idx]
-        }
-    }
-
-    /// Flight-recorder event kind for degraded frames (the attribution
-    /// trail alarm events read back).
+    /// Flight-recorder event kind for degraded frames.
     pub const DEGRADED_KIND: &str = "health.frame_degraded";
 
+    /// Degraded frame ids an alarm names.
     const MAX_ATTRIBUTION: usize = 8;
 
     #[derive(Clone, Copy, Default)]
@@ -626,6 +629,9 @@ mod enabled {
         /// Degraded-frame records `(frame, frame id, jammed)` not yet in
         /// the flight recorder, oldest first.
         degraded: Vec<(u64, i64, i64)>,
+        /// The last `MAX_ATTRIBUTION` degraded frame ids, oldest first:
+        /// what the next alarm names.
+        recent: VecDeque<u64>,
     }
 
     /// Registry counters the monitor keeps cursors on, read under one lock.
@@ -670,13 +676,15 @@ mod enabled {
                 last_busy_ns: busy_ns,
                 last_idle_ns: idle_ns,
                 degraded: Vec::new(),
+                recent: VecDeque::new(),
                 cadence: cadence.max(1),
             }
         }
 
-        /// One MAC frame outcome. Degraded frames (lost or jammed) leave a
-        /// `health.frame_degraded` event in the flight recorder so later
-        /// alarms can name them. The events are buffered and written under
+        /// One MAC frame outcome. Later alarms name the last degraded
+        /// (lost or jammed) frames, and each one leaves a
+        /// `health.frame_degraded` event in the flight recorder. The
+        /// events are buffered and written under
         /// one recorder lock at the next window boundary (or alarm,
         /// [`finish`](HealthMonitor::finish) or drop), in frame order, so
         /// the recorder ends up holding exactly what per-frame writes
@@ -692,6 +700,10 @@ mod enabled {
                 self.win_jammed += 1;
             }
             if !delivered || jammed {
+                if self.recent.len() == MAX_ATTRIBUTION {
+                    self.recent.pop_front();
+                }
+                self.recent.push_back(frame_id);
                 self.degraded
                     .push((self.frames, frame_id as i64, i64::from(jammed)));
                 if self.degraded.len() >= crate::recorder::GLOBAL_CAPACITY {
@@ -898,7 +910,7 @@ mod enabled {
                 stat,
                 threshold,
                 frame: self.frames,
-                frames: attribution(),
+                frames: self.recent.iter().copied().collect(),
             };
             self.push(ev);
         }
@@ -1055,20 +1067,6 @@ mod enabled {
             }
         }
     }
-
-    /// Most recent degraded `FrameId`s from the global flight recorder.
-    fn attribution() -> Vec<u64> {
-        let (events, _) = crate::recorder::global_dump();
-        let mut fids: Vec<u64> = events
-            .iter()
-            .filter(|e| e.kind == DEGRADED_KIND)
-            .map(|e| e.a as u64)
-            .collect();
-        if fids.len() > MAX_ATTRIBUTION {
-            fids.drain(..fids.len() - MAX_ATTRIBUTION);
-        }
-        fids
-    }
 }
 
 #[cfg(feature = "obs")]
@@ -1077,122 +1075,6 @@ pub use enabled::*;
 #[cfg(not(feature = "obs"))]
 mod disabled {
     use super::{HealthEvent, HealthVerdict};
-
-    /// Zero-sized no-op baseline (`obs` feature disabled).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct EwmaBaseline;
-
-    impl EwmaBaseline {
-        /// No-op.
-        pub fn new(_alpha: f64) -> Self {
-            EwmaBaseline
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn update(&mut self, _x: f64) {}
-        /// Always 0.
-        #[inline(always)]
-        pub fn mean(&self) -> f64 {
-            0.0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn var(&self) -> f64 {
-            0.0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn std(&self) -> f64 {
-            0.0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn samples(&self) -> u64 {
-            0
-        }
-    }
-
-    /// Zero-sized no-op CUSUM (`obs` feature disabled).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Cusum;
-
-    impl Cusum {
-        /// No-op.
-        pub fn new(_slack: f64, _threshold: f64) -> Self {
-            Cusum
-        }
-        /// Never trips.
-        #[inline(always)]
-        pub fn update(&mut self, _deviation: f64) -> bool {
-            false
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn stat(&self) -> f64 {
-            0.0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn threshold(&self) -> f64 {
-            0.0
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn reset(&mut self) {}
-    }
-
-    /// Zero-sized no-op Page–Hinkley (`obs` feature disabled).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct PageHinkley;
-
-    impl PageHinkley {
-        /// No-op.
-        pub fn new(_delta: f64, _lambda: f64) -> Self {
-            PageHinkley
-        }
-        /// Never trips.
-        #[inline(always)]
-        pub fn update(&mut self, _x: f64) -> bool {
-            false
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn stat(&self) -> f64 {
-            0.0
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn reset(&mut self) {}
-    }
-
-    /// Zero-sized no-op quantile window (`obs` feature disabled).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct RollingQuantile;
-
-    impl RollingQuantile {
-        /// No-op.
-        pub fn new(_capacity: usize) -> Self {
-            RollingQuantile
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn push(&mut self, _x: f64) {}
-        /// Always 0.
-        #[inline(always)]
-        pub fn len(&self) -> usize {
-            0
-        }
-        /// Always true.
-        #[inline(always)]
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn quantile(&mut self, _q: f64) -> f64 {
-            0.0
-        }
-    }
 
     /// Zero-sized no-op monitor (`obs` feature disabled): never alarms.
     #[derive(Clone, Copy, Debug, Default)]
@@ -1430,79 +1312,79 @@ mod tests {
         );
     }
 
+    #[test]
+    fn ewma_tracks_mean_and_variance() {
+        let mut b = EwmaBaseline::new(0.3);
+        assert_eq!(b.mean(), 0.0);
+        for _ in 0..50 {
+            b.update(4.0);
+        }
+        assert!((b.mean() - 4.0).abs() < 1e-9, "constant input converges");
+        assert!(b.var() < 1e-9);
+        let mut b = EwmaBaseline::new(0.3);
+        for k in 0..200 {
+            b.update(if k % 2 == 0 { 0.0 } else { 2.0 });
+        }
+        assert!((b.mean() - 1.0).abs() < 0.5);
+        assert!(b.std() > 0.5, "alternating input has spread");
+    }
+
+    #[test]
+    fn cusum_trips_on_sustained_shift_only() {
+        let mut c = Cusum::new(0.2, 1.0);
+        for _ in 0..100 {
+            assert!(!c.update(0.1), "sub-slack deviations never accumulate");
+        }
+        assert_eq!(c.stat(), 0.0);
+        assert!(!c.update(0.9), "one bad window is not enough");
+        assert!(c.update(0.9), "sustained shift trips");
+        c.reset();
+        assert_eq!(c.stat(), 0.0);
+    }
+
+    #[test]
+    fn page_hinkley_detects_change_not_steady_state() {
+        // Constant input — even constantly high — never trips.
+        let mut ph = PageHinkley::new(0.05, 0.5);
+        for _ in 0..100 {
+            assert!(!ph.update(1.0), "no change, no trip");
+        }
+        // A mean shift after a quiet lead-in trips.
+        let mut ph = PageHinkley::new(0.05, 0.5);
+        for _ in 0..10 {
+            ph.update(0.0);
+        }
+        let mut tripped = false;
+        for _ in 0..6 {
+            tripped |= ph.update(1.0);
+        }
+        assert!(tripped, "0 -> 1 mean shift must trip");
+    }
+
+    #[test]
+    fn rolling_quantile_windows_and_saturates() {
+        let mut q = RollingQuantile::new(4);
+        assert!(q.is_empty());
+        assert_eq!(q.quantile(0.5), 0.0, "empty window reads 0");
+        for v in [1.0, 2.0, 3.0, 4.0] {
+            q.push(v);
+        }
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.quantile(0.0), 1.0);
+        assert_eq!(q.quantile(1.0), 4.0);
+        // Pushing past capacity evicts the oldest.
+        for v in [10.0, 11.0, 12.0, 13.0] {
+            q.push(v);
+        }
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.quantile(0.0), 10.0);
+        assert_eq!(q.quantile(1.0), 13.0);
+    }
+
     #[cfg(feature = "obs")]
     mod monitor {
         use super::super::*;
         use crate::registry;
-
-        #[test]
-        fn ewma_tracks_mean_and_variance() {
-            let mut b = EwmaBaseline::new(0.3);
-            assert_eq!(b.mean(), 0.0);
-            for _ in 0..50 {
-                b.update(4.0);
-            }
-            assert!((b.mean() - 4.0).abs() < 1e-9, "constant input converges");
-            assert!(b.var() < 1e-9);
-            let mut b = EwmaBaseline::new(0.3);
-            for k in 0..200 {
-                b.update(if k % 2 == 0 { 0.0 } else { 2.0 });
-            }
-            assert!((b.mean() - 1.0).abs() < 0.5);
-            assert!(b.std() > 0.5, "alternating input has spread");
-        }
-
-        #[test]
-        fn cusum_trips_on_sustained_shift_only() {
-            let mut c = Cusum::new(0.2, 1.0);
-            for _ in 0..100 {
-                assert!(!c.update(0.1), "sub-slack deviations never accumulate");
-            }
-            assert_eq!(c.stat(), 0.0);
-            assert!(!c.update(0.9), "one bad window is not enough");
-            assert!(c.update(0.9), "sustained shift trips");
-            c.reset();
-            assert_eq!(c.stat(), 0.0);
-        }
-
-        #[test]
-        fn page_hinkley_detects_change_not_steady_state() {
-            // Constant input — even constantly high — never trips.
-            let mut ph = PageHinkley::new(0.05, 0.5);
-            for _ in 0..100 {
-                assert!(!ph.update(1.0), "no change, no trip");
-            }
-            // A mean shift after a quiet lead-in trips.
-            let mut ph = PageHinkley::new(0.05, 0.5);
-            for _ in 0..10 {
-                ph.update(0.0);
-            }
-            let mut tripped = false;
-            for _ in 0..6 {
-                tripped |= ph.update(1.0);
-            }
-            assert!(tripped, "0 -> 1 mean shift must trip");
-        }
-
-        #[test]
-        fn rolling_quantile_windows_and_saturates() {
-            let mut q = RollingQuantile::new(4);
-            assert!(q.is_empty());
-            assert_eq!(q.quantile(0.5), 0.0, "empty window reads 0");
-            for v in [1.0, 2.0, 3.0, 4.0] {
-                q.push(v);
-            }
-            assert_eq!(q.len(), 4);
-            assert_eq!(q.quantile(0.0), 1.0);
-            assert_eq!(q.quantile(1.0), 4.0);
-            // Pushing past capacity evicts the oldest.
-            for v in [10.0, 11.0, 12.0, 13.0] {
-                q.push(v);
-            }
-            assert_eq!(q.len(), 4);
-            assert_eq!(q.quantile(0.0), 10.0);
-            assert_eq!(q.quantile(1.0), 13.0);
-        }
 
         #[test]
         fn prr_collapse_raises_within_two_windows_and_clears() {
@@ -1556,6 +1438,32 @@ mod tests {
             assert!(v.alarms_raised >= 1);
             assert_eq!(v.alarms_active, 0);
             validate_chain(mon.events()).expect("emitted stream validates");
+        }
+
+        #[test]
+        fn an_alarm_names_only_its_own_monitors_frames() {
+            // Another monitor in the same process fills the shared flight
+            // recorder with its own degraded frames first.
+            let mut other = HealthMonitor::new(16);
+            for fid in 0xA0..0xAA {
+                other.note_frame(fid, false, true);
+            }
+            other.finish();
+            let mut mon = HealthMonitor::new(2);
+            mon.note_frame(1, true, false);
+            mon.note_frame(2, true, false);
+            for fid in 3..=6 {
+                mon.note_frame(fid, false, false);
+            }
+            let frames = mon
+                .events()
+                .iter()
+                .find_map(|e| match e {
+                    HealthEvent::AlarmRaised { frames, .. } => Some(frames.clone()),
+                    _ => None,
+                })
+                .expect("four lost frames at cadence 2 collapse the PRR");
+            assert_eq!(frames, [3, 4, 5, 6]);
         }
 
         #[test]
