@@ -163,7 +163,8 @@ for cmd in \
     "iperf --jammer reactive-long --sir 14 --seconds 1" \
     "roc --preset wifi-short --frames 16 --fa-samples 524288" \
     "roc --preset energy --frames 16 --fa-samples 524288" \
-    "fa --preset energy --grid 6,10 --samples 1000000"; do
+    "fa --preset energy --grid 6,10 --samples 1000000" \
+    "submit --local --spec {\"campaign\":\"wimax\",\"fused\":true,\"frames\":40,\"snr_db\":10,\"threshold\":0.45,\"seed\":3}"; do
     RJAM_THREADS=1 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t1.out
     RJAM_THREADS=4 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t4.out
     diff rjam_ci_t1.out rjam_ci_t4.out || {
@@ -172,11 +173,13 @@ for cmd in \
 done
 rm -f rjam_ci_t1.out rjam_ci_t4.out
 
-step "figures: run_figures.sh's MAC and detection sections byte-match figures_output.txt"
-# The figure contract of the MAC simulator and of every detection figure
+step "figures: run_figures.sh's MAC, detection and WiMAX sections byte-match figures_output.txt"
+# The figure contract of the MAC simulator, of every detection figure
 # (fig6/fig7 with their false-alarm calibration, fig8's energy rise and
 # the Rayleigh-fading ablation, all fed by the ADC-domain noise
-# generator), checked on every run: each section is regenerated with
+# generator) and of fig12's WiMAX rows and ASCII scope (the detector lane,
+# the jam controller's burst timing, the ordered fold and the scope
+# window), checked on every run: each section is regenerated with
 # run_figures.sh's exact command and compared with its section of the
 # committed transcript (the lines between its header and the next one,
 # less run_figures.sh's two-line separator).
@@ -197,6 +200,7 @@ for fig in \
     "fig7 fig7_short_preamble --frames 250 --fa-samples 12000000" \
     "fig8 fig8_energy --frames 250" \
     "fading ablation_fading --frames 150" \
+    "fig12 fig12_wimax --frames 24" \
     "fig10 fig10_bandwidth --seconds 10" \
     "fig11 fig11_prr --seconds 10" \
     "energy energy_efficiency --seconds 6" \
@@ -385,6 +389,70 @@ kill "$RJAMD_PID" 2> /dev/null || true
 trap - EXIT
 rm -f "$RJAM_SOCK" rjam_ci_job_transcript.ndjson
 rm -f rjam_ci_ref1 rjam_ci_ref2 rjam_ci_ref3 rjam_ci_out1 rjam_ci_out2 rjam_ci_out3
+
+step "rjamd memory soak: a WiMAX job's memory is flat in its frames"
+# A WiMAX job folds its units in order as they finish and its scope keeps
+# a fixed leading window, so its memory does not grow with its frames.
+# After a 24-frame job, one 268-frame job runs to done and another is
+# cancelled midway; rjamd's peak (VmHWM) and its resident memory after
+# the cancel (VmRSS) must stay within 1.25x of the peak after the
+# 24-frame job. When every unit's scope was kept until the run ended,
+# the peaks read 53 MB and 531 MB. The daemon runs in stdio mode, fed
+# through a FIFO, so no connection threads share the engine workers'
+# allocator arenas.
+SOAK=target/rjam_ci_soak
+rm -rf "$SOAK"
+mkdir -p "$SOAK"
+mkfifo "$SOAK/in"
+"$RJAMD" --stdio --threads 2 < "$SOAK/in" > "$SOAK/out" 2> /dev/null &
+RJAMD_PID=$!
+exec 3> "$SOAK/in"
+trap 'exec 3>&-; kill "$RJAMD_PID" 2> /dev/null || true' EXIT
+soak_submit() {
+    printf '{"req":"submit","spec":{"campaign":"wimax","fused":true,"frames":%s,"snr_db":10,"threshold":0.45,"seed":%s},"v":"rjam-job-v1"}\n' \
+        "$1" "$2" >&3
+}
+# Polls status until job $1 is in state $2, for at most two minutes.
+soak_wait() {
+    for _ in $(seq 1 2400); do
+        printf '{"req":"status","job":"%s","v":"rjam-job-v1"}\n' "$1" >&3
+        sleep 0.05
+        if tail -n 1 "$SOAK/out" | grep -q "\"state\":\"$2\""; then
+            return 0
+        fi
+    done
+    echo "memory soak: $1 never reached $2"; tail -n 3 "$SOAK/out"; exit 1
+}
+soak_kb() {
+    awk -v k="$1:" '$1 == k { print $2 }' "/proc/$RJAMD_PID/status"
+}
+soak_submit 24 1
+soak_wait job-1 done
+hwm24=$(soak_kb VmHWM)
+t0=$(date +%s.%N)
+soak_submit 268 2
+soak_wait job-2 done
+t1=$(date +%s.%N)
+hwm268=$(soak_kb VmHWM)
+soak_submit 268 3
+soak_wait job-3 running
+sleep "$(awk -v a="$t0" -v b="$t1" 'BEGIN { print (b - a) / 2 }')"
+printf '{"req":"cancel","job":"job-3","v":"rjam-job-v1"}\n' >&3
+soak_wait job-3 cancelled
+hwm=$(soak_kb VmHWM)
+rss=$(soak_kb VmRSS)
+echo "rjamd VmHWM after 24 frames ${hwm24} kB, after 268 ${hwm268} kB," \
+    "after a cancelled 268 ${hwm} kB (VmRSS ${rss} kB)"
+grep -q '"ev":"job_cancelled","job":"job-3"' "$SOAK/out"
+for kb in "$hwm" "$rss"; do
+    awk -v a="$kb" -v b="$hwm24" 'BEGIN { exit !(a <= 1.25 * b) }' || {
+        echo "rjamd memory grew with frames: $kb kB against $hwm24 kB after 24 frames"; exit 1;
+    }
+done
+exec 3>&-
+kill "$RJAMD_PID" 2> /dev/null || true
+trap - EXIT
+rm -rf "$SOAK"
 
 step "rjamd admission smoke: oversized jobs are bad_specs, an over-long line a bad_request, and status still answers"
 # A jamming job asking for 1e15 s of air per SIR point, and a false-alarm

@@ -6,8 +6,24 @@
 //! plays the same role in software — it records an envelope, accepts event
 //! markers (packet starts, trigger instants, jam bursts), can assert on
 //! their correspondence and renders an ASCII trace for examples and docs.
+//!
+//! Like an oscilloscope, a trace shows a bounded window: it keeps the
+//! envelope's first [`SCOPE_WINDOW`] samples and, for the rest, only their
+//! count and a running digest. Its memory is therefore flat in the length
+//! of the capture, apart from the markers.
 
 use rjam_sdr::complex::Cf64;
+
+/// Envelope samples a [`ScopeTrace`] keeps, from its first sample on:
+/// 2^20 samples, 42 ms at 25 MSPS, which holds Fig. 12's eight 5 ms WiMAX
+/// frames.
+pub const SCOPE_WINDOW: usize = 1 << 20;
+
+/// One FNV-1a step over a sample's `f64` bits.
+#[inline]
+fn fnv1a(state: u64, v: f64) -> u64 {
+    (state ^ v.to_bits()).wrapping_mul(0x100_0000_01b3)
+}
 
 /// A named event marker on the trace timeline.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,9 +35,20 @@ pub struct Marker {
 }
 
 /// A recorded time-domain trace with event markers.
+///
+/// The envelope is kept for the first [`SCOPE_WINDOW`] samples. Every
+/// sample, kept or not, counts in [`ScopeTrace::len`] and in
+/// [`ScopeTrace::envelope_fnv`], so both equal what a trace holding the
+/// whole envelope would report.
 #[derive(Clone, Debug, Default)]
 pub struct ScopeTrace {
+    /// The leading `min(len, SCOPE_WINDOW)` envelope samples.
     envelope: Vec<f64>,
+    /// Samples captured in total.
+    len: usize,
+    /// FNV-1a state over every sample, valid once `len > SCOPE_WINDOW`
+    /// (until then [`ScopeTrace::envelope_fnv`] digests the window).
+    digest: u64,
     markers: Vec<Marker>,
     sample_rate: f64,
 }
@@ -30,18 +57,71 @@ impl ScopeTrace {
     /// Creates an empty trace at the given sample rate (Hz).
     pub fn new(sample_rate: f64) -> Self {
         ScopeTrace {
-            envelope: Vec::new(),
-            markers: Vec::new(),
             sample_rate,
+            ..ScopeTrace::default()
         }
+    }
+
+    /// An empty trace that captures into `buffer`, cleared but with its
+    /// capacity kept — the reuse half of [`ScopeTrace::into_envelope`].
+    pub fn with_buffer(sample_rate: f64, mut buffer: Vec<f64>) -> Self {
+        buffer.clear();
+        ScopeTrace {
+            envelope: buffer,
+            ..ScopeTrace::new(sample_rate)
+        }
+    }
+
+    /// The kept envelope, as a buffer another trace can capture into.
+    pub fn into_envelope(self) -> Vec<f64> {
+        self.envelope
     }
 
     /// Records a waveform's magnitude envelope.
     pub fn capture(&mut self, waveform: &[Cf64]) {
-        self.envelope.extend(waveform.iter().map(|s| s.abs()));
+        self.absorb(waveform, |s| s.abs());
         if rjam_obs::enabled() {
             rjam_obs::registry::counter("channel.scope_captured_samples")
                 .add(waveform.len() as u64);
+        }
+    }
+
+    /// Reserves room for the next `samples` envelope samples, as far as
+    /// the window keeps them, so a capture of known length grows its
+    /// buffer once.
+    pub fn reserve(&mut self, samples: usize) {
+        let keep = SCOPE_WINDOW.saturating_sub(self.len).min(samples);
+        self.envelope.reserve_exact(keep);
+    }
+
+    /// Appends the envelope values `magnitude` gives `samples`: those
+    /// inside the window are kept, the rest only digested.
+    fn absorb<S>(&mut self, samples: &[S], magnitude: impl Fn(&S) -> f64) {
+        let keep = SCOPE_WINDOW.saturating_sub(self.len).min(samples.len());
+        let (kept, rest) = samples.split_at(keep);
+        self.envelope.extend(kept.iter().map(&magnitude));
+        if !rest.is_empty() {
+            if self.len <= SCOPE_WINDOW {
+                // The window just filled: its digest starts the running one.
+                self.digest = self.envelope.iter().fold(0, |h, &v| fnv1a(h, v));
+            }
+            self.digest = rest.iter().fold(self.digest, |h, s| fnv1a(h, magnitude(s)));
+        }
+        self.len += samples.len();
+    }
+
+    /// True while the trace still keeps every sample it captured.
+    pub fn holds_all(&self) -> bool {
+        self.len <= SCOPE_WINDOW
+    }
+
+    /// Order-sensitive, bit-exact digest of the whole envelope: FNV-1a
+    /// over each sample's `f64` bits, from a zero state.
+    pub fn envelope_fnv(&self) -> u64 {
+        if self.holds_all() {
+            self.envelope.iter().fold(0, |h, &v| fnv1a(h, v))
+        } else {
+            self.digest
         }
     }
 
@@ -57,23 +137,36 @@ impl ScopeTrace {
     }
 
     /// Appends another trace at an absolute sample offset: `other`'s
-    /// envelope lands at `self.envelope[offset..]` (zero-padding any gap)
-    /// and every marker is shifted by `offset`. This is how the sharded
-    /// campaign engine merges per-shard scope captures back into one global
-    /// timeline — concatenating shard `k` at the cumulative length of
-    /// shards `0..k` reproduces the serial capture exactly.
+    /// envelope lands at sample `offset` (zero-padding any gap) and every
+    /// marker is shifted by `offset`. This is how the sharded campaign
+    /// engine folds per-unit scope captures into one global timeline —
+    /// appending unit `k` at the cumulative length of units `0..k`
+    /// reproduces the serial capture exactly.
+    ///
+    /// # Panics
+    /// Panics if `other` no longer holds its whole envelope
+    /// ([`ScopeTrace::holds_all`]): the samples past its window are gone
+    /// and cannot be digested into this trace.
     pub fn append_shifted(&mut self, other: &ScopeTrace, offset: usize) {
+        assert!(
+            other.holds_all(),
+            "append_shifted needs the whole envelope of the trace it appends \
+             ({} samples, {SCOPE_WINDOW} kept)",
+            other.len
+        );
         debug_assert!(
-            offset >= self.envelope.len(),
+            offset >= self.len,
             "append_shifted must not overwrite captured samples \
              (offset {} < len {})",
             offset,
-            self.envelope.len()
+            self.len
         );
-        if self.envelope.len() < offset {
-            self.envelope.resize(offset, 0.0);
+        const SILENCE: [f64; 1024] = [0.0; 1024];
+        while self.len < offset {
+            let n = (offset - self.len).min(SILENCE.len());
+            self.absorb(&SILENCE[..n], |&v| v);
         }
-        self.envelope.extend_from_slice(&other.envelope);
+        self.absorb(&other.envelope, |&v| v);
         for m in &other.markers {
             self.markers.push(Marker {
                 at: m.at + offset,
@@ -81,25 +174,25 @@ impl ScopeTrace {
             });
         }
         if rjam_obs::enabled() {
-            rjam_obs::registry::counter("channel.scope_captured_samples")
-                .add(other.envelope.len() as u64);
+            rjam_obs::registry::counter("channel.scope_captured_samples").add(other.len as u64);
             rjam_obs::registry::counter("channel.scope_markers").add(other.markers.len() as u64);
         }
     }
 
-    /// The captured magnitude envelope, one value per sample.
+    /// The kept magnitude envelope, one value per sample: the first
+    /// `min(len, SCOPE_WINDOW)` samples of the capture.
     pub fn envelope(&self) -> &[f64] {
         &self.envelope
     }
 
-    /// Recorded length in samples.
+    /// Recorded length in samples, kept or not.
     pub fn len(&self) -> usize {
-        self.envelope.len()
+        self.len
     }
 
     /// True when nothing has been captured.
     pub fn is_empty(&self) -> bool {
-        self.envelope.is_empty()
+        self.len == 0
     }
 
     /// Sample rate of the capture.
@@ -178,7 +271,7 @@ impl ScopeTrace {
         out.push_str(",\"sample_rate\":");
         out.push_str(&write_number(self.sample_rate));
         out.push_str(",\"len\":");
-        out.push_str(&write_number(self.envelope.len() as f64));
+        out.push_str(&write_number(self.len as f64));
         out.push_str(",\"markers\":[");
         for (k, m) in sorted.iter().enumerate() {
             if k > 0 {
@@ -194,9 +287,12 @@ impl ScopeTrace {
         out
     }
 
-    /// Renders an ASCII scope view: `width` columns, each showing the peak
-    /// envelope of its time bucket on a `height`-row vertical scale, with
-    /// marker lanes underneath.
+    /// Renders an ASCII scope view of the kept window: `width` columns,
+    /// each showing the peak envelope of its time bucket on a `height`-row
+    /// vertical scale, with marker lanes underneath. A trace past its
+    /// window draws only the markers inside the window; one that holds
+    /// its whole capture draws every marker, a marker past the capture's
+    /// end in the last column.
     pub fn render_ascii(&self, width: usize, height: usize) -> String {
         if self.envelope.is_empty() || width == 0 || height == 0 {
             return String::from("(empty trace)\n");
@@ -222,13 +318,19 @@ impl ScopeTrace {
             }
             out.push('\n');
         }
-        // Marker lanes: one row per distinct label.
-        let mut labels: Vec<String> = self.markers.iter().map(|m| m.label.clone()).collect();
+        // Marker lanes: one row per distinct label drawn.
+        let drawn = |at: usize| self.holds_all() || at < self.envelope.len();
+        let mut labels: Vec<String> = self
+            .markers
+            .iter()
+            .filter(|m| drawn(m.at))
+            .map(|m| m.label.clone())
+            .collect();
         labels.sort();
         labels.dedup();
         for label in labels {
             let mut lane = vec![' '; width];
-            for &at in &self.markers_labeled(&label) {
+            for &at in self.markers_labeled(&label).iter().filter(|&&at| drawn(at)) {
                 let col = (at / bucket).min(width - 1);
                 lane[col] = '^';
             }
@@ -303,6 +405,97 @@ mod tests {
         // The gap rendered as silence, the burst as signal.
         let art = t.render_ascii(10, 1);
         assert!(art.starts_with("      ####"), "{art}");
+    }
+
+    /// Magnitudes `k`-dependent enough that any reordering or loss would
+    /// change the digest.
+    fn ramp(lo: usize, n: usize) -> Vec<Cf64> {
+        (lo..lo + n)
+            .map(|k| Cf64::new((k % 977) as f64 * 1e-3, (k % 13) as f64 * 1e-4))
+            .collect()
+    }
+
+    #[test]
+    fn a_trace_past_its_window_reports_what_a_whole_capture_would() {
+        // Four uneven units, the third crossing the window's end.
+        let sizes = [300_000, 500_000, 400_000, 123_457];
+        let total: usize = sizes.iter().sum();
+        assert!(total > SCOPE_WINDOW);
+        // Every sample, as a capture that kept them all would hold them.
+        let all: Vec<f64> = ramp(0, total).iter().map(|s| s.abs()).collect();
+        let fnv_all = all.iter().fold(0u64, |h, &v| fnv1a(h, v));
+        // One continuous capture, and units folded by `append_shifted`.
+        let mut direct = ScopeTrace::new(25e6);
+        let mut folded = ScopeTrace::new(25e6);
+        let mut lo = 0;
+        for (k, &n) in sizes.iter().enumerate() {
+            let wave = ramp(lo, n);
+            direct.capture(&wave);
+            direct.mark(lo + 7, "frame");
+            direct.mark(lo + 90 + k, "jam");
+            let mut unit = ScopeTrace::new(25e6);
+            unit.capture(&wave);
+            unit.mark(7, "frame");
+            unit.mark(90 + k, "jam");
+            assert!(unit.holds_all());
+            folded.append_shifted(&unit, folded.len());
+            lo += n;
+        }
+        for t in [&direct, &folded] {
+            assert!(!t.holds_all());
+            assert_eq!(t.len(), total);
+            assert_eq!(t.envelope_fnv(), fnv_all);
+            assert_eq!(t.envelope(), &all[..SCOPE_WINDOW]);
+        }
+        assert_eq!(direct.to_markers_json(), folded.to_markers_json());
+        let doc = rjam_obs::json::parse(&direct.to_markers_json()).unwrap();
+        assert_eq!(doc.as_object().unwrap()["len"].as_u64(), Some(total as u64));
+        // Inside the window the digest is the window's own.
+        let mut short = ScopeTrace::new(25e6);
+        short.capture(&ramp(0, 1000));
+        assert_eq!(
+            short.envelope_fnv(),
+            all[..1000].iter().fold(0, |h, &v| fnv1a(h, v))
+        );
+        assert_eq!(ScopeTrace::new(25e6).envelope_fnv(), 0);
+    }
+
+    #[test]
+    fn render_draws_only_the_window_and_its_markers() {
+        let mut t = ScopeTrace::new(25e6);
+        t.capture(&burst(SCOPE_WINDOW / 2, 0.1));
+        t.capture(&burst(SCOPE_WINDOW / 2, 1.0));
+        // Past the window: louder still, so it would own the scale if drawn.
+        t.capture(&burst(SCOPE_WINDOW, 9.0));
+        t.mark(10, "frame");
+        t.mark(SCOPE_WINDOW - 1, "jam");
+        t.mark(SCOPE_WINDOW + 5, "jam");
+        t.mark(SCOPE_WINDOW + 9, "late");
+        let art = t.render_ascii(16, 2);
+        let lines: Vec<&str> = art.lines().collect();
+        assert_eq!(
+            lines.len(),
+            4,
+            "2 signal rows + frame and jam lanes:\n{art}"
+        );
+        // Scaled to the window's own peak: its second half fills both rows.
+        assert_eq!(lines[0], format!("{}{}", " ".repeat(8), "#".repeat(8)));
+        assert!(
+            lines[2].starts_with('^') && lines[2].ends_with("frame"),
+            "{art}"
+        );
+        // One jam caret, in the window's last column; no 'late' lane.
+        assert_eq!(lines[3].matches('^').count(), 1, "{art}");
+        assert_eq!(lines[3].find('^'), Some(15), "{art}");
+        assert!(!art.contains("late"), "{art}");
+    }
+
+    #[test]
+    #[should_panic(expected = "whole envelope")]
+    fn appending_a_trace_past_its_window_is_refused() {
+        let mut long = ScopeTrace::new(25e6);
+        long.capture(&burst(SCOPE_WINDOW + 1, 0.5));
+        ScopeTrace::new(25e6).append_shifted(&long, 0);
     }
 
     #[test]

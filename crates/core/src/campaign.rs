@@ -10,8 +10,8 @@
 //! The `rjam-bench` figure binaries print the returned rows in the paper's
 //! format.
 
-use crate::engine::{CampaignEngine, CancelToken};
-use crate::jammer::{BlockScratch, ReactiveJammer, DEFAULT_LOCKOUT};
+use crate::engine::{CampaignEngine, CancelToken, FoldCheckpoint};
+use crate::jammer::{JamLane, DEFAULT_LOCKOUT};
 use crate::presets::{build_config, DetectionPreset, JammerPreset};
 use crate::testbed::TestbedBudget;
 use rjam_channel::monitor::ScopeTrace;
@@ -807,6 +807,122 @@ pub struct WimaxResult {
     pub one_to_one: bool,
 }
 
+/// The downlink as a WiMAX unit receives it: the unit's base station,
+/// per-frame sampling phases and receiver noise, all from its seed.
+struct WimaxReceiver {
+    gen: rjam_phy80216::DownlinkGenerator,
+    rng: Rng,
+    noise: NoiseSource,
+}
+
+impl WimaxReceiver {
+    fn new(seed: u64, snr_db: f64) -> Self {
+        let gen = rjam_phy80216::DownlinkGenerator::new(rjam_phy80216::DownlinkConfig {
+            seed,
+            ..rjam_phy80216::DownlinkConfig::default()
+        });
+        let mut rng = Rng::seed_from(seed ^ 0x16e);
+        let noise = NoiseSource::new(RX_LEVEL / db_to_lin(snr_db), rng.fork());
+        WimaxReceiver { gen, rng, noise }
+    }
+
+    /// Receives the next frame into `wave` at 25 MSPS (`up` holds it
+    /// before the fractional delay).
+    fn next_frame(&mut self, up: &mut Vec<Cf64>, wave: &mut Vec<Cf64>) {
+        let native = self.gen.next_frame();
+        to_usrp_rate_into(&native, rjam_sdr::WIMAX_SAMPLE_RATE, up);
+        // Random per-frame sampling phase (unsynchronized clocks).
+        fractional_delay_into(up, self.rng.uniform() * 0.999, wave);
+        // Scale relative to the active subframe power.
+        let active = (self.gen.dl_subframe_samples() as f64 * 25.0 / 11.4) as usize;
+        let p = mean_power(&wave[..active.min(wave.len())]);
+        let k_scale = (RX_LEVEL / p).sqrt();
+        for s in wave.iter_mut() {
+            *s = s.scale(k_scale) + self.noise.next_sample();
+        }
+    }
+}
+
+/// The reactive personality the WiMAX experiment jams with: 100 µs WGN.
+const WIMAX_REACTION: JammerPreset = JammerPreset::Reactive {
+    uptime_s: 100e-6,
+    waveform: rjam_fpga::JamWaveform::Wgn,
+};
+
+/// One lockout per frame: suppress retriggers (correlator false triggers
+/// on payload symbols, energy re-rises) across the whole 5 ms frame
+/// (125 000 samples at 25 MSPS), re-arming before the next preamble.
+const WIMAX_LOCKOUT: u64 = 100_000;
+
+/// Per-worker state of the WiMAX unit body: the detector lane and the
+/// buffers a received frame is built in.
+struct WimaxPool {
+    lane: JamLane,
+    /// The frame at 25 MSPS, before the fractional delay.
+    up: Vec<Cf64>,
+    /// The received frame.
+    wave: Vec<Cf64>,
+}
+
+impl WimaxPool {
+    fn new(detection: &DetectionPreset) -> Self {
+        WimaxPool {
+            lane: JamLane::from_presets(detection, &WIMAX_REACTION, WIMAX_LOCKOUT),
+            up: Vec::new(),
+            wave: Vec::new(),
+        }
+    }
+}
+
+/// One WiMAX work unit's result: its scope capture, the frames it
+/// detected and their summed response latency in µs.
+pub type WimaxUnit = (ScopeTrace, usize, f64);
+
+/// A WiMAX run as folded so far: one scope timeline over the folded units
+/// and their detection tallies.
+#[derive(Debug)]
+pub struct WimaxTally {
+    scope: ScopeTrace,
+    detected: usize,
+    latency_acc: f64,
+}
+
+impl Default for WimaxTally {
+    fn default() -> Self {
+        WimaxTally {
+            scope: ScopeTrace::new(rjam_sdr::USRP_SAMPLE_RATE),
+            detected: 0,
+            latency_acc: 0.0,
+        }
+    }
+}
+
+impl WimaxTally {
+    /// An empty tally with room for the scope window a run of `samples`
+    /// received samples keeps, so the window is allocated once, by the
+    /// thread that starts the run.
+    fn with_room(samples: usize) -> Self {
+        let mut tally = WimaxTally::default();
+        tally.scope.reserve(samples);
+        tally
+    }
+
+    /// Folds in the next unit: its scope lands at the running length, so
+    /// the units form one continuous timeline, and its tallies add on.
+    /// Returns the unit's envelope buffer for reuse.
+    fn fold(&mut self, (scope, detected, latency_us): WimaxUnit) -> Vec<f64> {
+        let offset = self.scope.len();
+        self.scope.append_shifted(&scope, offset);
+        self.detected += detected;
+        self.latency_acc += latency_us;
+        scope.into_envelope()
+    }
+}
+
+/// What a cancelled WiMAX run keeps: the tally of its folded units and
+/// the units that finished out of order.
+pub type WimaxCheckpoint = FoldCheckpoint<WimaxTally, WimaxUnit>;
+
 /// Builder for the WiMAX experiment — see [`CampaignSpec::wimax_detection`].
 #[derive(Clone, Debug)]
 pub struct WimaxDetectionSpec {
@@ -877,13 +993,15 @@ impl WimaxDetectionSpec {
     /// with AWGN at `snr_db`, against either the correlator alone or the
     /// fused correlator+energy detector. Split into
     /// `WIMAX_FRAMES_PER_UNIT`-frame (4-frame) work units, each with its
-    /// own base station, noise stream and scope; workers pool one jammer
-    /// core and scratch (reset between units). Unit scopes are merged back
-    /// onto one timeline with [`ScopeTrace::append_shifted`] and the
-    /// Fig. 12 one-to-one correspondence is evaluated on the merged
-    /// capture.
+    /// own base station, noise stream and scope; each worker pools one
+    /// detector lane and its synthesis buffers (reset between units). The
+    /// lane fires where the reactive jammer's core would trigger, and the
+    /// jam controller's burst timing places the jam. The engine folds each
+    /// unit's scope onto one timeline with [`ScopeTrace::append_shifted`]
+    /// as the units land in order, and the Fig. 12 one-to-one
+    /// correspondence is evaluated on the folded capture's markers.
     pub fn run(&self, engine: &CampaignEngine) -> WimaxResult {
-        self.run_ckpt(engine, &mut BTreeMap::new(), None)
+        self.run_ckpt(engine, &mut WimaxCheckpoint::default(), None)
             .expect("uncancelled campaign always completes")
     }
 
@@ -892,90 +1010,63 @@ impl WimaxDetectionSpec {
         self.frames.div_ceil(WIMAX_FRAMES_PER_UNIT)
     }
 
-    /// Checkpointed, cancellable [`WimaxDetectionSpec::run`]: `done`
-    /// carries per-unit `(scope, detected frames, summed latency in µs)`
-    /// results across interruptions and `cancel` stops the experiment
-    /// between units, returning `None`. Resuming with the same spec and
-    /// checkpoint yields the bit-identical result of an uninterrupted run.
+    /// Checkpointed, cancellable [`WimaxDetectionSpec::run`]: `ckpt`
+    /// carries the folded prefix and the out-of-order units across
+    /// interruptions and `cancel` stops the experiment between units,
+    /// returning `None`. Resuming with the same spec and checkpoint yields
+    /// the bit-identical result of an uninterrupted run.
     pub fn run_ckpt(
         &self,
         engine: &CampaignEngine,
-        done: &mut BTreeMap<usize, (ScopeTrace, usize, f64)>,
+        ckpt: &mut WimaxCheckpoint,
         cancel: Option<&CancelToken>,
     ) -> Option<WimaxResult> {
-        struct WimaxPool {
-            jammer: ReactiveJammer,
-            scratch: BlockScratch,
-            /// The frame at 25 MSPS, before the fractional delay.
-            up: Vec<Cf64>,
-            /// The received frame.
-            wave: Vec<Cf64>,
-        }
         let detection = self.detection();
         let frame_samples_25 = (rjam_phy80216::FRAME_SAMPLES as f64 * 25.0 / 11.4).round() as u64;
-        let units = engine.run_units(
+        if ckpt.units_done() == 0 {
+            // Allocate the scope window here, on the calling thread (a
+            // daemon's runner, the same for every job), not on whichever
+            // worker happens to fold first.
+            *ckpt = WimaxCheckpoint::new(WimaxTally::with_room(
+                self.frames.saturating_mul(frame_samples_25 as usize),
+            ));
+        }
+        // Envelope buffers of folded units, for later units to capture
+        // into: a run allocates one per worker, not one per unit.
+        let spare = std::sync::Mutex::new(Vec::new());
+        let WimaxTally {
+            scope,
+            detected,
+            latency_acc,
+        } = engine.fold_units(
             "wimax",
             self.n_units(),
             self.seed,
-            done,
+            ckpt,
             cancel,
-            || WimaxPool {
-                // One lockout per frame: suppress retriggers (correlator
-                // false triggers on payload symbols, energy re-rises)
-                // across the whole 5 ms frame (125 000 samples at
-                // 25 MSPS), re-arming before the next preamble.
-                jammer: ReactiveJammer::from_presets(
-                    &detection,
-                    &JammerPreset::Reactive {
-                        uptime_s: 100e-6,
-                        waveform: rjam_fpga::JamWaveform::Wgn,
-                    },
-                    100_000,
-                ),
-                scratch: BlockScratch::new(),
-                up: Vec::new(),
-                wave: Vec::new(),
-            },
+            || WimaxPool::new(&detection),
             |pool, ctx| {
                 let lo = ctx.index * WIMAX_FRAMES_PER_UNIT;
                 let n = WIMAX_FRAMES_PER_UNIT.min(self.frames - lo);
-                pool.jammer.reset();
-                let mut gen =
-                    rjam_phy80216::DownlinkGenerator::new(rjam_phy80216::DownlinkConfig {
-                        seed: ctx.seed,
-                        ..rjam_phy80216::DownlinkConfig::default()
-                    });
-                let mut rng = Rng::seed_from(ctx.seed ^ 0x16e);
-                let noise_power = RX_LEVEL / db_to_lin(self.snr_db);
-                let mut noise = NoiseSource::new(noise_power, rng.fork());
-                let mut scope = ScopeTrace::new(rjam_sdr::USRP_SAMPLE_RATE);
+                pool.lane.reset();
+                let mut rx = WimaxReceiver::new(ctx.seed, self.snr_db);
+                let buffer = spare.lock().expect("spare envelopes").pop();
+                let mut scope =
+                    ScopeTrace::with_buffer(rjam_sdr::USRP_SAMPLE_RATE, buffer.unwrap_or_default());
                 let mut detected = 0usize;
                 let mut latency_acc = 0.0f64;
                 for _ in 0..n {
-                    let native = gen.next_frame();
-                    to_usrp_rate_into(&native, rjam_sdr::WIMAX_SAMPLE_RATE, &mut pool.up);
-                    // Random per-frame sampling phase (unsynchronized clocks).
-                    fractional_delay_into(&pool.up, rng.uniform() * 0.999, &mut pool.wave);
-                    let wave = &mut pool.wave;
-                    // Scale relative to the active subframe power.
-                    let active = (gen.dl_subframe_samples() as f64 * 25.0 / 11.4) as usize;
-                    let p = mean_power(&wave[..active.min(wave.len())]);
-                    let k_scale = (RX_LEVEL / p).sqrt();
-                    for s in wave.iter_mut() {
-                        *s = s.scale(k_scale);
-                    }
-                    for s in wave.iter_mut() {
-                        *s += noise.next_sample();
-                    }
-                    let base = pool.jammer.core_mut().samples_processed();
-                    pool.jammer.process_block_into(wave, &mut pool.scratch);
+                    rx.next_frame(&mut pool.up, &mut pool.wave);
+                    let wave = &pool.wave;
+                    let base = pool.lane.samples_processed();
+                    let first_jam = pool.lane.first_jam(wave);
                     scope.capture(wave);
                     // Mark the frame at its actual position in the receive
                     // stream (the per-frame fractional resample makes
                     // frames a sample or two short of the nominal
                     // 125 000-sample spacing).
                     scope.mark(base as usize, "frame");
-                    if let Some(first_jam) = pool.scratch.active().iter().position(|&a| a) {
+                    if let Some(first_jam) = first_jam {
                         scope.mark((base + first_jam as u64) as usize, "jam");
                         detected += 1;
                         latency_acc += first_jam as f64 / 25.0; // us at 25 MSPS
@@ -983,18 +1074,11 @@ impl WimaxDetectionSpec {
                 }
                 (scope, detected, latency_acc)
             },
+            |tally, unit| {
+                let buffer = tally.fold(unit);
+                spare.lock().expect("spare envelopes").push(buffer);
+            },
         )?;
-        // Ordered merge: unit k lands at the cumulative sample count of
-        // units 0..k, reproducing one continuous scope timeline.
-        let mut scope = ScopeTrace::new(rjam_sdr::USRP_SAMPLE_RATE);
-        let mut detected = 0usize;
-        let mut latency_acc = 0.0f64;
-        for (unit_scope, unit_detected, unit_latency) in &units {
-            let offset = scope.len();
-            scope.append_shifted(unit_scope, offset);
-            detected += unit_detected;
-            latency_acc += unit_latency;
-        }
         let one_to_one = scope
             .correspondence("frame", "jam", frame_samples_25 as usize / 4)
             .is_ok();
@@ -1358,6 +1442,7 @@ pub fn energy_at_operating_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jammer::{BlockScratch, ReactiveJammer};
     use rjam_fpga::CoreEvent;
 
     fn serial() -> CampaignEngine {
@@ -1473,6 +1558,29 @@ mod tests {
         let rate = spec.run(&serial());
         let expect = t1 as f64 / (samples as f64 / rjam_sdr::USRP_SAMPLE_RATE);
         assert_eq!(rate.to_bits(), expect.to_bits());
+    }
+
+    #[test]
+    fn wimax_lane_jams_where_the_transmitting_jammer_does() {
+        // The unit's received frames, one block each, through the lane and
+        // through the reactive jammer it stands in for.
+        for (fused, snr_db) in [(true, 0.0), (true, 20.0), (false, 0.0), (false, 20.0)] {
+            let detection = CampaignSpec::wimax_detection().fused(fused).detection();
+            let mut pool = WimaxPool::new(&detection);
+            let mut jammer =
+                ReactiveJammer::from_presets(&detection, &WIMAX_REACTION, WIMAX_LOCKOUT);
+            let mut scratch = BlockScratch::new();
+            let mut rx = WimaxReceiver::new(0x5EED, snr_db);
+            for frame in 0..5 {
+                rx.next_frame(&mut pool.up, &mut pool.wave);
+                jammer.process_block_into(&pool.wave, &mut scratch);
+                assert_eq!(
+                    pool.lane.first_jam(&pool.wave),
+                    scratch.active().iter().position(|&a| a),
+                    "fused {fused}, {snr_db} dB, frame {frame}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,10 +22,15 @@
 //!    derives everything that affects its *result* from it; the per-worker
 //!    pool (see below) only carries resettable scratch whose post-reset
 //!    behavior is identical to freshly built state.
-//! 3. **Ordered merge.** Workers claim contiguous unit ranges from an
-//!    atomic cursor over a [`ShardPlan`] (dynamic load balancing), but
-//!    results are **moved** into pre-sized slots by unit index as the
-//!    workers join — no clones, no order dependence.
+//! 3. **Ordered fold.** Workers claim unit ranges from an atomic cursor
+//!    over a [`ShardPlan`] (dynamic load balancing), but results are
+//!    **folded in unit order**: whichever worker completes the next unit
+//!    in index order folds it and every ready successor, and only the
+//!    out-of-order tail waits — no clones, no order dependence. Collecting
+//!    results into a `Vec` ([`CampaignEngine::run_units`]) is the trivial
+//!    fold; [`CampaignEngine::fold_units`] takes any other and holds at
+//!    most one unfolded result per worker, so a fold whose results are
+//!    large runs in memory that does not grow with its unit count.
 //!
 //! ## Shard planning and worker pools
 //!
@@ -57,8 +62,8 @@ use rjam_obs::HistSummary;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "RJAM_THREADS";
@@ -193,6 +198,63 @@ impl ShardPlan {
     pub fn ranges(&self) -> &[Range<usize>] {
         &self.ranges
     }
+
+    /// One range per unit, in order: the plan of
+    /// [`CampaignEngine::fold_units`], whose workers claim one unit at a
+    /// time so that none runs far ahead of the fold's frontier.
+    fn unit_by_unit(n_units: usize) -> Self {
+        ShardPlan {
+            ranges: (0..n_units).map(|u| u..u + 1).collect(),
+            n_units,
+        }
+    }
+}
+
+/// The checkpoint of an ordered fold ([`CampaignEngine::fold_units`]):
+/// the accumulator over units `0..folded`, plus the results of later
+/// units that finished before an earlier one — the out-of-order tail.
+#[derive(Debug)]
+pub struct FoldCheckpoint<A, T> {
+    acc: A,
+    folded: usize,
+    tail: BTreeMap<usize, T>,
+}
+
+impl<A: Default, T> Default for FoldCheckpoint<A, T> {
+    fn default() -> Self {
+        FoldCheckpoint::new(A::default())
+    }
+}
+
+impl<A, T> FoldCheckpoint<A, T> {
+    /// Nothing folded yet; the fold starts from `acc`.
+    pub fn new(acc: A) -> Self {
+        FoldCheckpoint {
+            acc,
+            folded: 0,
+            tail: BTreeMap::new(),
+        }
+    }
+
+    /// Units done: folded into the accumulator or held in the tail.
+    pub fn units_done(&self) -> usize {
+        self.folded + self.tail.len()
+    }
+
+    /// Records unit `index`'s result, then folds every unit the folded
+    /// prefix now reaches, in order.
+    fn land(&mut self, index: usize, value: T, fold: &impl Fn(&mut A, T)) {
+        self.tail.insert(index, value);
+        self.fold_ready(fold);
+    }
+
+    /// Folds the tail's units that continue the folded prefix.
+    fn fold_ready(&mut self, fold: &impl Fn(&mut A, T)) {
+        while let Some(value) = self.tail.remove(&self.folded) {
+            fold(&mut self.acc, value);
+            self.folded += 1;
+        }
+    }
 }
 
 /// Where an engine sends its `rjam-progress-v1` stream: called once per
@@ -315,42 +377,15 @@ impl CampaignEngine {
 
     /// Runs the units `0..n_units` of campaign `seed` that `done` does not
     /// already hold and returns all results **in unit order**, regardless
-    /// of worker count or scheduling — the engine's one entry point.
+    /// of worker count or scheduling: [`Self::fold_units`] with the
+    /// trivial fold, a `Vec` that each result is pushed onto.
     ///
-    /// `make_pool` is called once per worker; `f` receives a `&mut` to its
-    /// worker's pool plus the unit's [`ShardCtx`]. The pool must be
-    /// *reset-equivalent*: a unit run against a reused pool must produce
-    /// the same result as against a freshly built one (e.g.
-    /// `DspCore::reset` restores streaming state while keeping
-    /// configuration). All randomness must come from [`ShardCtx::seed`].
-    /// Campaigns without per-worker state pass `|| ()`.
-    ///
-    /// With one worker the units run inline on the caller's thread; with
-    /// more, `std::thread::scope` workers claim contiguous ranges of a
-    /// [`ShardPlan`] over the missing units from a shared atomic cursor,
-    /// and a panicking unit propagates the panic to the caller.
-    ///
-    /// Checkpoint and cancel — the primitive behind `rjamd`'s cancel +
-    /// resume: `done` holds the results of units completed by *previous*
-    /// attempts, keyed by unit index. Each unit's seed derives from its
-    /// **original** index via [`shard_seed`], so a resumed campaign
-    /// computes bit-identical results to an uninterrupted one. A tripped
-    /// `cancel` stops workers from claiming further units (units in flight
-    /// finish); the completed results are then left in `done` and the call
-    /// returns `None` — run again with the same arguments to resume. On
-    /// completion `done` is drained.
-    ///
-    /// `kind` (`"wifi_detection"`, `"false_alarm"`, ...) labels the run's
-    /// telemetry. With the `obs` feature on, the engine times every unit
-    /// and publishes an [`EngineProfile`] (per-worker busy/idle/merge-wait,
-    /// unit-latency histogram per kind, stragglers > `STRAGGLER_FACTOR`×
-    /// the median with their seeds) into its own store ([`Self::profile`]),
-    /// and — when it has a progress sink ([`Self::with_progress`]) — emits
-    /// the `rjam-progress-v1` event chain (started / shard finished /
-    /// snapshot with ETA / done) over the units it runs. An interrupted run
-    /// leaves the chain truncated (no `campaign_done`), which is what its
-    /// watchers should see. None of this touches results; without `obs`
-    /// the instrumentation compiles out.
+    /// `done` holds the results of units completed by *previous* attempts,
+    /// keyed by unit index. A tripped `cancel` leaves every completed
+    /// result in `done` and returns `None` — run again with the same
+    /// arguments to resume. On completion `done` is drained. Since the
+    /// accumulator keeps every result anyway, the units are dispatched in
+    /// the coarser ranges of [`ShardPlan::new`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_units<T, P, M, F>(
         &self,
@@ -367,12 +402,128 @@ impl CampaignEngine {
         M: Fn() -> P + Sync,
         F: Fn(&mut P, ShardCtx) -> T + Sync,
     {
+        let mut ckpt = FoldCheckpoint {
+            acc: Vec::with_capacity(n_units),
+            folded: 0,
+            tail: std::mem::take(done),
+        };
+        let push = |acc: &mut Vec<T>, v: T| acc.push(v);
+        let out = self.drive(
+            kind, n_units, seed, &mut ckpt, cancel, false, make_pool, f, push,
+        );
+        if out.is_none() {
+            done.extend(ckpt.acc.into_iter().enumerate());
+            done.append(&mut ckpt.tail);
+        }
+        out
+    }
+
+    /// Runs the units `0..n_units` of campaign `seed` that `ckpt` does not
+    /// already hold and folds their results into its accumulator **in
+    /// unit order**, regardless of worker count or scheduling — the
+    /// engine's one entry point.
+    ///
+    /// `make_pool` is called once per worker; `f` receives a `&mut` to its
+    /// worker's pool plus the unit's [`ShardCtx`]. The pool must be
+    /// *reset-equivalent*: a unit run against a reused pool must produce
+    /// the same result as against a freshly built one (e.g.
+    /// `DspCore::reset` restores streaming state while keeping
+    /// configuration). All randomness must come from [`ShardCtx::seed`].
+    /// Campaigns without per-worker state pass `|| ()`.
+    ///
+    /// With one worker the units run inline on the caller's thread; with
+    /// more, `std::thread::scope` workers claim the missing units one at a
+    /// time from a shared atomic cursor, and
+    /// a panicking unit propagates the panic to the caller. Whichever
+    /// worker completes the unit at the fold's frontier applies `fold` to
+    /// it and to every ready successor, under one lock; a unit that
+    /// finishes ahead of the frontier waits in the checkpoint's tail. The
+    /// accumulator therefore sees exactly the serial sequence of results.
+    /// A worker starts a unit only while it is fewer than `workers` units
+    /// past the frontier, so at most one unfolded result per worker — in
+    /// flight or in the tail — exists at any time, however long the run.
+    ///
+    /// Checkpoint and cancel — the primitive behind `rjamd`'s cancel +
+    /// resume: `ckpt` holds the folded prefix and tail of *previous*
+    /// attempts. Each unit's seed derives from its **original** index via
+    /// [`shard_seed`], so a resumed campaign computes bit-identical
+    /// results to an uninterrupted one. A tripped `cancel` stops workers
+    /// from claiming further units (units in flight finish); the call then
+    /// returns `None` with every finished unit in `ckpt` — run again with
+    /// the same arguments to resume. On completion the accumulator is
+    /// returned and `ckpt` is left empty.
+    ///
+    /// `kind` (`"wifi_detection"`, `"false_alarm"`, ...) labels the run's
+    /// telemetry. With the `obs` feature on, the engine times every unit
+    /// and fold and publishes an [`EngineProfile`] (per-worker
+    /// busy/idle/merge-wait, with the fold time as merge-wait,
+    /// unit-latency histogram per kind, stragglers > `STRAGGLER_FACTOR`×
+    /// the median with their seeds) into its own store ([`Self::profile`]),
+    /// and — when it has a progress sink ([`Self::with_progress`]) — emits
+    /// the `rjam-progress-v1` event chain (started / shard finished /
+    /// snapshot with ETA / done) over the units it runs. An interrupted run
+    /// leaves the chain truncated (no `campaign_done`), which is what its
+    /// watchers should see. None of this touches results; without `obs`
+    /// the instrumentation compiles out.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fold_units<T, A, P, M, F, G>(
+        &self,
+        kind: &'static str,
+        n_units: usize,
+        seed: u64,
+        ckpt: &mut FoldCheckpoint<A, T>,
+        cancel: Option<&CancelToken>,
+        make_pool: M,
+        f: F,
+        fold: G,
+    ) -> Option<A>
+    where
+        T: Send,
+        A: Send + Default,
+        M: Fn() -> P + Sync,
+        F: Fn(&mut P, ShardCtx) -> T + Sync,
+        G: Fn(&mut A, T) + Sync,
+    {
+        self.drive(kind, n_units, seed, ckpt, cancel, true, make_pool, f, fold)
+    }
+
+    /// The one worker loop behind [`Self::fold_units`] and
+    /// [`Self::run_units`]. A `bounded` run claims units one at a time
+    /// and starts a unit only within `workers` units of the fold's
+    /// frontier, so at most `workers` unfolded results exist at once; an
+    /// unbounded one claims the coarser ranges of [`ShardPlan::new`].
+    #[allow(clippy::too_many_arguments)]
+    fn drive<T, A, P, M, F, G>(
+        &self,
+        kind: &'static str,
+        n_units: usize,
+        seed: u64,
+        ckpt: &mut FoldCheckpoint<A, T>,
+        cancel: Option<&CancelToken>,
+        bounded: bool,
+        make_pool: M,
+        f: F,
+        fold: G,
+    ) -> Option<A>
+    where
+        T: Send,
+        A: Send + Default,
+        M: Fn() -> P + Sync,
+        F: Fn(&mut P, ShardCtx) -> T + Sync,
+        G: Fn(&mut A, T) + Sync,
+    {
         let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        let mut slots: Vec<Option<T>> = (0..n_units).map(|i| done.remove(&i)).collect();
+        ckpt.fold_ready(&fold);
         if !cancelled() {
-            let todo: Vec<usize> = (0..n_units).filter(|&i| slots[i].is_none()).collect();
+            let todo: Vec<usize> = (ckpt.folded..n_units)
+                .filter(|i| !ckpt.tail.contains_key(i))
+                .collect();
             let workers = self.threads.min(todo.len()).max(1);
-            let plan = ShardPlan::new(todo.len(), workers);
+            let plan = if bounded {
+                ShardPlan::unit_by_unit(todo.len())
+            } else {
+                ShardPlan::new(todo.len(), workers)
+            };
             self.note_run(&plan, workers);
 
             let progress = self.progress.as_deref().filter(|_| rjam_obs::enabled());
@@ -423,13 +574,16 @@ impl CampaignEngine {
             };
 
             // The one worker loop: claim ranges until the plan runs out or
-            // the token trips; results come back keyed by unit index.
+            // the token trips, landing each result in the ordered fold.
+            let state = Mutex::new(&mut *ckpt);
+            // Signalled whenever a unit lands, for bounded runs' waits.
+            let landed = Condvar::new();
             let next = AtomicUsize::new(0);
             let work = |worker: usize| {
                 let wt0 = Instant::now();
                 let mut pool = make_pool();
-                let mut out = Vec::new();
                 let mut unit_ns = Vec::new();
+                let mut fold_ns = 0u64;
                 'claim: while !cancelled() {
                     let r = next.fetch_add(1, Ordering::Relaxed);
                     let Some(range) = plan.ranges().get(r) else {
@@ -442,73 +596,81 @@ impl CampaignEngine {
                             // shard_finished for it.
                             break 'claim;
                         }
+                        if bounded {
+                            // Wait for the frontier to come within reach;
+                            // the frontier's own unit never waits.
+                            let w0 = rjam_obs::enabled().then(Instant::now);
+                            let mut st = state.lock().expect("engine fold lock");
+                            while index >= st.folded + workers {
+                                if cancelled() {
+                                    break 'claim;
+                                }
+                                let wait = Duration::from_millis(5);
+                                st = landed.wait_timeout(st, wait).expect("engine fold lock").0;
+                            }
+                            drop(st);
+                            if let Some(w0) = w0 {
+                                fold_ns += w0.elapsed().as_nanos() as u64;
+                            }
+                        }
                         let ctx = ShardCtx {
                             index,
                             seed: shard_seed(seed, index as u64),
                         };
                         let u0 = rjam_obs::enabled().then(Instant::now);
-                        out.push((index, f(&mut pool, ctx)));
-                        if let Some(u0) = u0 {
+                        let value = f(&mut pool, ctx);
+                        let f0 = u0.map(|u0| {
                             let d = u0.elapsed().as_nanos() as u64;
                             shard_busy += d;
                             unit_ns.push((index, d));
+                            Instant::now()
+                        });
+                        state
+                            .lock()
+                            .expect("engine fold lock")
+                            .land(index, value, &fold);
+                        if bounded {
+                            landed.notify_all();
+                        }
+                        if let Some(f0) = f0 {
+                            fold_ns += f0.elapsed().as_nanos() as u64;
                         }
                     }
                     if rjam_obs::enabled() {
                         note_shard(r, worker, range.len(), shard_busy);
                     }
                 }
-                let log = WorkerLog {
+                WorkerLog {
                     worker,
                     wall_ns: wt0.elapsed().as_nanos() as u64,
-                    merge_wait_ns: 0,
+                    fold_ns,
                     finished: Instant::now(),
                     unit_ns,
-                };
-                (out, log)
-            };
-
-            // Ordered merge: scheduling decided who computed each unit, the
-            // index decides where its result lands — moved, not cloned.
-            let mut logs = Vec::with_capacity(workers);
-            let mut merge = |(out, mut log): (Vec<(usize, T)>, WorkerLog)| {
-                for (index, v) in out {
-                    slots[index] = Some(v);
                 }
-                // Merge-wait: from the worker finishing to its results being
-                // merged here (charged after the merge so the last worker's
-                // merge cost is attributed, not lost).
-                log.merge_wait_ns = log.finished.elapsed().as_nanos() as u64;
-                logs.push(log);
             };
-            if workers == 1 {
-                merge(work(0));
+            let logs: Vec<WorkerLog> = if workers == 1 {
+                vec![work(0)]
             } else {
                 std::thread::scope(|s| {
                     let work = &work;
                     let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
-                    for h in handles {
-                        merge(h.join().expect("campaign unit worker panicked"));
-                    }
-                });
-            }
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("campaign unit worker panicked"))
+                        .collect()
+                })
+            };
             if rjam_obs::enabled() {
-                let complete = slots.iter().all(Option::is_some);
-                let done_to = progress.filter(|_| complete);
+                let done_to = progress.filter(|_| ckpt.folded == n_units);
                 let shards = plan.n_shards();
                 publish_run_telemetry(kind, seed, shards, t0, logs, done_to, &self.profiles);
             }
         }
-        if slots.iter().any(Option::is_none) {
-            done.extend(
-                slots
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.map(|v| (i, v))),
-            );
+        if ckpt.folded < n_units {
             return None;
         }
-        slots.into_iter().collect()
+        ckpt.folded = 0;
+        Some(std::mem::take(&mut ckpt.acc))
     }
 
     /// Publishes engine activity to the obs registry (no-op without `obs`).
@@ -533,8 +695,11 @@ impl Default for CampaignEngine {
 /// One worker's raw timing log, turned into [`WorkerStats`] after the run.
 struct WorkerLog {
     worker: usize,
+    /// From the worker's start to `finished`.
     wall_ns: u64,
-    merge_wait_ns: u64,
+    /// Time landing results in the ordered fold, its lock and, in
+    /// bounded runs, the wait for the frontier included.
+    fold_ns: u64,
     finished: Instant,
     /// `(unit index, duration)` of every unit the worker ran.
     unit_ns: Vec<(usize, u64)>,
@@ -600,16 +765,15 @@ fn publish_run_telemetry(
         .iter()
         .map(|l| {
             let busy_ns: u64 = l.unit_ns.iter().map(|&(_, d)| d).sum();
-            // A worker that finished early and was merged early waits out
-            // the rest of the campaign: that tail is idle time too.
-            let tail_ns =
-                (end.duration_since(l.finished).as_nanos() as u64).saturating_sub(l.merge_wait_ns);
+            // A worker that finished early waits out the rest of the
+            // campaign: that tail is idle time too.
+            let tail_ns = end.duration_since(l.finished).as_nanos() as u64;
             WorkerStats {
                 worker: l.worker,
                 units: l.unit_ns.len() as u64,
                 busy_ns,
-                idle_ns: l.wall_ns.saturating_sub(busy_ns) + tail_ns,
-                merge_wait_ns: l.merge_wait_ns,
+                idle_ns: l.wall_ns.saturating_sub(busy_ns + l.fold_ns) + tail_ns,
+                merge_wait_ns: l.fold_ns,
             }
         })
         .collect();
@@ -904,6 +1068,76 @@ mod tests {
                 assert_eq!(resumed, plain, "threads={threads} after={cancel_after}");
                 assert!(done.is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn a_fold_checkpoint_counts_its_tail_and_folds_in_order() {
+        let cat = |acc: &mut String, v: char| acc.push(v);
+        let mut ckpt = FoldCheckpoint::new(String::new());
+        ckpt.land(2, 'c', &cat);
+        ckpt.land(1, 'b', &cat);
+        assert_eq!((ckpt.folded, ckpt.units_done()), (0, 2), "held in the tail");
+        ckpt.land(0, 'a', &cat);
+        assert_eq!((ckpt.folded, ckpt.units_done()), (3, 3));
+        ckpt.land(4, 'e', &cat);
+        assert_eq!((ckpt.folded, ckpt.units_done()), (3, 4));
+        // A resume runs only unit 3, then folds 3 and 4 behind it.
+        let got = CampaignEngine::with_threads(2)
+            .fold_units(
+                "t",
+                5,
+                1,
+                &mut ckpt,
+                None,
+                || (),
+                |_, ctx| char::from(b'a' + ctx.index as u8),
+                cat,
+            )
+            .expect("completes");
+        assert_eq!(got, "abcde");
+        assert_eq!(
+            ckpt.units_done(),
+            0,
+            "a completed fold leaves its checkpoint empty"
+        );
+    }
+
+    #[test]
+    fn a_fold_holds_at_most_one_unfolded_result_per_worker() {
+        use std::sync::atomic::AtomicI64;
+        for threads in [2usize, 3, 4] {
+            // Results alive: +1 when a unit starts, -1 when it is folded.
+            let alive = AtomicI64::new(0);
+            let peak = AtomicI64::new(0);
+            let got = CampaignEngine::with_threads(threads)
+                .fold_units(
+                    "t",
+                    60,
+                    3,
+                    &mut FoldCheckpoint::new(Vec::new()),
+                    None,
+                    || (),
+                    |_, ctx| {
+                        let now = alive.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        // Uneven units, so later ones often finish first.
+                        let us = [300, 50, 900, 10][ctx.index % 4];
+                        std::thread::sleep(std::time::Duration::from_micros(us));
+                        ctx.index
+                    },
+                    |acc: &mut Vec<usize>, v| {
+                        alive.fetch_sub(1, Ordering::SeqCst);
+                        acc.push(v);
+                    },
+                )
+                .expect("completes");
+            assert_eq!(got, (0..60).collect::<Vec<_>>());
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= threads as i64,
+                "{peak} results alive at {threads} threads"
+            );
         }
     }
 

@@ -176,16 +176,12 @@ pub fn false_alarm_json(fa_per_s: f64) -> String {
 }
 
 /// Canonical JSON for a WiMAX correspondence run. The scope trace is
-/// folded in as its marker log plus an envelope checksum, which pins both
+/// folded in as its marker log plus an envelope checksum
+/// ([`rjam_channel::monitor::ScopeTrace::envelope_fnv`], the
+/// order-sensitive FNV-1a over every sample's `f64` bits), which pins both
 /// detection decisions and every captured sample without megabytes of
 /// floats.
 pub fn wimax_json(result: &WimaxResult) -> String {
-    let mut env_sum = 0u64;
-    for &v in result.scope.envelope() {
-        // Order-sensitive bit-exact digest (FNV-1a over the f64 bits).
-        env_sum ^= v.to_bits();
-        env_sum = env_sum.wrapping_mul(0x100_0000_01b3);
-    }
     format!(
         concat!(
             "{{\"detect_fraction\":{},\"mean_latency_us\":{},",
@@ -196,7 +192,7 @@ pub fn wimax_json(result: &WimaxResult) -> String {
         num(result.mean_latency_us),
         result.one_to_one,
         result.scope.len(),
-        env_sum,
+        result.scope.envelope_fnv(),
         result.scope.to_markers_json()
     )
 }

@@ -5,12 +5,15 @@
 //! run time over the register bus (counting the writes, since personality
 //! switches cost only settings-bus latency on real hardware), streams
 //! receive samples and surfaces detections, jam bursts and host feedback.
+//! A campaign that needs only where a jammer transmits, not what, runs a
+//! `JamLane` instead, which the jammer's core is tested against.
 
 use crate::presets::{build_config, DetectionPreset, JammerPreset};
 use rjam_fpga::core::CoreOutput;
 use rjam_fpga::jammer::JamEvent;
-use rjam_fpga::{CoreEvent, DspCore};
+use rjam_fpga::{BurstRule, CoreEvent, DspCore, DspLaneBank, LaneBankScratch};
 use rjam_sdr::complex::{Cf64, IqI16};
+use std::ops::Range;
 
 /// Default post-detection lockout in samples (suppresses double counting
 /// within one frame; ~40 us at 25 MSPS).
@@ -227,6 +230,73 @@ impl ReactiveJammer {
     }
 }
 
+/// A reactive jammer's transmit decisions without its transmit samples: a
+/// one-lane [`DspLaneBank`] fires where the jammer's core logs a jam
+/// trigger, and the controller's [`BurstRule`] turns those triggers into
+/// the samples the jammer transmits on. A [`ReactiveJammer`] armed the
+/// same way is the reference it is tested against.
+#[derive(Debug)]
+pub(crate) struct JamLane {
+    bank: DspLaneBank,
+    bursts: BurstRule,
+    /// The quantized receive block.
+    quant: Vec<IqI16>,
+    triggers: LaneBankScratch,
+    on_air: Vec<Range<u64>>,
+}
+
+impl JamLane {
+    /// The lane of a jammer armed with `detection` and the reactive
+    /// personality `reaction` at `lockout`, as
+    /// [`ReactiveJammer::from_presets`] would arm it.
+    pub(crate) fn from_presets(
+        detection: &DetectionPreset,
+        reaction: &JammerPreset,
+        lockout: u64,
+    ) -> Self {
+        let cfg = build_config(detection, reaction, lockout);
+        debug_assert!(cfg.enabled && !cfg.continuous, "a jam lane jams reactively");
+        let mut bank = DspLaneBank::new();
+        bank.add_lane(&cfg);
+        JamLane {
+            bank,
+            bursts: BurstRule::new(cfg.delay_samples, cfg.uptime_samples),
+            quant: Vec::new(),
+            triggers: LaneBankScratch::default(),
+            on_air: Vec::new(),
+        }
+    }
+
+    /// Samples streamed since construction or the last reset.
+    pub(crate) fn samples_processed(&self) -> u64 {
+        self.bank.samples_processed()
+    }
+
+    /// Streams a floating-point 25 MSPS block through the ADC quantizer
+    /// and the lane; returns the block offset of the first sample the
+    /// jammer transmits on, if any — the first sample
+    /// [`ReactiveJammer::process_block_into`] would mark active.
+    pub(crate) fn first_jam(&mut self, rx: &[Cf64]) -> Option<usize> {
+        let base = self.bank.samples_processed();
+        self.quant.clear();
+        self.quant.extend(rx.iter().map(|&s| IqI16::from_cf64(s)));
+        self.triggers.clear();
+        self.bank
+            .process_block_into(&self.quant, &mut self.triggers);
+        self.on_air.clear();
+        let block = base..base + rx.len() as u64;
+        self.bursts
+            .on_air(block, &self.triggers.triggers[0], &mut self.on_air);
+        self.on_air.first().map(|r| (r.start - base) as usize)
+    }
+
+    /// Clears streaming state, keeping configuration.
+    pub(crate) fn reset(&mut self) {
+        self.bank.reset();
+        self.bursts.reset();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +412,62 @@ mod tests {
         let fb = j.take_feedback();
         assert!(fb & rjam_fpga::regs::host_feedback::XCORR_DET != 0);
         assert!(fb & rjam_fpga::regs::host_feedback::JAMMED != 0);
+    }
+
+    #[test]
+    fn jam_lane_finds_the_first_jam_where_the_jammer_transmits() {
+        // Quiet noise with three loud 300-sample segments: the second
+        // arrives while the first one's 4 000-sample burst is on air.
+        let mut rng = rjam_sdr::rng::Rng::seed_from(5);
+        let loud = |n: usize| {
+            (2000..2300).contains(&n) || (3500..3800).contains(&n) || (9000..9300).contains(&n)
+        };
+        let stream: Vec<Cf64> = (0..12_000)
+            .map(|n| {
+                let a = if loud(n) { 0.3 } else { 0.002 };
+                Cf64::new(a * (rng.uniform() - 0.5), a * (rng.uniform() - 0.5))
+            })
+            .collect();
+        let detection = DetectionPreset::EnergyRise { threshold_db: 10.0 };
+        let reaction = JammerPreset::Reactive {
+            uptime_s: 160e-6,
+            waveform: JamWaveform::Wgn,
+        };
+        let mut monitor = ReactiveJammer::from_presets(&detection, &JammerPreset::Monitor, 100);
+        monitor.process_block(&stream);
+        let triggers: Vec<usize> = monitor
+            .events()
+            .iter()
+            .filter(|e| matches!(e, CoreEvent::JamTrigger { .. }))
+            .map(|e| e.sample() as usize)
+            .collect();
+        let [t1, t2, t3] = triggers[..] else {
+            panic!("one trigger per loud segment, got {triggers:?}")
+        };
+        // t1 is the last sample of block 0, the burst it starts runs across
+        // block 1 into block 2, t2 falls while it is on air, and t3 is the
+        // second-to-last sample of block 2.
+        let cuts = [0, t1 + 1, t1 + 1001, t3 + 2, stream.len()];
+        assert!(cuts[2] < t2 && t1 + 2 + 4000 > cuts[2] && t3 + 2 > t1 + 2 + 4000);
+        // First jam sample of each block, or none: the lane's answer and
+        // the transmitting jammer's activity mask, side by side.
+        let mut lane = JamLane::from_presets(&detection, &reaction, 100);
+        let mut jammer = ReactiveJammer::from_presets(&detection, &reaction, 100);
+        let mut scratch = BlockScratch::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for w in cuts.windows(2) {
+            let block = &stream[w[0]..w[1]];
+            got.push(lane.first_jam(block));
+            jammer.process_block_into(block, &mut scratch);
+            want.push(scratch.active().iter().position(|&a| a));
+        }
+        assert_eq!(got, want);
+        assert_eq!(want, vec![None, Some(1), Some(0), Some(0)]);
+        assert_eq!(
+            jammer.jam_events().len(),
+            2,
+            "the trigger on air is dropped"
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   correspondence experiment (Fig 12), all described by [`campaign::CampaignSpec`];
 //! * [`engine`] — the deterministic sharded campaign engine: splits every
 //!   campaign into seed-split shards, runs them on scoped worker threads
-//!   (`RJAM_THREADS`) and merges in shard order, so output is bit-identical
-//!   to the serial path at any thread count;
+//!   (`RJAM_THREADS`) and folds their results in unit order, so output is
+//!   bit-identical to the serial path at any thread count;
 //! * [`trace`] — traced jam episodes: every frame gets a correlation ID at
 //!   MAC emission and a causal chain (PHY → channel → FPGA → jam → outcome)
 //!   in one exportable [`rjam_obs::trace::TraceDoc`].

@@ -25,11 +25,11 @@
 
 use crate::campaign::{
     false_alarm_rate, CampaignSpec, ChannelModel, JammerUnderTest, JammingPoint, WifiEmission,
+    WimaxCheckpoint,
 };
 use crate::engine::{CampaignEngine, CancelToken};
 use crate::export;
 use crate::presets::DetectionPreset;
-use rjam_channel::monitor::ScopeTrace;
 use rjam_mac::MacObsDelta;
 use rjam_obs::json::{self, Value};
 use rjam_obs::ParseError;
@@ -92,17 +92,11 @@ pub const MAX_JAMMING_DURATION_S: f64 = 3600.0;
 /// slots and its to-do list by the unit count before any unit runs, so an
 /// unbounded count could abort the daemon on a failed allocation. 2^18
 /// units admit the paper's 30-minute false-alarm count (4.5 × 10^10
-/// samples at 25 MSPS, 171 662 units of 2^18 samples).
+/// samples at 25 MSPS, 171 662 units of 2^18 samples). A `wimax` job's
+/// units are 4 frames each, so it may ask for 2^20 frames (87 minutes of
+/// downlink); its scope keeps a fixed window, and what grows with its
+/// frames is the markers and the export, about 0.1 KB per frame each.
 pub const MAX_JOB_UNITS: usize = 1 << 18;
-
-/// Scope memory one WiMAX frame keeps until its job exports: the frame's
-/// 125 000-sample `f64` envelope at 25 MSPS, once in its unit's capture
-/// and once in the merged one (peak RSS grows by about 1.9 MB per frame).
-const WIMAX_SCOPE_BYTES_PER_FRAME: usize = 2 * 125_000 * 8;
-
-/// Most downlink frames one WiMAX job may request: 512 MiB of scope at
-/// `WIMAX_SCOPE_BYTES_PER_FRAME` (268 frames, 1.34 s of downlink).
-pub const MAX_WIMAX_FRAMES: usize = (512 << 20) / WIMAX_SCOPE_BYTES_PER_FRAME;
 
 fn field_err(field: &'static str, reason: impl Into<String>) -> SpecError {
     SpecError::Field {
@@ -300,12 +294,10 @@ impl CampaignRequest {
                 threshold,
                 ..
             } => {
-                if !(1..=MAX_WIMAX_FRAMES).contains(frames) {
-                    return Err(field_err(
-                        "frames",
-                        format!("{frames} is not in 1..={MAX_WIMAX_FRAMES}"),
-                    ));
+                if *frames == 0 {
+                    return Err(field_err("frames", "0 downlink frames"));
                 }
+                check_units("frames", self.n_units())?;
                 if !snr_db.is_finite() {
                     return Err(field_err("snr_db", format!("{snr_db} is not finite")));
                 }
@@ -775,14 +767,17 @@ fn channel_from(o: &Obj) -> Result<ChannelModel, SpecError> {
 
 /// Persisted shard progress of a job — what survives a cancel.
 ///
-/// Every job kind stores its per-unit results keyed by original unit
-/// index, exactly the `done` maps the `run_ckpt` methods consume. The
-/// checkpoint lives only inside the `rjamd` process; it has no wire form.
+/// The detection, false-alarm and jamming kinds store their per-unit
+/// results keyed by original unit index, exactly the `done` maps their
+/// `run_ckpt` methods consume. A WiMAX job stores its ordered fold: the
+/// tally of the units folded so far plus the units that finished out of
+/// order. The checkpoint lives only inside the `rjamd` process; it has no
+/// wire form.
 #[derive(Default)]
 pub struct JobCheckpoint {
     wifi: BTreeMap<usize, Vec<(usize, usize)>>,
     fa: BTreeMap<usize, Vec<usize>>,
-    wimax: BTreeMap<usize, (ScopeTrace, usize, f64)>,
+    wimax: WimaxCheckpoint,
     jamming: BTreeMap<usize, (JammingPoint, MacObsDelta)>,
 }
 
@@ -792,9 +787,9 @@ impl JobCheckpoint {
         JobCheckpoint::default()
     }
 
-    /// Completed units recorded so far.
+    /// Completed units recorded so far, folded or not.
     pub fn units_done(&self) -> usize {
-        self.wifi.len() + self.fa.len() + self.wimax.len() + self.jamming.len()
+        self.wifi.len() + self.fa.len() + self.wimax.units_done() + self.jamming.len()
     }
 }
 
@@ -1015,7 +1010,7 @@ mod tests {
             fa(MAX_JOB_UNITS * fa_unit),
             wifi(MAX_JOB_UNITS * 8, 1),
             wimax(24),
-            wimax(MAX_WIMAX_FRAMES),
+            wimax(MAX_JOB_UNITS * 4),
             jamming(MAX_JOB_UNITS),
         ] {
             ok.validate().unwrap_or_else(|e| panic!("{e}: {ok:?}"));
@@ -1026,8 +1021,8 @@ mod tests {
             (fa(MAX_JOB_UNITS * fa_unit + 1), "samples", MAX_JOB_UNITS),
             (wifi(big, 1), "trials", MAX_JOB_UNITS),
             (wifi(big, 1 << 14), "trials", MAX_JOB_UNITS),
-            (wimax(big), "frames", MAX_WIMAX_FRAMES),
-            (wimax(MAX_WIMAX_FRAMES + 1), "frames", MAX_WIMAX_FRAMES),
+            (wimax(big), "frames", MAX_JOB_UNITS),
+            (wimax(MAX_JOB_UNITS * 4 + 1), "frames", MAX_JOB_UNITS),
             (jamming(MAX_JOB_UNITS + 1), "sirs_db", MAX_JOB_UNITS),
         ] {
             let err = bad.validate().expect_err("over the limit");

@@ -5,7 +5,7 @@
 //! fresh one).
 
 use rjam_core::campaign::{CampaignSpec, JammerUnderTest, WifiEmission};
-use rjam_core::engine::shard_seed;
+use rjam_core::engine::{shard_seed, CancelToken, FoldCheckpoint, ShardCtx};
 use rjam_core::export::{detection_json, false_alarm_json, jamming_json};
 use rjam_core::{CampaignEngine, DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_testkit::{prop_assert, props};
@@ -151,5 +151,71 @@ props! {
                 );
             }
         }
+    }
+}
+
+props! {
+    cases = 24;
+
+    /// The ordered fold's contract, with an order-sensitive accumulator
+    /// (an FNV-1a chain over the unit results): at 1–4 threads the fold
+    /// equals the serial one, and so does a run cancelled once any number
+    /// of units has finished and then resumed from its checkpoint, which
+    /// holds every unit that ran — folded or in the out-of-order tail.
+    fn ordered_fold_is_serial_at_any_thread_count_and_resume(
+        seed in 0u64..u64::MAX,
+        n_units in 0usize..40,
+        threads in 1usize..=4,
+        cancel_after in 0usize..40,
+    ) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let fold = |acc: &mut u64, v: u64| *acc = (*acc ^ v).wrapping_mul(0x100_0000_01b3);
+        let unit = |_: &mut (), ctx: ShardCtx| ctx.seed.rotate_left(ctx.index as u32 % 64);
+        let serial = (0..n_units)
+            .map(|i| unit(&mut (), ShardCtx { index: i, seed: shard_seed(seed, i as u64) }))
+            .fold(7u64, |mut acc, v| {
+                fold(&mut acc, v);
+                acc
+            });
+        let engine = CampaignEngine::with_threads(threads);
+        let whole = engine
+            .fold_units("t", n_units, seed, &mut FoldCheckpoint::new(7u64), None, || (), unit, fold)
+            .expect("uncancelled fold completes");
+        prop_assert!(whole == serial, "{threads} threads: {whole:#x} != {serial:#x}");
+
+        let token = CancelToken::new();
+        let ran = AtomicUsize::new(0);
+        let mut ckpt = FoldCheckpoint::new(7u64);
+        let first = engine.fold_units(
+            "t",
+            n_units,
+            seed,
+            &mut ckpt,
+            Some(&token),
+            || (),
+            |p, ctx| {
+                if ran.fetch_add(1, Ordering::Relaxed) + 1 >= cancel_after {
+                    token.cancel();
+                }
+                unit(p, ctx)
+            },
+            fold,
+        );
+        let resumed = match first {
+            Some(done) => done,
+            None => {
+                prop_assert!(
+                    ckpt.units_done() == ran.load(Ordering::Relaxed),
+                    "checkpoint holds {} of {} units run",
+                    ckpt.units_done(),
+                    ran.load(Ordering::Relaxed)
+                );
+                engine
+                    .fold_units("t", n_units, seed, &mut ckpt, Some(&CancelToken::new()), || (), unit, fold)
+                    .expect("resume with a fresh token completes")
+            }
+        };
+        prop_assert!(resumed == serial, "resume at {threads} threads diverged");
+        prop_assert!(ckpt.units_done() == 0);
     }
 }

@@ -264,7 +264,9 @@ impl Daemon {
     /// Cancels a queued or running job and blocks until it has actually
     /// stopped (unit-granular, so the wait is one unit's latency at
     /// most). The job's checkpoint is retained; returns the units it
-    /// holds.
+    /// holds. A running job whose last units were already in flight
+    /// finishes anyway: that cancel lost the race and is answered like a
+    /// cancel of any finished job, with `bad_state`.
     pub fn cancel(&self, id: &str) -> Result<u64, JobError> {
         let mut st = self.inner.state.lock().expect("daemon state lock");
         let job = st.jobs.get_mut(id).ok_or_else(|| unknown(id))?;
@@ -302,16 +304,13 @@ impl Daemon {
                         None => return Err(unknown(id)),
                     }
                 }
-                Ok(st
-                    .jobs
-                    .get(id)
-                    .map(|j| j.ckpt.units_done() as u64)
-                    .unwrap_or(0))
+                let job = st.jobs.get(id).ok_or_else(|| unknown(id))?;
+                match job.state {
+                    JobState::Cancelled => Ok(job.ckpt.units_done() as u64),
+                    state => Err(already(id, state)),
+                }
             }
-            JobState::Done | JobState::Cancelled => Err(JobError::new(
-                JobErrorKind::BadState,
-                format!("{id} is already {}", job.state.name()),
-            )),
+            JobState::Done | JobState::Cancelled => Err(already(id, job.state)),
         }
     }
 
@@ -514,6 +513,14 @@ pub enum Serve {
 
 fn unknown(id: &str) -> JobError {
     JobError::new(JobErrorKind::UnknownJob, format!("no job '{id}'"))
+}
+
+/// The refusal of a cancel that finds the job already terminal.
+fn already(id: &str, state: JobState) -> JobError {
+    JobError::new(
+        JobErrorKind::BadState,
+        format!("{id} is already {}", state.name()),
+    )
 }
 
 fn run_loop(inner: &Inner, engine: &CampaignEngine) {
@@ -815,11 +822,41 @@ mod tests {
         d.shutdown();
     }
 
+    #[test]
+    fn a_cancel_that_loses_the_race_to_completion_says_so() {
+        // One SIR point of 900 s of air is one unit of ~0.2 s in release
+        // builds: a cancel sent once it runs lands mid-unit, and the unit —
+        // the whole job — still finishes. The runner claims the unit
+        // microseconds after the job turns `running`; the 50 ms pause
+        // covers that.
+        let d = Daemon::start(CampaignEngine::with_threads(1), 4);
+        let (id, _) = d
+            .submit(CampaignRequest::Jamming {
+                jammer: rjam_core::campaign::JammerUnderTest::Off,
+                sirs_db: vec![14.0],
+                duration_s: 900.0,
+                seed: 5,
+            })
+            .expect("accepted");
+        while d.status(Some(&id)).expect("status")[0].state == JobState::Queued {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let err = d.cancel(&id).expect_err("the job finished");
+        assert_eq!(err.kind, JobErrorKind::BadState);
+        assert!(err.message.contains("is already done"), "{}", err.message);
+        assert_eq!(
+            d.status(Some(&id)).expect("status")[0].state,
+            JobState::Done
+        );
+        d.shutdown();
+    }
+
     #[cfg(feature = "obs")]
     #[test]
     fn cancelled_wimax_job_keeps_its_finished_units() {
         let d = Daemon::start(CampaignEngine::with_threads(1), 4);
-        // Ten 4-frame units on one worker, dispatched in four ranges.
+        // Ten 4-frame units on one worker, folded as they finish.
         let spec = CampaignRequest::Wimax {
             fused: true,
             frames: 40,

@@ -1,13 +1,14 @@
 //! Admission at the wire: a request line longer than
 //! `MAX_REQUEST_LINE_BYTES` is a typed `bad_request`, and a job that asks
-//! for more than a size limit allows — simulated air per SIR point (`MAX_JAMMING_DURATION_S`), engine
-//! work units (`MAX_JOB_UNITS`) or WiMAX frames (`MAX_WIMAX_FRAMES`) — is
+//! for more than a size limit allows — simulated air per SIR point
+//! (`MAX_JAMMING_DURATION_S`) or engine work units (`MAX_JOB_UNITS`, which
+//! also bounds WiMAX frames) — is
 //! refused with a typed `bad_spec` before it is enqueued, and the daemon
 //! keeps answering. Each of these submits used to be accepted and then
 //! abort the daemon on a failed allocation: the MAC simulator sized its
 //! per-second series up front, and the engine its per-unit slots.
 
-use rjam_core::spec::{MAX_JAMMING_DURATION_S, MAX_JOB_UNITS, MAX_WIMAX_FRAMES};
+use rjam_core::spec::{MAX_JAMMING_DURATION_S, MAX_JOB_UNITS};
 use rjam_core::CampaignEngine;
 use rjam_daemon::{Daemon, JobErrorKind, JobRequest, JobResponse, Serve, MAX_REQUEST_LINE_BYTES};
 use std::io::{BufReader, Read};
@@ -43,7 +44,7 @@ fn oversized_requests_are_refused_and_status_still_answers() {
         (
             r#"{"campaign":"wimax","fused":true,"frames":9007199254740992,"snr_db":10,"threshold":0.45,"seed":1}"#,
             "frames",
-            MAX_WIMAX_FRAMES.to_string(),
+            MAX_JOB_UNITS.to_string(),
         ),
     ];
     for (spec, field, limit) in cases {

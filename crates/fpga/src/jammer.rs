@@ -13,10 +13,88 @@
 //!
 //! Uptime is programmable from a single sample (40 ns) to 2^32 samples.
 //! All latencies are accounted in 100 MHz clock cycles.
+//!
+//! [`BurstRule`] states the controller's reactive timing — which samples
+//! it transmits on — as a function of its trigger samples alone, for
+//! callers that need the jam decisions but not the jam waveform.
 
 use crate::{CLOCKS_PER_SAMPLE, TX_INIT_CYCLES};
 use rjam_sdr::complex::IqI16;
 use rjam_sdr::ring::ReplayBuffer;
+use std::ops::Range;
+
+/// Whole samples the TX-pipeline initialization spans: RF begins inside
+/// the sample period in which the [`TX_INIT_CYCLES`]-th init cycle falls.
+pub const TX_INIT_SAMPLES: u64 = TX_INIT_CYCLES.div_ceil(CLOCKS_PER_SAMPLE);
+
+/// The reactive controller's burst timing as a pure function of its
+/// trigger samples: the samples [`JamController::tick`] transmits on, in
+/// reactive mode, without the samples it transmits.
+///
+/// RF starts `delay + TX_INIT_SAMPLES` samples after an accepted trigger
+/// and lasts `uptime` samples. A trigger that arrives while the
+/// controller is busy — waiting out the delay, filling the TX pipeline or
+/// transmitting — is dropped. A burst can run past the end of the block
+/// whose trigger started it; the next block then reads it from its first
+/// sample on. A disabled or continuous controller does not follow this
+/// rule.
+#[derive(Clone, Debug)]
+pub struct BurstRule {
+    /// Samples from an accepted trigger to the burst's first RF sample.
+    lead: u64,
+    uptime: u64,
+    /// RF samples of the last accepted burst (`0..0` before the first).
+    burst: Range<u64>,
+}
+
+impl BurstRule {
+    /// The rule of a controller programmed with `delay_samples` and
+    /// `uptime_samples` (clamped to at least 1, as
+    /// [`JamController::set_uptime_samples`] does).
+    pub fn new(delay_samples: u64, uptime_samples: u64) -> Self {
+        BurstRule {
+            lead: delay_samples.saturating_add(TX_INIT_SAMPLES),
+            uptime: uptime_samples.max(1),
+            burst: 0..0,
+        }
+    }
+
+    /// Offers a trigger at absolute sample `t`; triggers must come in
+    /// stream order. Returns the RF samples of the burst it starts, or
+    /// `None` when the controller is busy and drops it.
+    pub fn trigger(&mut self, t: u64) -> Option<Range<u64>> {
+        if t < self.burst.end {
+            return None;
+        }
+        let start = t.saturating_add(self.lead);
+        self.burst = start..start.saturating_add(self.uptime);
+        Some(self.burst.clone())
+    }
+
+    /// Runs the controller over the samples `block`, whose triggers are
+    /// `triggers` (ascending, inside `block`), and appends the block's RF
+    /// samples to `on_air` as ranges clipped to the block, in time order:
+    /// a burst carried in from an earlier block comes first.
+    pub fn on_air(&mut self, block: Range<u64>, triggers: &[u64], on_air: &mut Vec<Range<u64>>) {
+        let mut keep = |burst: Range<u64>| {
+            let clipped = burst.start.max(block.start)..burst.end.min(block.end);
+            if !clipped.is_empty() {
+                on_air.push(clipped);
+            }
+        };
+        keep(self.burst.clone());
+        for &t in triggers {
+            if let Some(burst) = self.trigger(t) {
+                keep(burst);
+            }
+        }
+    }
+
+    /// Forgets every burst, as [`JamController::reset`] does.
+    pub fn reset(&mut self) {
+        self.burst = 0..0;
+    }
+}
 
 /// Jamming waveform selection.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -534,6 +612,35 @@ mod tests {
         assert_eq!(ctl.uptime, 2500);
         ctl.set_uptime_secs(0.00001); // 0.01 ms = 250 samples
         assert_eq!(ctl.uptime, 250);
+    }
+
+    #[test]
+    fn burst_rule_transmits_where_the_controller_does() {
+        // Delay 0 and 40, a one-sample burst, re-triggers during the delay,
+        // the TX init and the burst, and one on the burst's last sample.
+        for (delay, uptime, triggers) in [
+            (0u64, 10u64, vec![20u64, 21, 23, 31, 32, 33, 80]),
+            (40, 5, vec![10, 30, 51, 56, 57]),
+            (0, 1, vec![0, 2, 3, 4, 9]),
+        ] {
+            let mut ctl = JamController::new();
+            ctl.set_enabled(true);
+            ctl.set_uptime_samples(uptime);
+            ctl.set_delay_samples(delay);
+            let want: Vec<bool> = run(&mut ctl, &triggers, 200)
+                .iter()
+                .map(Option::is_some)
+                .collect();
+            let mut rule = BurstRule::new(delay, uptime);
+            let mut on_air = Vec::new();
+            rule.on_air(0..200, &triggers, &mut on_air);
+            let mut got = vec![false; 200];
+            for r in on_air {
+                got[r.start as usize..r.end as usize].fill(true);
+            }
+            assert_eq!(got, want, "delay {delay} uptime {uptime}");
+        }
+        assert_eq!(BurstRule::new(0, 10).trigger(20), Some(22..32));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! * [`jammer`] — the **transmit controller**: programmable delay, 8-cycle
 //!   TX-pipeline initialization, jam uptime from one sample (40 ns) to 2^32
 //!   samples, and three waveform sources (pseudorandom WGN, replay of the
-//!   last 512 received samples, or a host-streamed buffer);
+//!   last 512 received samples, or a host-streamed buffer); its reactive
+//!   timing alone is [`BurstRule`];
 //! * [`core`] — [`core::DspCore`], wiring the blocks together sample by
 //!   sample with full cycle accounting, event logging and host feedback
 //!   flags;
@@ -54,7 +55,7 @@ pub use crate::core::{
 };
 pub use energy::EnergyDifferentiator;
 pub use fifo::{SampleFifo, TriggerCapture};
-pub use jammer::{JamController, JamWaveform};
+pub use jammer::{BurstRule, JamController, JamWaveform};
 pub use lanes::{DspLaneBank, LaneBankScratch};
 pub use regs::{RegisterBus, RegisterMap};
 pub use trigger::{TriggerBuilder, TriggerMode, TriggerSource};

@@ -5,7 +5,8 @@ use rjam_fpga::lanes::LaneBankScratch;
 use rjam_fpga::vita::VitaTime;
 use rjam_fpga::xcorr::Coeff3;
 use rjam_fpga::{
-    CoreConfig, CoreEvent, DspCore, DspLaneBank, TriggerMode, TriggerSource, WideCorrelator,
+    BurstRule, CoreConfig, CoreEvent, DspCore, DspLaneBank, TriggerMode, TriggerSource,
+    WideCorrelator,
 };
 use rjam_sdr::complex::IqI16;
 use rjam_sdr::rng::Rng;
@@ -179,6 +180,60 @@ props! {
             prop_assert_eq!(bank.trigger_count(lane), triggers.len() as u64);
         }
         prop_assert_eq!(bank.samples_processed(), stream.len() as u64);
+    }
+
+    /// The burst rule's contract: fed, block by block, the jam triggers a
+    /// reactive `DspCore` logs, `BurstRule::on_air` marks exactly the
+    /// samples of the core's activity mask — at random delays, uptimes,
+    /// lockouts, trigger modes and block sizes, so triggers land while a
+    /// burst is pending or on air and bursts run across block boundaries.
+    fn burst_rule_matches_the_core_activity_mask(
+        seed in 0u64..1_000_000,
+        n_samples in 64usize..4000,
+        block in 1usize..400,
+        delay in 0u64..300,
+        uptime in 0u64..600,
+        lockout in 0u64..300,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let (ci, cq) = lane_template(&mut rng);
+        let cfg = CoreConfig {
+            coeff_i: ci,
+            coeff_q: cq,
+            xcorr_threshold: 1 + rng.below(8_000),
+            energy_high_db: 3.0 + 27.0 * rng.uniform(),
+            energy_low_db: 3.0 + 27.0 * rng.uniform(),
+            trigger_mode: trigger_mode(&mut rng),
+            lockout,
+            uptime_samples: uptime,
+            delay_samples: delay,
+            enabled: true,
+            ..CoreConfig::default()
+        };
+        let stream = bursty_stream(&mut rng, n_samples);
+        let mut core = DspCore::new();
+        core.configure(&cfg);
+        let mut rule = BurstRule::new(cfg.delay_samples, cfg.uptime_samples);
+        let (mut tx, mut active, mut on_air) = (Vec::new(), Vec::new(), Vec::new());
+        let mut base = 0u64;
+        for chunk in stream.chunks(block) {
+            let logged = core.events().len();
+            core.process_block_into(chunk, &mut tx, &mut active);
+            let triggers: Vec<u64> = core.events()[logged..]
+                .iter()
+                .filter(|e| matches!(e, CoreEvent::JamTrigger { .. }))
+                .map(CoreEvent::sample)
+                .collect();
+            let end = base + chunk.len() as u64;
+            on_air.clear();
+            rule.on_air(base..end, &triggers, &mut on_air);
+            let mut marked = vec![false; chunk.len()];
+            for r in &on_air {
+                marked[(r.start - base) as usize..(r.end - base) as usize].fill(true);
+            }
+            prop_assert_eq!(&marked, &active, "block at sample {}", base);
+            base = end;
+        }
     }
 
     /// `WideCorrelator::reset` restores the pooling contract: after any

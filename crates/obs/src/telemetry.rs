@@ -37,9 +37,11 @@ pub struct WorkerStats {
     pub busy_ns: u64,
     /// Time outside unit closures and merge-wait, up to the campaign's
     /// end: dispenser claims, pool setup, scheduling gaps, and the tail
-    /// after an early-merged worker's last shard while others still run.
+    /// after the worker's last shard while others still run.
     pub idle_ns: u64,
-    /// Time between this worker finishing and the merge joining it.
+    /// Time folding this worker's finished units, and any ready
+    /// successors, into the run's ordered result — waiting for the fold
+    /// lock included.
     pub merge_wait_ns: u64,
 }
 
