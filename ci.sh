@@ -33,6 +33,11 @@ check bench baselines/BENCH_*.json
 step "tests (unit + integration + property)"
 cargo test -q --workspace --offline
 
+step "bit-exactness tests of the DSP kernels in the release profile"
+# The ADC-domain noise generator and the resamplers must match their
+# reference paths bit for bit in the optimized build rjamd ships, too.
+cargo test --release -q --offline -p rjam-sdr -p rjam-channel
+
 step "bench smoke run (reduced samples, JSON to the workspace root)"
 # cargo runs bench binaries with cwd = the package dir, so pin the output
 # directory explicitly.

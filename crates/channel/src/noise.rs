@@ -9,16 +9,18 @@
 //! write noisy samples straight into the ADC domain
 //! ([`NoiseSource::add_to_adc`], [`NoiseSource::adc_noise`]). That path is
 //! exact after quantization: it produces the same `i16`s as quantizing the
-//! `f64` samples [`NoiseSource::next_sample`] draws, with a polynomial in
-//! place of libm's sine and cosine wherever the result provably rounds the
-//! same (DESIGN.md, "Detector input in the ADC domain").
+//! `f64` samples [`NoiseSource::next_sample`] draws, with a table and
+//! polynomials in place of libm's logarithm, sine and cosine wherever the
+//! result provably rounds the same (DESIGN.md, "Detector input in the ADC
+//! domain").
 
-use rjam_sdr::complex::{round_lsb, Cf64, IqI16, FULL_SCALE};
+use rjam_sdr::complex::{Cf64, IqI16, FULL_SCALE};
 use rjam_sdr::power::db_to_lin;
 use rjam_sdr::rng::{PolarDraw, Rng};
+use std::sync::OnceLock;
 
 /// Samples per chunk of the ADC-domain generator. Its four per-sample
-/// `f64` buffers live on the stack (2 KiB).
+/// `f64` buffers and its `IqI16`s live on the stack (2.3 KiB).
 const ADC_CHUNK: usize = 64;
 /// Largest per-component σ the ADC-domain error bound covers; a noisier
 /// source takes the exact path throughout.
@@ -29,85 +31,149 @@ const ADC_RANGE: f64 = 32_000.0;
 /// Smallest distance, in LSBs, from a rounding boundary at which the fast
 /// path trusts its rounding: over 10³× [`ADC_WORST_LSB`] (checked below).
 const ADC_MARGIN: f64 = 1e-6;
+/// libm's own error: glibc's `sin`, `cos` and `log` are within 1 ulp, at
+/// most 2⁻⁵² relative, and for `sin` and `cos` at most 2⁻⁵² absolute.
+const LIBM_ERR: f64 = f64::EPSILON;
+/// Bound on each entry of [`sectors`] against the true
+/// `(cos, sin)(kπ/128)`: libm's 1 ulp at the exact angle `k·PI128_HI`
+/// plus the rounding of the first-order move by `k·PI128_LO`, 1.5 ulp of
+/// a value in `[−1, 1]`.
+const TABLE_ERR: f64 = 1.5 * f64::EPSILON / 2.0;
+/// Truncation of [`sincos_in`]'s Taylor polynomials on `|y| ≤ π/256`: the
+/// first omitted terms, `y⁷/7! < 8.4e-18` and `y⁸/8! < 1.3e-20`.
+const TAYLOR_ERR: f64 = 1e-17;
+/// Rounding in [`sincos_in`]: the reduction (≤ 2⁻⁵³·|y| < 1.4e-18), the
+/// polynomials and the angle-addition corrections (a few roundings each
+/// on magnitudes below 0.0124), and the final addition (½ ulp).
+const SINCOS_ROUNDING: f64 = f64::EPSILON / 2.0 + 1e-17;
 /// Bound on `|sincos(θ) − (θ.cos(), θ.sin())|` per component, for θ in
-/// `[0, 2π)`: range reduction, truncation and evaluation error of
-/// [`sincos`] plus libm's own 1 ulp.
-const SINCOS_ERR: f64 = 1e-15;
+/// `[0, 2π)`: the table error, carried through the angle addition with a
+/// gain of at most `1 + π/256`, truncation, rounding and libm's own error.
+const SINCOS_ERR: f64 = TABLE_ERR * 1.0123 + TAYLOR_ERR + SINCOS_ROUNDING + LIBM_ERR;
+/// Truncation of [`ln_unit`]'s atanh series relative to `ln m`: the first
+/// omitted term, `z¹¹/23` at `z = s² ≤ 0.02944`, is below 6.4e-19.
+const LN_TRUNC_ERR: f64 = 1e-18;
+/// Bound on `|ln_unit(u) − u.ln()| / |u.ln()|` for `u` in `[2⁻⁵³, 1]`:
+/// truncation, the evaluation's rounding (2 ulp) and libm's own error.
+const LN_ERR: f64 = LN_TRUNC_ERR + 2.0 * f64::EPSILON + LIBM_ERR;
+/// Bound on `|r_fast − r_exact| / r_exact` for the Box–Muller radius
+/// `sqrt(−2 ln u1)`: the square root halves [`LN_ERR`], and each of the
+/// two square roots rounds by at most 2⁻⁵³ (1 % covers the second-order
+/// terms).
+const RADIUS_ERR: f64 = (LN_ERR / 2.0 + f64::EPSILON) * 1.01;
 /// Bound on the Box–Muller radius: `u1 ≥ 2⁻⁵³`, so `−2 ln u1 ≤ 106 ln 2`
-/// and `r ≤ 8.5718`.
+/// and `r ≤ 8.5718`, fast or exact.
 const R_MAX: f64 = 8.58;
 /// Worst-case difference, in LSBs, between a component's fast and exact
 /// `(w + noise·σ)·FULL_SCALE` when the fast one is within [`ADC_RANGE`]:
-/// the sin/cos error carried through `r·σ·FULL_SCALE`, plus four roundings
-/// of relative size 2⁻⁵³ in each of the two evaluations, on magnitudes
-/// `|noise·σ| ≤ R_MAX·σ` and `|w + noise·σ| ≤ 1`. About 4.2e-10.
+/// `|r_f·c_f − r_e·c_e| ≤ R_MAX·(SINCOS_ERR + RADIUS_ERR·(1 + SINCOS_ERR))`
+/// carried through `σ·FULL_SCALE`, plus four roundings of relative size
+/// 2⁻⁵³ in each of the two evaluations, on magnitudes `|noise·σ| ≤
+/// R_MAX·σ` and `|w + noise·σ| ≤ 1`. About 4.4e-10.
 const ADC_WORST_LSB: f64 = FULL_SCALE
-    * (R_MAX * ADC_SIGMA_MAX * SINCOS_ERR
+    * (R_MAX * ADC_SIGMA_MAX * (SINCOS_ERR + RADIUS_ERR * (1.0 + SINCOS_ERR))
         + 2.0 * f64::EPSILON * (1.0 + R_MAX * ADC_SIGMA_MAX) * 1.01);
 const _: () = assert!(ADC_MARGIN >= 1e3 * ADC_WORST_LSB);
 
-/// 1.5·2⁵²: adding it rounds a value in `[0, 2⁵¹)` to an integer, which
-/// then sits in the low mantissa bits.
+/// 1.5·2⁵²: adding it rounds a value in `[−2⁵¹, 2⁵¹)` to the nearest
+/// integer (ties to even), which then sits in the low mantissa bits.
 const SHIFTER: f64 = 6_755_399_441_055_744.0;
-/// π/2 to 33 bits, so `k·PIO2_HI` is exact for a quadrant `k` ≤ 4.
-const PIO2_HI: f64 = 1.570_796_326_734_125_6;
-/// π/2 − `PIO2_HI`, to working precision.
-const PIO2_LO: f64 = 6.077_100_506_506_192e-11;
+/// Sectors of [`sectors`] per radian, 128/π.
+const SECTORS_PER_RAD: f64 = 128.0 * std::f64::consts::FRAC_1_PI;
+/// π/128 to 40 bits, so `k·PI128_HI` is exact for a sector `k` ≤ 256.
+const PI128_HI: f64 = 0.024_543_692_606_158_63;
+/// π/128 − `PI128_HI`, to working precision.
+const PI128_LO: f64 = 1.163_054_293_826_034_9e-14;
+
+/// `(cos, sin)(kπ/128)` for `k` = 0..=256, each within [`TABLE_ERR`],
+/// computed once per process: libm's `sin` and `cos` at the exact angle
+/// `k·PI128_HI`, moved to first order by `k·PI128_LO` (the second-order
+/// term is below 2e-23).
+fn sectors() -> &'static [(f64, f64); 257] {
+    static SECTORS: OnceLock<[(f64, f64); 257]> = OnceLock::new();
+    SECTORS.get_or_init(|| {
+        std::array::from_fn(|k| {
+            let (hi, lo) = (k as f64 * PI128_HI, k as f64 * PI128_LO);
+            let (s, c) = hi.sin_cos();
+            (c - lo * s, s + lo * c)
+        })
+    })
+}
 
 /// `(cos θ, sin θ)` for `θ` in `[0, 2π)`, each within [`SINCOS_ERR`] of
-/// libm's: quadrant reduction to `|y| ≤ π/4` (Cody–Waite with an exact
-/// first step), then the Taylor series of cos through `y¹⁶` and of sin
-/// through `y¹⁷` (truncation error below 3e-18). Branch-free, so a loop
-/// of it vectorizes.
+/// libm's: the nearest sector `k = round(θ·128/π)` (the shifter leaves it
+/// in the low mantissa bits), Cody–Waite reduction to `y = θ − kπ/128`
+/// with `|y| ≤ π/256`, Taylor polynomials for `cos y − 1` through `y⁶`
+/// and `sin y` through `y⁵`, and one angle addition with the table entry.
+/// Branch-free apart from the table load.
 #[inline]
-fn sincos(theta: f64) -> (f64, f64) {
-    let shifted = theta * std::f64::consts::FRAC_2_PI + SHIFTER;
-    let quadrant = shifted.to_bits();
+fn sincos_in(table: &[(f64, f64); 257], theta: f64) -> (f64, f64) {
+    let shifted = theta * SECTORS_PER_RAD + SHIFTER;
     let k = shifted - SHIFTER;
-    let y = (theta - k * PIO2_HI) - k * PIO2_LO;
+    // θ < 2π keeps k in [0, 256]; the `min` lets the load go unchecked.
+    let (ck, sk) = table[(shifted.to_bits() as usize & 511).min(256)];
+    let y = (theta - k * PI128_HI) - k * PI128_LO;
     let z = y * y;
-    let cos_y = 1.0
-        + z * (-1.0 / 2.0
-            + z * (1.0 / 24.0
-                + z * (-1.0 / 720.0
-                    + z * (1.0 / 40_320.0
-                        + z * (-1.0 / 3_628_800.0
-                            + z * (1.0 / 479_001_600.0
-                                + z * (-1.0 / 87_178_291_200.0
-                                    + z * (1.0 / 20_922_789_888_000.0))))))));
-    let sin_tail = -1.0 / 6.0
-        + z * (1.0 / 120.0
-            + z * (-1.0 / 5_040.0
-                + z * (1.0 / 362_880.0
-                    + z * (-1.0 / 39_916_800.0
-                        + z * (1.0 / 6_227_020_800.0
-                            + z * (-1.0 / 1_307_674_368_000.0
-                                + z * (1.0 / 355_687_428_096_000.0)))))));
-    let sin_y = y + y * z * sin_tail;
-    // Quadrant q: cos θ = (cos y, −sin y, −cos y, sin y)[q] and
-    // sin θ = (sin y, cos y, −sin y, −cos y)[q], as bit selects.
-    let swap = (quadrant & 1).wrapping_neg();
-    let (cb, sb) = (cos_y.to_bits(), sin_y.to_bits());
-    let c = (sb & swap) | (cb & !swap);
-    let s = (cb & swap) | (sb & !swap);
+    let cos_m1 = z * (-1.0 / 2.0 + z * (1.0 / 24.0 + z * (-1.0 / 720.0)));
+    let sin_y = y + y * z * (-1.0 / 6.0 + z * (1.0 / 120.0));
+    // cos(kπ/128 + y) and sin(kπ/128 + y), the small corrections summed
+    // before the table value so the result rounds once at full size.
     (
-        f64::from_bits(c ^ (((quadrant + 1) & 2) << 62)),
-        f64::from_bits(s ^ ((quadrant & 2) << 62)),
+        ck + (ck * cos_m1 - sk * sin_y),
+        sk + (sk * cos_m1 + ck * sin_y),
     )
 }
 
-/// One quantized component: `round_lsb((w + noise·σ)·FULL_SCALE)` with the
-/// fast `noise`, unless that value lies within [`ADC_MARGIN`] of a rounding
-/// boundary or beyond [`ADC_RANGE`]; then with the `exact` noise.
+/// Bits of √½, rounded: [`ln_unit`] splits `u = 2ᵉ·m` with `m` in
+/// `[√½, √2)`.
+const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
+/// ln 2 to 32 bits, so `e·LN2_HI` is exact for every exponent `e`.
+const LN2_HI: f64 = 0.693_147_180_369_123_8;
+/// ln 2 − `LN2_HI`, to working precision.
+const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+/// 2⁵²: `2⁵² + i` for an integer `0 ≤ i < 2⁵²` has `i` as its mantissa.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// `ln u` for `u` in `[2⁻⁵³, 1]`, within [`LN_ERR`] of libm's relative to
+/// `|ln u|`, and exactly 0 at 1. The exponent split is bit operations:
+/// adding `1.0 − √½` to the bits carries into the exponent exactly when
+/// the mantissa is at least √2, and `e` converts through `2⁵² + field`.
+/// Then `ln m = 2·atanh(s)` with `s = f/(2 + f)`, `f = m − 1` (exact),
+/// `|s| ≤ 0.1716`, written as `f − (f²/2 − s·(f²/2 + R))` with
+/// `R = Σ 2s²ⁱ/(2i + 1)` through `i = 10`, so the leading `f` carries no
+/// rounding; `e·ln 2` comes in hi and lo parts. Branch-free.
 #[inline]
-fn adc_component(w: f64, noise: f64, sigma: f64, exact: impl FnOnce() -> f64) -> i16 {
-    let x = (w + noise * sigma) * FULL_SCALE;
-    let (q, margin) = round_lsb(x);
-    if margin >= ADC_MARGIN && x.abs() <= ADC_RANGE {
-        q
-    } else {
-        round_lsb((w + exact() * sigma) * FULL_SCALE).0
-    }
+fn ln_unit(u: f64) -> f64 {
+    let bits = u.to_bits().wrapping_add(1f64.to_bits() - SQRT_HALF_BITS);
+    let e = f64::from_bits(TWO_52.to_bits() | (bits >> 52)) - (TWO_52 + 1023.0);
+    let m = f64::from_bits((bits & ((1 << 52) - 1)) + SQRT_HALF_BITS);
+    let f = m - 1.0;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let r = z
+        * (2.0 / 3.0
+            + z * (2.0 / 5.0
+                + z * (2.0 / 7.0
+                    + z * (2.0 / 9.0
+                        + z * (2.0 / 11.0
+                            + z * (2.0 / 13.0
+                                + z * (2.0 / 15.0
+                                    + z * (2.0 / 17.0 + z * (2.0 / 19.0 + z * (2.0 / 21.0))))))))));
+    let hfsq = 0.5 * f * f;
+    e * LN2_HI - ((hfsq - (s * (hfsq + r) + e * LN2_LO)) - f)
+}
+
+/// `x` rounded to the nearest `i16`, and whether that is `round_lsb(x).0`
+/// for certain: `x` lies within [`ADC_RANGE`] and at least [`ADC_MARGIN`]
+/// from a rounding boundary. Branch-free: the shifter rounds to nearest
+/// (ties to even, which a kept `x` never is) and `x − q` is exact. NaN and
+/// ±∞ are not kept.
+#[inline]
+fn quantize_checked(x: f64) -> (i16, bool) {
+    let shifted = x + SHIFTER;
+    let frac = x - (shifted - SHIFTER);
+    let keep = (x.abs() <= ADC_RANGE) & (0.5 - frac.abs() >= ADC_MARGIN);
+    (shifted.to_bits() as i16, keep)
 }
 
 /// A complex AWGN generator with configurable mean power.
@@ -173,12 +239,15 @@ impl NoiseSource {
         self.adc(n, |_| Cf64::ZERO, out);
     }
 
-    /// The ADC-domain generator: draws each sample's Box–Muller pair in
-    /// `next_sample`'s order, evaluates sin and cos for a chunk at a time
-    /// with [`sincos`] and quantizes with [`adc_component`]. A pending
-    /// spare would pair each sample with halves of two different draws, and
-    /// a σ above [`ADC_SIGMA_MAX`] is outside the error bound; both take
-    /// the exact per-sample path instead.
+    /// The ADC-domain generator, a chunk of up to [`ADC_CHUNK`] samples at
+    /// a time in branch-free stages: draw the chunk's uniform pairs in
+    /// `next_sample`'s order, take every radius with [`ln_unit`], every
+    /// `(cos θ, sin θ)` with [`sincos_in`], quantize every component with
+    /// [`quantize_checked`], and recompute each sample with a component it
+    /// did not keep exactly as `next_sample` does, through [`PolarDraw`].
+    /// A pending spare would pair each sample with halves of two different
+    /// draws, and a σ above [`ADC_SIGMA_MAX`] is outside the error bound;
+    /// both take the exact per-sample path instead.
     #[inline]
     fn adc(&mut self, n: usize, wave: impl Fn(usize) -> Cf64, out: &mut Vec<IqI16>) {
         out.reserve(n);
@@ -187,23 +256,43 @@ impl NoiseSource {
             out.extend((0..n).map(|k| IqI16::from_cf64(wave(k) + self.next_sample())));
             return;
         }
-        let mut draws = [PolarDraw::default(); ADC_CHUNK];
-        let mut cos_sin = [(0.0, 0.0); ADC_CHUNK];
+        let table = sectors();
+        let mut u1 = [0.0; ADC_CHUNK];
+        let mut u2 = [0.0; ADC_CHUNK];
+        let mut re = [0.0; ADC_CHUNK];
+        let mut im = [0.0; ADC_CHUNK];
+        let mut iq = [IqI16::ZERO; ADC_CHUNK];
         for lo in (0..n).step_by(ADC_CHUNK) {
             let m = ADC_CHUNK.min(n - lo);
-            for d in &mut draws[..m] {
-                *d = self.rng.polar_draw();
+            for (a, b) in u1[..m].iter_mut().zip(&mut u2[..m]) {
+                (*a, *b) = self.rng.polar_uniforms();
             }
-            for (d, cs) in draws[..m].iter().zip(&mut cos_sin[..m]) {
-                *cs = sincos(d.theta);
+            for (r, &a) in re[..m].iter_mut().zip(&u1[..m]) {
+                *r = (-2.0 * ln_unit(a)).sqrt();
             }
-            for (k, (&d, &(c, s))) in draws[..m].iter().zip(&cos_sin[..m]).enumerate() {
+            for ((x, y), &b) in re[..m].iter_mut().zip(&mut im[..m]).zip(&u2[..m]) {
+                let (c, s) = sincos_in(table, PolarDraw::angle(b));
+                (*x, *y) = (*x * c, *x * s);
+            }
+            // Bit k: a component of sample k was not kept.
+            let mut redo = 0u64;
+            for (k, q) in iq[..m].iter_mut().enumerate() {
                 let w = wave(lo + k);
-                out.push(IqI16::new(
-                    adc_component(w.re, d.r * c, sigma, || d.cos_part()),
-                    adc_component(w.im, d.r * s, sigma, || d.sin_part()),
-                ));
+                let (i, keep_i) = quantize_checked((w.re + re[k] * sigma) * FULL_SCALE);
+                let (j, keep_q) = quantize_checked((w.im + im[k] * sigma) * FULL_SCALE);
+                *q = IqI16::new(i, j);
+                redo |= u64::from(!(keep_i & keep_q)) << k;
             }
+            // The reference's own expression; a kept component rounds the
+            // same either way.
+            while redo != 0 {
+                let k = redo.trailing_zeros() as usize;
+                redo &= redo - 1;
+                let d = PolarDraw::new(u1[k], u2[k]);
+                let noise = Cf64::new(d.cos_part() * sigma, d.sin_part() * sigma);
+                iq[k] = IqI16::from_cf64(wave(lo + k) + noise);
+            }
+            out.extend_from_slice(&iq[..m]);
         }
     }
 
@@ -232,6 +321,7 @@ pub fn add_awgn_at_snr(signal: &[Cf64], snr_db: f64, rng: Rng) -> Vec<Cf64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rjam_sdr::complex::round_lsb;
     use rjam_sdr::power::{lin_to_db, mean_power};
 
     #[test]
@@ -279,17 +369,31 @@ mod tests {
         assert!((p - 0.05).abs() < 0.002, "p={p}");
     }
 
+    /// [`sincos_in`] with the process's table.
+    fn sincos(theta: f64) -> (f64, f64) {
+        sincos_in(sectors(), theta)
+    }
+
+    /// `t` with its bit pattern stepped by `ulps` (away from zero for
+    /// positive steps).
+    fn step(t: f64, ulps: i64) -> f64 {
+        f64::from_bits((t.to_bits() as i64 + ulps) as u64)
+    }
+
     #[test]
     fn sincos_stays_within_its_error_budget() {
         let mut rng = Rng::seed_from(8);
         let tau = 2.0 * std::f64::consts::PI;
-        // Every quadrant boundary and its neighbours, the ends of the
-        // angle range, then random draws' angles.
-        let mut thetas: Vec<f64> = (0..=4)
-            .flat_map(|k| {
+        // Every sector centre and half-sector boundary kπ/256 and its
+        // 1-ulp neighbours, every quadrant boundary and its neighbours,
+        // the ends of the angle range, then random draws' angles.
+        let mut thetas: Vec<f64> = (0..512)
+            .map(|k| k as f64 * std::f64::consts::PI / 256.0)
+            .flat_map(|b| [b, step(b, 1), step(b, -1)])
+            .chain((0..=4).flat_map(|k| {
                 let b = k as f64 * std::f64::consts::FRAC_PI_2;
-                [b, f64::from_bits(b.to_bits() + 1), b + 0.785, b - 0.785]
-            })
+                [b, step(b, 1), b + 0.785, b - 0.785]
+            }))
             .filter(|t| (0.0..tau).contains(t))
             .collect();
         thetas.push(2.0 * std::f64::consts::PI * (1.0 - f64::EPSILON / 2.0));
@@ -300,6 +404,72 @@ mod tests {
             worst = worst.max((c - t.cos()).abs()).max((s - t.sin()).abs());
         }
         assert!(worst <= SINCOS_ERR / 2.0, "worst sin/cos error {worst:e}");
+    }
+
+    #[test]
+    fn ln_stays_within_its_error_budget() {
+        // 10⁶ draws of u1, the 2 000 values of u1 nearest 1 (1 included)
+        // and the smallest, 2⁻⁵³.
+        let mut rng = Rng::seed_from(9);
+        let near_one = (0..2_000).map(|k| 1.0 - k as f64 * f64::EPSILON / 2.0);
+        let draws = (0..1_000_000).map(|_| rng.polar_uniforms().0);
+        let mut worst = 0.0f64;
+        for u in near_one.chain(draws).chain([f64::EPSILON / 2.0]) {
+            let (fast, exact) = (ln_unit(u), u.ln());
+            let err = if exact == 0.0 {
+                fast.abs()
+            } else {
+                ((fast - exact) / exact).abs()
+            };
+            worst = worst.max(err);
+        }
+        assert!(worst <= LN_ERR / 2.0, "worst relative ln error {worst:e}");
+    }
+
+    /// Whether [`quantize_checked`] keeps `x` exactly when it lies within
+    /// the range and margin, and then agrees with `round_lsb`.
+    fn check_quantizer(x: f64) -> Result<(), String> {
+        let (q, keep) = quantize_checked(x);
+        let (want, margin) = round_lsb(x);
+        if keep != (x.abs() <= ADC_RANGE && margin >= ADC_MARGIN) {
+            return Err(format!("x = {x:e}: keep {keep}, margin {margin:e}"));
+        }
+        if keep && q != want {
+            return Err(format!("x = {x:e}: kept {q}, round_lsb gives {want}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn quantizer_keeps_only_what_rounds_like_round_lsb_at_every_half_integer() {
+        for half in -40_000..40_000 {
+            let tie = half as f64 + 0.5;
+            for ulps in -3..=3 {
+                let r = check_quantizer(step(tie, ulps));
+                assert!(r.is_ok(), "{}", r.unwrap_err());
+            }
+        }
+    }
+
+    rjam_testkit::props! {
+        cases = 64;
+
+        /// A component the quantizer keeps rounds to `round_lsb`'s `i16`
+        /// and lies at least [`ADC_MARGIN`] from a rounding boundary, and
+        /// every component within the range and margin is kept. Random
+        /// values within ±40 000, the ±`ADC_RANGE` edges, ±0, ±∞ and NaN.
+        fn quantizer_keeps_only_what_rounds_like_round_lsb(
+            xs in rjam_testkit::vec(-40_000.0f64..40_000.0, 256..257),
+        ) {
+            let edges = [-1, 0, 1].into_iter().flat_map(|u| {
+                [step(ADC_RANGE, u), step(-ADC_RANGE, u)]
+            });
+            let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+            for x in xs.into_iter().chain(edges).chain(specials) {
+                let r = check_quantizer(x);
+                rjam_testkit::prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+            }
+        }
     }
 
     /// The reference the ADC-domain generator must reproduce.

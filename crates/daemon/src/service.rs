@@ -31,6 +31,7 @@ use crate::proto::{JobError, JobErrorKind, JobRequest, JobResponse, JobState, Jo
 use rjam_core::spec::{CampaignRequest, JobCheckpoint, MAX_JOB_UNITS};
 use rjam_core::{CampaignEngine, CancelToken};
 use rjam_obs::json;
+use rjam_obs::stream::ProgressEvent;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Condvar, Mutex};
@@ -105,6 +106,11 @@ struct Job {
     request: CampaignRequest,
     state: JobState,
     ckpt: JobCheckpoint,
+    /// Units finished, as `status` reports them: the checkpoint's count
+    /// while queued or cancelled, that count plus the units of each
+    /// `shard_finished` line while running (the runner holds the
+    /// checkpoint then), and every unit once done.
+    units_done: u64,
     cancel: CancelToken,
     /// Replay buffer: job-tagged progress lines, then `job_metrics` and
     /// the terminal line. Watchers follow this by cursor.
@@ -145,13 +151,23 @@ impl Inner {
 }
 
 /// Appends one engine progress line to the running job's replay buffer,
-/// with the job's id spliced in as the line's first field. Progress
-/// parsers ignore unknown fields, so tagged lines stay valid
-/// `rjam-progress-v1`.
+/// with the job's id spliced in as the line's first field, and counts the
+/// units of a `shard_finished` line as done. Progress parsers ignore
+/// unknown fields, so tagged lines stay valid `rjam-progress-v1`.
 fn append_progress(inner: &Inner, line: &str) {
+    // Only a shard_finished line is worth parsing, and not under the lock.
+    let finished = if line.contains("\"shard_finished\"") {
+        match ProgressEvent::from_line(line) {
+            Ok(ProgressEvent::ShardFinished { units, .. }) => units,
+            _ => 0,
+        }
+    } else {
+        0
+    };
     let mut st = inner.state.lock().expect("daemon state lock");
     if let Some(id) = st.running.clone() {
         if let Some(job) = st.jobs.get_mut(&id) {
+            job.units_done += finished;
             // Every progress line starts with `{"`; the tag goes right
             // after the brace.
             let tagged = format!("{{\"job\":{},{}", json::write_string(&id), &line[1..]);
@@ -222,6 +238,7 @@ impl Daemon {
                 request: spec,
                 state: JobState::Queued,
                 ckpt: JobCheckpoint::new(),
+                units_done: 0,
                 cancel: CancelToken::new(),
                 lines: Vec::new(),
                 export: None,
@@ -245,7 +262,7 @@ impl Daemon {
             job: id.to_string(),
             kind: j.request.kind().to_string(),
             state: j.state,
-            units_done: j.ckpt.units_done() as u64,
+            units_done: j.units_done,
             units_total: j.units_total as u64,
         };
         match job {
@@ -273,7 +290,7 @@ impl Daemon {
         match job.state {
             JobState::Queued => {
                 job.state = JobState::Cancelled;
-                let done = job.ckpt.units_done() as u64;
+                let done = job.units_done;
                 let line = JobResponse::Cancelled {
                     job: id.to_string(),
                     units_done: done,
@@ -306,7 +323,7 @@ impl Daemon {
                 }
                 let job = st.jobs.get(id).ok_or_else(|| unknown(id))?;
                 match job.state {
-                    JobState::Cancelled => Ok(job.ckpt.units_done() as u64),
+                    JobState::Cancelled => Ok(job.units_done),
                     state => Err(already(id, state)),
                 }
             }
@@ -558,7 +575,9 @@ fn run_loop(inner: &Inner, engine: &CampaignEngine) {
             job.ckpt = ckpt;
             let terminal = match result {
                 Some(export) => {
+                    // The run drained the checkpoint: every unit is done.
                     job.state = JobState::Done;
+                    job.units_done = job.units_total as u64;
                     job.export = Some(export.clone());
                     JobResponse::Done {
                         job: id.clone(),
@@ -567,9 +586,10 @@ fn run_loop(inner: &Inner, engine: &CampaignEngine) {
                 }
                 None => {
                     job.state = JobState::Cancelled;
+                    job.units_done = job.ckpt.units_done() as u64;
                     JobResponse::Cancelled {
                         job: id.clone(),
-                        units_done: job.ckpt.units_done() as u64,
+                        units_done: job.units_done,
                     }
                 }
             };
@@ -970,14 +990,10 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
-    #[test]
-    fn every_job_kind_publishes_an_engine_profile() {
+    /// A small job of each campaign kind.
+    fn one_job_of_each_kind() -> [CampaignRequest; 4] {
         use rjam_core::campaign::{ChannelModel, JammerUnderTest, WifiEmission};
-        // A clone shares the engine's profile store.
-        let engine = CampaignEngine::with_threads(2);
-        let d = Daemon::start(engine.clone(), 8);
-        let specs = [
+        [
             CampaignRequest::WifiDetection {
                 preset: DetectionPreset::WifiShortPreamble { threshold: 0.30 },
                 emission: WifiEmission::FullFrames { psdu_len: 60 },
@@ -1000,8 +1016,72 @@ mod tests {
                 duration_s: 0.05,
                 seed: 8,
             },
-        ];
-        for spec in specs {
+        ]
+    }
+
+    #[test]
+    fn a_finished_job_counts_every_unit_for_every_kind() {
+        // A completed run drains the job's checkpoint; status must still
+        // count every unit.
+        let d = Daemon::start(CampaignEngine::with_threads(2), 8);
+        for spec in one_job_of_each_kind() {
+            let (id, _) = d.submit(spec.clone()).expect("accepted");
+            let st = wait_done(&d, &id);
+            let want = (JobState::Done, spec.n_units() as u64);
+            assert_eq!((st.state, st.units_done), want, "{}", spec.kind());
+        }
+        d.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn status_counts_the_units_a_running_job_has_finished() {
+        use rjam_obs::stream::ProgressEvent;
+        // Each shard_finished line the job streams marks a point where its
+        // engine has finished that many more units. A status read right
+        // there must count at least all the units streamed so far while
+        // the job runs, and every unit once it is done.
+        let d = Daemon::start(CampaignEngine::with_threads(1), 4);
+        let spec = CampaignRequest::Wimax {
+            fused: true,
+            frames: 16,
+            snr_db: 20.0,
+            threshold: 0.45,
+            seed: 13,
+        };
+        let total = spec.n_units() as u64;
+        let (id, _) = d.submit(spec).expect("accepted");
+        let (mut streamed, mut reads) = (0u64, Vec::new());
+        d.watch(&id, &mut |l: &str| {
+            if let Ok(ProgressEvent::ShardFinished { units, .. }) = ProgressEvent::from_line(l) {
+                streamed += units;
+                let st = d.status(Some(&id)).expect("status")[0].clone();
+                reads.push((st.state, st.units_done, streamed));
+            }
+            Ok(())
+        })
+        .expect("watch");
+        assert_eq!(streamed, total, "the stream covers every unit");
+        for &(state, done, streamed) in &reads {
+            match state {
+                JobState::Running => assert!(
+                    (streamed..=total).contains(&done),
+                    "running with {done} units counted after {streamed} streamed: {reads:?}"
+                ),
+                JobState::Done => assert_eq!(done, total, "{reads:?}"),
+                other => panic!("unexpected state {other:?}: {reads:?}"),
+            }
+        }
+        d.shutdown();
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn every_job_kind_publishes_an_engine_profile() {
+        // A clone shares the engine's profile store.
+        let engine = CampaignEngine::with_threads(2);
+        let d = Daemon::start(engine.clone(), 8);
+        for spec in one_job_of_each_kind() {
             // Every job carries a cancel token; its run must still profile.
             let (id, _) = d.submit(spec.clone()).expect("accepted");
             assert_eq!(wait_done(&d, &id).state, JobState::Done, "{id}");

@@ -223,8 +223,10 @@ pub fn resample_linear_into(input: &[Cf64], from_rate: f64, to_rate: f64, out: &
     let out_len = ((input.len() as f64) / ratio).floor() as usize;
     let last = input.len() - 1;
     out.extend((0..out_len).map(|n| {
+        // Positions are non-negative, so truncation is the floor; baseline
+        // x86-64 has no `roundsd`, and `floor` would be a call.
         let x = n as f64 * ratio;
-        let i = x.floor() as usize;
+        let i = x as usize;
         let frac = x - i as f64;
         let a = input[i.min(last)];
         let b = input[(i + 1).min(last)];
@@ -364,6 +366,26 @@ mod tests {
             .collect()
     }
 
+    /// `resample_linear_into` as first written, flooring every position.
+    fn reference_linear(input: &[Cf64], from_rate: f64, to_rate: f64) -> Vec<Cf64> {
+        if input.is_empty() {
+            return Vec::new();
+        }
+        let ratio = from_rate / to_rate;
+        let out_len = ((input.len() as f64) / ratio).floor() as usize;
+        let last = input.len() - 1;
+        (0..out_len)
+            .map(|n| {
+                let x = n as f64 * ratio;
+                let i = x.floor() as usize;
+                let frac = x - i as f64;
+                let a = input[i.min(last)];
+                let b = input[(i + 1).min(last)];
+                a.scale(1.0 - frac) + b.scale(frac)
+            })
+            .collect()
+    }
+
     fn bits(buf: &[Cf64]) -> Vec<(u64, u64)> {
         buf.iter()
             .map(|s| (s.re.to_bits(), s.im.to_bits()))
@@ -395,6 +417,24 @@ mod tests {
             let mut out = noise(!seed, 7);
             r.process_into(&input, &mut out);
             rjam_testkit::prop_assert_eq!(bits(&out), bits(&reference_process(&r, &input)));
+        }
+
+        /// `resample_linear_into` equals the flooring reference bit for bit
+        /// at the WiMAX rate and at up- and down-sampling ratios, including
+        /// empty inputs, and into a dirty buffer.
+        fn linear_matches_reference_bits(
+            from_rate in rjam_testkit::one_of(vec![11.4e6, 20e6, 25e6, 30e6, 3.3e6]),
+            to_rate in rjam_testkit::one_of(vec![25e6, 11.4e6, 7.7e6]),
+            len in 0usize..400,
+            seed in rjam_testkit::any::<u64>(),
+        ) {
+            let input = noise(seed, len);
+            let mut out = noise(!seed, 3);
+            resample_linear_into(&input, from_rate, to_rate, &mut out);
+            rjam_testkit::prop_assert_eq!(
+                bits(&out),
+                bits(&reference_linear(&input, from_rate, to_rate))
+            );
         }
 
         /// `fractional_delay_into` equals the reference bit for bit,

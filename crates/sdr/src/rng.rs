@@ -104,10 +104,19 @@ impl Rng {
     /// provided no spare is pending ([`Rng::has_spare`]).
     #[inline]
     pub fn polar_draw(&mut self) -> PolarDraw {
+        let (u1, u2) = self.polar_uniforms();
+        PolarDraw::new(u1, u2)
+    }
+
+    /// The uniforms `(u1, u2)` of one [`Rng::polar_draw`], drawn in its
+    /// order: `u1` in `[2⁻⁵³, 1]`, then `u2` in `[0, 1)`. For callers that
+    /// evaluate [`PolarDraw::new`] of them their own way.
+    #[inline]
+    pub fn polar_uniforms(&mut self) -> (f64, f64) {
         // Draw u1 in (0,1] to avoid ln(0).
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
-        PolarDraw::new(u1, u2)
+        (u1, u2)
     }
 
     /// Whether a Box-Muller spare is pending: the next [`Rng::gaussian`]
@@ -153,8 +162,14 @@ impl PolarDraw {
     pub fn new(u1: f64, u2: f64) -> Self {
         PolarDraw {
             r: (-2.0 * u1.ln()).sqrt(),
-            theta: 2.0 * std::f64::consts::PI * u2,
+            theta: PolarDraw::angle(u2),
         }
+    }
+
+    /// The angle `2π·u2` of the transform of `u2`.
+    #[inline]
+    pub fn angle(u2: f64) -> f64 {
+        2.0 * std::f64::consts::PI * u2
     }
 
     /// The first variate, `r·cos θ`.
