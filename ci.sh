@@ -66,8 +66,10 @@ step "lane bank scaling gate (lanes_16 vs lanes_1 aggregate throughput)"
 check ratio BENCH_dsp_lanes.json lanes_16 lanes_1 --max-ratio 4
 
 step "DSP core bench smoke (full core, energy, jam controller, personality switch)"
-# The microbench of the per-sample core path every detection, false-alarm
-# and WiMAX job runs, including the register-level reconfiguration path.
+# The microbench of the per-sample core path `ReactiveJammer` runs for
+# jamming episodes, timelines and traces, including the register-level
+# reconfiguration path. Detection, false-alarm and WiMAX jobs run
+# `DspLaneBank` lanes, which the lane-bank bench above times.
 RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
     RJAM_BENCH_OUT="$(pwd)" \
     cargo bench -q -p rjam-bench --offline --bench dsp_core

@@ -40,53 +40,14 @@ fn main() {
     };
     let mut core = DspCore::new();
     core.configure(&cfg);
-    // Timed batches run without a sink; with RJAM_BENCH_TRACE set, one extra
-    // untimed pass replays the stream through a fresh core and exports the
-    // detector/jam causal spans to TRACE_dsp_core_full_core_1ms_air.json.
-    h.bench_traced("full_core_1ms_air", "", elems, |sink| {
+    h.bench_throughput("full_core_1ms_air", "", elems, || {
         let mut active = 0u32;
-        if let Some(sink) = sink {
-            // Replay the noise stream with an 8x-amplitude step in the
-            // middle (an ~18 dB energy rise) so the capture shows a real
-            // detector fire -> trigger -> jam burst chain, not silence.
-            let mut traced = DspCore::new();
-            traced.configure(&cfg);
-            let mut ids = rjam_obs::trace::FrameIdGen::new();
-            let fid = ids.mint();
-            sink.instant(
-                fid,
-                0,
-                rjam_obs::trace::stage::FPGA,
-                "rx_first_sample",
-                0,
-                0,
-            );
-            for (n, &s) in stream.iter().enumerate() {
-                let s = if (10_000..15_000).contains(&n) {
-                    IqI16::new(s.i.saturating_mul(8), s.q.saturating_mul(8))
-                } else {
-                    s
-                };
-                active += u32::from(traced.process(black_box(s)).tx.is_some());
-            }
-            let eos_cycle = stream.len() as u64 * rjam_fpga::CLOCKS_PER_SAMPLE;
-            rjam_fpga::trace::trace_frame(
-                sink,
-                fid,
-                0,
-                traced.events(),
-                traced.jam_events(),
-                eos_cycle,
-            );
-            traced.flush_obs();
-        } else {
-            for &s in &stream {
-                active += u32::from(core.process(black_box(s)).tx.is_some());
-            }
-            // Host-side register poll: publishes the core's counter deltas
-            // so the bench record carries per-iteration work counts.
-            core.flush_obs();
+        for &s in &stream {
+            active += u32::from(core.process(black_box(s)).tx.is_some());
         }
+        // Host-side register poll: publishes the core's counter deltas
+        // so the bench record carries per-iteration work counts.
+        core.flush_obs();
         black_box(active)
     });
 

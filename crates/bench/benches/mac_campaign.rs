@@ -22,16 +22,9 @@ fn main() {
         ("continuous_20db", JammerUnderTest::Continuous, 20.0),
         ("reactive_long_20db", JammerUnderTest::ReactiveLong, 20.0),
     ] {
-        // With RJAM_BENCH_TRACE set, each variant runs one extra untimed
-        // second with a live sink and exports every frame's MAC/PHY/jam
-        // causal spans to TRACE_mac_campaign_iperf_one_second.json.
-        h.bench_traced("iperf_one_second", label, 1, |sink| {
+        h.bench_throughput("iperf_one_second", label, 1, || {
             let sc = scenario_for(jut, sir, 1.0, 77);
-            let run = ScenarioRun::new(black_box(&sc));
-            match sink {
-                Some(sink) => black_box(run.trace(sink).run()),
-                None => black_box(run.run()),
-            }
+            black_box(ScenarioRun::new(black_box(&sc)).run())
         });
     }
 

@@ -25,12 +25,7 @@
 //! * `RJAM_BENCH_SAMPLES` — number of timed batches per bench (default 25);
 //! * `RJAM_BENCH_WARMUP_MS` — warmup duration (default 100 ms);
 //! * `RJAM_BENCH_BATCH_MS` — target wall-clock per timed batch (default 5 ms);
-//! * `RJAM_BENCH_OUT` — directory for the JSON report (default CWD);
-//! * `RJAM_BENCH_TRACE` — when set (and not `0`), benches registered via
-//!   [`Harness::bench_traced`] run one extra untimed pass with a live
-//!   [`rjam_obs::trace::TraceSink`] and write the resulting causal-span
-//!   capture to `TRACE_<suite>_<bench>.json` (`rjam-trace-v1`);
-//! * `RJAM_BENCH_TRACE_CAP` — capacity of that sink (default 8192 events).
+//! * `RJAM_BENCH_OUT` — directory for the JSON report (default CWD).
 
 use rjam_obs::json::{write_number, write_string};
 use std::hint::black_box;
@@ -292,48 +287,6 @@ impl Harness {
         self.results.last().expect("just pushed")
     }
 
-    /// Benchmarks `f` exactly like [`Harness::bench_throughput`], passing
-    /// `None` during calibration, warmup and every timed batch so tracing
-    /// never perturbs the measurement. When the `RJAM_BENCH_TRACE`
-    /// environment variable is set to anything other than empty/`0`, one
-    /// extra **untimed** pass runs afterwards with `Some(&mut TraceSink)`
-    /// and the captured causal events are written as an `rjam-trace-v1`
-    /// document to `TRACE_<suite>_<bench>.json` in the report directory —
-    /// load it with `rjam_obs::trace::TraceDoc::from_json` or convert to a
-    /// Perfetto timeline. Sink capacity defaults to 8192 events and can be
-    /// overridden with `RJAM_BENCH_TRACE_CAP`. With observability compiled
-    /// out the sink is a zero-sized no-op and no file is written.
-    pub fn bench_traced<R>(
-        &mut self,
-        bench: &str,
-        params: &str,
-        elements: u64,
-        mut f: impl FnMut(Option<&mut rjam_obs::trace::TraceSink>) -> R,
-    ) -> &BenchRecord {
-        self.bench_throughput(bench, params, elements, || f(None));
-        let idx = self.results.len() - 1;
-        if trace_capture_requested() && rjam_obs::enabled() {
-            let mut sink = rjam_obs::trace::TraceSink::with_capacity(trace_capacity());
-            black_box(f(Some(&mut sink)));
-            if !sink.is_empty() {
-                let doc = sink.to_doc();
-                let path = self
-                    .cfg
-                    .out_dir
-                    .join(format!("TRACE_{}_{bench}.json", self.suite));
-                std::fs::write(&path, doc.to_json())
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-                println!(
-                    "    trace: {} events ({} dropped) -> {}",
-                    sink.len(),
-                    sink.dropped(),
-                    path.display()
-                );
-            }
-        }
-        &self.results[idx]
-    }
-
     /// Results accumulated so far.
     #[must_use]
     pub fn results(&self) -> &[BenchRecord] {
@@ -363,24 +316,6 @@ impl Harness {
         );
         path
     }
-}
-
-/// Whether `RJAM_BENCH_TRACE` asks for a trace-capture pass.
-fn trace_capture_requested() -> bool {
-    trace_flag_enabled(std::env::var("RJAM_BENCH_TRACE").ok().as_deref())
-}
-
-/// Empty and `"0"` mean off; anything else means on.
-fn trace_flag_enabled(v: Option<&str>) -> bool {
-    v.is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Trace sink capacity: `RJAM_BENCH_TRACE_CAP` or 8192.
-fn trace_capacity() -> usize {
-    std::env::var("RJAM_BENCH_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8192)
 }
 
 /// Linear-interpolated percentile of an ascending-sorted slice.
@@ -535,44 +470,5 @@ mod tests {
             .as_object()
             .expect("counters object serialized");
         assert_eq!(counters["bench.test_bump"].as_f64(), Some(1.0));
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn traced_bench_writes_and_roundtrips_trace_doc() {
-        use rjam_obs::trace::{stage, FrameId, TraceDoc};
-        let dir = std::env::temp_dir().join("rjam_bench_test_trace");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("RJAM_BENCH_TRACE", "1");
-        let mut h = Harness::with_config("traced", fast_config(&dir));
-        let r = h.bench_traced("spans", "", 1, |sink| {
-            if let Some(sink) = sink {
-                let f = FrameId(1);
-                sink.span_begin(f, 0, stage::FPGA, "work");
-                sink.span_end(f, 100, stage::FPGA, "work");
-            }
-            std::hint::black_box(0u8)
-        });
-        assert!(r.median_ns > 0.0);
-        std::env::remove_var("RJAM_BENCH_TRACE");
-
-        let path = dir.join("TRACE_traced_spans.json");
-        let text = std::fs::read_to_string(&path).expect("trace file written");
-        std::fs::remove_file(&path).ok();
-        let doc = TraceDoc::from_json(&text).expect("trace file parses");
-        doc.validate().expect("trace file validates");
-        assert_eq!(doc.events.len(), 2);
-        let frames = doc.frames();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].span(stage::FPGA, "work"), Some((0, 100)));
-    }
-
-    #[test]
-    fn trace_capture_defaults_off() {
-        assert!(!trace_flag_enabled(None));
-        assert!(!trace_flag_enabled(Some("")));
-        assert!(!trace_flag_enabled(Some("0")));
-        assert!(trace_flag_enabled(Some("1")));
-        assert!(trace_flag_enabled(Some("yes")));
     }
 }

@@ -8,7 +8,6 @@
 //! it can be modeled exactly:
 //!
 //! * [`noise`] — complex AWGN sources and noise-floor bookkeeping;
-//! * [`atten`] — fixed and variable attenuators;
 //! * [`fiveport`] — the 5-port network with the paper's Table 1 S-matrix and
 //!   a VNA-style characterization routine that re-measures it;
 //! * [`combine`] — time-aligned multi-emitter combining at a receive port,
@@ -16,11 +15,14 @@
 //! * [`monitor`] — a scope-like tap that records waveforms and event markers
 //!   and renders ASCII envelope traces (the software stand-in for the
 //!   paper's Fig. 12 oscilloscope capture).
+//!
+//! The pads and the variable attenuator are dB terms, not sample-domain
+//! objects: the pads are in [`fiveport`]'s loss matrix, and the jammer's
+//! attenuator setting is `TestbedBudget::jammer_atten_db` in `rjam-core`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atten;
 pub mod combine;
 pub mod fading;
 pub mod fiveport;
@@ -28,7 +30,6 @@ pub mod monitor;
 pub mod noise;
 pub mod trace;
 
-pub use atten::{Attenuator, VariableAttenuator};
 pub use combine::{Emission, PortReceiver};
 pub use fading::MultipathChannel;
 pub use fiveport::{FivePortNetwork, Port};

@@ -1,8 +1,8 @@
 //! Property tests for the wired-channel models, driven by `rjam-testkit`.
 
-use rjam_channel::{Attenuator, NoiseSource, ScopeTrace};
+use rjam_channel::{NoiseSource, ScopeTrace};
 use rjam_sdr::complex::{Cf64, IqI16, FULL_SCALE};
-use rjam_sdr::power::{db_to_lin, mean_power};
+use rjam_sdr::power::mean_power;
 use rjam_sdr::rng::Rng;
 use rjam_testkit::{self as tk, prop_assert, prop_assert_eq, props};
 
@@ -86,19 +86,6 @@ props! {
             .collect();
         let r = check_adc_generator(src, &wave, 0);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-    }
-
-    /// An attenuator reduces mean power by exactly its loss in dB.
-    fn attenuator_power_linearity(loss_db in 0.0f64..80.0, seed in tk::any::<u64>()) {
-        let mut wave = NoiseSource::new(0.1, Rng::seed_from(seed | 1)).block(256);
-        let before = mean_power(&wave);
-        Attenuator::new(loss_db).apply(&mut wave);
-        let after = mean_power(&wave);
-        let expect = before * db_to_lin(-loss_db);
-        prop_assert!(
-            (after / expect - 1.0).abs() < 1e-9,
-            "loss {loss_db} dB: {before} -> {after}, expected {expect}"
-        );
     }
 
     /// Noise blocks have the requested length and converge on the

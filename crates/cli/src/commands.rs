@@ -2,7 +2,10 @@
 //! can assert on output without capturing stdout.
 
 use crate::args::{CliError, Command, JammerName, PresetName};
-use rjam_core::campaign::{false_alarm_rate, CampaignSpec, JammerUnderTest, WifiEmission};
+use rjam_core::campaign::{
+    false_alarm_rate, CampaignSpec, ChannelModel, JammerUnderTest, WifiEmission,
+};
+use rjam_core::spec::CampaignRequest;
 use rjam_core::timeline::{comparison_rows, measure, TimelineBudget};
 use rjam_core::{CampaignEngine, DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_daemon::{JobRequest, JobResponse};
@@ -56,6 +59,58 @@ fn sweep_preset_for(
     preset_for(name, grid[0], grid[0], cell, segment)
 }
 
+/// Checks a command's operating point with [`CampaignRequest::validate`],
+/// the rule `rjamd` applies to the same job, so a frame count, sample
+/// count, SNR, SIR or duration the service would refuse is a usage error
+/// here too, before any campaign runs. The rule reads no seed, so the
+/// requests below carry seed 0.
+fn check_request(req: CampaignRequest) -> Result<(), CliError> {
+    req.validate()
+        .map_err(|e| CliError::usage(format!("{} job: {e}", req.kind())))
+}
+
+/// The `wifi_detection` request behind `detect` and the detection half
+/// of `roc`: full 100-byte frames over AWGN at one SNR.
+fn wifi_request(preset: &DetectionPreset, snr_db: f64, frames: usize) -> CampaignRequest {
+    CampaignRequest::WifiDetection {
+        preset: preset.clone(),
+        emission: WifiEmission::FullFrames { psdu_len: 100 },
+        channel: ChannelModel::Awgn,
+        snrs_db: vec![snr_db],
+        frames_per_point: frames,
+        seed: 0,
+    }
+}
+
+/// The `false_alarm` request behind `fa` and the noise half of `roc`.
+fn fa_request(preset: &DetectionPreset, samples: usize) -> CampaignRequest {
+    CampaignRequest::FalseAlarm {
+        preset: preset.clone(),
+        samples,
+        seed: 0,
+    }
+}
+
+/// The `jamming` request behind `iperf` and `monitor`: one SIR point.
+fn jamming_request(jammer: JammerUnderTest, sir_db: f64, seconds: f64) -> CampaignRequest {
+    CampaignRequest::Jamming {
+        jammer,
+        sirs_db: vec![sir_db],
+        duration_s: seconds,
+        seed: 0,
+    }
+}
+
+/// The campaign jammer a `--jammer` name selects.
+fn jammer_under_test(jammer: JammerName) -> JammerUnderTest {
+    match jammer {
+        JammerName::Off => JammerUnderTest::Off,
+        JammerName::Continuous => JammerUnderTest::Continuous,
+        JammerName::ReactiveLong => JammerUnderTest::ReactiveLong,
+        JammerName::ReactiveShort => JammerUnderTest::ReactiveShort,
+    }
+}
+
 /// Executes a parsed command with the environment's engine
 /// (`RJAM_THREADS`, else all cores). The binary routes `--threads` through
 /// [`execute_with`] instead.
@@ -80,6 +135,7 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
             segment,
         } => {
             let p = preset_for(*preset, *threshold, *energy_db, *cell, *segment)?;
+            check_request(wifi_request(&p, *snr_db, *frames))?;
             let pts = CampaignSpec::wifi_detection(&p)
                 .emission(WifiEmission::FullFrames { psdu_len: 100 })
                 .snrs(&[*snr_db])
@@ -106,6 +162,7 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
         } => {
             if let Some(grid) = grid {
                 let p = sweep_preset_for(*preset, grid, *cell, *segment)?;
+                check_request(fa_request(&p, *samples))?;
                 let rows = CampaignSpec::false_alarm(&p)
                     .samples(*samples)
                     .seed(0xFA2)
@@ -125,6 +182,7 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
                 return Ok(out);
             }
             let p = preset_for(*preset, *threshold, *energy_db, *cell, *segment)?;
+            check_request(fa_request(&p, *samples))?;
             let (triggers, processed) = CampaignSpec::false_alarm(&p)
                 .samples(*samples)
                 .seed(0xFA2)
@@ -140,12 +198,8 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
             sir_db,
             seconds,
         } => {
-            let jut = match jammer {
-                JammerName::Off => JammerUnderTest::Off,
-                JammerName::Continuous => JammerUnderTest::Continuous,
-                JammerName::ReactiveLong => JammerUnderTest::ReactiveLong,
-                JammerName::ReactiveShort => JammerUnderTest::ReactiveShort,
-            };
+            let jut = jammer_under_test(*jammer);
+            check_request(jamming_request(jut, *sir_db, *seconds))?;
             let pts = CampaignSpec::jamming(jut)
                 .sirs(&[*sir_db])
                 .duration_s(*seconds)
@@ -207,6 +261,8 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
                 })
                 .collect();
             let base = sweep_preset_for(*preset, &thresholds, *cell, *segment)?;
+            check_request(wifi_request(&base, *snr_db, *frames))?;
+            check_request(fa_request(&base, *fa_samples))?;
             let pts = CampaignSpec::roc(&base)
                 .emission(WifiEmission::FullFrames { psdu_len: 100 })
                 .snr_db(*snr_db)
@@ -653,21 +709,14 @@ fn monitor_report(
     if cadence == 0 {
         return Err(CliError::usage("--cadence must be at least 1"));
     }
-    if seconds <= 0.0 || seconds.is_nan() {
-        return Err(CliError::usage("--seconds must be positive"));
-    }
+    let jut = jammer_under_test(jammer);
+    check_request(jamming_request(jut, sir_db, seconds))?;
     if !rjam_obs::enabled() {
         return Err(CliError::runtime(
             "health monitoring is compiled out (obs feature disabled); \
              rebuild with default features to use `rjamctl monitor`",
         ));
     }
-    let jut = match jammer {
-        JammerName::Off => JammerUnderTest::Off,
-        JammerName::Continuous => JammerUnderTest::Continuous,
-        JammerName::ReactiveLong => JammerUnderTest::ReactiveLong,
-        JammerName::ReactiveShort => JammerUnderTest::ReactiveShort,
-    };
     let sc = rjam_core::campaign::scenario_for(jut, sir_db, seconds, 0x6EA17);
     let mut mon = rjam_obs::HealthMonitor::new(cadence);
     let report = rjam_mac::ScenarioRun::new(&sc).health(&mut mon).run();
@@ -1022,6 +1071,33 @@ mod tests {
             let err = execute(&parse(&argv(cmd)).unwrap()).unwrap_err();
             assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
             assert!(err.message().contains("threshold"), "{cmd}: {err}");
+        }
+        // Frame and sample counts, SNRs, SIRs and durations the service
+        // refuses, each named by its request field.
+        for (cmd, field) in [
+            ("detect --preset wifi-short --snr nan", "snrs_db"),
+            ("detect --preset wifi-short --frames 0", "trials"),
+            ("fa --preset wifi-short --samples 0", "samples"),
+            (
+                "fa --preset wifi-short --grid 0.3,0.4 --samples 0",
+                "samples",
+            ),
+            ("roc --preset wifi-short --snr nan", "snrs_db"),
+            ("roc --preset wifi-short --frames 0", "trials"),
+            ("roc --preset wifi-short --fa-samples 0", "samples"),
+            ("iperf --jammer off --seconds 0", "duration_s"),
+            ("iperf --jammer off --seconds -1", "duration_s"),
+            ("iperf --jammer off --seconds nan", "duration_s"),
+            ("iperf --jammer off --seconds 3601", "duration_s"),
+            ("iperf --jammer off --sir nan", "sirs_db"),
+            ("monitor --jammer off --seconds 0", "duration_s"),
+            ("monitor --jammer off --seconds 3601", "duration_s"),
+            ("monitor --jammer off --sir nan", "sirs_db"),
+        ] {
+            let err = execute(&parse(&argv(cmd)).unwrap()).unwrap_err();
+            assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
+            assert_eq!(err.exit_code(), 2, "{cmd}");
+            assert!(err.message().contains(field), "{cmd}: {err}");
         }
     }
 

@@ -29,6 +29,17 @@ fn bad_flag_value_exits_2() {
 }
 
 #[test]
+fn operating_point_the_service_refuses_exits_2_with_usage() {
+    // A NaN SNR parses as a number; the job service's rule refuses it
+    // before the noise source sees it.
+    let out = rjamctl(&["detect", "--preset", "wifi-short", "--snr", "nan"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("snrs_db"), "{err}");
+    assert!(err.contains("USAGE:"), "usage must accompany exit 2: {err}");
+}
+
+#[test]
 fn unknown_flag_exits_2_with_usage() {
     // A misspelt flag must not run the command with a default in its place.
     for args in [

@@ -115,7 +115,6 @@ struct Job {
     /// Replay buffer: job-tagged progress lines, then `job_metrics` and
     /// the terminal line. Watchers follow this by cursor.
     lines: Vec<String>,
-    export: Option<String>,
     units_total: usize,
 }
 
@@ -241,7 +240,6 @@ impl Daemon {
                 units_done: 0,
                 cancel: CancelToken::new(),
                 lines: Vec::new(),
-                export: None,
                 units_total,
             },
         );
@@ -578,7 +576,6 @@ fn run_loop(inner: &Inner, engine: &CampaignEngine) {
                     // The run drained the checkpoint: every unit is done.
                     job.state = JobState::Done;
                     job.units_done = job.units_total as u64;
-                    job.export = Some(export.clone());
                     JobResponse::Done {
                         job: id.clone(),
                         export,

@@ -32,7 +32,6 @@ pub mod bits;
 pub mod convcode;
 pub mod dsss;
 pub mod interleave;
-pub mod mac_frames;
 pub mod modmap;
 pub mod ofdm;
 pub mod per;

@@ -28,7 +28,6 @@ pub mod cellsearch;
 pub mod frame;
 pub mod pn;
 pub mod preamble;
-pub mod rx;
 
 pub use cellsearch::{identify_cell, identify_from_frame};
 pub use frame::{DownlinkConfig, DownlinkGenerator};

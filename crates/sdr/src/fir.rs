@@ -1,8 +1,8 @@
-//! FIR filter design and streaming filtering.
+//! FIR filter design.
 //!
-//! The DDC/DUC chains and the anti-alias stages of the resampler use
-//! windowed-sinc low-pass prototypes (Hamming window), the same family of
-//! half-band/low-pass filters the USRP's CORDIC+CIC+HB datapath implements.
+//! The anti-alias stages of the resampler use windowed-sinc low-pass
+//! prototypes (Hamming window), the same family of half-band/low-pass
+//! filters the USRP's CORDIC+CIC+HB datapath implements.
 
 use crate::complex::Cf64;
 
@@ -43,84 +43,6 @@ pub fn lowpass(num_taps: usize, cutoff: f64) -> Vec<f64> {
     taps
 }
 
-/// A streaming FIR filter over complex samples with real taps.
-#[derive(Clone, Debug)]
-pub struct Fir {
-    taps: Vec<f64>,
-    /// Circular history of the most recent `taps.len()` inputs.
-    hist: Vec<Cf64>,
-    pos: usize,
-}
-
-impl Fir {
-    /// Creates a filter from a tap vector.
-    ///
-    /// # Panics
-    /// Panics if `taps` is empty.
-    pub fn new(taps: Vec<f64>) -> Self {
-        assert!(!taps.is_empty(), "FIR needs at least one tap");
-        let n = taps.len();
-        Fir {
-            taps,
-            hist: vec![Cf64::ZERO; n],
-            pos: 0,
-        }
-    }
-
-    /// Number of taps.
-    pub fn len(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// Always false: a filter has at least one tap.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Group delay in samples for the symmetric (linear-phase) case.
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() as f64 - 1.0) / 2.0
-    }
-
-    /// Pushes one input sample and returns the filter output.
-    #[inline]
-    pub fn push(&mut self, x: Cf64) -> Cf64 {
-        let n = self.taps.len();
-        self.hist[self.pos] = x;
-        let mut acc = Cf64::ZERO;
-        let mut idx = self.pos;
-        for &t in &self.taps {
-            acc += self.hist[idx].scale(t);
-            idx = if idx == 0 { n - 1 } else { idx - 1 };
-        }
-        self.pos = (self.pos + 1) % n;
-        acc
-    }
-
-    /// Filters a whole buffer, returning one output per input.
-    pub fn filter(&mut self, input: &[Cf64]) -> Vec<Cf64> {
-        input.iter().map(|&x| self.push(x)).collect()
-    }
-
-    /// Resets the filter state to silence.
-    pub fn reset(&mut self) {
-        self.hist.fill(Cf64::ZERO);
-        self.pos = 0;
-    }
-}
-
-/// Direct (non-streaming) convolution, used as a reference in tests and for
-/// one-shot template shaping.
-pub fn convolve(x: &[Cf64], taps: &[f64]) -> Vec<Cf64> {
-    let mut out = vec![Cf64::ZERO; x.len() + taps.len() - 1];
-    for (i, &xi) in x.iter().enumerate() {
-        for (j, &tj) in taps.iter().enumerate() {
-            out[i + j] += xi.scale(tj);
-        }
-    }
-    out
-}
-
 /// Frequency response magnitude of a real tap set at a normalized frequency
 /// `f` (cycles/sample).
 pub fn response_mag(taps: &[f64], f: f64) -> f64 {
@@ -158,45 +80,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_convolution() {
-        let taps = lowpass(17, 0.25);
-        let x: Vec<Cf64> = (0..50)
-            .map(|t| Cf64::new((t as f64 * 0.3).sin(), (t as f64 * 0.17).cos()))
-            .collect();
-        let mut fir = Fir::new(taps.clone());
-        let stream = fir.filter(&x);
-        let full = convolve(&x, &taps);
-        for i in 0..x.len() {
-            assert!((stream[i] - full[i]).abs() < 1e-12, "sample {i}");
-        }
-    }
-
-    #[test]
-    fn impulse_response_is_taps() {
-        let taps = vec![0.5, 0.25, -0.125];
-        let mut fir = Fir::new(taps.clone());
-        let mut input = vec![Cf64::ZERO; 3];
-        input[0] = Cf64::ONE;
-        let out = fir.filter(&input);
-        for (o, t) in out.iter().zip(&taps) {
-            assert!((o.re - t).abs() < 1e-15 && o.im.abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut fir = Fir::new(lowpass(9, 0.2));
-        fir.push(Cf64::new(1.0, 1.0));
-        fir.reset();
-        let y = fir.push(Cf64::ZERO);
-        assert_eq!(y, Cf64::ZERO);
-    }
-
-    #[test]
     fn group_delay_centers_impulse() {
         let taps = lowpass(21, 0.2);
-        let fir = Fir::new(taps.clone());
-        assert_eq!(fir.group_delay(), 10.0);
         let peak = taps
             .iter()
             .enumerate()

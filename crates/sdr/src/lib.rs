@@ -8,16 +8,18 @@
 //! * complex baseband sample types, both floating point ([`Cf64`]) and the
 //!   16-bit fixed-point representation used on the FPGA ([`IqI16`]);
 //! * a radix-2 FFT/IFFT ([`fft`]) used by the OFDM PHYs;
-//! * windowed-sinc FIR design and streaming filters ([`fir`]);
-//! * a numerically controlled oscillator / complex mixer ([`nco`]);
-//! * digital down/up-conversion chains ([`ddc`]) mirroring the UHD
-//!   `ddc_chain`/`duc_chain` the custom core is nested inside;
+//! * windowed-sinc low-pass FIR design ([`fir`]) for the resampler's
+//!   anti-alias prototypes;
 //! * sample-rate conversion ([`resample`]) — crucial to the paper, whose
 //!   25 MSPS receiver correlates against 20 MSPS WiFi and 11.4 MHz WiMAX
 //!   waveforms;
 //! * power / dB utilities ([`power`]) and a deterministic PRNG with Gaussian
 //!   output ([`rng`]) so every experiment in the workspace is reproducible;
 //! * delay lines and ring buffers ([`ring`]).
+//!
+//! The UHD DDC/DUC chains themselves are not modeled: waveforms are
+//! resampled straight to the 25 MSPS the custom core sees, and the analog
+//! front end is folded into the linear channel of `rjam-channel`.
 //!
 //! The crate is deliberately dependency-free and `std`-only, in the spirit of
 //! standalone event-driven network stacks: simplicity and robustness over
@@ -27,12 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod complex;
-pub mod ddc;
 pub mod fft;
 pub mod fir;
-pub mod impair;
 pub mod io;
-pub mod nco;
 pub mod power;
 pub mod resample;
 pub mod ring;

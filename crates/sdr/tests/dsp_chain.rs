@@ -1,45 +1,10 @@
-//! Integration across the DSP substrate: full conversion chains, file I/O
-//! feeding spectral analysis, impairments interacting with resampling.
+//! Integration across the DSP substrate: file I/O feeding spectral
+//! analysis.
 
 use rjam_sdr::complex::Cf64;
-use rjam_sdr::ddc::{Ddc, Duc};
-use rjam_sdr::impair::FrontEnd;
 use rjam_sdr::io::{read_cf32, write_cf32};
-use rjam_sdr::resample::to_usrp_rate;
 use rjam_sdr::rng::Rng;
-use rjam_sdr::spectrum::{band_power_fraction, welch_psd};
-
-fn tone(freq: f64, rate: f64, n: usize) -> Vec<Cf64> {
-    (0..n)
-        .map(|t| Cf64::from_angle(2.0 * std::f64::consts::PI * freq * t as f64 / rate))
-        .collect()
-}
-
-/// Up-convert at 4x, down-convert back, and verify the recovered tone's
-/// frequency through the spectrum estimator — three modules in one loop.
-#[test]
-fn duc_ddc_spectrum_roundtrip() {
-    let fs_base = 25.0e6;
-    let fs_rf = 100.0e6;
-    let f0 = 2.0e6;
-    let base = tone(f0, fs_base, 16_384);
-    let mut duc = Duc::new(10.0e6, fs_rf, 4);
-    let rf = duc.process(&base);
-    let mut ddc = Ddc::new(10.0e6, fs_rf, 4);
-    let back = ddc.process(&rf);
-    let psd = welch_psd(&back[1024..], 256);
-    let peak = psd
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .unwrap()
-        .0;
-    let peak_freq = peak as f64 / 256.0 * fs_base;
-    assert!(
-        (peak_freq - f0).abs() < fs_base / 256.0,
-        "peak at {peak_freq}"
-    );
-}
+use rjam_sdr::spectrum::welch_psd;
 
 /// Capture to disk, read back, and confirm the spectrum is unchanged.
 #[test]
@@ -65,27 +30,4 @@ fn file_roundtrip_preserves_spectrum() {
     for (x, y) in a.iter().zip(b.iter()) {
         assert!((x - y).abs() < 1e-9 * x.abs().max(1e-12));
     }
-}
-
-/// A typical front end does not move a resampled waveform's occupied band.
-#[test]
-fn impairments_preserve_band_occupancy() {
-    let wifi_like: Vec<Cf64> = {
-        let mut rng = Rng::seed_from(7);
-        (0..20_000)
-            .map(|t| {
-                Cf64::from_angle(0.55 * t as f64).scale(0.1)
-                    + Cf64::new(rng.gaussian() * 0.05, rng.gaussian() * 0.05)
-            })
-            .collect()
-    };
-    let at_25 = to_usrp_rate(&wifi_like, 20.0e6);
-    let clean_frac = band_power_fraction(&welch_psd(&at_25, 256), 0.9);
-    let mut impaired = at_25.clone();
-    FrontEnd::typical_sbx(25.0e6).apply(&mut impaired);
-    let imp_frac = band_power_fraction(&welch_psd(&impaired, 256), 0.9);
-    assert!(
-        (clean_frac - imp_frac).abs() < 0.05,
-        "{clean_frac} vs {imp_frac}"
-    );
 }

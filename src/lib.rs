@@ -4,8 +4,8 @@
 //! SDR reactive jamming testbed of Nguyen et al. (ACM SRIF / SIGCOMM 2014).
 //! It re-exports every subsystem crate under a stable set of module names:
 //!
-//! * [`sdr`] — baseband DSP substrate (FFT, FIR, NCO, DDC/DUC, resamplers);
-//! * [`channel`] — the wired 5-port evaluation network, attenuators, AWGN;
+//! * [`sdr`] — baseband DSP substrate (FFT, FIR design, resamplers);
+//! * [`channel`] — the wired 5-port evaluation network and AWGN;
 //! * [`fpga`] — cycle-accurate model of the USRP N210 custom DSP core
 //!   (cross-correlator, energy differentiator, trigger FSM, jam controller);
 //! * [`phy80211`] — full 802.11a/g OFDM PHY (TX and RX);
