@@ -35,8 +35,9 @@ cargo test -q --workspace --offline
 
 step "bit-exactness tests of the DSP kernels in the release profile"
 # The ADC-domain noise generator and the resamplers must match their
-# reference paths bit for bit in the optimized build rjamd ships, too.
-cargo test --release -q --offline -p rjam-sdr -p rjam-channel
+# reference paths bit for bit in the optimized build rjamd ships, too, and
+# the lane bank's word kernel must fire where the DSP core triggers.
+cargo test --release -q --offline -p rjam-sdr -p rjam-channel -p rjam-fpga
 
 step "bench smoke run (reduced samples, JSON to the workspace root)"
 # cargo runs bench binaries with cwd = the package dir, so pin the output

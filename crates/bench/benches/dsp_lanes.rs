@@ -11,8 +11,18 @@
 //! `check ratio` gates the `lane_bank` sweep records: 16 lanes must
 //! deliver at least 4x the single-lane aggregate, i.e. the `lanes_16`
 //! median may be at most 4x the `lanes_1` median.
+//!
+//! The `one_lane` records time the three lane shapes campaigns run, one
+//! lane each, over ADC-domain noise at the false-alarm floor in
+//! 65 536-sample blocks: a correlator (`wifi_short`), an energy rise
+//! (`energy_rise`) and the WiMAX fusion of both (`wimax_fused`). No gate
+//! reads them; they are the `fpga` layer's cost per sample.
 
 use rjam_bench::harness::Harness;
+use rjam_channel::NoiseSource;
+use rjam_core::jammer::DEFAULT_LOCKOUT;
+use rjam_core::presets::build_config;
+use rjam_core::{DetectionPreset, JammerPreset};
 use rjam_fpga::{CoreConfig, DspLaneBank, LaneBankScratch, TriggerMode, TriggerSource};
 use rjam_sdr::complex::IqI16;
 use rjam_sdr::rng::Rng;
@@ -20,6 +30,9 @@ use std::hint::black_box;
 
 const STREAM_LEN: usize = 25_000; // 1 ms of air time at 25 MSPS
 const BLOCK: usize = 4_096;
+
+/// The campaigns' noise block: 65 536 samples, 2.6 ms of air.
+const NOISE_BLOCK: usize = 1 << 16;
 
 fn template(rng: &mut Rng) -> ([i8; 64], [i8; 64]) {
     let ci: [i8; 64] = std::array::from_fn(|_| (rng.below(8) as i32 - 4) as i8);
@@ -129,6 +142,57 @@ fn main() {
         }
         black_box(scratch.triggers.len())
     });
+
+    // One lane of each shape campaigns run, over two noise blocks at the
+    // false-alarm floor (20 dB under the 0.02 receive level), as
+    // false-alarm and WiMAX units feed them.
+    let mut noise = Vec::with_capacity(2 * NOISE_BLOCK);
+    NoiseSource::new(0.02 / 100.0, Rng::seed_from(5)).adc_noise(2 * NOISE_BLOCK, &mut noise);
+    let monitor = JammerPreset::Monitor;
+    let shapes = [
+        (
+            "wifi_short",
+            build_config(
+                &DetectionPreset::WifiShortPreamble { threshold: 0.30 },
+                &monitor,
+                DEFAULT_LOCKOUT,
+            ),
+        ),
+        (
+            "energy_rise",
+            build_config(
+                &DetectionPreset::EnergyRise { threshold_db: 10.0 },
+                &monitor,
+                DEFAULT_LOCKOUT,
+            ),
+        ),
+        (
+            "wimax_fused",
+            build_config(
+                &DetectionPreset::WimaxFused {
+                    id_cell: 0,
+                    segment: 0,
+                    threshold: 0.45,
+                    energy_db: 10.0,
+                },
+                &monitor,
+                100_000,
+            ),
+        ),
+    ];
+    for (shape, cfg) in &shapes {
+        let mut bank = DspLaneBank::new();
+        bank.add_lane(cfg);
+        let mut scratch = LaneBankScratch::default();
+        h.bench_throughput("one_lane", shape, noise.len() as u64, || {
+            bank.reset();
+            scratch.clear();
+            for chunk in noise.chunks(NOISE_BLOCK) {
+                bank.process_block_into(black_box(chunk), &mut scratch);
+            }
+            black_box(bank.trigger_count(0))
+        });
+    }
 
     h.finish();
 }

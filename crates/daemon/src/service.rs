@@ -644,15 +644,13 @@ mod tests {
         }
     }
 
+    /// Follows job `id` with [`Daemon::watch`], which returns once the job
+    /// is terminal and its lines are drained, then reads its status.
     fn wait_done(d: &Daemon, id: &str) -> JobStatus {
-        for _ in 0..600 {
-            let st = d.status(Some(id)).expect("status")[0].clone();
-            if st.state.is_terminal() {
-                return st;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        panic!("job {id} never finished");
+        d.watch(id, &mut |_| Ok(())).expect("watch");
+        let st = d.status(Some(id)).expect("status")[0].clone();
+        assert!(st.state.is_terminal(), "job {id} is {:?}", st.state);
+        st
     }
 
     #[test]

@@ -26,6 +26,13 @@ use crate::{ENERGY_DELAY, ENERGY_WINDOW};
 use rjam_sdr::complex::IqI16;
 use rjam_sdr::ring::{DelayLine, MovingSum};
 
+/// A dB threshold as the differentiator latches it: clamped to the
+/// hardware's 3-30 dB register range, as a 16.16 fixed-point linear power
+/// ratio. The lane bank's energy comparators latch theirs through it too.
+pub(crate) fn threshold_fixed(db: f64) -> u32 {
+    crate::regs::db_to_fixed16(db.clamp(3.0, 30.0))
+}
+
 /// Per-sample differentiator output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EnergyOutput {
@@ -78,12 +85,12 @@ impl EnergyDifferentiator {
     /// Sets the rise threshold from a dB value (clamped to the hardware's
     /// 3-30 dB register range).
     pub fn set_threshold_high_db(&mut self, db: f64) {
-        self.thresh_high = crate::regs::db_to_fixed16(db.clamp(3.0, 30.0));
+        self.thresh_high = threshold_fixed(db);
     }
 
     /// Sets the fall threshold from a dB value (clamped to 3-30 dB).
     pub fn set_threshold_low_db(&mut self, db: f64) {
-        self.thresh_low = crate::regs::db_to_fixed16(db.clamp(3.0, 30.0));
+        self.thresh_low = threshold_fixed(db);
     }
 
     /// Sets the raw 16.16 fixed-point rise threshold (register interface).

@@ -24,9 +24,9 @@
 //!   sample with full cycle accounting, event logging and host feedback
 //!   flags;
 //! * [`lanes`] — the **DSP lane bank** ([`DspLaneBank`]): up to 64 core
-//!   triggers, one [`CoreConfig`] each, sharing one stream's sign history
-//!   and, per correlator template, one metric evaluation, for
-//!   workspace-scale sweeps.
+//!   triggers, one [`CoreConfig`] each, sharing one stream's sign history,
+//!   its energy sum and, per correlator template, one metric evaluation,
+//!   run 64 samples at a time on bit masks, for workspace-scale sweeps.
 //!
 //! All arithmetic uses the hardware's bit widths (16-bit I/Q, 31-bit sample
 //! energy, 36-bit windowed energy) so detection statistics — including the

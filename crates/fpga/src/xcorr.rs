@@ -190,9 +190,10 @@ pub struct XcorrOutput {
 /// The trigger classifier behind every correlator output: warm-up gating,
 /// threshold compare, rising-edge detection and post-trigger lockout.
 ///
-/// [`CrossCorrelator`], each [`crate::DspLaneBank`] lane and
-/// [`crate::WideCorrelator`] hold one and call [`Classifier::step`] once per
-/// sample with the metric they computed, so the three cannot diverge.
+/// [`CrossCorrelator`] and [`crate::WideCorrelator`] hold one and call
+/// [`Classifier::step`] once per sample with the metric they computed, so
+/// the two cannot diverge. [`crate::DspLaneBank`] applies the same rule a
+/// 64-sample word at a time, and its unit tests check it against this one.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Classifier {
     /// Threshold on the squared-magnitude metric.

@@ -66,6 +66,39 @@ fn trigger_mode(rng: &mut Rng) -> TriggerMode {
     )
 }
 
+/// A lockout: under 300 samples half the time, else up to 5 000 samples
+/// (longer than a kernel word and than most blocks) or within one sample
+/// of a word multiple.
+fn lane_lockout(rng: &mut Rng) -> u64 {
+    match rng.below(4) {
+        0 | 1 => rng.below(300),
+        2 => rng.below(5_000),
+        _ => 64 * (1 + rng.below(4)) + rng.below(3) - 1,
+    }
+}
+
+/// The samples on which a core configured with `cfg` logs `JamTrigger`.
+fn core_triggers(cfg: &CoreConfig, stream: &[IqI16]) -> Vec<u64> {
+    let mut core = DspCore::new();
+    core.configure(cfg);
+    core.process_block(stream);
+    core.events()
+        .iter()
+        .filter(|e| matches!(e, CoreEvent::JamTrigger { .. }))
+        .map(CoreEvent::sample)
+        .collect()
+}
+
+/// Streams `stream` through `bank` in blocks of `block` samples and
+/// returns each lane's trigger samples.
+fn block_triggers(bank: &mut DspLaneBank, stream: &[IqI16], block: usize) -> Vec<Vec<u64>> {
+    let mut scratch = LaneBankScratch::default();
+    for chunk in stream.chunks(block) {
+        bank.process_block_into(chunk, &mut scratch);
+    }
+    scratch.triggers
+}
+
 props! {
     cases = 16;
 
@@ -109,16 +142,20 @@ props! {
     /// The lane contract: at any lane count, each lane fires on exactly
     /// the samples where a `DspCore` configured with the lane's config logs
     /// a jam trigger — random templates (with forced sharing so the grouped
-    /// metric path is exercised), correlation thresholds, lockouts, energy
-    /// thresholds of 3–30 dB, every non-empty `Any` source set and random
-    /// 1–3 stage sequences, over a stream of bursts at random levels. Both
-    /// datapaths are checked: the per-sample `push_into`, and the block
-    /// path at a random block size.
+    /// metric path is exercised), correlation thresholds, lockouts from 0
+    /// to 5 000 samples, energy thresholds of 3–30 dB, every non-empty
+    /// `Any` source set and random 1–3 stage sequences, over a stream of
+    /// bursts at random levels. Both datapaths are checked: the per-sample
+    /// `push_into`, and the block path at a random block size and at one
+    /// of 64, 65 and 128 samples (a word, a word and one, two words), each
+    /// after a reset that cuts a dirty stream inside the correlator's
+    /// 63-sample or the energy sums' 95-sample warm-up.
     fn lanes_fire_where_cores_log_jam_triggers(
         seed in 0u64..1_000_000,
         n_lanes in 1usize..=64,
-        n_samples in 64usize..3000,
+        n_samples in 64usize..6000,
         block in 1usize..400,
+        cut in 1usize..96,
     ) {
         let mut rng = Rng::seed_from(seed);
         let mut bank = DspLaneBank::new();
@@ -141,20 +178,11 @@ props! {
                 energy_high_db: 3.0 + 27.0 * rng.uniform(),
                 energy_low_db: 3.0 + 27.0 * rng.uniform(),
                 trigger_mode: trigger_mode(&mut rng),
-                lockout: rng.below(300),
+                lockout: lane_lockout(&mut rng),
                 ..CoreConfig::default()
             };
             bank.add_lane(&cfg);
-            let mut core = DspCore::new();
-            core.configure(&cfg);
-            core.process_block(&stream);
-            let triggers: Vec<u64> = core
-                .events()
-                .iter()
-                .filter(|e| matches!(e, CoreEvent::JamTrigger { .. }))
-                .map(CoreEvent::sample)
-                .collect();
-            expect.push(triggers);
+            expect.push(core_triggers(&cfg, &stream));
         }
 
         let mut out = vec![false; n_lanes];
@@ -169,17 +197,20 @@ props! {
         }
         prop_assert_eq!(&seen, &expect, "per-sample path");
 
-        // Block path on a reset bank (same lanes) at a random block size.
-        bank.reset();
-        let mut scratch = LaneBankScratch::default();
-        for chunk in stream.chunks(block) {
-            bank.process_block_into(chunk, &mut scratch);
+        // Block path on a reset bank (same lanes), after a reset inside
+        // the warm-ups.
+        let dirty = bursty_stream(&mut rng, cut);
+        for block in [block, [64, 65, 128][seed as usize % 3]] {
+            bank.reset();
+            bank.process_block(&dirty);
+            bank.reset();
+            let seen = block_triggers(&mut bank, &stream, block);
+            prop_assert_eq!(&seen[..n_lanes], &expect[..], "block size {}", block);
+            for (lane, triggers) in expect.iter().enumerate() {
+                prop_assert_eq!(bank.trigger_count(lane), triggers.len() as u64);
+            }
+            prop_assert_eq!(bank.samples_processed(), stream.len() as u64);
         }
-        prop_assert_eq!(&scratch.triggers[..n_lanes], &expect[..], "block size {}", block);
-        for (lane, triggers) in expect.iter().enumerate() {
-            prop_assert_eq!(bank.trigger_count(lane), triggers.len() as u64);
-        }
-        prop_assert_eq!(bank.samples_processed(), stream.len() as u64);
     }
 
     /// The burst rule's contract: fed, block by block, the jam triggers a
@@ -297,5 +328,49 @@ props! {
             prop_assert_eq!(f.len(), expect_len);
             prop_assert_eq!(f.overflow(), expect_drop);
         }
+    }
+}
+
+/// The lane contract at the WiMAX campaign's 100 000-sample lockout, which
+/// outlasts every block: a correlator, an energy-rise and a fused lane
+/// over 230 000 samples of bursts, so each fires again after its lockout,
+/// in the campaigns' 65 536-sample blocks and in 4 096-sample ones.
+#[test]
+fn lanes_fire_where_cores_log_jam_triggers_at_the_wimax_lockout() {
+    let mut rng = Rng::seed_from(100_000);
+    let stream = bursty_stream(&mut rng, 230_000);
+    let (ci, cq) = lane_template(&mut rng);
+    let lane = |trigger_mode: TriggerMode| CoreConfig {
+        coeff_i: ci,
+        coeff_q: cq,
+        xcorr_threshold: 2_000,
+        energy_high_db: 10.0,
+        trigger_mode,
+        lockout: 100_000,
+        ..CoreConfig::default()
+    };
+    let cfgs = [
+        lane(TriggerMode::Any(vec![TriggerSource::Xcorr])),
+        lane(TriggerMode::Any(vec![TriggerSource::EnergyHigh])),
+        lane(TriggerMode::Any(vec![
+            TriggerSource::Xcorr,
+            TriggerSource::EnergyHigh,
+        ])),
+    ];
+    let expect: Vec<Vec<u64>> = cfgs.iter().map(|c| core_triggers(c, &stream)).collect();
+    for triggers in &expect {
+        assert!(triggers.len() >= 2, "each lane fires past its lockout");
+    }
+    let mut bank = DspLaneBank::new();
+    cfgs.iter().for_each(|cfg| {
+        bank.add_lane(cfg);
+    });
+    for block in [1 << 16, 4_096] {
+        bank.reset();
+        assert_eq!(
+            block_triggers(&mut bank, &stream, block),
+            expect,
+            "block {block}"
+        );
     }
 }

@@ -39,11 +39,14 @@ impl<T: Copy + Default> DelayLine<T> {
     }
 
     /// Pushes a new element, returning the one it displaces (`len` pushes old).
+    /// The position wraps with a compare, not a division.
     #[inline]
     pub fn push(&mut self, v: T) -> T {
-        let out = self.buf[self.pos];
-        self.buf[self.pos] = v;
-        self.pos = (self.pos + 1) % self.buf.len();
+        let out = std::mem::replace(&mut self.buf[self.pos], v);
+        self.pos += 1;
+        if self.pos == self.buf.len() {
+            self.pos = 0;
+        }
         out
     }
 
