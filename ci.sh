@@ -181,16 +181,18 @@ for cmd in \
 done
 rm -f rjam_ci_t1.out rjam_ci_t4.out
 
-step "figures: run_figures.sh's MAC, detection and WiMAX sections byte-match figures_output.txt"
-# The figure contract of the MAC simulator, of every detection figure
-# (fig6/fig7 with their false-alarm calibration, fig8's energy rise and
-# the Rayleigh-fading ablation, all fed by the ADC-domain noise
-# generator) and of fig12's WiMAX rows and ASCII scope (the detector lane,
+step "figures: every section of run_figures.sh byte-matches figures_output.txt"
+# The figure contract, checked on every run: fig5's timelines and the
+# reconfiguration latencies (the per-sample core), table1's insertion
+# losses, the MAC simulator's figures, every detection figure (fig6/fig7
+# with their false-alarm calibration, fig8's energy rise, the correlator
+# length and Rayleigh-fading ablations, all fed by the ADC-domain noise
+# generator) and fig12's WiMAX rows and ASCII scope (the detector lane,
 # the jam controller's burst timing, the ordered fold and the scope
-# window), checked on every run: each section is regenerated with
-# run_figures.sh's exact command and compared with its section of the
-# committed transcript (the lines between its header and the next one,
-# less run_figures.sh's two-line separator).
+# window). Each section is regenerated with run_figures.sh's exact command
+# and compared with its section of the committed transcript (the lines
+# between its header and the next one, less run_figures.sh's two-line
+# separator).
 fig_section() {
     awk -v h="############ $1 ############" '
         $0 == h { on = 1; next }
@@ -204,6 +206,8 @@ fig_section() {
         END { if (!found) exit 1 }' figures_output.txt
 }
 for fig in \
+    "fig5 fig5_timelines --trials 40" \
+    "table1 table1_insertion_loss" \
     "fig6 fig6_long_preamble --frames 250 --fa-samples 25000000" \
     "fig7 fig7_short_preamble --frames 250 --fa-samples 12000000" \
     "fig8 fig8_energy --frames 250" \
@@ -211,7 +215,9 @@ for fig in \
     "fig12 fig12_wimax --frames 24" \
     "fig10 fig10_bandwidth --seconds 10" \
     "fig11 fig11_prr --seconds 10" \
+    "reconfig reconfig_latency" \
     "energy energy_efficiency --seconds 6" \
+    "corrlen ablation_corr_len --frames 200" \
     "rtscts ablation_rts_cts --seconds 6" \
     "health health_time_to_detect --seconds 3 --cadence 8"; do
     set -- $fig

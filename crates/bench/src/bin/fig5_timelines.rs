@@ -9,11 +9,9 @@
 //! ```
 
 use rjam_bench::{figure_header, Args};
-use rjam_core::timeline::{measure, TimelineBudget};
+use rjam_core::timeline::{episode_stream, measure, TimelineBudget, EPISODE_LEAD_SAMPLES};
 use rjam_core::{DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_fpga::JamWaveform;
-use rjam_sdr::complex::Cf64;
-use rjam_sdr::rng::Rng;
 
 fn run_episode(det: DetectionPreset, seed: u64) -> rjam_core::timeline::MeasuredTimeline {
     let mut jammer = ReactiveJammer::new(
@@ -23,21 +21,12 @@ fn run_episode(det: DetectionPreset, seed: u64) -> rjam_core::timeline::Measured
             waveform: JamWaveform::Wgn,
         },
     );
-    let mut rng = Rng::seed_from(seed);
-    let mut psdu = vec![0u8; 100];
-    rng.fill_bytes(&mut psdu);
-    let frame = rjam_phy80211::tx::Frame::new(rjam_phy80211::Rate::R12, psdu);
-    let native = rjam_phy80211::tx::modulate_frame(&frame);
-    let mut wave = rjam_sdr::resample::to_usrp_rate(&native, rjam_sdr::WIFI_SAMPLE_RATE);
-    rjam_sdr::power::scale_to_power(&mut wave, 0.02);
-    let noise_p = 0.02 / rjam_sdr::power::db_to_lin(20.0);
-    let mut noise = rjam_channel::NoiseSource::new(noise_p, rng.fork());
-    let lead = 400usize;
-    let mut stream: Vec<Cf64> = noise.block(lead);
-    stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
-    stream.extend(noise.block(200));
-    jammer.process_block(&stream);
-    measure(jammer.events(), jammer.jam_events(), lead as u64)
+    jammer.process_block(&episode_stream(100, 200, seed).0);
+    measure(
+        jammer.events(),
+        jammer.jam_events(),
+        EPISODE_LEAD_SAMPLES as u64,
+    )
 }
 
 fn main() {

@@ -3,9 +3,9 @@
 //! The paper evaluates in a cabled network "to isolate environmental
 //! effects"; taking the platform over the air adds frequency-selective
 //! multipath. This module provides a tapped-delay-line model with Rayleigh
-//! or Rician tap statistics (IEEE 802.11 TGn-style exponential power-delay
-//! profiles), so detection and jamming campaigns can be re-run under
-//! realistic indoor channels.
+//! tap statistics (IEEE 802.11 TGn-style exponential power-delay profiles),
+//! so detection and jamming campaigns can be re-run under realistic indoor
+//! channels.
 
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::rng::Rng;
@@ -28,15 +28,6 @@ pub struct MultipathChannel {
 }
 
 impl MultipathChannel {
-    /// Builds a channel directly from tap gains.
-    ///
-    /// # Panics
-    /// Panics on an empty tap vector.
-    pub fn from_taps(taps: Vec<Cf64>) -> Self {
-        assert!(!taps.is_empty(), "channel needs at least one tap");
-        MultipathChannel { taps }
-    }
-
     /// A flat (single-tap, unit-gain) channel.
     pub fn flat() -> Self {
         MultipathChannel {
@@ -62,18 +53,6 @@ impl MultipathChannel {
         for t in taps.iter_mut() {
             *t = t.scale(k);
         }
-        MultipathChannel { taps }
-    }
-
-    /// Draws a Rician realization: a deterministic line-of-sight component
-    /// of power `k_factor/(k_factor+1)` on tap 0 plus Rayleigh scatter.
-    pub fn rician(n_taps: usize, rms_taps: f64, k_factor: f64, rng: &mut Rng) -> Self {
-        assert!(k_factor >= 0.0);
-        let scatter = Self::rayleigh(n_taps, rms_taps, rng);
-        let los_amp = (k_factor / (k_factor + 1.0)).sqrt();
-        let scatter_amp = (1.0 / (k_factor + 1.0)).sqrt();
-        let mut taps: Vec<Cf64> = scatter.taps.iter().map(|t| t.scale(scatter_amp)).collect();
-        taps[0] += Cf64::from_angle(rng.uniform() * std::f64::consts::TAU).scale(los_amp);
         MultipathChannel { taps }
     }
 
@@ -132,19 +111,6 @@ mod tests {
             let ch = MultipathChannel::rayleigh(8, 2.0, &mut rng);
             assert!((ch.energy() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn rician_k_factor_concentrates_tap0() {
-        let mut rng = Rng::seed_from(11);
-        let mut tap0_power = 0.0;
-        let trials = 200;
-        for _ in 0..trials {
-            let ch = MultipathChannel::rician(8, 2.0, 10.0, &mut rng);
-            tap0_power += ch.taps[0].norm_sq() / ch.energy();
-        }
-        tap0_power /= trials as f64;
-        assert!(tap0_power > 0.8, "K=10 LOS share {tap0_power}");
     }
 
     #[test]

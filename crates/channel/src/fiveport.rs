@@ -88,11 +88,6 @@ impl FivePortNetwork {
         FivePortNetwork { loss }
     }
 
-    /// Builds a network from a custom loss matrix (dB, `None` = isolated).
-    pub fn from_matrix(loss: [[Option<f64>; 5]; 5]) -> Self {
-        FivePortNetwork { loss }
-    }
-
     /// Insertion loss from `from` to `to` in dB. Isolated or reflexive paths
     /// report [`ISOLATION_DB`].
     pub fn insertion_loss_db(&self, from: Port, to: Port) -> f64 {

@@ -15,7 +15,6 @@
 //! domain").
 
 use rjam_sdr::complex::{Cf64, IqI16, FULL_SCALE};
-use rjam_sdr::power::db_to_lin;
 use rjam_sdr::rng::{PolarDraw, Rng};
 use std::sync::OnceLock;
 
@@ -200,11 +199,6 @@ impl NoiseSource {
         }
     }
 
-    /// Creates a source from a noise floor in dBFS.
-    pub fn from_dbfs(dbfs: f64, rng: Rng) -> Self {
-        NoiseSource::new(db_to_lin(dbfs), rng)
-    }
-
     /// Configured mean noise power.
     pub fn power(&self) -> f64 {
         self.power
@@ -309,20 +303,11 @@ impl NoiseSource {
     }
 }
 
-/// Returns a copy of `signal` with AWGN at the SNR (dB) implied by the
-/// signal's own mean power. Convenience for detector characterization runs.
-pub fn add_awgn_at_snr(signal: &[Cf64], snr_db: f64, rng: Rng) -> Vec<Cf64> {
-    let sig_p = rjam_sdr::power::mean_power(signal);
-    let noise_p = sig_p / db_to_lin(snr_db);
-    let mut src = NoiseSource::new(noise_p, rng);
-    signal.iter().map(|&s| s + src.next_sample()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rjam_sdr::complex::round_lsb;
-    use rjam_sdr::power::{lin_to_db, mean_power};
+    use rjam_sdr::power::mean_power;
 
     #[test]
     fn noise_power_matches_request() {
@@ -330,12 +315,6 @@ mod tests {
         let blk = src.block(200_000);
         let p = mean_power(&blk);
         assert!((p / 0.01 - 1.0).abs() < 0.02, "p={p}");
-    }
-
-    #[test]
-    fn from_dbfs() {
-        let src = NoiseSource::from_dbfs(-40.0, Rng::seed_from(2));
-        assert!((lin_to_db(src.power()) + 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -510,18 +489,5 @@ mod tests {
         let mut got = Vec::new();
         fast.add_to_adc(&wave, &mut got);
         assert_eq!(got, reference(&mut src.clone(), &wave));
-    }
-
-    #[test]
-    fn awgn_at_snr_yields_requested_snr() {
-        let sig: Vec<Cf64> = (0..100_000)
-            .map(|t| Cf64::from_angle(0.01 * t as f64).scale(0.2))
-            .collect();
-        let noisy = add_awgn_at_snr(&sig, 10.0, Rng::seed_from(6));
-        let sig_p = mean_power(&sig);
-        let tot_p = mean_power(&noisy);
-        let noise_p = tot_p - sig_p;
-        let snr = lin_to_db(sig_p / noise_p);
-        assert!((snr - 10.0).abs() < 0.3, "snr={snr}");
     }
 }

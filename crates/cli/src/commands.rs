@@ -6,7 +6,9 @@ use rjam_core::campaign::{
     false_alarm_rate, CampaignSpec, ChannelModel, JammerUnderTest, WifiEmission,
 };
 use rjam_core::spec::CampaignRequest;
-use rjam_core::timeline::{comparison_rows, measure, TimelineBudget};
+use rjam_core::timeline::{
+    comparison_rows, episode_stream, measure, TimelineBudget, EPISODE_LEAD_SAMPLES,
+};
 use rjam_core::{CampaignEngine, DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_daemon::{JobRequest, JobResponse};
 use std::fmt::Write as _;
@@ -314,36 +316,19 @@ fn resources_report() -> String {
     out
 }
 
-/// Drives one noisy WiFi frame through a freshly armed reactive jammer.
-/// Returns the jammer (with its event logs populated) and the lead-in
-/// length in samples.
-fn jam_episode(det: DetectionPreset, seed: u64) -> (ReactiveJammer, usize) {
-    use rjam_fpga::JamWaveform;
-    use rjam_sdr::complex::Cf64;
-    use rjam_sdr::rng::Rng;
-
+/// Drives one noisy WiFi frame, starting at stream index
+/// [`EPISODE_LEAD_SAMPLES`], through a freshly armed reactive jammer.
+/// Returns the jammer with its event logs populated.
+fn jam_episode(det: DetectionPreset, seed: u64) -> ReactiveJammer {
     let mut j = ReactiveJammer::new(
         det,
         JammerPreset::Reactive {
             uptime_s: 10e-6,
-            waveform: JamWaveform::Wgn,
+            waveform: rjam_fpga::JamWaveform::Wgn,
         },
     );
-    let mut rng = Rng::seed_from(seed);
-    let mut psdu = vec![0u8; 80];
-    rng.fill_bytes(&mut psdu);
-    let frame = rjam_phy80211::tx::Frame::new(rjam_phy80211::Rate::R12, psdu);
-    let native = rjam_phy80211::tx::modulate_frame(&frame);
-    let mut wave = rjam_sdr::resample::to_usrp_rate(&native, rjam_sdr::WIFI_SAMPLE_RATE);
-    rjam_sdr::power::scale_to_power(&mut wave, 0.02);
-    let noise_p = 0.02 / rjam_sdr::power::db_to_lin(20.0);
-    let mut noise = rjam_channel::NoiseSource::new(noise_p, rng.fork());
-    let lead = 400usize;
-    let mut stream: Vec<Cf64> = noise.block(lead);
-    stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
-    stream.extend(noise.block(200));
-    j.process_block(&stream);
-    (j, lead)
+    j.process_block(&episode_stream(80, 200, seed).0);
+    j
 }
 
 fn timeline_report(trials: usize) -> String {
@@ -364,8 +349,9 @@ fn timeline_report(trials: usize) -> String {
             DetectionPreset::EnergyRise { threshold_db: 10.0 },
             DetectionPreset::WifiShortPreamble { threshold: 0.35 },
         ] {
-            let (mut j, lead) = jam_episode(det, 500 + k);
-            merge(measure(j.events(), j.jam_events(), lead as u64));
+            let mut j = jam_episode(det, 500 + k);
+            let lead = EPISODE_LEAD_SAMPLES as u64;
+            merge(measure(j.events(), j.jam_events(), lead));
             // Publish the episode's counters/latencies so a trailing
             // --metrics-out snapshot reflects the run.
             j.core_mut().flush_obs();
@@ -484,8 +470,9 @@ fn stats_report(input: Option<&str>, budget_ns: Option<f64>) -> Result<String, C
             // Live exercise: both detection paths, a few episodes each.
             for k in 0..4u64 {
                 for det in exercised_presets() {
-                    let (mut j, lead) = jam_episode(det, 900 + k);
-                    let m = measure(j.events(), j.jam_events(), lead as u64);
+                    let mut j = jam_episode(det, 900 + k);
+                    let lead = EPISODE_LEAD_SAMPLES as u64;
+                    let m = measure(j.events(), j.jam_events(), lead);
                     if let Some(ns) = m.t_resp_ns {
                         rjam_obs::registry::histogram("timeline.t_resp_ns").record(ns as u64);
                     }

@@ -106,11 +106,8 @@ pub enum Mode {
     Engaged(StandardClass),
 }
 
-/// Jam-burst uptime while the victim link still shows signs of life.
-const FULL_UPTIME_S: f64 = 100e-6;
-/// Jam-burst uptime once a health alarm confirms the link has collapsed:
-/// a quarter-length burst holds the kill at a quarter of the TX airtime.
-const ECO_UPTIME_S: f64 = 25e-6;
+/// Jam-burst uptime of every engaged personality.
+const ENGAGED_UPTIME_S: f64 = 100e-6;
 
 /// The self-configuring jammer.
 #[derive(Debug)]
@@ -125,9 +122,6 @@ pub struct AutonomousJammer {
     idle_run: u64,
     wimax_cells: Vec<(u8, u8)>,
     engagements: Vec<Classification>,
-    /// True while a raised health alarm holds the personality at the
-    /// shortened [`ECO_UPTIME_S`] jam burst.
-    eco: bool,
 }
 
 impl AutonomousJammer {
@@ -149,7 +143,6 @@ impl AutonomousJammer {
             idle_run: 0,
             wimax_cells,
             engagements: Vec::new(),
-            eco: false,
         }
     }
 
@@ -166,59 +159,6 @@ impl AutonomousJammer {
     /// Access to the underlying jammer (event logs, feedback).
     pub fn jammer(&self) -> &ReactiveJammer {
         &self.jammer
-    }
-
-    /// True while a health alarm holds the engaged personality at the
-    /// energy-saving quarter-length jam burst.
-    pub fn eco(&self) -> bool {
-        self.eco
-    }
-
-    /// Feeds one link-health transition into the personality register
-    /// path — the monitor's judgement driving the paper's "repurposed on
-    /// the fly" register writes.
-    ///
-    /// A raised alarm means the victim link has already collapsed, so an
-    /// engaged jammer de-escalates to the quarter-length `ECO_UPTIME_S`
-    /// burst: the same trigger path keeps the kill at a quarter of the TX
-    /// airtime. When the alarm clears (the link is recovering), the full
-    /// `FULL_UPTIME_S` burst is re-armed. Baselines and run summaries
-    /// are ignored.
-    pub fn on_health_event(&mut self, ev: &rjam_obs::health::HealthEvent) {
-        use rjam_obs::health::HealthEvent;
-        match ev {
-            HealthEvent::AlarmRaised { .. }
-                if !self.eco && matches!(self.mode, Mode::Engaged(_)) =>
-            {
-                self.eco = true;
-                self.jammer.set_reaction(JammerPreset::Reactive {
-                    uptime_s: ECO_UPTIME_S,
-                    waveform: rjam_fpga::JamWaveform::Wgn,
-                });
-                self.note_transition(
-                    "core.auto_health_deescalate",
-                    "auto_health_deescalate",
-                    0,
-                    0,
-                );
-            }
-            HealthEvent::AlarmCleared { .. } if self.eco => {
-                self.eco = false;
-                if matches!(self.mode, Mode::Engaged(_)) {
-                    self.jammer.set_reaction(JammerPreset::Reactive {
-                        uptime_s: FULL_UPTIME_S,
-                        waveform: rjam_fpga::JamWaveform::Wgn,
-                    });
-                }
-                self.note_transition(
-                    "core.auto_health_reescalate",
-                    "auto_health_reescalate",
-                    0,
-                    0,
-                );
-            }
-            _ => {}
-        }
     }
 
     /// Records an autonomous state transition to the global observability
@@ -266,7 +206,7 @@ impl AutonomousJammer {
                                     threshold: 0.50,
                                 });
                             self.jammer.set_reaction(JammerPreset::Reactive {
-                                uptime_s: FULL_UPTIME_S,
+                                uptime_s: ENGAGED_UPTIME_S,
                                 waveform: rjam_fpga::JamWaveform::Wgn,
                             });
                         }
@@ -279,7 +219,7 @@ impl AutonomousJammer {
                             });
                             self.jammer.set_lockout(100_000);
                             self.jammer.set_reaction(JammerPreset::Reactive {
-                                uptime_s: FULL_UPTIME_S,
+                                uptime_s: ENGAGED_UPTIME_S,
                                 waveform: rjam_fpga::JamWaveform::Wgn,
                             });
                         }
@@ -288,7 +228,7 @@ impl AutonomousJammer {
                             self.jammer
                                 .set_detection(DetectionPreset::EnergyRise { threshold_db: 10.0 });
                             self.jammer.set_reaction(JammerPreset::Reactive {
-                                uptime_s: FULL_UPTIME_S,
+                                uptime_s: ENGAGED_UPTIME_S,
                                 waveform: rjam_fpga::JamWaveform::Wgn,
                             });
                         }
@@ -305,8 +245,6 @@ impl AutonomousJammer {
                     self.note_transition(counter, "auto_engage", code, permil);
                     self.engagements.push(cls);
                     self.idle_run = 0;
-                    // A fresh engagement always starts at full burst.
-                    self.eco = false;
                 }
                 vec![false; block.len()]
             }
@@ -331,7 +269,6 @@ impl AutonomousJammer {
                             .set_detection(DetectionPreset::EnergyRise { threshold_db: 10.0 });
                         self.jammer.set_reaction(JammerPreset::Monitor);
                         self.mode = Mode::Scanning;
-                        self.eco = false;
                         let idle = self.idle_run as i64;
                         self.note_transition("core.auto_disengagements", "auto_disengage", idle, 0);
                     }
@@ -481,90 +418,6 @@ mod tests {
         // Other tests share the global registry; assert growth, not equality.
         assert!(counter_value("core.auto_captures") > cap0);
         assert!(counter_value("core.auto_engage_wifi") > eng0);
-    }
-
-    #[test]
-    fn health_transitions_drive_personality_register_path() {
-        use rjam_obs::health::HealthEvent;
-        let raised = HealthEvent::AlarmRaised {
-            rule: "prr_collapse".into(),
-            metric: "mac.prr".into(),
-            detector: "cusum".into(),
-            stat: 1.2,
-            threshold: 1.0,
-            frame: 32,
-            frames: vec![1, 2],
-        };
-        let cleared = HealthEvent::AlarmCleared {
-            rule: "prr_collapse".into(),
-            metric: "mac.prr".into(),
-            frame: 96,
-        };
-        // While scanning, health transitions must not arm anything.
-        let mut idle = AutonomousJammer::new(10.0, vec![]);
-        idle.on_health_event(&raised);
-        assert!(!idle.eco(), "no de-escalation without an engagement");
-
-        // Engage on WiFi traffic first (the stock recipe)...
-        let mut rng = Rng::seed_from(5);
-        let mut auto = AutonomousJammer::new(10.0, vec![(1, 0)]);
-        let mut noise =
-            rjam_channel::NoiseSource::new(0.02 / rjam_sdr::power::db_to_lin(20.0), rng.fork());
-        auto.step(&noise.block(2000));
-        let frame = noisy(wifi_block(&mut rng), 20.0, 6);
-        auto.step(&frame);
-        let frame2 = noisy(wifi_block(&mut rng), 20.0, 7);
-        auto.step(&frame2);
-        assert_eq!(auto.mode(), Mode::Engaged(StandardClass::Wifi));
-        assert!(!auto.eco());
-        // ...then the alarm de-escalates to the quarter burst and the
-        // clear re-arms the full one. Duplicate raises are idempotent.
-        auto.on_health_event(&raised);
-        assert!(auto.eco());
-        auto.on_health_event(&raised);
-        assert!(auto.eco());
-        // The jammer still fires on the next frame, just shorter.
-        let frame3 = noisy(wifi_block(&mut rng), 20.0, 8);
-        let active = auto.step(&frame3);
-        assert!(active.iter().any(|&a| a), "eco mode must keep jamming");
-        auto.on_health_event(&cleared);
-        assert!(!auto.eco());
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn health_transitions_feed_registry() {
-        use rjam_obs::health::HealthEvent;
-        use rjam_obs::registry::counter_value;
-        let de0 = counter_value("core.auto_health_deescalate");
-        let re0 = counter_value("core.auto_health_reescalate");
-        let mut rng = Rng::seed_from(5);
-        let mut auto = AutonomousJammer::new(10.0, vec![(1, 0)]);
-        let mut noise =
-            rjam_channel::NoiseSource::new(0.02 / rjam_sdr::power::db_to_lin(20.0), rng.fork());
-        auto.step(&noise.block(2000));
-        let frame = noisy(wifi_block(&mut rng), 20.0, 6);
-        auto.step(&frame);
-        let frame2 = noisy(wifi_block(&mut rng), 20.0, 7);
-        auto.step(&frame2);
-        assert_eq!(auto.mode(), Mode::Engaged(StandardClass::Wifi));
-        auto.on_health_event(&HealthEvent::AlarmRaised {
-            rule: "prr_collapse".into(),
-            metric: "mac.prr".into(),
-            detector: "cusum".into(),
-            stat: 1.2,
-            threshold: 1.0,
-            frame: 32,
-            frames: Vec::new(),
-        });
-        auto.on_health_event(&HealthEvent::AlarmCleared {
-            rule: "prr_collapse".into(),
-            metric: "mac.prr".into(),
-            frame: 96,
-        });
-        // Other tests share the global registry; assert growth, not equality.
-        assert!(counter_value("core.auto_health_deescalate") > de0);
-        assert!(counter_value("core.auto_health_reescalate") > re0);
     }
 
     #[test]

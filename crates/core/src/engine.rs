@@ -580,7 +580,6 @@ impl CampaignEngine {
             let landed = Condvar::new();
             let next = AtomicUsize::new(0);
             let work = |worker: usize| {
-                let wt0 = Instant::now();
                 let mut pool = make_pool();
                 let mut unit_ns = Vec::new();
                 let mut fold_ns = 0u64;
@@ -642,7 +641,7 @@ impl CampaignEngine {
                 }
                 WorkerLog {
                     worker,
-                    wall_ns: wt0.elapsed().as_nanos() as u64,
+                    wall_ns: t0.elapsed().as_nanos() as u64,
                     fold_ns,
                     finished: Instant::now(),
                     unit_ns,
@@ -695,7 +694,8 @@ impl Default for CampaignEngine {
 /// One worker's raw timing log, turned into [`WorkerStats`] after the run.
 struct WorkerLog {
     worker: usize,
-    /// From the worker's start to `finished`.
+    /// From the run's start to `finished`, so the wait for a spawned
+    /// worker to start counts as its idle time.
     wall_ns: u64,
     /// Time landing results in the ordered fold, its lock and, in
     /// bounded runs, the wait for the frontier included.
@@ -1008,6 +1008,19 @@ mod tests {
             );
         }
         assert!(p.attributed_fraction() >= 0.95, "{p:?}");
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn worker_start_latency_is_attributed_as_idle() {
+        // No-op units: the run is as short as the thread spawns, so any
+        // time from the run's start to a worker's start that lands in no
+        // bucket shows as a large unattributed share.
+        let engine = CampaignEngine::with_threads(4);
+        engine.run("noop", 8, 1, || (), |_, ctx| ctx.index);
+        let p = engine.profile("noop").expect("profile published");
+        assert_eq!(p.workers.len(), 4);
+        assert!(p.attributed_fraction() >= 0.99, "{p:?}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Result export and session reporting.
 //!
 //! Campaign outputs serialize to plain CSV (plot-ready for gnuplot /
-//! matplotlib / a spreadsheet) or canonical JSON, and detection sessions
-//! render to a compact text report — the artifacts a lab notebook wants
-//! from each run.
+//! matplotlib / a spreadsheet) or canonical JSON — the artifacts a lab
+//! notebook wants from each run.
 //!
 //! The JSON exporters are *canonical*: numbers use Rust's shortest
 //! round-trip `f64` formatting and keys appear in a fixed order, so two
@@ -12,11 +11,7 @@
 //! contract is checked against — CI diffs `RJAM_THREADS=1` output against
 //! `RJAM_THREADS=4` output, byte for byte.
 
-use crate::campaign::{
-    DetectionPoint, EnergyPoint, JammingPoint, RocPoint, TimeToDetectPoint, WimaxResult,
-};
-use rjam_fpga::jammer::JamEvent;
-use rjam_fpga::CoreEvent;
+use crate::campaign::{DetectionPoint, JammingPoint, RocPoint, TimeToDetectPoint, WimaxResult};
 use rjam_obs::json::write_number as num;
 use std::fmt::Write as _;
 
@@ -87,26 +82,6 @@ pub fn roc_csv(points: &[RocPoint]) -> String {
     out
 }
 
-/// CSV for energy-efficiency operating points.
-pub fn energy_csv(points: &[EnergyPoint]) -> String {
-    let mut out = String::from(
-        "jammer,sir_ap_db,tx_power_dbm,duty_percent,energy_joules,residual_bandwidth_percent\n",
-    );
-    for p in points {
-        let _ = writeln!(
-            out,
-            "{},{:.2},{:.2},{:.3},{:.9},{:.2}",
-            p.jammer.label().replace(',', ";"),
-            p.sir_ap_db,
-            p.tx_power_dbm,
-            p.duty_percent,
-            p.energy_joules,
-            p.residual_bandwidth_percent
-        );
-    }
-    out
-}
-
 /// Canonical JSON for a detection-probability sweep.
 pub fn detection_json(points: &[DetectionPoint]) -> String {
     let rows: Vec<String> = points
@@ -154,22 +129,6 @@ pub fn jamming_json(points: &[JammingPoint]) -> String {
     format!("{{\"jamming\":[{}]}}", rows.join(","))
 }
 
-/// Canonical JSON for a receiver-operating-characteristic sweep.
-pub fn roc_json(points: &[RocPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"threshold\":{},\"fa_per_s\":{},\"p_detect\":{}}}",
-                num(p.threshold),
-                num(p.fa_per_s),
-                num(p.p_detect)
-            )
-        })
-        .collect();
-    format!("{{\"roc\":[{}]}}", rows.join(","))
-}
-
 /// Canonical JSON for a false-alarm calibration: raw rate in triggers/s.
 pub fn false_alarm_json(fa_per_s: f64) -> String {
     format!("{{\"fa_per_s\":{}}}", num(fa_per_s))
@@ -195,44 +154,6 @@ pub fn wimax_json(result: &WimaxResult) -> String {
         result.scope.envelope_fnv(),
         result.scope.to_markers_json()
     )
-}
-
-/// Renders a detection/jamming session as a timeline report: one line per
-/// event with VITA-style absolute timestamps.
-pub fn session_report(events: &[CoreEvent], jams: &[JamEvent], epoch_secs: u64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{:>18}  event", "time (s)");
-    let mut jam_iter = jams.iter().peekable();
-    for e in events {
-        let t = rjam_fpga::VitaTime::from_cycle(e.cycle(), epoch_secs);
-        let label = match e {
-            CoreEvent::XcorrDetection { metric, .. } => {
-                format!("xcorr detection (metric {metric})")
-            }
-            CoreEvent::EnergyHigh { .. } => "energy rise".to_string(),
-            CoreEvent::EnergyLow { .. } => "energy fall".to_string(),
-            CoreEvent::JamTrigger { .. } => "JAM TRIGGER".to_string(),
-        };
-        let _ = writeln!(out, "{:>18.7}  {label}", t.as_secs_f64());
-        // Interleave the jam burst that this trigger started, if any.
-        if matches!(e, CoreEvent::JamTrigger { .. }) {
-            if let Some(j) = jam_iter.next() {
-                let ts = rjam_fpga::VitaTime::from_cycle(j.start_cycle, epoch_secs);
-                let dur = j
-                    .end_cycle
-                    .map(|end| format!("{:.1} us", (end - j.start_cycle) as f64 / 100.0))
-                    .unwrap_or_else(|| "ongoing".to_string());
-                let _ = writeln!(
-                    out,
-                    "{:>18.7}  -> RF burst ({dur}, response {:.0} ns)",
-                    ts.as_secs_f64(),
-                    j.response_ns()
-                );
-            }
-        }
-    }
-    let _ = writeln!(out, "{} events, {} jam bursts", events.len(), jams.len());
-    out
 }
 
 #[cfg(test)]
@@ -282,9 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn roc_and_energy_headers() {
+    fn roc_csv_header() {
         assert!(roc_csv(&[]).starts_with("threshold,"));
-        assert!(energy_csv(&[]).starts_with("jammer,"));
     }
 
     #[test]
@@ -357,20 +277,6 @@ mod tests {
         assert_eq!(row["jam_bursts"].as_u64(), Some(7));
         assert_eq!(row["per_second_kbps"].as_array().unwrap().len(), 2);
 
-        let roc = vec![RocPoint {
-            threshold: 0.3,
-            fa_per_s: 12.25,
-            p_detect: 0.875,
-        }];
-        let doc = rjam_obs::json::parse(&roc_json(&roc)).expect("valid JSON");
-        assert_eq!(
-            doc.as_object().unwrap()["roc"].as_array().unwrap()[0]
-                .as_object()
-                .unwrap()["fa_per_s"]
-                .as_f64(),
-            Some(12.25)
-        );
-
         let doc = rjam_obs::json::parse(&false_alarm_json(0.125)).expect("valid JSON");
         assert_eq!(doc.as_object().unwrap()["fa_per_s"].as_f64(), Some(0.125));
     }
@@ -415,54 +321,5 @@ mod tests {
         let mut b = a.clone();
         b.scope.capture(&[rjam_sdr::complex::Cf64::new(0.1, 0.0)]);
         assert_ne!(json, wimax_json(&b));
-    }
-
-    #[test]
-    fn session_report_renders_events() {
-        let events = vec![
-            CoreEvent::EnergyHigh {
-                sample: 100,
-                cycle: 401,
-            },
-            CoreEvent::XcorrDetection {
-                sample: 163,
-                cycle: 653,
-                metric: 140_000,
-            },
-            CoreEvent::JamTrigger {
-                sample: 163,
-                cycle: 653,
-            },
-        ];
-        let jams = vec![rjam_fpga::jammer::JamEvent {
-            trigger_sample: 163,
-            trigger_cycle: 653,
-            start_cycle: 661,
-            end_cycle: Some(3161),
-        }];
-        let rep = session_report(&events, &jams, 1000);
-        assert!(rep.contains("energy rise"), "{rep}");
-        assert!(rep.contains("JAM TRIGGER"), "{rep}");
-        assert!(rep.contains("25.0 us"), "{rep}");
-        assert!(rep.contains("response 80 ns"), "{rep}");
-        assert!(rep.contains("3 events, 1 jam bursts"), "{rep}");
-    }
-
-    #[test]
-    fn session_report_from_live_core() {
-        use crate::{DetectionPreset, JammerPreset, ReactiveJammer};
-        let mut j = ReactiveJammer::new(
-            DetectionPreset::EnergyRise { threshold_db: 6.0 },
-            JammerPreset::Reactive {
-                uptime_s: 4e-5,
-                waveform: rjam_fpga::JamWaveform::Wgn,
-            },
-        );
-        let mut stream = vec![rjam_sdr::complex::Cf64::new(0.001, 0.0); 300];
-        stream.extend(vec![rjam_sdr::complex::Cf64::new(0.2, 0.2); 400]);
-        j.process_block(&stream);
-        let rep = session_report(j.events(), j.jam_events(), 0);
-        assert!(rep.contains("JAM TRIGGER"), "{rep}");
-        assert!(rep.contains("RF burst"), "{rep}");
     }
 }

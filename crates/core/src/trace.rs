@@ -18,24 +18,17 @@
 
 use crate::jammer::{BlockScratch, ReactiveJammer};
 use crate::presets::{DetectionPreset, JammerPreset};
+use crate::timeline::{episode_stream, EPISODE_LEAD_SAMPLES};
 use rjam_channel::fiveport::{FivePortNetwork, Port};
-use rjam_channel::NoiseSource;
 use rjam_fpga::trace::NS_PER_SAMPLE;
 use rjam_fpga::{CoreEvent, CLOCKS_PER_SAMPLE};
 use rjam_obs::trace::{stage, FrameId, FrameIdGen, Outcome, TraceDoc, TraceSink};
-use rjam_sdr::complex::Cf64;
-use rjam_sdr::rng::Rng;
 
-/// Noise lead-in before each frame, in samples (16 µs at 25 MSPS).
-const LEAD_SAMPLES: usize = 400;
+/// PSDU bytes of each traced frame.
+const PSDU_LEN: usize = 80;
 
 /// Noise tail after each frame, in samples.
 const TAIL_SAMPLES: usize = 400;
-
-/// Received frame power at the jammer's RX port (linear full-scale units)
-/// — 20 dB above the episode noise floor, matching the operator console's
-/// live exercises.
-const RX_POWER: f64 = 0.02;
 
 /// What one traced episode did, independent of the trace itself.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,11 +72,6 @@ impl EpisodeTracer {
         }
     }
 
-    /// Frames traced so far.
-    pub fn frames_traced(&self) -> u64 {
-        self.ids.minted()
-    }
-
     /// Events dropped by the sink for lack of capacity.
     pub fn dropped(&self) -> u64 {
         self.sink.dropped()
@@ -101,31 +89,16 @@ impl EpisodeTracer {
         let fid = self.ids.mint();
         let t0 = self.cursor_ns; // episode FPGA cycle 0
 
-        // --- MAC emission: build the frame the client wants delivered.
-        let mut rng = Rng::seed_from(seed);
-        let mut psdu = vec![0u8; 80];
-        rng.fill_bytes(&mut psdu);
-        let payload = psdu.len();
-        let frame = rjam_phy80211::tx::Frame::new(rjam_phy80211::Rate::R12, psdu);
+        // --- MAC emission, PHY and channel: the client's frame, modulated
+        // and resampled to the USRP rate, crosses the five-port network to
+        // the jammer's RX port, attenuated by the Table 1 insertion loss;
+        // its power is set at the *received* level.
+        let (stream, frame_len) = episode_stream(PSDU_LEN, TAIL_SAMPLES, seed);
 
-        // --- PHY: modulate and resample to the USRP rate.
-        let native = rjam_phy80211::tx::modulate_frame(&frame);
-        let mut wave = rjam_sdr::resample::to_usrp_rate(&native, rjam_sdr::WIFI_SAMPLE_RATE);
-
-        // --- Channel: the client's waveform crosses the five-port network
-        // to the jammer's RX port, attenuated by the Table 1 insertion
-        // loss. Power is set so the *received* level is RX_POWER.
-        rjam_sdr::power::scale_to_power(&mut wave, RX_POWER);
-        let noise_p = RX_POWER / rjam_sdr::power::db_to_lin(20.0);
-        let mut noise = NoiseSource::new(noise_p, rng.fork());
-        let mut stream: Vec<Cf64> = noise.block(LEAD_SAMPLES);
-        stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
-        stream.extend(noise.block(TAIL_SAMPLES));
-
-        let frame_t0 = t0 + LEAD_SAMPLES as u64 * NS_PER_SAMPLE;
-        let frame_t1 = frame_t0 + wave.len() as u64 * NS_PER_SAMPLE;
+        let frame_t0 = t0 + EPISODE_LEAD_SAMPLES as u64 * NS_PER_SAMPLE;
+        let frame_t1 = frame_t0 + frame_len as u64 * NS_PER_SAMPLE;
         self.sink
-            .instant(fid, frame_t0, stage::MAC, "emit", payload as i64, 0);
+            .instant(fid, frame_t0, stage::MAC, "emit", PSDU_LEN as i64, 0);
         self.sink.span_begin(fid, frame_t0, stage::PHY, "tx");
         self.sink.span_end(fid, frame_t1, stage::PHY, "tx");
         rjam_channel::trace::trace_propagation(
@@ -142,7 +115,7 @@ impl EpisodeTracer {
             frame_t0,
             stage::FPGA,
             "rx_first_sample",
-            LEAD_SAMPLES as i64,
+            EPISODE_LEAD_SAMPLES as i64,
             0,
         );
 
@@ -171,7 +144,7 @@ impl EpisodeTracer {
         // --- MAC outcome: the burst either overlapped the frame on air
         // (jammed), landed outside it (missed), or never happened
         // (delivered).
-        let frame_range = LEAD_SAMPLES..LEAD_SAMPLES + wave.len();
+        let frame_range = EPISODE_LEAD_SAMPLES..EPISODE_LEAD_SAMPLES + frame_len;
         let jam_in_frame = active[frame_range].iter().any(|&a| a);
         let jam_any = active.iter().any(|&a| a);
         let outcome = if jam_in_frame {

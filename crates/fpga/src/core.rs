@@ -200,12 +200,9 @@ impl CoreEvent {
     }
 }
 
-/// A configuration the validating constructor rejected.
-///
-/// [`CoreConfig::validate`] (and [`CoreConfigBuilder::build`]) check the
-/// hardware's representable ranges *at construction time*, so an invalid
-/// personality can never reach [`DspCore::configure`] — the modeled
-/// register writes would silently truncate or panic otherwise.
+/// A configuration [`CoreConfig::validate`] rejected: a value outside the
+/// hardware's representable ranges, which [`DspCore::configure`] assumes —
+/// the modeled register writes would silently truncate or panic otherwise.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// A correlator coefficient is outside the 3-bit signed range `-4..=3`.
@@ -309,9 +306,8 @@ impl std::error::Error for ConfigError {}
 /// "jamming personality" that [`DspCore::configure`] writes register by
 /// register, so reconfiguration cost is observable as bus traffic.
 ///
-/// Construct free-form (the fields are public) or through the validating
-/// [`CoreConfig::builder`], which rejects unrepresentable personalities with
-/// a typed [`ConfigError`] before they reach the register bus.
+/// The fields are public; [`CoreConfig::validate`] rejects unrepresentable
+/// personalities with a typed [`ConfigError`].
 #[derive(Clone, Debug)]
 pub struct CoreConfig {
     /// Correlator I-rail coefficients (64 x 3-bit signed).
@@ -363,13 +359,6 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
-    /// Starts a validating builder seeded from the default personality.
-    pub fn builder() -> CoreConfigBuilder {
-        CoreConfigBuilder {
-            cfg: CoreConfig::default(),
-        }
-    }
-
     /// Checks every field against the hardware's representable ranges:
     /// coefficients in the 3-bit signed range `-4..=3`, a nonzero
     /// correlation threshold, energy thresholds inside the detector's
@@ -410,100 +399,6 @@ impl CoreConfig {
             });
         }
         self.trigger_mode.check()
-    }
-
-    /// Validates and returns the configuration, consuming it.
-    pub fn validated(self) -> Result<Self, ConfigError> {
-        self.validate()?;
-        Ok(self)
-    }
-}
-
-/// Validating builder for [`CoreConfig`]. Setters are infallible; range
-/// checks run once at [`CoreConfigBuilder::build`], which returns a typed
-/// [`ConfigError`] instead of letting `configure` truncate or panic later.
-#[derive(Clone, Debug)]
-pub struct CoreConfigBuilder {
-    cfg: CoreConfig,
-}
-
-impl CoreConfigBuilder {
-    /// Sets both correlator coefficient rails.
-    pub fn coeffs(mut self, coeff_i: [i8; 64], coeff_q: [i8; 64]) -> Self {
-        self.cfg.coeff_i = coeff_i;
-        self.cfg.coeff_q = coeff_q;
-        self
-    }
-
-    /// Sets the correlation threshold on the squared-magnitude metric.
-    pub fn xcorr_threshold(mut self, threshold: u64) -> Self {
-        self.cfg.xcorr_threshold = threshold;
-        self
-    }
-
-    /// Sets the energy-rise threshold in dB.
-    pub fn energy_high_db(mut self, db: f64) -> Self {
-        self.cfg.energy_high_db = db;
-        self
-    }
-
-    /// Sets the energy-fall threshold in dB.
-    pub fn energy_low_db(mut self, db: f64) -> Self {
-        self.cfg.energy_low_db = db;
-        self
-    }
-
-    /// Sets the trigger combination.
-    pub fn trigger_mode(mut self, mode: TriggerMode) -> Self {
-        self.cfg.trigger_mode = mode;
-        self
-    }
-
-    /// Sets the post-detection lockout in samples.
-    pub fn lockout(mut self, samples: u64) -> Self {
-        self.cfg.lockout = samples;
-        self
-    }
-
-    /// Sets the jamming waveform.
-    pub fn waveform(mut self, waveform: JamWaveform) -> Self {
-        self.cfg.waveform = waveform;
-        self
-    }
-
-    /// Sets the jam burst length in samples.
-    pub fn uptime_samples(mut self, samples: u64) -> Self {
-        self.cfg.uptime_samples = samples;
-        self
-    }
-
-    /// Sets the trigger-to-burst delay in samples.
-    pub fn delay_samples(mut self, samples: u64) -> Self {
-        self.cfg.delay_samples = samples;
-        self
-    }
-
-    /// Enables or disables reactive jamming.
-    pub fn enabled(mut self, enabled: bool) -> Self {
-        self.cfg.enabled = enabled;
-        self
-    }
-
-    /// Enables or disables continuous (always-on) transmission.
-    pub fn continuous(mut self, continuous: bool) -> Self {
-        self.cfg.continuous = continuous;
-        self
-    }
-
-    /// Sets the jammer output amplitude as a fraction of full scale.
-    pub fn amplitude(mut self, amplitude: f64) -> Self {
-        self.cfg.amplitude = amplitude;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<CoreConfig, ConfigError> {
-        self.cfg.validated()
     }
 }
 
@@ -905,16 +800,6 @@ impl DspCore {
         v.min(u32::MAX as u64) as u32
     }
 
-    /// Raw bus read with the observability window muxed in: addresses in
-    /// the [`StatReg`] window read from the statistics block (computed,
-    /// like RTL status registers); everything else reads the register file.
-    pub fn read_addr(&self, addr: u8) -> u32 {
-        match StatReg::from_addr(addr) {
-            Some(s) => self.read_stat(s),
-            None => self.bus.read(addr),
-        }
-    }
-
     /// Publishes pending statistics deltas into the global `rjam-obs`
     /// registry (`fpga.samples_in`, `fpga.xcorr_fires`,
     /// `fpga.trigger_to_tx_ns`, ...). Call at block or run boundaries —
@@ -1296,16 +1181,6 @@ mod tests {
             core.stats().bursts_started()
         );
         assert!(core.read_stat(StatReg::FifoHighWater) >= 1);
-        // The muxed raw read resolves the window; other addresses hit the
-        // register file.
-        assert_eq!(
-            core.read_addr(StatReg::SamplesLo.addr()),
-            core.read_stat(StatReg::SamplesLo)
-        );
-        assert_eq!(
-            core.read_addr(RegisterMap::JammerUptime.addr()),
-            core.read_reg(RegisterMap::JammerUptime)
-        );
     }
 
     #[cfg(feature = "obs")]
@@ -1366,31 +1241,34 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_valid_personality() {
-        let cfg = CoreConfig::builder()
-            .coeffs([3; 64], [-4; 64])
-            .xcorr_threshold(1_000)
-            .energy_high_db(10.0)
-            .energy_low_db(3.0)
-            .lockout(1000)
-            .uptime_samples(100)
-            .enabled(true)
-            .build()
-            .expect("in-range personality");
-        assert_eq!(cfg.coeff_i[0], 3);
-        assert_eq!(cfg.coeff_q[0], -4);
+    fn validate_accepts_valid_personality() {
+        let cfg = CoreConfig {
+            coeff_i: [3; 64],
+            coeff_q: [-4; 64],
+            xcorr_threshold: 1_000,
+            energy_high_db: 10.0,
+            energy_low_db: 3.0,
+            lockout: 1000,
+            uptime_samples: 100,
+            enabled: true,
+            ..CoreConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
         let mut core = DspCore::new();
         assert!(core.configure(&cfg) > 0);
     }
 
     #[test]
-    fn builder_rejects_out_of_range_coefficient() {
+    fn validate_rejects_out_of_range_coefficient() {
         let mut bad_q = [0i8; 64];
         bad_q[17] = 4; // one past the 3-bit max
-        let err = CoreConfig::builder()
-            .coeffs([0; 64], bad_q)
-            .build()
-            .unwrap_err();
+        let err = CoreConfig {
+            coeff_i: [0; 64],
+            coeff_q: bad_q,
+            ..CoreConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::CoeffOutOfRange {
@@ -1402,10 +1280,13 @@ mod tests {
         assert!(err.to_string().contains("coeff_Q[17]"));
         let mut bad_i = [0i8; 64];
         bad_i[0] = -5;
-        let err = CoreConfig::builder()
-            .coeffs(bad_i, [0; 64])
-            .build()
-            .unwrap_err();
+        let err = CoreConfig {
+            coeff_i: bad_i,
+            coeff_q: [0; 64],
+            ..CoreConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(
             err,
             ConfigError::CoeffOutOfRange {
@@ -1417,29 +1298,25 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_threshold_and_bad_energy_db() {
-        let err = CoreConfig::builder()
-            .xcorr_threshold(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroXcorrThreshold);
-        let err = CoreConfig::builder()
-            .energy_high_db(31.0)
-            .build()
-            .unwrap_err();
+    fn validate_rejects_zero_threshold_and_bad_energy_db() {
+        let with = |f: fn(&mut CoreConfig)| {
+            let mut cfg = CoreConfig::default();
+            f(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        assert_eq!(
+            with(|c| c.xcorr_threshold = 0),
+            ConfigError::ZeroXcorrThreshold
+        );
         assert!(matches!(
-            err,
+            with(|c| c.energy_high_db = 31.0),
             ConfigError::EnergyDbOutOfRange {
                 edge: EnergyEdge::High,
                 ..
             }
         ));
-        let err = CoreConfig::builder()
-            .energy_low_db(2.9)
-            .build()
-            .unwrap_err();
         assert!(matches!(
-            err,
+            with(|c| c.energy_low_db = 2.9),
             ConfigError::EnergyDbOutOfRange {
                 edge: EnergyEdge::Low,
                 ..
@@ -1450,10 +1327,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_trigger_modes_the_event_builder_cannot_run() {
-        let err = CoreConfig::builder()
-            .trigger_mode(TriggerMode::Any(Vec::new()))
-            .build()
+    fn validate_rejects_trigger_modes_the_event_builder_cannot_run() {
+        let with_mode = |trigger_mode| CoreConfig {
+            trigger_mode,
+            ..CoreConfig::default()
+        };
+        let err = with_mode(TriggerMode::Any(Vec::new()))
+            .validate()
             .unwrap_err();
         assert_eq!(
             err,
@@ -1464,13 +1344,12 @@ mod tests {
         );
         assert!(err.to_string().contains("at least one trigger source"));
         for len in [0, 4] {
-            let err = CoreConfig::builder()
-                .trigger_mode(TriggerMode::Sequence {
-                    stages: vec![TriggerSource::Xcorr; len],
-                    window: 10,
-                })
-                .build()
-                .unwrap_err();
+            let err = with_mode(TriggerMode::Sequence {
+                stages: vec![TriggerSource::Xcorr; len],
+                window: 10,
+            })
+            .validate()
+            .unwrap_err();
             assert_eq!(
                 err,
                 ConfigError::UnsupportedTriggerMode {
@@ -1482,13 +1361,11 @@ mod tests {
         }
         // Every trigger mode that validates configures a core.
         for len in 1..=3 {
-            let cfg = CoreConfig::builder()
-                .trigger_mode(TriggerMode::Sequence {
-                    stages: vec![TriggerSource::EnergyHigh; len],
-                    window: 10,
-                })
-                .build()
-                .expect("1..=3 stages are valid");
+            let cfg = with_mode(TriggerMode::Sequence {
+                stages: vec![TriggerSource::EnergyHigh; len],
+                window: 10,
+            });
+            cfg.validate().expect("1..=3 stages are valid");
             DspCore::new().configure(&cfg);
         }
     }

@@ -15,7 +15,7 @@ use rjam_sdr::complex::IqI16;
 pub struct SampleFifo {
     buf: std::collections::VecDeque<IqI16>,
     depth: usize,
-    /// Samples dropped because the FIFO was full (sticky until cleared).
+    /// Samples dropped because the FIFO was full (sticky until reset).
     overflow: u64,
     /// Deepest occupancy ever reached (sticky; sizing diagnostics).
     high_water: usize,
@@ -65,14 +65,9 @@ impl SampleFifo {
         self.buf.is_empty()
     }
 
-    /// Samples dropped since the last [`Self::clear_overflow`].
+    /// Samples dropped since construction or the last [`Self::reset`].
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Clears the overflow counter (host acknowledgment).
-    pub fn clear_overflow(&mut self) {
-        self.overflow = 0;
     }
 
     /// Deepest occupancy reached since construction (never cleared by
@@ -158,11 +153,6 @@ impl TriggerCapture {
         self.captures
     }
 
-    /// True while a post-trigger window is still streaming.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming > 0
-    }
-
     /// Stream reset: clears the FIFO, the pre-trigger history, any
     /// in-flight post-trigger window and the capture count, keeping the
     /// `pre`/`post`/depth configuration.
@@ -197,14 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn overflow_is_sticky_until_cleared() {
+    fn overflow_is_sticky_until_reset() {
         let mut f = SampleFifo::new(1);
         f.push(IqI16::ZERO);
         f.push(IqI16::ZERO);
         f.pop(1);
         f.push(IqI16::ZERO); // fits again
         assert_eq!(f.overflow(), 1);
-        f.clear_overflow();
+        f.reset();
         assert_eq!(f.overflow(), 0);
     }
 

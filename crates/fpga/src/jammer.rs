@@ -126,11 +126,6 @@ impl JamEvent {
     pub fn response_cycles(&self) -> u64 {
         self.start_cycle - self.trigger_cycle
     }
-
-    /// Turnaround from trigger to RF out, in nanoseconds at 100 MHz.
-    pub fn response_ns(&self) -> f64 {
-        self.response_cycles() as f64 * 10.0
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -249,11 +244,6 @@ impl JamController {
         self.uptime = samples.max(1);
     }
 
-    /// Sets burst length from seconds at the 25 MSPS rate.
-    pub fn set_uptime_secs(&mut self, secs: f64) {
-        self.set_uptime_samples((secs * rjam_sdr::USRP_SAMPLE_RATE).round() as u64);
-    }
-
     /// Sets the trigger-to-burst delay in samples ("surgical" jamming).
     pub fn set_delay_samples(&mut self, samples: u64) {
         self.delay = samples;
@@ -286,11 +276,6 @@ impl JamController {
     /// Completed and in-progress jam events.
     pub fn events(&self) -> &[JamEvent] {
         &self.events
-    }
-
-    /// True while RF is leaving the controller.
-    pub fn is_jamming(&self) -> bool {
-        matches!(self.state, State::Jamming(_)) || self.continuous
     }
 
     /// Advances one baseband sample: captures `rx` into the replay buffer,
@@ -472,7 +457,6 @@ mod tests {
             "resp={} cycles",
             ev.response_cycles()
         );
-        assert!(ev.response_ns() <= 80.0);
     }
 
     #[test]
@@ -536,7 +520,6 @@ mod tests {
         ctl.set_continuous(true);
         let out = run(&mut ctl, &[], 100);
         assert!(out.iter().all(Option::is_some));
-        assert!(ctl.is_jamming());
     }
 
     #[test]
@@ -603,15 +586,6 @@ mod tests {
         let tx: Vec<IqI16> = out.into_iter().flatten().collect();
         assert!((tx[0].i - 10000).abs() <= 1);
         assert!((tx[0].q + 10000).abs() <= 1);
-    }
-
-    #[test]
-    fn uptime_secs_conversion() {
-        let mut ctl = JamController::new();
-        ctl.set_uptime_secs(0.0001); // 0.1 ms at 25 MSPS = 2500 samples
-        assert_eq!(ctl.uptime, 2500);
-        ctl.set_uptime_secs(0.00001); // 0.01 ms = 250 samples
-        assert_eq!(ctl.uptime, 250);
     }
 
     #[test]

@@ -50,8 +50,7 @@ pub mod xcorr;
 pub mod xcorr_wide;
 
 pub use crate::core::{
-    CoeffRail, ConfigError, CoreConfig, CoreConfigBuilder, CoreEvent, CoreStats, DspCore,
-    EnergyEdge,
+    CoeffRail, ConfigError, CoreConfig, CoreEvent, CoreStats, DspCore, EnergyEdge,
 };
 pub use energy::EnergyDifferentiator;
 pub use fifo::{SampleFifo, TriggerCapture};
@@ -59,7 +58,7 @@ pub use jammer::{BurstRule, JamController, JamWaveform};
 pub use lanes::{DspLaneBank, LaneBankScratch};
 pub use regs::{RegisterBus, RegisterMap};
 pub use trigger::{TriggerBuilder, TriggerMode, TriggerSource};
-pub use vita::{AntennaControl, VitaTime};
+pub use vita::VitaTime;
 pub use xcorr::{Coeff3, CrossCorrelator};
 pub use xcorr_wide::WideCorrelator;
 

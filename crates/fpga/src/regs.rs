@@ -120,17 +120,11 @@ impl StatReg {
     pub fn addr(self) -> u8 {
         self as u8
     }
-
-    /// Decodes a bus address inside the observability window.
-    pub fn from_addr(addr: u8) -> Option<StatReg> {
-        StatReg::ALL.into_iter().find(|r| r.addr() == addr)
-    }
 }
 
-/// Bit assignments inside [`RegisterMap::JammerControl`].
+/// Bit assignments inside [`RegisterMap::JammerControl`]. Bits 1:0 select
+/// the waveform: 0 = WGN, 1 = replay, 2 = host.
 pub mod jammer_control {
-    /// Waveform select field mask (bits 1:0): 0 = WGN, 1 = replay, 2 = host.
-    pub const WAVEFORM_MASK: u32 = 0b11;
     /// Jammer master enable.
     pub const ENABLE: u32 = 1 << 2;
     /// Trigger-source mask field (bits 5:3): xcorr, energy-high, energy-low.
@@ -375,16 +369,12 @@ mod tests {
         for reg in StatReg::ALL {
             assert!(reg.addr() >= OBS_WINDOW_BASE, "{reg:?} below window");
             assert!((reg.addr() as usize) < NUM_REGS, "{reg:?} beyond bus");
-            assert_eq!(StatReg::from_addr(reg.addr()), Some(reg));
         }
         // Addresses are unique.
         let mut addrs: Vec<u8> = StatReg::ALL.iter().map(|r| r.addr()).collect();
         addrs.sort_unstable();
         addrs.dedup();
         assert_eq!(addrs.len(), StatReg::ALL.len());
-        // Outside the window nothing decodes.
-        assert_eq!(StatReg::from_addr(0), None);
-        assert_eq!(StatReg::from_addr(23), None);
     }
 
     #[test]

@@ -1,13 +1,8 @@
-//! VITA time and front-end control I/O (paper Figs 1-2 peripheral signals).
+//! VITA time (paper Figs 1-2 peripheral signals).
 //!
-//! The custom core's wrapper receives a GPS-disciplined `Vita_Time` input
-//! and drives `Debug_IO` / `GPIO_RX/TX` outputs for antenna and RF
-//! front-end control. These matter for experiments: VITA timestamps give
-//! detections an absolute wall-clock meaning (multi-sensor fusion, replay
-//! alignment), and the antenna-control word models switching between the
-//! SBX's TX/RX and RX2 ports around jam bursts.
-
-use crate::CLOCKS_PER_SAMPLE;
+//! The custom core's wrapper receives a GPS-disciplined `Vita_Time` input.
+//! VITA timestamps give detections an absolute wall-clock meaning
+//! (multi-sensor fusion, replay alignment).
 
 /// Seconds/fraction timestamp in VITA-49 style, derived from the 100 MHz
 /// fabric clock with a GPS-locked PPS.
@@ -32,52 +27,10 @@ impl VitaTime {
         }
     }
 
-    /// Converts a sample index (25 MSPS) to a timestamp.
-    pub fn from_sample(sample: u64, epoch_secs: u64) -> Self {
-        Self::from_cycle(sample * CLOCKS_PER_SAMPLE, epoch_secs)
-    }
-
-    /// Timestamp as floating-point seconds (diagnostics only; the integer
-    /// form is the authoritative one).
-    pub fn as_secs_f64(self) -> f64 {
-        self.secs as f64 + self.ticks as f64 / Self::TICKS_PER_SEC as f64
-    }
-
     /// Difference in clock ticks (`self - earlier`).
     pub fn ticks_since(self, earlier: VitaTime) -> i64 {
         (self.secs as i64 - earlier.secs as i64) * Self::TICKS_PER_SEC as i64
             + (self.ticks as i64 - earlier.ticks as i64)
-    }
-}
-
-/// Antenna/front-end control word (the `Debug_IO` / `GPIO` outputs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AntennaControl(pub u32);
-
-impl AntennaControl {
-    /// Transmit on the TX/RX port (otherwise RX2).
-    pub const TX_ON_TXRX: u32 = 1 << 0;
-    /// Receive on RX2 (otherwise TX/RX).
-    pub const RX_ON_RX2: u32 = 1 << 1;
-    /// External amplifier enable.
-    pub const PA_ENABLE: u32 = 1 << 2;
-    /// RX LNA bypass (strong-signal protection during own bursts).
-    pub const LNA_BYPASS: u32 = 1 << 3;
-
-    /// The paper's full-duplex arrangement: transmit on TX/RX, receive on
-    /// RX2, both chains alive from start-up.
-    pub fn full_duplex() -> Self {
-        AntennaControl(Self::TX_ON_TXRX | Self::RX_ON_RX2)
-    }
-
-    /// True when the given flag bit is set.
-    pub fn has(self, flag: u32) -> bool {
-        self.0 & flag != 0
-    }
-
-    /// Returns a copy with `flag` set.
-    pub fn with(self, flag: u32) -> Self {
-        AntennaControl(self.0 | flag)
     }
 }
 
@@ -90,15 +43,6 @@ mod tests {
         let t = VitaTime::from_cycle(250_000_000, 1000);
         assert_eq!(t.secs, 1002);
         assert_eq!(t.ticks, 50_000_000);
-        assert!((t.as_secs_f64() - 1002.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sample_to_time_at_25msps() {
-        // Sample 25e6 = 1 second of air time.
-        let t = VitaTime::from_sample(25_000_000, 0);
-        assert_eq!(t.secs, 1);
-        assert_eq!(t.ticks, 0);
     }
 
     #[test]
@@ -125,19 +69,5 @@ mod tests {
         };
         let c = VitaTime { secs: 6, ticks: 0 };
         assert!(a < b && b < c);
-    }
-
-    #[test]
-    fn antenna_word() {
-        let fd = AntennaControl::full_duplex();
-        assert!(fd.has(AntennaControl::TX_ON_TXRX));
-        assert!(fd.has(AntennaControl::RX_ON_RX2));
-        assert!(!fd.has(AntennaControl::PA_ENABLE));
-        let amped = fd.with(AntennaControl::PA_ENABLE);
-        assert!(amped.has(AntennaControl::PA_ENABLE));
-        assert!(
-            amped.has(AntennaControl::TX_ON_TXRX),
-            "with() preserves bits"
-        );
     }
 }

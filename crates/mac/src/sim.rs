@@ -21,7 +21,7 @@ use crate::link::{ack_rate, Burst, LinkMemo};
 use crate::model::{
     JammerKind, Scenario, Timings, ACK_BYTES, BEACON_BYTES, CTS_BYTES, PSDU_OVERHEAD, RTS_BYTES,
 };
-use rjam_obs::trace::{stage, FrameId, FrameIdGen, Outcome, TraceSink};
+use rjam_obs::trace::FrameIdGen;
 use rjam_obs::{HealthMonitor, LocalCounter};
 use rjam_phy80211::Rate;
 use rjam_sdr::rng::Rng;
@@ -96,14 +96,9 @@ impl MacObsDelta {
         Self::default()
     }
 
-    /// Drains `other`'s deltas into `self`.
-    pub fn merge(&mut self, other: &mut MacObsDelta) {
-        self.counters.absorb(&mut other.counters);
-    }
-
-    /// Move-based merge: consumes `other` and folds its deltas into
-    /// `self`. The campaign engine's ordered merge moves shard results
-    /// into place without clones; this is the obs-delta leg of that path.
+    /// Consumes `other` and folds its deltas into `self`. The campaign
+    /// engine's ordered merge moves shard results into place without
+    /// clones; this is the obs-delta leg of that path.
     pub fn absorb(&mut self, mut other: MacObsDelta) {
         self.counters.absorb(&mut other.counters);
     }
@@ -203,79 +198,10 @@ fn reactive_burst(jammer: &JammerKind, rng: &mut Rng, acct: &mut JamAccounting) 
     }
 }
 
-/// Threads a causal-trace sink through the DES loop: mints one
-/// [`FrameId`] per datagram at MAC emission and records the emission
-/// instant, each data transmission's airtime span, overlapping jam-burst
-/// spans and the final outcome instant. With no sink attached (or the
-/// `obs` feature compiled out) every call is a no-op.
-struct MacTracer<'a> {
-    sink: Option<&'a mut TraceSink>,
-    ids: FrameIdGen,
-}
-
-impl MacTracer<'_> {
-    /// Microseconds of simulation time → trace nanoseconds.
-    fn ns(us: f64) -> u64 {
-        (us * 1000.0).round().max(0.0) as u64
-    }
-
-    /// The MAC emits a datagram: mint its correlation ID.
-    fn emit(&mut self, now_us: f64, payload_bytes: usize) -> FrameId {
-        let id = self.ids.mint();
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.instant(
-                id,
-                Self::ns(now_us),
-                stage::MAC,
-                "emit",
-                payload_bytes as i64,
-                0,
-            );
-        }
-        id
-    }
-
-    /// One data-frame transmission attempt, plus the jam bursts it drew.
-    fn data_tx(
-        &mut self,
-        id: FrameId,
-        t0_us: f64,
-        airtime_us: f64,
-        attempt: u32,
-        bursts: &[Burst],
-    ) {
-        if let Some(s) = self.sink.as_deref_mut() {
-            let t0 = Self::ns(t0_us);
-            s.span_begin(id, t0, stage::PHY, "tx");
-            s.instant(id, t0, stage::PHY, "attempt", attempt as i64, 0);
-            s.span_end(id, Self::ns(t0_us + airtime_us), stage::PHY, "tx");
-            for b in bursts {
-                s.span_begin(id, Self::ns(t0_us + b.start_us), stage::JAM, "tx");
-                s.span_end(id, Self::ns(t0_us + b.end_us), stage::JAM, "tx");
-            }
-        }
-    }
-
-    /// The datagram's fate, closing its causal chain.
-    fn outcome(&mut self, id: FrameId, now_us: f64, outcome: Outcome, attempts: u32) {
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.instant(
-                id,
-                Self::ns(now_us),
-                stage::MAC,
-                "outcome",
-                outcome.code(),
-                attempts as i64,
-            );
-        }
-    }
-}
-
 /// Runs one scenario to completion and reports iperf-style results.
 ///
 /// Equivalent to `ScenarioRun::new(sc).run()`; use [`ScenarioRun`] to
-/// attach a causal-trace sink, defer obs publication, or override the
-/// RNG stream.
+/// defer obs publication or attach a health monitor.
 pub fn run_scenario(sc: &Scenario) -> IperfReport {
     ScenarioRun::new(sc).run()
 }
@@ -291,8 +217,6 @@ pub fn run_scenario(sc: &Scenario) -> IperfReport {
 /// ```
 ///
 /// Options compose freely:
-/// * [`ScenarioRun::trace`] — record the causal chain of every datagram
-///   into a [`TraceSink`];
 /// * [`ScenarioRun::obs_into`] — batch `mac.*` counter deltas into a
 ///   [`MacObsDelta`] instead of publishing them at run end (the sharded
 ///   campaign engine's deferred-merge path);
@@ -301,30 +225,18 @@ pub fn run_scenario(sc: &Scenario) -> IperfReport {
 ///   rule set as the run progresses (`rjamctl monitor`).
 pub struct ScenarioRun<'a> {
     scenario: &'a Scenario,
-    trace: Option<&'a mut TraceSink>,
     obs_out: Option<&'a mut MacObsDelta>,
     health: Option<&'a mut HealthMonitor>,
 }
 
 impl<'a> ScenarioRun<'a> {
-    /// A run with no trace sink and immediate obs publication.
+    /// A run with immediate obs publication and no health monitor.
     pub fn new(scenario: &'a Scenario) -> Self {
         ScenarioRun {
             scenario,
-            trace: None,
             obs_out: None,
             health: None,
         }
-    }
-
-    /// Attaches a causal-trace sink: every datagram is assigned a
-    /// [`FrameId`] at MAC emission and its emission, transmission
-    /// attempts, drawn jam bursts and final outcome (delivered / jammed /
-    /// missed) are recorded as trace events on the simulation's
-    /// microsecond clock (stored in nanoseconds).
-    pub fn trace(mut self, sink: &'a mut TraceSink) -> Self {
-        self.trace = Some(sink);
-        self
     }
 
     /// Defers obs publication: `mac.*` counter deltas accumulate into
@@ -350,7 +262,6 @@ impl<'a> ScenarioRun<'a> {
     pub fn run(self) -> IperfReport {
         run_inner(
             self.scenario,
-            self.trace,
             self.obs_out,
             self.health,
             &mut LinkMemo::new(),
@@ -363,7 +274,6 @@ impl<'a> ScenarioRun<'a> {
 /// after the first few frames each one is a table lookup.
 fn run_inner(
     sc: &Scenario,
-    trace: Option<&mut TraceSink>,
     obs_out: Option<&mut MacObsDelta>,
     mut health: Option<&mut HealthMonitor>,
     link: &mut LinkMemo,
@@ -392,10 +302,9 @@ fn run_inner(
     let mut rate_count = 0u64;
     let mut acct = JamAccounting::default();
     let mut obs = MacCounters::default();
-    let mut tracer = MacTracer {
-        sink: trace,
-        ids: FrameIdGen::new(),
-    };
+    // One frame id per datagram, in emission order: the health monitor
+    // names the frames behind an alarm by these ids.
+    let mut frame_ids = FrameIdGen::new();
 
     'outer: while now_us < duration_us {
         // --- Beacons due before the next data activity.
@@ -443,11 +352,10 @@ fn run_inner(
         next_arrival += arrival_us;
         sent += 1;
         obs.sent.inc();
-        let fid = tracer.emit(now_us, sc.payload_bytes);
+        let fid = frame_ids.mint();
         if disassociated {
             // The client has dropped off the network: datagram lost.
             obs.abandoned.inc();
-            tracer.outcome(fid, now_us, Outcome::Missed, 0);
             if let Some(mon) = health.as_deref_mut() {
                 mon.note_frame(fid.raw(), false, false);
             }
@@ -545,7 +453,6 @@ fn run_inner(
             let rate = rc.rate();
             let airtime = rate.frame_airtime_us(psdu_len);
             let burst = reactive_burst(&sc.jammer, &mut rng, &mut acct);
-            tracer.data_tx(fid, now_us, airtime, attempt, burst.as_slice());
             frame_jammed |= burst.is_some();
             let p_data = link.frame_success_prob(
                 rate,
@@ -626,14 +533,6 @@ fn run_inner(
         if !delivered {
             obs.abandoned.inc();
         }
-        let oc = if delivered {
-            Outcome::Delivered
-        } else if frame_jammed {
-            Outcome::Jammed
-        } else {
-            Outcome::Missed
-        };
-        tracer.outcome(fid, now_us, oc, attempt);
         if let Some(mon) = health.as_deref_mut() {
             mon.note_frame(fid.raw(), delivered, frame_jammed);
         }
@@ -712,14 +611,10 @@ mod tests {
 
     #[test]
     fn scenario_run_options_do_not_change_results() {
-        // Attaching a trace sink or deferring obs must not perturb the DES
+        // Deferring obs or attaching a monitor must not perturb the DES
         // outcome — options only observe, never couple into the RNG.
         let sc = base();
         let plain = run_scenario(&sc);
-        let mut sink = TraceSink::with_capacity(16_384);
-        let traced = ScenarioRun::new(&sc).trace(&mut sink).run();
-        assert_eq!(plain.sent, traced.sent);
-        assert_eq!(plain.received, traced.received);
         let mut delta = MacObsDelta::new();
         let deferred = ScenarioRun::new(&sc).obs_into(&mut delta).run();
         assert_eq!(plain.sent, deferred.sent);
@@ -757,24 +652,20 @@ mod tests {
             .iter()
             .any(|e| matches!(e, HealthEvent::AlarmRaised { rule, .. } if rule == "prr_collapse"));
         assert!(raised, "monitor must flag the collapsed link");
+        // The DES mints one frame id per datagram from 1, so the first
+        // alarm names the same frames on every run.
+        let first = mon
+            .events()
+            .iter()
+            .find(|e| matches!(e, HealthEvent::AlarmRaised { .. }));
+        let Some(HealthEvent::AlarmRaised { frame, frames, .. }) = first else {
+            panic!("no alarm_raised event");
+        };
+        assert_eq!(*frame, 32);
+        assert_eq!(*frames, (25..=32).collect::<Vec<u64>>());
         assert!(mon.frames_to_first_alarm().is_some());
         let v = mon.finish();
         assert!(!v.healthy);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_run() {
-        // Attaching a trace sink is observation, not perturbation: the
-        // simulated link must behave identically with and without it.
-        let sc = base();
-        let mut sink = TraceSink::with_capacity(16_384);
-        let traced = ScenarioRun::new(&sc).trace(&mut sink).run();
-        let plain = ScenarioRun::new(&sc).run();
-        assert_eq!(traced.sent, plain.sent);
-        assert_eq!(traced.received, plain.received);
-        if rjam_obs::enabled() {
-            assert!(!sink.is_empty(), "traced run recorded no events");
-        }
     }
 
     #[cfg(feature = "obs")]
@@ -794,9 +685,8 @@ mod tests {
         };
         let ra = ScenarioRun::new(&sc).obs_into(&mut a).run();
         let rb = ScenarioRun::new(&other).obs_into(&mut b).run();
-        a.merge(&mut b);
+        a.absorb(b);
         assert_eq!(a.datagrams_sent(), ra.sent + rb.sent);
-        assert_eq!(b.datagrams_sent(), 0, "merge drains the source");
         // ...publish exactly once, as one registry delta.
         let before = counter_value("mac.datagrams_sent");
         a.publish();
@@ -1211,7 +1101,7 @@ mod tests {
                             ..Scenario::default()
                         };
                         let mut link = LinkMemo::new();
-                        run_inner(&sc, None, None, None, &mut link);
+                        run_inner(&sc, None, None, &mut link);
                         assert!(link.len() <= LinkMemo::RUN_BOUND, "{sc:?}: {}", link.len());
                     }
                 }

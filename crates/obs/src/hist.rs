@@ -86,22 +86,6 @@ impl LogHistogram {
         }
     }
 
-    /// Records `n` identical observations.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_of(v)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -338,7 +322,7 @@ mod tests {
     fn cleared_histogram_behaves_like_new() {
         let mut h = LogHistogram::new();
         h.record(123);
-        h.record_n(77, 3);
+        h.record(77);
         assert!(!h.is_empty());
         h.clear();
         assert!(h.is_empty());

@@ -197,12 +197,6 @@ impl Envelope {
         }
     }
 
-    /// Wraps an already-parsed object (e.g. a sub-object of a document)
-    /// without a tag check.
-    pub fn from_object(fields: BTreeMap<String, Value>) -> Self {
-        Envelope { fields }
-    }
-
     /// Raw access to a field.
     pub fn get(&self, field: &str) -> Option<&Value> {
         self.fields.get(field)

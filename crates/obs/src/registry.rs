@@ -319,17 +319,6 @@ mod enabled {
         pub fn pending(&self) -> u64 {
             self.hist.count()
         }
-
-        /// Largest pending observation.
-        pub fn pending_max(&self) -> u64 {
-            self.hist.max()
-        }
-
-        /// 99th percentile of the *pending* observations (used for modeled
-        /// readback registers before a flush).
-        pub fn pending_p99(&self) -> u64 {
-            self.hist.quantile(0.99)
-        }
     }
 }
 
@@ -503,16 +492,6 @@ mod disabled {
         /// Always 0.
         #[inline(always)]
         pub fn pending(&self) -> u64 {
-            0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn pending_max(&self) -> u64 {
-            0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn pending_p99(&self) -> u64 {
             0
         }
     }

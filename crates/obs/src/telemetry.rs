@@ -35,9 +35,10 @@ pub struct WorkerStats {
     pub units: u64,
     /// Time inside unit closures.
     pub busy_ns: u64,
-    /// Time outside unit closures and merge-wait, up to the campaign's
-    /// end: dispenser claims, pool setup, scheduling gaps, and the tail
-    /// after the worker's last shard while others still run.
+    /// Time outside unit closures and merge-wait, from the campaign's
+    /// start to its end: the wait for the worker's thread to start,
+    /// dispenser claims, pool setup, scheduling gaps, and the tail after
+    /// the worker's last shard while others still run.
     pub idle_ns: u64,
     /// Time folding this worker's finished units, and any ready
     /// successors, into the run's ordered result — waiting for the fold
@@ -108,9 +109,10 @@ impl EngineProfile {
     }
 
     /// Fraction of total worker wall-clock (`workers × wall_ns`) that the
-    /// busy/idle/merge-wait buckets account for, in `[0, 1]`. The
-    /// remainder is thread spawn/teardown — the report's honesty check
-    /// (the CLI asserts ≥ 0.95 on real campaigns).
+    /// busy/idle/merge-wait buckets account for, in `[0, 1]`: the
+    /// report's honesty check (CI asserts ≥ 0.95 on real campaigns). Each
+    /// worker's buckets span the campaign's start to its end, so the
+    /// remainder is only the gap between successive clock reads.
     pub fn attributed_fraction(&self) -> f64 {
         let denom = self.workers.len() as u64 * self.wall_ns;
         if denom == 0 {

@@ -64,11 +64,6 @@ impl FrameIdGen {
         self.next += 1;
         FrameId(self.next)
     }
-
-    /// How many IDs have been minted.
-    pub fn minted(&self) -> u64 {
-        self.next
-    }
 }
 
 /// What a trace event marks.
@@ -1011,7 +1006,6 @@ mod tests {
         let mut g = FrameIdGen::new();
         assert_eq!(g.mint(), FrameId(1));
         assert_eq!(g.mint(), FrameId(2));
-        assert_eq!(g.minted(), 2);
     }
 
     #[cfg(not(feature = "obs"))]

@@ -24,15 +24,6 @@ pub enum CodeRate {
 }
 
 impl CodeRate {
-    /// Output bits per input bit numerator/denominator (input, output).
-    pub fn ratio(self) -> (usize, usize) {
-        match self {
-            CodeRate::Half => (1, 2),
-            CodeRate::TwoThirds => (2, 3),
-            CodeRate::ThreeQuarters => (3, 4),
-        }
-    }
-
     /// Puncture keep-pattern over the A/B output pair stream, as
     /// `(a_kept, b_kept)` per input bit within the pattern period.
     pub(crate) fn pattern(self) -> &'static [(bool, bool)] {
@@ -357,13 +348,6 @@ mod tests {
             let want = parity(reg & G0) | (parity(reg & G1) << 1);
             assert_eq!(ENC_OUT[reg as usize], want, "reg {reg:#b}");
         }
-    }
-
-    #[test]
-    fn rate_ratios() {
-        assert_eq!(CodeRate::Half.ratio(), (1, 2));
-        assert_eq!(CodeRate::TwoThirds.ratio(), (2, 3));
-        assert_eq!(CodeRate::ThreeQuarters.ratio(), (3, 4));
     }
 
     #[test]

@@ -128,11 +128,6 @@ pub fn modulate_dsss(psdu: &[u8]) -> Vec<Cf64> {
     out
 }
 
-/// Airtime of a 1 Mb/s long-preamble DSSS frame in microseconds.
-pub fn dsss_airtime_us(psdu_len: usize) -> f64 {
-    (PREAMBLE_BITS + HEADER_BITS + 8 * psdu_len) as f64
-}
-
 /// Despreads and differentially decodes a DSSS waveform back to scrambled
 /// bits, assuming chip alignment at `start` (a test/reference receiver, not
 /// a full acquisition chain).
@@ -204,12 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn airtime_and_length() {
-        let psdu = vec![0u8; 90];
-        let wave = modulate_dsss(&psdu);
-        let expect_us = dsss_airtime_us(90);
-        assert!((expect_us - 912.0).abs() < 1e-9);
-        assert_eq!(wave.len(), (expect_us * 22.0) as usize);
+    fn waveform_length() {
+        // 192 preamble and header bits plus 8 * 90 PSDU bits at 1 Mb/s is
+        // 912 µs of air, at 22 samples per µs.
+        let wave = modulate_dsss(&[0u8; 90]);
+        assert_eq!(wave.len(), 912 * 22);
     }
 
     #[test]

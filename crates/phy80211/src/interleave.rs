@@ -43,17 +43,6 @@ pub fn deinterleave(bits: &[u8], n_cbps: usize, n_bpsc: usize) -> Vec<u8> {
     out
 }
 
-/// Deinterleaves a slice of per-bit metadata (e.g. erasure flags) with the
-/// same permutation, so jamming marks survive the bit reshuffle.
-pub fn deinterleave_flags(flags: &[bool], n_cbps: usize, n_bpsc: usize) -> Vec<bool> {
-    assert_eq!(flags.len(), n_cbps);
-    let mut out = vec![false; n_cbps];
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = flags[interleave_index(k, n_cbps, n_bpsc)];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,21 +97,6 @@ mod tests {
                 let b = interleave_index(k + 1, n_cbps, n_bpsc) as i64;
                 assert!((a - b).abs() >= 3, "cfg {n_cbps}/{n_bpsc} at k={k}");
             }
-        }
-    }
-
-    #[test]
-    fn flags_follow_bits() {
-        let n_cbps = 192;
-        let n_bpsc = 4;
-        let mut rng = Rng::seed_from(41);
-        let bits: Vec<u8> = (0..n_cbps).map(|_| (rng.next_u64() & 1) as u8).collect();
-        let inter_bits = interleave(&bits, n_cbps, n_bpsc);
-        let inter_flags: Vec<bool> = inter_bits.iter().map(|&b| b == 1).collect();
-        let de_bits = deinterleave(&inter_bits, n_cbps, n_bpsc);
-        let de_flags = deinterleave_flags(&inter_flags, n_cbps, n_bpsc);
-        for i in 0..n_cbps {
-            assert_eq!(de_flags[i], de_bits[i] == 1);
         }
     }
 

@@ -40,7 +40,7 @@ pub mod rx;
 pub mod signal;
 pub mod tx;
 
-pub use rx::{decode_frame, decode_frame_soft, synchronize, RxError};
+pub use rx::{decode_frame, decode_frame_soft, RxError};
 pub use signal::Rate;
 pub use tx::{modulate_frame, Frame};
 
@@ -58,9 +58,6 @@ pub const SYM_LEN: usize = FFT_LEN + CP_LEN;
 
 /// Data subcarriers per OFDM symbol.
 pub const N_SD: usize = 48;
-
-/// Pilot subcarriers per OFDM symbol.
-pub const N_SP: usize = 4;
 
 /// Duration of the short-preamble section in samples (8 us).
 pub const SHORT_PREAMBLE_LEN: usize = 160;

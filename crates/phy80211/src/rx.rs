@@ -1,4 +1,5 @@
-//! The reference receiver: synchronization, channel estimation, decoding.
+//! The reference receiver: channel estimation and decoding from a known
+//! frame start.
 //!
 //! This is a conventional 802.11a/g OFDM receiver built from the same
 //! primitives as the transmitter. It exists to close the loop: detector
@@ -13,7 +14,7 @@ use crate::convcode::{
 use crate::interleave::deinterleave;
 use crate::modmap::{demap_soft_stream, demap_stream};
 use crate::ofdm::parse_symbol;
-use crate::preamble::{long_symbol, lts_freq};
+use crate::preamble::lts_freq;
 use crate::signal::{parse_signal, Rate, SignalInfo};
 use crate::{CP_LEN, FFT_LEN, PREAMBLE_LEN, SYM_LEN};
 use rjam_sdr::complex::Cf64;
@@ -22,101 +23,10 @@ use rjam_sdr::fft::Fft;
 /// Receiver failure modes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RxError {
-    /// No plausible preamble found.
-    NoSync,
     /// SIGNAL field failed to decode or validate.
     BadSignal,
     /// The frame extends past the supplied sample buffer.
     Truncated,
-}
-
-/// Synchronization result.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SyncInfo {
-    /// Index of the first preamble sample.
-    pub frame_start: usize,
-    /// Estimated carrier frequency offset, radians per sample.
-    pub cfo: f64,
-    /// Peak normalized LTS correlation magnitude (quality metric).
-    pub quality: f64,
-}
-
-/// Locates a frame by matched-filtering against the long training symbol and
-/// estimates CFO from the repetition of the two LTS copies.
-pub fn synchronize(samples: &[Cf64]) -> Option<SyncInfo> {
-    let lts = long_symbol();
-    if samples.len() < PREAMBLE_LEN + SYM_LEN {
-        return None;
-    }
-    let lts_energy: f64 = lts.iter().map(|s| s.norm_sq()).sum();
-    let mut best = (0usize, 0.0f64);
-    // Slide the 64-sample LTS template; look for the *first* strong peak.
-    let limit = samples.len() - 64;
-    for n in 0..limit {
-        let mut acc = Cf64::ZERO;
-        let mut win_e = 0.0;
-        for k in 0..64 {
-            acc += lts[k].conj() * samples[n + k];
-            win_e += samples[n + k].norm_sq();
-        }
-        if win_e <= 1e-12 {
-            continue;
-        }
-        let norm = acc.norm_sq() / (lts_energy * win_e);
-        if norm > best.1 {
-            best = (n, norm);
-        }
-    }
-    let (peak, quality) = best;
-    if quality < 0.5 {
-        return None;
-    }
-    // Decide whether the peak is the first or second LTS copy by testing the
-    // correlation 64 samples earlier.
-    let first_lts = if peak >= 64 {
-        let n = peak - 64;
-        let mut acc = Cf64::ZERO;
-        let mut win_e = 0.0;
-        for k in 0..64 {
-            acc += lts[k].conj() * samples[n + k];
-            win_e += samples[n + k].norm_sq();
-        }
-        let norm = if win_e > 1e-12 {
-            acc.norm_sq() / (lts_energy * win_e)
-        } else {
-            0.0
-        };
-        if norm > 0.5 * quality {
-            n
-        } else {
-            peak
-        }
-    } else {
-        peak
-    };
-    // Preamble start: LTS section begins at 160 with a 32-sample GI2; the
-    // first LTS copy sits at 192.
-    if first_lts < 192 {
-        return None;
-    }
-    let frame_start = first_lts - 192;
-    // CFO from the phase drift between the two LTS copies.
-    let mut acc = Cf64::ZERO;
-    if first_lts + 128 <= samples.len() {
-        for k in 0..64 {
-            acc += samples[first_lts + k].conj() * samples[first_lts + 64 + k];
-        }
-    }
-    let cfo = if acc.abs() > 1e-12 {
-        acc.arg() / 64.0
-    } else {
-        0.0
-    };
-    Some(SyncInfo {
-        frame_start,
-        cfo,
-        quality,
-    })
 }
 
 /// A successfully decoded frame.
@@ -294,12 +204,6 @@ fn decode_frame_impl(samples: &[Cf64], start: usize, soft: bool) -> Result<Decod
     })
 }
 
-/// Convenience: synchronize then decode.
-pub fn receive(samples: &[Cf64]) -> Result<DecodedFrame, RxError> {
-    let sync = synchronize(samples).ok_or(RxError::NoSync)?;
-    decode_frame(samples, sync.frame_start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,32 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn synchronize_finds_offset_frame() {
-        let (_, wave) = frame_with_payload(Rate::R12, 100, 83);
-        let mut padded = vec![Cf64::ZERO; 777];
-        padded.extend_from_slice(&wave);
-        padded.extend(vec![Cf64::ZERO; 100]);
-        let noisy = add_noise(&padded, 25.0, 84);
-        let sync = synchronize(&noisy).expect("sync");
-        assert!(
-            (sync.frame_start as i64 - 777).abs() <= 1,
-            "frame_start={}",
-            sync.frame_start
-        );
-    }
-
-    #[test]
-    fn receive_end_to_end_with_offset_and_noise() {
-        let (frame, wave) = frame_with_payload(Rate::R24, 150, 85);
-        let mut padded = vec![Cf64::ZERO; 500];
-        padded.extend_from_slice(&wave);
-        padded.extend(vec![Cf64::ZERO; 200]);
-        let noisy = add_noise(&padded, 28.0, 86);
-        let decoded = receive(&noisy).expect("receive");
-        assert_eq!(decoded.psdu, frame.psdu);
-    }
-
-    #[test]
     fn cfo_is_corrected() {
         let (frame, wave) = frame_with_payload(Rate::R12, 100, 87);
         // 40 kHz CFO at 20 MSPS.
@@ -383,15 +261,6 @@ mod tests {
             .collect();
         let decoded = decode_frame(&shifted, 0).expect("decode with CFO");
         assert_eq!(decoded.psdu, frame.psdu);
-    }
-
-    #[test]
-    fn noise_only_does_not_sync() {
-        let mut rng = Rng::seed_from(88);
-        let noise: Vec<Cf64> = (0..4000)
-            .map(|_| Cf64::new(rng.gaussian() * 0.1, rng.gaussian() * 0.1))
-            .collect();
-        assert!(synchronize(&noise).is_none());
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub const FFT_LEN: usize = 1024;
 /// Hardware sampling rate of the paper's base-station configuration, Hz.
 pub const SAMPLE_RATE: f64 = 11.4e6;
 
-/// Guard-band subcarriers on each side of the spectrum (paper: 86).
-pub const GUARD_EACH_SIDE: usize = 86;
-
 /// Usable (non-guard, non-DC) subcarriers: 1024 - 2*86 - 1 (DC) = 851; the
 /// preamble carrier sets cover 852 positions including DC's slot, giving
 /// 284 tones per segment. We follow the paper's arithmetic: 284 * 3 = 852.

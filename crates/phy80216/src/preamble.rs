@@ -27,9 +27,7 @@ pub fn preamble_carriers(segment: u8) -> Vec<usize> {
             };
             // Loaded bins must stay out of the guard region: the unused
             // high-|f| bins strictly between PREAMBLE_POSITIONS/2 and
-            // FFT_LEN - PREAMBLE_POSITIONS/2. (The old form subtracted
-            // GUARD_EACH_SIDE from both ends, producing an empty — hence
-            // vacuous — range.)
+            // FFT_LEN - PREAMBLE_POSITIONS/2.
             debug_assert!(
                 bin < FFT_LEN
                     && (bin <= PREAMBLE_POSITIONS / 2 || bin >= FFT_LEN - PREAMBLE_POSITIONS / 2),

@@ -69,12 +69,6 @@ impl Cf64 {
         self.im.atan2(self.re)
     }
 
-    /// Multiplication by `j` (90 degree rotation) without a full complex multiply.
-    #[inline]
-    pub fn mul_j(self) -> Self {
-        Cf64::new(-self.im, self.re)
-    }
-
     /// Scales both components by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -268,43 +262,12 @@ impl IqI16 {
         let q = self.q as i64;
         (i * i + q * q) as u64
     }
-
-    /// Sign bit of the I component as a bipolar value (+1 for non-negative,
-    /// -1 for negative), as extracted by the correlator's MSB slice.
-    #[inline]
-    pub fn sign_i(self) -> i8 {
-        if self.i < 0 {
-            -1
-        } else {
-            1
-        }
-    }
-
-    /// Sign bit of the Q component as a bipolar value.
-    #[inline]
-    pub fn sign_q(self) -> i8 {
-        if self.q < 0 {
-            -1
-        } else {
-            1
-        }
-    }
 }
 
 impl fmt::Debug for IqI16 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({},{})", self.i, self.q)
     }
-}
-
-/// Quantizes a floating point waveform into the fixed-point DDC representation.
-pub fn quantize(buf: &[Cf64]) -> Vec<IqI16> {
-    buf.iter().map(|&s| IqI16::from_cf64(s)).collect()
-}
-
-/// Converts a fixed-point waveform back to floating point.
-pub fn dequantize(buf: &[IqI16]) -> Vec<Cf64> {
-    buf.iter().map(|s| s.to_cf64()).collect()
 }
 
 #[cfg(test)]
@@ -336,16 +299,6 @@ mod tests {
         assert_eq!(a.abs(), 5.0);
         assert_eq!(a.conj(), Cf64::new(3.0, -4.0));
         assert!(((a * a.conj()).re - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mul_j_is_rotation() {
-        let a = Cf64::new(1.0, 0.0);
-        assert_eq!(a.mul_j(), Cf64::new(0.0, 1.0));
-        assert_eq!(a.mul_j().mul_j(), Cf64::new(-1.0, 0.0));
-        let b = Cf64::new(0.3, -0.7);
-        let expected = b * Cf64::new(0.0, 1.0);
-        assert!((b.mul_j() - expected).abs() < 1e-15);
     }
 
     #[test]
@@ -395,14 +348,6 @@ mod tests {
             IqI16::new(i16::MIN, i16::MIN).energy(),
             2 * (32768u64 * 32768)
         );
-    }
-
-    #[test]
-    fn sign_bits() {
-        assert_eq!(IqI16::new(5, -5).sign_i(), 1);
-        assert_eq!(IqI16::new(5, -5).sign_q(), -1);
-        // Hardware MSB slice treats zero as non-negative.
-        assert_eq!(IqI16::new(0, 0).sign_i(), 1);
     }
 
     #[test]

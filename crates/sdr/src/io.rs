@@ -1,18 +1,11 @@
-//! IQ capture file I/O.
+//! IQ capture file I/O in the **cf32** format: interleaved little-endian
+//! `f32` I/Q pairs (GNU Radio's `file_sink` with `gr_complex`).
 //!
-//! Interoperates with the two formats the GNU Radio / UHD ecosystem uses
-//! for raw captures:
-//!
-//! * **cf32** — interleaved little-endian `f32` I/Q pairs (GNU Radio's
-//!   `file_sink` with `gr_complex`);
-//! * **sc16** — interleaved little-endian `i16` I/Q pairs (UHD's
-//!   over-the-wire format, what `rx_samples_to_file --type short` writes).
-//!
-//! These let waveforms generated here be inspected in external tools
+//! It lets waveforms generated here be inspected in external tools
 //! (inspectrum, GNU Radio) and let real captures be replayed through the
 //! detector models.
 
-use crate::complex::{Cf64, IqI16};
+use crate::complex::Cf64;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -49,39 +42,6 @@ pub fn read_cf32(path: &Path) -> io::Result<Vec<Cf64>> {
         .collect())
 }
 
-/// Writes a fixed-point waveform as interleaved little-endian i16 pairs
-/// (sc16, UHD wire format).
-pub fn write_sc16(path: &Path, buf: &[IqI16]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for s in buf {
-        w.write_all(&s.i.to_le_bytes())?;
-        w.write_all(&s.q.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Reads an sc16 capture.
-pub fn read_sc16(path: &Path) -> io::Result<Vec<IqI16>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    if bytes.len() % 4 != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("sc16 file length {} not a multiple of 4", bytes.len()),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| {
-            IqI16::new(
-                i16::from_le_bytes([c[0], c[1]]),
-                i16::from_le_bytes([c[2], c[3]]),
-            )
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,24 +73,6 @@ mod tests {
     }
 
     #[test]
-    fn sc16_roundtrip() {
-        let mut rng = Rng::seed_from(2);
-        let buf: Vec<IqI16> = (0..1000)
-            .map(|_| {
-                IqI16::new(
-                    (rng.below(65536) as i64 - 32768) as i16,
-                    (rng.below(65536) as i64 - 32768) as i16,
-                )
-            })
-            .collect();
-        let path = temp_path("b.sc16");
-        write_sc16(&path, &buf).unwrap();
-        let back = read_sc16(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, buf);
-    }
-
-    #[test]
     fn empty_files() {
         let path = temp_path("empty.cf32");
         write_cf32(&path, &[]).unwrap();
@@ -143,22 +85,15 @@ mod tests {
         let path = temp_path("bad.cf32");
         std::fs::write(&path, [0u8; 7]).unwrap();
         assert!(read_cf32(&path).is_err());
-        std::fs::write(&path, [0u8; 6]).unwrap();
-        assert!(read_sc16(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn file_sizes_match_formats() {
+    fn file_size_matches_format() {
         let buf = vec![Cf64::ONE; 10];
         let p1 = temp_path("size.cf32");
         write_cf32(&p1, &buf).unwrap();
         assert_eq!(std::fs::metadata(&p1).unwrap().len(), 80);
         std::fs::remove_file(&p1).ok();
-        let fx = vec![IqI16::new(1, 1); 10];
-        let p2 = temp_path("size.sc16");
-        write_sc16(&p2, &fx).unwrap();
-        assert_eq!(std::fs::metadata(&p2).unwrap().len(), 40);
-        std::fs::remove_file(&p2).ok();
     }
 }

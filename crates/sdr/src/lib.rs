@@ -49,9 +49,6 @@ pub use rng::Rng;
 /// decimation producing 4 clock cycles per baseband sample).
 pub const USRP_SAMPLE_RATE: f64 = 25.0e6;
 
-/// FPGA fabric clock of the USRP N210, in Hz.
-pub const FPGA_CLOCK_HZ: f64 = 100.0e6;
-
 /// FPGA clock cycles per baseband sample at [`USRP_SAMPLE_RATE`].
 pub const CLOCKS_PER_SAMPLE: u64 = 4;
 

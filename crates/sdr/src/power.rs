@@ -34,11 +34,6 @@ pub fn mean_power(buf: &[Cf64]) -> f64 {
     buf.iter().map(|s| s.norm_sq()).sum::<f64>() / buf.len() as f64
 }
 
-/// Peak instantaneous power `max |x|^2` of a waveform.
-pub fn peak_power(buf: &[Cf64]) -> f64 {
-    buf.iter().map(|s| s.norm_sq()).fold(0.0, f64::max)
-}
-
 /// Scales a waveform in place so that its mean power equals `target`.
 ///
 /// A silent buffer is left untouched (there is nothing to scale).
@@ -62,53 +57,6 @@ pub fn snr_db(signal_power: f64, noise_power: f64) -> f64 {
 /// Root-mean-square amplitude of a waveform.
 pub fn rms(buf: &[Cf64]) -> f64 {
     mean_power(buf).sqrt()
-}
-
-/// Running power meter with exponential averaging, the software analogue of
-/// the RSSI readback the host GUI displays.
-#[derive(Clone, Debug)]
-pub struct PowerMeter {
-    alpha: f64,
-    avg: f64,
-    primed: bool,
-}
-
-impl PowerMeter {
-    /// Creates a meter with smoothing factor `alpha` in `(0, 1]`; smaller
-    /// values average over a longer window.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        PowerMeter {
-            alpha,
-            avg: 0.0,
-            primed: false,
-        }
-    }
-
-    /// Feeds one sample and returns the updated average power.
-    pub fn push(&mut self, s: Cf64) -> f64 {
-        let p = s.norm_sq();
-        if self.primed {
-            self.avg += self.alpha * (p - self.avg);
-        } else {
-            self.avg = p;
-            self.primed = true;
-        }
-        self.avg
-    }
-
-    /// Current average power estimate.
-    pub fn power(&self) -> f64 {
-        self.avg
-    }
-
-    /// Current average power in dB (relative to full scale 1.0).
-    pub fn power_db(&self) -> f64 {
-        lin_to_db(self.avg)
-    }
 }
 
 #[cfg(test)]
@@ -158,26 +106,5 @@ mod tests {
     fn snr_definition() {
         assert!((snr_db(10.0, 1.0) - 10.0).abs() < 1e-12);
         assert!((snr_db(1.0, 2.0) + 3.0103).abs() < 1e-3);
-    }
-
-    #[test]
-    fn power_meter_converges() {
-        let mut m = PowerMeter::new(0.05);
-        let s = Cf64::new(0.5, 0.0); // power 0.25
-        for _ in 0..500 {
-            m.push(s);
-        }
-        assert!((m.power() - 0.25).abs() < 1e-6);
-        assert!((m.power_db() - lin_to_db(0.25)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn peak_power_finds_max() {
-        let buf = [
-            Cf64::new(0.1, 0.0),
-            Cf64::new(0.0, -0.9),
-            Cf64::new(0.3, 0.3),
-        ];
-        assert!((peak_power(&buf) - 0.81).abs() < 1e-12);
     }
 }

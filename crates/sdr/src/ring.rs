@@ -135,11 +135,6 @@ impl ReplayBuffer {
         }
     }
 
-    /// Buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Number of valid captured samples (saturates at capacity).
     pub fn len(&self) -> usize {
         self.filled

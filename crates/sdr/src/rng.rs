@@ -54,12 +54,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics
@@ -123,15 +117,6 @@ impl Rng {
     /// returns it instead of drawing.
     pub fn has_spare(&self) -> bool {
         self.spare.is_some()
-    }
-
-    /// Exponential variate with the given rate parameter (mean `1/rate`).
-    ///
-    /// # Panics
-    /// Panics if `rate` is not strictly positive.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "exponential rate must be positive");
-        -(1.0 - self.uniform()).ln() / rate
     }
 
     /// Fills a byte buffer with pseudo-random data (packet payloads).
@@ -244,15 +229,6 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = Rng::seed_from(17);
-        let rate = 4.0;
-        let n = 100_000;
-        let mean = (0..n).map(|_| rng.exponential(rate)).sum::<f64>() / n as f64;
-        assert!((mean - 1.0 / rate).abs() < 0.01, "mean={mean}");
     }
 
     #[test]

@@ -34,20 +34,6 @@ impl Window {
     pub fn taps(self, len: usize) -> Vec<f64> {
         (0..len).map(|n| self.value(n, len)).collect()
     }
-
-    /// Coherent gain (mean tap value), used to normalize windowed spectra.
-    pub fn coherent_gain(self, len: usize) -> f64 {
-        self.taps(len).iter().sum::<f64>() / len as f64
-    }
-
-    /// Equivalent noise bandwidth in bins — the resolution/leakage trade
-    /// each family makes.
-    pub fn enbw_bins(self, len: usize) -> f64 {
-        let t = self.taps(len);
-        let sum: f64 = t.iter().sum();
-        let sq: f64 = t.iter().map(|w| w * w).sum();
-        len as f64 * sq / (sum * sum)
-    }
 }
 
 #[cfg(test)]
@@ -75,27 +61,6 @@ mod tests {
                 assert!((t[k] - t[t.len() - 1 - k]).abs() < 1e-12, "{w:?} at {k}");
             }
         }
-    }
-
-    #[test]
-    fn enbw_known_values() {
-        // Textbook ENBW: rect 1.0, Hann 1.5, Hamming ~1.36, Blackman ~1.73
-        // (asymptotic; finite-length values are close).
-        assert!((Window::Rectangular.enbw_bins(1024) - 1.0).abs() < 1e-9);
-        assert!((Window::Hann.enbw_bins(1024) - 1.5).abs() < 0.01);
-        assert!((Window::Hamming.enbw_bins(1024) - 1.363).abs() < 0.01);
-        assert!((Window::Blackman.enbw_bins(1024) - 1.727).abs() < 0.01);
-    }
-
-    #[test]
-    fn coherent_gain_ordering() {
-        let n = 512;
-        let r = Window::Rectangular.coherent_gain(n);
-        let hm = Window::Hamming.coherent_gain(n);
-        let hn = Window::Hann.coherent_gain(n);
-        let b = Window::Blackman.coherent_gain(n);
-        assert!((r - 1.0).abs() < 1e-12);
-        assert!(hm > hn && hn > b, "gains {hm} {hn} {b}");
     }
 
     #[test]
