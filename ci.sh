@@ -181,7 +181,7 @@ for cmd in \
 done
 rm -f rjam_ci_t1.out rjam_ci_t4.out
 
-step "figures: every section of run_figures.sh byte-matches figures_output.txt"
+step "figures: run_figures.sh output byte-matches figures_output.txt"
 # The figure contract, checked on every run: fig5's timelines and the
 # reconfiguration latencies (the per-sample core), table1's insertion
 # losses, the MAC simulator's figures, every detection figure (fig6/fig7
@@ -189,49 +189,14 @@ step "figures: every section of run_figures.sh byte-matches figures_output.txt"
 # length and Rayleigh-fading ablations, all fed by the ADC-domain noise
 # generator) and fig12's WiMAX rows and ASCII scope (the detector lane,
 # the jam controller's burst timing, the ordered fold and the scope
-# window). Each section is regenerated with run_figures.sh's exact command
-# and compared with its section of the committed transcript (the lines
-# between its header and the next one, less run_figures.sh's two-line
-# separator).
-fig_section() {
-    awk -v h="############ $1 ############" '
-        $0 == h { on = 1; next }
-        on && (/^############ / || $0 == "DONE") {
-            if ($0 != "DONE") n -= 2
-            for (i = 1; i <= n; i++) print buf[i]
-            found = 1
-            exit
-        }
-        on { buf[++n] = $0 }
-        END { if (!found) exit 1 }' figures_output.txt
+# window). run_figures.sh holds the one list of figure commands; its whole
+# transcript, section headers and the DONE line included, must equal the
+# committed one.
+./run_figures.sh target/rjam_ci_figures.txt
+diff figures_output.txt target/rjam_ci_figures.txt || {
+    echo "figure drift: run_figures.sh output differs from figures_output.txt"; exit 1;
 }
-for fig in \
-    "fig5 fig5_timelines --trials 40" \
-    "table1 table1_insertion_loss" \
-    "fig6 fig6_long_preamble --frames 250 --fa-samples 25000000" \
-    "fig7 fig7_short_preamble --frames 250 --fa-samples 12000000" \
-    "fig8 fig8_energy --frames 250" \
-    "fading ablation_fading --frames 150" \
-    "fig12 fig12_wimax --frames 24" \
-    "fig10 fig10_bandwidth --seconds 10" \
-    "fig11 fig11_prr --seconds 10" \
-    "reconfig reconfig_latency" \
-    "energy energy_efficiency --seconds 6" \
-    "corrlen ablation_corr_len --frames 200" \
-    "rtscts ablation_rts_cts --seconds 6" \
-    "health health_time_to_detect --seconds 3 --cadence 8"; do
-    set -- $fig
-    name=$1
-    bin=$2
-    shift 2
-    fig_section "$name" > rjam_ci_fig_want.txt
-    cargo run -q --release --offline -p rjam-bench --bin "$bin" -- "$@" \
-        > rjam_ci_fig_got.txt 2>&1
-    cmp rjam_ci_fig_want.txt rjam_ci_fig_got.txt || {
-        echo "figure drift: '$name' differs from its figures_output.txt section"; exit 1;
-    }
-done
-rm -f rjam_ci_fig_want.txt rjam_ci_fig_got.txt
+rm -f target/rjam_ci_figures.txt
 
 step "no-default-features: obs layer compiles out (build + clippy)"
 # The whole observability/tracing layer must degrade to zero-sized no-ops

@@ -73,7 +73,7 @@ fn detection_prob(len: usize, snr_db: f64, frames: usize, thr: u64, seed: u64) -
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames"]);
     let frames: usize = args.get("frames", 150);
     figure_header(
         "Ablation",

@@ -11,7 +11,7 @@ use rjam_core::campaign::{CampaignSpec, ChannelModel, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames"]);
     let frames: usize = args.get("frames", 150);
     figure_header(
         "Ablation",

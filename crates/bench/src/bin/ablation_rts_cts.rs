@@ -24,7 +24,7 @@ fn run(jut: JammerUnderTest, sir: f64, rts_cts: bool, seconds: f64) -> rjam_mac:
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seconds"]);
     let seconds: f64 = args.get("seconds", 6.0);
     figure_header(
         "Ablation",

@@ -998,7 +998,6 @@ mod tests {
         }
         events.push(HealthEvent::RunSummary {
             frames: 48,
-            polls: 1,
             alarms_raised: u64::from(alarm.is_some()),
             alarms_active: u64::from(alarm.is_some()),
             healthy: alarm.is_none(),

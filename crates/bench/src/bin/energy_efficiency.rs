@@ -34,7 +34,7 @@ fn find_kill_sir(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seconds"]);
     let seconds: f64 = args.get("seconds", 6.0);
     figure_header(
         "Energy",

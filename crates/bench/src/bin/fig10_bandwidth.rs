@@ -10,7 +10,7 @@ use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
 use rjam_core::CampaignEngine;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seconds"]);
     let seconds: f64 = args.get("seconds", 10.0);
     let engine = CampaignEngine::from_env();
     let sweep = |jut: JammerUnderTest, sirs: &[f64]| {
@@ -57,13 +57,6 @@ fn main() {
 
     // Report the measured kill points (first SIR where bandwidth < 1% of
     // ceiling), the paper's headline numbers.
-    if let Some(path) = std::env::args().skip_while(|a| a != "--csv").nth(1) {
-        for (arm, res) in arms.iter().zip(&results) {
-            let f = format!("{path}.{}.csv", arm.label().replace(' ', "_"));
-            std::fs::write(&f, rjam_core::export::jamming_csv(res)).expect("write csv");
-            println!("wrote {f}");
-        }
-    }
     println!();
     for (arm, res) in arms.iter().zip(&results) {
         let kill = res

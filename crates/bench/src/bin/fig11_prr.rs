@@ -10,7 +10,7 @@ use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
 use rjam_core::CampaignEngine;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seconds"]);
     let seconds: f64 = args.get("seconds", 10.0);
     figure_header(
         "Fig. 11",
@@ -54,13 +54,6 @@ fn main() {
                 "up"
             }
         );
-    }
-    if let Some(path) = std::env::args().skip_while(|a| a != "--csv").nth(1) {
-        for (arm, res) in arms.iter().zip(&results) {
-            let f = format!("{path}.{}.csv", arm.label().replace(' ', "_"));
-            std::fs::write(&f, rjam_core::export::jamming_csv(res)).expect("write csv");
-            println!("wrote {f}");
-        }
     }
     println!();
     for (arm, res) in arms.iter().zip(&results) {

@@ -15,7 +15,7 @@ use rjam_core::campaign::CampaignSpec;
 use rjam_core::CampaignEngine;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "snr"]);
     let frames: usize = args.get("frames", 40);
     let snr: f64 = args.get("snr", 20.0);
     figure_header(

@@ -30,7 +30,7 @@ fn run_episode(det: DetectionPreset, seed: u64) -> rjam_core::timeline::Measured
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["trials"]);
     let trials: usize = args.get("trials", 25);
     figure_header(
         "Fig. 5",

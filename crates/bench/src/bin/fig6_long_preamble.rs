@@ -47,7 +47,7 @@ fn calibrate_thresholds(engine: &CampaignEngine, fa_samples: usize) -> ((f64, f6
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "fa-samples"]);
     let frames: usize = args.get("frames", 1000);
     let fa_samples: usize = args.get("fa-samples", 20_000_000);
     figure_header(

@@ -11,7 +11,7 @@ use rjam_core::campaign::{false_alarm_rate, CampaignSpec, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "fa-samples"]);
     let frames: usize = args.get("frames", 1000);
     let fa_samples: usize = args.get("fa-samples", 20_000_000);
     figure_header(
@@ -52,10 +52,6 @@ fn main() {
     println!("\n{:>10} {:>20}", "SNR (dB)", "P(det) full frames");
     for p in &pts {
         println!("{:>10.1} {:>20.3}", p.snr_db, p.p_detect);
-    }
-    if let Some(path) = std::env::args().skip_while(|a| a != "--csv").nth(1) {
-        std::fs::write(&path, rjam_core::export::detection_csv(&pts)).expect("write csv");
-        println!("wrote {path}");
     }
     println!("\n({frames} full WiFi frames per SNR point.)");
 }

@@ -15,7 +15,7 @@ use rjam_core::campaign::{CampaignSpec, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["frames", "fa-samples"]);
     let frames: usize = args.get("frames", 1000);
     let fa_samples: usize = args.get("fa-samples", 20_000_000);
     figure_header(
@@ -54,10 +54,6 @@ fn main() {
             "{:>10.1} {:>12.3} {:>22.2}{note}",
             p.snr_db, p.p_detect, p.triggers_per_frame
         );
-    }
-    if let Some(path) = std::env::args().skip_while(|a| a != "--csv").nth(1) {
-        std::fs::write(&path, rjam_core::export::detection_csv(&pts)).expect("write csv");
-        println!("wrote {path}");
     }
     println!("\n({frames} full WiFi frames per SNR point, 10 dB rise threshold.)");
 }

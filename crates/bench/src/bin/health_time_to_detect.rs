@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! cargo run --release -p rjam-bench --bin health_time_to_detect \
-//!     [-- --seconds 3 --cadence 8 --csv health_ttd]
+//!     [-- --seconds 3 --cadence 8]
 //! ```
 //!
 //! Heavily jammed links emit only a handful of datagrams per simulated
@@ -16,7 +16,7 @@ use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
 use rjam_core::CampaignEngine;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seconds", "cadence"]);
     let seconds: f64 = args.get("seconds", 3.0);
     let cadence: u64 = args.get("cadence", 8);
     figure_header(
@@ -57,11 +57,6 @@ fn main() {
             p.alarms,
             p.prr_percent
         );
-    }
-    if let Some(path) = std::env::args().skip_while(|a| a != "--csv").nth(1) {
-        let f = format!("{path}.csv");
-        std::fs::write(&f, rjam_core::export::time_to_detect_csv(&points)).expect("write csv");
-        println!("wrote {f}");
     }
 
     let clean_alarms: u64 = points

@@ -11,7 +11,7 @@
 //! cargo run --release -p rjam-bench --bin reconfig_latency
 //! ```
 
-use rjam_bench::figure_header;
+use rjam_bench::{figure_header, Args};
 use rjam_core::{DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_fpga::JamWaveform;
 use rjam_sdr::complex::Cf64;
@@ -22,6 +22,8 @@ use rjam_sdr::rng::Rng;
 const NS_PER_WRITE: f64 = 120.0;
 
 fn main() {
+    // Takes no flags: any argument is a usage error.
+    Args::parse(&[]);
     figure_header(
         "§4.3",
         "Run-time jammer personality switching",

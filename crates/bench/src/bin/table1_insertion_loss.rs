@@ -6,10 +6,12 @@
 //! cargo run --release -p rjam-bench --bin table1_insertion_loss
 //! ```
 
-use rjam_bench::figure_header;
+use rjam_bench::{figure_header, Args};
 use rjam_channel::{FivePortNetwork, Port};
 
 fn main() {
+    // Takes no flags: any argument is a usage error.
+    Args::parse(&[]);
     figure_header(
         "Table 1",
         "Insertion loss values measured at the ports of the 5-port network",

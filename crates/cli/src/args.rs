@@ -736,9 +736,8 @@ NOTES:
   chrome://tracing loadable timeline with one track per pipeline stage.
   monitor attaches the online link-health monitor to one iperf-style
   scenario run: every --cadence frames the streaming detectors (EWMA
-  baseline, CUSUM, Page-Hinkley, rolling quantiles) judge the windowed
-  PRR, jam rate, false-alarm drift, trigger-to-TX budget and worker
-  utilization, and each transition is logged as a rjam-health-v1 event
+  baseline, CUSUM, Page-Hinkley) judge that run's windowed PRR and jam
+  rate, and each transition is logged as a rjam-health-v1 event
   (--out writes the NDJSON stream; validate it with check health).
   The exit code is the verdict: 0 healthy, 1 alarmed.
   report runs a reference detection sweep through the campaign engine and

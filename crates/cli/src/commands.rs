@@ -707,9 +707,6 @@ fn monitor_report(
     let sc = rjam_core::campaign::scenario_for(jut, sir_db, seconds, 0x6EA17);
     let mut mon = rjam_obs::HealthMonitor::new(cadence);
     let report = rjam_mac::ScenarioRun::new(&sc).health(&mut mon).run();
-    // One end-of-run registry poll so the counter/histogram rules see the
-    // scenario's flushed `mac.*` / `fpga.*` deltas too.
-    mon.poll_registry();
     let verdict = mon.finish();
     if let Some(path) = out {
         let log: String = mon.events().iter().map(|ev| ev.to_line() + "\n").collect();

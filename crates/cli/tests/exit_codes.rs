@@ -116,33 +116,85 @@ fn stats_prints_counters_and_latency_histogram() {
     }
 }
 
+/// Runs `rjamctl monitor ARGS --out FILE` and returns the process output
+/// with the parsed, chain-validated `rjam-health-v1` stream it wrote.
+#[cfg(feature = "obs")]
+fn monitor_with_stream(
+    tag: &str,
+    args: &[&str],
+) -> (std::process::Output, Vec<rjam_obs::health::HealthEvent>) {
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "rjamctl_e2e_health_{tag}_{}.ndjson",
+        std::process::id()
+    ));
+    let path_s = path.to_string_lossy().to_string();
+    let mut argv = vec!["monitor"];
+    argv.extend_from_slice(args);
+    argv.extend_from_slice(&["--out", &path_s]);
+    let out = rjamctl(&argv);
+    let stream = std::fs::read_to_string(&path).expect("health stream written");
+    std::fs::remove_file(&path).ok();
+    let events = rjam_obs::health::parse_stream(&stream).expect("stream parses");
+    rjam_obs::health::validate_chain(&events).expect("chain validates");
+    (out, events)
+}
+
+/// Field-by-field equality of two health streams, each `f64` by bits.
+#[cfg(feature = "obs")]
+fn assert_stream_eq(got: &[rjam_obs::health::HealthEvent], want: &[rjam_obs::health::HealthEvent]) {
+    use rjam_obs::health::HealthEvent;
+    let f64_bits = |ev: &HealthEvent| match ev {
+        HealthEvent::Baseline { mean, .. } => vec![mean.to_bits()],
+        HealthEvent::AlarmRaised {
+            stat, threshold, ..
+        } => vec![stat.to_bits(), threshold.to_bits()],
+        _ => Vec::new(),
+    };
+    assert_eq!(got.len(), want.len(), "{got:?}");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g, w);
+        assert_eq!(f64_bits(g), f64_bits(w), "{g:?}");
+    }
+}
+
 #[cfg(feature = "obs")]
 #[test]
 fn monitor_healthy_exits_0() {
-    let out = rjamctl(&["monitor", "--jammer", "off", "--seconds", "0.5"]);
+    use rjam_obs::health::HealthEvent;
+    let (out, events) = monitor_with_stream("clean", &["--jammer", "off", "--seconds", "1"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("link health: HEALTHY"), "{text}");
     assert!(text.contains("prr_collapse"), "{text}");
+    // The stock clean run's stream, pinned.
+    assert_stream_eq(
+        &events,
+        &[
+            HealthEvent::Baseline {
+                metric: "mac.prr".into(),
+                detector: "ewma".into(),
+                mean: 1.0,
+                samples: 16,
+            },
+            HealthEvent::RunSummary {
+                frames: 2622,
+                alarms_raised: 0,
+                alarms_active: 0,
+                healthy: true,
+            },
+        ],
+    );
 }
 
 #[cfg(feature = "obs")]
 #[test]
 fn monitor_alarmed_exits_1_with_report_on_stdout() {
-    let mut path = std::env::temp_dir();
-    path.push(format!("rjamctl_e2e_health_{}.ndjson", std::process::id()));
-    let path_s = path.to_string_lossy().to_string();
-    let out = rjamctl(&[
-        "monitor",
-        "--jammer",
-        "reactive-long",
-        "--sir",
-        "1",
-        "--seconds",
-        "1",
-        "--out",
-        &path_s,
-    ]);
+    use rjam_obs::health::HealthEvent;
+    let (out, events) = monitor_with_stream(
+        "jam",
+        &["--jammer", "reactive-long", "--sir", "1", "--seconds", "1"],
+    );
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     // The alarmed verdict is a report, not an error: stdout, no "error:".
     let text = String::from_utf8_lossy(&out.stdout);
@@ -151,13 +203,35 @@ fn monitor_alarmed_exits_1_with_report_on_stdout() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("error:"), "{err}");
     assert!(!err.contains("USAGE:"), "{err}");
-    // The --out stream is a valid rjam-health-v1 chain ending in an
-    // unhealthy run_summary.
-    let stream = std::fs::read_to_string(&path).expect("health stream written");
-    std::fs::remove_file(&path).ok();
-    let events = rjam_obs::health::parse_stream(&stream).expect("stream parses");
-    rjam_obs::health::validate_chain(&events).expect("chain validates");
-    assert!(stream.contains("\"ev\":\"alarm_raised\""), "{stream}");
+    // The stock jammed run's stream, pinned: the PRR baseline, one
+    // prr_collapse alarm at frame 32 naming the last 8 lost frames, and an
+    // unhealthy summary with that alarm still active.
+    assert_stream_eq(
+        &events,
+        &[
+            HealthEvent::Baseline {
+                metric: "mac.prr".into(),
+                detector: "ewma".into(),
+                mean: 0.0,
+                samples: 16,
+            },
+            HealthEvent::AlarmRaised {
+                rule: "prr_collapse".into(),
+                metric: "mac.prr".into(),
+                detector: "cusum".into(),
+                stat: 1.4400000000000002,
+                threshold: 1.0,
+                frame: 32,
+                frames: (0x19..=0x20).collect(),
+            },
+            HealthEvent::RunSummary {
+                frames: 32,
+                alarms_raised: 1,
+                alarms_active: 1,
+                healthy: false,
+            },
+        ],
+    );
 }
 
 #[test]

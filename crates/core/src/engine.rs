@@ -543,9 +543,7 @@ impl CampaignEngine {
             // Shard completions update the count and emit under one lock so
             // racing workers can never put snapshots out of order on the wire.
             let finished = Mutex::new(0u64);
-            let depth_gauge = rjam_obs::registry::gauge("core.engine_queue_depth");
             let note_shard = |shard: usize, worker: usize, units: usize, busy_ns: u64| {
-                depth_gauge.set(plan.n_shards().saturating_sub(shard + 1) as u64);
                 let Some(emit) = progress else {
                     return;
                 };
@@ -791,7 +789,6 @@ fn publish_run_telemetry(
     rjam_obs::registry::counter("core.engine_idle_ns").add(profile.idle_ns());
     rjam_obs::registry::counter("core.engine_merge_wait_ns").add(profile.merge_wait_ns());
     rjam_obs::registry::counter("core.engine_stragglers").add(profile.stragglers.len() as u64);
-    rjam_obs::registry::gauge("core.engine_queue_depth").set(0);
     rjam_obs::registry::histogram("core.engine_unit_ns").absorb(&hist);
     if let Some(emit) = done_to {
         emit(

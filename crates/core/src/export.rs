@@ -11,7 +11,7 @@
 //! contract is checked against — CI diffs `RJAM_THREADS=1` output against
 //! `RJAM_THREADS=4` output, byte for byte.
 
-use crate::campaign::{DetectionPoint, JammingPoint, RocPoint, TimeToDetectPoint, WimaxResult};
+use crate::campaign::{DetectionPoint, JammingPoint, RocPoint, WimaxResult};
 use rjam_obs::json::write_number as num;
 use std::fmt::Write as _;
 
@@ -44,26 +44,6 @@ pub fn jamming_csv(points: &[JammingPoint]) -> String {
             p.report.jam_bursts,
             p.report.jam_airtime_us,
             p.report.disassociated
-        );
-    }
-    out
-}
-
-/// CSV for a health-monitor time-to-detect sweep. `frames_to_alarm` is
-/// `-1` when the monitor never alarmed (the clean-run rows).
-pub fn time_to_detect_csv(points: &[TimeToDetectPoint]) -> String {
-    let mut out = String::from("jammer,sir_ap_db,frames,frames_to_alarm,alarms,prr_percent\n");
-    for p in points {
-        let tta = p.frames_to_alarm.map_or(-1i64, |f| f as i64);
-        let _ = writeln!(
-            out,
-            "{},{:.2},{},{},{},{:.2}",
-            p.jammer.label().replace(',', ";"),
-            p.sir_ap_db,
-            p.frames,
-            tta,
-            p.alarms,
-            p.prr_percent
         );
     }
     out
@@ -205,40 +185,6 @@ mod tests {
     #[test]
     fn roc_csv_header() {
         assert!(roc_csv(&[]).starts_with("threshold,"));
-    }
-
-    #[test]
-    fn time_to_detect_csv_encodes_missing_alarm_as_minus_one() {
-        use crate::campaign::{JammerUnderTest, TimeToDetectPoint};
-        let pts = vec![
-            TimeToDetectPoint {
-                jammer: JammerUnderTest::ReactiveLong,
-                sir_ap_db: 1.0,
-                frames: 4590,
-                frames_to_alarm: Some(32),
-                alarms: 2,
-                prr_percent: 3.25,
-            },
-            TimeToDetectPoint {
-                jammer: JammerUnderTest::Off,
-                sir_ap_db: 1.0,
-                frames: 4590,
-                frames_to_alarm: None,
-                alarms: 0,
-                prr_percent: 97.5,
-            },
-        ];
-        let csv = time_to_detect_csv(&pts);
-        assert!(csv.starts_with("jammer,sir_ap_db,frames,frames_to_alarm,alarms,prr_percent\n"));
-        let rows: Vec<&str> = csv.lines().skip(1).collect();
-        assert_eq!(rows.len(), 2);
-        let jammed: Vec<&str> = rows[0].split(',').collect();
-        assert_eq!(jammed[0], "Reactive Jammer 0.1ms Uptime");
-        assert_eq!(jammed[3], "32");
-        assert_eq!(jammed[4], "2");
-        let clean: Vec<&str> = rows[1].split(',').collect();
-        assert_eq!(clean[3], "-1");
-        assert_eq!(clean[4], "0");
     }
 
     #[test]

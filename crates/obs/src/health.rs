@@ -2,18 +2,15 @@
 //! protocol plus the streaming detectors that drive it.
 //!
 //! The paper's operator watches the link die on a spectrum scope; this
-//! reproduction's equivalent is a [`HealthMonitor`] that watches the obs
-//! registry and the MAC scenario loop *while a run is in flight* and says
-//! "the link just collapsed" the moment it happens. It evaluates a typed
-//! rule set —
+//! reproduction's equivalent is a [`HealthMonitor`] that judges the frame
+//! outcomes the MAC scenario loop feeds it *while a run is in flight* and
+//! says "the link just collapsed" the moment it happens. It evaluates a
+//! typed rule set over those frames alone —
 //!
-//! | rule                | metric                  | detector           |
-//! |---------------------|-------------------------|--------------------|
-//! | `prr_collapse`      | `mac.prr`               | CUSUM vs reference |
-//! | `trigger_storm`     | `mac.jam_rate`          | Page–Hinkley       |
-//! | `fa_drift`          | `core.fa_rate`          | EWMA z-score       |
-//! | `latency_budget`    | `fpga.trigger_to_tx_ns` | rolling quantile   |
-//! | `worker_starvation` | `core.engine_idle_frac` | threshold          |
+//! | rule            | metric         | detector           |
+//! |-----------------|----------------|--------------------|
+//! | `prr_collapse`  | `mac.prr`      | CUSUM vs reference |
+//! | `trigger_storm` | `mac.jam_rate` | Page–Hinkley       |
 //!
 //! — and logs its verdicts as [`HealthEvent`]s, one JSON object per line
 //! (NDJSON) when serialised:
@@ -33,12 +30,12 @@
 //! event per lost/jammed frame in the global flight recorder, for snapshots
 //! and post-mortems.
 //!
-//! The detectors ([`EwmaBaseline`], [`Cusum`], [`PageHinkley`],
-//! [`RollingQuantile`]) are allocation-free after construction and read
-//! no registry or recorder, so they are always compiled, like the protocol
-//! types and parser (validators must read streams even in
-//! `--no-default-features` builds); only the monitor compiles to a
-//! zero-sized no-op without the `obs` feature.
+//! The detectors ([`EwmaBaseline`], [`Cusum`] and [`PageHinkley`], which
+//! the two rules use, and [`RollingQuantile`]) are allocation-free after
+//! construction and read no registry or recorder, so they are always
+//! compiled, like the protocol types and parser (validators must read
+//! streams even in `--no-default-features` builds); only the monitor
+//! compiles to a zero-sized no-op without the `obs` feature.
 
 use crate::json;
 use crate::proto::{self, Envelope, ParseError, Protocol};
@@ -58,13 +55,13 @@ pub const SCHEMA: &str = PROTOCOL.tag;
 pub enum HealthEvent {
     /// A rule's baseline detector has seen enough samples to judge.
     Baseline {
-        /// Metric the baseline describes (`mac.prr`, `core.fa_rate`, ...).
+        /// Metric the baseline describes (`mac.prr`).
         metric: Cow<'static, str>,
         /// Detector that established it (`ewma`).
         detector: Cow<'static, str>,
         /// Baseline mean at establishment.
         mean: f64,
-        /// Samples (frames or registry polls) the baseline consumed.
+        /// Frames the baseline consumed.
         samples: u64,
     },
     /// A rule tripped.
@@ -98,8 +95,6 @@ pub enum HealthEvent {
     RunSummary {
         /// Frames the monitor observed.
         frames: u64,
-        /// Registry polls the monitor evaluated.
-        polls: u64,
         /// Alarms raised over the whole run.
         alarms_raised: u64,
         /// Alarms still active at the end.
@@ -171,16 +166,14 @@ impl HealthEvent {
             ),
             HealthEvent::RunSummary {
                 frames,
-                polls,
                 alarms_raised,
                 alarms_active,
                 healthy,
             } => format!(
-                "{{\"v\":{},\"ev\":\"run_summary\",\"frames\":{},\"polls\":{},\
+                "{{\"v\":{},\"ev\":\"run_summary\",\"frames\":{},\
                  \"alarms_raised\":{},\"alarms_active\":{},\"healthy\":{}}}",
                 json::write_string(SCHEMA),
                 num(*frames),
-                num(*polls),
                 num(*alarms_raised),
                 num(*alarms_active),
                 num(u64::from(*healthy)),
@@ -223,7 +216,6 @@ impl HealthEvent {
             }),
             "run_summary" => Ok(HealthEvent::RunSummary {
                 frames: env.u64("frames")?,
-                polls: env.u64("polls")?,
                 alarms_raised: env.u64("alarms_raised")?,
                 alarms_active: env.u64("alarms_active")?,
                 healthy: env.u64("healthy")? != 0,
@@ -538,7 +530,7 @@ impl RollingQuantile {
 
 #[cfg(feature = "obs")]
 mod enabled {
-    use super::{Cusum, EwmaBaseline, HealthEvent, HealthVerdict, PageHinkley, RollingQuantile};
+    use super::{Cusum, EwmaBaseline, HealthEvent, HealthVerdict, PageHinkley};
     use crate::registry;
     use std::collections::VecDeque;
 
@@ -558,20 +550,6 @@ mod enabled {
     const STORM_DELTA: f64 = 0.05;
     /// Page–Hinkley trip threshold on the jammed-frame rate.
     const STORM_LAMBDA: f64 = 0.5;
-    /// EWMA smoothing factor for the false-alarm-rate baseline.
-    const FA_ALPHA: f64 = 0.25;
-    /// Trip when the FA rate exceeds `mean + FA_SIGMA * std`.
-    const FA_SIGMA: f64 = 6.0;
-    /// Minimum new `core.fa_samples` per poll for an FA-rate estimate.
-    const FA_MIN_SAMPLES: u64 = 10_000;
-    /// `fpga.trigger_to_tx_ns` p99 budget (the paper's 2640 ns).
-    const LATENCY_BUDGET_NS: f64 = 2640.0;
-    /// Rolling window (polls) over p99 observations.
-    const LATENCY_WINDOW: usize = 32;
-    /// Trip when the engine idle fraction exceeds this with >= 2 workers.
-    const STARVATION_IDLE_FRAC: f64 = 0.95;
-    /// Minimum new (busy + idle) ns per poll for an idle-fraction estimate.
-    const STARVATION_MIN_NS: u64 = 10_000_000;
 
     /// Flight-recorder event kind for degraded frames.
     pub const DEGRADED_KIND: &str = "health.frame_degraded";
@@ -585,24 +563,18 @@ mod enabled {
         streak: u64,
     }
 
-    /// Streaming link-health judge over the MAC feed and the obs registry.
+    /// Streaming link-health judge over the MAC frame feed.
     ///
-    /// Two input paths, matching the two data cadences:
-    ///
-    /// * [`note_frame`](HealthMonitor::note_frame) — per-frame feed from
-    ///   the MAC scenario loop; evaluates the PRR-collapse and
-    ///   trigger-storm rules every `frame_cadence` frames.
-    /// * [`poll_registry`](HealthMonitor::poll_registry) — block-cadence
-    ///   registry deltas; evaluates the false-alarm-drift, latency-budget
-    ///   and worker-starvation rules. Cursors are captured at
-    ///   construction, so only activity *during* the monitored run counts.
+    /// [`note_frame`](HealthMonitor::note_frame) takes each frame outcome
+    /// from the MAC scenario loop and evaluates the PRR-collapse and
+    /// trigger-storm rules every `cadence` frames. The monitor judges
+    /// only the frames it is fed, so its verdict belongs to one run.
     pub struct HealthMonitor {
         /// Frames per evaluation window on the MAC feed.
         cadence: u64,
         events: Vec<HealthEvent>,
         frames: u64,
         windows: u64,
-        polls: u64,
         alarms_raised: u64,
         win_frames: u64,
         win_delivered: u64,
@@ -613,19 +585,6 @@ mod enabled {
         prr_state: RuleState,
         storm_ph: PageHinkley,
         storm_state: RuleState,
-        fa_base: EwmaBaseline,
-        fa_baselined: bool,
-        fa_state: RuleState,
-        /// Allocated by the first registry poll that sees a new latency
-        /// reading; MAC-only monitors never need it.
-        lat_window: Option<RollingQuantile>,
-        lat_state: RuleState,
-        starv_state: RuleState,
-        last_fa_triggers: u64,
-        last_fa_samples: u64,
-        last_lat_count: u64,
-        last_busy_ns: u64,
-        last_idle_ns: u64,
         /// Degraded-frame records `(frame, frame id, jammed)` not yet in
         /// the flight recorder, oldest first.
         degraded: Vec<(u64, i64, i64)>,
@@ -634,26 +593,14 @@ mod enabled {
         recent: VecDeque<u64>,
     }
 
-    /// Registry counters the monitor keeps cursors on, read under one lock.
-    const POLLED_COUNTERS: [&str; 4] = [
-        "core.fa_triggers",
-        "core.fa_samples",
-        "core.engine_busy_ns",
-        "core.engine_idle_ns",
-    ];
-
     impl HealthMonitor {
         /// A monitor with the stock rules, evaluating the MAC feed every
-        /// `cadence` frames (clamped to >= 1), with registry cursors
-        /// captured *now*.
+        /// `cadence` frames (clamped to >= 1).
         pub fn new(cadence: u64) -> Self {
-            let [fa_triggers, fa_samples, busy_ns, idle_ns] =
-                registry::counter_values(POLLED_COUNTERS);
             HealthMonitor {
                 events: Vec::new(),
                 frames: 0,
                 windows: 0,
-                polls: 0,
                 alarms_raised: 0,
                 win_frames: 0,
                 win_delivered: 0,
@@ -664,17 +611,6 @@ mod enabled {
                 prr_state: RuleState::default(),
                 storm_ph: PageHinkley::new(STORM_DELTA, STORM_LAMBDA),
                 storm_state: RuleState::default(),
-                fa_base: EwmaBaseline::new(FA_ALPHA),
-                fa_baselined: false,
-                fa_state: RuleState::default(),
-                lat_window: None,
-                lat_state: RuleState::default(),
-                starv_state: RuleState::default(),
-                last_fa_triggers: fa_triggers,
-                last_fa_samples: fa_samples,
-                last_lat_count: registry::histogram_count("fpga.trigger_to_tx_ns"),
-                last_busy_ns: busy_ns,
-                last_idle_ns: idle_ns,
                 degraded: Vec::new(),
                 recent: VecDeque::new(),
                 cadence: cadence.max(1),
@@ -795,103 +731,6 @@ mod enabled {
             }
         }
 
-        /// One registry poll (block cadence): false-alarm drift, trigger
-        /// latency vs budget, worker starvation.
-        pub fn poll_registry(&mut self) {
-            self.polls += 1;
-
-            // False-alarm drift: z-score vs an EWMA baseline learned from
-            // this run's own healthy polls.
-            let [trig, samp, busy, idle] = registry::counter_values(POLLED_COUNTERS);
-            let d_trig = trig.saturating_sub(self.last_fa_triggers);
-            let d_samp = samp.saturating_sub(self.last_fa_samples);
-            self.last_fa_triggers = trig;
-            self.last_fa_samples = samp;
-            if d_samp >= FA_MIN_SAMPLES {
-                let rate = d_trig as f64 / d_samp as f64;
-                if !self.fa_baselined {
-                    self.fa_base.update(rate);
-                    if self.fa_base.samples() >= 2 {
-                        self.fa_baselined = true;
-                        let ev = HealthEvent::Baseline {
-                            metric: "core.fa_rate".into(),
-                            detector: "ewma".into(),
-                            mean: self.fa_base.mean(),
-                            samples: self.fa_base.samples(),
-                        };
-                        self.push(ev);
-                    }
-                } else {
-                    let limit = self.fa_base.mean() + FA_SIGMA * self.fa_base.std() + 1e-12;
-                    if self.fa_state.active {
-                        if rate <= limit {
-                            self.fa_state = RuleState::default();
-                            self.clear_rule("fa_drift", "core.fa_rate");
-                        }
-                    } else if rate > limit {
-                        self.fa_state.active = true;
-                        self.raise("fa_drift", "core.fa_rate", "ewma", rate, limit);
-                    } else {
-                        // Keep learning only while healthy, so the alarm
-                        // condition cannot drag its own baseline up.
-                        self.fa_base.update(rate);
-                    }
-                }
-            }
-
-            // Latency budget: rolling median of trigger-to-TX p99 readings.
-            let lat = registry::histogram_snapshot("fpga.trigger_to_tx_ns");
-            let cnt = lat.count();
-            if cnt > self.last_lat_count {
-                let window = self
-                    .lat_window
-                    .get_or_insert_with(|| RollingQuantile::new(LATENCY_WINDOW));
-                window.push(lat.quantile(0.99) as f64);
-                let stat = window.quantile(0.5);
-                if self.lat_state.active {
-                    if stat <= LATENCY_BUDGET_NS {
-                        self.lat_state = RuleState::default();
-                        self.clear_rule("latency_budget", "fpga.trigger_to_tx_ns");
-                    }
-                } else if stat > LATENCY_BUDGET_NS {
-                    self.lat_state.active = true;
-                    self.raise(
-                        "latency_budget",
-                        "fpga.trigger_to_tx_ns",
-                        "rolling_quantile",
-                        stat,
-                        LATENCY_BUDGET_NS,
-                    );
-                }
-            }
-            self.last_lat_count = cnt;
-
-            // Worker starvation: engine idle fraction with >= 2 workers.
-            let d_busy = busy.saturating_sub(self.last_busy_ns);
-            let d_idle = idle.saturating_sub(self.last_idle_ns);
-            self.last_busy_ns = busy;
-            self.last_idle_ns = idle;
-            let workers = registry::gauge_value("core.engine_threads");
-            if workers >= 2 && d_busy + d_idle >= STARVATION_MIN_NS {
-                let idle_frac = d_idle as f64 / (d_busy + d_idle) as f64;
-                if self.starv_state.active {
-                    if idle_frac <= STARVATION_IDLE_FRAC {
-                        self.starv_state = RuleState::default();
-                        self.clear_rule("worker_starvation", "core.engine_idle_frac");
-                    }
-                } else if idle_frac > STARVATION_IDLE_FRAC {
-                    self.starv_state.active = true;
-                    self.raise(
-                        "worker_starvation",
-                        "core.engine_idle_frac",
-                        "threshold",
-                        idle_frac,
-                        STARVATION_IDLE_FRAC,
-                    );
-                }
-            }
-        }
-
         fn raise(
             &mut self,
             rule: &'static str,
@@ -939,7 +778,6 @@ mod enabled {
             };
             let ev = HealthEvent::RunSummary {
                 frames: self.frames,
-                polls: self.polls,
                 alarms_raised: verdict.alarms_raised,
                 alarms_active: verdict.alarms_active,
                 healthy: verdict.healthy,
@@ -971,16 +809,10 @@ mod enabled {
 
         /// Rules currently in the alarmed state.
         pub fn active_alarms(&self) -> u64 {
-            [
-                self.prr_state,
-                self.storm_state,
-                self.fa_state,
-                self.lat_state,
-                self.starv_state,
-            ]
-            .iter()
-            .filter(|s| s.active)
-            .count() as u64
+            [self.prr_state, self.storm_state]
+                .iter()
+                .filter(|s| s.active)
+                .count() as u64
         }
 
         /// Frame count at the first raised alarm (time-to-detect).
@@ -1027,33 +859,6 @@ mod enabled {
                 format!("{:.2}", STORM_LAMBDA),
                 state(&self.storm_state, true),
             );
-            let _ = writeln!(
-                out,
-                "{:<18} {:<24} {:<17} {:>12}  {}",
-                "fa_drift",
-                "core.fa_rate",
-                "ewma",
-                format!("+{:.1} sigma", FA_SIGMA),
-                state(&self.fa_state, self.fa_baselined),
-            );
-            let _ = writeln!(
-                out,
-                "{:<18} {:<24} {:<17} {:>12}  {}",
-                "latency_budget",
-                "fpga.trigger_to_tx_ns",
-                "rolling_quantile",
-                format!("{:.0} ns", LATENCY_BUDGET_NS),
-                state(&self.lat_state, true),
-            );
-            let _ = writeln!(
-                out,
-                "{:<18} {:<24} {:<17} {:>12}  {}",
-                "worker_starvation",
-                "core.engine_idle_frac",
-                "threshold",
-                format!("{:.2}", STARVATION_IDLE_FRAC),
-                state(&self.starv_state, true),
-            );
             out
         }
     }
@@ -1088,9 +893,6 @@ mod disabled {
         /// No-op.
         #[inline(always)]
         pub fn note_frame(&mut self, _frame_id: u64, _delivered: bool, _jammed: bool) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn poll_registry(&mut self) {}
         /// Always healthy.
         pub fn finish(&mut self) -> HealthVerdict {
             HealthVerdict {
@@ -1167,7 +969,6 @@ mod tests {
             },
             HealthEvent::RunSummary {
                 frames: 160,
-                polls: 3,
                 alarms_raised: 1,
                 alarms_active: 0,
                 healthy: false,
@@ -1384,7 +1185,6 @@ mod tests {
     #[cfg(feature = "obs")]
     mod monitor {
         use super::super::*;
-        use crate::registry;
 
         #[test]
         fn prr_collapse_raises_within_two_windows_and_clears() {
@@ -1480,81 +1280,15 @@ mod tests {
         }
 
         #[test]
-        fn fa_drift_alarms_on_registry_deltas() {
-            // Cursors are captured at construction, so this test only sees
-            // its own counter bumps (other tests add their own deltas to
-            // *their* monitors).
-            let mut mon = HealthMonitor::new(16);
-            for _ in 0..2 {
-                registry::counter("core.fa_samples").add(100_000);
-                registry::counter("core.fa_triggers").add(3);
-                mon.poll_registry();
-            }
-            assert!(mon.events().iter().any(|e| matches!(
-                e,
-                HealthEvent::Baseline { metric, .. } if metric == "core.fa_rate"
-            )));
-            registry::counter("core.fa_samples").add(100_000);
-            registry::counter("core.fa_triggers").add(50_000);
-            mon.poll_registry();
-            assert!(
-                mon.events().iter().any(|e| matches!(
-                    e,
-                    HealthEvent::AlarmRaised { rule, .. } if rule == "fa_drift"
-                )),
-                "{:?}",
-                mon.events()
-            );
-        }
-
-        #[test]
-        fn latency_budget_alarms_on_budget_breach() {
-            let mut mon = HealthMonitor::new(16);
-            let h = registry::histogram("fpga.trigger_to_tx_ns");
-            for _ in 0..64 {
-                h.record(50_000);
-            }
-            mon.poll_registry();
-            assert!(
-                mon.events().iter().any(|e| matches!(
-                    e,
-                    HealthEvent::AlarmRaised { rule, .. } if rule == "latency_budget"
-                )),
-                "{:?}",
-                mon.events()
-            );
-        }
-
-        #[test]
-        fn worker_starvation_alarms_on_idle_fraction() {
-            registry::gauge("core.engine_threads").set(4);
-            let mut mon = HealthMonitor::new(16);
-            registry::counter("core.engine_idle_ns").add(99_000_000);
-            registry::counter("core.engine_busy_ns").add(1_000_000);
-            mon.poll_registry();
-            assert!(
-                mon.events().iter().any(|e| matches!(
-                    e,
-                    HealthEvent::AlarmRaised { rule, .. } if rule == "worker_starvation"
-                )),
-                "{:?}",
-                mon.events()
-            );
-        }
-
-        #[test]
-        fn rule_table_lists_all_five_rules() {
+        fn rule_table_lists_both_rules() {
             let mon = HealthMonitor::new(16);
             let table = mon.rule_table();
-            for rule in [
-                "prr_collapse",
-                "trigger_storm",
-                "fa_drift",
-                "latency_budget",
-                "worker_starvation",
-            ] {
-                assert!(table.contains(rule), "{table}");
-            }
+            let rules: Vec<&str> = table
+                .lines()
+                .skip(1)
+                .filter_map(|row| row.split_whitespace().next())
+                .collect();
+            assert_eq!(rules, ["prr_collapse", "trigger_storm"], "{table}");
         }
     }
 }

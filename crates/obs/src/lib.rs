@@ -28,10 +28,10 @@
 //!    sink its owner attached (`rjamctl --progress[=FILE]`, each `rjamd`
 //!    job's replay buffer);
 //! 7. an **online health monitor** ([`health`]): streaming change-point
-//!    detectors (EWMA baselines, CUSUM, Page–Hinkley, rolling quantiles)
-//!    judging registry deltas and the MAC frame feed against a typed rule
-//!    set, logging the line-delimited `rjam-health-v1` protocol in the
-//!    monitor (`rjamctl monitor`).
+//!    detectors (EWMA baselines, CUSUM, Page–Hinkley) judging the MAC
+//!    frame feed of one run against a typed rule set, logging the
+//!    line-delimited `rjam-health-v1` protocol in the monitor
+//!    (`rjamctl monitor`).
 //!
 //! The registry and the flight recorder are the only process-wide state;
 //! progress lines, engine profiles and health logs belong to the engine or

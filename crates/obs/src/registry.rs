@@ -143,43 +143,6 @@ mod enabled {
             .unwrap_or(0)
     }
 
-    /// Current values of several counters under one registry lock, in
-    /// the order named; a name never registered reads 0.
-    pub fn counter_values<const N: usize>(names: [&str; N]) -> [u64; N] {
-        let map = global().counters.lock().expect("obs counter lock");
-        names.map(|name| {
-            map.get(name)
-                .map(|c| c.load(Ordering::Relaxed))
-                .unwrap_or(0)
-        })
-    }
-
-    /// Current value of a gauge without creating it.
-    pub fn gauge_value(name: &str) -> u64 {
-        let map = global().gauges.lock().expect("obs gauge lock");
-        map.get(name)
-            .map(|g| g.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Point-in-time copy of a histogram without creating it; an
-    /// unregistered name reads as an empty histogram.
-    pub fn histogram_snapshot(name: &str) -> LogHistogram {
-        let map = global().hists.lock().expect("obs hist lock");
-        map.get(name)
-            .map(|h| h.lock().expect("obs hist lock").clone())
-            .unwrap_or_default()
-    }
-
-    /// Observations recorded in a histogram, read without copying its
-    /// buckets; an unregistered name reads 0.
-    pub fn histogram_count(name: &str) -> u64 {
-        let map = global().hists.lock().expect("obs hist lock");
-        map.get(name)
-            .map(|h| h.lock().expect("obs hist lock").count())
-            .unwrap_or(0)
-    }
-
     /// Point-in-time view of every registered metric plus the global
     /// flight recorder.
     pub fn snapshot() -> MetricsSnapshot {
@@ -409,29 +372,6 @@ mod disabled {
         0
     }
 
-    /// All 0 (`obs` feature disabled).
-    #[inline(always)]
-    pub fn counter_values<const N: usize>(_names: [&str; N]) -> [u64; N] {
-        [0; N]
-    }
-
-    /// Always 0 (`obs` feature disabled).
-    #[inline(always)]
-    pub fn gauge_value(_name: &str) -> u64 {
-        0
-    }
-
-    /// Always empty (`obs` feature disabled).
-    pub fn histogram_snapshot(_name: &str) -> crate::hist::LogHistogram {
-        crate::hist::LogHistogram::new()
-    }
-
-    /// Always 0 (`obs` feature disabled).
-    #[inline(always)]
-    pub fn histogram_count(_name: &str) -> u64 {
-        0
-    }
-
     /// Always empty (`obs` feature disabled).
     pub fn snapshot() -> MetricsSnapshot {
         MetricsSnapshot::default()
@@ -550,40 +490,6 @@ mod tests {
         assert_eq!(lh.pending(), 0, "local is drained");
         assert_eq!(lh.total(), 3, "lifetime total survives the flush");
         assert!(h.snapshot().count() >= 3);
-    }
-
-    #[test]
-    fn gauge_value_reads_without_creating() {
-        assert_eq!(gauge_value("test.reg.gauge_missing"), 0, "miss reads 0");
-        assert!(
-            snapshot()
-                .gauges
-                .iter()
-                .all(|(k, _)| k != "test.reg.gauge_missing"),
-            "a miss must not register the name"
-        );
-        gauge("test.reg.gauge_val").set(17);
-        assert_eq!(gauge_value("test.reg.gauge_val"), 17);
-    }
-
-    #[test]
-    fn histogram_snapshot_reads_without_creating() {
-        let missing = histogram_snapshot("test.reg.hist_missing");
-        assert!(missing.is_empty(), "miss is an empty histogram");
-        assert_eq!(missing.quantile(0.99), 0, "empty quantile is 0, no panic");
-        assert!(
-            snapshot()
-                .histograms
-                .iter()
-                .all(|(k, _)| k != "test.reg.hist_missing"),
-            "a miss must not register the name"
-        );
-        let h = histogram("test.reg.hist_snap_val");
-        h.record(500);
-        h.record(900);
-        let snap = histogram_snapshot("test.reg.hist_snap_val");
-        assert!(snap.count() >= 2);
-        assert!(snap.max() >= 900);
     }
 
     #[test]
