@@ -198,12 +198,14 @@ diff figures_output.txt target/rjam_ci_figures.txt || {
 }
 rm -f target/rjam_ci_figures.txt
 
-step "no-default-features: obs layer compiles out (build + clippy)"
+step "no-default-features: obs layer compiles out (build + clippy + tests)"
 # The whole observability/tracing layer must degrade to zero-sized no-ops
 # when the 'obs' feature is off; any accidental hard dependency on it is a
-# build or lint failure here.
+# build or lint failure here, and the tests must pass in that build too
+# (the flag parser and the JSON field view are compiled in both).
 cargo build --workspace --no-default-features --offline
 cargo clippy --workspace --no-default-features --all-targets --offline -- -D warnings
+cargo test -q --workspace --offline --no-default-features
 
 step "telemetry overhead gate: obs-on engine within 1.02x of obs-off (threads_1 median)"
 # The engine's per-unit timing, stream hooks and profile publication must

@@ -12,7 +12,7 @@
 //! cargo run --release -p rjam-bench --bin ablation_corr_len [-- --frames 300]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::coeff::wide_template_from_native;
 use rjam_fpga::xcorr::Coeff3;
 use rjam_fpga::WideCorrelator;
@@ -20,6 +20,8 @@ use rjam_sdr::complex::IqI16;
 use rjam_sdr::power::{db_to_lin, scale_to_power};
 use rjam_sdr::resample::{fractional_delay, to_usrp_rate};
 use rjam_sdr::rng::Rng;
+
+const USAGE: &str = "ablation_corr_len [--frames N]";
 
 /// FA-fair threshold: 1.25x the peak metric observed on a long noise-only
 /// run, per window length (longer windows have lower normalized noise
@@ -73,8 +75,7 @@ fn detection_prob(len: usize, snr_db: f64, frames: usize, thr: u64, seed: u64) -
 }
 
 fn main() {
-    let args = Args::parse(&["frames"]);
-    let frames: usize = args.get("frames", 150);
+    let frames: usize = parse_args(USAGE, |a| a.get_or("--frames", 150));
     figure_header(
         "Ablation",
         "Correlation window length vs long-preamble detection (paper §6)",

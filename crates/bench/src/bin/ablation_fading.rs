@@ -6,13 +6,14 @@
 //! cargo run --release -p rjam-bench --bin ablation_fading [-- --frames 150]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, ChannelModel, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
 
+const USAGE: &str = "ablation_fading [--frames N]";
+
 fn main() {
-    let args = Args::parse(&["frames"]);
-    let frames: usize = args.get("frames", 150);
+    let frames: usize = parse_args(USAGE, |a| a.get_or("--frames", 150));
     figure_header(
         "Ablation",
         "Short-preamble detection: conducted (AWGN) vs over-the-air (Rayleigh)",

@@ -10,10 +10,12 @@
 //! cargo run --release -p rjam-bench --bin ablation_rts_cts [-- --seconds 6]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::{scenario_for, JammerUnderTest};
 use rjam_mac::model::Scenario;
 use rjam_mac::run_scenario;
+
+const USAGE: &str = "ablation_rts_cts [--seconds S]";
 
 fn run(jut: JammerUnderTest, sir: f64, rts_cts: bool, seconds: f64) -> rjam_mac::IperfReport {
     let sc = Scenario {
@@ -24,8 +26,7 @@ fn run(jut: JammerUnderTest, sir: f64, rts_cts: bool, seconds: f64) -> rjam_mac:
 }
 
 fn main() {
-    let args = Args::parse(&["seconds"]);
-    let seconds: f64 = args.get("seconds", 6.0);
+    let seconds: f64 = parse_args(USAGE, |a| a.get_or("--seconds", 6.0));
     figure_header(
         "Ablation",
         "RTS/CTS protection vs the reactive jammer",

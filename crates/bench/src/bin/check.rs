@@ -38,11 +38,11 @@
 //! passed, 1 when any was invalid or regressed, and 2 on a usage error.
 
 use rjam_daemon::{JobRequest, JobResponse};
+use rjam_obs::flags::{self, Flags};
 use rjam_obs::health::{self, HealthEvent};
 use rjam_obs::json::{self, Value};
 use rjam_obs::stream::{self, ProgressEvent};
 use rjam_obs::trace::TraceDoc;
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// Default `baseline` bound. Smoke runs take 3 samples on a shared runner,
@@ -54,16 +54,16 @@ const REGRESSION_RATIO: f64 = 1.25;
 /// is invalid.
 type Gate = Box<dyn Fn(&str) -> Result<String, String>>;
 
-/// A subcommand: its name, its usage line (the bracketed `[--flag]` and
-/// `[--flag VALUE]` items are the flags it accepts), and the builder that
-/// turns parsed options into the inputs to check and their gate. A builder
+/// A subcommand: its name, its usage line (the flags it names are the
+/// flags it accepts, read by [`rjam_obs::flags`]), and the builder that
+/// turns parsed flags into the inputs to check and their gate. A builder
 /// error is a usage error.
 struct Command(&'static str, &'static str, Build);
 
-type Build = fn(&Opts) -> Result<(Vec<String>, Gate), String>;
+type Build = fn(&Flags) -> Result<(Vec<String>, Gate), String>;
 
 const COMMANDS: &[Command] = &[
-    Command("bench", "REPORT...", |o| o.each(check_report)),
+    Command("bench", "REPORT...", |o| each(o, check_report)),
     Command(
         "baseline",
         "[--max-ratio R] [--params P] [--stat median|min] FRESH BASE",
@@ -74,83 +74,41 @@ const COMMANDS: &[Command] = &[
         "[--max-ratio R] [--oversubscribed-max-ratio R] REPORT NUM DEN",
         build_ratio,
     ),
-    Command("progress", "STREAM...", |o| o.each(check_progress)),
+    Command("progress", "STREAM...", |o| each(o, check_progress)),
     Command(
         "health",
         "[--require-alarm] [--forbid-alarm] [--alarm-within N] STREAM...",
         build_health,
     ),
     Command("job", "[--job ID] [--require-done] TRANSCRIPT...", |o| {
-        let (job, done) = (o.set.get("--job").cloned(), o.has("--require-done"));
-        o.each(move |t| check_job(t, job.as_deref(), done))
+        let (job, done) = (o.str("--job").map(String::from), o.has("--require-done"));
+        each(o, move |t| check_job(t, job.as_deref(), done))
     }),
     Command("trace", "[--require-chain] TRACE...", |o| {
         let require_chain = o.has("--require-chain");
-        o.each(move |t| check_trace(t, require_chain))
+        each(o, move |t| check_trace(t, require_chain))
     }),
 ];
 
-/// A parsed command line: flag values (empty for switches) and positionals.
-struct Opts {
-    set: BTreeMap<&'static str, String>,
-    positional: Vec<String>,
+/// A ratio bound: a finite positive number.
+fn ratio(o: &Flags, flag: &str) -> Result<Option<f64>, String> {
+    match o.get::<f64>(flag)? {
+        Some(r) if !(r.is_finite() && r > 0.0) => {
+            Err(format!("{flag} must be a positive number, got {r}"))
+        }
+        r => Ok(r),
+    }
 }
 
-impl Opts {
-    fn parse(usage: &'static str, args: &[String]) -> Result<Opts, String> {
-        let (mut set, mut positional) = (BTreeMap::new(), Vec::new());
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if !arg.starts_with('-') {
-                positional.push(arg.clone());
-                continue;
-            }
-            let spec = usage
-                .split('[')
-                .skip(1)
-                .filter_map(|item| item.split(']').next())
-                .find(|f| f.split(' ').next() == Some(arg.as_str()))
-                .ok_or_else(|| format!("unknown flag '{arg}'"))?;
-            let (name, value) = match spec.split_once(' ') {
-                Some((name, _)) => (name, it.next().ok_or(format!("{arg} needs a value"))?),
-                None => (spec, &String::new()),
-            };
-            set.insert(name, value.clone());
-        }
-        Ok(Opts { set, positional })
+/// Runs `gate` on every positional, of which there must be at least one.
+fn each(
+    o: &Flags,
+    gate: impl Fn(&str) -> Result<String, String> + 'static,
+) -> Result<(Vec<String>, Gate), String> {
+    if o.positional().is_empty() {
+        return Err("no input files".into());
     }
-
-    fn has(&self, flag: &str) -> bool {
-        self.set.contains_key(flag)
-    }
-
-    fn value<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
-        self.set
-            .get(flag)
-            .map(|v| v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'")))
-            .transpose()
-    }
-
-    /// A ratio bound: a finite positive number.
-    fn ratio(&self, flag: &str) -> Result<Option<f64>, String> {
-        match self.value::<f64>(flag)? {
-            Some(r) if !(r.is_finite() && r > 0.0) => {
-                Err(format!("{flag} must be a positive number, got {r}"))
-            }
-            r => Ok(r),
-        }
-    }
-
-    /// Runs `gate` on every positional, of which there must be at least one.
-    fn each(
-        &self,
-        gate: impl Fn(&str) -> Result<String, String> + 'static,
-    ) -> Result<(Vec<String>, Gate), String> {
-        if self.positional.is_empty() {
-            return Err("no input files".into());
-        }
-        Ok((self.positional.clone(), Box::new(gate)))
-    }
+    Ok((o.positional().to_vec(), Box::new(gate)))
 }
 
 /// Runs one command line, returning the exit code.
@@ -166,7 +124,7 @@ fn run(args: &[String]) -> u8 {
         eprintln!("usage:\n  {}", all.join("\n  "));
         return 2;
     };
-    let (inputs, gate) = match Opts::parse(usage, &args[1..]).and_then(|o| build(&o)) {
+    let (inputs, gate) = match flags::parse(usage, &args[1..]).and_then(|o| build(&o)) {
         Ok(built) => built,
         Err(e) => {
             eprintln!("check {name}: {e}\nusage: check {name} {usage}");
@@ -380,13 +338,13 @@ fn baseline_pairs(
     Ok(pairs)
 }
 
-fn build_baseline(o: &Opts) -> Result<(Vec<String>, Gate), String> {
-    let [fresh, base] = o.positional.as_slice() else {
+fn build_baseline(o: &Flags) -> Result<(Vec<String>, Gate), String> {
+    let [fresh, base] = o.positional() else {
         return Err("expects a FRESH and a BASE report".into());
     };
-    let bound = o.ratio("--max-ratio")?.unwrap_or(REGRESSION_RATIO);
-    let params = o.set.get("--params").cloned();
-    let stat = match o.set.get("--stat").map(String::as_str) {
+    let bound = ratio(o, "--max-ratio")?.unwrap_or(REGRESSION_RATIO);
+    let params = o.str("--params").map(String::from);
+    let stat = match o.str("--stat") {
         None | Some("median") => "median",
         Some("min") => "min",
         Some(v) => return Err(format!("--stat must be 'median' or 'min', got '{v}'")),
@@ -440,12 +398,12 @@ fn ratio_pairs(
     Ok(pairs)
 }
 
-fn build_ratio(o: &Opts) -> Result<(Vec<String>, Gate), String> {
-    let [report, num, den] = o.positional.as_slice() else {
+fn build_ratio(o: &Flags) -> Result<(Vec<String>, Gate), String> {
+    let [report, num, den] = o.positional() else {
         return Err("expects a REPORT and the NUM and DEN params labels".into());
     };
-    let bound = o.ratio("--max-ratio")?.ok_or("--max-ratio is required")?;
-    let oversubscribed = o.ratio("--oversubscribed-max-ratio")?;
+    let bound = ratio(o, "--max-ratio")?.ok_or("--max-ratio is required")?;
+    let oversubscribed = ratio(o, "--oversubscribed-max-ratio")?;
     let (num, den) = (num.clone(), den.clone());
     let gate = move |text: &str| {
         let pairs = ratio_pairs(&rows(text, "median")?, &num, &den, bound, oversubscribed)?;
@@ -501,16 +459,16 @@ struct Alarms {
     within: Option<u64>,
 }
 
-fn build_health(o: &Opts) -> Result<(Vec<String>, Gate), String> {
+fn build_health(o: &Flags) -> Result<(Vec<String>, Gate), String> {
     let exp = Alarms {
         require: o.has("--require-alarm"),
         forbid: o.has("--forbid-alarm"),
-        within: o.value("--alarm-within")?,
+        within: o.get("--alarm-within")?,
     };
     if exp.require && exp.forbid {
         return Err("--require-alarm and --forbid-alarm exclude each other".into());
     }
-    o.each(move |t| check_health(t, exp))
+    each(o, move |t| check_health(t, exp))
 }
 
 fn check_health(text: &str, exp: Alarms) -> Result<String, String> {

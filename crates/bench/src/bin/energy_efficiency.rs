@@ -12,9 +12,11 @@
 //! cargo run --release -p rjam-bench --bin energy_efficiency [-- --seconds 10]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::{energy_at_operating_point, CampaignSpec, EnergyPoint, JammerUnderTest};
 use rjam_core::CampaignEngine;
+
+const USAGE: &str = "energy_efficiency [--seconds S]";
 
 fn find_kill_sir(
     engine: &CampaignEngine,
@@ -34,8 +36,7 @@ fn find_kill_sir(
 }
 
 fn main() {
-    let args = Args::parse(&["seconds"]);
-    let seconds: f64 = args.get("seconds", 6.0);
+    let seconds: f64 = parse_args(USAGE, |a| a.get_or("--seconds", 6.0));
     figure_header(
         "Energy",
         "Jamming energy required to suppress the link below 5% goodput",

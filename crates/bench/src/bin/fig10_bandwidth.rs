@@ -5,13 +5,14 @@
 //! cargo run --release -p rjam-bench --bin fig10_bandwidth [-- --seconds 10]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
 use rjam_core::CampaignEngine;
 
+const USAGE: &str = "fig10_bandwidth [--seconds S]";
+
 fn main() {
-    let args = Args::parse(&["seconds"]);
-    let seconds: f64 = args.get("seconds", 10.0);
+    let seconds: f64 = parse_args(USAGE, |a| a.get_or("--seconds", 10.0));
     let engine = CampaignEngine::from_env();
     let sweep = |jut: JammerUnderTest, sirs: &[f64]| {
         CampaignSpec::jamming(jut)

@@ -10,14 +10,16 @@
 //! cargo run --release -p rjam-bench --bin fig12_wimax [-- --frames 20]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::CampaignSpec;
 use rjam_core::CampaignEngine;
 
+const USAGE: &str = "fig12_wimax [--frames N] [--snr dB]";
+
 fn main() {
-    let args = Args::parse(&["frames", "snr"]);
-    let frames: usize = args.get("frames", 40);
-    let snr: f64 = args.get("snr", 20.0);
+    let (frames, snr): (usize, f64) = parse_args(USAGE, |a| {
+        Ok((a.get_or("--frames", 40)?, a.get_or("--snr", 20.0)?))
+    });
     figure_header(
         "Fig. 12",
         "Reactive jamming of WiMAX downlink packets (Airspan Air4G model)",

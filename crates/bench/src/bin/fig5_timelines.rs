@@ -8,10 +8,12 @@
 //! cargo run --release -p rjam-bench --bin fig5_timelines [-- --trials N]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::timeline::{episode_stream, measure, TimelineBudget, EPISODE_LEAD_SAMPLES};
 use rjam_core::{DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_fpga::JamWaveform;
+
+const USAGE: &str = "fig5_timelines [--trials N]";
 
 fn run_episode(det: DetectionPreset, seed: u64) -> rjam_core::timeline::MeasuredTimeline {
     let mut jammer = ReactiveJammer::new(
@@ -30,8 +32,7 @@ fn run_episode(det: DetectionPreset, seed: u64) -> rjam_core::timeline::Measured
 }
 
 fn main() {
-    let args = Args::parse(&["trials"]);
-    let trials: usize = args.get("trials", 25);
+    let trials: usize = parse_args(USAGE, |a| a.get_or("--trials", 25));
     figure_header(
         "Fig. 5",
         "Reactive jamming timelines",

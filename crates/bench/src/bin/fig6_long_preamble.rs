@@ -11,9 +11,11 @@
 //! cargo run --release -p rjam-bench --bin fig6_long_preamble [-- --frames 500 --fa-samples 20000000]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::{false_alarm_rate, CampaignSpec, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
+
+const USAGE: &str = "fig6_long_preamble [--frames N] [--fa-samples N]";
 
 /// Measures the FA rate at a ladder of thresholds and picks two operating
 /// points: a strict one with (near-)zero measured FA and the loosest one
@@ -47,9 +49,12 @@ fn calibrate_thresholds(engine: &CampaignEngine, fa_samples: usize) -> ((f64, f6
 }
 
 fn main() {
-    let args = Args::parse(&["frames", "fa-samples"]);
-    let frames: usize = args.get("frames", 1000);
-    let fa_samples: usize = args.get("fa-samples", 20_000_000);
+    let (frames, fa_samples): (usize, usize) = parse_args(USAGE, |a| {
+        Ok((
+            a.get_or("--frames", 1000)?,
+            a.get_or("--fa-samples", 20_000_000)?,
+        ))
+    });
     figure_header(
         "Fig. 6",
         "Cross-correlator detection probability - WiFi long preamble",

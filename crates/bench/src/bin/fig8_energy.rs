@@ -10,14 +10,19 @@
 //! cargo run --release -p rjam-bench --bin fig8_energy [-- --frames 500]
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
 
+const USAGE: &str = "fig8_energy [--frames N] [--fa-samples N]";
+
 fn main() {
-    let args = Args::parse(&["frames", "fa-samples"]);
-    let frames: usize = args.get("frames", 1000);
-    let fa_samples: usize = args.get("fa-samples", 20_000_000);
+    let (frames, fa_samples): (usize, usize) = parse_args(USAGE, |a| {
+        Ok((
+            a.get_or("--frames", 1000)?,
+            a.get_or("--fa-samples", 20_000_000)?,
+        ))
+    });
     figure_header(
         "Fig. 8",
         "Energy differentiator detection probability - full WiFi frames",

@@ -11,14 +11,16 @@
 //! second (every one burns the full retry ladder), so the defaults give
 //! even the continuous-jam cells enough frames for two cadence windows.
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
 use rjam_core::CampaignEngine;
 
+const USAGE: &str = "health_time_to_detect [--seconds S] [--cadence N]";
+
 fn main() {
-    let args = Args::parse(&["seconds", "cadence"]);
-    let seconds: f64 = args.get("seconds", 3.0);
-    let cadence: u64 = args.get("cadence", 8);
+    let (seconds, cadence): (f64, u64) = parse_args(USAGE, |a| {
+        Ok((a.get_or("--seconds", 3.0)?, a.get_or("--cadence", 8)?))
+    });
     figure_header(
         "Health TTD",
         "online monitor time-to-detect across jammer duty cycle x SIR",

@@ -11,19 +11,20 @@
 //! cargo run --release -p rjam-bench --bin reconfig_latency
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_core::{DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam_fpga::JamWaveform;
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::rng::Rng;
+
+const USAGE: &str = "reconfig_latency";
 
 /// UHD user-register bus cost per 32-bit write (host -> FPGA), nanoseconds.
 /// Dominated by the settings-bus transaction on the N210 (no round trip).
 const NS_PER_WRITE: f64 = 120.0;
 
 fn main() {
-    // Takes no flags: any argument is a usage error.
-    Args::parse(&[]);
+    parse_args(USAGE, |_| Ok(()));
     figure_header(
         "§4.3",
         "Run-time jammer personality switching",

@@ -6,12 +6,13 @@
 //! cargo run --release -p rjam-bench --bin table1_insertion_loss
 //! ```
 
-use rjam_bench::{figure_header, Args};
+use rjam_bench::{figure_header, parse_args};
 use rjam_channel::{FivePortNetwork, Port};
 
+const USAGE: &str = "table1_insertion_loss";
+
 fn main() {
-    // Takes no flags: any argument is a usage error.
-    Args::parse(&[]);
+    parse_args(USAGE, |_| Ok(()));
     figure_header(
         "Table 1",
         "Insertion loss values measured at the ports of the 5-port network",

@@ -1,6 +1,7 @@
-//! Command-line argument model (std-only; no parser dependency).
+//! Command-line argument model: the [`USAGE`] text is the flag table,
+//! read by [`rjam_obs::flags`].
 
-use std::collections::HashMap;
+use rjam_obs::flags::{self, Flags};
 use std::fmt;
 
 /// How a CLI failure maps to a process exit code.
@@ -98,15 +99,15 @@ pub enum PresetName {
 }
 
 impl PresetName {
-    fn parse(s: &str) -> Result<Self, CliError> {
+    fn parse(s: &str) -> Result<Self, String> {
         match s {
             "wifi-short" => Ok(PresetName::WifiShort),
             "wifi-long" => Ok(PresetName::WifiLong),
             "wimax" => Ok(PresetName::Wimax),
             "energy" => Ok(PresetName::Energy),
-            other => Err(CliError::usage(format!(
+            other => Err(format!(
                 "unknown preset '{other}' (expected wifi-short|wifi-long|wimax|energy)"
-            ))),
+            )),
         }
     }
 }
@@ -125,15 +126,15 @@ pub enum JammerName {
 }
 
 impl JammerName {
-    fn parse(s: &str) -> Result<Self, CliError> {
+    fn parse(s: &str) -> Result<Self, String> {
         match s {
             "off" => Ok(JammerName::Off),
             "continuous" => Ok(JammerName::Continuous),
             "reactive-long" => Ok(JammerName::ReactiveLong),
             "reactive-short" => Ok(JammerName::ReactiveShort),
-            other => Err(CliError::usage(format!(
+            other => Err(format!(
                 "unknown jammer '{other}' (expected off|continuous|reactive-long|reactive-short)"
-            ))),
+            )),
         }
     }
 }
@@ -319,360 +320,235 @@ pub enum ProgressTarget {
     File(String),
 }
 
-/// Raw key/value option map plus positionals.
-#[derive(Clone, Debug, Default)]
-pub struct ParsedArgs {
-    /// `--key value` pairs.
-    pub options: HashMap<String, String>,
-    /// Bare arguments in order.
-    pub positionals: Vec<String>,
+/// A parsed command line: the command and the global options, which
+/// every command accepts before or after its verb.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Invocation {
+    /// The command to run.
+    pub command: Command,
+    /// `--threads N`, as given: [`rjam_core::CampaignEngine::from_args`]
+    /// reads it by the rule `RJAM_THREADS` follows.
+    pub threads: Option<String>,
+    /// `--metrics-out FILE`: after the command, write a `rjam-metrics-v1`
+    /// snapshot of the process-wide registry there.
+    pub metrics_out: Option<String>,
+    /// `--progress[=FILE]`: where the engine streams `rjam-progress-v1`.
+    pub progress: Option<ProgressTarget>,
 }
 
-/// Strips the global `--metrics-out <file>` flag from an argument vector.
-///
-/// The flag is accepted anywhere on the command line and applies to every
-/// command: after execution, a `rjam-metrics-v1` JSON snapshot of the
-/// process-wide registry is written to the file. Returns the remaining
-/// arguments and the requested path, if any.
-pub fn extract_metrics_out(argv: &[String]) -> Result<(Vec<String>, Option<String>), CliError> {
-    let mut rest = Vec::with_capacity(argv.len());
-    let mut path = None;
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--metrics-out" {
-            let value = argv
-                .get(i + 1)
-                .ok_or_else(|| CliError::usage("--metrics-out needs a file path"))?;
-            path = Some(value.clone());
-            i += 2;
-        } else {
-            rest.push(argv[i].clone());
-            i += 1;
+/// The lines of the [`USAGE`] section headed `heading`, up to the next
+/// blank line.
+fn section(heading: &str) -> &'static str {
+    let body = USAGE
+        .split_once(heading)
+        .map_or("", |(_, rest)| rest.trim_start_matches('\n'));
+    body.split_once("\n\n").map_or(body, |(lines, _)| lines)
+}
+
+/// The `USAGE:` lines of subcommand `verb`, or `None` when it has none.
+fn verb_usage(verb: &str) -> Option<String> {
+    let mut lines = String::new();
+    let mut inside = false;
+    for line in section("USAGE:").lines() {
+        if let Some(cmd) = line.strip_prefix("  rjamctl ") {
+            inside = cmd.split_whitespace().next() == Some(verb);
+        }
+        if inside {
+            lines.push_str(line);
+            lines.push('\n');
         }
     }
-    Ok((rest, path))
-}
-
-/// Strips the global `--threads <N>` flag from an argument vector.
-///
-/// The flag is accepted anywhere on the command line and sets the worker
-/// count of the campaign engine for this invocation, overriding the
-/// `RJAM_THREADS` environment variable. `N` must be a positive integer.
-/// Campaign output is bit-identical at any thread count, so this is purely
-/// a wall-clock knob.
-pub fn extract_threads(argv: &[String]) -> Result<(Vec<String>, Option<usize>), CliError> {
-    let mut rest = Vec::with_capacity(argv.len());
-    let mut threads = None;
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--threads" {
-            let value = argv
-                .get(i + 1)
-                .ok_or_else(|| CliError::usage("--threads needs a positive integer"))?;
-            let n: usize = value.parse().map_err(|_| {
-                CliError::usage(format!("--threads: cannot parse '{value}' as an integer"))
-            })?;
-            if n == 0 {
-                return Err(CliError::usage("--threads must be at least 1"));
-            }
-            threads = Some(n);
-            i += 2;
-        } else {
-            rest.push(argv[i].clone());
-            i += 1;
-        }
-    }
-    Ok((rest, threads))
-}
-
-/// Strips the global `--progress[=FILE]` flag from an argument vector.
-///
-/// Accepted anywhere on the command line: while a campaign command runs,
-/// the engine streams line-delimited `rjam-progress-v1` events (campaign
-/// started / shard finished / snapshot with ETA / campaign done) to stderr,
-/// or to `FILE` with the `--progress=FILE` form. Unlike the two-token
-/// global flags, the value is attached with `=` so bare `--progress` can
-/// default to stderr without swallowing the next argument.
-pub fn extract_progress(
-    argv: &[String],
-) -> Result<(Vec<String>, Option<ProgressTarget>), CliError> {
-    let mut rest = Vec::with_capacity(argv.len());
-    let mut target = None;
-    for arg in argv {
-        if arg == "--progress" {
-            target = Some(ProgressTarget::Stderr);
-        } else if let Some(path) = arg.strip_prefix("--progress=") {
-            if path.is_empty() {
-                return Err(CliError::usage("--progress= needs a file path"));
-            }
-            target = Some(ProgressTarget::File(path.to_string()));
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, target))
-}
-
-/// Splits argv into options and positionals.
-pub fn split(argv: &[String]) -> Result<ParsedArgs, CliError> {
-    let mut out = ParsedArgs::default();
-    let mut i = 0;
-    while i < argv.len() {
-        if let Some(key) = argv[i].strip_prefix("--") {
-            let value = argv
-                .get(i + 1)
-                .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?;
-            out.options.insert(key.to_string(), value.clone());
-            i += 2;
-        } else {
-            out.positionals.push(argv[i].clone());
-            i += 1;
-        }
-    }
-    Ok(out)
-}
-
-fn opt<T: std::str::FromStr>(p: &ParsedArgs, key: &str, default: T) -> Result<T, CliError> {
-    match p.options.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("--{key}: cannot parse '{v}'"))),
-    }
-}
-
-/// Like [`opt`] but with no default: absent flags stay `None`.
-fn opt_maybe<T: std::str::FromStr>(p: &ParsedArgs, key: &str) -> Result<Option<T>, CliError> {
-    match p.options.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| CliError::usage(format!("--{key}: cannot parse '{v}'"))),
-    }
+    (!lines.is_empty()).then_some(lines)
 }
 
 /// Parses a `--grid` value: comma-separated thresholds.
-fn parse_grid(p: &ParsedArgs) -> Result<Option<Vec<f64>>, CliError> {
-    let Some(raw) = p.options.get("grid") else {
-        return Ok(None);
-    };
-    let grid = raw
-        .split(',')
+fn parse_grid(raw: &str) -> Result<Vec<f64>, String> {
+    // split(',') always yields at least one element, and empty elements
+    // fail the parse, so a grid is never empty.
+    raw.split(',')
         .map(|s| {
             s.trim()
                 .parse::<f64>()
-                .map_err(|_| CliError::usage(format!("--grid: cannot parse '{s}' as a number")))
+                .map_err(|_| format!("--grid: cannot parse '{s}' as a number"))
         })
-        .collect::<Result<Vec<f64>, CliError>>()?;
-    // split(',') always yields at least one element, and empty elements
-    // fail the parse above, so `grid` is non-empty here.
-    Ok(Some(grid))
-}
-
-/// The `--socket PATH` every job-service verb needs.
-fn job_socket(p: &ParsedArgs, verb: &str) -> Result<String, CliError> {
-    p.options
-        .get("socket")
-        .cloned()
-        .ok_or_else(|| CliError::usage(format!("{verb} requires --socket PATH")))
-}
-
-/// The positional job id of `watch`/`cancel`/`resume`.
-fn job_id(p: &ParsedArgs, verb: &str) -> Result<String, CliError> {
-    p.positionals
-        .first()
-        .cloned()
-        .ok_or_else(|| CliError::usage(format!("{verb} requires a job id")))
-}
-
-/// The flags (without `--`) the `USAGE` lines of subcommand `verb` name,
-/// or `None` when `verb` has no usage line. A subcommand accepts exactly
-/// these flags — the rule the `check` tool applies to its own usage lines.
-fn usage_flags(verb: &str) -> Option<Vec<&'static str>> {
-    let mut flags = None;
-    let mut inside = false;
-    for line in USAGE.lines() {
-        if let Some(cmd) = line.strip_prefix("  rjamctl ") {
-            inside = cmd.split_whitespace().next() == Some(verb);
-        } else if !line.starts_with("    ") {
-            inside = false;
-        }
-        if inside {
-            flags.get_or_insert_with(Vec::new).extend(
-                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-                    .filter_map(|word| word.strip_prefix("--")),
-            );
-        }
-    }
-    flags
+        .collect()
 }
 
 /// Parses a full command line (without the program name).
-pub fn parse(argv: &[String]) -> Result<Command, CliError> {
-    let Some(verb) = argv.first() else {
-        return Ok(Command::Help);
+///
+/// The verb is the first positional. The command line is read against the
+/// verb's `USAGE` lines plus `GLOBAL OPTIONS`, so a subcommand accepts
+/// exactly the flags those lines name.
+pub fn parse(argv: &[String]) -> Result<Invocation, CliError> {
+    parse_flags(argv).map_err(CliError::usage)
+}
+
+fn parse_flags(argv: &[String]) -> Result<Invocation, String> {
+    // `--help` and `-h` stand for the `help` verb in its place.
+    let argv = match argv.first().map(String::as_str) {
+        Some("--help" | "-h") => &[],
+        _ => argv,
     };
-    // `submit --local` is the one bare flag: pull it out before the
-    // two-token option split sees it.
-    let local = verb == "submit" && argv.iter().any(|a| a == "--local");
-    let mut args = argv[1..].to_vec();
-    if local {
-        args.retain(|a| a != "--local");
-    }
-    let rest = split(&args)?;
-    // A verb without a usage line is not a subcommand; the match below
-    // reports it.
-    if let Some(flags) = usage_flags(verb) {
-        if let Some(bad) = rest
-            .options
-            .keys()
-            .filter(|k| !flags.contains(&k.as_str()))
-            .min()
-        {
-            return Err(CliError::usage(format!(
-                "unknown flag '--{bad}' for '{verb}'"
-            )));
+    let global = section("GLOBAL OPTIONS:");
+    // A first pass against every verb's flags finds the verb, skipping the
+    // values of flags before it.
+    let any = flags::parse(&format!("{}\n{global}", section("USAGE:")), argv)?;
+    let (command, f) = match any.positional().first() {
+        None => (Command::Help, any),
+        Some(verb) => {
+            let lines =
+                verb_usage(verb).ok_or_else(|| format!("unknown command '{verb}' (try 'help')"))?;
+            let f = flags::parse(&format!("{lines}{global}"), argv)?;
+            (command(verb, &f)?, f)
         }
-    }
-    match verb.as_str() {
-        "timeline" => Ok(Command::Timeline {
-            trials: opt(&rest, "trials", 20)?,
-        }),
-        "detect" => Ok(Command::Detect {
-            preset: PresetName::parse(
-                rest.options
-                    .get("preset")
-                    .ok_or_else(|| CliError::usage("detect requires --preset"))?,
-            )?,
-            snr_db: opt(&rest, "snr", 5.0)?,
-            frames: opt(&rest, "frames", 1000)?,
-            threshold: opt(&rest, "threshold", 0.35)?,
-            energy_db: opt(&rest, "energy-db", 10.0)?,
-            cell: opt(&rest, "cell", 1)?,
-            segment: opt(&rest, "segment", 0)?,
-        }),
-        "fa" => Ok(Command::Fa {
-            preset: PresetName::parse(
-                rest.options
-                    .get("preset")
-                    .ok_or_else(|| CliError::usage("fa requires --preset"))?,
-            )?,
-            threshold: opt(&rest, "threshold", 0.40)?,
-            energy_db: opt(&rest, "energy-db", 10.0)?,
-            samples: opt(&rest, "samples", 20_000_000)?,
-            cell: opt(&rest, "cell", 1)?,
-            segment: opt(&rest, "segment", 0)?,
-            grid: parse_grid(&rest)?,
-        }),
-        "iperf" => Ok(Command::Iperf {
-            jammer: JammerName::parse(
-                rest.options
-                    .get("jammer")
-                    .ok_or_else(|| CliError::usage("iperf requires --jammer"))?,
-            )?,
-            sir_db: opt(&rest, "sir", 20.0)?,
-            seconds: opt(&rest, "seconds", 5.0)?,
-        }),
-        "classify" => {
-            let path = rest
-                .positionals
+    };
+    let progress = f.has("--progress").then(|| match f.str("--progress") {
+        Some(path) => ProgressTarget::File(path.to_string()),
+        None => ProgressTarget::Stderr,
+    });
+    Ok(Invocation {
+        command,
+        threads: f.str("--threads").map(String::from),
+        metrics_out: f.str("--metrics-out").map(String::from),
+        progress,
+    })
+}
+
+/// The command subcommand `verb` names, read from the flags and the
+/// positionals after the verb.
+fn command(verb: &str, f: &Flags) -> Result<Command, String> {
+    let rest = &f.positional()[1..];
+    let preset = || {
+        PresetName::parse(
+            f.str("--preset")
+                .ok_or(format!("{verb} requires --preset"))?,
+        )
+    };
+    let jammer = || {
+        JammerName::parse(
+            f.str("--jammer")
+                .ok_or(format!("{verb} requires --jammer"))?,
+        )
+    };
+    let socket = || {
+        f.str("--socket")
+            .map(String::from)
+            .ok_or(format!("{verb} requires --socket PATH"))
+    };
+    let job = || {
+        rest.first()
+            .cloned()
+            .ok_or(format!("{verb} requires a job id"))
+    };
+    let text = |flag| f.str(flag).map(String::from);
+    Ok(match verb {
+        "timeline" => Command::Timeline {
+            trials: f.get_or("--trials", 20)?,
+        },
+        "detect" => Command::Detect {
+            preset: preset()?,
+            snr_db: f.get_or("--snr", 5.0)?,
+            frames: f.get_or("--frames", 1000)?,
+            threshold: f.get_or("--threshold", 0.35)?,
+            energy_db: f.get_or("--energy-db", 10.0)?,
+            cell: f.get_or("--cell", 1)?,
+            segment: f.get_or("--segment", 0)?,
+        },
+        "fa" => Command::Fa {
+            preset: preset()?,
+            threshold: f.get_or("--threshold", 0.40)?,
+            energy_db: f.get_or("--energy-db", 10.0)?,
+            samples: f.get_or("--samples", 20_000_000)?,
+            cell: f.get_or("--cell", 1)?,
+            segment: f.get_or("--segment", 0)?,
+            grid: f.str("--grid").map(parse_grid).transpose()?,
+        },
+        "iperf" => Command::Iperf {
+            jammer: jammer()?,
+            sir_db: f.get_or("--sir", 20.0)?,
+            seconds: f.get_or("--seconds", 5.0)?,
+        },
+        "classify" => Command::Classify {
+            path: rest
                 .first()
                 .cloned()
-                .ok_or_else(|| CliError::usage("classify requires a capture path"))?;
-            Ok(Command::Classify { path })
-        }
-        "roc" => Ok(Command::Roc {
-            preset: PresetName::parse(
-                rest.options
-                    .get("preset")
-                    .ok_or_else(|| CliError::usage("roc requires --preset"))?,
-            )?,
-            snr_db: opt(&rest, "snr", 0.0)?,
-            frames: opt(&rest, "frames", 200)?,
-            fa_samples: opt(&rest, "fa-samples", 5_000_000)?,
-            cell: opt(&rest, "cell", 1)?,
-            segment: opt(&rest, "segment", 0)?,
-        }),
-        "resources" => Ok(Command::Resources),
-        "stats" => Ok(Command::Stats {
-            input: rest.positionals.first().cloned(),
-            budget_ns: opt_maybe(&rest, "budget-ns")?,
-        }),
-        "trace" => Ok(Command::Trace {
-            episodes: opt(&rest, "episodes", 8)?,
-            out: rest.options.get("out").cloned(),
-            chrome: rest.options.get("chrome").cloned(),
-            budget_ns: opt_maybe(&rest, "budget-ns")?,
-            top: opt(&rest, "top", 5)?,
-        }),
-        "monitor" => Ok(Command::Monitor {
-            jammer: JammerName::parse(
-                rest.options
-                    .get("jammer")
-                    .ok_or_else(|| CliError::usage("monitor requires --jammer"))?,
-            )?,
-            sir_db: opt(&rest, "sir", 14.0)?,
-            seconds: opt(&rest, "seconds", 1.0)?,
-            cadence: opt(&rest, "cadence", 16)?,
-            out: rest.options.get("out").cloned(),
-        }),
-        "report" => Ok(Command::Report {
-            frames: opt(&rest, "frames", 64)?,
-            top: opt(&rest, "top", 5)?,
-        }),
+                .ok_or("classify requires a capture path")?,
+        },
+        "roc" => Command::Roc {
+            preset: preset()?,
+            snr_db: f.get_or("--snr", 0.0)?,
+            frames: f.get_or("--frames", 200)?,
+            fa_samples: f.get_or("--fa-samples", 5_000_000)?,
+            cell: f.get_or("--cell", 1)?,
+            segment: f.get_or("--segment", 0)?,
+        },
+        "resources" => Command::Resources,
+        "stats" => Command::Stats {
+            input: rest.first().cloned(),
+            budget_ns: f.get("--budget-ns")?,
+        },
+        "trace" => Command::Trace {
+            episodes: f.get_or("--episodes", 8)?,
+            out: text("--out"),
+            chrome: text("--chrome"),
+            budget_ns: f.get("--budget-ns")?,
+            top: f.get_or("--top", 5)?,
+        },
+        "monitor" => Command::Monitor {
+            jammer: jammer()?,
+            sir_db: f.get_or("--sir", 14.0)?,
+            seconds: f.get_or("--seconds", 1.0)?,
+            cadence: f.get_or("--cadence", 16)?,
+            out: text("--out"),
+        },
+        "report" => Command::Report {
+            frames: f.get_or("--frames", 64)?,
+            top: f.get_or("--top", 5)?,
+        },
         "submit" => {
-            let spec = match (rest.options.get("spec"), rest.options.get("spec-file")) {
-                (Some(s), None) => s.clone(),
-                (None, Some(path)) => std::fs::read_to_string(path)
-                    .map_err(|e| CliError::usage(format!("--spec-file {path}: {e}")))?,
-                (Some(_), Some(_)) => {
-                    return Err(CliError::usage("pass --spec or --spec-file, not both"))
+            let spec = match (f.str("--spec"), f.str("--spec-file")) {
+                (Some(s), None) => s.to_string(),
+                (None, Some(path)) => {
+                    std::fs::read_to_string(path).map_err(|e| format!("--spec-file {path}: {e}"))?
                 }
+                (Some(_), Some(_)) => return Err("pass --spec or --spec-file, not both".into()),
                 (None, None) => {
-                    return Err(CliError::usage(
-                        "submit requires --spec JSON or --spec-file FILE",
-                    ))
+                    return Err("submit requires --spec JSON or --spec-file FILE".into())
                 }
             };
-            let socket = rest.options.get("socket").cloned();
+            let (socket, local) = (text("--socket"), f.has("--local"));
             if socket.is_none() && !local {
-                return Err(CliError::usage(
-                    "submit requires --socket PATH (or --local)",
-                ));
+                return Err("submit requires --socket PATH (or --local)".into());
             }
             if socket.is_some() && local {
-                return Err(CliError::usage("pass --socket or --local, not both"));
+                return Err("pass --socket or --local, not both".into());
             }
-            Ok(Command::Submit {
+            Command::Submit {
                 socket,
                 spec,
                 local,
-                export: rest.options.get("export").cloned(),
-            })
+                export: text("--export"),
+            }
         }
-        "status" => Ok(Command::JobStatus {
-            socket: job_socket(&rest, "status")?,
-            job: rest.positionals.first().cloned(),
-        }),
-        "watch" => Ok(Command::Watch {
-            socket: job_socket(&rest, "watch")?,
-            job: job_id(&rest, "watch")?,
-            export: rest.options.get("export").cloned(),
-        }),
-        "cancel" => Ok(Command::JobCancel {
-            socket: job_socket(&rest, "cancel")?,
-            job: job_id(&rest, "cancel")?,
-        }),
-        "resume" => Ok(Command::JobResume {
-            socket: job_socket(&rest, "resume")?,
-            job: job_id(&rest, "resume")?,
-        }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(CliError::usage(format!(
-            "unknown command '{other}' (try 'help')"
-        ))),
-    }
+        "status" => Command::JobStatus {
+            socket: socket()?,
+            job: rest.first().cloned(),
+        },
+        "watch" => Command::Watch {
+            socket: socket()?,
+            job: job()?,
+            export: text("--export"),
+        },
+        "cancel" => Command::JobCancel {
+            socket: socket()?,
+            job: job()?,
+        },
+        "resume" => Command::JobResume {
+            socket: socket()?,
+            job: job()?,
+        },
+        _ => Command::Help,
+    })
 }
 
 /// Usage text.
@@ -767,21 +643,25 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn cmd(argv: &[String]) -> Result<Command, CliError> {
+        parse(argv).map(|inv| inv.command)
+    }
+
     #[test]
     fn parses_timeline_defaults() {
         assert_eq!(
-            parse(&argv("timeline")).unwrap(),
+            cmd(&argv("timeline")).unwrap(),
             Command::Timeline { trials: 20 }
         );
         assert_eq!(
-            parse(&argv("timeline --trials 7")).unwrap(),
+            cmd(&argv("timeline --trials 7")).unwrap(),
             Command::Timeline { trials: 7 }
         );
     }
 
     #[test]
     fn parses_detect() {
-        let c = parse(&argv("detect --preset wifi-short --snr -3 --frames 50")).unwrap();
+        let c = cmd(&argv("detect --preset wifi-short --snr -3 --frames 50")).unwrap();
         match c {
             Command::Detect {
                 preset,
@@ -799,15 +679,15 @@ mod tests {
 
     #[test]
     fn detect_requires_preset() {
-        let err = parse(&argv("detect --snr 3")).unwrap_err();
+        let err = cmd(&argv("detect --snr 3")).unwrap_err();
         assert!(err.message().contains("--preset"), "{err}");
         assert_eq!(err.kind(), ErrorKind::Usage);
     }
 
     #[test]
     fn rejects_unknown_preset_and_command() {
-        assert!(parse(&argv("detect --preset zigbee")).is_err());
-        assert!(parse(&argv("frobnicate")).is_err());
+        assert!(cmd(&argv("detect --preset zigbee")).is_err());
+        assert!(cmd(&argv("frobnicate")).is_err());
     }
 
     #[test]
@@ -818,7 +698,7 @@ mod tests {
             ("reactive-long", JammerName::ReactiveLong),
             ("reactive-short", JammerName::ReactiveShort),
         ] {
-            let c = parse(&argv(&format!("iperf --jammer {name} --sir 14"))).unwrap();
+            let c = cmd(&argv(&format!("iperf --jammer {name} --sir 14"))).unwrap();
             match c {
                 Command::Iperf { jammer, sir_db, .. } => {
                     assert_eq!(jammer, want);
@@ -831,23 +711,23 @@ mod tests {
 
     #[test]
     fn classify_takes_positional() {
-        let c = parse(&argv("classify cap.cf32")).unwrap();
+        let c = cmd(&argv("classify cap.cf32")).unwrap();
         assert_eq!(
             c,
             Command::Classify {
                 path: "cap.cf32".into()
             }
         );
-        assert!(parse(&argv("classify")).is_err());
+        assert!(cmd(&argv("classify")).is_err());
     }
 
     #[test]
     fn parses_fa_grid() {
-        match parse(&argv("fa --preset wifi-short")).unwrap() {
+        match cmd(&argv("fa --preset wifi-short")).unwrap() {
             Command::Fa { grid, .. } => assert_eq!(grid, None),
             other => panic!("{other:?}"),
         }
-        match parse(&argv("fa --preset wifi-short --grid 0.22,0.34,0.50")).unwrap() {
+        match cmd(&argv("fa --preset wifi-short --grid 0.22,0.34,0.50")).unwrap() {
             Command::Fa { grid, .. } => assert_eq!(grid, Some(vec![0.22, 0.34, 0.50])),
             other => panic!("{other:?}"),
         }
@@ -856,7 +736,7 @@ mod tests {
             .into_iter()
             .map(String::from)
             .collect();
-        match parse(&argv_spaced).unwrap() {
+        match cmd(&argv_spaced).unwrap() {
             Command::Fa { grid, .. } => assert_eq!(grid, Some(vec![0.2, 0.4])),
             other => panic!("{other:?}"),
         }
@@ -864,7 +744,7 @@ mod tests {
             "fa --preset wifi-short --grid banana",
             "fa --preset wifi-short --grid 0.2,,0.4",
         ] {
-            let err = parse(&argv(bad)).unwrap_err();
+            let err = cmd(&argv(bad)).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Usage, "'{bad}'");
             assert!(err.message().contains("--grid"), "'{bad}' -> {err}");
         }
@@ -875,15 +755,19 @@ mod tests {
         for (bad, flag) in [
             ("roc --preset wifi-short --snr-db 10", "--snr-db"),
             ("detect --preset wifi-short --bogus 3", "--bogus"),
+            // Declared for other verbs, not for these.
             ("resources --frames 3", "--frames"),
+            ("detect --preset energy --local", "--local"),
             ("submit --local --spec {} --socket-path x", "--socket-path"),
+            ("--bogus detect --preset energy", "--bogus"),
+            ("detect --preset energy -x", "-x"),
         ] {
-            let err = parse(&argv(bad)).unwrap_err();
+            let err = cmd(&argv(bad)).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Usage, "'{bad}'");
-            assert!(err.message().contains(flag), "'{bad}' -> {err}");
+            assert_eq!(err.message(), format!("unknown flag '{flag}'"), "'{bad}'");
         }
-        // A verb that is no subcommand is still reported as such.
-        let err = parse(&argv("frobnicate --x 1")).unwrap_err();
+        // A verb that is no subcommand is reported as such.
+        let err = cmd(&argv("frobnicate --frames 1")).unwrap_err();
         assert!(err.message().contains("unknown command"), "{err}");
     }
 
@@ -898,43 +782,48 @@ mod tests {
             .collect();
         assert!(verbs.len() >= 16, "{verbs:?}");
         let value = |flag: &str| match flag {
-            "preset" => "wifi-short",
-            "jammer" => "off",
-            "grid" => "0.3,0.4",
-            _ => "1",
+            "--preset" => " wifi-short",
+            "--jammer" => " off",
+            "--grid" => " 0.3,0.4",
+            "--local" => "",
+            _ => " 1",
         };
         for verb in verbs {
-            for flag in usage_flags(verb).expect("has a usage line") {
-                let line = format!("{verb} --{flag} {}", value(flag));
-                if let Err(e) = parse(&argv(&line)) {
+            let lines = verb_usage(verb).expect("has a usage line");
+            let flags: Vec<&str> = lines
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            for flag in &flags {
+                let line = format!("{verb} {flag}{}", value(flag));
+                if let Err(e) = cmd(&argv(&line)) {
                     assert!(!e.message().contains("unknown flag"), "'{line}' -> {e}");
                 }
             }
-        }
-        // fa and roc read --cell and --segment, so USAGE must name them.
-        for verb in ["fa", "roc"] {
-            let flags = usage_flags(verb).unwrap();
-            assert!(
-                flags.contains(&"cell") && flags.contains(&"segment"),
-                "{verb}: {flags:?}"
-            );
+            // fa and roc read --cell and --segment, so USAGE must name them.
+            if verb == "fa" || verb == "roc" {
+                assert!(
+                    flags.contains(&"--cell") && flags.contains(&"--segment"),
+                    "{verb}: {flags:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn missing_value_reported() {
-        let err = parse(&argv("detect --preset")).unwrap_err();
+        let err = cmd(&argv("detect --preset")).unwrap_err();
         assert!(err.message().contains("needs a value"), "{err}");
     }
 
     #[test]
     fn empty_is_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
+        assert_eq!(cmd(&[]).unwrap(), Command::Help);
     }
 
     #[test]
     fn unparsable_number_reported() {
-        let err = parse(&argv("iperf --jammer off --sir banana")).unwrap_err();
+        let err = cmd(&argv("iperf --jammer off --sir banana")).unwrap_err();
         assert!(err.message().contains("--sir"), "{err}");
     }
 
@@ -956,7 +845,7 @@ mod tests {
             "iperf --jammer off --sir banana",
             "classify",
         ] {
-            let err = parse(&argv(bad)).unwrap_err();
+            let err = cmd(&argv(bad)).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Usage, "'{bad}' -> {err}");
             assert_eq!(err.exit_code(), 2, "'{bad}'");
         }
@@ -965,34 +854,34 @@ mod tests {
     #[test]
     fn parses_stats() {
         assert_eq!(
-            parse(&argv("stats")).unwrap(),
+            cmd(&argv("stats")).unwrap(),
             Command::Stats {
                 input: None,
                 budget_ns: None
             }
         );
         assert_eq!(
-            parse(&argv("stats snap.json")).unwrap(),
+            cmd(&argv("stats snap.json")).unwrap(),
             Command::Stats {
                 input: Some("snap.json".into()),
                 budget_ns: None
             }
         );
         assert_eq!(
-            parse(&argv("stats --budget-ns 3000")).unwrap(),
+            cmd(&argv("stats --budget-ns 3000")).unwrap(),
             Command::Stats {
                 input: None,
                 budget_ns: Some(3000.0)
             }
         );
-        let err = parse(&argv("stats --budget-ns fast")).unwrap_err();
+        let err = cmd(&argv("stats --budget-ns fast")).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Usage);
     }
 
     #[test]
     fn parses_trace() {
         assert_eq!(
-            parse(&argv("trace")).unwrap(),
+            cmd(&argv("trace")).unwrap(),
             Command::Trace {
                 episodes: 8,
                 out: None,
@@ -1002,7 +891,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&argv(
+            cmd(&argv(
                 "trace --episodes 3 --out t.json --chrome c.json --budget-ns 2640 --top 2"
             ))
             .unwrap(),
@@ -1014,77 +903,73 @@ mod tests {
                 top: 2
             }
         );
-        assert!(parse(&argv("trace --episodes many")).is_err());
+        assert!(cmd(&argv("trace --episodes many")).is_err());
     }
 
     #[test]
-    fn threads_stripped_from_anywhere() {
-        let (rest, threads) = extract_threads(&argv("detect --threads 4 --preset energy")).unwrap();
-        assert_eq!(threads, Some(4));
-        assert_eq!(rest, argv("detect --preset energy"));
-
-        let (rest, threads) = extract_threads(&argv("fa --preset energy")).unwrap();
-        assert_eq!(threads, None);
-        assert_eq!(rest, argv("fa --preset energy"));
-
-        for bad in ["roc --threads", "roc --threads zero", "roc --threads 0"] {
-            let err = extract_threads(&argv(bad)).unwrap_err();
+    fn global_flags_read_before_or_after_the_verb() {
+        for line in [
+            "--threads 4 --metrics-out m.json detect --preset energy",
+            "detect --threads 4 --preset energy --metrics-out m.json",
+        ] {
+            let inv = parse(&argv(line)).unwrap();
+            assert!(matches!(inv.command, Command::Detect { .. }), "{line}");
+            assert_eq!(inv.threads.as_deref(), Some("4"), "{line}");
+            assert_eq!(inv.metrics_out.as_deref(), Some("m.json"), "{line}");
+            assert_eq!(inv.progress, None, "{line}");
+        }
+        let inv = parse(&argv("fa --preset energy")).unwrap();
+        assert_eq!((inv.threads, inv.metrics_out), (None, None));
+        // Globals alone run help, as a bare command line does.
+        assert_eq!(parse(&argv("--threads 2")).unwrap().command, Command::Help);
+        for (bad, flag) in [
+            ("roc --preset energy --threads", "--threads"),
+            ("resources --metrics-out", "--metrics-out"),
+            ("detect --progress=", "--progress"),
+        ] {
+            let err = parse(&argv(bad)).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Usage, "'{bad}'");
-            assert!(err.message().contains("--threads"), "'{bad}' -> {err}");
+            assert_eq!(err.message(), format!("{flag} needs a value"), "'{bad}'");
         }
     }
 
     #[test]
     fn parses_report() {
         assert_eq!(
-            parse(&argv("report")).unwrap(),
+            cmd(&argv("report")).unwrap(),
             Command::Report { frames: 64, top: 5 }
         );
         assert_eq!(
-            parse(&argv("report --frames 32 --top 3")).unwrap(),
+            cmd(&argv("report --frames 32 --top 3")).unwrap(),
             Command::Report { frames: 32, top: 3 }
         );
-        assert!(parse(&argv("report --frames many")).is_err());
+        assert!(cmd(&argv("report --frames many")).is_err());
     }
 
     #[test]
-    fn progress_stripped_from_anywhere() {
-        let (rest, target) = extract_progress(&argv("detect --progress --preset energy")).unwrap();
-        assert_eq!(target, Some(ProgressTarget::Stderr));
-        assert_eq!(rest, argv("detect --preset energy"));
-
-        let (rest, target) =
-            extract_progress(&argv("fa --progress=prog.ndjson --preset energy")).unwrap();
-        assert_eq!(target, Some(ProgressTarget::File("prog.ndjson".into())));
-        assert_eq!(rest, argv("fa --preset energy"));
-
-        let (rest, target) = extract_progress(&argv("timeline")).unwrap();
-        assert_eq!(target, None);
-        assert_eq!(rest, argv("timeline"));
-
+    fn progress_read_from_anywhere() {
         // Bare --progress must not swallow the next argument.
-        let (rest, target) = extract_progress(&argv("roc --progress --preset energy")).unwrap();
-        assert_eq!(target, Some(ProgressTarget::Stderr));
-        assert!(rest.contains(&"--preset".to_string()));
-
-        let err = extract_progress(&argv("detect --progress=")).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Usage);
-        assert!(err.message().contains("--progress"), "{err}");
+        let inv = parse(&argv("detect --progress --preset energy")).unwrap();
+        assert_eq!(inv.progress, Some(ProgressTarget::Stderr));
+        assert!(matches!(
+            inv.command,
+            Command::Detect {
+                preset: PresetName::Energy,
+                ..
+            }
+        ));
+        let inv = parse(&argv("--progress=prog.ndjson fa --preset energy")).unwrap();
+        assert_eq!(
+            inv.progress,
+            Some(ProgressTarget::File("prog.ndjson".into()))
+        );
+        assert_eq!(parse(&argv("timeline")).unwrap().progress, None);
     }
 
     #[test]
-    fn metrics_out_stripped_from_anywhere() {
-        let (rest, path) =
-            extract_metrics_out(&argv("iperf --metrics-out m.json --jammer off")).unwrap();
-        assert_eq!(path.as_deref(), Some("m.json"));
-        assert_eq!(rest, argv("iperf --jammer off"));
-
-        let (rest, path) = extract_metrics_out(&argv("timeline")).unwrap();
-        assert_eq!(path, None);
-        assert_eq!(rest, argv("timeline"));
-
-        let err = extract_metrics_out(&argv("resources --metrics-out")).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Usage);
-        assert!(err.message().contains("--metrics-out"), "{err}");
+    fn help_spellings() {
+        for line in ["", "help", "--help", "-h", "-h detect"] {
+            assert_eq!(cmd(&argv(line)).unwrap(), Command::Help, "'{line}'");
+        }
     }
 }

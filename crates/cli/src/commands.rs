@@ -663,20 +663,6 @@ fn engine_report(engine: &CampaignEngine, frames: usize, top: usize) -> Result<S
         engine.threads()
     );
     out.push_str(&profile.render(top));
-    let kinds = engine.kind_summaries();
-    if !kinds.is_empty() {
-        let _ = writeln!(out, "\n== unit kinds seen this process ==");
-        for (kind, s) in kinds {
-            let _ = writeln!(
-                out,
-                "{kind:<16} n={:<6} p50={:>10} p95={:>10} max={:>10}",
-                s.count,
-                rjam_obs::telemetry::fmt_ns(s.p50),
-                rjam_obs::telemetry::fmt_ns(s.p95),
-                rjam_obs::telemetry::fmt_ns(s.max),
-            );
-        }
-    }
     Ok(out)
 }
 
@@ -962,10 +948,13 @@ fn resume_report(socket: &str, job: &str) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse(argv: &[String]) -> Result<Command, CliError> {
+        crate::args::parse(argv).map(|inv| inv.command)
     }
 
     #[test]

@@ -35,7 +35,7 @@
 pub mod args;
 pub mod commands;
 
-pub use args::{CliError, Command, ErrorKind, ParsedArgs};
+pub use args::{CliError, Command, ErrorKind};
 
 use rjam_core::engine::ProgressSink;
 use std::sync::{Arc, Mutex};
@@ -45,29 +45,13 @@ use std::sync::{Arc, Mutex};
 /// The global `--threads N` flag picks the campaign engine's worker count
 /// for this invocation (over `RJAM_THREADS`, over all cores); campaign
 /// output is bit-identical at any thread count, so the flag only changes
-/// wall-clock time.
+/// wall-clock time. A malformed or zero count from either source is a
+/// usage error.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let (argv, metrics_out) = args::extract_metrics_out(argv)?;
-    let (argv, threads) = args::extract_threads(&argv)?;
-    let engine = match threads {
-        Some(n) => rjam_core::CampaignEngine::with_threads(n),
-        // No --threads flag: defer to RJAM_THREADS, but strictly. The
-        // engine's own fallback degrades garbage to serial; the console
-        // rejects it outright (exit 2), mirroring `--threads` validation.
-        None => match rjam_core::engine::threads_from_env() {
-            Ok(Some(0)) => {
-                return Err(CliError::usage(format!(
-                    "{} must be at least 1 (unset it to use all cores)",
-                    rjam_core::engine::THREADS_ENV
-                )))
-            }
-            Ok(_) => rjam_core::CampaignEngine::from_env(),
-            Err(msg) => return Err(CliError::usage(msg)),
-        },
-    };
-    let (argv, progress) = args::extract_progress(&argv)?;
-    let cmd = args::parse(&argv)?;
-    let engine = match progress {
+    let inv = args::parse(argv)?;
+    let engine =
+        rjam_core::CampaignEngine::from_args(inv.threads.as_deref()).map_err(CliError::usage)?;
+    let engine = match inv.progress {
         Some(args::ProgressTarget::Stderr) => engine.with_progress(line_writer(std::io::stderr())),
         Some(args::ProgressTarget::File(path)) => {
             let file = std::fs::File::create(&path)
@@ -76,8 +60,8 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         }
         None => engine,
     };
-    let report = commands::execute_with(&cmd, &engine)?;
-    if let Some(path) = metrics_out {
+    let report = commands::execute_with(&inv.command, &engine)?;
+    if let Some(path) = inv.metrics_out {
         commands::write_metrics_snapshot(&path)?;
     }
     Ok(report)

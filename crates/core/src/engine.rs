@@ -51,14 +51,14 @@
 //! negligible (one core build per worker).
 //!
 //! Worker count resolution: an explicit [`CampaignEngine::with_threads`]
-//! wins, else the `RJAM_THREADS` environment variable (strictly parsed by
-//! [`threads_from_env`]; `0` clamps to one worker exactly like
-//! `with_threads(0)`, unparsable values degrade to serial rather than
-//! silently going wide), else `std::thread::available_parallelism()`.
+//! wins, else the `RJAM_THREADS` environment variable (strictly parsed:
+//! `rjamctl` and `rjamd` refuse a malformed or zero value through
+//! [`CampaignEngine::from_args`], while
+//! [`CampaignEngine::from_env`] degrades it to serial rather than silently
+//! going wide), else `std::thread::available_parallelism()`.
 
 use rjam_obs::stream::{self, ProgressEvent};
 use rjam_obs::telemetry::{self, EngineProfile, ProfileStore, Straggler, WorkerStats};
-use rjam_obs::HistSummary;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -87,32 +87,14 @@ pub fn shard_seed(campaign_seed: u64, shard: u64) -> u64 {
     splitmix64(campaign_seed ^ splitmix64(mixed))
 }
 
-/// Strictly parses a thread-count override string (the value of
-/// [`THREADS_ENV`] or a `--threads` argument).
-///
-/// `None` or an empty/whitespace string means "no override" (`Ok(None)`);
-/// a decimal integer parses to `Ok(Some(n))` — including `0`, which
-/// [`CampaignEngine::with_threads`] clamps to one worker; anything else is
-/// an error with an operator-facing message. Front-ends that own a usage
-/// channel (`rjamctl`) surface the error; [`CampaignEngine::from_env`]
-/// degrades to serial instead, so a typo can never silently fan out.
-pub fn parse_threads(value: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = value else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    trimmed
-        .parse::<usize>()
-        .map(Some)
-        .map_err(|_| format!("{THREADS_ENV} must be a non-negative integer, got {raw:?}"))
-}
-
-/// [`parse_threads`] applied to the [`THREADS_ENV`] environment variable.
-pub fn threads_from_env() -> Result<Option<usize>, String> {
-    match std::env::var(THREADS_ENV) {
-        Ok(raw) => parse_threads(Some(&raw)),
-        Err(_) => Ok(None),
+/// Strictly parses a worker count: the value of [`THREADS_ENV`] or of a
+/// `--threads` flag, which `source` names in the error. A positive decimal
+/// integer, surrounding whitespace allowed, parses; anything else, `0`
+/// included, is an error with an operator-facing message.
+fn parse_threads(source: &str, raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{source} must be a positive integer, got {raw:?}")),
     }
 }
 
@@ -283,22 +265,28 @@ pub struct CampaignEngine {
 }
 
 impl CampaignEngine {
-    /// An engine with the environment's worker count: `RJAM_THREADS` if
-    /// set (strictly parsed; `0` clamps to 1 like [`Self::with_threads`],
-    /// unparsable values degrade to serial), else
-    /// `available_parallelism()`, else 1.
+    /// The engine a front end asked for: `threads`, the value of its
+    /// `--threads` flag, when given; else [`THREADS_ENV`] when set and not
+    /// blank; else one worker per core. A malformed or zero count, from
+    /// either source, is an error naming the flag or the variable; the
+    /// front ends that own a usage channel (`rjamctl`, `rjamd`) exit 2
+    /// with it.
+    pub fn from_args(threads: Option<&str>) -> Result<Self, String> {
+        let n = match (threads, std::env::var(THREADS_ENV)) {
+            (Some(raw), _) => parse_threads("--threads", raw)?,
+            (None, Ok(raw)) if !raw.trim().is_empty() => parse_threads(THREADS_ENV, &raw)?,
+            (None, _) => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        };
+        Ok(Self::with_threads(n))
+    }
+
+    /// [`Self::from_args`] without a flag, degrading a malformed or zero
+    /// [`THREADS_ENV`] to serial rather than failing: a garbage override
+    /// must not silently fan out to every core.
     pub fn from_env() -> Self {
-        match threads_from_env() {
-            Ok(Some(n)) => Self::with_threads(n),
-            Ok(None) => Self::with_threads(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            ),
-            // A garbage override must not silently fan out to every core;
-            // rjamctl additionally rejects it through its usage-error path.
-            Err(_) => Self::serial(),
-        }
+        Self::from_args(None).unwrap_or_else(|_| Self::serial())
     }
 
     /// A single-threaded engine — the reference path the determinism
@@ -337,15 +325,6 @@ impl CampaignEngine {
             .lock()
             .expect("engine profile lock")
             .profile(kind)
-    }
-
-    /// Unit-latency summaries per kind over every campaign this engine and
-    /// its clones ran; always empty without the `obs` feature.
-    pub fn kind_summaries(&self) -> Vec<(String, HistSummary)> {
-        self.profiles
-            .lock()
-            .expect("engine profile lock")
-            .kind_summaries()
     }
 
     /// [`Self::run_units`] with an empty checkpoint and no cancel token,
@@ -457,7 +436,7 @@ impl CampaignEngine {
     /// telemetry. With the `obs` feature on, the engine times every unit
     /// and fold and publishes an [`EngineProfile`] (per-worker
     /// busy/idle/merge-wait, with the fold time as merge-wait,
-    /// unit-latency histogram per kind, stragglers > `STRAGGLER_FACTOR`×
+    /// the unit-latency summary, stragglers > `STRAGGLER_FACTOR`×
     /// the median with their seeds) into its own store ([`Self::profile`]),
     /// and — when it has a progress sink ([`Self::with_progress`]) — emits
     /// the `rjam-progress-v1` event chain (started / shard finished /
@@ -704,8 +683,8 @@ struct WorkerLog {
 }
 
 /// Assembles and publishes a run's [`EngineProfile`] over the units it
-/// actually ran: per-worker buckets, the unit-latency histogram (per kind
-/// and as the `core.engine_unit_ns` registry aggregate), stragglers
+/// actually ran: per-worker buckets, the unit-latency histogram (in the
+/// profile and as the `core.engine_unit_ns` registry aggregate), stragglers
 /// (flagged into the flight recorder with their unit index and worker,
 /// reproducible via `shard_seed`), and — into `done_to`, when given — the
 /// terminal `campaign_done` event. The profile goes into `store`.
@@ -803,10 +782,7 @@ fn publish_run_telemetry(
             .to_line(),
         );
     }
-    store
-        .lock()
-        .expect("engine profile lock")
-        .publish(profile, &hist);
+    store.lock().expect("engine profile lock").publish(profile);
 }
 
 #[cfg(test)]
@@ -921,18 +897,23 @@ mod tests {
 
     #[test]
     fn parse_threads_contract() {
-        assert_eq!(parse_threads(None), Ok(None));
-        assert_eq!(parse_threads(Some("")), Ok(None));
-        assert_eq!(parse_threads(Some("  ")), Ok(None));
-        assert_eq!(parse_threads(Some("1")), Ok(Some(1)));
-        assert_eq!(parse_threads(Some(" 8 ")), Ok(Some(8)));
-        // 0 parses; with_threads clamps it to 1 — consistent with the
-        // explicit API instead of silently fanning out to every core.
-        assert_eq!(parse_threads(Some("0")), Ok(Some(0)));
+        assert_eq!(parse_threads("--threads", "1"), Ok(1));
+        assert_eq!(parse_threads("--threads", " 8 "), Ok(8));
+        // 0 is refused like garbage: a front end must not quietly run one
+        // worker (with_threads clamps an explicit 0 to 1).
         assert_eq!(CampaignEngine::with_threads(0).threads(), 1);
-        for garbage in ["four", "-2", "3.5", "0x4", "4 threads"] {
-            assert!(parse_threads(Some(garbage)).is_err(), "{garbage:?}");
+        for bad in ["0", "", "  ", "four", "-2", "3.5", "0x4", "4 threads"] {
+            let err = parse_threads("RJAM_THREADS", bad).unwrap_err();
+            assert_eq!(
+                err,
+                format!("RJAM_THREADS must be a positive integer, got {bad:?}")
+            );
         }
+        let err = parse_threads("--threads", "abc").unwrap_err();
+        assert!(err.starts_with("--threads "), "{err}");
+        // An explicit count wins over the environment, whatever it holds.
+        assert_eq!(CampaignEngine::from_args(Some("3")).unwrap().threads(), 3);
+        assert!(CampaignEngine::from_args(Some("0")).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::export;
 use crate::presets::DetectionPreset;
 use rjam_mac::MacObsDelta;
 use rjam_obs::json::{self, Value};
-use rjam_obs::ParseError;
+use rjam_obs::{Fields, ParseError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -463,34 +463,33 @@ impl CampaignRequest {
     /// [`SpecError::Parse`]; the result is **not** yet validated — callers
     /// decide when to apply [`CampaignRequest::validate`].
     pub fn from_value(v: &Value) -> Result<Self, SpecError> {
-        let o = v.as_object().ok_or(ParseError::NotAnObject)?;
-        let campaign = str_field(o, "campaign")?;
-        match campaign {
+        let o = Fields::of(v)?;
+        match o.str("campaign")? {
             "wifi_detection" => Ok(CampaignRequest::WifiDetection {
-                preset: preset_from(o)?,
-                emission: emission_from(o)?,
-                channel: channel_from(o)?,
-                snrs_db: grid_from(o, "snrs_db")?,
-                frames_per_point: usize_field(o, "trials")?,
-                seed: u64_field(o, "seed")?,
+                preset: preset_from(&o.object("preset")?)?,
+                emission: emission_from(&o.object("emission")?)?,
+                channel: channel_from(&o.object("channel")?)?,
+                snrs_db: o.f64s("snrs_db")?,
+                frames_per_point: o.u64("trials")? as usize,
+                seed: o.u64("seed")?,
             }),
             "false_alarm" => Ok(CampaignRequest::FalseAlarm {
-                preset: preset_from(o)?,
-                samples: usize_field(o, "samples")?,
-                seed: u64_field(o, "seed")?,
+                preset: preset_from(&o.object("preset")?)?,
+                samples: o.u64("samples")? as usize,
+                seed: o.u64("seed")?,
             }),
             "wimax" => Ok(CampaignRequest::Wimax {
-                fused: bool_field(o, "fused")?,
-                frames: usize_field(o, "frames")?,
-                snr_db: f64_field(o, "snr_db")?,
-                threshold: f64_field(o, "threshold")?,
-                seed: u64_field(o, "seed")?,
+                fused: o.bool("fused")?,
+                frames: o.u64("frames")? as usize,
+                snr_db: o.f64("snr_db")?,
+                threshold: o.f64("threshold")?,
+                seed: o.u64("seed")?,
             }),
             "jamming" => Ok(CampaignRequest::Jamming {
-                jammer: jammer_from_id(str_field(o, "jammer")?)?,
-                sirs_db: grid_from(o, "sirs_db")?,
-                duration_s: f64_field(o, "duration_s")?,
-                seed: u64_field(o, "seed")?,
+                jammer: jammer_from_id(o.str("jammer")?)?,
+                sirs_db: o.f64s("sirs_db")?,
+                duration_s: o.f64("duration_s")?,
+                seed: o.u64("seed")?,
             }),
             other => Err(field_err(
                 "campaign",
@@ -622,108 +621,31 @@ pub fn jammer_from_id(id: &str) -> Result<JammerUnderTest, SpecError> {
     }
 }
 
-type Obj = BTreeMap<String, Value>;
-
-fn str_field<'a>(o: &'a Obj, field: &'static str) -> Result<&'a str, ParseError> {
-    o.get(field)
-        .and_then(Value::as_str)
-        .ok_or(ParseError::Field {
-            field: field.to_string(),
-            expected: "string",
-        })
-}
-
-fn f64_field(o: &Obj, field: &'static str) -> Result<f64, ParseError> {
-    o.get(field)
-        .and_then(Value::as_f64)
-        .ok_or(ParseError::Field {
-            field: field.to_string(),
-            expected: "number",
-        })
-}
-
-fn u64_field(o: &Obj, field: &'static str) -> Result<u64, ParseError> {
-    o.get(field)
-        .and_then(Value::as_u64)
-        .ok_or(ParseError::Field {
-            field: field.to_string(),
-            expected: "non-negative integer",
-        })
-}
-
-fn usize_field(o: &Obj, field: &'static str) -> Result<usize, ParseError> {
-    u64_field(o, field).map(|v| v as usize)
-}
-
-fn bool_field(o: &Obj, field: &'static str) -> Result<bool, ParseError> {
-    match o.get(field) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(ParseError::Field {
-            field: field.to_string(),
-            expected: "boolean",
-        }),
-    }
-}
-
-fn obj_field<'a>(o: &'a Obj, field: &'static str) -> Result<&'a Obj, ParseError> {
-    o.get(field)
-        .and_then(Value::as_object)
-        .ok_or(ParseError::Field {
-            field: field.to_string(),
-            expected: "object",
-        })
-}
-
-fn grid_from(o: &Obj, field: &'static str) -> Result<Vec<f64>, SpecError> {
-    let arr = o
-        .get(field)
-        .and_then(Value::as_array)
-        .ok_or(ParseError::Field {
-            field: field.to_string(),
-            expected: "array of numbers",
-        })?;
-    arr.iter()
-        .map(|v| {
-            v.as_f64().ok_or_else(|| {
-                ParseError::Field {
-                    field: field.to_string(),
-                    expected: "array of numbers",
-                }
-                .into()
-            })
-        })
-        .collect()
-}
-
-fn preset_from(o: &Obj) -> Result<DetectionPreset, SpecError> {
-    let p = obj_field(o, "preset")?;
-    let kind = str_field(p, "kind")?;
-    let u8_of = |field: &'static str| -> Result<u8, ParseError> {
-        u64_field(p, field).map(|v| v.min(u8::MAX as u64) as u8)
-    };
-    match kind {
+fn preset_from(p: &Fields) -> Result<DetectionPreset, SpecError> {
+    let u8_of = |field| p.u64(field).map(|v| v.min(u8::MAX as u64) as u8);
+    match p.str("kind")? {
         "wifi_short" => Ok(DetectionPreset::WifiShortPreamble {
-            threshold: f64_field(p, "threshold")?,
+            threshold: p.f64("threshold")?,
         }),
         "wifi_long" => Ok(DetectionPreset::WifiLongPreamble {
-            threshold: f64_field(p, "threshold")?,
+            threshold: p.f64("threshold")?,
         }),
         "wimax" => Ok(DetectionPreset::WimaxPreamble {
             id_cell: u8_of("id_cell")?,
             segment: u8_of("segment")?,
-            threshold: f64_field(p, "threshold")?,
+            threshold: p.f64("threshold")?,
         }),
         "energy_rise" => Ok(DetectionPreset::EnergyRise {
-            threshold_db: f64_field(p, "threshold_db")?,
+            threshold_db: p.f64("threshold_db")?,
         }),
         "energy_fall" => Ok(DetectionPreset::EnergyFall {
-            threshold_db: f64_field(p, "threshold_db")?,
+            threshold_db: p.f64("threshold_db")?,
         }),
         "wimax_fused" => Ok(DetectionPreset::WimaxFused {
             id_cell: u8_of("id_cell")?,
             segment: u8_of("segment")?,
-            threshold: f64_field(p, "threshold")?,
-            energy_db: f64_field(p, "energy_db")?,
+            threshold: p.f64("threshold")?,
+            energy_db: p.f64("energy_db")?,
         }),
         other => Err(field_err(
             "preset.kind",
@@ -735,11 +657,10 @@ fn preset_from(o: &Obj) -> Result<DetectionPreset, SpecError> {
     }
 }
 
-fn emission_from(o: &Obj) -> Result<WifiEmission, SpecError> {
-    let e = obj_field(o, "emission")?;
-    match str_field(e, "kind")? {
+fn emission_from(e: &Fields) -> Result<WifiEmission, SpecError> {
+    match e.str("kind")? {
         "full_frames" => Ok(WifiEmission::FullFrames {
-            psdu_len: usize_field(e, "psdu_len")?,
+            psdu_len: e.u64("psdu_len")? as usize,
         }),
         "single_short" => Ok(WifiEmission::SingleShortPreamble),
         "single_long" => Ok(WifiEmission::SingleLongPreamble),
@@ -750,13 +671,12 @@ fn emission_from(o: &Obj) -> Result<WifiEmission, SpecError> {
     }
 }
 
-fn channel_from(o: &Obj) -> Result<ChannelModel, SpecError> {
-    let c = obj_field(o, "channel")?;
-    match str_field(c, "kind")? {
+fn channel_from(c: &Fields) -> Result<ChannelModel, SpecError> {
+    match c.str("kind")? {
         "awgn" => Ok(ChannelModel::Awgn),
         "rayleigh" => Ok(ChannelModel::Rayleigh {
-            taps: usize_field(c, "taps")?,
-            rms: f64_field(c, "rms")?,
+            taps: c.u64("taps")? as usize,
+            rms: c.f64("rms")?,
         }),
         other => Err(field_err(
             "channel.kind",

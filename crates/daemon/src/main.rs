@@ -5,11 +5,15 @@
 //! rjamd --socket /run/rjamd.sock     # serve many clients on a Unix socket
 //! ```
 //!
-//! Options: `--threads N` (engine workers), `--queue N` (pending-job
-//! bound, default 16). Usage errors exit 2 with usage text; runtime
-//! failures exit 1.
+//! Options: `--threads N` (engine workers; else `RJAM_THREADS`, else all
+//! cores), `--queue N` (pending-job bound, default 16). The command line
+//! is read against [`USAGE`], which names every flag `rjamd` accepts.
+//! Usage errors, a malformed or zero `RJAM_THREADS` among them, exit 2
+//! with usage text; runtime failures exit 1.
 
+use rjam_core::CampaignEngine;
 use rjam_daemon::Daemon;
+use rjam_obs::flags;
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::ExitCode;
@@ -29,92 +33,54 @@ talk to it.
   --queue N        max queued jobs before submits see queue_full (default 16)
 ";
 
-struct Opts {
-    socket: Option<String>,
-    stdio: bool,
-    threads: Option<usize>,
-    queue: usize,
-}
-
-fn parse_opts(argv: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts {
-        socket: None,
-        stdio: false,
-        threads: None,
-        queue: rjam_daemon::DEFAULT_QUEUE_CAP,
-    };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--stdio" => opts.stdio = true,
-            "--socket" => {
-                opts.socket = Some(
-                    it.next()
-                        .ok_or_else(|| "--socket needs a path".to_string())?
-                        .clone(),
-                )
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--threads needs a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads: '{v}' is not a number"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                opts.threads = Some(n);
-            }
-            "--queue" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--queue needs a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--queue: '{v}' is not a number"))?;
-                if n == 0 {
-                    return Err("--queue must be at least 1".into());
-                }
-                opts.queue = n;
-            }
-            "help" | "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument '{other}'")),
-        }
+/// The daemon's engine, its queue bound and its socket path (`None` for
+/// stdio), as the command line asks.
+fn configure(argv: &[String]) -> Result<(CampaignEngine, usize, Option<String>), String> {
+    let f = flags::parse(USAGE, argv)?;
+    if let Some(arg) = f.positional().first() {
+        return Err(format!("unexpected argument '{arg}'"));
     }
-    if opts.stdio == opts.socket.is_some() {
+    let socket = f.str("--socket").map(String::from);
+    if f.has("--stdio") == socket.is_some() {
         return Err("pick exactly one of --stdio or --socket PATH".into());
     }
-    Ok(opts)
+    let queue = f.get_or("--queue", rjam_daemon::DEFAULT_QUEUE_CAP)?;
+    if queue == 0 {
+        return Err("--queue must be at least 1".into());
+    }
+    Ok((
+        CampaignEngine::from_args(f.str("--threads"))?,
+        queue,
+        socket,
+    ))
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_opts(&argv) {
-        Ok(opts) => opts,
+    if argv
+        .iter()
+        .any(|a| matches!(a.as_str(), "help" | "--help" | "-h"))
+    {
+        eprintln!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let (engine, queue, socket) = match configure(&argv) {
+        Ok(config) => config,
         Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
+            eprintln!("error: {msg}");
             eprintln!("{USAGE}");
-            return ExitCode::from(if msg.is_empty() { 0 } else { 2 });
+            return ExitCode::from(2);
         }
     };
-    let engine = match opts.threads {
-        Some(n) => rjam_core::CampaignEngine::with_threads(n),
-        None => rjam_core::CampaignEngine::from_env(),
-    };
-    let daemon = Daemon::start(engine, opts.queue);
+    let daemon = Daemon::start(engine, queue);
 
-    if opts.stdio {
+    let Some(path) = socket else {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         daemon.serve_connection(stdin.lock(), stdout.lock());
         daemon.shutdown();
         return ExitCode::SUCCESS;
-    }
-
-    let path = opts.socket.expect("socket mode");
+    };
     // A stale socket file from a previous run refuses the bind.
     let _ = std::fs::remove_file(&path);
     let listener = match UnixListener::bind(&path) {

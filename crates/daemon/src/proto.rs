@@ -16,7 +16,7 @@
 
 use rjam_core::spec::{CampaignRequest, SpecError};
 use rjam_obs::json::{self, Value};
-use rjam_obs::{Envelope, ParseError, Protocol};
+use rjam_obs::{Envelope, Fields, ParseError, Protocol};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -230,9 +230,10 @@ impl JobRequest {
     /// [`CampaignRequest::validate`] runs at the enqueue boundary.
     pub fn from_line(line: &str) -> Result<Self, ParseError> {
         let env = Envelope::parse(&PROTOCOL, line)?;
+        let o = env.root();
         match env.event("req")? {
             "submit" => {
-                let spec = env
+                let spec = o
                     .get("spec")
                     .ok_or(ParseError::Field {
                         field: "spec".to_string(),
@@ -247,16 +248,16 @@ impl JobRequest {
                 Ok(JobRequest::Submit { spec })
             }
             "status" => Ok(JobRequest::Status {
-                job: env.get("job").and_then(Value::as_str).map(str::to_string),
+                job: o.get("job").and_then(Value::as_str).map(str::to_string),
             }),
             "watch" => Ok(JobRequest::Watch {
-                job: env.string("job")?,
+                job: o.str("job")?.to_string(),
             }),
             "cancel" => Ok(JobRequest::Cancel {
-                job: env.string("job")?,
+                job: o.str("job")?.to_string(),
             }),
             "resume" => Ok(JobRequest::Resume {
-                job: env.string("job")?,
+                job: o.str("job")?.to_string(),
             }),
             other => Err(ParseError::UnknownEvent {
                 found: other.to_string(),
@@ -361,63 +362,55 @@ impl JobResponse {
     /// Parses one response line.
     pub fn from_line(line: &str) -> Result<Self, ParseError> {
         let env = Envelope::parse(&PROTOCOL, line)?;
+        let o = env.root();
         match env.event("ev")? {
             "accepted" => Ok(JobResponse::Accepted {
-                job: env.string("job")?,
-                queue_depth: env.u64("queue_depth")?,
+                job: o.str("job")?.to_string(),
+                queue_depth: o.u64("queue_depth")?,
             }),
             "error" => {
-                let code = env.string("code")?;
-                let kind = JobErrorKind::from_code(&code).ok_or(ParseError::UnknownEvent {
-                    found: code.clone(),
-                })?;
+                let code = o.str("code")?;
+                let kind =
+                    JobErrorKind::from_code(code).ok_or_else(|| ParseError::UnknownEvent {
+                        found: code.to_string(),
+                    })?;
                 Ok(JobResponse::Error(JobError::new(
                     kind,
-                    env.string("message")?,
+                    o.str("message")?.to_string(),
                 )))
             }
             "status" => {
-                let rows = env.array("jobs")?;
+                let rows = o.array("jobs")?;
                 let mut jobs = Vec::with_capacity(rows.len());
                 for (k, row) in rows.iter().enumerate() {
-                    let bad = |what: &str| {
-                        ParseError::Invalid(format!("status row {k}: missing/invalid '{what}'"))
-                    };
-                    let r = row.as_object().ok_or_else(|| bad("object"))?;
-                    let s = |f: &str| -> Result<String, ParseError> {
-                        r.get(f)
-                            .and_then(Value::as_str)
-                            .map(str::to_string)
-                            .ok_or_else(|| bad(f))
-                    };
-                    let n = |f: &str| -> Result<u64, ParseError> {
-                        r.get(f).and_then(Value::as_u64).ok_or_else(|| bad(f))
-                    };
-                    let state_name = s("state")?;
+                    let r = Fields::labeled(row, format!("status row {k}"))?;
+                    let state = r.str("state")?;
                     jobs.push(JobStatus {
-                        job: s("job")?,
-                        kind: s("kind")?,
-                        state: JobState::from_name(&state_name).ok_or_else(|| bad("state"))?,
-                        units_done: n("units_done")?,
-                        units_total: n("units_total")?,
+                        job: r.str("job")?.to_string(),
+                        kind: r.str("kind")?.to_string(),
+                        state: JobState::from_name(state).ok_or_else(|| {
+                            ParseError::invalid(format!("status row {k}: unknown state '{state}'"))
+                        })?,
+                        units_done: r.u64("units_done")?,
+                        units_total: r.u64("units_total")?,
                     });
                 }
                 Ok(JobResponse::Status { jobs })
             }
             "job_metrics" => Ok(JobResponse::Metrics {
-                job: env.string("job")?,
-                snapshot: env.get("snapshot").cloned().ok_or(ParseError::Field {
+                job: o.str("job")?.to_string(),
+                snapshot: o.get("snapshot").cloned().ok_or(ParseError::Field {
                     field: "snapshot".to_string(),
                     expected: "object",
                 })?,
             }),
             "job_done" => Ok(JobResponse::Done {
-                job: env.string("job")?,
-                export: env.string("export")?,
+                job: o.str("job")?.to_string(),
+                export: o.str("export")?.to_string(),
             }),
             "job_cancelled" => Ok(JobResponse::Cancelled {
-                job: env.string("job")?,
-                units_done: env.u64("units_done")?,
+                job: o.str("job")?.to_string(),
+                units_done: o.u64("units_done")?,
             }),
             other => Err(ParseError::UnknownEvent {
                 found: other.to_string(),

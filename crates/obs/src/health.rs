@@ -184,21 +184,22 @@ impl HealthEvent {
     /// Parses one NDJSON line back into an event.
     pub fn from_line(line: &str) -> Result<Self, ParseError> {
         let env = Envelope::parse(&PROTOCOL, line)?;
+        let o = env.root();
         match env.event("ev")? {
             "baseline_established" => Ok(HealthEvent::Baseline {
-                metric: env.string("metric")?.into(),
-                detector: env.string("detector")?.into(),
-                mean: env.f64("mean")?,
-                samples: env.u64("samples")?,
+                metric: o.str("metric")?.to_owned().into(),
+                detector: o.str("detector")?.to_owned().into(),
+                mean: o.f64("mean")?,
+                samples: o.u64("samples")?,
             }),
             "alarm_raised" => Ok(HealthEvent::AlarmRaised {
-                rule: env.string("rule")?.into(),
-                metric: env.string("metric")?.into(),
-                detector: env.string("detector")?.into(),
-                stat: env.f64("stat")?,
-                threshold: env.f64("threshold")?,
-                frame: env.u64("frame")?,
-                frames: env
+                rule: o.str("rule")?.to_owned().into(),
+                metric: o.str("metric")?.to_owned().into(),
+                detector: o.str("detector")?.to_owned().into(),
+                stat: o.f64("stat")?,
+                threshold: o.f64("threshold")?,
+                frame: o.u64("frame")?,
+                frames: o
                     .array("frames")?
                     .iter()
                     .map(|v| {
@@ -210,15 +211,15 @@ impl HealthEvent {
                     .collect::<Result<Vec<_>, ParseError>>()?,
             }),
             "alarm_cleared" => Ok(HealthEvent::AlarmCleared {
-                rule: env.string("rule")?.into(),
-                metric: env.string("metric")?.into(),
-                frame: env.u64("frame")?,
+                rule: o.str("rule")?.to_owned().into(),
+                metric: o.str("metric")?.to_owned().into(),
+                frame: o.u64("frame")?,
             }),
             "run_summary" => Ok(HealthEvent::RunSummary {
-                frames: env.u64("frames")?,
-                alarms_raised: env.u64("alarms_raised")?,
-                alarms_active: env.u64("alarms_active")?,
-                healthy: env.u64("healthy")? != 0,
+                frames: o.u64("frames")?,
+                alarms_raised: o.u64("alarms_raised")?,
+                alarms_active: o.u64("alarms_active")?,
+                healthy: o.u64("healthy")? != 0,
             }),
             other => Err(ParseError::UnknownEvent {
                 found: other.to_string(),
@@ -324,16 +325,15 @@ pub struct HealthVerdict {
     pub frames: u64,
 }
 
-/// Exponentially weighted mean/variance baseline.
+/// Exponentially weighted mean baseline.
 ///
-/// The first sample seeds the mean; variance uses the standard EWMA
-/// recurrence `var' = (1 - a) * (var + diff * a * diff)`.
+/// The first sample seeds the mean; each later one moves it by `alpha`
+/// times its distance from the mean.
 #[derive(Clone, Copy, Debug)]
 pub struct EwmaBaseline {
     alpha: f64,
     mean: f64,
-    var: f64,
-    n: u64,
+    seeded: bool,
 }
 
 impl EwmaBaseline {
@@ -342,43 +342,23 @@ impl EwmaBaseline {
         EwmaBaseline {
             alpha,
             mean: 0.0,
-            var: 0.0,
-            n: 0,
+            seeded: false,
         }
     }
 
     /// Absorbs one observation.
     pub fn update(&mut self, x: f64) {
-        self.n += 1;
-        if self.n == 1 {
+        if self.seeded {
+            self.mean += self.alpha * (x - self.mean);
+        } else {
             self.mean = x;
-            self.var = 0.0;
-            return;
+            self.seeded = true;
         }
-        let diff = x - self.mean;
-        let incr = self.alpha * diff;
-        self.mean += incr;
-        self.var = (1.0 - self.alpha) * (self.var + diff * incr);
     }
 
     /// Current smoothed mean (0 before any sample).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Current smoothed variance.
-    pub fn var(&self) -> f64 {
-        self.var
-    }
-
-    /// Current smoothed standard deviation.
-    pub fn std(&self) -> f64 {
-        self.var.sqrt()
-    }
-
-    /// Observations absorbed.
-    pub fn samples(&self) -> u64 {
-        self.n
     }
 }
 
@@ -1114,20 +1094,20 @@ mod tests {
     }
 
     #[test]
-    fn ewma_tracks_mean_and_variance() {
+    fn ewma_tracks_the_mean() {
         let mut b = EwmaBaseline::new(0.3);
         assert_eq!(b.mean(), 0.0);
+        b.update(4.0);
+        assert_eq!(b.mean(), 4.0, "the first sample seeds the mean");
         for _ in 0..50 {
             b.update(4.0);
         }
         assert!((b.mean() - 4.0).abs() < 1e-9, "constant input converges");
-        assert!(b.var() < 1e-9);
         let mut b = EwmaBaseline::new(0.3);
         for k in 0..200 {
             b.update(if k % 2 == 0 { 0.0 } else { 2.0 });
         }
         assert!((b.mean() - 1.0).abs() < 0.5);
-        assert!(b.std() > 0.5, "alternating input has spread");
     }
 
     #[test]

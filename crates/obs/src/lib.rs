@@ -19,7 +19,7 @@
 //!    [`trace::FrameId`] correlation ID, exported as Chrome trace-event
 //!    JSON (Perfetto-loadable) or the compact `rjam-trace-v1` schema;
 //! 5. **engine telemetry** ([`telemetry`]): per-worker busy/idle/merge-wait
-//!    profiles, per-unit-kind latency histograms, and straggler records
+//!    profiles with their unit-latency summaries, and straggler records
 //!    that each campaign engine publishes into its own
 //!    [`telemetry::ProfileStore`], rendered by `rjamctl report`;
 //! 6. a **live progress stream** ([`stream`]): the line-delimited
@@ -31,7 +31,13 @@
 //!    detectors (EWMA baselines, CUSUM, Page–Hinkley) judging the MAC
 //!    frame feed of one run against a typed rule set, logging the
 //!    line-delimited `rjam-health-v1` protocol in the monitor
-//!    (`rjamctl monitor`).
+//!    (`rjamctl monitor`);
+//! 8. the workspace's two **input grammars**, one module each: [`proto`],
+//!    whose [`proto::Envelope`] checks a protocol tag and whose
+//!    [`proto::Fields`] view reads typed fields out of any JSON object
+//!    ([`json`] is the parser underneath), and [`flags`], which parses a
+//!    command line against the usage text that documents it, so every
+//!    binary accepts exactly the flags its usage names.
 //!
 //! The registry and the flight recorder are the only process-wide state;
 //! progress lines, engine profiles and health logs belong to the engine or
@@ -49,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flags;
 pub mod health;
 pub mod hist;
 pub mod json;
@@ -62,7 +69,7 @@ pub mod trace;
 
 pub use health::{HealthEvent, HealthMonitor, HealthVerdict};
 pub use hist::{HistSummary, LogHistogram};
-pub use proto::{Envelope, ParseError, Protocol};
+pub use proto::{Envelope, Fields, ParseError, Protocol};
 pub use recorder::{FlightRecorder, ObsEvent, TripInfo};
 pub use registry::{Counter, Gauge, HistHandle, LocalCounter, LocalHistogram};
 pub use snapshot::MetricsSnapshot;

@@ -13,7 +13,9 @@
 //!
 //! Each gets a [`Protocol`] descriptor (name + version + the literal tag the
 //! wire carries) and parses through [`Envelope`], which checks the tag once
-//! and exposes typed field accessors. Every failure is a [`ParseError`] —
+//! and hands out the root [`Fields`] view: the typed field readers every
+//! parser in the workspace uses, on the root and on any nested object.
+//! Every failure is a [`ParseError`] —
 //! a real enum, not an ad-hoc string — so validators and the daemon can
 //! branch on *what* went wrong (wrong protocol vs. missing field vs. JSON
 //! syntax) while operators still get the familiar rendered messages,
@@ -168,10 +170,8 @@ impl ParseError {
     }
 }
 
-/// A tag-checked protocol object with typed field accessors.
-///
-/// Owns the parsed field map; accessors return [`ParseError`]s whose
-/// rendered text matches the historical ad-hoc messages.
+/// A tag-checked protocol object: the event discriminator and the root
+/// [`Fields`] view.
 #[derive(Clone, Debug)]
 pub struct Envelope {
     fields: BTreeMap<String, Value>,
@@ -197,16 +197,6 @@ impl Envelope {
         }
     }
 
-    /// Raw access to a field.
-    pub fn get(&self, field: &str) -> Option<&Value> {
-        self.fields.get(field)
-    }
-
-    /// The underlying field map.
-    pub fn fields(&self) -> &BTreeMap<String, Value> {
-        &self.fields
-    }
-
     /// The event discriminator (`ev` for every stream protocol).
     pub fn event(&self, field: &'static str) -> Result<&str, ParseError> {
         self.fields
@@ -215,71 +205,138 @@ impl Envelope {
             .ok_or(ParseError::MissingEvent { field })
     }
 
-    /// A required string field.
-    pub fn str(&self, field: &str) -> Result<&str, ParseError> {
-        self.fields
-            .get(field)
-            .and_then(Value::as_str)
-            .ok_or_else(|| ParseError::Field {
-                field: field.to_string(),
-                expected: "string",
-            })
+    /// The typed field view of the root object.
+    pub fn root(&self) -> Fields<'_> {
+        Fields {
+            map: &self.fields,
+            label: None,
+        }
+    }
+}
+
+/// A borrowed JSON object with typed field readers: the one way the
+/// workspace reads fields out of a protocol object or any object nested
+/// in one.
+///
+/// A missing field, or one of the wrong type, is a [`ParseError::Field`]
+/// naming it and what was expected there. A view made with a label
+/// ([`Fields::labeled`], say `event 3`) prefixes its errors with it, as
+/// do the views [`Fields::object`] hands out from it:
+/// `event 3: missing or invalid field 'seq' (expected non-negative
+/// integer)`.
+#[derive(Clone, Debug)]
+pub struct Fields<'a> {
+    map: &'a BTreeMap<String, Value>,
+    label: Option<String>,
+}
+
+impl<'a> Fields<'a> {
+    /// An unlabeled view of `value`; [`ParseError::NotAnObject`] when it is
+    /// not an object.
+    pub fn of(value: &'a Value) -> Result<Self, ParseError> {
+        let map = value.as_object().ok_or(ParseError::NotAnObject)?;
+        Ok(Fields { map, label: None })
     }
 
-    /// A required string field, owned.
-    pub fn string(&self, field: &str) -> Result<String, ParseError> {
-        self.str(field).map(str::to_string)
+    /// A view of `value` whose errors start with `label`; an error saying
+    /// `<label> is not an object` when it is not one.
+    pub fn labeled(value: &'a Value, label: String) -> Result<Self, ParseError> {
+        match value.as_object() {
+            Some(map) => Ok(Fields {
+                map,
+                label: Some(label),
+            }),
+            None => Err(ParseError::invalid(format!("{label} is not an object"))),
+        }
+    }
+
+    fn error(&self, e: ParseError) -> ParseError {
+        match &self.label {
+            Some(label) => ParseError::invalid(format!("{label}: {e}")),
+            None => e,
+        }
+    }
+
+    fn read<T>(
+        &self,
+        field: &str,
+        expected: &'static str,
+        typed: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, ParseError> {
+        self.map.get(field).and_then(typed).ok_or_else(|| {
+            self.error(ParseError::Field {
+                field: field.to_string(),
+                expected,
+            })
+        })
+    }
+
+    /// Raw access to an optional field.
+    pub fn get(&self, field: &str) -> Option<&'a Value> {
+        self.map.get(field)
+    }
+
+    /// Every field, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a String, &'a Value)> {
+        self.map.iter()
+    }
+
+    /// A required string field.
+    pub fn str(&self, field: &str) -> Result<&'a str, ParseError> {
+        self.read(field, "string", Value::as_str)
     }
 
     /// A required non-negative integer field.
     pub fn u64(&self, field: &str) -> Result<u64, ParseError> {
-        self.fields
-            .get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ParseError::Field {
-                field: field.to_string(),
-                expected: "non-negative integer",
-            })
+        self.read(field, "non-negative integer", Value::as_u64)
+    }
+
+    /// A required integer field (a number without a fractional part).
+    pub fn i64(&self, field: &str) -> Result<i64, ParseError> {
+        self.read(field, "integer", |v| {
+            v.as_f64().filter(|n| n.fract() == 0.0).map(|n| n as i64)
+        })
     }
 
     /// A required number field.
     pub fn f64(&self, field: &str) -> Result<f64, ParseError> {
-        self.fields
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| ParseError::Field {
-                field: field.to_string(),
-                expected: "number",
-            })
+        self.read(field, "number", Value::as_f64)
+    }
+
+    /// A required boolean field.
+    pub fn bool(&self, field: &str) -> Result<bool, ParseError> {
+        self.read(field, "boolean", |v| match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        })
     }
 
     /// A required array field.
-    pub fn array(&self, field: &str) -> Result<&[Value], ParseError> {
-        self.fields
-            .get(field)
-            .and_then(Value::as_array)
-            .ok_or_else(|| ParseError::Field {
-                field: field.to_string(),
-                expected: "array",
-            })
+    pub fn array(&self, field: &str) -> Result<&'a [Value], ParseError> {
+        self.read(field, "array", Value::as_array)
     }
 
-    /// A required object field.
-    pub fn object(&self, field: &str) -> Result<&BTreeMap<String, Value>, ParseError> {
-        self.fields
-            .get(field)
-            .and_then(Value::as_object)
-            .ok_or_else(|| ParseError::Field {
-                field: field.to_string(),
-                expected: "object",
-            })
+    /// A required array-of-numbers field.
+    pub fn f64s(&self, field: &str) -> Result<Vec<f64>, ParseError> {
+        self.read(field, "array of numbers", |v| {
+            v.as_array()?.iter().map(Value::as_f64).collect()
+        })
+    }
+
+    /// A required object field, as a view that keeps this one's label.
+    pub fn object(&self, field: &str) -> Result<Fields<'a>, ParseError> {
+        let map = self.read(field, "object", Value::as_object)?;
+        Ok(Fields {
+            map,
+            label: self.label.clone(),
+        })
     }
 
     /// A required 64-bit id serialised as a `"0x..."` hex string (the
     /// shared JSON dialect stores numbers as `f64`; ids and seeds need all
     /// 64 bits).
     pub fn hex_u64(&self, field: &str) -> Result<u64, ParseError> {
-        parse_hex_u64(field, self.str(field)?)
+        parse_hex_u64(field, self.str(field)?).map_err(|e| self.error(e))
     }
 }
 
@@ -366,19 +423,26 @@ mod tests {
     }
 
     #[test]
-    fn typed_accessors_report_field_and_expectation() {
+    fn typed_readers_report_field_and_expectation() {
         let env = Envelope::parse(
             &Protocol::JOB,
-            r#"{"v":"rjam-job-v1","n":3,"s":"x","a":[1],"o":{},"id":"0xdeadbeef"}"#,
+            r#"{"v":"rjam-job-v1","n":3,"s":"x","a":[1],"o":{"k":-2},"id":"0xdeadbeef",
+               "b":true,"g":[1,2.5],"h":[1,"x"],"f":1.5}"#,
         )
         .unwrap();
-        assert_eq!(env.u64("n").unwrap(), 3);
-        assert_eq!(env.str("s").unwrap(), "x");
-        assert_eq!(env.array("a").unwrap().len(), 1);
-        assert!(env.object("o").unwrap().is_empty());
-        assert_eq!(env.hex_u64("id").unwrap(), 0xdead_beef);
+        let o = env.root();
+        assert_eq!(o.u64("n").unwrap(), 3);
+        assert_eq!(o.i64("n").unwrap(), 3);
+        assert_eq!(o.f64("f").unwrap(), 1.5);
+        assert_eq!(o.str("s").unwrap(), "x");
+        assert!(o.bool("b").unwrap());
+        assert_eq!(o.array("a").unwrap().len(), 1);
+        assert_eq!(o.f64s("g").unwrap(), vec![1.0, 2.5]);
+        assert_eq!(o.object("o").unwrap().i64("k").unwrap(), -2);
+        assert_eq!(o.hex_u64("id").unwrap(), 0xdead_beef);
+        assert!(o.get("missing").is_none());
 
-        let err = env.u64("s").unwrap_err();
+        let err = o.u64("s").unwrap_err();
         assert_eq!(
             err,
             ParseError::Field {
@@ -390,7 +454,48 @@ mod tests {
             err.to_string(),
             "missing or invalid field 's' (expected non-negative integer)"
         );
-        assert!(env.str("missing").is_err());
+        for (err, want) in [
+            (o.str("missing").unwrap_err(), "'missing' (expected string)"),
+            (o.i64("f").unwrap_err(), "'f' (expected integer)"),
+            (o.bool("n").unwrap_err(), "'n' (expected boolean)"),
+            (o.f64s("h").unwrap_err(), "'h' (expected array of numbers)"),
+            (o.object("a").unwrap_err(), "'a' (expected object)"),
+        ] {
+            assert_eq!(err.to_string(), format!("missing or invalid field {want}"));
+        }
+    }
+
+    #[test]
+    fn labeled_views_prefix_their_errors() {
+        let doc = json::parse(r#"[{"seq":1,"inner":{"t":"x"}}, 7]"#).unwrap();
+        let items = doc.as_array().unwrap();
+        let e = Fields::labeled(&items[0], "event 0".into()).unwrap();
+        assert_eq!(e.u64("seq").unwrap(), 1);
+        assert_eq!(
+            e.u64("t").unwrap_err().to_string(),
+            "event 0: missing or invalid field 't' (expected non-negative integer)"
+        );
+        // Nested views keep the label.
+        assert_eq!(
+            e.object("inner").unwrap().u64("t").unwrap_err().to_string(),
+            "event 0: missing or invalid field 't' (expected non-negative integer)"
+        );
+        assert_eq!(
+            e.object("inner")
+                .unwrap()
+                .hex_u64("t")
+                .unwrap_err()
+                .to_string(),
+            "event 0: t 'x' is not a 0x-prefixed hex string"
+        );
+        assert_eq!(
+            Fields::labeled(&items[1], "event 1".into())
+                .unwrap_err()
+                .to_string(),
+            "event 1 is not an object"
+        );
+        assert_eq!(Fields::of(&items[1]).unwrap_err(), ParseError::NotAnObject);
+        assert_eq!(Fields::of(&items[0]).unwrap().iter().count(), 2);
     }
 
     #[test]
@@ -414,7 +519,7 @@ mod tests {
     #[test]
     fn ndjson_wrapper_numbers_lines_and_rejects_blanks() {
         let parse_line =
-            |line: &str| Envelope::parse(&Protocol::PROGRESS, line).and_then(|e| e.u64("n"));
+            |line: &str| Envelope::parse(&Protocol::PROGRESS, line).and_then(|e| e.root().u64("n"));
         let ok = parse_ndjson(
             "{\"v\":\"rjam-progress-v1\",\"n\":1}\n{\"v\":\"rjam-progress-v1\",\"n\":2}\n",
             parse_line,

@@ -22,7 +22,7 @@
 
 use crate::hist::HistSummary;
 use crate::json::{self, Value};
-use crate::proto::{Envelope, ParseError, Protocol};
+use crate::proto::{Envelope, Fields, ParseError, Protocol};
 use crate::recorder::{ObsEvent, TripInfo};
 
 /// The protocol descriptor for this document.
@@ -220,91 +220,55 @@ impl MetricsSnapshot {
     /// Parses a `rjam-metrics-v1` document back into a snapshot.
     pub fn from_json(text: &str) -> Result<Self, ParseError> {
         let env = Envelope::parse(&PROTOCOL, text)?;
+        let root = env.root();
         let mut snap = MetricsSnapshot::default();
-        for (k, v) in env.object("counters")? {
+        for (k, v) in root.object("counters")?.iter() {
             let n = v.as_u64().ok_or_else(|| {
                 ParseError::invalid(format!("counter '{k}' is not a non-negative integer"))
             })?;
             snap.counters.push((k.clone(), n));
         }
-        for (k, v) in env.object("gauges")? {
+        for (k, v) in root.object("gauges")?.iter() {
             let n = v.as_u64().ok_or_else(|| {
                 ParseError::invalid(format!("gauge '{k}' is not a non-negative integer"))
             })?;
             snap.gauges.push((k.clone(), n));
         }
-        for (k, v) in env.object("histograms")? {
-            let h = v
-                .as_object()
-                .ok_or_else(|| ParseError::invalid(format!("histogram '{k}' is not an object")))?;
-            let field = |f: &str| -> Result<u64, ParseError> {
-                h.get(f)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| ParseError::invalid(format!("histogram '{k}': bad field '{f}'")))
-            };
-            let mean = h
-                .get("mean")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ParseError::invalid(format!("histogram '{k}': bad field 'mean'")))?;
+        for (k, v) in root.object("histograms")?.iter() {
+            let h = Fields::labeled(v, format!("histogram '{k}'"))?;
             snap.histograms.push((
                 k.clone(),
                 HistSummary {
-                    count: field("count")?,
-                    mean,
-                    min: field("min")?,
-                    max: field("max")?,
-                    p50: field("p50")?,
-                    p95: field("p95")?,
-                    p99: field("p99")?,
+                    count: h.u64("count")?,
+                    mean: h.f64("mean")?,
+                    min: h.u64("min")?,
+                    max: h.u64("max")?,
+                    p50: h.u64("p50")?,
+                    p95: h.u64("p95")?,
+                    p99: h.u64("p99")?,
                 },
             ));
         }
-        for (k, it) in env.array("events")?.iter().enumerate() {
-            let e = it
-                .as_object()
-                .ok_or_else(|| ParseError::invalid(format!("event {k} is not an object")))?;
-            let num = |f: &str| -> Result<u64, ParseError> {
-                e.get(f)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| ParseError::invalid(format!("event {k}: bad field '{f}'")))
-            };
-            let signed = |f: &str| -> Result<i64, ParseError> {
-                e.get(f)
-                    .and_then(Value::as_f64)
-                    .map(|n| n as i64)
-                    .ok_or_else(|| ParseError::invalid(format!("event {k}: bad field '{f}'")))
-            };
+        for (k, v) in root.array("events")?.iter().enumerate() {
+            let e = Fields::labeled(v, format!("event {k}"))?;
             snap.events.push(SnapEvent {
-                seq: num("seq")?,
-                t: num("t")?,
-                kind: e
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ParseError::invalid(format!("event {k}: bad field 'kind'")))?
-                    .to_string(),
-                a: signed("a")?,
-                b: signed("b")?,
+                seq: e.u64("seq")?,
+                t: e.u64("t")?,
+                kind: e.str("kind")?.to_string(),
+                // Any number, truncated: the writer emits integers, and a
+                // stricter rule would refuse snapshots this reader accepts.
+                a: e.f64("a")? as i64,
+                b: e.f64("b")? as i64,
             });
         }
-        match env.get("trip") {
+        match root.get("trip") {
             None | Some(Value::Null) => {}
             Some(v) => {
-                let t = v
-                    .as_object()
-                    .ok_or_else(|| ParseError::invalid("'trip' is not an object or null"))?;
-                let field = |f: &str| -> Result<u64, ParseError> {
-                    t.get(f)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| ParseError::invalid(format!("trip: bad field '{f}'")))
-                };
+                let t = Fields::labeled(v, "trip".into())?;
                 snap.trip = Some(SnapTrip {
-                    t: field("t")?,
-                    reason: t
-                        .get("reason")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| ParseError::invalid("trip: bad field 'reason'"))?
-                        .to_string(),
-                    seq: field("seq")?,
+                    t: t.u64("t")?,
+                    reason: t.str("reason")?.to_string(),
+                    seq: t.u64("seq")?,
                 });
             }
         }

@@ -186,33 +186,34 @@ impl ProgressEvent {
     /// Parses one NDJSON line back into an event.
     pub fn from_line(line: &str) -> Result<Self, ParseError> {
         let env = Envelope::parse(&PROTOCOL, line)?;
+        let o = env.root();
         match env.event("ev")? {
             "campaign_started" => Ok(ProgressEvent::Started {
-                kind: env.string("kind")?,
-                units: env.u64("units")?,
-                shards: env.u64("shards")?,
-                workers: env.u64("workers")?,
-                seed: env.hex_u64("seed")?,
+                kind: o.str("kind")?.to_string(),
+                units: o.u64("units")?,
+                shards: o.u64("shards")?,
+                workers: o.u64("workers")?,
+                seed: o.hex_u64("seed")?,
             }),
             "shard_finished" => Ok(ProgressEvent::ShardFinished {
-                shard: env.u64("shard")?,
-                worker: env.u64("worker")?,
-                units: env.u64("units")?,
-                busy_ns: env.u64("busy_ns")?,
+                shard: o.u64("shard")?,
+                worker: o.u64("worker")?,
+                units: o.u64("units")?,
+                busy_ns: o.u64("busy_ns")?,
             }),
             "snapshot" => Ok(ProgressEvent::Snapshot {
-                done: env.u64("done")?,
-                total: env.u64("total")?,
-                elapsed_ns: env.u64("elapsed_ns")?,
-                eta_ns: env.u64("eta_ns")?,
+                done: o.u64("done")?,
+                total: o.u64("total")?,
+                elapsed_ns: o.u64("elapsed_ns")?,
+                eta_ns: o.u64("eta_ns")?,
             }),
             "campaign_done" => Ok(ProgressEvent::Done {
-                units: env.u64("units")?,
-                elapsed_ns: env.u64("elapsed_ns")?,
-                workers: env.u64("workers")?,
-                busy_ns: env.u64("busy_ns")?,
-                idle_ns: env.u64("idle_ns")?,
-                merge_wait_ns: env.u64("merge_wait_ns")?,
+                units: o.u64("units")?,
+                elapsed_ns: o.u64("elapsed_ns")?,
+                workers: o.u64("workers")?,
+                busy_ns: o.u64("busy_ns")?,
+                idle_ns: o.u64("idle_ns")?,
+                merge_wait_ns: o.u64("merge_wait_ns")?,
             }),
             other => Err(ParseError::UnknownEvent {
                 found: other.to_string(),

@@ -1,5 +1,5 @@
-//! Engine telemetry: per-worker utilization profiles and per-kind unit
-//! latency histograms.
+//! Engine telemetry: per-worker utilization profiles with their unit
+//! latency summaries.
 //!
 //! The paper's FPGA exposes live status registers that make the jammer
 //! *operable*; the parallel `CampaignEngine` needs the same treatment. At
@@ -9,14 +9,15 @@
 //! did the unit latency distribution look like, and which units were
 //! stragglers (slower than [`STRAGGLER_FACTOR`]× the median, recorded with
 //! their seed so they can be re-run in isolation) — and publishes it into
-//! its own [`ProfileStore`], which the engine's clones share. `rjamctl
-//! report` renders the profile its engine published; the per-kind
-//! histograms accumulate across that engine's campaigns.
+//! its own [`ProfileStore`], which the engine's clones share and which
+//! keeps the latest profile of each unit kind. `rjamctl report` renders the
+//! profile its engine published; the process-wide unit-latency aggregate
+//! is the registry's `core.engine_unit_ns` histogram.
 //!
 //! These are plain types, compiled in every build; without the `obs`
 //! feature the engine simply publishes nothing.
 
-use crate::hist::{HistSummary, LogHistogram};
+use crate::hist::HistSummary;
 use std::collections::BTreeMap;
 
 /// Units slower than this multiple of the campaign's median unit time are
@@ -208,42 +209,22 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// The profiles one campaign engine has published, by unit kind: the
-/// latest [`EngineProfile`] of each kind and that kind's unit-latency
-/// histogram, accumulated over every campaign of the kind.
+/// The profiles one campaign engine has published: the latest
+/// [`EngineProfile`] of each unit kind.
 #[derive(Debug, Default)]
 pub struct ProfileStore {
-    by_kind: BTreeMap<String, (EngineProfile, LogHistogram)>,
+    by_kind: BTreeMap<String, EngineProfile>,
 }
 
 impl ProfileStore {
-    /// Publishes a finished campaign's profile and its unit-latency
-    /// histogram: the profile replaces its kind's slot and the histogram
-    /// accumulates into the kind's running latency distribution.
-    pub fn publish(&mut self, profile: EngineProfile, unit_hist: &LogHistogram) {
-        match self.by_kind.get_mut(&profile.kind) {
-            Some((slot_profile, slot_hist)) => {
-                slot_hist.absorb(unit_hist);
-                *slot_profile = profile;
-            }
-            None => {
-                self.by_kind
-                    .insert(profile.kind.clone(), (profile, unit_hist.clone()));
-            }
-        }
+    /// Publishes a finished campaign's profile into its kind's slot.
+    pub fn publish(&mut self, profile: EngineProfile) {
+        self.by_kind.insert(profile.kind.clone(), profile);
     }
 
     /// The most recent profile published under `kind`.
     pub fn profile(&self, kind: &str) -> Option<EngineProfile> {
-        self.by_kind.get(kind).map(|(p, _)| p.clone())
-    }
-
-    /// Running unit-latency summaries per kind, in kind order.
-    pub fn kind_summaries(&self) -> Vec<(String, HistSummary)> {
-        self.by_kind
-            .iter()
-            .map(|(k, (_, h))| (k.clone(), h.summary()))
-            .collect()
+        self.by_kind.get(kind).cloned()
     }
 }
 
@@ -370,24 +351,16 @@ mod tests {
     }
 
     #[test]
-    fn store_keeps_the_latest_profile_and_accumulates_latency_by_kind() {
+    fn store_keeps_the_latest_profile_by_kind() {
         let p = sample_profile();
-        let mut h = LogHistogram::new();
-        h.record(100_000);
-        h.record(900_000);
         let mut store = ProfileStore::default();
-        store.publish(p.clone(), &h);
+        store.publish(p.clone());
         assert_eq!(store.profile("test_kind"), Some(p.clone()));
         assert_eq!(store.profile("other_kind"), None);
-        // Publishing again replaces the profile and accumulates the kind
-        // histogram.
-        let mut later = p.clone();
+        // Publishing again replaces the kind's profile.
+        let mut later = p;
         later.wall_ns = 2_000_000;
-        store.publish(later.clone(), &h);
+        store.publish(later.clone());
         assert_eq!(store.profile("test_kind"), Some(later));
-        let sums = store.kind_summaries();
-        assert_eq!(sums.len(), 1);
-        assert_eq!(sums[0].0, "test_kind");
-        assert_eq!(sums[0].1.count, 4);
     }
 }

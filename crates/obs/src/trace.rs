@@ -29,7 +29,7 @@
 //! builds can still *load and analyse* traces captured elsewhere.
 
 use crate::json::{self, Value};
-use crate::proto::{Envelope, ParseError, Protocol};
+use crate::proto::{Envelope, Fields, ParseError, Protocol};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -520,46 +520,23 @@ impl TraceDoc {
     /// Parses an `rjam-trace-v1` document back.
     pub fn from_json(text: &str) -> Result<TraceDoc, ParseError> {
         let env = Envelope::parse(&PROTOCOL, text)?;
-        let dropped = env.get("dropped").and_then(Value::as_u64).unwrap_or(0);
-        let raw = env.array("events")?;
+        let root = env.root();
+        let dropped = root.get("dropped").and_then(Value::as_u64).unwrap_or(0);
+        let raw = root.array("events")?;
         let mut events = Vec::with_capacity(raw.len());
         for (i, ev) in raw.iter().enumerate() {
-            let o = ev
-                .as_object()
-                .ok_or_else(|| ParseError::invalid(format!("event {i} is not an object")))?;
-            let field_u64 = |k: &str| {
-                o.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| ParseError::invalid(format!("event {i}: missing/invalid '{k}'")))
-            };
-            let field_i64 = |k: &str| -> Result<i64, ParseError> {
-                let n = o.get(k).and_then(Value::as_f64).ok_or_else(|| {
-                    ParseError::invalid(format!("event {i}: missing/invalid '{k}'"))
-                })?;
-                if n.fract() != 0.0 {
-                    return Err(ParseError::invalid(format!(
-                        "event {i}: '{k}' is not an integer"
-                    )));
-                }
-                Ok(n as i64)
-            };
-            let field_str = |k: &str| {
-                o.get(k)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| ParseError::invalid(format!("event {i}: missing/invalid '{k}'")))
-            };
-            let kind = SpanKind::from_code(&field_str("k")?)
+            let o = Fields::labeled(ev, format!("event {i}"))?;
+            let kind = SpanKind::from_code(o.str("k")?)
                 .ok_or_else(|| ParseError::invalid(format!("event {i}: bad kind code")))?;
             events.push(TraceEvent {
-                seq: field_u64("seq")?,
-                frame: FrameId(field_u64("frame")?),
-                t_ns: field_u64("t")?,
-                stage: Cow::Owned(field_str("stage")?),
-                name: Cow::Owned(field_str("name")?),
+                seq: o.u64("seq")?,
+                frame: FrameId(o.u64("frame")?),
+                t_ns: o.u64("t")?,
+                stage: Cow::Owned(o.str("stage")?.to_string()),
+                name: Cow::Owned(o.str("name")?.to_string()),
                 kind,
-                a: field_i64("a")?,
-                b: field_i64("b")?,
+                a: o.i64("a")?,
+                b: o.i64("b")?,
             });
         }
         Ok(TraceDoc { events, dropped })
