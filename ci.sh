@@ -167,6 +167,7 @@ for cmd in \
     "detect --preset wifi-short --snr 5 --frames 20" \
     "detect --preset energy --snr 5 --frames 20" \
     "fa --preset wifi-long --threshold 0.34 --samples 2000000" \
+    "fa --preset wifi-short --grid 0.30,0.34 --samples 1000000" \
     "fa --preset energy --samples 1000000" \
     "iperf --jammer reactive-long --sir 14 --seconds 1" \
     "roc --preset wifi-short --frames 16 --fa-samples 524288" \

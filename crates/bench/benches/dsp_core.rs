@@ -73,11 +73,12 @@ fn main() {
         black_box(acc)
     });
 
-    // The `channel` layer's two ways to the detector input, at the
+    // The `channel` layer's ways to the detector input, at the
     // false-alarm floor's noise power (20 dB under the 0.02 RX level):
-    // f64 noise then the ADC quantizer (the WiMAX path), and the
-    // ADC-domain generator the false-alarm and detection streams use.
-    // Both produce the same i16 samples.
+    // f64 noise then the ADC quantizer (the WiMAX path), the ADC-domain
+    // generator the detection and energy false-alarm streams use (both
+    // produce the same i16 samples), and the sign stream correlator-only
+    // false-alarm streams use (the same signs).
     let noise_power = 0.02 / 100.0;
     let mut f64_src = NoiseSource::new(noise_power, Rng::seed_from(5));
     let mut f64_out: Vec<IqI16> = Vec::with_capacity(stream.len());
@@ -91,6 +92,12 @@ fn main() {
     h.bench_throughput("noise_adc_1ms_air", "", elems, || {
         adc_out.clear();
         adc_src.adc_noise(stream.len(), &mut adc_out);
+        black_box(adc_out.len())
+    });
+    let mut signs_src = NoiseSource::new(noise_power, Rng::seed_from(5));
+    h.bench_throughput("noise_signs_1ms_air", "", elems, || {
+        adc_out.clear();
+        signs_src.adc_noise_signs(stream.len(), &mut adc_out);
         black_box(adc_out.len())
     });
 

@@ -6,14 +6,15 @@
 //! cargo run --release -p rjam-bench --bin ablation_fading [-- --frames 150]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, ChannelModel, WifiEmission};
-use rjam_core::{CampaignEngine, DetectionPreset};
+use rjam_core::DetectionPreset;
 
 const USAGE: &str = "ablation_fading [--frames N]";
 
 fn main() {
     let frames: usize = parse_args(USAGE, |a| a.get_or("--frames", 150));
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Ablation",
         "Short-preamble detection: conducted (AWGN) vs over-the-air (Rayleigh)",
@@ -22,7 +23,6 @@ fn main() {
     // FA-safe threshold (noise metric peaks ~0.42 of ideal on this template).
     let preset = DetectionPreset::WifiShortPreamble { threshold: 0.46 };
     let snrs: Vec<f64> = (-3..=5).map(|k| k as f64 * 3.0).collect();
-    let engine = CampaignEngine::from_env();
     let sweep = |channel: ChannelModel| {
         CampaignSpec::wifi_detection(&preset)
             .emission(WifiEmission::FullFrames { psdu_len: 100 })

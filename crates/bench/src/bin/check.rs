@@ -41,6 +41,7 @@ use rjam_daemon::{JobRequest, JobResponse};
 use rjam_obs::flags::{self, Flags};
 use rjam_obs::health::{self, HealthEvent};
 use rjam_obs::json::{self, Value};
+use rjam_obs::proto::{Fields, ParseError};
 use rjam_obs::stream::{self, ProgressEvent};
 use rjam_obs::trace::TraceDoc;
 use std::process::ExitCode;
@@ -161,8 +162,9 @@ fn records(text: &str) -> Result<Vec<Value>, String> {
     }
 }
 
-fn field<'a>(rec: &'a Value, name: &str) -> Option<&'a Value> {
-    rec.as_object()?.get(name)
+/// The typed view of record `k` of a bench report, labelled `record k`.
+fn record(k: usize, rec: &Value) -> Result<Fields<'_>, ParseError> {
+    Fields::labeled(rec, format!("record {k}"))
 }
 
 fn check_report(text: &str) -> Result<String, String> {
@@ -171,52 +173,46 @@ fn check_report(text: &str) -> Result<String, String> {
         return Err("report contains no records".into());
     }
     for (k, rec) in records.iter().enumerate() {
-        check_record(rec).map_err(|e| format!("record {k}: {e}"))?;
+        check_record(k, rec).map_err(|e| e.to_string())?;
     }
     Ok(format!("{} records", records.len()))
 }
 
-fn check_record(rec: &Value) -> Result<(), String> {
-    let name = field(rec, "bench")
-        .and_then(Value::as_str)
-        .ok_or("not an object with a string field 'bench'")?;
-    if field(rec, "params").and_then(Value::as_str).is_none() {
-        return Err(format!("{name}: missing string field 'params'"));
-    }
+fn check_record(k: usize, rec: &Value) -> Result<(), ParseError> {
+    let rec = record(k, rec)?;
+    let name = rec.str("bench")?;
+    rec.str("params")?;
+    let invalid = |what: String| ParseError::invalid(format!("record {k}: {name}: {what}"));
     for f in ["median_ns", "p95_ns", "min_ns", "host_cores", "threads"] {
-        let count = matches!(f, "host_cores" | "threads");
-        match field(rec, f).and_then(Value::as_f64) {
-            None => return Err(format!("{name}: missing number field '{f}'")),
-            Some(n) if count && !(n >= 1.0 && n.fract() == 0.0) => {
-                return Err(format!("{name}: {f} must be a positive integer, got {n}"))
-            }
-            Some(n) if n < 0.0 => return Err(format!("{name}: {f} is negative ({n})")),
-            Some(_) => {}
+        let n = rec.f64(f)?;
+        if matches!(f, "host_cores" | "threads") && !(n >= 1.0 && n.fract() == 0.0) {
+            return Err(invalid(format!("{f} must be a positive integer, got {n}")));
+        }
+        if n < 0.0 {
+            return Err(invalid(format!("{f} is negative ({n})")));
         }
     }
-    match field(rec, "throughput") {
+    match rec.get("throughput") {
         None | Some(Value::Null) => {}
         Some(v) if v.as_f64().is_some_and(|n| n >= 0.0) => {}
         _ => {
-            return Err(format!(
-                "{name}: 'throughput' must be null or a non-negative number"
+            return Err(invalid(
+                "'throughput' must be null or a non-negative number".into(),
             ))
         }
     }
-    match field(rec, "counters") {
+    if rec.get("counters").is_none() {
+        return Ok(());
+    }
+    let mut counters = rec.object("counters")?.iter().peekable();
+    if counters.peek().is_none() {
+        return Err(invalid("'counters' present but empty".into()));
+    }
+    match counters.find(|(_, v)| !v.as_f64().is_some_and(|n| n > 0.0)) {
+        Some((counter, _)) => Err(invalid(format!(
+            "counter '{counter}' must be a positive number"
+        ))),
         None => Ok(()),
-        Some(Value::Object(c)) if c.is_empty() => {
-            Err(format!("{name}: 'counters' present but empty"))
-        }
-        Some(Value::Object(c)) => {
-            match c.iter().find(|(_, v)| !v.as_f64().is_some_and(|n| n > 0.0)) {
-                Some((counter, _)) => Err(format!(
-                    "{name}: counter '{counter}' must be a positive number"
-                )),
-                None => Ok(()),
-            }
-        }
-        Some(_) => Err(format!("{name}: 'counters' must be an object")),
     }
 }
 
@@ -237,16 +233,11 @@ fn rows(text: &str, stat: &str) -> Result<Vec<Row>, String> {
     let stat_field = format!("{stat}_ns");
     let mut out: Vec<Row> = Vec::new();
     for (k, rec) in records(text)?.iter().enumerate() {
-        let text_field = |f: &str| {
-            field(rec, f)
-                .and_then(Value::as_str)
-                .ok_or(format!("record {k}: missing string field '{f}'"))
-        };
-        let (bench, params) = (text_field("bench")?, text_field("params")?);
-        let value = field(rec, &stat_field)
-            .and_then(Value::as_f64)
-            .ok_or(format!("record {k}: missing number field '{stat_field}'"))?;
-        let count = |f| field(rec, f).and_then(Value::as_f64);
+        let rec = record(k, rec).map_err(|e| e.to_string())?;
+        let label = |f: &str| rec.str(f).map_err(|e| e.to_string());
+        let (bench, params) = (label("bench")?, label("params")?);
+        let value = rec.f64(&stat_field).map_err(|e| e.to_string())?;
+        let count = |f| rec.get(f).and_then(Value::as_f64);
         let oversubscribed = count("threads")
             .zip(count("host_cores"))
             .map(|(t, c)| t > c);
@@ -513,14 +504,15 @@ fn check_job(text: &str, job: Option<&str>, require_done: bool) -> Result<String
             continue;
         }
         let doc = json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        let tag = |f: &str| field(&doc, f).and_then(Value::as_str);
+        let doc = Fields::labeled(&doc, format!("line {n}")).map_err(|e| e.to_string())?;
+        let tag = |f: &str| doc.str(f).map_err(|e| e.to_string());
         let named = |what: &str, j: &str| match job {
             Some(want) if want != j => {
                 Err(format!("line {n}: {what} job '{j}', expected '{want}'"))
             }
             _ => Ok(()),
         };
-        match tag("v").ok_or(format!("line {n}: no 'v' protocol tag"))? {
+        match tag("v")? {
             "rjam-job-v1" => {
                 if let Some(t) = terminal {
                     return Err(format!(
@@ -555,9 +547,7 @@ fn check_job(text: &str, job: Option<&str>, require_done: bool) -> Result<String
                 progress += 1;
                 ProgressEvent::from_line(line).map_err(|e| format!("line {n}: {e}"))?;
                 if job.is_some() {
-                    let tagged =
-                        tag("job").ok_or(format!("line {n}: progress line without a 'job' tag"))?;
-                    named("progress tagged", tagged)?;
+                    named("progress tagged", tag("job")?)?;
                 }
             }
             other => return Err(format!("line {n}: unexpected protocol tag '{other}'")),
@@ -643,14 +633,26 @@ mod tests {
         let null_throughput = ok.replace("\"throughput\":1", "\"throughput\":null");
         assert!(check_report(&null_throughput).is_ok());
         for (from, to, why) in [
-            ("\"bench\":\"sweep\",", "", "string field 'bench'"),
+            (
+                "\"bench\":\"sweep\",",
+                "",
+                "record 0: missing or invalid field 'bench' (expected string)",
+            ),
             (
                 "\"params\":\"threads_1\",",
                 "",
-                "missing string field 'params'",
+                "record 0: missing or invalid field 'params' (expected string)",
             ),
-            ("\"p95_ns\":5", "\"p95_ns\":-1", "p95_ns is negative"),
-            ("\"min_ns\":5,", "", "missing number field 'min_ns'"),
+            (
+                "\"p95_ns\":5",
+                "\"p95_ns\":-1",
+                "record 0: sweep: p95_ns is negative",
+            ),
+            (
+                "\"min_ns\":5,",
+                "",
+                "record 0: missing or invalid field 'min_ns' (expected number)",
+            ),
             (
                 "\"host_cores\":2",
                 "\"host_cores\":0",
@@ -679,7 +681,7 @@ mod tests {
             (
                 "\"threads\":1}",
                 "\"threads\":1,\"counters\":[]}",
-                "must be an object",
+                "record 0: missing or invalid field 'counters' (expected object)",
             ),
         ] {
             let err = check_report(&ok.replace(from, to)).unwrap_err();
@@ -687,7 +689,10 @@ mod tests {
         }
         assert!(check_report("[]").unwrap_err().contains("no records"));
         assert!(check_report("{}").unwrap_err().contains("not an array"));
-        assert!(check_report("[1]").unwrap_err().contains("not an object"));
+        assert_eq!(
+            check_report("[1]").unwrap_err(),
+            "record 0 is not an object"
+        );
     }
 
     #[test]
@@ -755,7 +760,10 @@ mod tests {
         let err = baseline(&[], &base, 1.25, None).unwrap_err();
         assert!(err.contains("missing from fresh"), "{err}");
         let err = rows(r#"[{"bench":"a","params":"b"}]"#, "median").unwrap_err();
-        assert!(err.contains("missing number field 'median_ns'"), "{err}");
+        assert_eq!(
+            err,
+            "record 0: missing or invalid field 'median_ns' (expected number)"
+        );
     }
 
     #[test]
@@ -1048,6 +1056,12 @@ mod tests {
         let done_only = watch_lines("job-2").lines().nth(1).unwrap().to_string();
         let err = check_job(&done_only, Some("job-1"), false).unwrap_err();
         assert!(err.contains("names job 'job-2'"), "{err}");
+        let untagged = watch_lines("job-1").replace(",\"job\":\"job-1\"}", "}");
+        let err = check_job(&untagged, Some("job-1"), false).unwrap_err();
+        assert_eq!(
+            err,
+            "line 1: missing or invalid field 'job' (expected string)"
+        );
     }
 
     #[test]
@@ -1089,6 +1103,15 @@ mod tests {
     #[test]
     fn foreign_protocol_and_garbage_fail() {
         assert!(check_job("{\"v\":\"rjam-health-v1\"}\n", None, false).is_err());
+        let err = check_job("\n{\"job\":\"job-1\"}\n", None, false).unwrap_err();
+        assert_eq!(
+            err,
+            "line 2: missing or invalid field 'v' (expected string)"
+        );
+        assert_eq!(
+            check_job("[1]\n", None, false).unwrap_err(),
+            "line 1 is not an object"
+        );
         assert!(check_job("not json\n", None, false).is_err());
         assert!(check_job("", None, false).is_err());
     }

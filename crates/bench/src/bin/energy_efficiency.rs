@@ -12,7 +12,7 @@
 //! cargo run --release -p rjam-bench --bin energy_efficiency [-- --seconds 10]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{energy_at_operating_point, CampaignSpec, EnergyPoint, JammerUnderTest};
 use rjam_core::CampaignEngine;
 
@@ -37,6 +37,7 @@ fn find_kill_sir(
 
 fn main() {
     let seconds: f64 = parse_args(USAGE, |a| a.get_or("--seconds", 6.0));
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Energy",
         "Jamming energy required to suppress the link below 5% goodput",
@@ -44,7 +45,6 @@ fn main() {
          energy and airtime than continuous jamming",
     );
 
-    let engine = CampaignEngine::from_env();
     let ceiling = CampaignSpec::jamming(JammerUnderTest::Off)
         .sirs(&[60.0])
         .duration_s(seconds)

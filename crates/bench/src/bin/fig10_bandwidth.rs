@@ -5,15 +5,14 @@
 //! cargo run --release -p rjam-bench --bin fig10_bandwidth [-- --seconds 10]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
-use rjam_core::CampaignEngine;
 
 const USAGE: &str = "fig10_bandwidth [--seconds S]";
 
 fn main() {
     let seconds: f64 = parse_args(USAGE, |a| a.get_or("--seconds", 10.0));
-    let engine = CampaignEngine::from_env();
+    let engine = campaign_engine(USAGE);
     let sweep = |jut: JammerUnderTest, sirs: &[f64]| {
         CampaignSpec::jamming(jut)
             .sirs(sirs)

@@ -5,14 +5,14 @@
 //! cargo run --release -p rjam-bench --bin fig11_prr [-- --seconds 10]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
-use rjam_core::CampaignEngine;
 
 const USAGE: &str = "fig11_prr [--seconds S]";
 
 fn main() {
     let seconds: f64 = parse_args(USAGE, |a| a.get_or("--seconds", 10.0));
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Fig. 11",
         "WiFi packet reception ratio through iperf (jam power increases left->right)",
@@ -26,7 +26,6 @@ fn main() {
         JammerUnderTest::ReactiveLong,
         JammerUnderTest::ReactiveShort,
     ];
-    let engine = CampaignEngine::from_env();
     let results: Vec<_> = arms
         .iter()
         .map(|&j| {

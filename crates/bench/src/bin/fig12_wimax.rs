@@ -10,9 +10,8 @@
 //! cargo run --release -p rjam-bench --bin fig12_wimax [-- --frames 20]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::CampaignSpec;
-use rjam_core::CampaignEngine;
 
 const USAGE: &str = "fig12_wimax [--frames N] [--snr dB]";
 
@@ -20,6 +19,7 @@ fn main() {
     let (frames, snr): (usize, f64) = parse_args(USAGE, |a| {
         Ok((a.get_or("--frames", 40)?, a.get_or("--snr", 20.0)?))
     });
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Fig. 12",
         "Reactive jamming of WiMAX downlink packets (Airspan Air4G model)",
@@ -27,7 +27,6 @@ fn main() {
          with one-to-one jam bursts",
     );
 
-    let engine = CampaignEngine::from_env();
     println!(
         "{:<34} {:>10} {:>14} {:>8}",
         "detector", "P(det)", "latency (us)", "1:1?"

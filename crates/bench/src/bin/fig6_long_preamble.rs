@@ -11,7 +11,7 @@
 //! cargo run --release -p rjam-bench --bin fig6_long_preamble [-- --frames 500 --fa-samples 20000000]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{false_alarm_rate, CampaignSpec, WifiEmission};
 use rjam_core::{CampaignEngine, DetectionPreset};
 
@@ -55,13 +55,13 @@ fn main() {
             a.get_or("--fa-samples", 20_000_000)?,
         ))
     });
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Fig. 6",
         "Cross-correlator detection probability - WiFi long preamble",
         "single LTS ~50% above 5 dB SNR; full frames >75%; FA 0.083 and 0.52/s",
     );
 
-    let engine = CampaignEngine::from_env();
     let snrs: Vec<f64> = (-4..=8).map(|k| k as f64 * 2.0).collect();
     let (loose, strict) = calibrate_thresholds(&engine, fa_samples);
     for ((frac, measured_fa), regime) in [(loose, "higher-FA"), (strict, "low-FA")] {

@@ -6,9 +6,9 @@
 //! cargo run --release -p rjam-bench --bin fig7_short_preamble [-- --frames 500]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{false_alarm_rate, CampaignSpec, WifiEmission};
-use rjam_core::{CampaignEngine, DetectionPreset};
+use rjam_core::DetectionPreset;
 
 const USAGE: &str = "fig7_short_preamble [--frames N] [--fa-samples N]";
 
@@ -19,6 +19,7 @@ fn main() {
             a.get_or("--fa-samples", 20_000_000)?,
         ))
     });
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Fig. 7",
         "Cross-correlator detection probability - WiFi short preamble",
@@ -28,7 +29,6 @@ fn main() {
     // Calibrate the threshold for a near-zero FA (paper: 0.059 triggers/s):
     // the loosest rung of the ladder under 0.5/s, all rungs counted in one
     // noise pass.
-    let engine = CampaignEngine::from_env();
     let candidates: Vec<f64> = (0..12).map(|step| 0.30 + 0.02 * step as f64).collect();
     let counts = CampaignSpec::false_alarm(&DetectionPreset::WifiShortPreamble {
         threshold: candidates[0],

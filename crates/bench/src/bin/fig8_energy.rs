@@ -10,9 +10,9 @@
 //! cargo run --release -p rjam-bench --bin fig8_energy [-- --frames 500]
 //! ```
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, WifiEmission};
-use rjam_core::{CampaignEngine, DetectionPreset};
+use rjam_core::DetectionPreset;
 
 const USAGE: &str = "fig8_energy [--frames N] [--fa-samples N]";
 
@@ -23,6 +23,7 @@ fn main() {
             a.get_or("--fa-samples", 20_000_000)?,
         ))
     });
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Fig. 8",
         "Energy differentiator detection probability - full WiFi frames",
@@ -30,7 +31,6 @@ fn main() {
          single detection/frame above 10 dB; FA = 0/s at the 10 dB threshold",
     );
 
-    let engine = CampaignEngine::from_env();
     let preset = DetectionPreset::EnergyRise { threshold_db: 10.0 };
     let fa = CampaignSpec::false_alarm(&preset)
         .samples(fa_samples)

@@ -11,9 +11,8 @@
 //! second (every one burns the full retry ladder), so the defaults give
 //! even the continuous-jam cells enough frames for two cadence windows.
 
-use rjam_bench::{figure_header, parse_args};
+use rjam_bench::{campaign_engine, figure_header, parse_args};
 use rjam_core::campaign::{CampaignSpec, JammerUnderTest};
-use rjam_core::CampaignEngine;
 
 const USAGE: &str = "health_time_to_detect [--seconds S] [--cadence N]";
 
@@ -21,6 +20,7 @@ fn main() {
     let (seconds, cadence): (f64, u64) = parse_args(USAGE, |a| {
         Ok((a.get_or("--seconds", 3.0)?, a.get_or("--cadence", 8)?))
     });
+    let engine = campaign_engine(USAGE);
     figure_header(
         "Health TTD",
         "online monitor time-to-detect across jammer duty cycle x SIR",
@@ -35,7 +35,6 @@ fn main() {
         JammerUnderTest::ReactiveLong,
         JammerUnderTest::Continuous,
     ];
-    let engine = CampaignEngine::from_env();
     let points = CampaignSpec::health_time_to_detect()
         .jammers(&jammers)
         .sirs(&sirs)

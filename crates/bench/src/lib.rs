@@ -12,13 +12,16 @@
 //! default quick runs can be scaled up to the paper's full sample counts.
 //! A binary accepts only the flags its usage names: an unknown flag, a flag
 //! without its value, a value that does not parse or a positional argument
-//! exits with code 2.
+//! exits with code 2. A binary that runs campaigns builds its engine with
+//! [`campaign_engine`], which refuses a malformed or zero `RJAM_THREADS`
+//! the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
 
+use rjam_core::CampaignEngine;
 use rjam_obs::flags::{self, Flags};
 
 /// Parses the process arguments against `usage`, the binary's one-line
@@ -32,10 +35,22 @@ pub fn parse_args<T>(usage: &str, read: impl FnOnce(&Flags) -> Result<T, String>
         Some(arg) => Err(format!("unexpected argument '{arg}'")),
         None => read(&f),
     });
-    parsed.unwrap_or_else(|e| {
-        eprintln!("error: {e}\nusage: {usage}");
-        std::process::exit(2)
-    })
+    parsed.unwrap_or_else(|e| usage_exit(usage, &e))
+}
+
+/// The campaign engine of a figure binary, sized by `RJAM_THREADS` when it
+/// is set and by the core count otherwise. Call it before any output: a
+/// malformed or zero `RJAM_THREADS` prints the engine's error and the
+/// usage line and exits with code 2, as a usage error in [`parse_args`]
+/// does.
+pub fn campaign_engine(usage: &str) -> CampaignEngine {
+    CampaignEngine::from_args(None).unwrap_or_else(|e| usage_exit(usage, &e))
+}
+
+/// Prints a usage error and the usage line, and exits with code 2.
+fn usage_exit(usage: &str, error: &str) -> ! {
+    eprintln!("error: {error}\nusage: {usage}");
+    std::process::exit(2)
 }
 
 /// Prints a standard figure header.

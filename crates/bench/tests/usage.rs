@@ -1,6 +1,7 @@
 //! The figure binaries' command line: a binary accepts exactly the flags
-//! its one-line usage text names, and every usage error exits 2 before any
-//! work starts, naming what was wrong.
+//! its one-line usage text names, a campaign binary refuses a malformed
+//! `RJAM_THREADS`, and every usage error exits 2 before any work starts,
+//! naming what was wrong.
 
 use std::process::Command;
 
@@ -52,5 +53,24 @@ fn usage_errors_exit_2_naming_the_flag_or_argument() {
         assert!(err.contains(named), "{bin} {args:?}: {err}");
         assert!(err.contains("usage: "), "{bin} {args:?}: {err}");
         assert!(out.stdout.is_empty(), "{bin} {args:?}: nothing may run");
+    }
+}
+
+#[test]
+fn a_malformed_or_zero_rjam_threads_exits_2_before_any_work() {
+    let bin = env!("CARGO_BIN_EXE_fig7_short_preamble");
+    for value in ["abc", "0"] {
+        let out = Command::new(bin)
+            .env("RJAM_THREADS", value)
+            .output()
+            .expect("spawn figure binary");
+        assert_eq!(out.status.code(), Some(2), "RJAM_THREADS={value}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("RJAM_THREADS"), "RJAM_THREADS={value}: {err}");
+        assert!(err.contains("usage: "), "RJAM_THREADS={value}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "RJAM_THREADS={value}: nothing may run"
+        );
     }
 }

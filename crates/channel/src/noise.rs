@@ -12,7 +12,9 @@
 //! `f64` samples [`NoiseSource::next_sample`] draws, with a table and
 //! polynomials in place of libm's logarithm, sine and cosine wherever the
 //! result provably rounds the same (DESIGN.md, "Detector input in the ADC
-//! domain").
+//! domain"). For a detector that reads only the signs of its samples,
+//! [`NoiseSource::adc_noise_signs`] gives exactly those signs without
+//! computing the Gaussian wherever the draw's integers already settle them.
 
 use rjam_sdr::complex::{Cf64, IqI16, FULL_SCALE};
 use rjam_sdr::rng::{PolarDraw, Rng};
@@ -73,6 +75,55 @@ const ADC_WORST_LSB: f64 = FULL_SCALE
     * (R_MAX * ADC_SIGMA_MAX * (SINCOS_ERR + RADIUS_ERR * (1.0 + SINCOS_ERR))
         + 2.0 * f64::EPSILON * (1.0 + R_MAX * ADC_SIGMA_MAX) * 1.01);
 const _: () = assert!(ADC_MARGIN >= 1e3 * ADC_WORST_LSB);
+
+/// Sectors of the angle the sign stream tells apart: `u2` in steps of
+/// δ = 2⁻⁹ of a turn (0.0123 rad), sector `s` holding `[s·δ, (s + 1)·δ)`,
+/// so sector `b >> 44` of a draw's 53-bit `b`.
+const SIGN_SECTORS: usize = 512;
+/// Shift from a draw's 53-bit `b` to its sector.
+const SIGN_SECTOR_SHIFT: u32 = 44;
+const _: () = assert!(SIGN_SECTORS << SIGN_SECTOR_SHIFT == 1 << 53);
+/// [`SIGN_CLASS`] bit: `cos 2πu2` is negative throughout the sector.
+const NEG_I: u8 = 1;
+/// [`SIGN_CLASS`] bit: `sin 2πu2` is negative throughout the sector.
+const NEG_Q: u8 = 2;
+/// [`SIGN_CLASS`] bit: the sector lies within δ of a quarter turn where a
+/// component changes sign (¼, ½, ¾ or 1), and neither sign bit is set.
+const BAND: u8 = 4;
+/// The sign class of each sector. Outside the bands a component's factor
+/// is at least `sin 2πδ` in magnitude, so its sign is the sector's.
+const SIGN_CLASS: [u8; SIGN_SECTORS] = {
+    let mut class = [0; SIGN_SECTORS];
+    let mut s = 0;
+    while s < SIGN_SECTORS {
+        // The last sector before each quarter turn and the first after it,
+        // except the first after 0, where `sin` starts non-negative.
+        class[s] = if s % 128 == 127 || (s % 128 == 0 && s > 0) {
+            BAND
+        } else {
+            (if s >= 128 && s < 384 { NEG_I } else { 0 }) | (if s >= 256 { NEG_Q } else { 0 })
+        };
+        s += 1;
+    }
+    class
+};
+/// A lower bound on `|cos θ̂|` or `|sin θ̂|`, libm's, for a component in
+/// a negative sector of [`SIGN_CLASS`], where `θ̂ = fl(2π·u2)`: at least
+/// δ from the component's sign change, its true factor is at least
+/// `sin(π/256)` = 0.012 271 538 285 719 926 in magnitude, `θ̂` is within
+/// 7e-16 of `2π·u2` (`fl(2π)` is within 2.5e-16 of 2π, and the product
+/// rounds by at most 4.5e-16) and libm is within 1 ulp; this bound sits
+/// 7.2e-13 lower.
+const SIGN_TRIG_MIN: f64 = 0.012_271_538_285;
+/// Relative error budget of the sign stream's radius test ([`sign_a_min`])
+/// against the computed `|(r·c)·σ·FULL_SCALE|`: libm's `ln` (1 ulp, half
+/// of it in the radius) and the square root (½ ulp) in `r`, the three
+/// roundings of `(r·c)·σ·FULL_SCALE`, and the four roundings and the
+/// squaring in the threshold's own radius: 9.5 units of 2⁻⁵³, against 20
+/// allowed. libm's `exp` has its own term in [`sign_a_min`].
+const SIGN_RADIUS_ERR: f64 = 10.0 * f64::EPSILON;
+/// 2⁵³, the range of a draw's 53-bit integers.
+const TWO_53: f64 = 9_007_199_254_740_992.0;
 
 /// 1.5·2⁵²: adding it rounds a value in `[−2⁵¹, 2⁵¹)` to the nearest
 /// integer (ties to even), which then sits in the low mantissa bits.
@@ -175,13 +226,49 @@ fn quantize_checked(x: f64) -> (i16, bool) {
     (shifted.to_bits() as i16, keep)
 }
 
+/// The smallest `a` of a draw ([`Rng::polar_bits`]) whose radius makes a
+/// component in a negative sector of [`SIGN_CLASS`] quantize negative
+/// for certain at per-component σ `sigma`. The component is then at
+/// least `r·SIGN_TRIG_MIN·σ·FULL_SCALE` in magnitude, so it needs
+/// `r ≥ r_min`, the radius that makes this 0.5 widened by
+/// [`SIGN_RADIUS_ERR`]. The radius is `sqrt(−2 ln u1)` with
+/// `u1 = 1 − a·2⁻⁵³`, so `r ≥ r_min` when `u1 ≤ exp(−r_min²/2)`. The
+/// `+ 2` covers libm's `exp`, within 1 ulp and so within one unit of
+/// `a`, and the rounding of `1 − exp`, within half a unit. A silent
+/// source gets 2⁵³ + 2, which no draw reaches.
+fn sign_a_min(sigma: f64) -> u64 {
+    let r_min = 0.5 * (1.0 + SIGN_RADIUS_ERR) / (SIGN_TRIG_MIN * sigma * FULL_SCALE);
+    let tail = 1.0 - (-0.5 * r_min * r_min).exp();
+    (tail * TWO_53).ceil() as u64 + 2
+}
+
+/// The sign sample of the draw `(a, b)` and whether it is left open. Its
+/// components are −1 where [`SIGN_CLASS`] puts the sector of `b` on a
+/// component's negative side and 0 elsewhere; the sample is open when
+/// the sector is in a band, or on a negative side with `a` below `a_min`
+/// ([`sign_a_min`]), where the radius may be too small to reach −½ LSB.
+#[inline(always)]
+fn sign_decision((a, b): (u64, u64), a_min: u64) -> (IqI16, bool) {
+    let class = SIGN_CLASS[(b >> SIGN_SECTOR_SHIFT) as usize & (SIGN_SECTORS - 1)];
+    let negative = class & (NEG_I | NEG_Q) != 0;
+    let open = (class & BAND != 0) | (negative & (a < a_min));
+    let (i, q) = (i16::from(class & NEG_I), i16::from(class & NEG_Q) >> 1);
+    (IqI16::new(-i, -q), open)
+}
+
+/// The sign sample of `s`: each component −1 where `s`'s is negative and 0
+/// elsewhere.
+#[inline]
+fn signs_of(s: IqI16) -> IqI16 {
+    IqI16::new(s.i >> 15, s.q >> 15)
+}
+
 /// A complex AWGN generator with configurable mean power.
 #[derive(Clone, Debug)]
 pub struct NoiseSource {
     rng: Rng,
     /// Per-component standard deviation such that E[|n|^2] = power.
     sigma: f64,
-    power: f64,
 }
 
 impl NoiseSource {
@@ -195,13 +282,7 @@ impl NoiseSource {
         NoiseSource {
             rng,
             sigma: (power / 2.0).sqrt(),
-            power,
         }
-    }
-
-    /// Configured mean noise power.
-    pub fn power(&self) -> f64 {
-        self.power
     }
 
     /// Draws one noise sample.
@@ -233,58 +314,124 @@ impl NoiseSource {
         self.adc(n, |_| Cf64::ZERO, out);
     }
 
-    /// The ADC-domain generator, a chunk of up to [`ADC_CHUNK`] samples at
-    /// a time in branch-free stages: draw the chunk's uniform pairs in
-    /// `next_sample`'s order, take every radius with [`ln_unit`], every
-    /// `(cos θ, sin θ)` with [`sincos_in`], quantize every component with
-    /// [`quantize_checked`], and recompute each sample with a component it
-    /// did not keep exactly as `next_sample` does, through [`PolarDraw`].
-    /// A pending spare would pair each sample with halves of two different
-    /// draws, and a σ above [`ADC_SIGMA_MAX`] is outside the error bound;
-    /// both take the exact per-sample path instead.
+    /// Appends `n` samples whose components are −1 where
+    /// [`NoiseSource::adc_noise`]'s would be negative and 0 elsewhere,
+    /// leaving the source where `adc_noise` would: the stream of a detector
+    /// that reads nothing of a sample but the signs of its components. Each
+    /// sample's signs are decided from its draw's integers with integer
+    /// compares, and the few samples left open take the exact path
+    /// (DESIGN.md, "Detector input in the ADC domain").
+    pub fn adc_noise_signs(&mut self, n: usize, out: &mut Vec<IqI16>) {
+        let a_min = sign_a_min(self.sigma);
+        // Each draw is kept as its integers; only an open sample needs the
+        // uniforms.
+        let fast = |rng: &mut Rng, _: usize, a: &mut [u64], b: &mut [u64], iq: &mut [IqI16]| {
+            let mut open = 0u64;
+            for (k, ((x, y), s)) in a.iter_mut().zip(b).zip(iq).enumerate() {
+                let bits = rng.polar_bits();
+                (*x, *y) = bits;
+                let (signs, undecided) = sign_decision(bits, a_min);
+                *s = signs;
+                open |= u64::from(undecided) << k;
+            }
+            open
+        };
+        let uniforms = |a, b| Rng::polar_uniforms_of((a, b));
+        self.chunks(n, out, true, fast, uniforms, |_, noise| {
+            signs_of(IqI16::from_cf64(noise))
+        });
+    }
+
+    /// The ADC-domain generator, in branch-free stages per chunk: draw the
+    /// chunk's uniform pairs in `next_sample`'s order, take every radius
+    /// with [`ln_unit`], every `(cos θ, sin θ)` with [`sincos_in`], and
+    /// quantize every component with [`quantize_checked`]; a sample with a
+    /// component it did not keep is left to the exact path. A σ above
+    /// [`ADC_SIGMA_MAX`] is outside the error bound and takes the exact
+    /// path throughout.
     #[inline]
     fn adc(&mut self, n: usize, wave: impl Fn(usize) -> Cf64, out: &mut Vec<IqI16>) {
-        out.reserve(n);
         let sigma = self.sigma;
-        if self.rng.has_spare() || sigma > ADC_SIGMA_MAX {
-            out.extend((0..n).map(|k| IqI16::from_cf64(wave(k) + self.next_sample())));
-            return;
-        }
         let table = sectors();
-        let mut u1 = [0.0; ADC_CHUNK];
-        let mut u2 = [0.0; ADC_CHUNK];
         let mut re = [0.0; ADC_CHUNK];
         let mut im = [0.0; ADC_CHUNK];
-        let mut iq = [IqI16::ZERO; ADC_CHUNK];
-        for lo in (0..n).step_by(ADC_CHUNK) {
-            let m = ADC_CHUNK.min(n - lo);
-            for (a, b) in u1[..m].iter_mut().zip(&mut u2[..m]) {
-                (*a, *b) = self.rng.polar_uniforms();
+        let fast = |rng: &mut Rng, lo: usize, u1: &mut [f64], u2: &mut [f64], iq: &mut [IqI16]| {
+            let m = iq.len();
+            for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+                (*a, *b) = rng.polar_uniforms();
             }
-            for (r, &a) in re[..m].iter_mut().zip(&u1[..m]) {
+            for (r, &a) in re[..m].iter_mut().zip(&*u1) {
                 *r = (-2.0 * ln_unit(a)).sqrt();
             }
-            for ((x, y), &b) in re[..m].iter_mut().zip(&mut im[..m]).zip(&u2[..m]) {
+            for ((x, y), &b) in re[..m].iter_mut().zip(&mut im[..m]).zip(&*u2) {
                 let (c, s) = sincos_in(table, PolarDraw::angle(b));
                 (*x, *y) = (*x * c, *x * s);
             }
-            // Bit k: a component of sample k was not kept.
-            let mut redo = 0u64;
-            for (k, q) in iq[..m].iter_mut().enumerate() {
+            let mut open = 0u64;
+            for (k, q) in iq.iter_mut().enumerate() {
                 let w = wave(lo + k);
                 let (i, keep_i) = quantize_checked((w.re + re[k] * sigma) * FULL_SCALE);
                 let (j, keep_q) = quantize_checked((w.im + im[k] * sigma) * FULL_SCALE);
                 *q = IqI16::new(i, j);
-                redo |= u64::from(!(keep_i & keep_q)) << k;
+                open |= u64::from(!(keep_i & keep_q)) << k;
             }
-            // The reference's own expression; a kept component rounds the
-            // same either way.
-            while redo != 0 {
-                let k = redo.trailing_zeros() as usize;
-                redo &= redo - 1;
-                let d = PolarDraw::new(u1[k], u2[k]);
-                let noise = Cf64::new(d.cos_part() * sigma, d.sin_part() * sigma);
-                iq[k] = IqI16::from_cf64(wave(lo + k) + noise);
+            open
+        };
+        let exact = |k: usize, noise: Cf64| IqI16::from_cf64(wave(k) + noise);
+        self.chunks(
+            n,
+            out,
+            sigma <= ADC_SIGMA_MAX,
+            fast,
+            |u1, u2| (u1, u2),
+            exact,
+        );
+    }
+
+    /// The chunk loop of the ADC-domain generators. `fast` fills a chunk of
+    /// up to [`ADC_CHUNK`] samples, the first at stream offset `lo`: it
+    /// draws each sample's uniform pair in `next_sample`'s order, keeps it
+    /// in `u1` and `u2` in a form `uniforms` turns back into the pair (the
+    /// uniforms themselves, or their integers), and returns the mask of
+    /// samples it left open (bit `k` for the chunk's sample `k`). Each open
+    /// sample becomes `exact(lo + k, noise)` of the noise `next_sample`
+    /// makes of the same pair, through [`PolarDraw`]. A pending spare would
+    /// pair each sample with halves of two different draws, so then, and
+    /// when `fast_ok` is false, every sample takes `exact` with
+    /// `next_sample` itself.
+    #[inline(always)]
+    fn chunks<D: Copy + Default>(
+        &mut self,
+        n: usize,
+        out: &mut Vec<IqI16>,
+        fast_ok: bool,
+        mut fast: impl FnMut(&mut Rng, usize, &mut [D], &mut [D], &mut [IqI16]) -> u64,
+        uniforms: impl Fn(D, D) -> (f64, f64),
+        exact: impl Fn(usize, Cf64) -> IqI16,
+    ) {
+        out.reserve(n);
+        if self.rng.has_spare() || !fast_ok {
+            out.extend((0..n).map(|k| exact(k, self.next_sample())));
+            return;
+        }
+        let sigma = self.sigma;
+        let mut u1 = [D::default(); ADC_CHUNK];
+        let mut u2 = [D::default(); ADC_CHUNK];
+        let mut iq = [IqI16::ZERO; ADC_CHUNK];
+        for lo in (0..n).step_by(ADC_CHUNK) {
+            let m = ADC_CHUNK.min(n - lo);
+            let mut open = fast(&mut self.rng, lo, &mut u1[..m], &mut u2[..m], &mut iq[..m]);
+            // The reference's own expression; a settled sample is the same
+            // either way.
+            while open != 0 {
+                let k = open.trailing_zeros() as usize;
+                open &= open - 1;
+                let (a, b) = uniforms(u1[k], u2[k]);
+                let d = PolarDraw::new(a, b);
+                iq[k] = exact(
+                    lo + k,
+                    Cf64::new(d.cos_part() * sigma, d.sin_part() * sigma),
+                );
             }
             out.extend_from_slice(&iq[..m]);
         }
@@ -449,6 +596,96 @@ mod tests {
                 rjam_testkit::prop_assert!(r.is_ok(), "{}", r.unwrap_err());
             }
         }
+    }
+
+    /// The sign sample `adc_noise` makes of the draw `bits` at σ `sigma`,
+    /// by the reference's own expression.
+    fn exact_signs(bits: (u64, u64), sigma: f64) -> IqI16 {
+        let (u1, u2) = Rng::polar_uniforms_of(bits);
+        let d = PolarDraw::new(u1, u2);
+        signs_of(IqI16::from_cf64(Cf64::new(
+            d.cos_part() * sigma,
+            d.sin_part() * sigma,
+        )))
+    }
+
+    /// The first and last `b` of sector `s`.
+    fn sector_ends(s: usize) -> [u64; 2] {
+        let first = (s as u64) << SIGN_SECTOR_SHIFT;
+        [first, first + (1 << SIGN_SECTOR_SHIFT) - 1]
+    }
+
+    #[test]
+    fn sign_factor_bound_holds_at_the_ends_of_every_negative_sector() {
+        let mut checked = 0;
+        for (s, &class) in SIGN_CLASS.iter().enumerate() {
+            for b in sector_ends(s) {
+                let theta = PolarDraw::angle(Rng::polar_uniforms_of((0, b)).1);
+                for (bit, factor) in [(NEG_I, theta.cos()), (NEG_Q, theta.sin())] {
+                    if class & bit != 0 {
+                        assert!(-factor >= SIGN_TRIG_MIN, "sector {s}, b {b}: {factor}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        // Sectors 129..=382 for I and 257..=510 for Q, less the other
+        // component's bands at ½ and ¾, two ends each.
+        assert_eq!(checked, 2 * (252 + 252));
+        let true_bound = (std::f64::consts::PI / 256.0).sin();
+        assert!(true_bound - SIGN_TRIG_MIN >= 1e3 * 7e-16);
+    }
+
+    #[test]
+    fn sign_decisions_hold_at_every_band_edge_and_the_radius_threshold() {
+        // Both ends of every sector are every band edge and the draw one
+        // past it; `a` at the radius threshold and one below it, and at the
+        // extremes. Every decided sample must be the reference's.
+        for power in [0.0, 2e-8, 2e-6, 2e-4, 0.02, 2.0, 8.0] {
+            let sigma = (power / 2.0f64).sqrt();
+            let a_min = sign_a_min(sigma);
+            let (mut decided, mut open) = (0, 0);
+            for (s, &class) in SIGN_CLASS.iter().enumerate() {
+                for b in sector_ends(s) {
+                    let draws = [0, 1, a_min - 1, a_min, (1 << 53) - 1];
+                    for a in draws.into_iter().filter(|&a| a < 1 << 53) {
+                        let (signs, undecided) = sign_decision((a, b), a_min);
+                        let negative = class & (NEG_I | NEG_Q) != 0;
+                        assert_eq!(
+                            undecided,
+                            class & BAND != 0 || (negative && a < a_min),
+                            "power {power}, sector {s}, a {a}"
+                        );
+                        if undecided {
+                            open += 1;
+                        } else {
+                            assert_eq!(
+                                signs,
+                                exact_signs((a, b), sigma),
+                                "power {power}, sector {s}, a {a}, b {b}"
+                            );
+                            decided += 1;
+                        }
+                    }
+                }
+            }
+            assert!(decided > 0 && open > 0, "power {power}");
+        }
+    }
+
+    #[test]
+    fn sign_stream_leaves_few_samples_open_at_the_false_alarm_floor() {
+        // The false-alarm floor, 2e-4: bands of 7 sectors in 512 (1.37 %)
+        // plus the small radii on negative sides, 1.95 % of samples. An
+        // over-cautious threshold would stay exact but slow.
+        let a_min = sign_a_min((2e-4f64 / 2.0).sqrt());
+        let mut rng = Rng::seed_from(11);
+        let n = 1 << 20;
+        let open = (0..n)
+            .filter(|_| sign_decision(rng.polar_bits(), a_min).1)
+            .count();
+        let share = open as f64 / n as f64;
+        assert!(share < 0.021, "open share {share}");
     }
 
     /// The reference the ADC-domain generator must reproduce.

@@ -40,8 +40,52 @@ fn check_adc_generator(src: NoiseSource, wave: &[Cf64], noise_only: usize) -> Re
     Ok(())
 }
 
+/// Runs the sign stream over `n` samples and checks it against
+/// [`NoiseSource::adc_noise`] on a clone: each component −1 exactly where
+/// `adc_noise`'s is negative and 0 elsewhere, and both sources continue
+/// alike.
+fn check_sign_stream(src: NoiseSource, n: usize) -> Result<(), String> {
+    let mut signs = src.clone();
+    let mut full = src;
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    signs.adc_noise_signs(n, &mut got);
+    full.adc_noise(n, &mut want);
+    if got.len() != want.len() {
+        return Err(format!("{} samples, want {}", got.len(), want.len()));
+    }
+    for (k, (s, w)) in got.iter().zip(&want).enumerate() {
+        let expect = IqI16::new(-i16::from(w.i < 0), -i16::from(w.q < 0));
+        if *s != expect {
+            return Err(format!("sample {k}: got {s:?} for {w:?}"));
+        }
+    }
+    if signs.next_sample() != full.next_sample() {
+        return Err("the sign stream left its source elsewhere".into());
+    }
+    Ok(())
+}
+
 props! {
     cases = 16;
+
+    /// The sign stream carries exactly the signs of `adc_noise`'s samples
+    /// and leaves the source where `adc_noise` does: at noise powers from
+    /// silence through sub-LSB noise (2e-8), the false-alarm floor (2e-4)
+    /// and past clip (8), lengths 0, 1 and across chunk boundaries, and
+    /// from an `Rng` with a pending Box–Muller spare.
+    fn sign_stream_matches_adc_noise_signs(
+        seed in tk::any::<u64>(),
+        power in tk::one_of(vec![0.0, 2e-8, 2e-6, 2e-4, 0.02, 2.0, 8.0]),
+        len in tk::one_of(vec![0usize, 1, 63, 64, 65, 130, 700]),
+        spare in tk::any::<bool>(),
+    ) cases = 256 {
+        let mut rng = Rng::seed_from(seed);
+        if spare {
+            rng.gaussian();
+        }
+        let r = check_sign_stream(NoiseSource::new(power, rng), len);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
 
     /// The ADC-domain generator is the quantized `f64` path bit for bit:
     /// wave plus noise and noise alone, at noise powers 0, the false-alarm

@@ -143,6 +143,9 @@ fn hypothesis_lockout(preset: &DetectionPreset, energy_lockout: u64) -> u64 {
 struct DetectorBank {
     banks: Vec<DspLaneBank>,
     scratch: LaneBankScratch,
+    /// No lane reads more of a sample than its signs
+    /// ([`DspLaneBank::reads_signs_only`]).
+    signs_only: bool,
 }
 
 impl DetectorBank {
@@ -157,8 +160,9 @@ impl DetectorBank {
                 }
                 bank
             })
-            .collect();
+            .collect::<Vec<_>>();
         DetectorBank {
+            signs_only: banks.iter().all(DspLaneBank::reads_signs_only),
             banks,
             scratch: LaneBankScratch::default(),
         }
@@ -637,7 +641,9 @@ impl FalseAlarmSpec {
     /// spec's own preset is ignored): each unit streams its own noise once
     /// through every hypothesis. Returns `(triggers, samples)` per preset —
     /// for each preset exactly what a one-preset run at the same seed
-    /// counts.
+    /// counts. When no hypothesis has an energy comparator the noise comes
+    /// as [`NoiseSource::adc_noise_signs`]: the lanes then read nothing
+    /// but the signs, which it reproduces, at a fraction of the cost.
     fn measure(
         &self,
         engine: &CampaignEngine,
@@ -665,7 +671,11 @@ impl FalseAlarmSpec {
                 while streamed < n {
                     let m = FA_CHUNK.min(n - streamed);
                     pool.stream.clear();
-                    noise.adc_noise(m, &mut pool.stream);
+                    if pool.bank.signs_only {
+                        noise.adc_noise_signs(m, &mut pool.stream);
+                    } else {
+                        noise.adc_noise(m, &mut pool.stream);
+                    }
                     pool.bank.feed(&pool.stream, 0..m as u64, &mut pool.hits);
                     streamed += m;
                 }
@@ -1820,6 +1830,45 @@ mod tests {
             assert!(swept.windows(2).all(|w| w[0].0 >= w[1].0), "{swept:?}");
             assert!(swept.iter().all(|&(t, _)| t > 0), "{swept:?}");
         }
+    }
+
+    #[test]
+    fn sign_stream_counts_what_the_full_stream_counts() {
+        // Correlator presets alone read only signs, so they run on the sign
+        // stream; an energy-rise hypothesis beside them puts the same noise
+        // through the full stream. Each correlator lane must count the same
+        // triggers on both, over two units, at two thresholds per preset.
+        let correlators = [
+            DetectionPreset::WifiShortPreamble { threshold: 0.30 },
+            DetectionPreset::WifiShortPreamble { threshold: 0.34 },
+            DetectionPreset::WifiLongPreamble { threshold: 0.20 },
+            DetectionPreset::WifiLongPreamble { threshold: 0.24 },
+            DetectionPreset::WimaxPreamble {
+                id_cell: 1,
+                segment: 0,
+                threshold: 0.20,
+            },
+            DetectionPreset::WimaxPreamble {
+                id_cell: 1,
+                segment: 0,
+                threshold: 0.25,
+            },
+        ];
+        let mut mixed = correlators.to_vec();
+        mixed.push(DetectionPreset::EnergyRise { threshold_db: 10.0 });
+        assert!(DetectorBank::new(&correlators, DEFAULT_LOCKOUT).signs_only);
+        assert!(!DetectorBank::new(&mixed, DEFAULT_LOCKOUT).signs_only);
+        let spec = CampaignSpec::false_alarm(&correlators[0])
+            .samples(FA_UNIT_SAMPLES + 4_321)
+            .seed(35);
+        let measure = |presets: &[DetectionPreset]| {
+            spec.measure(&serial(), "fa_grid", presets, &mut BTreeMap::new(), None)
+                .expect("uncancelled campaign always completes")
+        };
+        let signs = measure(&correlators);
+        let full = measure(&mixed);
+        assert_eq!(signs[..], full[..correlators.len()]);
+        assert!(signs.iter().all(|&(t, _)| t > 0), "{signs:?}");
     }
 
     #[test]

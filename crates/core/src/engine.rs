@@ -52,8 +52,8 @@
 //!
 //! Worker count resolution: an explicit [`CampaignEngine::with_threads`]
 //! wins, else the `RJAM_THREADS` environment variable (strictly parsed:
-//! `rjamctl` and `rjamd` refuse a malformed or zero value through
-//! [`CampaignEngine::from_args`], while
+//! `rjamctl`, `rjamd` and the figure binaries refuse a malformed or zero
+//! value through [`CampaignEngine::from_args`], while
 //! [`CampaignEngine::from_env`] degrades it to serial rather than silently
 //! going wide), else `std::thread::available_parallelism()`.
 
@@ -269,8 +269,8 @@ impl CampaignEngine {
     /// `--threads` flag, when given; else [`THREADS_ENV`] when set and not
     /// blank; else one worker per core. A malformed or zero count, from
     /// either source, is an error naming the flag or the variable; the
-    /// front ends that own a usage channel (`rjamctl`, `rjamd`) exit 2
-    /// with it.
+    /// front ends that own a usage channel (`rjamctl`, `rjamd`, the figure
+    /// binaries) exit 2 with it.
     pub fn from_args(threads: Option<&str>) -> Result<Self, String> {
         let n = match (threads, std::env::var(THREADS_ENV)) {
             (Some(raw), _) => parse_threads("--threads", raw)?,

@@ -347,6 +347,14 @@ impl DspLaneBank {
         self.groups.len()
     }
 
+    /// Whether the lanes read nothing of a sample but the signs of its
+    /// components: no lane has an energy comparator, so only the sign
+    /// history sees the stream. Such a bank fires alike on any two streams
+    /// whose components are negative at the same places.
+    pub fn reads_signs_only(&self) -> bool {
+        self.energy.is_empty()
+    }
+
     /// Samples fed since construction or the last [`DspLaneBank::reset`].
     pub fn samples_processed(&self) -> u64 {
         self.fed

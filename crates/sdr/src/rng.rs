@@ -51,7 +51,7 @@ impl Rng {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit(self.next_u64() >> 11)
     }
 
     /// Uniform integer in `[0, n)`.
@@ -107,10 +107,24 @@ impl Rng {
     /// evaluate [`PolarDraw::new`] of them their own way.
     #[inline]
     pub fn polar_uniforms(&mut self) -> (f64, f64) {
-        // Draw u1 in (0,1] to avoid ln(0).
-        let u1 = 1.0 - self.uniform();
-        let u2 = self.uniform();
-        (u1, u2)
+        Rng::polar_uniforms_of(self.polar_bits())
+    }
+
+    /// The 53-bit integers `(a, b)` behind one [`Rng::polar_uniforms`]
+    /// draw, in its order; [`Rng::polar_uniforms_of`] turns them into its
+    /// uniforms. For callers that decide from the integers and need the
+    /// uniforms only sometimes.
+    #[inline]
+    pub fn polar_bits(&mut self) -> (u64, u64) {
+        let a = self.next_u64() >> 11;
+        (a, self.next_u64() >> 11)
+    }
+
+    /// The uniforms of the integers `(a, b)` of [`Rng::polar_bits`]:
+    /// `u1 = 1 − a·2⁻⁵³`, in `(0, 1]` to avoid `ln 0`, and `u2 = b·2⁻⁵³`.
+    #[inline]
+    pub fn polar_uniforms_of((a, b): (u64, u64)) -> (f64, f64) {
+        (1.0 - unit(a), unit(b))
     }
 
     /// Whether a Box-Muller spare is pending: the next [`Rng::gaussian`]
@@ -126,6 +140,12 @@ impl Rng {
             chunk.copy_from_slice(&w[..chunk.len()]);
         }
     }
+}
+
+/// The uniform `bits·2⁻⁵³` in `[0, 1)` of 53 random bits.
+#[inline]
+fn unit(bits: u64) -> f64 {
+    bits as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// One Box-Muller transform in polar form: radius `sqrt(-2 ln u1)` and
