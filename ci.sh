@@ -33,11 +33,14 @@ check bench baselines/BENCH_*.json
 step "tests (unit + integration + property)"
 cargo test -q --workspace --offline
 
-step "bit-exactness tests of the DSP kernels in the release profile"
+step "bit-exactness tests of the DSP kernels and the link model in the release profile"
 # The ADC-domain noise generator and the resamplers must match their
-# reference paths bit for bit in the optimized build rjamd ships, too, and
-# the lane bank's word kernel must fire where the DSP core triggers.
-cargo test --release -q --offline -p rjam-sdr -p rjam-channel -p rjam-fpga
+# reference paths bit for bit in the optimized build rjamd ships, too, the
+# lane bank's word kernel must fire where the DSP core triggers, the link
+# model's ln k! table must give the per-term sums' bits, and the health
+# monitor must leave the flight recorder what per-frame writes would.
+cargo test --release -q --offline -p rjam-sdr -p rjam-channel -p rjam-fpga \
+    -p rjam-phy80211 -p rjam-mac -p rjam-obs
 
 step "bench smoke run (reduced samples, JSON to the workspace root)"
 # cargo runs bench binaries with cwd = the package dir, so pin the output
@@ -173,7 +176,8 @@ for cmd in \
     "roc --preset wifi-short --frames 16 --fa-samples 524288" \
     "roc --preset energy --frames 16 --fa-samples 524288" \
     "fa --preset energy --grid 6,10 --samples 1000000" \
-    "submit --local --spec {\"campaign\":\"wimax\",\"fused\":true,\"frames\":40,\"snr_db\":10,\"threshold\":0.45,\"seed\":3}"; do
+    "submit --local --spec {\"campaign\":\"wimax\",\"fused\":true,\"frames\":40,\"snr_db\":10,\"threshold\":0.45,\"seed\":3}" \
+    "submit --local --spec {\"campaign\":\"jamming\",\"jammer\":\"reactive_short\",\"sirs_db\":[1,8,14,20,26,32],\"duration_s\":1,\"seed\":3}"; do
     RJAM_THREADS=1 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t1.out
     RJAM_THREADS=4 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t4.out
     diff rjam_ci_t1.out rjam_ci_t4.out || {
@@ -181,6 +185,18 @@ for cmd in \
     }
 done
 rm -f rjam_ci_t1.out rjam_ci_t4.out
+
+step "examples refuse a malformed RJAM_THREADS (exit 2, nothing on stdout)"
+example_status=0
+RJAM_THREADS=abc cargo run -q --release --offline --example wifi_jamming \
+    > rjam_ci_example.out 2> /dev/null || example_status=$?
+test "$example_status" = 2 || {
+    echo "wifi_jamming with RJAM_THREADS=abc exited $example_status, not 2"; exit 1;
+}
+test ! -s rjam_ci_example.out || {
+    echo "wifi_jamming printed to stdout on a malformed RJAM_THREADS"; exit 1;
+}
+rm -f rjam_ci_example.out
 
 step "figures: run_figures.sh output byte-matches figures_output.txt"
 # The figure contract, checked on every run: fig5's timelines and the

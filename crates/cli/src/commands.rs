@@ -113,13 +113,6 @@ fn jammer_under_test(jammer: JammerName) -> JammerUnderTest {
     }
 }
 
-/// Executes a parsed command with the environment's engine
-/// (`RJAM_THREADS`, else all cores). The binary routes `--threads` through
-/// [`execute_with`] instead.
-pub fn execute(cmd: &Command) -> Result<String, CliError> {
-    execute_with(cmd, &CampaignEngine::from_env())
-}
-
 /// Executes a parsed command on the given campaign engine, returning the
 /// printable report.
 pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, CliError> {
@@ -957,23 +950,27 @@ mod tests {
         crate::args::parse(argv).map(|inv| inv.command)
     }
 
+    fn engine() -> CampaignEngine {
+        CampaignEngine::with_threads(2)
+    }
+
     #[test]
     fn help_prints_usage() {
-        let out = execute(&parse(&argv("help")).unwrap()).unwrap();
+        let out = execute_with(&parse(&argv("help")).unwrap(), &engine()).unwrap();
         assert!(out.contains("rjamctl"));
         assert!(out.contains("iperf"));
     }
 
     #[test]
     fn resources_report_totals() {
-        let out = execute(&Command::Resources).unwrap();
+        let out = execute_with(&Command::Resources, &engine()).unwrap();
         assert!(out.contains("TOTAL"));
         assert!(out.contains("fits the Spartan-3A DSP 3400's free fabric: true"));
     }
 
     #[test]
     fn timeline_within_budget() {
-        let out = execute(&Command::Timeline { trials: 3 }).unwrap();
+        let out = execute_with(&Command::Timeline { trials: 3 }, &engine()).unwrap();
         assert!(out.contains("T_init"));
         // Every measured column is populated.
         assert!(!out.contains(" -\n"), "{out}");
@@ -981,15 +978,21 @@ mod tests {
 
     #[test]
     fn detect_command_reports_probability() {
-        let out =
-            execute(&parse(&argv("detect --preset wifi-short --snr 10 --frames 25")).unwrap())
-                .unwrap();
+        let out = execute_with(
+            &parse(&argv("detect --preset wifi-short --snr 10 --frames 25")).unwrap(),
+            &engine(),
+        )
+        .unwrap();
         assert!(out.contains("P(det)"), "{out}");
     }
 
     #[test]
     fn monitor_rejects_zero_cadence_as_usage() {
-        let err = execute(&parse(&argv("monitor --jammer off --cadence 0")).unwrap()).unwrap_err();
+        let err = execute_with(
+            &parse(&argv("monitor --jammer off --cadence 0")).unwrap(),
+            &engine(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{err}");
         assert_eq!(err.exit_code(), 2);
         assert!(err.message().contains("--cadence"), "{err}");
@@ -998,7 +1001,11 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn monitor_clean_run_reports_healthy() {
-        let out = execute(&parse(&argv("monitor --jammer off --seconds 0.5")).unwrap()).unwrap();
+        let out = execute_with(
+            &parse(&argv("monitor --jammer off --seconds 0.5")).unwrap(),
+            &engine(),
+        )
+        .unwrap();
         assert!(out.contains("link health: HEALTHY"), "{out}");
         assert!(out.contains("prr_collapse"), "{out}");
         assert!(out.contains("(no transitions)"), "{out}");
@@ -1007,9 +1014,11 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn monitor_jammed_run_is_an_alarm_verdict() {
-        let err =
-            execute(&parse(&argv("monitor --jammer reactive-long --sir 1 --seconds 1")).unwrap())
-                .unwrap_err();
+        let err = execute_with(
+            &parse(&argv("monitor --jammer reactive-long --sir 1 --seconds 1")).unwrap(),
+            &engine(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), crate::args::ErrorKind::Alarm, "{err}");
         assert_eq!(err.exit_code(), 1);
         // The message is the complete report, alarm log included.
@@ -1021,8 +1030,11 @@ mod tests {
     fn invalid_operating_points_are_usage_errors() {
         // Energy threshold outside the detector's 3-30 dB range: the core
         // config validator rejects it before any campaign runs.
-        let err =
-            execute(&parse(&argv("detect --preset energy --energy-db 45")).unwrap()).unwrap_err();
+        let err = execute_with(
+            &parse(&argv("detect --preset energy --energy-db 45")).unwrap(),
+            &engine(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{err}");
         assert!(
             err.message().contains("invalid detector configuration"),
@@ -1030,9 +1042,11 @@ mod tests {
         );
         // Zero correlation threshold compiles to a trigger-on-everything
         // core; equally rejected.
-        let err =
-            execute(&parse(&argv("fa --preset wifi-long --threshold 0 --samples 1000")).unwrap())
-                .unwrap_err();
+        let err = execute_with(
+            &parse(&argv("fa --preset wifi-long --threshold 0 --samples 1000")).unwrap(),
+            &engine(),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{err}");
         assert_eq!(err.exit_code(), 2);
         // The job service refuses both of these too: a fraction above 1,
@@ -1041,7 +1055,7 @@ mod tests {
             "detect --preset wifi-short --threshold 1.5 --frames 8",
             "fa --preset wifi-short --threshold 1e-9 --samples 1000",
         ] {
-            let err = execute(&parse(&argv(cmd)).unwrap()).unwrap_err();
+            let err = execute_with(&parse(&argv(cmd)).unwrap(), &engine()).unwrap_err();
             assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
             assert!(err.message().contains("threshold"), "{cmd}: {err}");
         }
@@ -1067,7 +1081,7 @@ mod tests {
             ("monitor --jammer off --seconds 3601", "duration_s"),
             ("monitor --jammer off --sir nan", "sirs_db"),
         ] {
-            let err = execute(&parse(&argv(cmd)).unwrap()).unwrap_err();
+            let err = execute_with(&parse(&argv(cmd)).unwrap(), &engine()).unwrap_err();
             assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
             assert_eq!(err.exit_code(), 2, "{cmd}");
             assert!(err.message().contains(field), "{cmd}: {err}");
@@ -1081,12 +1095,13 @@ mod tests {
             ("wifi-short", "--threshold", ["0.22", "0.50"]),
             ("energy", "--energy-db", ["3", "5"]),
         ] {
-            let grid_out = execute(
+            let grid_out = execute_with(
                 &parse(&argv(&format!(
                     "fa --preset {preset} --grid {} --samples 300000",
                     points.join(",")
                 )))
                 .unwrap(),
+                &engine(),
             )
             .unwrap();
             // Every grid row carries the same counts a dedicated
@@ -1094,11 +1109,12 @@ mod tests {
             for t in points {
                 let row = format!("threshold {:.3}:", t.parse::<f64>().unwrap());
                 assert!(grid_out.contains(&row), "{row}: {grid_out}");
-                let single = execute(
+                let single = execute_with(
                     &parse(&argv(&format!(
                         "fa --preset {preset} {flag} {t} --samples 300000"
                     )))
                     .unwrap(),
+                    &engine(),
                 )
                 .unwrap();
                 let counts = single
@@ -1120,7 +1136,7 @@ mod tests {
             "fa --preset wifi-short --grid 0.4,0",
             "fa --preset energy --grid 6,45",
         ] {
-            let err = execute(&parse(&argv(cmd)).unwrap()).unwrap_err();
+            let err = execute_with(&parse(&argv(cmd)).unwrap(), &engine()).unwrap_err();
             assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
             assert!(
                 err.message().contains("invalid detector configuration"),
@@ -1155,9 +1171,11 @@ mod tests {
 
     #[test]
     fn iperf_command_reports_bandwidth() {
-        let out =
-            execute(&parse(&argv("iperf --jammer reactive-long --sir 14 --seconds 1")).unwrap())
-                .unwrap();
+        let out = execute_with(
+            &parse(&argv("iperf --jammer reactive-long --sir 14 --seconds 1")).unwrap(),
+            &engine(),
+        )
+        .unwrap();
         assert!(out.contains("kbps"), "{out}");
         assert!(out.contains("duty"), "{out}");
     }
@@ -1175,9 +1193,12 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("rjamctl_test_{}.cf32", std::process::id()));
         rjam_sdr::io::write_cf32(&path, &wave).unwrap();
-        let out = execute(&Command::Classify {
-            path: path.to_string_lossy().into(),
-        })
+        let out = execute_with(
+            &Command::Classify {
+                path: path.to_string_lossy().into(),
+            },
+            &engine(),
+        )
         .unwrap();
         std::fs::remove_file(&path).ok();
         assert!(out.contains("class: Wifi"), "{out}");
@@ -1185,11 +1206,12 @@ mod tests {
 
     #[test]
     fn roc_command_outputs_csv() {
-        let out = execute(
+        let out = execute_with(
             &parse(&argv(
                 "roc --preset wifi-short --snr 3 --frames 10 --fa-samples 200000",
             ))
             .unwrap(),
+            &engine(),
         )
         .unwrap();
         assert!(out.contains("threshold,fa_per_s,p_detect"), "{out}");
@@ -1198,11 +1220,12 @@ mod tests {
 
     #[test]
     fn energy_roc_sweeps_its_own_db_thresholds() {
-        let out = execute(
+        let out = execute_with(
             &parse(&argv(
                 "roc --preset energy --snr 10 --frames 24 --fa-samples 400000",
             ))
             .unwrap(),
+            &engine(),
         )
         .unwrap();
         let rows: Vec<Vec<f64>> = out
@@ -1226,9 +1249,12 @@ mod tests {
 
     #[test]
     fn classify_missing_file_errors() {
-        let err = execute(&Command::Classify {
-            path: "/nonexistent/x.cf32".into(),
-        })
+        let err = execute_with(
+            &Command::Classify {
+                path: "/nonexistent/x.cf32".into(),
+            },
+            &engine(),
+        )
         .unwrap_err();
         assert!(err.message().contains("cannot read"));
         assert_eq!(err.kind(), crate::args::ErrorKind::Runtime);
@@ -1237,10 +1263,13 @@ mod tests {
 
     #[test]
     fn stats_live_exercise_renders_registry() {
-        let out = execute(&Command::Stats {
-            input: None,
-            budget_ns: None,
-        })
+        let out = execute_with(
+            &Command::Stats {
+                input: None,
+                budget_ns: None,
+            },
+            &engine(),
+        )
         .unwrap();
         assert!(out.contains("== counters =="), "{out}");
         assert!(out.contains("== histograms =="), "{out}");
@@ -1263,16 +1292,22 @@ mod tests {
         path.push(format!("rjamctl_metrics_{}.json", std::process::id()));
         let path_s = path.to_string_lossy().to_string();
         // Run an exercise so the registry holds something, then snapshot.
-        execute(&Command::Stats {
-            input: None,
-            budget_ns: None,
-        })
+        execute_with(
+            &Command::Stats {
+                input: None,
+                budget_ns: None,
+            },
+            &engine(),
+        )
         .unwrap();
         write_metrics_snapshot(&path_s).unwrap();
-        let out = execute(&Command::Stats {
-            input: Some(path_s.clone()),
-            budget_ns: None,
-        })
+        let out = execute_with(
+            &Command::Stats {
+                input: Some(path_s.clone()),
+                budget_ns: None,
+            },
+            &engine(),
+        )
         .unwrap();
         std::fs::remove_file(&path).ok();
         assert!(out.contains("== counters =="), "{out}");
@@ -1286,10 +1321,13 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("rjamctl_garbage_{}.json", std::process::id()));
         std::fs::write(&path, "{\"schema\":\"wrong\"}").unwrap();
-        let err = execute(&Command::Stats {
-            input: Some(path.to_string_lossy().into()),
-            budget_ns: None,
-        })
+        let err = execute_with(
+            &Command::Stats {
+                input: Some(path.to_string_lossy().into()),
+                budget_ns: None,
+            },
+            &engine(),
+        )
         .unwrap_err();
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), crate::args::ErrorKind::Runtime);
@@ -1298,10 +1336,13 @@ mod tests {
 
     #[test]
     fn stats_operator_budget_overrides_default() {
-        let out = execute(&Command::Stats {
-            input: None,
-            budget_ns: Some(5000.0),
-        })
+        let out = execute_with(
+            &Command::Stats {
+                input: None,
+                budget_ns: Some(5000.0),
+            },
+            &engine(),
+        )
         .unwrap();
         if rjam_obs::enabled() {
             assert!(
@@ -1313,13 +1354,16 @@ mod tests {
 
     #[test]
     fn trace_zero_episodes_is_usage_error() {
-        let err = execute(&Command::Trace {
-            episodes: 0,
-            out: None,
-            chrome: None,
-            budget_ns: None,
-            top: 5,
-        })
+        let err = execute_with(
+            &Command::Trace {
+                episodes: 0,
+                out: None,
+                chrome: None,
+                budget_ns: None,
+                top: 5,
+            },
+            &engine(),
+        )
         .unwrap_err();
         assert_eq!(err.kind(), crate::args::ErrorKind::Usage);
         assert_eq!(err.exit_code(), 2);
@@ -1327,13 +1371,16 @@ mod tests {
 
     #[test]
     fn trace_report_renders_attribution_and_chain() {
-        let out = execute(&Command::Trace {
-            episodes: 4,
-            out: None,
-            chrome: None,
-            budget_ns: None,
-            top: 3,
-        })
+        let out = execute_with(
+            &Command::Trace {
+                episodes: 4,
+                out: None,
+                chrome: None,
+                budget_ns: None,
+                top: 3,
+            },
+            &engine(),
+        )
         .unwrap();
         if rjam_obs::enabled() {
             assert!(out.contains("traced 4 episodes:"), "{out}");
@@ -1356,13 +1403,16 @@ mod tests {
         let mut chrome = std::env::temp_dir();
         chrome.push(format!("rjamctl_chrome_{}.json", std::process::id()));
         let chrome_s = chrome.to_string_lossy().to_string();
-        let out = execute(&Command::Trace {
-            episodes: 4,
-            out: Some(path_s.clone()),
-            chrome: Some(chrome_s.clone()),
-            budget_ns: None,
-            top: 2,
-        })
+        let out = execute_with(
+            &Command::Trace {
+                episodes: 4,
+                out: Some(path_s.clone()),
+                chrome: Some(chrome_s.clone()),
+                budget_ns: None,
+                top: 2,
+            },
+            &engine(),
+        )
         .unwrap();
         assert!(out.contains(&path_s), "{out}");
         assert!(out.contains(&chrome_s), "{out}");
@@ -1394,7 +1444,7 @@ mod tests {
 
     #[test]
     fn report_zero_frames_is_usage_error() {
-        let err = execute(&Command::Report { frames: 0, top: 5 }).unwrap_err();
+        let err = execute_with(&Command::Report { frames: 0, top: 5 }, &engine()).unwrap_err();
         assert_eq!(err.kind(), crate::args::ErrorKind::Usage);
         assert_eq!(err.exit_code(), 2);
     }

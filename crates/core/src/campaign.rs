@@ -234,7 +234,7 @@ pub enum ChannelModel {
 /// use rjam_core::engine::CampaignEngine;
 /// use rjam_core::presets::DetectionPreset;
 ///
-/// let engine = CampaignEngine::from_env();
+/// let engine = CampaignEngine::with_threads(2);
 /// let points = CampaignSpec::wifi_detection(&DetectionPreset::WifiShortPreamble {
 ///     threshold: 0.3,
 /// })
@@ -1944,12 +1944,12 @@ mod tests {
             .snrs(&[5.0])
             .trials(10)
             .seed(50)
-            .run(&CampaignEngine::from_env());
+            .run(&serial());
         let defaulted = CampaignSpec::wifi_detection(&preset)
             .snrs(&[5.0])
             .trials(10)
             .seed(50)
-            .run(&CampaignEngine::from_env());
+            .run(&serial());
         assert_eq!(explicit, defaulted);
     }
 

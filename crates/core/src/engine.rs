@@ -52,10 +52,9 @@
 //!
 //! Worker count resolution: an explicit [`CampaignEngine::with_threads`]
 //! wins, else the `RJAM_THREADS` environment variable (strictly parsed:
-//! `rjamctl`, `rjamd` and the figure binaries refuse a malformed or zero
-//! value through [`CampaignEngine::from_args`], while
-//! [`CampaignEngine::from_env`] degrades it to serial rather than silently
-//! going wide), else `std::thread::available_parallelism()`.
+//! `rjamctl`, `rjamd`, the figure binaries and the examples refuse a
+//! malformed or zero value through [`CampaignEngine::from_args`]), else
+//! `std::thread::available_parallelism()`.
 
 use rjam_obs::stream::{self, ProgressEvent};
 use rjam_obs::telemetry::{self, EngineProfile, ProfileStore, Straggler, WorkerStats};
@@ -280,13 +279,6 @@ impl CampaignEngine {
                 .unwrap_or(1),
         };
         Ok(Self::with_threads(n))
-    }
-
-    /// [`Self::from_args`] without a flag, degrading a malformed or zero
-    /// [`THREADS_ENV`] to serial rather than failing: a garbage override
-    /// must not silently fan out to every core.
-    pub fn from_env() -> Self {
-        Self::from_args(None).unwrap_or_else(|_| Self::serial())
     }
 
     /// A single-threaded engine — the reference path the determinism
@@ -659,12 +651,6 @@ impl CampaignEngine {
             // `rjamctl stats` reports what the most recent run actually used.
             rjam_obs::registry::gauge("core.engine_threads").set(workers as u64);
         }
-    }
-}
-
-impl Default for CampaignEngine {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 

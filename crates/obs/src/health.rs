@@ -512,7 +512,6 @@ impl RollingQuantile {
 mod enabled {
     use super::{Cusum, EwmaBaseline, HealthEvent, HealthVerdict, PageHinkley};
     use crate::registry;
-    use std::collections::VecDeque;
 
     /// Windows before the PRR baseline is declared established.
     const BASELINE_WINDOWS: u64 = 1;
@@ -534,8 +533,44 @@ mod enabled {
     /// Flight-recorder event kind for degraded frames.
     pub const DEGRADED_KIND: &str = "health.frame_degraded";
 
-    /// Degraded frame ids an alarm names.
+    /// Degraded frame ids an alarm names, and degraded-frame records a
+    /// monitor holds before it writes them into the flight recorder.
     const MAX_ATTRIBUTION: usize = 8;
+
+    /// The ring slot of a monitor's `k`-th degraded frame.
+    fn slot(k: u64) -> usize {
+        (k % MAX_ATTRIBUTION as u64) as usize
+    }
+
+    /// The monitor's own log. A run whose only event is its baseline (a
+    /// healthy run before [`HealthMonitor::finish`]) keeps that event
+    /// inline and allocates nothing.
+    enum EventLog {
+        Empty,
+        One(HealthEvent),
+        Many(Vec<HealthEvent>),
+    }
+
+    impl EventLog {
+        fn push(&mut self, ev: HealthEvent) {
+            *self = match std::mem::replace(self, EventLog::Empty) {
+                EventLog::Empty => EventLog::One(ev),
+                EventLog::One(first) => EventLog::Many(vec![first, ev]),
+                EventLog::Many(mut all) => {
+                    all.push(ev);
+                    EventLog::Many(all)
+                }
+            };
+        }
+
+        fn as_slice(&self) -> &[HealthEvent] {
+            match self {
+                EventLog::Empty => &[],
+                EventLog::One(ev) => std::slice::from_ref(ev),
+                EventLog::Many(all) => all,
+            }
+        }
+    }
 
     #[derive(Clone, Copy, Default)]
     struct RuleState {
@@ -552,12 +587,15 @@ mod enabled {
     pub struct HealthMonitor {
         /// Frames per evaluation window on the MAC feed.
         cadence: u64,
-        events: Vec<HealthEvent>,
+        events: EventLog,
         frames: u64,
+        /// Frame count at which the open window closes.
+        window_end: u64,
         windows: u64,
         alarms_raised: u64,
-        win_frames: u64,
-        win_delivered: u64,
+        /// Lost frames in the open window.
+        win_lost: u64,
+        /// Jammed frames in the open window.
         win_jammed: u64,
         prr_base: EwmaBaseline,
         prr_baselined: bool,
@@ -565,25 +603,30 @@ mod enabled {
         prr_state: RuleState,
         storm_ph: PageHinkley,
         storm_state: RuleState,
-        /// Degraded-frame records `(frame, frame id, jammed)` not yet in
-        /// the flight recorder, oldest first.
-        degraded: Vec<(u64, i64, i64)>,
-        /// The last `MAX_ATTRIBUTION` degraded frame ids, oldest first:
-        /// what the next alarm names.
-        recent: VecDeque<u64>,
+        /// The last `MAX_ATTRIBUTION` degraded-frame records `(frame,
+        /// frame id, jammed)`, the `k`-th in `slot(k)`: the ids the
+        /// next alarm names, and the records not yet in the flight
+        /// recorder.
+        degraded: [(u64, i64, i64); MAX_ATTRIBUTION],
+        /// Degraded frames seen.
+        n_degraded: u64,
+        /// Degraded frames already written into the flight recorder.
+        n_recorded: u64,
     }
 
     impl HealthMonitor {
         /// A monitor with the stock rules, evaluating the MAC feed every
         /// `cadence` frames (clamped to >= 1).
         pub fn new(cadence: u64) -> Self {
+            let cadence = cadence.max(1);
             HealthMonitor {
-                events: Vec::new(),
+                cadence,
+                events: EventLog::Empty,
                 frames: 0,
+                window_end: cadence,
                 windows: 0,
                 alarms_raised: 0,
-                win_frames: 0,
-                win_delivered: 0,
+                win_lost: 0,
                 win_jammed: 0,
                 prr_base: EwmaBaseline::new(PRR_ALPHA),
                 prr_baselined: false,
@@ -591,63 +634,63 @@ mod enabled {
                 prr_state: RuleState::default(),
                 storm_ph: PageHinkley::new(STORM_DELTA, STORM_LAMBDA),
                 storm_state: RuleState::default(),
-                degraded: Vec::new(),
-                recent: VecDeque::new(),
-                cadence: cadence.max(1),
+                degraded: [(0, 0, 0); MAX_ATTRIBUTION],
+                n_degraded: 0,
+                n_recorded: 0,
             }
         }
 
         /// One MAC frame outcome. Later alarms name the last degraded
         /// (lost or jammed) frames, and each one leaves a
         /// `health.frame_degraded` event in the flight recorder. The
-        /// events are buffered and written under
-        /// one recorder lock at the next window boundary (or alarm,
-        /// [`finish`](HealthMonitor::finish) or drop), in frame order, so
+        /// events are buffered and written under one recorder lock when
+        /// the buffer is full, before an alarm, and in
+        /// [`finish`](HealthMonitor::finish) or drop, in frame order, so
         /// the recorder ends up holding exactly what per-frame writes
         /// would have left there.
         #[inline]
         pub fn note_frame(&mut self, frame_id: u64, delivered: bool, jammed: bool) {
             self.frames += 1;
-            self.win_frames += 1;
-            if delivered {
-                self.win_delivered += 1;
-            }
-            if jammed {
-                self.win_jammed += 1;
-            }
             if !delivered || jammed {
-                if self.recent.len() == MAX_ATTRIBUTION {
-                    self.recent.pop_front();
-                }
-                self.recent.push_back(frame_id);
-                self.degraded
-                    .push((self.frames, frame_id as i64, i64::from(jammed)));
-                if self.degraded.len() >= crate::recorder::GLOBAL_CAPACITY {
-                    self.flush_degraded();
-                }
+                self.note_degraded(frame_id, delivered, jammed);
             }
-            if self.win_frames >= self.cadence {
-                self.flush_degraded();
+            if self.frames == self.window_end {
                 self.evaluate_window();
-                self.win_frames = 0;
-                self.win_delivered = 0;
-                self.win_jammed = 0;
             }
+        }
+
+        fn note_degraded(&mut self, frame_id: u64, delivered: bool, jammed: bool) {
+            self.win_lost += u64::from(!delivered);
+            self.win_jammed += u64::from(jammed);
+            if self.n_degraded - self.n_recorded == MAX_ATTRIBUTION as u64 {
+                self.flush_degraded();
+            }
+            self.degraded[slot(self.n_degraded)] =
+                (self.frames, frame_id as i64, i64::from(jammed));
+            self.n_degraded += 1;
         }
 
         /// Writes the buffered degraded-frame records into the flight
         /// recorder under one lock.
         fn flush_degraded(&mut self) {
-            if !self.degraded.is_empty() {
-                crate::recorder::record_events(DEGRADED_KIND, self.degraded.drain(..));
+            if self.n_recorded < self.n_degraded {
+                let ring = &self.degraded;
+                crate::recorder::record_events(
+                    DEGRADED_KIND,
+                    (self.n_recorded..self.n_degraded).map(|k| ring[slot(k)]),
+                );
+                self.n_recorded = self.n_degraded;
             }
         }
 
         fn evaluate_window(&mut self) {
             self.windows += 1;
-            let n = self.win_frames as f64;
-            let prr = self.win_delivered as f64 / n;
+            self.window_end += self.cadence;
+            let n = self.cadence as f64;
+            let prr = (self.cadence - self.win_lost) as f64 / n;
             let jam_rate = self.win_jammed as f64 / n;
+            self.win_lost = 0;
+            self.win_jammed = 0;
 
             // PRR collapse: CUSUM of the shortfall below the reference PRR.
             self.prr_base.update(prr);
@@ -729,7 +772,9 @@ mod enabled {
                 stat,
                 threshold,
                 frame: self.frames,
-                frames: self.recent.iter().copied().collect(),
+                frames: (self.n_degraded.saturating_sub(MAX_ATTRIBUTION as u64)..self.n_degraded)
+                    .map(|k| self.degraded[slot(k)].1 as u64)
+                    .collect(),
             };
             self.push(ev);
         }
@@ -769,7 +814,7 @@ mod enabled {
         /// Every event so far, in order: the run's `rjam-health-v1` log
         /// (`rjamctl monitor --out` writes it after [`finish`](Self::finish)).
         pub fn events(&self) -> &[HealthEvent] {
-            &self.events
+            self.events.as_slice()
         }
 
         /// Frames observed via [`note_frame`](HealthMonitor::note_frame).
@@ -797,7 +842,7 @@ mod enabled {
 
         /// Frame count at the first raised alarm (time-to-detect).
         pub fn frames_to_first_alarm(&self) -> Option<u64> {
-            self.events.iter().find_map(|ev| match ev {
+            self.events().iter().find_map(|ev| match ev {
                 HealthEvent::AlarmRaised { frame, .. } => Some(*frame),
                 _ => None,
             })

@@ -14,6 +14,7 @@
 use crate::convcode::CodeRate;
 use crate::modmap::Modulation;
 use crate::signal::Rate;
+use std::sync::OnceLock;
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26 style rational
 /// approximation; absolute error < 1.5e-7, ample for link curves).
@@ -74,7 +75,20 @@ fn ln_binom(n: usize, k: usize) -> f64 {
     ln_fact(n) - ln_fact(k) - ln_fact(n - k)
 }
 
+/// Largest Hamming distance [`weight_spectrum`] reaches: rate 1/2's
+/// `d_free` of 10 plus its six further terms.
+const MAX_DISTANCE: usize = 16;
+
+/// `ln n!`, read from a table that [`ln_fact_sum`] fills once per process.
+/// The table holds the very `f64` the sum returns for each `n`, so the
+/// union bound keeps every bit while skipping hundreds of `ln` calls per BER.
 fn ln_fact(n: usize) -> f64 {
+    static TABLE: OnceLock<[f64; MAX_DISTANCE + 1]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(ln_fact_sum))[n]
+}
+
+/// `ln n!` as the sum of `ln i` over `2..=n`.
+fn ln_fact_sum(n: usize) -> f64 {
     (2..=n).map(|i| (i as f64).ln()).sum()
 }
 
@@ -185,6 +199,108 @@ pub fn min_snr_for_per(rate: Rate, target_per: f64, psdu_len: usize) -> f64 {
 mod tests {
     use super::*;
 
+    /// The union bound with every binomial term re-summing its three
+    /// factorials: the reference the table path must match bit for bit.
+    mod per_term {
+        use crate::convcode::CodeRate;
+        use crate::signal::Rate;
+
+        fn pairwise(d: usize, p: f64) -> f64 {
+            if p <= 0.0 {
+                return 0.0;
+            }
+            if p >= 0.5 {
+                return 0.5;
+            }
+            let mut sum = 0.0;
+            // ln-domain binomials to avoid overflow at large d.
+            let ln_p = p.ln();
+            let ln_q = (1.0 - p).ln();
+            let half = d / 2;
+            for k in (half + 1)..=d {
+                sum += (ln_binom(d, k) + k as f64 * ln_p + (d - k) as f64 * ln_q).exp();
+            }
+            if d.is_multiple_of(2) {
+                sum += 0.5 * (ln_binom(d, half) + half as f64 * ln_p + half as f64 * ln_q).exp();
+            }
+            sum.min(0.5)
+        }
+
+        fn ln_binom(n: usize, k: usize) -> f64 {
+            ln_fact(n) - ln_fact(k) - ln_fact(n - k)
+        }
+
+        fn ln_fact(n: usize) -> f64 {
+            (2..=n).map(|i| (i as f64).ln()).sum()
+        }
+
+        pub fn coded_ber(rate: CodeRate, p: f64) -> f64 {
+            let (dfree, spectrum) = super::weight_spectrum(rate);
+            let mut pb = 0.0;
+            for (i, &c) in spectrum.iter().enumerate() {
+                if c > 0.0 {
+                    pb += c * pairwise(dfree + i, p);
+                }
+            }
+            pb.min(0.5)
+        }
+
+        pub fn ber_at_snr(rate: Rate, snr_db: f64) -> f64 {
+            let p = super::raw_ber(
+                rate.modulation(),
+                rjam_sdr::power::db_to_lin(snr_db - super::IMPL_LOSS_DB),
+            );
+            coded_ber(rate.code_rate(), p)
+        }
+    }
+
+    const CODE_RATES: [CodeRate; 3] =
+        [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters];
+
+    #[test]
+    fn ln_fact_table_covers_every_spectrum_distance() {
+        for rate in CODE_RATES {
+            let (dfree, spectrum) = weight_spectrum(rate);
+            let largest = dfree + spectrum.len() - 1;
+            assert!(
+                largest <= MAX_DISTANCE,
+                "{rate:?} reaches distance {largest}, the ln k! table ends at {MAX_DISTANCE}"
+            );
+        }
+        for n in 0..=MAX_DISTANCE {
+            assert_eq!(ln_fact(n).to_bits(), ln_fact_sum(n).to_bits(), "ln {n}!");
+        }
+    }
+
+    #[test]
+    fn ber_at_snr_matches_the_per_term_sums_bit_for_bit() {
+        let grid = (0..=20_000).map(|k| -40.0 + k as f64 * 0.005);
+        let edges = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for snr_db in grid.chain(edges) {
+            for rate in Rate::ALL {
+                assert_eq!(
+                    ber_at_snr(rate, snr_db).to_bits(),
+                    per_term::ber_at_snr(rate, snr_db).to_bits(),
+                    "{rate:?} at {snr_db} dB"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn coded_ber_matches_the_per_term_sums_bit_for_bit() {
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        for p in [-0.0, 0.0, 5e-324, 1e-300, 1e-12, 0.3, below_half, 0.5, 0.7] {
+            for rate in CODE_RATES {
+                assert_eq!(
+                    coded_ber(rate, p).to_bits(),
+                    per_term::coded_ber(rate, p).to_bits(),
+                    "{rate:?} at p = {p:e}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn q_func_known_values() {
         assert!((q_func(0.0) - 0.5).abs() < 1e-7);
@@ -209,7 +325,7 @@ mod tests {
 
     #[test]
     fn coded_ber_monotone_in_crossover() {
-        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+        for rate in CODE_RATES {
             let mut last = 0.0;
             for p in [1e-4, 1e-3, 1e-2, 5e-2, 0.1] {
                 let b = coded_ber(rate, p);

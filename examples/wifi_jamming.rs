@@ -18,7 +18,11 @@ fn main() {
 
     // One engine for the whole campaign: RJAM_THREADS (or all cores)
     // workers, output bit-identical to a serial run at any thread count.
-    let engine = CampaignEngine::from_env();
+    // A malformed or zero RJAM_THREADS exits 2.
+    let engine = CampaignEngine::from_args(None).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     let sweep = |jut: JammerUnderTest, sirs: &[f64]| {
         CampaignSpec::jamming(jut)
             .sirs(sirs)

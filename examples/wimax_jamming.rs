@@ -14,7 +14,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(8);
-    let engine = CampaignEngine::from_env();
+    let engine = CampaignEngine::from_args(None).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     let detect = |fused: bool| {
         CampaignSpec::wimax_detection()
             .fused(fused)
