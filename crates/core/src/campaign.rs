@@ -85,6 +85,8 @@ struct SynthScratch {
     up: Vec<Cf64>,
     /// The emission waveform [`emission_waveform`] leaves for the caller.
     wave: Vec<Cf64>,
+    /// A multipath channel's output, swapped into `wave` once written.
+    faded: Vec<Cf64>,
 }
 
 /// Builds the 25 MSPS emission waveform for one trial into `s.wave`. Each
@@ -116,14 +118,29 @@ fn emission_waveform(
 /// Lays one received frame into `stream` at the ADC: `LEAD_IN` noise
 /// samples, the waveform with noise added, then `TAIL` noise samples.
 /// Returns the frame's detection window relative to the stream start; it
-/// ends 64 samples past the frame to allow for pipeline lag.
-fn frame_stream(wave: &[Cf64], noise: &mut NoiseSource, stream: &mut Vec<IqI16>) -> Range<u64> {
+/// ends 64 samples past the frame to allow for pipeline lag. With
+/// `signs_only` the lead-in and tail are [`NoiseSource::adc_noise_signs`]:
+/// the signs of the samples `adc_noise` would give, from the same draws,
+/// for detectors that read nothing else.
+fn frame_stream(
+    wave: &[Cf64],
+    noise: &mut NoiseSource,
+    signs_only: bool,
+    stream: &mut Vec<IqI16>,
+) -> Range<u64> {
+    let pad = |noise: &mut NoiseSource, n: usize, stream: &mut Vec<IqI16>| {
+        if signs_only {
+            noise.adc_noise_signs(n, stream);
+        } else {
+            noise.adc_noise(n, stream);
+        }
+    };
     stream.clear();
-    noise.adc_noise(LEAD_IN, stream);
+    pad(noise, LEAD_IN, stream);
     let lo = stream.len() as u64;
     noise.add_to_adc(wave, stream);
     let hi = stream.len() as u64 + 64;
-    noise.adc_noise(TAIL, stream);
+    pad(noise, TAIL, stream);
     lo..hi
 }
 
@@ -447,22 +464,24 @@ impl WifiDetectionSpec {
     }
 
     /// Synthesizes one trial — emission, channel, level and noise — into
-    /// the ADC stream `stream` and returns its detection window.
+    /// the ADC stream `stream` and returns its detection window; see
+    /// [`frame_stream`] for `signs_only`.
     fn trial_stream(
         &self,
         rng: &mut Rng,
         noise: &mut NoiseSource,
         synth: &mut SynthScratch,
+        signs_only: bool,
         stream: &mut Vec<IqI16>,
     ) -> Range<u64> {
         emission_waveform(self.emission, rjam_phy80211::Rate::R12, rng, synth);
-        let wave = &mut synth.wave;
         if let ChannelModel::Rayleigh { taps, rms } = self.channel {
             let ch = rjam_channel::MultipathChannel::rayleigh(taps, rms, rng);
-            *wave = ch.apply(wave);
+            ch.apply_into(&synth.wave, &mut synth.faded);
+            std::mem::swap(&mut synth.wave, &mut synth.faded);
         }
-        scale_to_power(wave, RX_LEVEL);
-        frame_stream(wave, noise, stream)
+        scale_to_power(&mut synth.wave, RX_LEVEL);
+        frame_stream(&synth.wave, noise, signs_only, stream)
     }
 
     /// The detection unit body, for one hypothesis per preset (the spec's
@@ -501,8 +520,13 @@ impl WifiDetectionSpec {
                 let mut noise = NoiseSource::new(noise_power, rng.fork());
                 let mut cell = vec![(0usize, 0usize); presets.len()];
                 for _ in 0..frames {
-                    let window =
-                        self.trial_stream(&mut rng, &mut noise, &mut pool.synth, &mut pool.stream);
+                    let window = self.trial_stream(
+                        &mut rng,
+                        &mut noise,
+                        &mut pool.synth,
+                        pool.bank.signs_only,
+                        &mut pool.stream,
+                    );
                     pool.hits.fill(0);
                     pool.bank.feed(&pool.stream, window, &mut pool.hits);
                     for ((detected, triggers), &n) in cell.iter_mut().zip(&pool.hits) {
@@ -1872,6 +1896,57 @@ mod tests {
     }
 
     #[test]
+    fn sign_padded_frames_count_what_full_padded_frames_count() {
+        // Correlator presets alone read only signs, so their frames get a
+        // sign-stream lead-in and tail; an energy-rise hypothesis beside
+        // them puts the same frames through full streams. Each correlator
+        // lane must count the same detections and triggers on both, at
+        // three SNRs, through AWGN and through Rayleigh fading.
+        let correlators = [
+            DetectionPreset::WifiShortPreamble { threshold: 0.30 },
+            DetectionPreset::WifiLongPreamble { threshold: 0.30 },
+            DetectionPreset::WimaxPreamble {
+                id_cell: 1,
+                segment: 0,
+                threshold: 0.10,
+            },
+        ];
+        let mut mixed = correlators.to_vec();
+        mixed.push(DetectionPreset::EnergyRise { threshold_db: 10.0 });
+        assert!(DetectorBank::new(&correlators, 0).signs_only);
+        assert!(!DetectorBank::new(&mixed, 0).signs_only);
+        for channel in [
+            ChannelModel::Awgn,
+            ChannelModel::Rayleigh { taps: 8, rms: 2.0 },
+        ] {
+            let spec = CampaignSpec::wifi_detection(&correlators[0])
+                .channel(channel)
+                .snrs(&[-6.0, 0.0, 12.0])
+                .trials(2 * DETECTION_FRAMES_PER_UNIT + 3)
+                .seed(36);
+            let measure = |presets: &[DetectionPreset]| {
+                spec.measure(
+                    &serial(),
+                    "wifi_detection",
+                    presets,
+                    &mut BTreeMap::new(),
+                    None,
+                )
+                .expect("uncancelled campaign always completes")
+            };
+            let signs = measure(&correlators);
+            let full = measure(&mixed);
+            for (point, (s, f)) in signs.iter().zip(&full).enumerate() {
+                assert_eq!(s[..], f[..correlators.len()], "{channel:?}, point {point}");
+            }
+            for (h, preset) in correlators.iter().enumerate() {
+                let triggers: usize = signs.iter().map(|point| point[h].1).sum();
+                assert!(triggers > 0, "{preset:?} never fired through {channel:?}");
+            }
+        }
+    }
+
+    #[test]
     fn fa_grid_lane_order_and_thread_count_invariant() {
         // Shuffling the lane order and resharding must permute, never
         // change, the per-fraction counts.
@@ -2013,7 +2088,8 @@ mod tests {
     }
 
     /// The trials of detection unit `unit` of `spec` at `snr_db` (one SNR
-    /// point), regenerated from the unit's seed as the unit body does.
+    /// point), regenerated from the unit's seed as the unit body does, with
+    /// full-stream padding.
     fn unit_trials(
         spec: &WifiDetectionSpec,
         snr_db: f64,
@@ -2026,7 +2102,8 @@ mod tests {
         (0..frames)
             .map(|_| {
                 let mut stream = Vec::new();
-                let window = spec.trial_stream(&mut rng, &mut noise, &mut synth, &mut stream);
+                let window =
+                    spec.trial_stream(&mut rng, &mut noise, &mut synth, false, &mut stream);
                 (stream, window)
             })
             .collect()

@@ -27,9 +27,18 @@ impl Scrambler {
     /// Next pseudo-random bit, advancing the register.
     #[inline]
     pub fn next_bit(&mut self) -> u8 {
-        let fb = ((self.state >> 6) ^ (self.state >> 3)) & 1;
-        self.state = ((self.state << 1) | fb) & 0x7F;
+        let (fb, state) = scrambler_step(self.state);
+        self.state = state;
         fb
+    }
+
+    /// The next eight bits [`Scrambler::next_bit`] would give, the first
+    /// in bit 0, advancing the register as eight calls would.
+    #[inline]
+    pub(crate) fn next_byte(&mut self) -> u8 {
+        let (byte, state) = SCRAMBLER_BYTES[self.state as usize];
+        self.state = state;
+        byte
     }
 
     /// Scrambles (or descrambles) a bit slice in place.
@@ -45,6 +54,32 @@ impl Scrambler {
         (0..n).map(|_| self.next_bit()).collect()
     }
 }
+
+/// One scrambler step from register `state`: the output bit and the next
+/// register.
+const fn scrambler_step(state: u8) -> (u8, u8) {
+    let fb = ((state >> 6) ^ (state >> 3)) & 1;
+    (fb, ((state << 1) | fb) & 0x7F)
+}
+
+/// Eight [`scrambler_step`]s from every register: the output bits (the
+/// first in bit 0) and the register they leave.
+const SCRAMBLER_BYTES: [(u8, u8); 128] = {
+    let mut table = [(0, 0); 128];
+    let mut start = 0;
+    while start < 128 {
+        let (mut byte, mut state, mut k) = (0u8, start as u8, 0);
+        while k < 8 {
+            let (bit, next) = scrambler_step(state);
+            byte |= bit << k;
+            state = next;
+            k += 1;
+        }
+        table[start] = (byte, state);
+        start += 1;
+    }
+    table
+};
 
 /// The pilot polarity sequence `p_0 .. p_126` (all-ones scrambler output,
 /// mapped 0 -> +1, 1 -> -1), cyclically extended per symbol index.

@@ -41,7 +41,7 @@ pub fn build_symbol(points: &[Cf64], symbol_index: usize, fft: &Fft) -> Vec<Cf64
     assert_eq!(points.len(), N_SD, "48 data points per symbol");
     let mut freq = [Cf64::ZERO; FFT_LEN];
     for (p, bin) in points.iter().zip(data_bins()) {
-        freq[bin] = *p;
+        freq[fft.bit_reversed_index(bin)] = *p;
     }
     let mut out = Vec::with_capacity(SYM_LEN);
     emit_symbol(&mut freq, symbol_index, fft, &mut out);
@@ -49,7 +49,8 @@ pub fn build_symbol(points: &[Cf64], symbol_index: usize, fft: &Fft) -> Vec<Cf64
 }
 
 /// Finishes one OFDM symbol whose data bins the caller has loaded into
-/// `freq` (every other bin zero): writes the pilots for `symbol_index`,
+/// `freq` at their bit-reversed positions ([`Fft::bit_reversed_index`];
+/// every other entry zero): writes the pilots for `symbol_index` there too,
 /// runs the IFFT in place and appends the cyclic prefix and the symbol to
 /// `out`.
 pub(crate) fn emit_symbol(
@@ -60,9 +61,9 @@ pub(crate) fn emit_symbol(
 ) {
     let pol = pilot_polarity(symbol_index);
     for (k, v) in PILOTS {
-        freq[sub_to_bin(k)] = Cf64::new(v * pol, 0.0);
+        freq[fft.bit_reversed_index(sub_to_bin(k))] = Cf64::new(v * pol, 0.0);
     }
-    fft.inverse(freq);
+    fft.inverse_from_bit_reversed(freq);
     out.extend_from_slice(&freq[FFT_LEN - CP_LEN..]);
     out.extend_from_slice(freq);
 }

@@ -1,7 +1,7 @@
 //! Frame transmission: PSDU to 20 MSPS baseband waveform (clause 18.3.5).
 
 use crate::bits::Scrambler;
-use crate::convcode::{CodeRate, Encoder};
+use crate::convcode::CodeRate;
 use crate::interleave::interleave_position;
 use crate::modmap::{map_bits, Modulation};
 use crate::ofdm::{data_bins, emit_symbol};
@@ -44,14 +44,43 @@ impl Frame {
     }
 }
 
+/// Eight coded bits spread to bytes `0, 3, .., 21` of 24 (bit `t` of the
+/// index to bit 0 of byte `3t`), as three little-endian words.
+const SPREAD_BY_3: [[u64; 3]; 256] = {
+    let mut table = [[0; 3]; 256];
+    let mut v = 0;
+    while v < 256 {
+        let mut t = 0;
+        while t < 8 {
+            let byte = 3 * t;
+            table[v][byte / 8] |= (((v >> t) & 1) as u64) << (8 * (byte % 8));
+            t += 1;
+        }
+        v += 1;
+    }
+    table
+};
+
+/// Where the eight bits of one coded byte of a symbol land: bit `t` on
+/// data subcarrier `first + 3t`, at the code bit the group holding `t`
+/// names.
+#[derive(Clone, Copy, Default)]
+struct ByteSlots {
+    first: usize,
+    /// `(mask of t, code bit)` per group; `n_groups` of them are used.
+    groups: [(u8, u32); 3],
+    n_groups: usize,
+}
+
 /// Maps one OFDM symbol's coded bits onto its subcarriers for one
 /// modulation: the interleaver and the constellation as lookup tables.
 struct SymbolMap {
-    /// N_CBPS.
-    n_cbps: usize,
-    /// For coded bit `k` of a symbol: the data subcarrier its interleaved
-    /// position lands on, and its bit index within that subcarrier's code.
-    slots: Vec<(u8, u8)>,
+    /// Per coded byte of a symbol (coded bits `8p..8p + 8`), from
+    /// [`interleave_position`]. The interleaver's first permutation sends
+    /// the eight to every third subcarrier, and its second permutes bits
+    /// only within a subcarrier, so each byte spreads in one pattern with
+    /// at most three code bits.
+    bytes: Vec<ByteSlots>,
     /// Constellation point per code (`b0` is bit 0), from [`map_bits`].
     points: Vec<Cf64>,
 }
@@ -60,10 +89,31 @@ impl SymbolMap {
     fn new(m: Modulation) -> Self {
         let n_bpsc = m.bits_per_symbol();
         let n_cbps = N_SD * n_bpsc;
-        let slots = (0..n_cbps)
+        let slots: Vec<(usize, u32)> = (0..n_cbps)
             .map(|k| {
                 let p = interleave_position(k, n_cbps, n_bpsc);
-                ((p / n_bpsc) as u8, (p % n_bpsc) as u8)
+                (p / n_bpsc, (p % n_bpsc) as u32)
+            })
+            .collect();
+        let bytes = slots
+            .chunks_exact(8)
+            .map(|byte| {
+                let mut spread = ByteSlots {
+                    first: byte[0].0,
+                    ..ByteSlots::default()
+                };
+                for (t, &(sc, j)) in byte.iter().enumerate() {
+                    assert_eq!(sc, spread.first + 3 * t, "a coded byte spreads by 3");
+                    let n = spread.n_groups;
+                    match spread.groups[..n].iter_mut().find(|g| g.1 == j) {
+                        Some(group) => group.0 |= 1 << t,
+                        None => {
+                            spread.groups[n] = (1 << t, j);
+                            spread.n_groups += 1;
+                        }
+                    }
+                }
+                spread
             })
             .collect();
         let points = (0..1usize << n_bpsc)
@@ -72,10 +122,73 @@ impl SymbolMap {
                 map_bits(&bits, m)
             })
             .collect();
-        SymbolMap {
-            n_cbps,
-            slots,
-            points,
+        SymbolMap { bytes, points }
+    }
+
+    /// ORs coded byte `p` of a symbol, `v`, into the per-subcarrier codes,
+    /// a whole spread pattern per group. `codes` is padded past the 48
+    /// subcarriers so every pattern's three words fit.
+    #[inline]
+    fn place(&self, codes: &mut [u8; CODES_LEN], p: usize, v: u8) {
+        let slots = &self.bytes[p];
+        for &(mask, bit) in &slots.groups[..slots.n_groups] {
+            for (w, &spread) in SPREAD_BY_3[usize::from(v & mask)].iter().enumerate() {
+                let at = slots.first + 8 * w;
+                let word: &mut [u8; 8] = (&mut codes[at..at + 8]).try_into().expect("8 bytes");
+                *word = (u64::from_le_bytes(*word) | spread << bit).to_le_bytes();
+            }
+        }
+    }
+}
+
+/// Bytes of the per-subcarrier code buffer: the 48 codes, and room for the
+/// last spread pattern's words (first subcarrier at most 26).
+const CODES_LEN: usize = 64;
+
+/// The puncturer of one code rate as a table: for `group` information bits
+/// whose A outputs are `a` and B outputs `b` (bit `i` for bit `i`), the
+/// kept bits in transmission order, from [`CodeRate::pattern`].
+struct Puncturer {
+    group: usize,
+    /// Coded bits per group.
+    kept: usize,
+    /// Indexed by `a | b << group`.
+    table: Vec<u8>,
+}
+
+impl Puncturer {
+    fn new(rate: CodeRate) -> Self {
+        // Whole puncture periods whose kept bits fill at most a byte.
+        let group: usize = match rate {
+            CodeRate::Half | CodeRate::TwoThirds => 4,
+            CodeRate::ThreeQuarters => 6,
+        };
+        let pattern = rate.pattern();
+        assert!(
+            group.is_multiple_of(pattern.len()),
+            "whole puncture periods"
+        );
+        // The bit of the index each kept coded bit comes from, in
+        // transmission order.
+        let sources: Vec<usize> = (0..group)
+            .flat_map(|i| {
+                let (keep_a, keep_b) = pattern[i % pattern.len()];
+                [(keep_a, i), (keep_b, group + i)]
+            })
+            .filter_map(|(keep, bit)| keep.then_some(bit))
+            .collect();
+        let table = (0..1usize << (2 * group))
+            .map(|idx| {
+                sources
+                    .iter()
+                    .enumerate()
+                    .fold(0, |out, (n, &bit)| out | (((idx >> bit) & 1) as u8) << n)
+            })
+            .collect();
+        Puncturer {
+            group,
+            kept: sources.len(),
+            table,
         }
     }
 }
@@ -85,9 +198,13 @@ impl SymbolMap {
 struct TxTables {
     fft: Fft,
     preamble: Vec<Cf64>,
+    /// The data subcarriers' FFT bins at their bit-reversed positions
+    /// ([`Fft::bit_reversed_index`]), in transmission order.
     data_bins: [usize; N_SD],
     /// One map per modulation, in [`modulation_index`] order.
     maps: [SymbolMap; 4],
+    /// One puncturer per code rate, in [`code_rate_index`] order.
+    puncturers: [Puncturer; 3],
 }
 
 fn modulation_index(m: Modulation) -> usize {
@@ -99,89 +216,157 @@ fn modulation_index(m: Modulation) -> usize {
     }
 }
 
+fn code_rate_index(rate: CodeRate) -> usize {
+    match rate {
+        CodeRate::Half => 0,
+        CodeRate::TwoThirds => 1,
+        CodeRate::ThreeQuarters => 2,
+    }
+}
+
 fn tables() -> &'static TxTables {
     static TABLES: OnceLock<TxTables> = OnceLock::new();
-    TABLES.get_or_init(|| TxTables {
-        fft: Fft::new(FFT_LEN),
-        preamble: plcp_preamble(),
-        data_bins: data_bins(),
-        maps: [
-            Modulation::Bpsk,
-            Modulation::Qpsk,
-            Modulation::Qam16,
-            Modulation::Qam64,
-        ]
-        .map(SymbolMap::new),
+    TABLES.get_or_init(|| {
+        let fft = Fft::new(FFT_LEN);
+        TxTables {
+            preamble: plcp_preamble(),
+            data_bins: data_bins().map(|bin| fft.bit_reversed_index(bin)),
+            fft,
+            maps: [
+                Modulation::Bpsk,
+                Modulation::Qpsk,
+                Modulation::Qam16,
+                Modulation::Qam64,
+            ]
+            .map(SymbolMap::new),
+            puncturers: [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters]
+                .map(Puncturer::new),
+        }
     })
 }
 
-/// Streams information bits through encoder, puncturer, interleaver and
-/// mapper into whole OFDM symbols appended to `out`.
+/// Encodes, punctures, interleaves and maps the information bits of whole
+/// OFDM symbols and appends each symbol to `out`.
 struct SymbolWriter<'a> {
     tables: &'static TxTables,
     map: &'static SymbolMap,
-    pattern: &'static [(bool, bool)],
-    /// Position of the next information bit in the puncture period.
-    pattern_pos: usize,
-    enc: Encoder,
-    /// Coded bits already placed in the current symbol.
-    k: usize,
-    /// Constellation code per data subcarrier of the current symbol.
-    codes: [u8; N_SD],
+    puncturer: &'static Puncturer,
+    /// Information bits per symbol (N_DBPS).
+    n_dbps: usize,
+    /// Information bits encoded at a time: whole puncturer groups that
+    /// divide `n_dbps`, at most 48 so that they and the six bits of state
+    /// fit one word.
+    step: usize,
+    /// The encoder's register: the last six information bits, the oldest
+    /// in bit 0.
+    state: u64,
     symbol_index: usize,
     out: &'a mut Vec<Cf64>,
 }
 
 impl<'a> SymbolWriter<'a> {
-    fn new(m: Modulation, rate: CodeRate, symbol_index: usize, out: &'a mut Vec<Cf64>) -> Self {
+    fn new(
+        m: Modulation,
+        rate: CodeRate,
+        n_dbps: usize,
+        symbol_index: usize,
+        out: &'a mut Vec<Cf64>,
+    ) -> Self {
         let tables = tables();
+        let puncturer = &tables.puncturers[code_rate_index(rate)];
+        let step = (1..=48)
+            .rev()
+            .find(|&s| n_dbps.is_multiple_of(s) && s.is_multiple_of(puncturer.group))
+            .expect("N_DBPS is a multiple of 12");
         SymbolWriter {
             tables,
             map: &tables.maps[modulation_index(m)],
-            pattern: rate.pattern(),
-            pattern_pos: 0,
-            enc: Encoder::default(),
-            k: 0,
-            codes: [0; N_SD],
+            puncturer,
+            n_dbps,
+            step,
+            state: 0,
             symbol_index,
             out,
         }
     }
 
-    /// Encodes one information bit and punctures its output pair.
-    #[inline]
-    fn push_bit(&mut self, bit: u8) {
-        let (a, b) = self.enc.push(bit);
-        let (keep_a, keep_b) = self.pattern[self.pattern_pos];
-        self.pattern_pos += 1;
-        if self.pattern_pos == self.pattern.len() {
-            self.pattern_pos = 0;
-        }
-        if keep_a {
-            self.push_coded(a);
-        }
-        if keep_b {
-            self.push_coded(b);
-        }
-    }
-
-    /// Places one coded bit at its interleaved position; a full symbol is
-    /// mapped, transformed and appended.
-    #[inline]
-    fn push_coded(&mut self, c: u8) {
-        let (sc, j) = self.map.slots[self.k];
-        self.codes[sc as usize] |= c << j;
-        self.k += 1;
-        if self.k == self.map.n_cbps {
-            let mut freq = [Cf64::ZERO; FFT_LEN];
-            for (code, &bin) in self.codes.iter_mut().zip(&self.tables.data_bins) {
-                freq[bin] = self.map.points[*code as usize];
-                *code = 0;
+    /// Writes one symbol from the next `n_dbps` information bits, which
+    /// `bits(n)` hands over `n` at a time, the first in bit 0.
+    ///
+    /// The K=7 encoder runs a word at a time: with `x` the information
+    /// bits above the six bits of state, output A of bit `i` is the parity
+    /// of `x` at `i + {0, 1, 3, 4, 6}` (g0 = 133o) and output B at
+    /// `i + {0, 3, 4, 5, 6}` (g1 = 171o), so shifted copies of `x` XOR into
+    /// every A and every B at once. The puncturer keeps its bits a group at
+    /// a time and each full coded byte is placed as it completes.
+    fn write_symbol(&mut self, mut bits: impl FnMut(usize) -> u64) {
+        let punct = self.puncturer;
+        let group_mask = (1u64 << punct.group) - 1;
+        let mut codes = [0u8; CODES_LEN];
+        let (mut coded, mut n_coded, mut p) = (0u64, 0, 0);
+        for _ in 0..self.n_dbps / self.step {
+            let x = bits(self.step) << 6 | self.state;
+            self.state = x >> self.step & 0x3F;
+            let a = x ^ x >> 1 ^ x >> 3 ^ x >> 4 ^ x >> 6;
+            let b = x ^ x >> 3 ^ x >> 4 ^ x >> 5 ^ x >> 6;
+            for i in (0..self.step).step_by(punct.group) {
+                let idx = (a >> i & group_mask) | (b >> i & group_mask) << punct.group;
+                coded |= u64::from(punct.table[idx as usize]) << n_coded;
+                n_coded += punct.kept;
+                while n_coded >= 8 {
+                    self.map.place(&mut codes, p, coded as u8);
+                    coded >>= 8;
+                    n_coded -= 8;
+                    p += 1;
+                }
             }
-            emit_symbol(&mut freq, self.symbol_index, &self.tables.fft, self.out);
-            self.symbol_index += 1;
-            self.k = 0;
         }
+        debug_assert_eq!((p, n_coded), (self.map.bytes.len(), 0), "whole symbols");
+        let mut freq = [Cf64::ZERO; FFT_LEN];
+        for (&code, &bin) in codes.iter().zip(&self.tables.data_bins) {
+            freq[bin] = self.map.points[usize::from(code)];
+        }
+        emit_symbol(&mut freq, self.symbol_index, &self.tables.fft, self.out);
+        self.symbol_index += 1;
+    }
+}
+
+/// The scrambled DATA field's bits, a byte at a time: SERVICE (16 zero
+/// bits), the PSDU, then zeros, XORed with the scrambler's output, with the
+/// six tail bits (the low bits of the byte after the PSDU) re-zeroed.
+struct DataBits<'a> {
+    psdu: &'a [u8],
+    scrambler: Scrambler,
+    /// Index of the next byte of the field.
+    next: usize,
+    /// Bits read but not yet handed over, the first in bit 0.
+    pending: u64,
+    n_pending: usize,
+}
+
+impl DataBits<'_> {
+    /// The next `n` bits (at most 56), the first in bit 0.
+    #[inline]
+    fn take(&mut self, n: usize) -> u64 {
+        while self.n_pending < n {
+            let i = self.next;
+            let raw = i
+                .checked_sub(2)
+                .and_then(|j| self.psdu.get(j))
+                .copied()
+                .unwrap_or(0);
+            let mut byte = raw ^ self.scrambler.next_byte();
+            if i == 2 + self.psdu.len() {
+                byte &= 0xC0; // tail bits are transmitted as zeros
+            }
+            self.pending |= u64::from(byte) << self.n_pending;
+            self.n_pending += 8;
+            self.next += 1;
+        }
+        let out = self.pending & ((1 << n) - 1);
+        self.pending >>= n;
+        self.n_pending -= n;
+        out
     }
 }
 
@@ -199,9 +384,10 @@ pub fn modulate_frame(frame: &Frame) -> Vec<Cf64> {
 /// The DATA field is SERVICE + PSDU + tail + pad, scrambled, with the tail
 /// bits re-zeroed after scrambling; the convolutional encoder runs
 /// continuously over it (clause 18.3.5.6) and interleaving is per symbol.
-/// Bits stream straight into symbols through cached interleaver and
-/// constellation tables; the preamble and the FFT plan are built once per
-/// process.
+/// Bits are scrambled a byte at a time, encoded a word at a time and
+/// punctured a group at a time, and each coded byte is interleaved and
+/// mapped through cached tables; the preamble and the FFT plan are built
+/// once per process.
 pub fn modulate_frame_into(frame: &Frame, out: &mut Vec<Cf64>) {
     let rate = frame.rate;
     let len = frame.psdu.len();
@@ -210,33 +396,29 @@ pub fn modulate_frame_into(frame: &Frame, out: &mut Vec<Cf64>) {
     out.reserve(PREAMBLE_LEN + SYM_LEN * (1 + n_sym));
     out.extend_from_slice(&tables().preamble);
 
-    // SIGNAL: BPSK rate-1/2, pilot index 0.
-    let mut w = SymbolWriter::new(Modulation::Bpsk, CodeRate::Half, 0, out);
-    for bit in signal_bits(rate, len) {
-        w.push_bit(bit);
-    }
-    debug_assert_eq!(w.k, 0, "SIGNAL fills exactly one symbol");
+    // SIGNAL: 24 bits, BPSK rate-1/2, pilot index 0.
+    let mut signal = signal_bits(rate, len)
+        .iter()
+        .enumerate()
+        .fold(0u64, |word, (k, &bit)| word | u64::from(bit) << k);
+    SymbolWriter::new(Modulation::Bpsk, CodeRate::Half, 24, 0, out).write_symbol(|n| {
+        let bits = signal & ((1 << n) - 1);
+        signal >>= n;
+        bits
+    });
 
     // DATA symbols.
-    let mut w = SymbolWriter::new(rate.modulation(), rate.code_rate(), 1, out);
-    let mut scr = Scrambler::new(frame.scrambler_seed);
-    for _ in 0..16 {
-        w.push_bit(scr.next_bit()); // SERVICE (all zeros pre-scrambling)
+    let mut w = SymbolWriter::new(rate.modulation(), rate.code_rate(), rate.n_dbps(), 1, out);
+    let mut data = DataBits {
+        psdu: &frame.psdu,
+        scrambler: Scrambler::new(frame.scrambler_seed),
+        next: 0,
+        pending: 0,
+        n_pending: 0,
+    };
+    for _ in 0..n_sym {
+        w.write_symbol(|n| data.take(n));
     }
-    for &byte in &frame.psdu {
-        for k in 0..8 {
-            w.push_bit(((byte >> k) & 1) ^ scr.next_bit());
-        }
-    }
-    // Tail bits are transmitted as zeros so the decoder terminates.
-    for _ in 0..6 {
-        scr.next_bit();
-        w.push_bit(0);
-    }
-    for _ in 16 + 8 * len + 6..n_sym * rate.n_dbps() {
-        w.push_bit(scr.next_bit()); // pad bits
-    }
-    debug_assert_eq!(w.k, 0, "DATA fills whole symbols");
 }
 
 /// Builds a "pseudo-frame" containing only a single short training symbol

@@ -86,14 +86,36 @@ impl Fft {
     /// Panics if `buf.len()` differs from the plan size.
     pub fn inverse(&self, buf: &mut [Cf64]) {
         self.transform(buf, &self.stage_tw_inv);
+        self.normalize(buf);
+    }
+
+    /// [`Fft::inverse`] of a spectrum stored at bit-reversed bins — bin `k`
+    /// at index [`Fft::bit_reversed_index`]`(k)` — as the permutation pass
+    /// would leave it: the same butterflies and normalization, without
+    /// that pass. The output is in natural order.
+    ///
+    /// # Panics
+    /// Panics if `buf.len()` differs from the plan size.
+    pub fn inverse_from_bit_reversed(&self, buf: &mut [Cf64]) {
+        assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
+        self.butterflies(buf, &self.stage_tw_inv);
+        self.normalize(buf);
+    }
+
+    /// Where [`Fft::inverse_from_bit_reversed`] reads bin `k`.
+    #[inline]
+    pub fn bit_reversed_index(&self, k: usize) -> usize {
+        self.rev[k] as usize
+    }
+
+    fn normalize(&self, buf: &mut [Cf64]) {
         let k = 1.0 / self.n as f64;
         for s in buf.iter_mut() {
             *s = s.scale(k);
         }
     }
 
-    /// Bit-reversal permutation, then iterative Cooley-Tukey butterflies
-    /// with the per-stage twiddle table `stage_tw`.
+    /// Bit-reversal permutation, then the butterflies.
     fn transform(&self, buf: &mut [Cf64], stage_tw: &[Cf64]) {
         assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
         for (i, &j) in self.rev.iter().enumerate() {
@@ -101,6 +123,18 @@ impl Fft {
             if i < j {
                 buf.swap(i, j);
             }
+        }
+        self.butterflies(buf, stage_tw);
+    }
+
+    /// Iterative Cooley-Tukey butterflies with the per-stage twiddle table
+    /// `stage_tw`, on input in bit-reversed order. A 64-point plan (the
+    /// 802.11 symbol) runs [`butterflies_64`], the same butterflies in the
+    /// same order at sizes known at compile time.
+    fn butterflies(&self, buf: &mut [Cf64], stage_tw: &[Cf64]) {
+        if let (Ok(buf), Ok(tw)) = (buf.try_into(), stage_tw.try_into()) {
+            butterflies_64(buf, tw);
+            return;
         }
         let mut half = 1;
         while half < self.n {
@@ -115,6 +149,33 @@ impl Fft {
                 }
             }
             half <<= 1;
+        }
+    }
+}
+
+/// The six butterfly stages of a 64-point plan, half-lengths 1 to 32.
+fn butterflies_64(buf: &mut [Cf64; 64], stage_tw: &[Cf64; 63]) {
+    stage_64::<1>(buf, stage_tw);
+    stage_64::<2>(buf, stage_tw);
+    stage_64::<4>(buf, stage_tw);
+    stage_64::<8>(buf, stage_tw);
+    stage_64::<16>(buf, stage_tw);
+    stage_64::<32>(buf, stage_tw);
+}
+
+/// One stage of half-length `H` of a 64-point transform: [`Fft`]'s
+/// butterfly loop, block by block and `k = 0..H` within a block, with the
+/// block and stage sizes constants.
+#[inline(always)]
+fn stage_64<const H: usize>(buf: &mut [Cf64; 64], stage_tw: &[Cf64; 63]) {
+    let tw = &stage_tw[H - 1..2 * H - 1];
+    for block in buf.chunks_exact_mut(2 * H) {
+        let (lo, hi) = block.split_at_mut(H);
+        for ((a, b), &w) in lo.iter_mut().zip(hi).zip(tw) {
+            let x = *a;
+            let y = *b * w;
+            *a = x + y;
+            *b = x - y;
         }
     }
 }
@@ -220,6 +281,28 @@ mod tests {
             }
             let mut slow = x;
             reference_transform(&plan, &mut slow, inverse);
+            rjam_testkit::prop_assert_eq!(bits(&fast), bits(&slow));
+        }
+
+        /// A spectrum written at bit-reversed bins transforms, without the
+        /// permutation pass, to the bits the reference inverse gives, at
+        /// the fixed 64-point size and through the general loop.
+        fn inverse_from_bit_reversed_matches_reference_bits(
+            n in rjam_testkit::one_of(vec![2usize, 8, 64, 128, 1024]),
+            seed in rjam_testkit::any::<u64>(),
+        ) {
+            let mut rng = Rng::seed_from(seed);
+            let x: Vec<Cf64> = (0..n)
+                .map(|_| Cf64::new(rng.gaussian(), rng.gaussian()))
+                .collect();
+            let plan = Fft::new(n);
+            let mut fast = vec![Cf64::ZERO; n];
+            for (k, &v) in x.iter().enumerate() {
+                fast[plan.bit_reversed_index(k)] = v;
+            }
+            plan.inverse_from_bit_reversed(&mut fast);
+            let mut slow = x;
+            reference_transform(&plan, &mut slow, true);
             rjam_testkit::prop_assert_eq!(bits(&fast), bits(&slow));
         }
     }

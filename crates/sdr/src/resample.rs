@@ -23,6 +23,14 @@ use std::sync::OnceLock;
 /// designs.
 const TAPS_PER_PHASE: usize = 12;
 
+/// Phase of output `5m + j` of a 5/4 resampler, for `j = 0..5`.
+const FIVE_FOR_FOUR_PHASE: [usize; 5] = [0, 4, 3, 2, 1];
+/// Newest input sample of output `5m + j` of a 5/4 resampler, less `4m`.
+const FIVE_FOR_FOUR_BASE: [usize; 5] = [0, 0, 1, 2, 3];
+/// First block `m` of a 5/4, 12-tap resampler whose five windows all lie
+/// inside the input: its oldest sample is `input[4m - 11]`.
+const FIVE_FOR_FOUR_FIRST_BLOCK: usize = (TAPS_PER_PHASE - 1).div_ceil(4);
+
 /// Polyphase rational resampler by a factor `up/down`.
 #[derive(Clone, Debug)]
 pub struct Rational {
@@ -31,6 +39,10 @@ pub struct Rational {
     /// Polyphase filter bank: `phases[p]` holds every `up`-th prototype tap.
     phases: Vec<Vec<f64>>,
     taps_per_phase: usize,
+    /// For the 5/4, 12-tap design only: `phases` in the five-for-four
+    /// kernel's output order ([`FIVE_FOR_FOUR_PHASE`]), each tap stored
+    /// twice so one multiply scales both components of a sample.
+    five_for_four: Option<Box<[[[f64; 2]; TAPS_PER_PHASE]; 5]>>,
 }
 
 impl Rational {
@@ -57,11 +69,15 @@ impl Rational {
         for (i, &t) in proto.iter().enumerate() {
             phases[i % up].push(t);
         }
+        let five_for_four = ((up, down, taps_per_phase) == (5, 4, TAPS_PER_PHASE)).then(|| {
+            Box::new(FIVE_FOR_FOUR_PHASE.map(|p| std::array::from_fn(|k| [phases[p][k]; 2])))
+        });
         Rational {
             up,
             down,
             phases,
             taps_per_phase,
+            five_for_four,
         }
     }
 
@@ -97,10 +113,17 @@ impl Rational {
     /// and the same tap order, which hides the add latency of one long
     /// chain without changing a single operation; the last one to three
     /// outputs take the checked path again.
+    ///
+    /// The 5/4, 12-tap design (the 802.11 one) computes the same sums five
+    /// outputs per four inputs instead (DESIGN.md, "Emission synthesis").
     pub fn process_into(&self, input: &[Cf64], out: &mut Vec<Cf64>) {
         out.clear();
         let out_len = input.len() * self.up / self.down;
         out.reserve(out_len);
+        if let Some(taps) = &self.five_for_four {
+            self.five_for_four_into(taps, input, out_len, out);
+            return;
+        }
         let l = self.taps_per_phase;
         let mut pos = Position {
             phase: 0,
@@ -152,6 +175,45 @@ impl Rational {
             out.push(self.output_checked(input, p, b));
             n += 1;
         }
+    }
+
+    /// The 5/4, 12-tap kernel: every four inputs make five outputs, output
+    /// `5m + j` at phase [`FIVE_FOR_FOUR_PHASE`]`[j]` with newest input
+    /// sample `4m + `[`FIVE_FOR_FOUR_BASE`]`[j]`. From block
+    /// [`FIVE_FOR_FOUR_FIRST_BLOCK`] on, all five windows lie inside one
+    /// 15-sample slice of the input, and the five outputs are summed side
+    /// by side, each from `Cf64::ZERO` in tap order `k = 0..12` as
+    /// [`Rational::process_into`] sums it; the tap count is known here, so
+    /// every index is a constant. The outputs before the first whole block
+    /// and after the last take the checked path.
+    fn five_for_four_into(
+        &self,
+        taps: &[[[f64; 2]; TAPS_PER_PHASE]; 5],
+        input: &[Cf64],
+        out_len: usize,
+        out: &mut Vec<Cf64>,
+    ) {
+        const OLDEST: usize = TAPS_PER_PHASE - 1;
+        let checked = |n: usize| self.output_checked(input, 4 * n % 5, 4 * n / 5);
+        let head = (5 * FIVE_FOR_FOUR_FIRST_BLOCK).min(out_len);
+        out.extend((0..head).map(checked));
+        let blocks = out_len / 5;
+        for m in FIVE_FOR_FOUR_FIRST_BLOCK..blocks {
+            let w: &[Cf64; OLDEST + 4] = input[4 * m - OLDEST..4 * m + 4]
+                .try_into()
+                .expect("a block's window is 15 samples");
+            let mut acc = [[0.0f64; 2]; 5];
+            for k in 0..TAPS_PER_PHASE {
+                for j in 0..5 {
+                    let x = w[OLDEST + FIVE_FOR_FOUR_BASE[j] - k];
+                    let [t_re, t_im] = taps[j][k];
+                    acc[j][0] += x.re * t_re;
+                    acc[j][1] += x.im * t_im;
+                }
+            }
+            out.extend(acc.map(|[re, im]| Cf64::new(re, im)));
+        }
+        out.extend(((5 * blocks).max(head)..out_len).map(checked));
     }
 
     /// One output, skipping taps whose input sample does not exist.
@@ -450,6 +512,24 @@ mod tests {
             rjam_testkit::prop_assert_eq!(
                 bits(&out),
                 bits(&reference_fractional_delay(&input, frac))
+            );
+        }
+    }
+
+    /// The five-for-four kernel through `to_usrp_rate_into` at every input
+    /// length up to 256: the checked head, whole blocks, and tails of every
+    /// length mod 5, into a dirty reused buffer.
+    #[test]
+    fn wifi_resampler_matches_reference_bits_at_every_length() {
+        let r = Rational::new(5, 4, 12);
+        let mut out = noise(3, 9);
+        for len in 0..=256 {
+            let input = noise(len as u64, len);
+            to_usrp_rate_into(&input, 20.0e6, &mut out);
+            assert_eq!(
+                bits(&out),
+                bits(&reference_process(&r, &input)),
+                "len {len}"
             );
         }
     }
