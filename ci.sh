@@ -343,6 +343,15 @@ printf '%s\n%s\n' \
     '{"req":"watch","job":"job-1","v":"rjam-job-v1"}' \
     | "$RJAMD" --stdio --threads 2 > rjam_ci_job_transcript.ndjson
 check job --job job-1 --require-done rjam_ci_job_transcript.ndjson
+# The same for the e2e benchmark's iperf_sweep job shape: a jamming job of
+# six SIR points, whose job_metrics snapshot `check job` reads as an
+# rjam-metrics-v1 document.
+SPEC_IPERF='{"campaign":"jamming","jammer":"reactive_long","sirs_db":[1,8,14,20,26,32],"duration_s":1,"seed":5}'
+printf '%s\n%s\n' \
+    "{\"req\":\"submit\",\"spec\":$SPEC_IPERF,\"v\":\"rjam-job-v1\"}" \
+    '{"req":"watch","job":"job-1","v":"rjam-job-v1"}' \
+    | "$RJAMD" --stdio --threads 2 > rjam_ci_iperf_transcript.ndjson
+check job --job job-1 --require-done rjam_ci_iperf_transcript.ndjson
 
 # Live socket soak at 4 threads.
 RJAM_SOCK="$(pwd)/target/rjam_ci_rjamd.sock"
@@ -386,7 +395,7 @@ test $((maps_after - maps_before)) -lt 100 || {
 
 kill "$RJAMD_PID" 2> /dev/null || true
 trap - EXIT
-rm -f "$RJAM_SOCK" rjam_ci_job_transcript.ndjson
+rm -f "$RJAM_SOCK" rjam_ci_job_transcript.ndjson rjam_ci_iperf_transcript.ndjson
 rm -f rjam_ci_ref1 rjam_ci_ref2 rjam_ci_ref3 rjam_ci_out1 rjam_ci_out2 rjam_ci_out3
 
 step "rjamd memory soak: a WiMAX job's memory is flat in its frames"

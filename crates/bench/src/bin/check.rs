@@ -492,7 +492,8 @@ fn check_health(text: &str, exp: Alarms) -> Result<String, String> {
 }
 
 /// Validates a job transcript: every line is a `rjam-job-v1` response or
-/// request, or a `rjam-progress-v1` event. With `job`, every job-tagged
+/// request, or a `rjam-progress-v1` event; a `job_metrics` snapshot must
+/// be a valid `rjam-metrics-v1` document. With `job`, every job-tagged
 /// line must name it; with `require_done`, the transcript must end in one
 /// `job_done` line. Nothing of the job protocol may follow a terminal line.
 fn check_job(text: &str, job: Option<&str>, require_done: bool) -> Result<String, String> {
@@ -520,12 +521,14 @@ fn check_job(text: &str, job: Option<&str>, require_done: bool) -> Result<String
                     ));
                 }
                 job_lines += 1;
-                let Ok(resp) = JobResponse::from_line(line) else {
+                if doc.get("ev").is_none() {
                     // Full session captures also hold request lines.
                     JobRequest::from_line(line).map_err(|e| format!("line {n}: {e}"))?;
                     continue;
-                };
-                match resp {
+                }
+                // A `job_metrics` snapshot is read as the rjam-metrics-v1
+                // document it embeds.
+                match JobResponse::from_line(line).map_err(|e| format!("line {n}: {e}"))? {
                     JobResponse::Accepted { job, .. } | JobResponse::Metrics { job, .. } => {
                         named("names", &job)?
                     }
@@ -594,6 +597,7 @@ mod tests {
     use super::*;
     use rjam_daemon::{JobError, JobErrorKind};
     use rjam_obs::trace::{stage, FrameId, Outcome, SpanKind, TraceEvent};
+    use rjam_obs::MetricsSnapshot;
 
     /// A schema-valid report, one record per `(bench, params, median_ns,
     /// threads, host_cores)`.
@@ -1062,6 +1066,50 @@ mod tests {
             err,
             "line 1: missing or invalid field 'job' (expected string)"
         );
+    }
+
+    /// [`watch_lines`] with the `job_metrics` line an obs build's `rjamd`
+    /// streams before the terminal line.
+    fn watch_lines_with_metrics(job: &str) -> String {
+        let snapshot = MetricsSnapshot {
+            counters: vec![("core.engine_units".into(), 6)],
+            ..MetricsSnapshot::default()
+        };
+        let metrics = JobResponse::Metrics {
+            job: job.into(),
+            snapshot,
+        };
+        let text = watch_lines(job);
+        let (progress, done) = text.split_once('\n').unwrap();
+        format!("{progress}\n{}\n{done}", metrics.to_line())
+    }
+
+    #[test]
+    fn job_metrics_snapshot_must_be_an_rjam_metrics_v1_document() {
+        let good = watch_lines_with_metrics("job-1");
+        let s = check_job(&good, Some("job-1"), true).unwrap();
+        assert!(s.starts_with("2 job line(s)"), "{s}");
+        for (from, to, why) in [
+            (
+                "rjam-metrics-v1",
+                "rjam-metrics-v0",
+                "line 2: snapshot: unsupported schema 'rjam-metrics-v0'",
+            ),
+            (
+                "\"core.engine_units\":6",
+                "\"core.engine_units\":-6",
+                "line 2: snapshot: counter 'core.engine_units' is not a non-negative integer",
+            ),
+            (
+                "\"gauges\":{}",
+                "\"gauges\":[]",
+                "line 2: snapshot: missing or invalid field 'gauges' (expected object)",
+            ),
+        ] {
+            let bad = good.replace(from, to);
+            assert_ne!(bad, good, "{from}");
+            assert_eq!(check_job(&bad, Some("job-1"), true).unwrap_err(), why);
+        }
     }
 
     #[test]

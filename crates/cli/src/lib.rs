@@ -38,6 +38,7 @@ pub mod commands;
 pub use args::{CliError, Command, ErrorKind};
 
 use rjam_core::engine::ProgressSink;
+use rjam_obs::ProgressEvent;
 use std::sync::{Arc, Mutex};
 
 /// Entry point shared by the binary and tests: parse and run.
@@ -67,13 +68,14 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// A progress sink writing each line, newline-terminated, to `w` and
-/// flushing it, so the stream is readable while the campaign runs — and
-/// up to the failure point when a command fails. Write errors are
+/// A progress sink writing each event's line, newline-terminated, to `w`
+/// and flushing it, so the stream is readable while the campaign runs —
+/// and up to the failure point when a command fails. Write errors are
 /// swallowed: telemetry must never fail a campaign.
 fn line_writer(w: impl std::io::Write + Send + 'static) -> ProgressSink {
     let w = Mutex::new(w);
-    Arc::new(move |line: &str| {
+    Arc::new(move |ev: &ProgressEvent| {
+        let line = ev.to_line();
         let mut w = w.lock().expect("progress writer lock");
         let _ = writeln!(w, "{line}").and_then(|()| w.flush());
     })

@@ -239,8 +239,9 @@ impl<A, T> FoldCheckpoint<A, T> {
 }
 
 /// Where an engine sends its `rjam-progress-v1` stream: called once per
-/// line, without the newline, from the engine's worker threads.
-pub type ProgressSink = Arc<dyn Fn(&str) + Send + Sync>;
+/// event, from the engine's worker threads. The sink writes the event's
+/// line ([`ProgressEvent::to_line`]) wherever its owner wants it.
+pub type ProgressSink = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 
 /// A deterministic sharded campaign runner.
 ///
@@ -297,7 +298,7 @@ impl CampaignEngine {
     }
 
     /// Routes this engine's `rjam-progress-v1` stream into `sink`,
-    /// replacing any earlier sink; lines arrive one call at a time, in
+    /// replacing any earlier sink; events arrive one call at a time, in
     /// stream order. An engine without a sink — one built inside a unit,
     /// say — emits nothing.
     pub fn with_progress(mut self, sink: ProgressSink) -> Self {
@@ -499,16 +500,13 @@ impl CampaignEngine {
 
             let progress = self.progress.as_deref().filter(|_| rjam_obs::enabled());
             if let Some(emit) = progress {
-                emit(
-                    &ProgressEvent::Started {
-                        kind: kind.to_string(),
-                        units: todo.len() as u64,
-                        shards: plan.n_shards() as u64,
-                        workers: workers as u64,
-                        seed,
-                    }
-                    .to_line(),
-                );
+                emit(&ProgressEvent::Started {
+                    kind: kind.to_string(),
+                    units: todo.len() as u64,
+                    shards: plan.n_shards() as u64,
+                    workers: workers as u64,
+                    seed,
+                });
             }
             let t0 = Instant::now();
             // Shard completions update the count and emit under one lock so
@@ -522,24 +520,18 @@ impl CampaignEngine {
                 *finished += units as u64;
                 let total = todo.len() as u64;
                 let elapsed = t0.elapsed().as_nanos() as u64;
-                emit(
-                    &ProgressEvent::ShardFinished {
-                        shard: shard as u64,
-                        worker: worker as u64,
-                        units: units as u64,
-                        busy_ns,
-                    }
-                    .to_line(),
-                );
-                emit(
-                    &ProgressEvent::Snapshot {
-                        done: *finished,
-                        total,
-                        elapsed_ns: elapsed,
-                        eta_ns: stream::eta_ns(elapsed, *finished, total),
-                    }
-                    .to_line(),
-                );
+                emit(&ProgressEvent::ShardFinished {
+                    shard: shard as u64,
+                    worker: worker as u64,
+                    units: units as u64,
+                    busy_ns,
+                });
+                emit(&ProgressEvent::Snapshot {
+                    done: *finished,
+                    total,
+                    elapsed_ns: elapsed,
+                    eta_ns: stream::eta_ns(elapsed, *finished, total),
+                });
             };
 
             // The one worker loop: claim ranges until the plan runs out or
@@ -680,7 +672,7 @@ fn publish_run_telemetry(
     shards: usize,
     t0: Instant,
     logs: Vec<WorkerLog>,
-    done_to: Option<&(dyn Fn(&str) + Send + Sync)>,
+    done_to: Option<&(dyn Fn(&ProgressEvent) + Send + Sync)>,
     store: &Mutex<ProfileStore>,
 ) {
     let end = Instant::now();
@@ -756,17 +748,14 @@ fn publish_run_telemetry(
     rjam_obs::registry::counter("core.engine_stragglers").add(profile.stragglers.len() as u64);
     rjam_obs::registry::histogram("core.engine_unit_ns").absorb(&hist);
     if let Some(emit) = done_to {
-        emit(
-            &ProgressEvent::Done {
-                units: profile.units,
-                elapsed_ns: wall_ns,
-                workers: profile.workers.len() as u64,
-                busy_ns: profile.busy_ns(),
-                idle_ns: profile.idle_ns(),
-                merge_wait_ns: profile.merge_wait_ns(),
-            }
-            .to_line(),
-        );
+        emit(&ProgressEvent::Done {
+            units: profile.units,
+            elapsed_ns: wall_ns,
+            workers: profile.workers.len() as u64,
+            busy_ns: profile.busy_ns(),
+            idle_ns: profile.idle_ns(),
+            merge_wait_ns: profile.merge_wait_ns(),
+        });
     }
     store.lock().expect("engine profile lock").publish(profile);
 }

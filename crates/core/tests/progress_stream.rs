@@ -10,12 +10,13 @@ use rjam_obs::stream::{self, ProgressEvent};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// `engine` with a progress sink that collects its lines, and the lines.
+/// `engine` with a progress sink that collects its events' lines, and
+/// the lines.
 fn capturing(engine: CampaignEngine) -> (CampaignEngine, Arc<Mutex<Vec<String>>>) {
     let lines = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&lines);
-    let engine = engine.with_progress(Arc::new(move |line: &str| {
-        sink.lock().expect("lines lock").push(line.to_string());
+    let engine = engine.with_progress(Arc::new(move |ev: &ProgressEvent| {
+        sink.lock().expect("lines lock").push(ev.to_line());
     }));
     (engine, lines)
 }

@@ -16,7 +16,7 @@
 
 use rjam_core::spec::{CampaignRequest, SpecError};
 use rjam_obs::json::{self, Value};
-use rjam_obs::{Envelope, Fields, ParseError, Protocol};
+use rjam_obs::{Envelope, Fields, MetricsSnapshot, ParseError, Protocol};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -288,8 +288,9 @@ pub enum JobResponse {
     Metrics {
         /// Job id.
         job: String,
-        /// The `rjam-metrics-v1` snapshot document, embedded compact.
-        snapshot: Value,
+        /// The registry's snapshot, embedded as a compact `rjam-metrics-v1`
+        /// document.
+        snapshot: MetricsSnapshot,
     },
     /// A job completed; `export` holds its full export bytes.
     Done {
@@ -311,7 +312,6 @@ impl JobResponse {
     /// Serializes to one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut o = BTreeMap::new();
-        o.insert("v".into(), Value::String(SCHEMA.into()));
         let ev = match self {
             JobResponse::Accepted { job, queue_depth } => {
                 o.insert("job".into(), Value::String(job.clone()));
@@ -339,11 +339,7 @@ impl JobResponse {
                 o.insert("jobs".into(), Value::Array(rows));
                 "status"
             }
-            JobResponse::Metrics { job, snapshot } => {
-                o.insert("job".into(), Value::String(job.clone()));
-                o.insert("snapshot".into(), snapshot.clone());
-                "job_metrics"
-            }
+            JobResponse::Metrics { job, snapshot } => return metrics_line(job, snapshot),
             JobResponse::Done { job, export } => {
                 o.insert("job".into(), Value::String(job.clone()));
                 o.insert("export".into(), Value::String(export.clone()));
@@ -356,6 +352,7 @@ impl JobResponse {
             }
         };
         o.insert("ev".into(), Value::String(ev.into()));
+        o.insert("v".into(), Value::String(SCHEMA.into()));
         json::write_value(&Value::Object(o))
     }
 
@@ -397,13 +394,16 @@ impl JobResponse {
                 }
                 Ok(JobResponse::Status { jobs })
             }
-            "job_metrics" => Ok(JobResponse::Metrics {
-                job: o.str("job")?.to_string(),
-                snapshot: o.get("snapshot").cloned().ok_or(ParseError::Field {
+            "job_metrics" => {
+                let job = o.str("job")?.to_string();
+                let doc = o.get("snapshot").cloned().ok_or(ParseError::Field {
                     field: "snapshot".to_string(),
                     expected: "object",
-                })?,
-            }),
+                })?;
+                let snapshot = MetricsSnapshot::from_value(doc)
+                    .map_err(|e| ParseError::invalid(format!("snapshot: {e}")))?;
+                Ok(JobResponse::Metrics { job, snapshot })
+            }
             "job_done" => Ok(JobResponse::Done {
                 job: o.str("job")?.to_string(),
                 export: o.str("export")?.to_string(),
@@ -419,10 +419,27 @@ impl JobResponse {
     }
 }
 
+/// The `job_metrics` line, written straight from the snapshot's fields:
+/// the bytes [`JobResponse::to_line`]'s object tree would give it (keys
+/// `ev`, `job`, `snapshot`, `v` in order), without building the tree.
+fn metrics_line(job: &str, snapshot: &MetricsSnapshot) -> String {
+    let mut line = String::with_capacity(1024);
+    line.push_str("{\"ev\":\"job_metrics\",\"job\":");
+    json::push_string(&mut line, job);
+    line.push_str(",\"snapshot\":");
+    snapshot.write_compact(&mut line);
+    line.push_str(",\"v\":");
+    json::push_string(&mut line, SCHEMA);
+    line.push('}');
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rjam_core::presets::DetectionPreset;
+    use rjam_obs::snapshot::{SnapEvent, SnapTrip};
+    use rjam_obs::HistSummary;
 
     fn spec() -> CampaignRequest {
         CampaignRequest::FalseAlarm {
@@ -486,6 +503,134 @@ mod tests {
         for resp in resps {
             let line = resp.to_line();
             assert_eq!(JobResponse::from_line(&line).expect("parses"), resp);
+        }
+    }
+
+    /// The `job_metrics` line as `rjamd` wrote it when the line went
+    /// through an object tree: the snapshot's pretty document parsed back
+    /// and the whole tree written compact.
+    fn tree_metrics_line(job: &str, snapshot: &MetricsSnapshot) -> String {
+        let doc = json::parse(&snapshot.to_json()).expect("the pretty document parses");
+        let mut o = BTreeMap::new();
+        o.insert("v".into(), Value::String(SCHEMA.into()));
+        o.insert("job".into(), Value::String(job.into()));
+        o.insert("snapshot".into(), doc);
+        o.insert("ev".into(), Value::String("job_metrics".into()));
+        json::write_value(&Value::Object(o))
+    }
+
+    fn hist(count: u64, mean: f64, max: u64) -> HistSummary {
+        HistSummary {
+            count,
+            mean,
+            min: 1,
+            max,
+            p50: max / 2,
+            p95: max - 1,
+            p99: max,
+        }
+    }
+
+    fn event(seq: u64, kind: &str, a: i64, b: i64) -> SnapEvent {
+        SnapEvent {
+            seq,
+            t: seq * 1_000,
+            kind: kind.into(),
+            a,
+            b,
+        }
+    }
+
+    /// Snapshots as the registry takes them: names unique and sorted.
+    fn registry_shaped_snapshots() -> Vec<MetricsSnapshot> {
+        vec![
+            MetricsSnapshot::default(),
+            MetricsSnapshot {
+                counters: vec![
+                    ("core.engine_units".into(), 18),
+                    ("mac.datagrams".into(), 123_456_789),
+                ],
+                gauges: vec![("core.engine_threads".into(), 2)],
+                histograms: vec![
+                    ("core.engine_unit_ns".into(), hist(6, 84.0, 90)),
+                    ("fpga.trigger_to_tx_ns".into(), hist(3, 1.0 / 3.0, 7)),
+                    ("mac.backoff_slots".into(), hist(7, 812_345.125, 1 << 40)),
+                ],
+                events: vec![
+                    event(1, "engine_straggler", 4, -1),
+                    event(2, "engage", i64::MIN, i64::MAX),
+                ],
+                trip: Some(SnapTrip {
+                    t: 6_000,
+                    reason: "t_resp_over_budget".into(),
+                    seq: 2,
+                }),
+            },
+            MetricsSnapshot {
+                counters: vec![
+                    ("a\"quote".into(), 1),
+                    ("a\\back\u{1}ctl".into(), 2),
+                    ("new\nline\ttab\r\u{8}\u{c}".into(), 3),
+                    ("z\u{e9}\u{2713}".into(), u64::MAX),
+                ],
+                gauges: vec![("big".into(), 1_000_000_000_000_000)],
+                histograms: vec![("h\u{1f}".into(), hist(0, 0.0, 1))],
+                events: vec![event(3, "k\"ind\\\n", -7, 0)],
+                trip: Some(SnapTrip {
+                    t: 0,
+                    reason: "why\u{0}".into(),
+                    seq: 0,
+                }),
+            },
+        ]
+    }
+
+    #[test]
+    fn job_metrics_lines_keep_the_object_tree_bytes() {
+        let mut snapshots = registry_shaped_snapshots();
+        snapshots.push(rjam_obs::registry::snapshot());
+        // Fields a tree would reorder, merge or round: names out of order
+        // and repeated (the last wins), a count past 2^53 and means no JSON
+        // number holds.
+        snapshots.push(MetricsSnapshot {
+            counters: vec![("b".into(), 1), ("a".into(), 2), ("b".into(), 3)],
+            gauges: vec![
+                ("g".into(), 4),
+                ("g".into(), (1 << 53) + 1),
+                ("f".into(), 6),
+            ],
+            histograms: vec![
+                ("nan".into(), hist(1, f64::NAN, 2)),
+                ("inf".into(), hist(1, f64::INFINITY, 2)),
+                ("neg_zero".into(), hist(1, -0.0, 2)),
+                ("tiny".into(), hist(1, 1e-300, 2)),
+                ("huge".into(), hist(1, 1e300, 2)),
+            ],
+            ..MetricsSnapshot::default()
+        });
+        for (k, snapshot) in snapshots.into_iter().enumerate() {
+            for job in ["job-1", "job-\"7\""] {
+                let want = tree_metrics_line(job, &snapshot);
+                let resp = JobResponse::Metrics {
+                    job: job.into(),
+                    snapshot: snapshot.clone(),
+                };
+                assert_eq!(resp.to_line(), want, "snapshot {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn job_metrics_lines_round_trip() {
+        for snapshot in registry_shaped_snapshots() {
+            let resp = JobResponse::Metrics {
+                job: "job-2".into(),
+                snapshot,
+            };
+            assert_eq!(
+                JobResponse::from_line(&resp.to_line()).expect("parses"),
+                resp
+            );
         }
     }
 

@@ -12,13 +12,15 @@
 //! unfair. Queue depth is bounded (`queue_full` on overflow) and surfaced
 //! as the `daemon.queue_depth` gauge.
 //!
-//! The engine's progress sink belongs to the daemon: each
-//! `rjam-progress-v1` line the engine emits is tagged `"job":"<id>"` with
-//! the running job's id (the first field of the line) and appended to that
+//! Each job runs on a clone of the daemon's engine whose progress sink
+//! belongs to that job: it writes each `rjam-progress-v1` event's line
+//! once, with `"job":"<id>"` as its first field, and appends it to the
 //! job's **replay buffer**. A `watch` replays the buffer then follows live
 //! appends until the job is terminal, so late watchers see the identical
 //! stream early watchers did. Completion appends a `job_metrics` snapshot
 //! and the terminal `job_done`/`job_cancelled` line to the same buffer.
+//! Every line of a run is serialized before the state lock is taken;
+//! under it the daemon only moves finished lines into the buffer.
 //!
 //! Cancellation is cooperative and unit-granular: `cancel` trips the
 //! job's [`CancelToken`]; the engine stops claiming units, merges the
@@ -108,7 +110,7 @@ struct Job {
     ckpt: JobCheckpoint,
     /// Units finished, as `status` reports them: the checkpoint's count
     /// while queued or cancelled, that count plus the units of each
-    /// `shard_finished` line while running (the runner holds the
+    /// `shard_finished` event while running (the runner holds the
     /// checkpoint then), and every unit once done.
     units_done: u64,
     cancel: CancelToken,
@@ -149,29 +151,26 @@ impl Inner {
     }
 }
 
-/// Appends one engine progress line to the running job's replay buffer,
-/// with the job's id spliced in as the line's first field, and counts the
-/// units of a `shard_finished` line as done. Progress parsers ignore
-/// unknown fields, so tagged lines stay valid `rjam-progress-v1`.
-fn append_progress(inner: &Inner, line: &str) {
-    // Only a shard_finished line is worth parsing, and not under the lock.
-    let finished = if line.contains("\"shard_finished\"") {
-        match ProgressEvent::from_line(line) {
-            Ok(ProgressEvent::ShardFinished { units, .. }) => units,
-            _ => 0,
-        }
-    } else {
-        0
+/// The head of job `id`'s progress lines, `{"job":"<id>",`: the job tag
+/// goes first, where each line's opening brace was.
+fn job_tag(id: &str) -> String {
+    format!("{{\"job\":{},", json::write_string(id))
+}
+
+/// Appends one engine progress event to job `id`'s replay buffer as a line
+/// headed by the job's `tag` ([`job_tag`]), and counts the units of a
+/// `shard_finished` event as done. Progress parsers ignore unknown fields,
+/// so tagged lines stay valid `rjam-progress-v1`.
+fn append_progress(inner: &Inner, id: &str, tag: &str, ev: &ProgressEvent) {
+    let line = ev.to_line_after(tag);
+    let finished = match ev {
+        ProgressEvent::ShardFinished { units, .. } => *units,
+        _ => 0,
     };
     let mut st = inner.state.lock().expect("daemon state lock");
-    if let Some(id) = st.running.clone() {
-        if let Some(job) = st.jobs.get_mut(&id) {
-            job.units_done += finished;
-            // Every progress line starts with `{"`; the tag goes right
-            // after the brace.
-            let tagged = format!("{{\"job\":{},{}", json::write_string(&id), &line[1..]);
-            job.lines.push(tagged);
-        }
+    if let Some(job) = st.jobs.get_mut(id) {
+        job.units_done += finished;
+        job.lines.push(line);
     }
     drop(st);
     inner.notify_update();
@@ -186,9 +185,9 @@ pub struct Daemon {
 
 impl Daemon {
     /// Starts a service over `engine` with a queue bound of `queue_cap`
-    /// pending jobs. The engine moves into the runner thread with its
-    /// progress sink pointed at the running job's replay buffer; clones
-    /// of `engine` the caller kept still read its profiles.
+    /// pending jobs. The engine moves into the runner thread, which runs
+    /// each job on a clone whose progress sink feeds that job's replay
+    /// buffer; clones of `engine` the caller kept still read its profiles.
     pub fn start(engine: CampaignEngine, queue_cap: usize) -> Daemon {
         let inner = Arc::new(Inner {
             queue_cap: queue_cap.max(1),
@@ -196,10 +195,6 @@ impl Daemon {
             work: Condvar::new(),
             update: Condvar::new(),
         });
-        let sink_inner = Arc::clone(&inner);
-        let engine = engine.with_progress(Arc::new(move |line: &str| {
-            append_progress(&sink_inner, line)
-        }));
         let runner_inner = Arc::clone(&inner);
         let runner = std::thread::Builder::new()
             .name("rjamd-runner".into())
@@ -538,7 +533,7 @@ fn already(id: &str, state: JobState) -> JobError {
     )
 }
 
-fn run_loop(inner: &Inner, engine: &CampaignEngine) {
+fn run_loop(inner: &Arc<Inner>, engine: &CampaignEngine) {
     loop {
         // Claim the next job (or exit on shutdown).
         let (id, request, mut ckpt, cancel) = {
@@ -566,44 +561,53 @@ fn run_loop(inner: &Inner, engine: &CampaignEngine) {
             }
         };
         inner.notify_update();
-        let result = request.run_to_export(engine, &mut ckpt, Some(&cancel));
+        let sink_inner = Arc::clone(inner);
+        let (sink_id, tag) = (id.clone(), job_tag(&id));
+        let job_engine = engine
+            .clone()
+            .with_progress(Arc::new(move |ev: &ProgressEvent| {
+                append_progress(&sink_inner, &sink_id, &tag, ev)
+            }));
+        let result = request.run_to_export(&job_engine, &mut ckpt, Some(&cancel));
+        // The job's last lines, its final registry view and its terminal
+        // line, are built before the state lock is taken, so a watcher
+        // woken by `campaign_done` never waits on serialization.
+        let metrics = rjam_obs::enabled().then(|| {
+            JobResponse::Metrics {
+                job: id.clone(),
+                snapshot: rjam_obs::registry::snapshot(),
+            }
+            .to_line()
+        });
+        let (state, terminal) = match result {
+            Some(export) => (
+                JobState::Done,
+                JobResponse::Done {
+                    job: id.clone(),
+                    export,
+                },
+            ),
+            None => (
+                JobState::Cancelled,
+                JobResponse::Cancelled {
+                    job: id.clone(),
+                    units_done: ckpt.units_done() as u64,
+                },
+            ),
+        };
+        let terminal = terminal.to_line();
         let mut st = inner.state.lock().expect("daemon state lock");
         st.running = None;
         if let Some(job) = st.jobs.get_mut(&id) {
             job.ckpt = ckpt;
-            let terminal = match result {
-                Some(export) => {
-                    // The run drained the checkpoint: every unit is done.
-                    job.state = JobState::Done;
-                    job.units_done = job.units_total as u64;
-                    JobResponse::Done {
-                        job: id.clone(),
-                        export,
-                    }
-                }
-                None => {
-                    job.state = JobState::Cancelled;
-                    job.units_done = job.ckpt.units_done() as u64;
-                    JobResponse::Cancelled {
-                        job: id.clone(),
-                        units_done: job.units_done,
-                    }
-                }
+            job.state = state;
+            job.units_done = match state {
+                // The run drained the checkpoint: every unit is done.
+                JobState::Done => job.units_total as u64,
+                _ => job.ckpt.units_done() as u64,
             };
-            if rjam_obs::enabled() {
-                // Tag the job's final registry view onto its stream.
-                let snap = rjam_obs::registry::snapshot().to_json();
-                if let Ok(doc) = json::parse(&snap) {
-                    job.lines.push(
-                        JobResponse::Metrics {
-                            job: id.clone(),
-                            snapshot: doc,
-                        }
-                        .to_line(),
-                    );
-                }
-            }
-            job.lines.push(terminal.to_line());
+            job.lines.extend(metrics);
+            job.lines.push(terminal);
         }
         drop(st);
         inner.notify_update();
@@ -853,9 +857,7 @@ mod tests {
                 seed: 5,
             })
             .expect("accepted");
-        while d.status(Some(&id)).expect("status")[0].state == JobState::Queued {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_running(&d, &id);
         std::thread::sleep(Duration::from_millis(50));
         let err = d.cancel(&id).expect_err("the job finished");
         assert_eq!(err.kind, JobErrorKind::BadState);
@@ -1026,6 +1028,169 @@ mod tests {
             assert_eq!((st.state, st.units_done), want, "{}", spec.kind());
         }
         d.shutdown();
+    }
+
+    /// Returns once the runner has claimed job `id`.
+    fn wait_running(d: &Daemon, id: &str) {
+        while d.status(Some(id)).expect("status")[0].state == JobState::Queued {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Every line of job `id`'s replay buffer, through a watch.
+    fn replay(d: &Daemon, id: &str) -> Vec<String> {
+        let mut lines = Vec::new();
+        d.watch(id, &mut |l: &str| {
+            lines.push(l.to_string());
+            Ok(())
+        })
+        .expect("watch");
+        lines
+    }
+
+    /// Checks the replay buffer of a job the runner ended: progress lines,
+    /// then exactly one `job_metrics` line for the job in obs builds (none
+    /// without `obs`), then the terminal line. Returns the terminal line.
+    fn assert_metrics_then_terminal(lines: &[String], id: &str) -> JobResponse {
+        let responses: Vec<(usize, JobResponse)> = lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| ProgressEvent::from_line(l).is_err())
+            .map(|(k, l)| {
+                let resp = JobResponse::from_line(l);
+                (
+                    k,
+                    resp.unwrap_or_else(|e| panic!("{id}: line {k}: {e}: {l}")),
+                )
+            })
+            .collect();
+        let n = lines.len();
+        assert!(n > usize::from(rjam_obs::enabled()), "{id}: {lines:?}");
+        let metrics: Vec<usize> = responses
+            .iter()
+            .filter(|(_, r)| matches!(r, JobResponse::Metrics { job, .. } if job == id))
+            .map(|&(k, _)| k)
+            .collect();
+        if rjam_obs::enabled() {
+            assert_eq!(metrics, [n - 2], "{id}: {lines:?}");
+        } else {
+            assert!(metrics.is_empty(), "{id}: {lines:?}");
+        }
+        assert_eq!(responses.len(), metrics.len() + 1, "{id}: {lines:?}");
+        let (k, terminal) = responses.into_iter().last().expect("a terminal line");
+        assert_eq!(k, n - 1, "{id}: {lines:?}");
+        terminal
+    }
+
+    #[test]
+    fn every_ended_job_streams_its_metrics_then_its_terminal_line() {
+        let d = Daemon::start(CampaignEngine::with_threads(2), 8);
+        for spec in one_job_of_each_kind() {
+            let kind = spec.kind();
+            let (id, _) = d.submit(spec.clone()).expect("accepted");
+            wait_done(&d, &id);
+            let terminal = assert_metrics_then_terminal(&replay(&d, &id), &id);
+            assert!(matches!(terminal, JobResponse::Done { .. }), "{kind}");
+            // Cancelled once it runs; a job whose last unit wins the race
+            // ends done, through the same tail.
+            let (id, _) = d.submit(spec).expect("accepted");
+            wait_running(&d, &id);
+            let _ = d.cancel(&id);
+            wait_done(&d, &id);
+            let terminal = assert_metrics_then_terminal(&replay(&d, &id), &id);
+            assert!(
+                matches!(
+                    terminal,
+                    JobResponse::Done { .. } | JobResponse::Cancelled { .. }
+                ),
+                "{kind}"
+            );
+        }
+        // A job cancelled in the queue never ran: its terminal line alone.
+        let (running, _) = d.submit(fa_spec(8 << 18, 9)).expect("accepted");
+        wait_running(&d, &running);
+        let (queued, _) = d.submit(fa_spec(1 << 16, 10)).expect("accepted");
+        d.cancel(&queued).expect("cancel a queued job");
+        let lines = replay(&d, &queued);
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(matches!(
+            JobResponse::from_line(&lines[0]),
+            Ok(JobResponse::Cancelled { units_done: 0, .. })
+        ));
+        let _ = d.cancel(&running);
+        wait_done(&d, &running);
+        assert_metrics_then_terminal(&replay(&d, &running), &running);
+        d.shutdown();
+    }
+
+    #[test]
+    fn progress_lines_put_the_job_tag_first_and_count_finished_units() {
+        let inner = Inner {
+            queue_cap: 1,
+            state: Mutex::default(),
+            work: Condvar::new(),
+            update: Condvar::new(),
+        };
+        let id = "job-7";
+        let job = Job {
+            request: fa_spec(1 << 16, 1),
+            state: JobState::Running,
+            ckpt: JobCheckpoint::new(),
+            units_done: 0,
+            cancel: CancelToken::new(),
+            lines: Vec::new(),
+            units_total: 4,
+        };
+        inner.state.lock().unwrap().jobs.insert(id.into(), job);
+        let events = [
+            ProgressEvent::Started {
+                kind: "false_alarm".into(),
+                units: 4,
+                shards: 2,
+                workers: 2,
+                seed: u64::MAX,
+            },
+            ProgressEvent::ShardFinished {
+                shard: 1,
+                worker: 0,
+                units: 3,
+                busy_ns: 123_456_789,
+            },
+            ProgressEvent::Snapshot {
+                done: 3,
+                total: 4,
+                elapsed_ns: 130_000_000,
+                eta_ns: 43_333_333,
+            },
+            ProgressEvent::Done {
+                units: 4,
+                elapsed_ns: 170_000_000,
+                workers: 2,
+                busy_ns: 160_000_000,
+                idle_ns: 9_000_000,
+                merge_wait_ns: 1_000_000,
+            },
+        ];
+        let tag = job_tag(id);
+        for ev in &events {
+            append_progress(&inner, id, &tag, ev);
+        }
+        let want: Vec<String> = events
+            .iter()
+            .map(|ev| {
+                format!(
+                    "{{\"job\":{},{}",
+                    json::write_string(id),
+                    &ev.to_line()[1..]
+                )
+            })
+            .collect();
+        let st = inner.state.lock().unwrap();
+        assert_eq!(st.jobs[id].lines, want);
+        assert_eq!(
+            st.jobs[id].units_done, 3,
+            "only shard_finished counts units"
+        );
     }
 
     #[cfg(feature = "obs")]

@@ -10,6 +10,7 @@
 //! parsing thread's stack.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses once
 /// per level, and `rjamd` parses every request line on a default-stack
@@ -80,6 +81,12 @@ impl Value {
 /// Serialises a string with JSON escaping.
 pub fn write_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
+
+/// Appends [`write_string`]'s text to `out`.
+pub fn push_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -88,30 +95,36 @@ pub fn write_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Serialises an `f64` as a JSON number (no NaN/Inf — clamped to 0).
 pub fn write_number(n: f64) -> String {
+    let mut out = String::new();
+    push_number(&mut out, n);
+    out
+}
+
+/// Appends [`write_number`]'s text to `out`.
+pub fn push_number(out: &mut String, n: f64) {
     if !n.is_finite() {
-        return "0".into();
-    }
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        out.push('0');
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
     } else {
-        format!("{n}")
+        let _ = write!(out, "{n}");
     }
 }
 
 /// Serialises any [`Value`] compactly (no whitespace, object keys in the
 /// map's sorted order). The inverse of [`parse`] up to number formatting;
-/// used to embed whole documents (campaign specs, metrics snapshots) in
-/// single NDJSON lines.
+/// used to embed whole documents (campaign specs) in single NDJSON lines.
 pub fn write_value(v: &Value) -> String {
     match v {
         Value::Null => "null".into(),

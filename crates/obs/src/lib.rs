@@ -24,9 +24,9 @@
 //!    [`telemetry::ProfileStore`], rendered by `rjamctl report`;
 //! 6. a **live progress stream** ([`stream`]): the line-delimited
 //!    `rjam-progress-v1` event protocol (campaign started / shard finished
-//!    / snapshot with ETA / campaign done) an engine emits into the line
-//!    sink its owner attached (`rjamctl --progress[=FILE]`, each `rjamd`
-//!    job's replay buffer);
+//!    / snapshot with ETA / campaign done) an engine emits, as typed
+//!    events, into the sink its owner attached (`rjamctl
+//!    --progress[=FILE]`, each `rjamd` job's replay buffer);
 //! 7. an **online health monitor** ([`health`]): streaming change-point
 //!    detectors (EWMA baselines, CUSUM, Page–Hinkley) judging the MAC
 //!    frame feed of one run against a typed rule set, logging the

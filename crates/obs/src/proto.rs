@@ -181,7 +181,12 @@ impl Envelope {
     /// Parses `text` as one protocol object and checks its tag against
     /// `proto`. Works for both NDJSON lines and whole documents.
     pub fn parse(proto: &Protocol, text: &str) -> Result<Self, ParseError> {
-        let root = json::parse(text).map_err(ParseError::Json)?;
+        Self::from_value(proto, json::parse(text).map_err(ParseError::Json)?)
+    }
+
+    /// Checks the tag of an already parsed protocol object, such as a
+    /// document embedded in a field of another protocol's line.
+    pub fn from_value(proto: &Protocol, root: Value) -> Result<Self, ParseError> {
         let Value::Object(fields) = root else {
             return Err(ParseError::NotAnObject);
         };

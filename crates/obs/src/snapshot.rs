@@ -24,6 +24,7 @@ use crate::hist::HistSummary;
 use crate::json::{self, Value};
 use crate::proto::{Envelope, Fields, ParseError, Protocol};
 use crate::recorder::{ObsEvent, TripInfo};
+use std::fmt::Write;
 
 /// The protocol descriptor for this document.
 pub const PROTOCOL: Protocol = Protocol::METRICS;
@@ -80,7 +81,7 @@ impl From<TripInfo> for SnapTrip {
 }
 
 /// Everything the registry and global flight recorder knew at one instant.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter name → value, sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -217,9 +218,82 @@ impl MetricsSnapshot {
         out
     }
 
+    /// Appends the document compact, in one line, its objects' keys sorted:
+    /// the bytes [`json::write_value`] gives for the tree [`json::parse`]
+    /// makes of [`Self::to_json`], written straight from the fields.
+    /// `rjamd`'s `job_metrics` line embeds it.
+    pub fn write_compact(&self, out: &mut String) {
+        out.push_str("{\"counters\":");
+        push_object(out, &self.counters, |out, v| {
+            json::push_number(out, *v as f64)
+        });
+        let _ = write!(out, ",\"enabled\":{},\"events\":[", crate::enabled());
+        for (k, e) in self.events.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"a\":");
+            json::push_number(out, e.a as f64);
+            out.push_str(",\"b\":");
+            json::push_number(out, e.b as f64);
+            out.push_str(",\"kind\":");
+            json::push_string(out, &e.kind);
+            out.push_str(",\"seq\":");
+            json::push_number(out, e.seq as f64);
+            out.push_str(",\"t\":");
+            json::push_number(out, e.t as f64);
+            out.push('}');
+        }
+        out.push_str("],\"gauges\":");
+        push_object(out, &self.gauges, |out, v| {
+            json::push_number(out, *v as f64)
+        });
+        out.push_str(",\"histograms\":");
+        push_object(out, &self.histograms, |out, h| {
+            for (key, v) in [
+                ("{\"count\":", h.count as f64),
+                (",\"max\":", h.max as f64),
+                (",\"mean\":", h.mean),
+                (",\"min\":", h.min as f64),
+                (",\"p50\":", h.p50 as f64),
+                (",\"p95\":", h.p95 as f64),
+                (",\"p99\":", h.p99 as f64),
+            ] {
+                out.push_str(key);
+                json::push_number(out, v);
+            }
+            out.push('}');
+        });
+        out.push_str(",\"schema\":");
+        json::push_string(out, SCHEMA);
+        out.push_str(",\"trip\":");
+        match &self.trip {
+            None => out.push_str("null"),
+            Some(t) => {
+                out.push_str("{\"reason\":");
+                json::push_string(out, &t.reason);
+                out.push_str(",\"seq\":");
+                json::push_number(out, t.seq as f64);
+                out.push_str(",\"t\":");
+                json::push_number(out, t.t as f64);
+                out.push('}');
+            }
+        }
+        out.push('}');
+    }
+
     /// Parses a `rjam-metrics-v1` document back into a snapshot.
     pub fn from_json(text: &str) -> Result<Self, ParseError> {
-        let env = Envelope::parse(&PROTOCOL, text)?;
+        Self::read(Envelope::parse(&PROTOCOL, text)?)
+    }
+
+    /// Reads an already parsed `rjam-metrics-v1` document, such as the one
+    /// a `job_metrics` line embeds.
+    pub fn from_value(doc: Value) -> Result<Self, ParseError> {
+        Self::read(Envelope::from_value(&PROTOCOL, doc)?)
+    }
+
+    fn read(env: Envelope) -> Result<Self, ParseError> {
         let root = env.root();
         let mut snap = MetricsSnapshot::default();
         for (k, v) in root.object("counters")?.iter() {
@@ -321,6 +395,24 @@ impl MetricsSnapshot {
         }
         out
     }
+}
+
+/// Appends `entries` as the JSON object a parsed tree holds: sorted by
+/// name, the last of equal names kept.
+fn push_object<T>(out: &mut String, entries: &[(String, T)], value: impl Fn(&mut String, &T)) {
+    let mut sorted: Vec<&(String, T)> = entries.iter().rev().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    sorted.dedup_by(|later, kept| later.0 == kept.0);
+    out.push('{');
+    for (k, (name, v)) in sorted.into_iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        json::push_string(out, name);
+        out.push(':');
+        value(out, v);
+    }
+    out.push('}');
 }
 
 #[cfg(test)]

@@ -13,14 +13,15 @@
 //! {"v":"rjam-progress-v1","ev":"campaign_done","units":96,...}
 //! ```
 //!
-//! — into the line sink its owner attached with
-//! `CampaignEngine::with_progress` (in `rjam-core`): `rjamctl
-//! --progress[=FILE]` writes the lines to stderr or a file, and `rjamd`
-//! tags each with its job id and appends it to that job's replay buffer.
-//! An engine without a sink emits nothing. Every event kind round-trips
-//! through [`ProgressEvent::from_line`], which ignores unknown fields such
-//! as the job tag; a whole stream is checked by [`parse_stream`] +
-//! [`validate_chain`] (the `check progress` CI gate wraps both).
+//! — as typed [`ProgressEvent`]s into the sink its owner attached with
+//! `CampaignEngine::with_progress` (in `rjam-core`), which writes each
+//! event's line once: `rjamctl --progress[=FILE]` to stderr or a file, and
+//! `rjamd` with its job tag first ([`ProgressEvent::to_line_after`]) into
+//! that job's replay buffer. An engine without a sink emits nothing.
+//! Every event kind round-trips through [`ProgressEvent::from_line`],
+//! which ignores unknown fields such as the job tag; a whole stream is
+//! checked by [`parse_stream`] + [`validate_chain`] (the `check progress`
+//! CI gate wraps both).
 //!
 //! The protocol types and parser are always compiled (validators must read
 //! streams even in `--no-default-features` builds); *emission* comes from
@@ -116,6 +117,13 @@ fn hex_seed(seed: u64) -> String {
 impl ProgressEvent {
     /// Serialises to one NDJSON line (no trailing newline).
     pub fn to_line(&self) -> String {
+        self.to_line_after("{")
+    }
+
+    /// The line [`Self::to_line`] writes, with `head` in place of its
+    /// opening brace: `rjamd` passes `{"job":"<id>",` to put its job tag
+    /// first without writing the line twice.
+    pub fn to_line_after(&self, head: &str) -> String {
         let num = |v: u64| json::write_number(v as f64);
         match self {
             ProgressEvent::Started {
@@ -125,7 +133,7 @@ impl ProgressEvent {
                 workers,
                 seed,
             } => format!(
-                "{{\"v\":{},\"ev\":\"campaign_started\",\"kind\":{},\"units\":{},\
+                "{head}\"v\":{},\"ev\":\"campaign_started\",\"kind\":{},\"units\":{},\
                  \"shards\":{},\"workers\":{},\"seed\":{}}}",
                 json::write_string(SCHEMA),
                 json::write_string(kind),
@@ -140,7 +148,7 @@ impl ProgressEvent {
                 units,
                 busy_ns,
             } => format!(
-                "{{\"v\":{},\"ev\":\"shard_finished\",\"shard\":{},\"worker\":{},\
+                "{head}\"v\":{},\"ev\":\"shard_finished\",\"shard\":{},\"worker\":{},\
                  \"units\":{},\"busy_ns\":{}}}",
                 json::write_string(SCHEMA),
                 num(*shard),
@@ -154,7 +162,7 @@ impl ProgressEvent {
                 elapsed_ns,
                 eta_ns,
             } => format!(
-                "{{\"v\":{},\"ev\":\"snapshot\",\"done\":{},\"total\":{},\
+                "{head}\"v\":{},\"ev\":\"snapshot\",\"done\":{},\"total\":{},\
                  \"elapsed_ns\":{},\"eta_ns\":{}}}",
                 json::write_string(SCHEMA),
                 num(*done),
@@ -170,7 +178,7 @@ impl ProgressEvent {
                 idle_ns,
                 merge_wait_ns,
             } => format!(
-                "{{\"v\":{},\"ev\":\"campaign_done\",\"units\":{},\"elapsed_ns\":{},\
+                "{head}\"v\":{},\"ev\":\"campaign_done\",\"units\":{},\"elapsed_ns\":{},\
                  \"workers\":{},\"busy_ns\":{},\"idle_ns\":{},\"merge_wait_ns\":{}}}",
                 json::write_string(SCHEMA),
                 num(*units),
