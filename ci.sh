@@ -178,6 +178,8 @@ for cmd in \
     "fa --preset energy --grid 6,10 --samples 1000000" \
     "submit --local --spec {\"campaign\":\"wifi_detection\",\"preset\":{\"kind\":\"wifi_long\",\"threshold\":0.34},\"emission\":{\"kind\":\"full_frames\",\"psdu_len\":1000},\"channel\":{\"kind\":\"rayleigh\",\"taps\":8,\"rms\":2},\"snrs_db\":[-6,0,6,12],\"trials\":16,\"seed\":3}" \
     "submit --local --spec {\"campaign\":\"wimax\",\"fused\":true,\"frames\":40,\"snr_db\":10,\"threshold\":0.45,\"seed\":3}" \
+    "submit --local --spec {\"campaign\":\"wimax\",\"fused\":false,\"frames\":22,\"snr_db\":0,\"threshold\":0.45,\"seed\":3}" \
+    "submit --local --spec {\"campaign\":\"wimax\",\"fused\":true,\"frames\":22,\"snr_db\":20,\"threshold\":0.45,\"seed\":3}" \
     "submit --local --spec {\"campaign\":\"jamming\",\"jammer\":\"reactive_short\",\"sirs_db\":[1,8,14,20,26,32],\"duration_s\":1,\"seed\":3}"; do
     RJAM_THREADS=1 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t1.out
     RJAM_THREADS=4 cargo run -q --release --offline -p rjam-cli -- $cmd > rjam_ci_t4.out

@@ -15,8 +15,12 @@
 //! The `one_lane` records time the three lane shapes campaigns run, one
 //! lane each, over ADC-domain noise at the false-alarm floor in
 //! 65 536-sample blocks: a correlator (`wifi_short`), an energy rise
-//! (`energy_rise`) and the WiMAX fusion of both (`wimax_fused`). No gate
-//! reads them; they are the `fpga` layer's cost per sample.
+//! (`energy_rise`) and the WiMAX fusion of both (`wimax_fused`). Over
+//! noise a lane never sleeps, so these show what the per-word sleep check
+//! costs. `wimax_frame` is the lane a WiMAX unit runs, a correlator at the
+//! campaign's 100 000-sample lockout, over one received 5 ms downlink
+//! frame it detects: it sleeps through most of the frame. No gate reads
+//! them; they are the `fpga` layer's cost per sample.
 
 use rjam_bench::harness::Harness;
 use rjam_channel::NoiseSource;
@@ -25,6 +29,8 @@ use rjam_core::presets::build_config;
 use rjam_core::{DetectionPreset, JammerPreset};
 use rjam_fpga::{CoreConfig, DspLaneBank, LaneBankScratch, TriggerMode, TriggerSource};
 use rjam_sdr::complex::IqI16;
+use rjam_sdr::power::mean_power;
+use rjam_sdr::resample::{fractional_delay, to_usrp_rate};
 use rjam_sdr::rng::Rng;
 use std::hint::black_box;
 
@@ -85,6 +91,22 @@ fn make_stream(n: usize) -> Vec<IqI16> {
                 (rng.below(65536) as i64 - 32768) as i16,
             )
         })
+        .collect()
+}
+
+/// One downlink frame of the cell-1, segment-0 base station as a WiMAX
+/// unit receives it at 10 dB SNR, quantized: resampled to 25 MSPS, a
+/// half-sample delay, scaled to the 0.02 receive level over its active
+/// subframe, plus noise.
+fn wimax_frame() -> Vec<IqI16> {
+    let mut gen = rjam_phy80216::DownlinkGenerator::new(rjam_phy80216::DownlinkConfig::default());
+    let up = to_usrp_rate(&gen.next_frame(), rjam_sdr::WIMAX_SAMPLE_RATE);
+    let wave = fractional_delay(&up, 0.5);
+    let active = (gen.dl_subframe_samples() as f64 * 25.0 / 11.4) as usize;
+    let k = (0.02 / mean_power(&wave[..active])).sqrt();
+    let mut noise = NoiseSource::new(0.02 / 10.0, Rng::seed_from(6));
+    wave.iter()
+        .map(|&s| IqI16::from_cf64(s.scale(k) + noise.next_sample()))
         .collect()
 }
 
@@ -193,6 +215,28 @@ fn main() {
             black_box(bank.trigger_count(0))
         });
     }
+
+    let frame = wimax_frame();
+    let cfg = build_config(
+        &DetectionPreset::WimaxPreamble {
+            id_cell: 1,
+            segment: 0,
+            threshold: 0.45,
+        },
+        &monitor,
+        100_000,
+    );
+    let mut bank = DspLaneBank::new();
+    bank.add_lane(&cfg);
+    let mut scratch = LaneBankScratch::default();
+    bank.process_block_into(&frame, &mut scratch);
+    assert_eq!(bank.trigger_count(0), 1, "the lane detects the frame once");
+    h.bench_throughput("one_lane", "wimax_frame", frame.len() as u64, || {
+        bank.reset();
+        scratch.clear();
+        bank.process_block_into(black_box(&frame), &mut scratch);
+        black_box(bank.trigger_count(0))
+    });
 
     h.finish();
 }

@@ -31,6 +31,13 @@ pub struct MultipathChannel {
     taps: Vec<Cf64>,
 }
 
+impl Default for MultipathChannel {
+    /// The [flat](MultipathChannel::flat) channel.
+    fn default() -> Self {
+        MultipathChannel::flat()
+    }
+}
+
 impl MultipathChannel {
     /// A flat (single-tap, unit-gain) channel.
     pub fn flat() -> Self {
@@ -43,8 +50,24 @@ impl MultipathChannel {
     /// profile: `n_taps` taps, RMS delay spread `rms_taps` (in samples),
     /// normalized to unit average energy.
     pub fn rayleigh(n_taps: usize, rms_taps: f64, rng: &mut Rng) -> Self {
+        let mut ch = MultipathChannel {
+            taps: Vec::with_capacity(n_taps),
+        };
+        ch.redraw_rayleigh(n_taps, rms_taps, rng);
+        ch
+    }
+
+    /// Replaces this realization with the one [`MultipathChannel::rayleigh`]
+    /// draws from `rng` (the same draws in the same order, the same
+    /// normalization), in its own tap buffer: a channel kept across frames
+    /// stops allocating once the buffer holds `n_taps`.
+    ///
+    /// # Panics
+    /// Panics unless `n_taps > 0` and `rms_taps > 0`.
+    pub fn redraw_rayleigh(&mut self, n_taps: usize, rms_taps: f64, rng: &mut Rng) {
         assert!(n_taps > 0 && rms_taps > 0.0);
-        let mut taps = Vec::with_capacity(n_taps);
+        let taps = &mut self.taps;
+        taps.clear();
         let mut energy = 0.0;
         for k in 0..n_taps {
             let p = (-(k as f64) / rms_taps).exp();
@@ -57,7 +80,6 @@ impl MultipathChannel {
         for t in taps.iter_mut() {
             *t = t.scale(k);
         }
-        MultipathChannel { taps }
     }
 
     /// Number of taps (delay spread + 1 in samples).
@@ -197,6 +219,50 @@ mod tests {
                     "{n_taps} taps, length {len}"
                 );
             }
+        }
+    }
+
+    /// `MultipathChannel::rayleigh` as first written, a fresh `Vec` per
+    /// draw.
+    fn reference_rayleigh(n_taps: usize, rms_taps: f64, rng: &mut Rng) -> Vec<Cf64> {
+        let mut taps = Vec::with_capacity(n_taps);
+        let mut energy = 0.0;
+        for k in 0..n_taps {
+            let p = (-(k as f64) / rms_taps).exp();
+            let sigma = (p / 2.0).sqrt();
+            let tap = Cf64::new(rng.gaussian() * sigma, rng.gaussian() * sigma);
+            energy += tap.norm_sq();
+            taps.push(tap);
+        }
+        let k = 1.0 / energy.sqrt().max(1e-30);
+        taps.iter().map(|t| t.scale(k)).collect()
+    }
+
+    /// A channel redrawn trial after trial takes the draws and the bits of
+    /// a fresh `rayleigh` realization at every tap count a campaign
+    /// accepts, leaves the generator where that draw leaves it, and keeps
+    /// its first buffer.
+    #[test]
+    fn redrawn_taps_match_fresh_draws_in_one_buffer() {
+        let mut rng = Rng::seed_from(16);
+        let mut pooled = MultipathChannel::default();
+        pooled.redraw_rayleigh(STACK_TAPS, 2.0, &mut rng);
+        let (buffer, capacity) = (pooled.taps.as_ptr(), pooled.taps.capacity());
+        for n_taps in (1..=STACK_TAPS).chain((1..=STACK_TAPS).rev()) {
+            let rms = 0.5 + n_taps as f64 / 8.0;
+            let mut fresh = rng.clone();
+            let want = reference_rayleigh(n_taps, rms, &mut fresh);
+            assert_eq!(
+                bits(&MultipathChannel::rayleigh(n_taps, rms, &mut rng.clone()).taps),
+                bits(&want)
+            );
+            pooled.redraw_rayleigh(n_taps, rms, &mut rng);
+            assert_eq!(bits(&pooled.taps), bits(&want), "{n_taps} taps");
+            assert_eq!(rng.next_u64(), fresh.next_u64(), "{n_taps} taps: draws");
+            assert_eq!(
+                (pooled.taps.as_ptr(), pooled.taps.capacity()),
+                (buffer, capacity)
+            );
         }
     }
 

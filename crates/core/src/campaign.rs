@@ -23,7 +23,10 @@ use rjam_mac::{run_scenario, IperfReport, MacObsDelta, ScenarioRun};
 use rjam_phy80211::tx::{modulate_frame_into, single_long_preamble, single_short_preamble, Frame};
 use rjam_sdr::complex::{Cf64, IqI16};
 use rjam_sdr::power::{db_to_lin, mean_power, scale_to_power};
-use rjam_sdr::resample::{fractional_delay_into, to_usrp_rate_into};
+use rjam_sdr::resample::{
+    fractional_delay_into, fractional_delay_silent_tail_into, to_usrp_rate_into,
+    to_usrp_rate_silent_tail_into,
+};
 use rjam_sdr::rng::Rng;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -87,6 +90,8 @@ struct SynthScratch {
     wave: Vec<Cf64>,
     /// A multipath channel's output, swapped into `wave` once written.
     faded: Vec<Cf64>,
+    /// The trial's multipath realization, redrawn in place.
+    channel: rjam_channel::MultipathChannel,
 }
 
 /// Builds the 25 MSPS emission waveform for one trial into `s.wave`. Each
@@ -476,8 +481,8 @@ impl WifiDetectionSpec {
     ) -> Range<u64> {
         emission_waveform(self.emission, rjam_phy80211::Rate::R12, rng, synth);
         if let ChannelModel::Rayleigh { taps, rms } = self.channel {
-            let ch = rjam_channel::MultipathChannel::rayleigh(taps, rms, rng);
-            ch.apply_into(&synth.wave, &mut synth.faded);
+            synth.channel.redraw_rayleigh(taps, rms, rng);
+            synth.channel.apply_into(&synth.wave, &mut synth.faded);
             std::mem::swap(&mut synth.wave, &mut synth.faded);
         }
         scale_to_power(&mut synth.wave, RX_LEVEL);
@@ -860,13 +865,23 @@ impl WimaxReceiver {
         WimaxReceiver { gen, rng, noise }
     }
 
-    /// Receives the next frame into `wave` at 25 MSPS (`up` holds it
-    /// before the fractional delay).
-    fn next_frame(&mut self, up: &mut Vec<Cf64>, wave: &mut Vec<Cf64>) {
-        let native = self.gen.next_frame();
-        to_usrp_rate_into(&native, rjam_sdr::WIMAX_SAMPLE_RATE, up);
+    /// Receives the next frame into `buf.wave` at 25 MSPS. The frame is
+    /// silent from [`rjam_phy80216::DownlinkGenerator::dl_subframe_samples`]
+    /// on, so the resampler and the fractional delay write the outputs of
+    /// that uplink gap as the zeros they are, bit for bit what
+    /// `to_usrp_rate_into` and `fractional_delay_into` compute there.
+    fn next_frame(&mut self, buf: &mut WimaxBuffers) {
+        self.gen.next_frame_into(&mut buf.native);
+        let silent = to_usrp_rate_silent_tail_into(
+            &buf.native,
+            rjam_sdr::WIMAX_SAMPLE_RATE,
+            self.gen.dl_subframe_samples(),
+            &mut buf.up,
+        );
         // Random per-frame sampling phase (unsynchronized clocks).
-        fractional_delay_into(up, self.rng.uniform() * 0.999, wave);
+        let frac = self.rng.uniform() * 0.999;
+        fractional_delay_silent_tail_into(&buf.up, frac, silent, &mut buf.wave);
+        let wave = &mut buf.wave;
         // Scale relative to the active subframe power.
         let active = (self.gen.dl_subframe_samples() as f64 * 25.0 / 11.4) as usize;
         let p = mean_power(&wave[..active.min(wave.len())]);
@@ -888,22 +903,29 @@ const WIMAX_REACTION: JammerPreset = JammerPreset::Reactive {
 /// (125 000 samples at 25 MSPS), re-arming before the next preamble.
 const WIMAX_LOCKOUT: u64 = 100_000;
 
-/// Per-worker state of the WiMAX unit body: the detector lane and the
-/// buffers a received frame is built in.
-struct WimaxPool {
-    lane: JamLane,
+/// The buffers a received WiMAX frame is built in.
+#[derive(Default)]
+struct WimaxBuffers {
+    /// The frame at the base station's 11.4 MHz.
+    native: Vec<Cf64>,
     /// The frame at 25 MSPS, before the fractional delay.
     up: Vec<Cf64>,
     /// The received frame.
     wave: Vec<Cf64>,
 }
 
+/// Per-worker state of the WiMAX unit body: the detector lane and the
+/// buffers a received frame is built in.
+struct WimaxPool {
+    lane: JamLane,
+    buf: WimaxBuffers,
+}
+
 impl WimaxPool {
     fn new(detection: &DetectionPreset) -> Self {
         WimaxPool {
             lane: JamLane::from_presets(detection, &WIMAX_REACTION, WIMAX_LOCKOUT),
-            up: Vec::new(),
-            wave: Vec::new(),
+            buf: WimaxBuffers::default(),
         }
     }
 }
@@ -1090,8 +1112,8 @@ impl WimaxDetectionSpec {
                 let mut detected = 0usize;
                 let mut latency_acc = 0.0f64;
                 for _ in 0..n {
-                    rx.next_frame(&mut pool.up, &mut pool.wave);
-                    let wave = &pool.wave;
+                    rx.next_frame(&mut pool.buf);
+                    let wave = &pool.buf.wave;
                     let base = pool.lane.samples_processed();
                     let first_jam = pool.lane.first_jam(wave);
                     scope.capture(wave);
@@ -1596,22 +1618,144 @@ mod tests {
 
     #[test]
     fn wimax_lane_jams_where_the_transmitting_jammer_does() {
-        // The unit's received frames, one block each, through the lane and
-        // through the reactive jammer it stands in for.
+        // The unit's received frames through the lane and through the
+        // reactive jammer it stands in for: one block per frame, as units
+        // feed them, then cut at arbitrary offsets, among them one where a
+        // lockout ends 5 000 samples into the next block and one where it
+        // ends 50 samples into it, inside the 96 samples of history the
+        // lane's bank reads before its first armed sample.
         for (fused, snr_db) in [(true, 0.0), (true, 20.0), (false, 0.0), (false, 20.0)] {
             let detection = CampaignSpec::wimax_detection().fused(fused).detection();
             let mut pool = WimaxPool::new(&detection);
-            let mut jammer =
-                ReactiveJammer::from_presets(&detection, &WIMAX_REACTION, WIMAX_LOCKOUT);
-            let mut scratch = BlockScratch::new();
             let mut rx = WimaxReceiver::new(0x5EED, snr_db);
-            for frame in 0..5 {
-                rx.next_frame(&mut pool.up, &mut pool.wave);
-                jammer.process_block_into(&pool.wave, &mut scratch);
+            let mut stream = Vec::new();
+            let mut frames = vec![0];
+            for _ in 0..4 {
+                rx.next_frame(&mut pool.buf);
+                stream.extend_from_slice(&pool.buf.wave);
+                frames.push(stream.len());
+            }
+            // Streams the blocks between `cuts` through a reset lane and a
+            // fresh jammer; returns the jammer's trigger samples.
+            let mut run = |cuts: &[usize]| -> Vec<u64> {
+                pool.lane.reset();
+                let mut jammer =
+                    ReactiveJammer::from_presets(&detection, &WIMAX_REACTION, WIMAX_LOCKOUT);
+                let mut scratch = BlockScratch::new();
+                for w in cuts.windows(2) {
+                    let block = &stream[w[0]..w[1]];
+                    jammer.process_block_into(block, &mut scratch);
+                    assert_eq!(
+                        pool.lane.first_jam(block),
+                        scratch.active().iter().position(|&a| a),
+                        "fused {fused}, {snr_db} dB, block {w:?}"
+                    );
+                }
+                let fed = pool.lane.samples_processed();
+                let quantized = pool.lane.samples_quantized();
+                assert_eq!(fed, stream.len() as u64);
+                // At 0 dB the fused lane's 10 dB energy leg never fires and
+                // keeps the lane awake; every other lane sleeps through its
+                // lockouts.
+                if fused && snr_db == 0.0 {
+                    assert_eq!(quantized, fed);
+                } else {
+                    assert!(quantized < fed / 2, "quantized {quantized} of {fed}");
+                }
+                jammer
+                    .events()
+                    .iter()
+                    .filter(|e| matches!(e, CoreEvent::JamTrigger { .. }))
+                    .map(CoreEvent::sample)
+                    .collect()
+            };
+            let triggers = run(&frames);
+            assert!(triggers.len() >= 2, "fused {fused}, {snr_db} dB");
+            let wake = |k: usize| (triggers[k] + WIMAX_LOCKOUT + 1) as usize;
+            let mut rng = Rng::seed_from(snr_db as u64);
+            let mut cuts: Vec<usize> = (0..12)
+                .map(|_| rng.below(stream.len() as u64) as usize)
+                .chain([0, wake(0) - 5_000, wake(1) - 50, stream.len()])
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            run(&cuts);
+        }
+    }
+
+    fn bits(buf: &[Cf64]) -> Vec<(u64, u64)> {
+        buf.iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn silent_tail_path_matches_the_full_resample_and_delay_bits() {
+        // Real downlink frames: the default one, silent from its 29th
+        // symbol on, and one whose 60 symbols outrun the frame, leaving no
+        // silent tail. Dirty output buffers throughout.
+        let just_under = f64::from_bits(0.999f64.to_bits() - 1);
+        for dl_symbols in [28, 60] {
+            let mut gen = rjam_phy80216::DownlinkGenerator::new(rjam_phy80216::DownlinkConfig {
+                dl_symbols,
+                ..rjam_phy80216::DownlinkConfig::default()
+            });
+            let native = gen.next_frame();
+            let rate = rjam_sdr::WIMAX_SAMPLE_RATE;
+            let mut want_up = Vec::new();
+            to_usrp_rate_into(&native, rate, &mut want_up);
+            let mut up = vec![Cf64::ONE; 3];
+            let silent =
+                to_usrp_rate_silent_tail_into(&native, rate, gen.dl_subframe_samples(), &mut up);
+            assert_eq!(bits(&up), bits(&want_up), "{dl_symbols} symbols");
+            if dl_symbols == 28 {
+                assert!(silent < up.len() && up[silent - 1] != Cf64::ZERO);
+            } else {
+                assert_eq!(silent, up.len());
+            }
+            let (mut want, mut got) = (Vec::new(), vec![Cf64::ONE; 5]);
+            for frac in [0.0, 0.5, just_under] {
+                fractional_delay_into(&want_up, frac, &mut want);
+                fractional_delay_silent_tail_into(&up, frac, silent, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{dl_symbols} symbols, frac {frac}");
+            }
+        }
+    }
+
+    #[test]
+    fn wimax_receiver_matches_the_allocating_chain_bits() {
+        // `next_frame` against the chain it replaces: the allocating
+        // generator, `to_usrp_rate`, `fractional_delay`, then the scaling
+        // and noise, with and without a silent tail.
+        for dl_symbols in [28, 60] {
+            let cfg = rjam_phy80216::DownlinkConfig {
+                dl_symbols,
+                ..rjam_phy80216::DownlinkConfig::default()
+            };
+            let noise_power = RX_LEVEL / db_to_lin(10.0);
+            let mut rx = WimaxReceiver {
+                gen: rjam_phy80216::DownlinkGenerator::new(cfg.clone()),
+                rng: Rng::seed_from(9),
+                noise: NoiseSource::new(noise_power, Rng::seed_from(10)),
+            };
+            let mut gen = rjam_phy80216::DownlinkGenerator::new(cfg);
+            let mut rng = Rng::seed_from(9);
+            let mut noise = NoiseSource::new(noise_power, Rng::seed_from(10));
+            let mut buf = WimaxBuffers::default();
+            for frame in 0..3 {
+                rx.next_frame(&mut buf);
+                let native = gen.next_frame();
+                let up = rjam_sdr::resample::to_usrp_rate(&native, rjam_sdr::WIMAX_SAMPLE_RATE);
+                let mut wave = rjam_sdr::resample::fractional_delay(&up, rng.uniform() * 0.999);
+                let active = (gen.dl_subframe_samples() as f64 * 25.0 / 11.4) as usize;
+                let k = (RX_LEVEL / mean_power(&wave[..active.min(wave.len())])).sqrt();
+                for s in wave.iter_mut() {
+                    *s = s.scale(k) + noise.next_sample();
+                }
                 assert_eq!(
-                    pool.lane.first_jam(&pool.wave),
-                    scratch.active().iter().position(|&a| a),
-                    "fused {fused}, {snr_db} dB, frame {frame}"
+                    bits(&buf.wave),
+                    bits(&wave),
+                    "{dl_symbols} symbols, frame {frame}"
                 );
             }
         }

@@ -230,6 +230,10 @@ impl ReactiveJammer {
     }
 }
 
+/// Samples [`JamLane::first_jam`] quantizes at a time: a lockout that
+/// begins inside a piece stops the quantizer at the piece's end.
+const QUANT_CHUNK: usize = 1024;
+
 /// A reactive jammer's transmit decisions without its transmit samples: a
 /// one-lane [`DspLaneBank`] fires where the jammer's core logs a jam
 /// trigger, and the controller's [`BurstRule`] turns those triggers into
@@ -239,8 +243,11 @@ impl ReactiveJammer {
 pub(crate) struct JamLane {
     bank: DspLaneBank,
     bursts: BurstRule,
-    /// The quantized receive block.
+    /// The quantized piece of the receive block.
     quant: Vec<IqI16>,
+    /// Samples quantized since construction or the last reset.
+    #[cfg(test)]
+    quantized: u64,
     triggers: LaneBankScratch,
     on_air: Vec<Range<u64>>,
 }
@@ -262,6 +269,8 @@ impl JamLane {
             bank,
             bursts: BurstRule::new(cfg.delay_samples, cfg.uptime_samples),
             quant: Vec::new(),
+            #[cfg(test)]
+            quantized: 0,
             triggers: LaneBankScratch::default(),
             on_air: Vec::new(),
         }
@@ -272,17 +281,40 @@ impl JamLane {
         self.bank.samples_processed()
     }
 
+    /// Of those, the samples the lane quantized: the rest were locked out.
+    #[cfg(test)]
+    pub(crate) fn samples_quantized(&self) -> u64 {
+        self.quantized
+    }
+
     /// Streams a floating-point 25 MSPS block through the ADC quantizer
     /// and the lane; returns the block offset of the first sample the
     /// jammer transmits on, if any — the first sample
     /// [`ReactiveJammer::process_block_into`] would mark active.
+    ///
+    /// Only the samples the bank reads are quantized: the block goes in
+    /// [`QUANT_CHUNK`]-sample pieces, and before each the lane skips what
+    /// [`DspLaneBank::unread`] reports, the rest of a lockout.
     pub(crate) fn first_jam(&mut self, rx: &[Cf64]) -> Option<usize> {
         let base = self.bank.samples_processed();
-        self.quant.clear();
-        self.quant.extend(rx.iter().map(|&s| IqI16::from_cf64(s)));
         self.triggers.clear();
-        self.bank
-            .process_block_into(&self.quant, &mut self.triggers);
+        let mut at = 0;
+        while at < rx.len() {
+            let unread = self.bank.unread().min((rx.len() - at) as u64);
+            self.bank.skip(unread);
+            at += unread as usize;
+            let chunk = &rx[at..rx.len().min(at + QUANT_CHUNK)];
+            self.quant.clear();
+            self.quant
+                .extend(chunk.iter().map(|&s| IqI16::from_cf64(s)));
+            #[cfg(test)]
+            {
+                self.quantized += chunk.len() as u64;
+            }
+            self.bank
+                .process_block_into(&self.quant, &mut self.triggers);
+            at += chunk.len();
+        }
         self.on_air.clear();
         let block = base..base + rx.len() as u64;
         self.bursts
@@ -294,6 +326,10 @@ impl JamLane {
     pub(crate) fn reset(&mut self) {
         self.bank.reset();
         self.bursts.reset();
+        #[cfg(test)]
+        {
+            self.quantized = 0;
+        }
     }
 }
 

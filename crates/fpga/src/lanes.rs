@@ -38,6 +38,13 @@
 //! cut a block into words; [`DspLaneBank::push_into`] runs the same kernel
 //! over a one-sample word.
 //!
+//! A lane skips what cannot fire. A template group whose correlator legs
+//! are all locked out through a word's last sample evaluates only that
+//! sample's metric, which sets the legs' edge carries. While every leg of
+//! the bank is locked out, the block paths skip the samples before the
+//! history the first armed sample needs ([`DspLaneBank::unread`]) and
+//! rebuild that history from zero; see [`DspLaneBank::skip`].
+//!
 //! The enforced invariant is equality with one [`crate::DspCore`] per lane
 //! fed the same stream — property tests drive both at random configs and
 //! block sizes — and `reset()` is bit-equivalent to a fresh bank, so banks
@@ -66,7 +73,15 @@ const XCORR_FIRST: u64 = XCORR_LEN as u64 - 1;
 
 /// The first sample on which both compared energy sums hold real samples:
 /// the differentiator's comparators are masked until 96 samples are in.
-const ENERGY_FIRST: u64 = (ENERGY_WINDOW + ENERGY_DELAY) as u64 - 1;
+const ENERGY_FIRST: u64 = ENERGY_HISTORY - 1;
+
+/// Samples a correlator's comparator reads at and before its sample: its
+/// 64-sample sign window.
+const SIGN_HISTORY: u64 = XCORR_LEN as u64;
+
+/// Samples an energy comparator reads at and before its sample: the
+/// 32-sample sum ending there and the one 64 samples earlier.
+const ENERGY_HISTORY: u64 = (ENERGY_WINDOW + ENERGY_DELAY) as u64;
 
 /// Bits per 16.16 energy threshold: a lane's thresholds are at most
 /// 30 dB, `1000 << 16` < 2^26 ([`threshold_fixed`] clamps them there).
@@ -123,6 +138,21 @@ impl EdgeRule {
 
     fn reset(&mut self) {
         *self = EdgeRule::new(self.lockout);
+    }
+
+    /// Whether the lockout holds through sample `last`: nothing fires on
+    /// or before it.
+    #[inline(always)]
+    fn locked_through(&self, last: u64) -> bool {
+        self.armed_from > last
+    }
+
+    /// [`EdgeRule::pulses`] of a word through whose last sample the
+    /// lockout holds: no pulse, and the carry is `above_last`, the
+    /// comparator's bit on that sample.
+    #[inline(always)]
+    fn sleep(&mut self, above_last: bool) {
+        self.carry = u64::from(above_last);
     }
 
     /// The trigger pulses of a word of `len` samples, the first at sample
@@ -258,6 +288,9 @@ pub struct DspLaneBank {
     energy_sum: EnergySum,
     /// Samples consumed.
     fed: u64,
+    /// The first sample on which a leg may fire: the earliest
+    /// `armed_from` of every leg, so 0 while a leg has never fired.
+    wake: u64,
 }
 
 impl DspLaneBank {
@@ -377,6 +410,7 @@ impl DspLaneBank {
         self.hist = 0;
         self.energy_sum = EnergySum::default();
         self.fed = 0;
+        self.wake = 0;
         for leg in self.groups.iter_mut().flat_map(|g| &mut g.legs) {
             leg.edge.reset();
         }
@@ -401,20 +435,67 @@ impl DspLaneBank {
 
     /// Feeds a whole block, appending each lane's trigger sample indices to
     /// `scratch.triggers` (see [`LaneBankScratch`]) and advancing the
-    /// cumulative counters.
+    /// cumulative counters. Samples the bank does not read
+    /// ([`DspLaneBank::unread`]) are skipped.
     pub fn process_block_into(&mut self, block: &[IqI16], scratch: &mut LaneBankScratch) {
         scratch.ensure_lanes(self.lanes.len());
-        for word in block.chunks(WORD) {
-            self.run_word(word, &mut |lane, n| scratch.triggers[lane].push(n));
-        }
+        self.run_block(block, &mut |lane, n| scratch.triggers[lane].push(n));
     }
 
     /// Feeds a whole block, advancing cumulative trigger counters only —
     /// the right call when only [`DspLaneBank::trigger_count`] matters
     /// (e.g. false-alarm tallies).
     pub fn process_block(&mut self, block: &[IqI16]) {
-        for word in block.chunks(WORD) {
-            self.run_word(word, &mut |_, _| {});
+        self.run_block(block, &mut |_, _| {});
+    }
+
+    /// How many of the next samples the bank does not read. While every
+    /// leg is locked out, that is every sample before the history the
+    /// first armed sample needs: its 64-sample sign window, or with an
+    /// energy leg 96 samples ([`ENERGY_WINDOW`] + [`ENERGY_DELAY`]), so
+    /// that the comparators of the sample before it, which set the edge
+    /// carries, read real sums. 0 while any leg may fire, and while a leg
+    /// has never fired.
+    pub fn unread(&self) -> u64 {
+        let history = if self.energy.is_empty() {
+            SIGN_HISTORY
+        } else {
+            ENERGY_HISTORY
+        };
+        self.wake.saturating_sub(history).saturating_sub(self.fed)
+    }
+
+    /// Passes over the next `n` samples without reading them: they count
+    /// in [`DspLaneBank::samples_processed`], and the sign history and
+    /// energy sum restart from zero. The samples the bank reads before
+    /// its first armed sample rebuild them exactly: the history is their
+    /// signs, and the sum is exact integer arithmetic, so a sum rebuilt
+    /// from zero over them equals the running one.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds [`DspLaneBank::unread`].
+    pub fn skip(&mut self, n: u64) {
+        assert!(n <= self.unread(), "the bank reads sample {}", self.fed);
+        if n > 0 {
+            self.fed += n;
+            self.hist = 0;
+            self.energy_sum = EnergySum::default();
+        }
+    }
+
+    /// The block paths: each word through the kernel, the samples the
+    /// bank does not read skipped.
+    #[inline(always)]
+    fn run_block(&mut self, mut block: &[IqI16], fired: &mut impl FnMut(usize, u64)) {
+        while !block.is_empty() {
+            let unread = self.unread().min(block.len() as u64);
+            self.skip(unread);
+            let (word, rest) =
+                block[unread as usize..].split_at(WORD.min(block.len() - unread as usize));
+            if !word.is_empty() {
+                self.run_word(word, fired);
+            }
+            block = rest;
         }
     }
 
@@ -425,15 +506,30 @@ impl DspLaneBank {
         let len = word.len();
         debug_assert!((1..=WORD).contains(&len));
         let base = self.fed;
+        let last = base + len as u64 - 1;
         self.fed += len as u64;
         let lanes = &mut self.lanes;
+        // Whether a leg fired in this word, which moves its lockout.
+        let mut fired_any = false;
 
         // Stage 1: one metric per template and sample, one above-threshold
-        // mask per correlator lane, and its pulses (stage 3).
+        // mask per correlator lane, and its pulses (stage 3). A group
+        // whose legs are all locked out through the word evaluates only
+        // the last sample, for the edge carries.
         let mut metrics = [0u32; WORD];
         let valid = bits_from(XCORR_FIRST.saturating_sub(base));
         let start = self.hist;
         for group in &mut self.groups {
+            if group.legs.iter().all(|leg| leg.edge.locked_through(last)) {
+                let hist = word.iter().fold(start, |h, &s| shift_signs(h, s));
+                self.hist = hist;
+                let m = group.tables.metric(hist) as u32;
+                for leg in &mut group.legs {
+                    leg.edge.sleep(last >= XCORR_FIRST && m >= leg.threshold);
+                    lanes[leg.lane].pulses[XCORR] = 0;
+                }
+                continue;
+            }
             let mut hist = start;
             for (m, &s) in metrics.iter_mut().zip(word) {
                 hist = shift_signs(hist, s);
@@ -443,7 +539,9 @@ impl DspLaneBank {
             for leg in &mut group.legs {
                 let t = leg.threshold;
                 let above = mask(&metrics[..len], |m| m >= t) & valid;
-                lanes[leg.lane].pulses[XCORR] = leg.edge.pulses(above, base, len);
+                let pulses = leg.edge.pulses(above, base, len);
+                fired_any |= pulses != 0;
+                lanes[leg.lane].pulses[XCORR] = pulses;
             }
         }
 
@@ -470,7 +568,9 @@ impl DspLaneBank {
                 } else {
                     mask(sums, |(y, old)| old << 16 > t * y)
                 } & valid;
-                lanes[leg.lane].pulses[leg.source] = leg.edge.pulses(above, base, len);
+                let pulses = leg.edge.pulses(above, base, len);
+                fired_any |= pulses != 0;
+                lanes[leg.lane].pulses[leg.source] = pulses;
             }
         }
 
@@ -492,6 +592,16 @@ impl DspLaneBank {
                     fired(k, n);
                 }
             }
+        }
+
+        if fired_any {
+            let correlators = self.groups.iter().flat_map(|g| &g.legs).map(|l| &l.edge);
+            let energy = self.energy.iter().map(|l| &l.edge);
+            self.wake = correlators
+                .chain(energy)
+                .map(|e| e.armed_from)
+                .min()
+                .unwrap_or(0);
         }
     }
 }
@@ -893,6 +1003,81 @@ mod tests {
         pooled.process_block_into(&stream, &mut sa);
         fresh.process_block_into(&stream, &mut sb);
         assert_eq!(sa.triggers, sb.triggers);
+    }
+
+    #[test]
+    fn unread_stops_at_the_history_of_the_first_armed_sample() {
+        // A correlator lane fires on sample 63 and is armed again from
+        // sample 1 064. Alone it reads the 64 samples before that; beside
+        // an energy lane that has fired too, the 96 its comparators read.
+        let stream = vec![IqI16::new(1000, 1000); 64];
+        let mut bank = DspLaneBank::new();
+        bank.add_lane(&xcorr_cfg(&[3; 64], &[0; 64], 1, 1000));
+        assert_eq!(bank.unread(), 0, "a lane that never fired may fire");
+        bank.process_block(&stream);
+        assert_eq!(bank.trigger_count(0), 1);
+        assert_eq!(bank.unread(), 1064 - 64 - 64);
+        bank.skip(900);
+        assert_eq!((bank.unread(), bank.samples_processed()), (36, 964));
+        bank.reset();
+        assert_eq!(bank.unread(), 0);
+
+        let mut stream = vec![IqI16::ZERO; 100];
+        stream.extend(std::iter::repeat_n(IqI16::new(1000, 1000), 64));
+        let rise = TriggerMode::Any(vec![TriggerSource::EnergyHigh]);
+        let mut bank = DspLaneBank::new();
+        bank.add_lane(&xcorr_cfg(&[3; 64], &[0; 64], 1, 1000));
+        bank.add_lane(&energy_cfg(rise, 10.0, 2000));
+        bank.process_block(&stream);
+        // The correlator fires on sample 63 (silence has positive signs),
+        // the energy lane on sample 100, armed again from 2 101.
+        assert_eq!((bank.trigger_count(0), bank.trigger_count(1)), (1, 1));
+        assert_eq!(bank.unread(), 1064 - 96 - 164);
+    }
+
+    #[test]
+    fn a_lane_woken_from_its_lockout_fires_on_its_first_armed_sample() {
+        // An energy rise fires on a loud burst, then sleeps 1 000 samples.
+        // Then its comparator rises exactly on its first armed sample:
+        // (a) loud from 32 samples before it, held under the threshold on
+        // the sample before only by a full-scale sample 96 samples before
+        // it, the oldest the rebuilt sums read; (b) loud from that sample
+        // on, after a quiet sample whose comparator sets the edge carry.
+        let (quiet, loud) = (IqI16::new(100, 100), IqI16::new(8000, 8000));
+        let cfg = energy_cfg(
+            TriggerMode::Any(vec![TriggerSource::EnergyHigh]),
+            10.0,
+            1000,
+        );
+        let mut stream = vec![quiet; 200];
+        stream.extend(std::iter::repeat_n(loud, 100));
+        stream.extend(std::iter::repeat_n(quiet, 2000));
+        let first = core_triggers(&cfg, &stream)[0];
+        let wake = (first + 1001) as usize;
+        let mut a = stream.clone();
+        a[wake - 96] = IqI16::new(i16::MAX, i16::MAX);
+        a[wake - 32..wake + 100].fill(loud);
+        let mut b = stream;
+        b[wake..wake + 100].fill(loud);
+        for (case, stream) in [("a", a), ("b", b)] {
+            let want = core_triggers(&cfg, &stream);
+            assert_eq!(want[..2], [first, wake as u64], "case {case}");
+            for block in [1, 64, 4_096, stream.len()] {
+                let mut bank = DspLaneBank::new();
+                bank.add_lane(&cfg);
+                let seen = block_triggers(&mut bank, &stream, block);
+                assert_eq!(seen[0], want, "case {case}, block {block}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the bank reads sample 64")]
+    fn skip_refuses_samples_the_bank_reads() {
+        let mut bank = DspLaneBank::new();
+        bank.add_lane(&xcorr_cfg(&[3; 64], &[0; 64], 1, 100));
+        bank.process_block(&[IqI16::new(1000, 1000); 64]);
+        bank.skip(bank.unread() + 1);
     }
 
     #[test]

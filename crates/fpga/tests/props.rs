@@ -374,3 +374,131 @@ fn lanes_fire_where_cores_log_jam_triggers_at_the_wimax_lockout() {
         );
     }
 }
+
+/// Bursts of 20–600 random samples, each scaled down by 0–3 bits: energy
+/// steps of up to 18 dB, so 6 dB comparators fire and 30 dB ones never do.
+fn narrow_bursty_stream(rng: &mut Rng, n: usize) -> Vec<IqI16> {
+    let mut stream = Vec::with_capacity(n);
+    while stream.len() < n {
+        let len = (20 + rng.below(581) as usize).min(n - stream.len());
+        let shift = rng.below(4) as u32;
+        stream.extend((0..len).map(|_| {
+            let s = lane_sample(rng);
+            IqI16::new(s.i >> shift, s.q >> shift)
+        }));
+    }
+    stream
+}
+
+/// The lockout sleep is exact and sleeps. At lockouts around a word (63,
+/// 64, 65) and long enough for the block paths to skip samples (1 000,
+/// 100 000), each lane shape — a correlator, an energy rise, an energy
+/// fall, the fusion of correlator and rise, and a rise-then-correlator
+/// sequence — fires where its own `DspCore` logs jam triggers, both alone
+/// in a bank (which sleeps whole once its legs are all locked out) and
+/// all together beside a fused lane whose 30 dB energy leg never fires, so
+/// that bank stays awake and only the per-group sleep applies. Every bank
+/// runs at block sizes 1, 63, 64, 65, 4 096 and the whole stream, each
+/// after a reset in the middle of a lockout.
+#[test]
+fn sleeping_lanes_fire_where_cores_log_jam_triggers() {
+    for lockout in [63u64, 64, 65, 1_000, 100_000] {
+        let mut rng = Rng::seed_from(lockout);
+        let stream = narrow_bursty_stream(&mut rng, 2 * lockout as usize + 12_000);
+        let (ci, cq) = lane_template(&mut rng);
+        let lane = |trigger_mode: TriggerMode| CoreConfig {
+            coeff_i: ci,
+            coeff_q: cq,
+            xcorr_threshold: 1_500,
+            energy_high_db: 6.0,
+            energy_low_db: 6.0,
+            trigger_mode,
+            lockout,
+            ..CoreConfig::default()
+        };
+        let firing = [
+            lane(TriggerMode::Any(vec![TriggerSource::Xcorr])),
+            lane(TriggerMode::Any(vec![TriggerSource::EnergyHigh])),
+            lane(TriggerMode::Any(vec![TriggerSource::EnergyLow])),
+            lane(TriggerMode::Any(vec![
+                TriggerSource::Xcorr,
+                TriggerSource::EnergyHigh,
+            ])),
+            lane(TriggerMode::Sequence {
+                stages: vec![TriggerSource::EnergyHigh, TriggerSource::Xcorr],
+                window: lockout + 300,
+            }),
+        ];
+        let awake = CoreConfig {
+            energy_high_db: 30.0,
+            ..lane(TriggerMode::Any(vec![
+                TriggerSource::Xcorr,
+                TriggerSource::EnergyHigh,
+            ]))
+        };
+        let silent = CoreConfig {
+            trigger_mode: TriggerMode::Any(vec![TriggerSource::EnergyHigh]),
+            ..awake.clone()
+        };
+        assert!(
+            core_triggers(&silent, &stream).is_empty(),
+            "30 dB never rises"
+        );
+        let expect: Vec<Vec<u64>> = firing
+            .iter()
+            .chain([&awake])
+            .map(|cfg| core_triggers(cfg, &stream))
+            .collect();
+        for (lane, triggers) in expect.iter().enumerate() {
+            assert!(
+                triggers.len() >= 2,
+                "lockout {lockout}, lane {lane} refires"
+            );
+        }
+        // A reset lands inside the first lane's first lockout.
+        let cut = (expect[0][0] + lockout / 2) as usize;
+
+        let mut banks: Vec<(DspLaneBank, Vec<usize>)> = (0..firing.len())
+            .map(|k| {
+                let mut bank = DspLaneBank::new();
+                bank.add_lane(&firing[k]);
+                (bank, vec![k])
+            })
+            .collect();
+        let mut all = DspLaneBank::new();
+        for cfg in firing.iter().chain([&awake]) {
+            all.add_lane(cfg);
+        }
+        banks.push((all, (0..expect.len()).collect()));
+
+        for (bank, lanes) in &mut banks {
+            let alone = lanes.len() == 1;
+            for block in [1, 63, 64, 65, 4_096, stream.len()] {
+                if block == 1 && lockout == 100_000 && alone {
+                    continue; // the all-lanes bank covers it
+                }
+                bank.reset();
+                bank.process_block(&stream[..cut]);
+                bank.reset();
+                let mut scratch = LaneBankScratch::default();
+                let mut slept = 0;
+                for chunk in stream.chunks(block) {
+                    slept += bank.unread();
+                    bank.process_block_into(chunk, &mut scratch);
+                }
+                let want: Vec<&Vec<u64>> = lanes.iter().map(|&k| &expect[k]).collect();
+                let got: Vec<&Vec<u64>> = scratch.triggers.iter().collect();
+                assert_eq!(
+                    got, want,
+                    "lockout {lockout}, lanes {lanes:?}, block {block}"
+                );
+                assert_eq!(bank.samples_processed(), stream.len() as u64);
+                if !alone {
+                    assert_eq!(slept, 0, "a never-firing leg keeps the bank awake");
+                } else if lockout > 96 && block < lockout as usize {
+                    assert!(slept > 0, "lockout {lockout}, lane {lanes:?} never slept");
+                }
+            }
+        }
+    }
+}

@@ -6,8 +6,8 @@
 //! receive port this looks like a periodic burst train — exactly the
 //! structure visible on the paper's Fig. 12 oscilloscope capture.
 
-use crate::preamble::{data_symbol, preamble_symbol};
-use crate::{FRAME_SAMPLES, SYM_LEN};
+use crate::preamble::{data_bin, preamble_symbol, DATA_CARRIERS};
+use crate::{fft_plan, CP_LEN, FFT_LEN, FRAME_SAMPLES, SYM_LEN};
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::rng::Rng;
 
@@ -66,16 +66,39 @@ impl DownlinkGenerator {
     }
 
     /// Generates one 5 ms TDD frame: preamble, data symbols, then silence
-    /// for the uplink subframe.
+    /// for the uplink subframe: every sample from
+    /// [`DownlinkGenerator::dl_subframe_samples`] on is `Cf64::ZERO`.
     pub fn next_frame(&mut self) -> Vec<Cf64> {
         let mut out = Vec::with_capacity(FRAME_SAMPLES);
+        self.next_frame_into(&mut out);
+        out
+    }
+
+    /// [`DownlinkGenerator::next_frame`] into a caller-owned buffer (`out`
+    /// is cleared and refilled), the same samples bit for bit. Each data
+    /// symbol is [`crate::preamble::data_symbol`]'s: its bits come one
+    /// `next_u64` each, in the same order, and its QPSK points go straight
+    /// to bit-reversed bins for [`rjam_sdr::fft::Fft::inverse_from_bit_reversed`],
+    /// which leaves the natural order `inverse` would.
+    pub fn next_frame_into(&mut self, out: &mut Vec<Cf64>) {
+        let plan = fft_plan();
+        let k = 1.0 / 2f64.sqrt();
+        let level = [-k, k];
+        let mut freq = [Cf64::ZERO; FFT_LEN];
+        out.clear();
         out.extend_from_slice(&self.preamble);
         for _ in 0..self.cfg.dl_symbols {
-            let mut bits = BitSource { rng: &mut self.rng };
-            out.extend(data_symbol(&mut bits));
+            freq.fill(Cf64::ZERO);
+            for carrier in 0..DATA_CARRIERS {
+                let re = level[(self.rng.next_u64() & 1) as usize];
+                let im = level[(self.rng.next_u64() & 1) as usize];
+                freq[plan.bit_reversed_index(data_bin(carrier))] = Cf64::new(re, im);
+            }
+            plan.inverse_from_bit_reversed(&mut freq);
+            out.extend_from_slice(&freq[FFT_LEN - CP_LEN..]);
+            out.extend_from_slice(&freq);
         }
         out.resize(FRAME_SAMPLES, Cf64::ZERO); // TDD uplink gap
-        out
     }
 
     /// Generates `n` consecutive frames.
@@ -88,20 +111,10 @@ impl DownlinkGenerator {
     }
 }
 
-struct BitSource<'a> {
-    rng: &'a mut Rng,
-}
-
-impl Iterator for BitSource<'_> {
-    type Item = u8;
-    fn next(&mut self) -> Option<u8> {
-        Some((self.rng.next_u64() & 1) as u8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::preamble::data_symbol;
     use rjam_sdr::power::mean_power;
 
     #[test]
@@ -147,6 +160,51 @@ mod tests {
         let d2 = &f2[pl..pl + SYM_LEN];
         let diff: f64 = d1.iter().zip(d2).map(|(a, b)| (*a - *b).norm_sq()).sum();
         assert!(diff > 1e-6, "payload symbols vary frame to frame");
+    }
+
+    /// The frame as `next_frame` first built it: [`data_symbol`] per
+    /// symbol from a one-bit-per-`next_u64` iterator.
+    fn reference_frame(cfg: &DownlinkConfig, rng: &mut Rng) -> Vec<Cf64> {
+        let mut bits = std::iter::from_fn(|| Some((rng.next_u64() & 1) as u8));
+        let mut out = preamble_symbol(cfg.id_cell, cfg.segment);
+        for _ in 0..cfg.dl_symbols {
+            out.extend(data_symbol(&mut bits));
+        }
+        out.resize(FRAME_SAMPLES, Cf64::ZERO);
+        out
+    }
+
+    #[test]
+    fn next_frame_into_matches_the_symbol_by_symbol_frame_bits() {
+        let bits = |f: &[Cf64]| -> Vec<(u64, u64)> {
+            f.iter().map(|s| (s.re.to_bits(), s.im.to_bits())).collect()
+        };
+        let mut out = vec![Cf64::ONE; 7];
+        for seed in 0..4 {
+            for (dl_symbols, segment) in [(28, 0), (0, 1), (60, 2)] {
+                let cfg = DownlinkConfig {
+                    id_cell: 5,
+                    segment,
+                    dl_symbols,
+                    seed,
+                };
+                let mut g = DownlinkGenerator::new(cfg.clone());
+                let mut rng = Rng::seed_from(seed);
+                for frame in 0..3 {
+                    let want = reference_frame(&cfg, &mut rng);
+                    g.next_frame_into(&mut out);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want),
+                        "seed {seed}, {dl_symbols} symbols, frame {frame}"
+                    );
+                }
+                assert_eq!(
+                    bits(&g.next_frame()),
+                    bits(&reference_frame(&cfg, &mut rng))
+                );
+            }
+        }
     }
 
     #[test]

@@ -57,24 +57,31 @@ pub fn preamble_symbol(id_cell: u8, segment: u8) -> Vec<Cf64> {
     out
 }
 
+/// Loaded subcarriers of a data symbol: every usable position but DC.
+pub(crate) const DATA_CARRIERS: usize = PREAMBLE_POSITIONS - 1;
+
+/// The FFT bin of a data symbol's `carrier`-th loaded subcarrier
+/// (`carrier < DATA_CARRIERS`): the usable positions in ascending order,
+/// DC skipped.
+pub(crate) fn data_bin(carrier: usize) -> usize {
+    let half = PREAMBLE_POSITIONS / 2;
+    if carrier < half {
+        FFT_LEN - half + carrier // logical -426..=-1
+    } else {
+        carrier + 1 - half // logical 1..=425
+    }
+}
+
 /// Builds one fully loaded QPSK data symbol from a bit source (two bits per
 /// usable subcarrier), used for FCH/DL-burst filler in downlink frames.
 pub fn data_symbol(bits: &mut dyn Iterator<Item = u8>) -> Vec<Cf64> {
     let k = 1.0 / 2f64.sqrt();
     let mut freq = vec![Cf64::ZERO; FFT_LEN];
-    for pos in 0..PREAMBLE_POSITIONS {
-        let logical = pos as i32 - (PREAMBLE_POSITIONS as i32 / 2);
-        if logical == 0 {
-            continue; // DC null
-        }
-        let bin = if logical >= 0 {
-            logical as usize
-        } else {
-            (FFT_LEN as i32 + logical) as usize
-        };
+    for carrier in 0..DATA_CARRIERS {
         let b0 = bits.next().unwrap_or(0);
         let b1 = bits.next().unwrap_or(0);
-        freq[bin] = Cf64::new(if b0 == 1 { k } else { -k }, if b1 == 1 { k } else { -k });
+        freq[data_bin(carrier)] =
+            Cf64::new(if b0 == 1 { k } else { -k }, if b1 == 1 { k } else { -k });
     }
     fft_plan().inverse(&mut freq);
     let mut out = Vec::with_capacity(FFT_LEN + CP_LEN);

@@ -276,24 +276,50 @@ pub fn resample_linear(input: &[Cf64], from_rate: f64, to_rate: f64) -> Vec<Cf64
 /// # Panics
 /// Panics if either rate is not strictly positive.
 pub fn resample_linear_into(input: &[Cf64], from_rate: f64, to_rate: f64, out: &mut Vec<Cf64>) {
+    linear_silent_tail_into(input, from_rate, to_rate, input.len(), out);
+}
+
+/// [`resample_linear_into`] of an input that is [`Cf64::ZERO`] from sample
+/// `silent_from` on; returns the first output of the silent tail.
+///
+/// Output `n` interpolates `a = input[i]` and `b = input[i + 1]` (each
+/// index clamped to the last sample) at `i = ⌊n · ratio⌋`, as
+/// `a·(1 − frac) + b·frac` with `frac` in `[0, 1)`. Once both lie in the
+/// tail, `a = b = +0.0` and `1 − frac > 0`, `frac ≥ 0`, so both products
+/// and their sum are `+0.0`: the output is exactly `Cf64::ZERO`, and it is
+/// written as such. `i` never decreases with `n`, so every later output is
+/// too. `silent_from` past the last sample leaves no tail.
+fn linear_silent_tail_into(
+    input: &[Cf64],
+    from_rate: f64,
+    to_rate: f64,
+    silent_from: usize,
+    out: &mut Vec<Cf64>,
+) -> usize {
     assert!(from_rate > 0.0 && to_rate > 0.0, "rates must be positive");
     out.clear();
     if input.is_empty() {
-        return;
+        return 0;
     }
     let ratio = from_rate / to_rate;
     let out_len = ((input.len() as f64) / ratio).floor() as usize;
     let last = input.len() - 1;
-    out.extend((0..out_len).map(|n| {
+    out.reserve(out_len);
+    out.extend((0..out_len).map_while(|n| {
         // Positions are non-negative, so truncation is the floor; baseline
         // x86-64 has no `roundsd`, and `floor` would be a call.
         let x = n as f64 * ratio;
         let i = x as usize;
-        let frac = x - i as f64;
-        let a = input[i.min(last)];
-        let b = input[(i + 1).min(last)];
-        a.scale(1.0 - frac) + b.scale(frac)
+        (i < silent_from).then(|| {
+            let frac = x - i as f64;
+            let a = input[i.min(last)];
+            let b = input[(i + 1).min(last)];
+            a.scale(1.0 - frac) + b.scale(frac)
+        })
     }));
+    let silent = out.len();
+    out.resize(out_len, Cf64::ZERO);
+    silent
 }
 
 /// Applies a fractional-sample delay `frac` in `[0, 1)` by linear
@@ -318,20 +344,50 @@ pub fn fractional_delay(input: &[Cf64], frac: f64) -> Vec<Cf64> {
 /// # Panics
 /// Panics if `frac` is outside `[0, 1)`.
 pub fn fractional_delay_into(input: &[Cf64], frac: f64, out: &mut Vec<Cf64>) {
+    fractional_delay_silent_tail_into(input, frac, input.len(), out);
+}
+
+/// [`fractional_delay_into`] of an input that is [`Cf64::ZERO`] from sample
+/// `silent_from` on. Output `n` is `input[n]·(1 − frac) + input[n + 1]·frac`;
+/// from `n = silent_from` on both inputs are `+0.0`, so it is exactly
+/// `Cf64::ZERO` (as in [`to_usrp_rate_silent_tail_into`]) and is written
+/// without being computed.
+///
+/// # Panics
+/// Panics if `frac` is outside `[0, 1)`.
+pub fn fractional_delay_silent_tail_into(
+    input: &[Cf64],
+    frac: f64,
+    silent_from: usize,
+    out: &mut Vec<Cf64>,
+) {
     assert!(
         (0.0..1.0).contains(&frac),
         "frac must be in [0,1), got {frac}"
     );
+    debug_assert!(is_silent(input, silent_from));
     out.clear();
     if input.len() < 2 {
         out.extend_from_slice(input);
         return;
     }
+    let live = silent_from.min(input.len() - 1);
     out.extend(
-        input
+        input[..live + 1]
             .windows(2)
             .map(|w| w[0].scale(1.0 - frac) + w[1].scale(frac)),
     );
+    out.resize(input.len() - 1, Cf64::ZERO);
+}
+
+/// Whether every sample of `input` from `silent_from` on is `+0.0` in both
+/// components.
+fn is_silent(input: &[Cf64], silent_from: usize) -> bool {
+    input
+        .get(silent_from..)
+        .unwrap_or_default()
+        .iter()
+        .all(|s| s.re.to_bits() == 0 && s.im.to_bits() == 0)
 }
 
 /// Convenience: converts a waveform at `from_rate` to the receiver's fixed
@@ -347,6 +403,22 @@ pub fn to_usrp_rate(input: &[Cf64], from_rate: f64) -> Vec<Cf64> {
 /// designed on first use; other small rational ratios design theirs per
 /// call, and the rest fall back to [`resample_linear_into`].
 pub fn to_usrp_rate_into(input: &[Cf64], from_rate: f64, out: &mut Vec<Cf64>) {
+    to_usrp_rate_silent_tail_into(input, from_rate, input.len(), out);
+}
+
+/// [`to_usrp_rate_into`] of a waveform that is [`Cf64::ZERO`] from sample
+/// `silent_from` on (a TDD frame's quiet subframe): returns the first
+/// output from which every output is `Cf64::ZERO`, or `out.len()`. On the
+/// linear path those outputs are written, not computed (see DESIGN.md,
+/// "Emission synthesis"); a rational ratio computes every output and
+/// reports no tail.
+pub fn to_usrp_rate_silent_tail_into(
+    input: &[Cf64],
+    from_rate: f64,
+    silent_from: usize,
+    out: &mut Vec<Cf64>,
+) -> usize {
+    debug_assert!(is_silent(input, silent_from));
     let to_rate = crate::USRP_SAMPLE_RATE;
     // Detect small rational ratios (e.g. 20 MHz -> 25 MHz is 5/4).
     for denom in 1..=32usize {
@@ -360,10 +432,10 @@ pub fn to_usrp_rate_into(input: &[Cf64], from_rate: f64, out: &mut Vec<Cf64>) {
             } else {
                 Rational::new(num, denom, TAPS_PER_PHASE).process_into(input, out);
             }
-            return;
+            return out.len();
         }
     }
-    resample_linear_into(input, from_rate, to_rate, out);
+    linear_silent_tail_into(input, from_rate, to_rate, silent_from, out)
 }
 
 #[cfg(test)]
@@ -496,6 +568,38 @@ mod tests {
             rjam_testkit::prop_assert_eq!(
                 bits(&out),
                 bits(&reference_linear(&input, from_rate, to_rate))
+            );
+        }
+
+        /// The silent-tail paths equal the references bit for bit, for an
+        /// input zeroed from any sample on (none, when it is past the end),
+        /// at the WiMAX rate, a larger linear ratio and the 802.11 rate
+        /// (rational: no tail reported), at fractions 0, 0.5, just under
+        /// 0.999 and drawn, into dirty buffers; every output from the
+        /// reported index on is `+0.0`.
+        fn silent_tail_matches_reference_bits(
+            from_rate in rjam_testkit::one_of(vec![11.4e6, 3.3e6, 20e6]),
+            len in 0usize..400,
+            silent_from in 0usize..420,
+            frac in rjam_testkit::one_of(vec![0.0, 0.5, f64::from_bits(0.999f64.to_bits() - 1), 0.3]),
+            seed in rjam_testkit::any::<u64>(),
+        ) {
+            let mut input = noise(seed, len);
+            input[silent_from.min(len)..].fill(Cf64::ZERO);
+            let want_up = if from_rate == 20e6 {
+                reference_process(&Rational::new(5, 4, 12), &input)
+            } else {
+                reference_linear(&input, from_rate, crate::USRP_SAMPLE_RATE)
+            };
+            let mut up = noise(!seed, 3);
+            let silent = to_usrp_rate_silent_tail_into(&input, from_rate, silent_from, &mut up);
+            rjam_testkit::prop_assert_eq!(bits(&up), bits(&want_up));
+            rjam_testkit::prop_assert!(bits(&up[silent..]).iter().all(|&b| b == (0, 0)));
+            let mut out = noise(seed ^ 1, 5);
+            fractional_delay_silent_tail_into(&up, frac, silent, &mut out);
+            rjam_testkit::prop_assert_eq!(
+                bits(&out),
+                bits(&reference_fractional_delay(&want_up, frac))
             );
         }
 
