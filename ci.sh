@@ -176,6 +176,8 @@ for cmd in \
     "roc --preset wifi-short --frames 16 --fa-samples 524288" \
     "roc --preset energy --frames 16 --fa-samples 524288" \
     "fa --preset energy --grid 6,10 --samples 1000000" \
+    "fa --preset energy --energy-db 4 --samples 1000000" \
+    "submit --local --spec {\"campaign\":\"false_alarm\",\"preset\":{\"kind\":\"energy_fall\",\"threshold_db\":5},\"samples\":1000000,\"seed\":5}" \
     "submit --local --spec {\"campaign\":\"wifi_detection\",\"preset\":{\"kind\":\"wifi_long\",\"threshold\":0.34},\"emission\":{\"kind\":\"full_frames\",\"psdu_len\":1000},\"channel\":{\"kind\":\"rayleigh\",\"taps\":8,\"rms\":2},\"snrs_db\":[-6,0,6,12],\"trials\":16,\"seed\":3}" \
     "submit --local --spec {\"campaign\":\"wimax\",\"fused\":true,\"frames\":40,\"snr_db\":10,\"threshold\":0.45,\"seed\":3}" \
     "submit --local --spec {\"campaign\":\"wimax\",\"fused\":false,\"frames\":22,\"snr_db\":0,\"threshold\":0.45,\"seed\":3}" \
@@ -328,7 +330,7 @@ step "campaign service soak: concurrent rjamd jobs, cancel+resume, byte-identica
 # checkpoint, and every completed export must byte-match a direct
 # in-process run of the same spec at a *different* thread count. A
 # stdio-mode transcript is validated against the protocol schema.
-SPEC1='{"campaign":"false_alarm","preset":{"kind":"wifi_long","threshold":0.34},"samples":2097152,"seed":41}'
+SPEC1='{"campaign":"false_alarm","preset":{"kind":"wifi_long","threshold":0.34},"samples":67108864,"seed":41}'
 SPEC2='{"campaign":"wifi_detection","preset":{"kind":"wifi_short","threshold":0.35},"emission":{"kind":"full_frames","psdu_len":60},"channel":{"kind":"awgn"},"snrs_db":[3,9],"trials":8,"seed":42}'
 SPEC3='{"campaign":"false_alarm","preset":{"kind":"wifi_short","threshold":0.30},"samples":1048576,"seed":43}'
 RJAMD=target/release/rjamd
@@ -367,8 +369,9 @@ test -S "$RJAM_SOCK"
 "$RJAMCTL" submit --socket "$RJAM_SOCK" --spec "$SPEC1" | grep -q "job-1 accepted"
 "$RJAMCTL" submit --socket "$RJAM_SOCK" --spec "$SPEC2" | grep -q "job-2 accepted"
 "$RJAMCTL" submit --socket "$RJAM_SOCK" --spec "$SPEC3" | grep -q "job-3 accepted"
-# job-1 (8 engine units of noise) is still running, so job-3 is queued:
-# cancel it (checkpoint retained), then resume it from that checkpoint.
+# job-1 (256 engine units of noise, about 0.45 s at 4 threads on 2 vCPUs) is
+# still running, so job-3 is queued: cancel it (checkpoint retained), then
+# resume it from that checkpoint.
 "$RJAMCTL" cancel --socket "$RJAM_SOCK" job-3 | grep -q "job-3 cancelled"
 "$RJAMCTL" resume --socket "$RJAM_SOCK" job-3 | grep -q "job-3 resumed"
 

@@ -14,7 +14,10 @@
 //! result provably rounds the same (DESIGN.md, "Detector input in the ADC
 //! domain"). For a detector that reads only the signs of its samples,
 //! [`NoiseSource::adc_noise_signs`] gives exactly those signs without
-//! computing the Gaussian wherever the draw's integers already settle them.
+//! computing the Gaussian wherever the draw's integers already settle them,
+//! and for one that reads only their energies,
+//! [`NoiseSource::adc_energy_bounds`] gives bounds on each from its draw's
+//! radius alone.
 
 use rjam_sdr::complex::{Cf64, IqI16, FULL_SCALE};
 use rjam_sdr::rng::{PolarDraw, Rng};
@@ -125,6 +128,48 @@ const SIGN_RADIUS_ERR: f64 = 10.0 * f64::EPSILON;
 /// 2⁵³, the range of a draw's 53-bit integers.
 const TWO_53: f64 = 9_007_199_254_740_992.0;
 
+/// Largest per-component σ the energy bounds cover: even at [`R_MAX`] the
+/// radius stays within [`ADC_RANGE`] LSBs, so no component reaches the
+/// clip and every bound fits a `u32`. A noisier source, or one with a
+/// pending spare, gets exact energies instead.
+const ENERGY_SIGMA_MAX: f64 = ADC_RANGE / (R_MAX * FULL_SCALE);
+/// Mantissa bits of `u1` that index [`ln_buckets`]: its buckets are
+/// 2⁻⁹ wide in the mantissa, so at most 2⁻⁸ wide in `−2 ln u1`.
+const LN_BUCKET_BITS: u32 = 9;
+/// Entries of [`ln_buckets`]: both ends of every bucket.
+const LN_BUCKETS: usize = (1 << LN_BUCKET_BITS) + 1;
+/// Bound on the absolute error of `(1023 − field)·ln 4 + ln_buckets()[k]`
+/// against its real value, for `u1` in `[2⁻⁵³, 1]`: each entry within 1
+/// ulp of libm's (`|entry| ≤ ln 4`, 3.1e-16), `ln 4` rounded (7.7e-17,
+/// times at most 53), and the product and the sum rounded (½ ulp of at
+/// most 73.5 each): 2.5e-14 in all.
+const LN_BUCKET_ERR: f64 = 3e-14;
+/// The split of the quantizer's widening: for every `δ > 0`,
+/// `(ρ + h)² ≤ (1 + δ)·ρ² + (1 + 1/δ)·h²` and `(ρ − h)² ≥ (1 − δ)·ρ² −
+/// (1/δ − 1)·h²`, so a bound on `ρ²` widens to one on `(ρ ± h)²` without a
+/// square root. 2⁻⁹ costs about what `2hρ` does at the false-alarm
+/// floor's typical radius.
+const QUANT_DELTA: f64 = 1.0 / 512.0;
+/// `(1 + 1/δ)·h²` for the quantizer's `h² = ½`: a sample `(I, Q)` lies
+/// within √½ of its unquantized components (±½ LSB each).
+const QUANT_UP: f64 = (1.0 + 1.0 / QUANT_DELTA) / 2.0;
+/// `(1/δ − 1)·h²`, as [`QUANT_UP`].
+const QUANT_DOWN: f64 = (1.0 / QUANT_DELTA - 1.0) / 2.0;
+/// Bound, in LSB², on how far an energy bound's evaluation can fall on the
+/// wrong side of its real value, at σ up to [`ENERGY_SIGMA_MAX`], where
+/// every energy is below `ADC_RANGE²`: the exact path's squared norm
+/// against `−2 ln u1·(σ·FULL_SCALE)²` (libm's `ln` and the square root in
+/// the radius, 2 units of 2⁻⁵³ each; libm's `cos` and `sin`, within 2⁻⁵²
+/// absolute, 5.7 units in `cos² + sin²`; three roundings per component, 6
+/// units squared), the scale `(σ·FULL_SCALE)²·(1 ± δ)` (4 units) and the
+/// bound's own multiply and add (2 units), 24 units in all; plus
+/// [`LN_BUCKET_ERR`] times the largest scale. About 3.1e-6.
+const ENERGY_WORST_LSB2: f64 = ADC_RANGE * ADC_RANGE * 12.0 * f64::EPSILON
+    + LN_BUCKET_ERR * (1.0 + QUANT_DELTA) * (ADC_RANGE / R_MAX) * (ADC_RANGE / R_MAX);
+// The bounds are rounded to the nearest integer, which keeps each on its
+// side of an integer energy while its error stays below ½ LSB².
+const _: () = assert!(ENERGY_WORST_LSB2 <= 1e-3 * 0.5);
+
 /// 1.5·2⁵²: adding it rounds a value in `[−2⁵¹, 2⁵¹)` to the nearest
 /// integer (ties to even), which then sits in the low mantissa bits.
 const SHIFTER: f64 = 6_755_399_441_055_744.0;
@@ -184,14 +229,29 @@ const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 /// 2⁵²: `2⁵² + i` for an integer `0 ≤ i < 2⁵²` has `i` as its mantissa.
 const TWO_52: f64 = 4_503_599_627_370_496.0;
 
+/// The atanh series' coefficients `2/(2i + 1)` for `i` = 1..=10.
+const LN_SERIES: [f64; 10] = [
+    2.0 / 3.0,
+    2.0 / 5.0,
+    2.0 / 7.0,
+    2.0 / 9.0,
+    2.0 / 11.0,
+    2.0 / 13.0,
+    2.0 / 15.0,
+    2.0 / 17.0,
+    2.0 / 19.0,
+    2.0 / 21.0,
+];
+
 /// `ln u` for `u` in `[2⁻⁵³, 1]`, within [`LN_ERR`] of libm's relative to
 /// `|ln u|`, and exactly 0 at 1. The exponent split is bit operations:
 /// adding `1.0 − √½` to the bits carries into the exponent exactly when
 /// the mantissa is at least √2, and `e` converts through `2⁵² + field`.
 /// Then `ln m = 2·atanh(s)` with `s = f/(2 + f)`, `f = m − 1` (exact),
 /// `|s| ≤ 0.1716`, written as `f − (f²/2 − s·(f²/2 + R))` with
-/// `R = Σ 2s²ⁱ/(2i + 1)` through `i = 10`, so the leading `f` carries no
-/// rounding; `e·ln 2` comes in hi and lo parts. Branch-free.
+/// `R = Σ 2s²ⁱ/(2i + 1)` through `i = 10` (Horner in `z = s²`, from the
+/// last coefficient), so the leading `f` carries no rounding; `e·ln 2`
+/// comes in hi and lo parts. Branch-free.
 #[inline]
 fn ln_unit(u: f64) -> f64 {
     let bits = u.to_bits().wrapping_add(1f64.to_bits() - SQRT_HALF_BITS);
@@ -200,15 +260,8 @@ fn ln_unit(u: f64) -> f64 {
     let f = m - 1.0;
     let s = f / (2.0 + f);
     let z = s * s;
-    let r = z
-        * (2.0 / 3.0
-            + z * (2.0 / 5.0
-                + z * (2.0 / 7.0
-                    + z * (2.0 / 9.0
-                        + z * (2.0 / 11.0
-                            + z * (2.0 / 13.0
-                                + z * (2.0 / 15.0
-                                    + z * (2.0 / 17.0 + z * (2.0 / 19.0 + z * (2.0 / 21.0))))))))));
+    let (last, rest) = LN_SERIES.split_last().expect("ten coefficients");
+    let r = z * rest.iter().rev().fold(*last, |acc, &c| c + z * acc);
     let hfsq = 0.5 * f * f;
     e * LN2_HI - ((hfsq - (s * (hfsq + r) + e * LN2_LO)) - f)
 }
@@ -254,6 +307,57 @@ fn sign_decision((a, b): (u64, u64), a_min: u64) -> (IqI16, bool) {
     let open = (class & BAND != 0) | (negative & (a < a_min));
     let (i, q) = (i16::from(class & NEG_I), i16::from(class & NEG_Q) >> 1);
     (IqI16::new(-i, -q), open)
+}
+
+/// `−2·ln(1 + k/512)` for `k` = 0..=512, each within 1 ulp of the real
+/// value (libm's `ln` of an exact argument), computed once per process:
+/// the ends of the buckets [`energy_bounds`] puts a mantissa in.
+fn ln_buckets() -> &'static [f64; LN_BUCKETS] {
+    static BUCKETS: OnceLock<[f64; LN_BUCKETS]> = OnceLock::new();
+    BUCKETS.get_or_init(|| {
+        std::array::from_fn(|k| -2.0 * (1.0 + k as f64 / (LN_BUCKETS - 1) as f64).ln())
+    })
+}
+
+/// Bounds `(lo, hi)` on the energy `I² + Q²` of the sample `adc_noise`
+/// makes of a draw whose first uniform is `u1`, for σ within
+/// [`ENERGY_SIGMA_MAX`], given its [`energy_scale`]. With `u1 = 2ᴱ·(1 +
+/// f)`, `−2 ln u1 = −2E·ln 2 − 2 ln(1 + f)`, and the top
+/// [`LN_BUCKET_BITS`] bits of `f` name the bucket whose ends in
+/// [`ln_buckets`] bracket the second term ([`ln_bracket`]); the exponent
+/// converts through `2⁵² + field`, as in [`ln_unit`]. That bracket on
+/// `ρ² = −2 ln u1·(σ·FULL_SCALE)²`, widened for the quantizer
+/// by [`QUANT_UP`] and [`QUANT_DOWN`] and clamped at 0, brackets the
+/// sample's energy; each bound is rounded to the nearest integer by the
+/// 2⁵² shifter, which keeps it on its side of the integer energy
+/// ([`ENERGY_WORST_LSB2`]). No division, square root or branch.
+#[inline(always)]
+fn energy_bounds(table: &[f64; LN_BUCKETS], u1: f64, (up, down): (f64, f64)) -> (u32, u32) {
+    let (x_lo, x_hi) = ln_bracket(table, u1);
+    let hi = x_hi * up + QUANT_UP;
+    let lo = (x_lo * down - QUANT_DOWN).max(0.0);
+    let round = |x: f64| (x + TWO_52).to_bits() as u32;
+    (round(lo), round(hi))
+}
+
+/// Bounds `(lo, hi)` on `−2 ln u1` for `u1` in `[2⁻⁵³, 1]`, each within
+/// [`LN_BUCKET_ERR`] of its real value, from the ends of `u1`'s bucket in
+/// `table` ([`ln_buckets`]) and its exponent.
+#[inline(always)]
+fn ln_bracket(table: &[f64; LN_BUCKETS], u1: f64) -> (f64, f64) {
+    let bits = u1.to_bits();
+    let k = (bits >> (52 - LN_BUCKET_BITS)) as usize & (LN_BUCKETS - 2);
+    let field = f64::from_bits(TWO_52.to_bits() | (bits >> 52)) - TWO_52;
+    let base = (1023.0 - field) * (2.0 * std::f64::consts::LN_2);
+    (base + table[k + 1], base + table[k])
+}
+
+/// The scales [`energy_bounds`] takes at per-component σ `sigma`:
+/// `(σ·FULL_SCALE)²` times `1 + QUANT_DELTA` and `1 − QUANT_DELTA`.
+fn energy_scale(sigma: f64) -> (f64, f64) {
+    let scale = sigma * FULL_SCALE;
+    let square = scale * scale;
+    (square * (1.0 + QUANT_DELTA), square * (1.0 - QUANT_DELTA))
 }
 
 /// The sign sample of `s`: each component −1 where `s`'s is negative and 0
@@ -340,6 +444,39 @@ impl NoiseSource {
         self.chunks(n, out, true, fast, uniforms, |_, noise| {
             signs_of(IqI16::from_cf64(noise))
         });
+    }
+
+    /// Appends `(lo, hi)` with `lo ≤ I² + Q² ≤ hi` for each of the `n`
+    /// samples [`NoiseSource::adc_noise`] would append, leaving the source
+    /// where `adc_noise` would: the stream of a detector that reads nothing
+    /// of a sample but its energy, for the samples where bounds decide. Each
+    /// sample's bounds come from its draw's `u1` alone; its `u2` is drawn
+    /// but never turned into an angle. A pending spare, or a per-component
+    /// σ above 0.1138 (where the largest radius would near the clip), gives
+    /// every sample its exact energy as both bounds (DESIGN.md, "Detector
+    /// input in the ADC domain").
+    pub fn adc_energy_bounds(&mut self, n: usize, out: &mut Vec<(u32, u32)>) {
+        out.reserve(n);
+        if self.rng.has_spare() || self.sigma > ENERGY_SIGMA_MAX {
+            out.extend((0..n).map(|_| {
+                let x = IqI16::from_cf64(self.next_sample()).energy() as u32;
+                (x, x)
+            }));
+            return;
+        }
+        let (table, scale) = (ln_buckets(), energy_scale(self.sigma));
+        let mut u1 = [0.0; ADC_CHUNK];
+        let mut chunk = [(0, 0); ADC_CHUNK];
+        for lo in (0..n).step_by(ADC_CHUNK) {
+            let m = ADC_CHUNK.min(n - lo);
+            for u in &mut u1[..m] {
+                *u = Rng::polar_uniforms_of(self.rng.polar_bits()).0;
+            }
+            for (b, &u) in chunk.iter_mut().zip(&u1) {
+                *b = energy_bounds(table, u, scale);
+            }
+            out.extend_from_slice(&chunk[..m]);
+        }
     }
 
     /// The ADC-domain generator, in branch-free stages per chunk: draw the
@@ -726,5 +863,142 @@ mod tests {
         let mut got = Vec::new();
         fast.add_to_adc(&wave, &mut got);
         assert_eq!(got, reference(&mut src.clone(), &wave));
+    }
+
+    /// The energy `adc_noise` gives the draw `bits` at σ `sigma`, by the
+    /// reference's own expression.
+    fn exact_energy(bits: (u64, u64), sigma: f64) -> u32 {
+        let (u1, u2) = Rng::polar_uniforms_of(bits);
+        let d = PolarDraw::new(u1, u2);
+        let s = IqI16::from_cf64(Cf64::new(d.cos_part() * sigma, d.sin_part() * sigma));
+        s.energy() as u32
+    }
+
+    #[test]
+    fn ln_buckets_bracket_the_logarithm() {
+        // 10⁶ draws of u1, the 2 000 values nearest 1 (1 included) and the
+        // smallest, 2⁻⁵³: each bracket holds libm's −2 ln u1 and is at most
+        // a bucket, 2⁻⁸, wide.
+        let mut rng = Rng::seed_from(12);
+        let near_one = (0..2_000).map(|k| 1.0 - k as f64 * f64::EPSILON / 2.0);
+        let draws = (0..1_000_000).map(|_| rng.polar_uniforms().0);
+        for u in near_one.chain(draws).chain([f64::EPSILON / 2.0]) {
+            let (lo, hi) = ln_bracket(ln_buckets(), u);
+            let x = -2.0 * u.ln();
+            assert!(
+                lo - LN_BUCKET_ERR <= x && x <= hi + LN_BUCKET_ERR,
+                "u1 {u:e}: {lo} {x} {hi}"
+            );
+            assert!(hi - lo <= 1.0 / 256.0 + 1e-12, "u1 {u:e}: {lo} {hi}");
+        }
+    }
+
+    #[test]
+    fn energy_bounds_hold_at_rounding_boundaries_and_the_extreme_radii() {
+        // Draws aimed at components a hair either side of the rounding
+        // boundaries `(i + ½, j + ½)`, near the origin and far out, with
+        // their neighbouring draws; the smallest radius (a = 0, so u1 = 1)
+        // and the largest (a = 2⁵³ − 1); at sub-LSB noise, the false-alarm
+        // floor and the largest σ the bounds cover, whose largest radius
+        // reaches within 800 LSB of the clip.
+        let tau = 2.0 * std::f64::consts::PI;
+        let targets = [
+            (0, 0),
+            (0, -1),
+            (1, 1),
+            (-3, 2),
+            (17, -30),
+            (400, 250),
+            (-9_000, 20_000),
+        ];
+        for power in [2e-8, 2e-4, 2.0 * ENERGY_SIGMA_MAX * ENERGY_SIGMA_MAX] {
+            let sigma = (power / 2.0f64).sqrt();
+            let scale = sigma * FULL_SCALE;
+            let mut draws = vec![
+                (0, 0),
+                (0, 1 << 51),
+                ((1 << 53) - 1, 0),
+                ((1 << 53) - 1, 3 << 50),
+            ];
+            let mut on_boundary = 0;
+            for (i, j) in targets {
+                for (dx, dy) in [(-1e-9, -1e-9), (-1e-9, 1e-9), (1e-9, -1e-9), (1e-9, 1e-9)] {
+                    let (x, y) = (f64::from(i) + 0.5 + dx, f64::from(j) + 0.5 + dy);
+                    let r = x.hypot(y) / scale;
+                    if r > R_MAX {
+                        continue;
+                    }
+                    let a = ((-(-0.5 * r * r).exp_m1()) * TWO_53).round() as u64;
+                    let b = (y.atan2(x).rem_euclid(tau) / tau * TWO_53).round() as u64 % (1 << 53);
+                    let (u1, u2) = Rng::polar_uniforms_of((a, b));
+                    let d = PolarDraw::new(u1, u2);
+                    let near = |c: f64| (c.abs().fract() - 0.5).abs() < 1e-6;
+                    on_boundary +=
+                        usize::from(near(d.cos_part() * scale) && near(d.sin_part() * scale));
+                    for (da, db) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                        draws.push((
+                            a.saturating_sub(da).min((1 << 53) - 1),
+                            (b + db) % (1 << 53),
+                        ));
+                    }
+                }
+            }
+            assert!(
+                on_boundary >= 8,
+                "power {power}: {on_boundary} draws on a boundary"
+            );
+            for bits in draws {
+                let (lo, hi) = energy_bounds(
+                    ln_buckets(),
+                    Rng::polar_uniforms_of(bits).0,
+                    energy_scale(sigma),
+                );
+                let e = exact_energy(bits, sigma);
+                assert!(
+                    lo <= e && e <= hi,
+                    "power {power}, draw {bits:?}: {lo} <= {e} <= {hi}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn energy_bounds_are_exact_energies_with_a_spare_or_above_the_guard() {
+        // A pending spare, or σ just above the guard, takes the exact
+        // path: both bounds are the energy of `adc_noise`'s sample, and the
+        // source continues where `adc_noise` leaves it. Just below the
+        // guard the bounds are bounds.
+        let above = 2.0 * (ENERGY_SIGMA_MAX * 1.001).powi(2);
+        let below = 2.0 * (ENERGY_SIGMA_MAX * 0.999).powi(2);
+        for (power, spare, exact) in [
+            (2e-4, true, true),
+            (above, false, true),
+            (8.0, false, true),
+            (below, false, false),
+        ] {
+            let mut rng = Rng::seed_from(13);
+            if spare {
+                rng.gaussian();
+            }
+            let src = NoiseSource::new(power, rng);
+            let (mut bounds, mut full) = (src.clone(), src);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            bounds.adc_energy_bounds(300, &mut got);
+            full.adc_noise(300, &mut want);
+            let energies: Vec<(u32, u32)> = want
+                .iter()
+                .map(|s| (s.energy() as u32, s.energy() as u32))
+                .collect();
+            assert_eq!(got == energies, exact, "power {power}, spare {spare}");
+            assert!(got
+                .iter()
+                .zip(&energies)
+                .all(|(&(lo, hi), &(e, _))| lo <= e && e <= hi));
+            assert_eq!(
+                bounds.next_sample(),
+                full.next_sample(),
+                "power {power}, spare {spare}"
+            );
+        }
     }
 }

@@ -65,8 +65,53 @@ fn check_sign_stream(src: NoiseSource, n: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs the energy bound stream over `n` samples and checks it against
+/// [`NoiseSource::adc_noise`] on a clone: `lo ≤ I² + Q² ≤ hi` for every
+/// sample, and both sources continue alike.
+fn check_energy_bounds(src: NoiseSource, n: usize) -> Result<(), String> {
+    let mut bounds = src.clone();
+    let mut full = src;
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    bounds.adc_energy_bounds(n, &mut got);
+    full.adc_noise(n, &mut want);
+    if got.len() != want.len() {
+        return Err(format!("{} samples, want {}", got.len(), want.len()));
+    }
+    for (k, (&(lo, hi), w)) in got.iter().zip(&want).enumerate() {
+        let e = w.energy();
+        if !(u64::from(lo) <= e && e <= u64::from(hi)) {
+            return Err(format!("sample {k}: {e} outside [{lo}, {hi}] for {w:?}"));
+        }
+    }
+    if bounds.next_sample() != full.next_sample() {
+        return Err("the bound stream left its source elsewhere".into());
+    }
+    Ok(())
+}
+
 props! {
     cases = 16;
+
+    /// The energy bound stream brackets the energy of every sample
+    /// `adc_noise` gives and leaves the source where `adc_noise` does: at
+    /// noise powers from silence through sub-LSB noise (2e-8), the
+    /// false-alarm floor (2e-4), the largest the bounds cover (0.0259,
+    /// radii up to 31 970 LSB) and past it (0.0262, 2, 8), lengths 0, 1
+    /// and across chunk boundaries, and from an `Rng` with a pending
+    /// Box–Muller spare.
+    fn energy_bounds_bracket_adc_noise_energies(
+        seed in tk::any::<u64>(),
+        power in tk::one_of(vec![0.0, 2e-8, 2e-6, 2e-4, 0.02, 0.0259, 0.0262, 2.0, 8.0]),
+        len in tk::one_of(vec![0usize, 1, 63, 64, 65, 130, 700]),
+        spare in tk::any::<bool>(),
+    ) cases = 256 {
+        let mut rng = Rng::seed_from(seed);
+        if spare {
+            rng.gaussian();
+        }
+        let r = check_energy_bounds(NoiseSource::new(power, rng), len);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
 
     /// The sign stream carries exactly the signs of `adc_noise`'s samples
     /// and leaves the source where `adc_noise` does: at noise powers from

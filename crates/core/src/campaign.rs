@@ -16,8 +16,8 @@ use crate::presets::{build_config, DetectionPreset, JammerPreset};
 use crate::testbed::TestbedBudget;
 use rjam_channel::monitor::ScopeTrace;
 use rjam_channel::noise::NoiseSource;
-use rjam_fpga::lanes::MAX_LANES;
-use rjam_fpga::{DspLaneBank, LaneBankScratch};
+use rjam_fpga::lanes::{ENERGY_HISTORY, MAX_LANES};
+use rjam_fpga::{DspLaneBank, LaneBankScratch, Reads};
 use rjam_mac::model::{JammerKind, Scenario};
 use rjam_mac::{run_scenario, IperfReport, MacObsDelta, ScenarioRun};
 use rjam_phy80211::tx::{modulate_frame_into, single_long_preamble, single_short_preamble, Frame};
@@ -73,6 +73,11 @@ const DETECTION_FRAMES_PER_UNIT: usize = 8;
 const FA_UNIT_SAMPLES: usize = 1 << 18;
 /// Block size the false-alarm measurement streams noise in.
 const FA_CHUNK: usize = 65_536;
+/// Block size of an energy-only false-alarm unit's bound stream. The exact
+/// stream resumes at a block start, so a small block redoes few samples;
+/// its bounds (8 KiB) and their prefix sums stay in L1.
+const BOUND_CHUNK: usize = 1_024;
+const _: () = assert!(BOUND_CHUNK as u64 >= ENERGY_HISTORY);
 /// Downlink frames per WiMAX work unit.
 const WIMAX_FRAMES_PER_UNIT: usize = 4;
 
@@ -123,30 +128,34 @@ fn emission_waveform(
 /// Lays one received frame into `stream` at the ADC: `LEAD_IN` noise
 /// samples, the waveform with noise added, then `TAIL` noise samples.
 /// Returns the frame's detection window relative to the stream start; it
-/// ends 64 samples past the frame to allow for pipeline lag. With
-/// `signs_only` the lead-in and tail are [`NoiseSource::adc_noise_signs`]:
-/// the signs of the samples `adc_noise` would give, from the same draws,
-/// for detectors that read nothing else.
+/// ends 64 samples past the frame to allow for pipeline lag. For
+/// detectors that read only signs ([`Reads::Signs`]) the lead-in and tail
+/// are [`NoiseSource::adc_noise_signs`]: the signs of the samples
+/// `adc_noise` would give, from the same draws.
 fn frame_stream(
     wave: &[Cf64],
     noise: &mut NoiseSource,
-    signs_only: bool,
+    reads: Reads,
     stream: &mut Vec<IqI16>,
 ) -> Range<u64> {
-    let pad = |noise: &mut NoiseSource, n: usize, stream: &mut Vec<IqI16>| {
-        if signs_only {
-            noise.adc_noise_signs(n, stream);
-        } else {
-            noise.adc_noise(n, stream);
-        }
-    };
     stream.clear();
-    pad(noise, LEAD_IN, stream);
+    noise_block(noise, reads, LEAD_IN, stream);
     let lo = stream.len() as u64;
     noise.add_to_adc(wave, stream);
     let hi = stream.len() as u64 + 64;
-    pad(noise, TAIL, stream);
+    noise_block(noise, reads, TAIL, stream);
     lo..hi
+}
+
+/// Appends `n` samples of `noise` to `stream` in the form detectors that
+/// read `reads` need: [`NoiseSource::adc_noise_signs`] for signs alone,
+/// [`NoiseSource::adc_noise`] otherwise.
+fn noise_block(noise: &mut NoiseSource, reads: Reads, n: usize, stream: &mut Vec<IqI16>) {
+    if reads == Reads::Signs {
+        noise.adc_noise_signs(n, stream);
+    } else {
+        noise.adc_noise(n, stream);
+    }
 }
 
 /// The lockout a detection or false-alarm hypothesis runs at: energy-rise
@@ -165,9 +174,9 @@ fn hypothesis_lockout(preset: &DetectionPreset, energy_lockout: u64) -> u64 {
 struct DetectorBank {
     banks: Vec<DspLaneBank>,
     scratch: LaneBankScratch,
-    /// No lane reads more of a sample than its signs
-    /// ([`DspLaneBank::reads_signs_only`]).
-    signs_only: bool,
+    /// What of a sample the lanes read ([`DspLaneBank::reads`]): one kind
+    /// when every bank reads it, else [`Reads::Samples`].
+    reads: Reads,
 }
 
 impl DetectorBank {
@@ -183,8 +192,11 @@ impl DetectorBank {
                 bank
             })
             .collect::<Vec<_>>();
+        let reads = banks.iter().map(DspLaneBank::reads);
         DetectorBank {
-            signs_only: banks.iter().all(DspLaneBank::reads_signs_only),
+            reads: reads
+                .reduce(|a, b| if a == b { a } else { Reads::Samples })
+                .unwrap_or(Reads::Signs),
             banks,
             scratch: LaneBankScratch::default(),
         }
@@ -193,6 +205,49 @@ impl DetectorBank {
     /// Clears every lane's streaming state, keeping its configuration.
     fn reset(&mut self) {
         self.banks.iter_mut().for_each(DspLaneBank::reset);
+    }
+
+    /// Decides what it can of the next `n` samples of `noise` from energy
+    /// bounds, for banks that read only energies
+    /// ([`NoiseSource::adc_energy_bounds`], [`DspLaneBank::first_undecided`]):
+    /// a bank fires nothing on a decided sample. The bounds come in blocks
+    /// of `block` samples, at least [`ENERGY_HISTORY`]: [`BOUND_CHUNK`],
+    /// or in tests a block that starts near the first undecided sample.
+    /// Returns the sample the exact stream resumes at, with `noise` there
+    /// and every bank reset: `n` when every sample is decided, else the
+    /// latest block start at least [`ENERGY_HISTORY`] samples before the
+    /// first undecided sample, or the first block's. Fed the exact stream
+    /// from there, the banks fire from that sample on where banks fed all
+    /// `n` samples would.
+    fn decide_energy(
+        &mut self,
+        noise: &mut NoiseSource,
+        n: usize,
+        block: usize,
+        bounds: &mut Vec<(u32, u32)>,
+    ) -> usize {
+        let mut earlier = (0, noise.clone());
+        for at in (0..n).step_by(block) {
+            let start = noise.clone();
+            bounds.clear();
+            noise.adc_energy_bounds(block.min(n - at), bounds);
+            let undecided = self
+                .banks
+                .iter_mut()
+                .filter_map(|b| b.first_undecided(bounds));
+            if let Some(k) = undecided.min() {
+                let (from, source) = if at == 0 || k as u64 >= ENERGY_HISTORY {
+                    (at, start)
+                } else {
+                    earlier
+                };
+                *noise = source;
+                self.reset();
+                return from;
+            }
+            earlier = (at, start);
+        }
+        n
     }
 
     /// Streams `block` through every hypothesis and adds to `hits[h]` the
@@ -219,6 +274,8 @@ struct MeasurePool {
     bank: DetectorBank,
     synth: SynthScratch,
     stream: Vec<IqI16>,
+    /// An energy-only false-alarm unit's bound block.
+    bounds: Vec<(u32, u32)>,
     hits: Vec<usize>,
 }
 
@@ -228,6 +285,7 @@ impl MeasurePool {
             bank: DetectorBank::new(presets, energy_lockout),
             synth: SynthScratch::default(),
             stream: Vec::new(),
+            bounds: Vec::new(),
             hits: vec![0; presets.len()],
         }
     }
@@ -470,13 +528,13 @@ impl WifiDetectionSpec {
 
     /// Synthesizes one trial — emission, channel, level and noise — into
     /// the ADC stream `stream` and returns its detection window; see
-    /// [`frame_stream`] for `signs_only`.
+    /// [`frame_stream`] for `reads`.
     fn trial_stream(
         &self,
         rng: &mut Rng,
         noise: &mut NoiseSource,
         synth: &mut SynthScratch,
-        signs_only: bool,
+        reads: Reads,
         stream: &mut Vec<IqI16>,
     ) -> Range<u64> {
         emission_waveform(self.emission, rjam_phy80211::Rate::R12, rng, synth);
@@ -486,7 +544,7 @@ impl WifiDetectionSpec {
             std::mem::swap(&mut synth.wave, &mut synth.faded);
         }
         scale_to_power(&mut synth.wave, RX_LEVEL);
-        frame_stream(&synth.wave, noise, signs_only, stream)
+        frame_stream(&synth.wave, noise, reads, stream)
     }
 
     /// The detection unit body, for one hypothesis per preset (the spec's
@@ -529,7 +587,7 @@ impl WifiDetectionSpec {
                         &mut rng,
                         &mut noise,
                         &mut pool.synth,
-                        pool.bank.signs_only,
+                        pool.bank.reads,
                         &mut pool.stream,
                     );
                     pool.hits.fill(0);
@@ -567,6 +625,12 @@ impl WifiDetectionSpec {
         }
         Some(sums)
     }
+}
+
+/// The noise of a false-alarm unit with seed `seed`: a terminated input
+/// still shows the receiver noise floor.
+fn floor_noise(seed: u64) -> NoiseSource {
+    NoiseSource::new(RX_LEVEL / db_to_lin(20.0), Rng::seed_from(seed))
 }
 
 /// Triggers per second of air for `triggers` counted over `samples` noise
@@ -672,7 +736,10 @@ impl FalseAlarmSpec {
     /// for each preset exactly what a one-preset run at the same seed
     /// counts. When no hypothesis has an energy comparator the noise comes
     /// as [`NoiseSource::adc_noise_signs`]: the lanes then read nothing
-    /// but the signs, which it reproduces, at a fraction of the cost.
+    /// but the signs, which it reproduces, at a fraction of the cost. When
+    /// every hypothesis is energy comparators alone, each unit first rules
+    /// out what it can from energy bounds ([`DetectorBank::decide_energy`])
+    /// and streams exact noise only from where they leave a decision open.
     fn measure(
         &self,
         engine: &CampaignEngine,
@@ -693,18 +760,18 @@ impl FalseAlarmSpec {
                 let n = FA_UNIT_SAMPLES.min(self.samples - lo);
                 pool.bank.reset();
                 pool.hits.fill(0);
-                // A terminated input still shows the receiver noise floor.
-                let mut noise =
-                    NoiseSource::new(RX_LEVEL / db_to_lin(20.0), Rng::seed_from(ctx.seed));
-                let mut streamed = 0usize;
+                let mut noise = floor_noise(ctx.seed);
+                let mut streamed = match pool.bank.reads {
+                    Reads::Energy => {
+                        pool.bank
+                            .decide_energy(&mut noise, n, BOUND_CHUNK, &mut pool.bounds)
+                    }
+                    Reads::Signs | Reads::Samples => 0,
+                };
                 while streamed < n {
                     let m = FA_CHUNK.min(n - streamed);
                     pool.stream.clear();
-                    if pool.bank.signs_only {
-                        noise.adc_noise_signs(m, &mut pool.stream);
-                    } else {
-                        noise.adc_noise(m, &mut pool.stream);
-                    }
+                    noise_block(&mut noise, pool.bank.reads, m, &mut pool.stream);
                     pool.bank.feed(&pool.stream, 0..m as u64, &mut pool.hits);
                     streamed += m;
                 }
@@ -1967,8 +2034,9 @@ mod tests {
         // Each row of a grid sweep must reproduce a dedicated run_counts
         // run of the re-thresholded preset, bit for bit: correlator
         // fractions (one lane bank), a 65-point grid (two banks) and
-        // energy thresholds in dB. Every threshold fires, so a hypothesis
-        // that misses the stream cannot pass.
+        // energy thresholds in dB. Every correlator threshold and every
+        // energy threshold up to 4 dB fires, so a hypothesis that misses
+        // the stream cannot pass.
         let samples = FA_UNIT_SAMPLES + 12_345; // exercise the remainder unit
         let wide: Vec<f64> = (0..65).map(|k| 0.05 + 0.001 * k as f64).collect();
         let grids = [
@@ -1980,6 +2048,13 @@ mod tests {
             (
                 DetectionPreset::EnergyRise { threshold_db: 10.0 },
                 vec![3.0, 3.5, 4.0],
+            ),
+            // A grid over the energy range: one bank whose 3 dB lane
+            // leaves every unit open, against single runs whose stricter
+            // thresholds decide some units or all of them on bounds.
+            (
+                DetectionPreset::EnergyRise { threshold_db: 10.0 },
+                vec![3.0, 4.0, 5.0, 6.0, 10.0, 18.0],
             ),
         ];
         for (preset, grid) in &grids {
@@ -1996,7 +2071,8 @@ mod tests {
             }
             // Looser thresholds can only gain triggers on the identical noise.
             assert!(swept.windows(2).all(|w| w[0].0 >= w[1].0), "{swept:?}");
-            assert!(swept.iter().all(|&(t, _)| t > 0), "{swept:?}");
+            let fires = grid.iter().filter(|&&t| t <= 4.0).count();
+            assert!(swept[..fires].iter().all(|&(t, _)| t > 0), "{swept:?}");
         }
     }
 
@@ -2024,8 +2100,14 @@ mod tests {
         ];
         let mut mixed = correlators.to_vec();
         mixed.push(DetectionPreset::EnergyRise { threshold_db: 10.0 });
-        assert!(DetectorBank::new(&correlators, DEFAULT_LOCKOUT).signs_only);
-        assert!(!DetectorBank::new(&mixed, DEFAULT_LOCKOUT).signs_only);
+        assert_eq!(
+            DetectorBank::new(&correlators, DEFAULT_LOCKOUT).reads,
+            Reads::Signs
+        );
+        assert_eq!(
+            DetectorBank::new(&mixed, DEFAULT_LOCKOUT).reads,
+            Reads::Samples
+        );
         let spec = CampaignSpec::false_alarm(&correlators[0])
             .samples(FA_UNIT_SAMPLES + 4_321)
             .seed(35);
@@ -2037,6 +2119,144 @@ mod tests {
         let full = measure(&mixed);
         assert_eq!(signs[..], full[..correlators.len()]);
         assert!(signs.iter().all(|&(t, _)| t > 0), "{signs:?}");
+    }
+
+    #[test]
+    fn energy_bounds_count_what_the_full_stream_counts() {
+        // Energy presets alone read only energies, so their units rule out
+        // what they can from energy bounds; a correlator beside them puts
+        // the same noise through the full stream. Each energy lane must
+        // count the same triggers on both, rise and fall, at thresholds
+        // where every unit falls back (3, 4 dB), some (5, 6 dB) and none
+        // (10, 30 dB), over three seeds and lengths that are not
+        // multiples of 64: one unit and a remainder of 4 321, one short
+        // unit, and 70 samples, all inside the 96-sample warm-up.
+        let correlator = DetectionPreset::WifiShortPreamble { threshold: 0.30 };
+        for db in [3.0, 4.0, 5.0, 6.0, 10.0, 30.0] {
+            let rise = DetectionPreset::EnergyRise { threshold_db: db };
+            let fall = DetectionPreset::EnergyFall { threshold_db: db };
+            for preset in [rise, fall] {
+                let alone = std::slice::from_ref(&preset);
+                assert_eq!(
+                    DetectorBank::new(alone, DEFAULT_LOCKOUT).reads,
+                    Reads::Energy
+                );
+                for (samples, seed) in [(FA_UNIT_SAMPLES + 4_321, 37), (100_003, 38), (70, 39)] {
+                    let spec = CampaignSpec::false_alarm(&preset)
+                        .samples(samples)
+                        .seed(seed);
+                    let measure = |presets: &[DetectionPreset]| {
+                        spec.measure(&serial(), "fa_grid", presets, &mut BTreeMap::new(), None)
+                            .expect("uncancelled campaign always completes")
+                    };
+                    let bounded = measure(alone);
+                    let full = measure(&[preset.clone(), correlator.clone()]);
+                    assert_eq!(bounded[0], full[0], "{preset:?}, {samples} samples");
+                    if db == 3.0 && samples > 70 {
+                        assert!(bounded[0].0 > 0, "{preset:?}, {samples} samples");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The samples `bank`'s first lane fires on over samples `from..n` of a
+    /// unit, streamed exact from `noise` (at sample `from`) into a bank
+    /// reset at `from`, as unit sample numbers.
+    fn exact_triggers(
+        bank: &mut DetectorBank,
+        mut noise: NoiseSource,
+        from: usize,
+        n: usize,
+    ) -> Vec<u64> {
+        let mut stream = Vec::new();
+        noise.adc_noise(n - from, &mut stream);
+        let mut scratch = LaneBankScratch::default();
+        bank.banks[0].process_block_into(&stream, &mut scratch);
+        scratch.triggers[0]
+            .iter()
+            .map(|&t| t + from as u64)
+            .collect()
+    }
+
+    #[test]
+    fn energy_units_resume_where_the_full_stream_fires() {
+        // Energy units at 3 and 4 dB, rise and fall, over noise seeds. With
+        // the production block, and with blocks that start one 96, 95 and
+        // 94 samples before the first undecided sample k, the unit resumes
+        // exact at the sample `decide_energy` returns; from there it must
+        // fire on the samples a bank fed the whole unit fires on. That
+        // covers resuming at the unit's start (k in the first block), at
+        // k's own block and at the block before (k in a block's first 96
+        // samples).
+        let n = 20_011;
+        let (mut at_start, mut own, mut before, mut on_k) = (0, 0, 0, 0);
+        for db in [3.0, 4.0] {
+            let presets = [
+                DetectionPreset::EnergyRise { threshold_db: db },
+                DetectionPreset::EnergyFall { threshold_db: db },
+            ];
+            for preset in presets {
+                let mut bank = DetectorBank::new(std::slice::from_ref(&preset), DEFAULT_LOCKOUT);
+                for seed in 0..6 {
+                    bank.reset();
+                    let want = exact_triggers(&mut bank, floor_noise(seed), 0, n);
+                    let mut bounds = Vec::new();
+                    floor_noise(seed).adc_energy_bounds(n, &mut bounds);
+                    bank.reset();
+                    let Some(k) = bank.banks[0].first_undecided(&bounds) else {
+                        assert!(want.is_empty(), "{preset:?}, seed {seed}");
+                        continue;
+                    };
+                    on_k += usize::from(want.first() == Some(&(k as u64)));
+                    let blocks = [96, 95, 94].map(|back| k.saturating_sub(back));
+                    for block in [BOUND_CHUNK].into_iter().chain(blocks) {
+                        if block < ENERGY_HISTORY as usize {
+                            continue;
+                        }
+                        let mut noise = floor_noise(seed);
+                        let from = bank.decide_energy(&mut noise, n, block, &mut bounds);
+                        assert!(from <= k, "{preset:?}, seed {seed}, block {block}");
+                        let got = exact_triggers(&mut bank, noise, from, n);
+                        assert_eq!(got, want, "{preset:?}, seed {seed}, block {block}");
+                        if k < block {
+                            at_start += 1;
+                        } else if from + block > k {
+                            own += 1;
+                        } else {
+                            before += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            at_start > 0 && own > 0 && before > 0,
+            "{at_start} {own} {before}"
+        );
+        assert!(on_k > 0, "no unit fires on its first undecided sample");
+    }
+
+    #[test]
+    fn the_benchmark_energy_shape_decides_every_unit() {
+        // The e2e benchmark's energy false-alarm job (rise at 10 dB, 2²²
+        // samples, 16 units) must run on bounds alone: every unit decided,
+        // so it never quantizes a sample.
+        let preset = DetectionPreset::EnergyRise { threshold_db: 10.0 };
+        let mut bank = DetectorBank::new(std::slice::from_ref(&preset), DEFAULT_LOCKOUT);
+        let mut bounds = Vec::new();
+        for seed in [1, 7] {
+            let spec = CampaignSpec::false_alarm(&preset)
+                .samples(1 << 22)
+                .seed(seed);
+            for unit in 0..spec.n_units() {
+                bank.reset();
+                let mut noise = floor_noise(crate::engine::shard_seed(seed, unit as u64));
+                let from =
+                    bank.decide_energy(&mut noise, FA_UNIT_SAMPLES, BOUND_CHUNK, &mut bounds);
+                assert_eq!(from, FA_UNIT_SAMPLES, "seed {seed}, unit {unit}");
+            }
+        }
     }
 
     #[test]
@@ -2057,8 +2277,8 @@ mod tests {
         ];
         let mut mixed = correlators.to_vec();
         mixed.push(DetectionPreset::EnergyRise { threshold_db: 10.0 });
-        assert!(DetectorBank::new(&correlators, 0).signs_only);
-        assert!(!DetectorBank::new(&mixed, 0).signs_only);
+        assert_eq!(DetectorBank::new(&correlators, 0).reads, Reads::Signs);
+        assert_eq!(DetectorBank::new(&mixed, 0).reads, Reads::Samples);
         for channel in [
             ChannelModel::Awgn,
             ChannelModel::Rayleigh { taps: 8, rms: 2.0 },
@@ -2246,8 +2466,13 @@ mod tests {
         (0..frames)
             .map(|_| {
                 let mut stream = Vec::new();
-                let window =
-                    spec.trial_stream(&mut rng, &mut noise, &mut synth, false, &mut stream);
+                let window = spec.trial_stream(
+                    &mut rng,
+                    &mut noise,
+                    &mut synth,
+                    Reads::Samples,
+                    &mut stream,
+                );
                 (stream, window)
             })
             .collect()

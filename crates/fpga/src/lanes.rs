@@ -45,6 +45,12 @@
 //! history the first armed sample needs ([`DspLaneBank::unread`]) and
 //! rebuild that history from zero; see [`DspLaneBank::skip`].
 //!
+//! A bank says what of a sample its lanes read ([`DspLaneBank::reads`]),
+//! so a caller can draw only that. Energy comparators alone can be fed
+//! bounds on each sample's energy in place of the samples:
+//! [`DspLaneBank::first_undecided`] applies their compares to the bounds'
+//! window sums and finds the first sample on which one may be above.
+//!
 //! The enforced invariant is equality with one [`crate::DspCore`] per lane
 //! fed the same stream — property tests drive both at random configs and
 //! block sizes — and `reset()` is bit-equivalent to a fresh bank, so banks
@@ -81,7 +87,7 @@ const SIGN_HISTORY: u64 = XCORR_LEN as u64;
 
 /// Samples an energy comparator reads at and before its sample: the
 /// 32-sample sum ending there and the one 64 samples earlier.
-const ENERGY_HISTORY: u64 = (ENERGY_WINDOW + ENERGY_DELAY) as u64;
+pub const ENERGY_HISTORY: u64 = (ENERGY_WINDOW + ENERGY_DELAY) as u64;
 
 /// Bits per 16.16 energy threshold: a lane's thresholds are at most
 /// 30 dB, `1000 << 16` < 2^26 ([`threshold_fixed`] clamps them there).
@@ -233,6 +239,56 @@ impl Default for EnergySum {
     }
 }
 
+/// Running sums of the lower and the upper energy bounds of a stream, as
+/// prefix sums: `prefix[s][j]` is the sum of side `s`'s bounds over the
+/// samples before `fed − ENERGY_HISTORY + j`, the samples before the
+/// stream's first counting 0. Each call keeps the last
+/// `ENERGY_HISTORY + 1` entries and appends one per sample, so a window
+/// sum is the difference of two entries; both are empty until the first
+/// call. Arithmetic wraps, and the differences, true sums below 2^37, are
+/// exact.
+#[derive(Clone, Debug, Default)]
+struct BoundSums {
+    prefix: [Vec<u64>; 2],
+    fed: u64,
+}
+
+impl BoundSums {
+    fn reset(&mut self) {
+        self.prefix.iter_mut().for_each(Vec::clear);
+        self.fed = 0;
+    }
+}
+
+/// The 32-sample window sums, from [`BoundSums`] prefix sums `p`, that end
+/// `back` samples before each sample after the history: sample `i`'s own
+/// window ends at entry `i + ENERGY_HISTORY + 1`.
+#[inline(always)]
+fn windows(p: &[u64], back: usize) -> impl Iterator<Item = u64> + '_ {
+    let end = ENERGY_HISTORY as usize + 1 - back;
+    let starts = &p[end - ENERGY_WINDOW..];
+    starts
+        .iter()
+        .zip(&p[end..])
+        .map(|(a, b)| b.wrapping_sub(*a))
+}
+
+/// What of a sample a bank's lanes read ([`DspLaneBank::reads`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reads {
+    /// Only the signs of its components: no lane has an energy
+    /// comparator. The bank fires alike on any two streams whose
+    /// components are negative at the same places.
+    Signs,
+    /// Only its energy `I² + Q²`: every lane is energy comparators alone.
+    /// The bank fires alike on any two streams of the same energies, and
+    /// [`DspLaneBank::first_undecided`] can rule its comparators out from
+    /// bounds on them.
+    Energy,
+    /// Both.
+    Samples,
+}
+
 /// One lane's event builder, cumulative trigger count and the current
 /// word's pulse mask per source.
 #[derive(Clone, Debug)]
@@ -288,6 +344,8 @@ pub struct DspLaneBank {
     energy_sum: EnergySum,
     /// Samples consumed.
     fed: u64,
+    /// The energy bounds [`DspLaneBank::first_undecided`] has been fed.
+    bound_sums: BoundSums,
     /// The first sample on which a leg may fire: the earliest
     /// `armed_from` of every leg, so 0 while a leg has never fired.
     wake: u64,
@@ -380,12 +438,17 @@ impl DspLaneBank {
         self.groups.len()
     }
 
-    /// Whether the lanes read nothing of a sample but the signs of its
-    /// components: no lane has an energy comparator, so only the sign
-    /// history sees the stream. Such a bank fires alike on any two streams
-    /// whose components are negative at the same places.
-    pub fn reads_signs_only(&self) -> bool {
-        self.energy.is_empty()
+    /// What of a sample the lanes read: only the sign history sees the
+    /// stream when no lane has an energy comparator, only the energy sum
+    /// when no lane has a correlator.
+    pub fn reads(&self) -> Reads {
+        if self.energy.is_empty() {
+            Reads::Signs
+        } else if self.groups.is_empty() {
+            Reads::Energy
+        } else {
+            Reads::Samples
+        }
     }
 
     /// Samples fed since construction or the last [`DspLaneBank::reset`].
@@ -411,6 +474,7 @@ impl DspLaneBank {
         self.energy_sum = EnergySum::default();
         self.fed = 0;
         self.wake = 0;
+        self.bound_sums.reset();
         for leg in self.groups.iter_mut().flat_map(|g| &mut g.legs) {
             leg.edge.reset();
         }
@@ -481,6 +545,78 @@ impl DspLaneBank {
             self.hist = 0;
             self.energy_sum = EnergySum::default();
         }
+    }
+
+    /// Feeds a bank whose lanes read only energies ([`Reads::Energy`])
+    /// bounds `(lo, hi)` with `lo ≤ I² + Q² ≤ hi` on the energies of its
+    /// stream's next samples, in place of the samples, and returns the
+    /// offset in `bounds` of the first sample on which an energy comparator
+    /// may be above its threshold — the first *undecided* sample — or
+    /// `None` if there is none. The bounds keep their own window sums and
+    /// 64-sample delays, and each comparator's own 16.16 compare on them
+    /// decides: the sums of `hi` bound `y` above and those of `lo` bound it
+    /// below, so no rise comparator is above where `Σhi << 16 ≤ T·Σlo_old`
+    /// and no fall comparator where `Σhi_old << 16 ≤ T·Σlo`. The loosest
+    /// rise and fall thresholds decide for the others, and the first 95
+    /// samples are decided as the kernel masks them.
+    ///
+    /// Before the first undecided sample `k` no comparator of a bank fed
+    /// the samples themselves is above, so that bank has fired nothing,
+    /// is armed and carries no edge into `k`. A bank reset and fed the
+    /// samples from the stream's first one, or from any at least
+    /// [`ENERGY_HISTORY`] samples before `k`, holds the same sums from
+    /// `k − 1` on, and so fires from `k` on where that bank does.
+    ///
+    /// The bound sums are past `k` once it is found: [`DspLaneBank::reset`]
+    /// before feeding the bank again.
+    ///
+    /// # Panics
+    /// Panics if a lane has a correlator, which reads more than energies.
+    pub fn first_undecided(&mut self, bounds: &[(u32, u32)]) -> Option<usize> {
+        assert!(
+            self.groups.is_empty(),
+            "a correlator reads more than energies"
+        );
+        let loosest = |source| {
+            let legs = self.energy.iter().filter(|leg| leg.source == source);
+            legs.map(|leg| leg.threshold).min()
+        };
+        let (rise, fall) = (loosest(ENERGY_HIGH), loosest(ENERGY_LOW));
+        let sums = &mut self.bound_sums;
+        let first = ENERGY_FIRST
+            .saturating_sub(sums.fed)
+            .min(bounds.len() as u64) as usize;
+        sums.fed += bounds.len() as u64;
+        let [lo, hi] = &mut sums.prefix;
+        let h = ENERGY_HISTORY as usize;
+        // A stream's first call starts from a history of zeros.
+        lo.resize(h + 1, 0);
+        hi.resize(h + 1, 0);
+        let (mut acc_lo, mut acc_hi) = (lo[h], hi[h]);
+        lo.resize(h + 1 + bounds.len(), 0);
+        hi.resize(h + 1 + bounds.len(), 0);
+        let new = lo[h + 1..].iter_mut().zip(&mut hi[h + 1..]);
+        for ((p_lo, p_hi), &(x_lo, x_hi)) in new.zip(bounds) {
+            acc_lo = acc_lo.wrapping_add(x_lo.into());
+            acc_hi = acc_hi.wrapping_add(x_hi.into());
+            (*p_lo, *p_hi) = (acc_lo, acc_hi);
+        }
+        // The first sample at which a comparator with threshold `t` may be
+        // above: the upper bounds' window `num` samples back against the
+        // lower bounds' `den` samples back.
+        let open = |t: u64, num: usize, den: usize| {
+            let mut pairs = windows(hi, num).zip(windows(lo, den)).skip(first);
+            pairs
+                .position(|(y, old)| y << 16 > t * old)
+                .map(|i| i + first)
+        };
+        let rise_at = rise.and_then(|t| open(t, 0, ENERGY_DELAY));
+        let fall_at = fall.and_then(|t| open(t, ENERGY_DELAY, 0));
+        let undecided = rise_at.into_iter().chain(fall_at).min();
+        for p in [lo, hi] {
+            p.drain(..bounds.len());
+        }
+        undecided
     }
 
     /// The block paths: each word through the kernel, the samples the
@@ -1069,6 +1205,144 @@ mod tests {
                 assert_eq!(seen[0], want, "case {case}, block {block}");
             }
         }
+    }
+
+    /// The first sample on which a differentiator's rise (`rise`) or fall
+    /// comparator at `db` is above, over `stream`.
+    fn first_above(stream: &[IqI16], db: f64, rise: bool) -> Option<usize> {
+        let mut det = EnergyDifferentiator::new();
+        det.set_threshold_high_db(db);
+        det.set_threshold_low_db(db);
+        stream.iter().position(|&s| {
+            let out = det.push(s);
+            if rise {
+                out.rise
+            } else {
+                out.fall
+            }
+        })
+    }
+
+    /// The first undecided sample of `bank` over bounds `bounds`, fed in
+    /// blocks of `block`.
+    fn first_undecided_in_blocks(
+        bank: &mut DspLaneBank,
+        bounds: &[(u32, u32)],
+        block: usize,
+    ) -> Option<usize> {
+        let mut at = 0;
+        for chunk in bounds.chunks(block) {
+            if let Some(k) = bank.first_undecided(chunk) {
+                return Some(at + k);
+            }
+            at += chunk.len();
+        }
+        None
+    }
+
+    #[test]
+    fn first_undecided_on_exact_energies_is_the_first_comparator_above() {
+        // Bounds equal to the energies make the bound compare the exact
+        // one: the first undecided sample is the first on which a rise or
+        // fall comparator is above, for a rise lane, a fall lane and the
+        // two beside a stricter rise lane, over quiet noise that steps up
+        // or down after a random stretch, in any block size.
+        let mut rng = Rng::seed_from(47);
+        let high = TriggerMode::Any(vec![TriggerSource::EnergyHigh]);
+        let low = TriggerMode::Any(vec![TriggerSource::EnergyLow]);
+        let mut found = 0;
+        for case in 0..60 {
+            let quiet = 60 + rng.below(700) as usize;
+            let up = case % 2 == 0;
+            let stream: Vec<IqI16> = (0..quiet + 300)
+                .map(|k| {
+                    let s = random_sample(&mut rng);
+                    let scale = if (k < quiet) == up { 256 } else { 16 };
+                    IqI16::new(s.i / scale, s.q / scale)
+                })
+                .collect();
+            let energies: Vec<(u32, u32)> = stream
+                .iter()
+                .map(|s| (s.energy() as u32, s.energy() as u32))
+                .collect();
+            let (db, strict) = (3.0 + rng.below(8) as f64, 20.0);
+            let lanes = [
+                vec![energy_cfg(high.clone(), db, 0)],
+                vec![energy_cfg(low.clone(), db, 0)],
+                vec![
+                    energy_cfg(high.clone(), strict, 0),
+                    energy_cfg(low.clone(), db, 0),
+                    energy_cfg(high.clone(), db, 0),
+                ],
+            ];
+            let wants = [
+                first_above(&stream, db, true),
+                first_above(&stream, db, false),
+                first_above(&stream, db, true)
+                    .into_iter()
+                    .chain(first_above(&stream, db, false))
+                    .min(),
+            ];
+            for (cfgs, want) in lanes.iter().zip(wants) {
+                found += usize::from(want.is_some());
+                for block in [1, 7, 64, 65, 1_000] {
+                    let mut bank = DspLaneBank::new();
+                    cfgs.iter().for_each(|cfg| {
+                        bank.add_lane(cfg);
+                    });
+                    assert_eq!(bank.reads(), Reads::Energy);
+                    let got = first_undecided_in_blocks(&mut bank, &energies, block);
+                    assert_eq!(
+                        got,
+                        want,
+                        "case {case}, {} lanes, block {block}",
+                        cfgs.len()
+                    );
+                }
+            }
+        }
+        // Each step sets off its own direction's comparator at least.
+        assert!(found >= 120, "{found} of 180 banks ever above");
+    }
+
+    #[test]
+    fn a_bank_reset_within_its_history_fires_where_the_running_one_does() {
+        // A rise lane over quiet samples, loud from sample k on: the first
+        // undecided sample of exact bounds and the lane's first trigger are
+        // both k. A bank reset and fed the samples from the first one, or
+        // from 200, 96 or 95 samples before k, fires where the running one
+        // does; from 94 before, its warm-up hides sample k and it fires one
+        // sample late.
+        let (quiet, loud) = (IqI16::new(100, -100), IqI16::new(8000, 8000));
+        let k = 700;
+        let mut stream = vec![quiet; k];
+        stream.extend(std::iter::repeat_n(loud, 200));
+        stream.extend(std::iter::repeat_n(quiet, 400));
+        let cfg = energy_cfg(TriggerMode::Any(vec![TriggerSource::EnergyHigh]), 10.0, 50);
+        let want = core_triggers(&cfg, &stream);
+        assert_eq!(want[0], k as u64);
+        let energies: Vec<(u32, u32)> = stream
+            .iter()
+            .map(|s| (s.energy() as u32, s.energy() as u32))
+            .collect();
+        let mut bank = DspLaneBank::new();
+        bank.add_lane(&cfg);
+        assert_eq!(bank.first_undecided(&energies), Some(k));
+        for back in [k, 200, 96, 95, 94] {
+            bank.reset();
+            let from = k - back;
+            let seen = block_triggers(&mut bank, &stream[from..], 64);
+            let seen: Vec<u64> = seen[0].iter().map(|&n| n + from as u64).collect();
+            assert_eq!(seen == want, back >= 95, "{back} samples back: {seen:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a correlator reads more than energies")]
+    fn first_undecided_refuses_a_correlator() {
+        let mut bank = DspLaneBank::new();
+        bank.add_lane(&xcorr_cfg(&[3; 64], &[0; 64], 1, 100));
+        bank.first_undecided(&[(0, 0)]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use crate::core::{
 pub use energy::EnergyDifferentiator;
 pub use fifo::{SampleFifo, TriggerCapture};
 pub use jammer::{BurstRule, JamController, JamWaveform};
-pub use lanes::{DspLaneBank, LaneBankScratch};
+pub use lanes::{DspLaneBank, LaneBankScratch, Reads};
 pub use regs::{RegisterBus, RegisterMap};
 pub use trigger::{TriggerBuilder, TriggerMode, TriggerSource};
 pub use vita::VitaTime;
