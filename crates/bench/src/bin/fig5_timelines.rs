@@ -9,27 +9,12 @@
 //! ```
 
 use rjam_bench::{figure_header, parse_args};
-use rjam_core::timeline::{episode_stream, measure, TimelineBudget, EPISODE_LEAD_SAMPLES};
-use rjam_core::{DetectionPreset, JammerPreset, ReactiveJammer};
-use rjam_fpga::JamWaveform;
+use rjam_core::timeline::{jam_episode, MeasuredTimeline, TimelineBudget, EPISODE_PRESETS};
 
 const USAGE: &str = "fig5_timelines [--trials N]";
 
-fn run_episode(det: DetectionPreset, seed: u64) -> rjam_core::timeline::MeasuredTimeline {
-    let mut jammer = ReactiveJammer::new(
-        det,
-        JammerPreset::Reactive {
-            uptime_s: 10e-6,
-            waveform: JamWaveform::Wgn,
-        },
-    );
-    jammer.process_block(&episode_stream(100, 200, seed).0);
-    measure(
-        jammer.events(),
-        jammer.jam_events(),
-        EPISODE_LEAD_SAMPLES as u64,
-    )
-}
+/// PSDU bytes of each episode's frame.
+const PSDU_LEN: usize = 100;
 
 fn main() {
     let trials: usize = parse_args(USAGE, |a| a.get_or("--trials", 25));
@@ -41,34 +26,12 @@ fn main() {
     );
 
     let budget = TimelineBudget::paper();
-    let mut worst_en = 0.0f64;
-    let mut worst_x = 0.0f64;
-    let mut worst_init = 0.0f64;
-    let mut worst_resp_energy = 0.0f64;
-    let mut worst_resp_xcorr = 0.0f64;
-    for k in 0..trials {
-        let m = run_episode(
-            DetectionPreset::EnergyRise { threshold_db: 10.0 },
-            100 + k as u64,
-        );
-        if let Some(v) = m.t_en_det_ns {
-            worst_en = worst_en.max(v);
-        }
-        if let (Some(i), Some(r)) = (m.t_init_ns, m.t_resp_ns) {
-            worst_init = worst_init.max(i);
-            worst_resp_energy = worst_resp_energy.max(r);
-        }
-        let m = run_episode(
-            DetectionPreset::WifiShortPreamble { threshold: 0.35 },
-            200 + k as u64,
-        );
-        if let Some(v) = m.t_xcorr_det_ns {
-            worst_x = worst_x.max(v);
-        }
-        if let (Some(i), Some(r)) = (m.t_init_ns, m.t_resp_ns) {
-            worst_init = worst_init.max(i);
-            worst_resp_xcorr = worst_resp_xcorr.max(r);
-        }
+    let [energy_det, xcorr_det] = &EPISODE_PRESETS;
+    let mut energy = MeasuredTimeline::default();
+    let mut xcorr = MeasuredTimeline::default();
+    for k in 0..trials as u64 {
+        energy = energy.worst(jam_episode(energy_det, PSDU_LEN, 100 + k).1);
+        xcorr = xcorr.worst(jam_episode(xcorr_det, PSDU_LEN, 200 + k).1);
     }
 
     println!(
@@ -76,21 +39,22 @@ fn main() {
         "metric", "budget (ns)", "worst measured (ns)"
     );
     let rows = [
-        ("T_en_det", budget.t_en_det_ns, worst_en),
-        ("T_xcorr_det", budget.t_xcorr_det_ns, worst_x),
-        ("T_init", budget.t_init_ns, worst_init),
+        ("T_en_det", budget.t_en_det_ns, energy.t_en_det_ns),
+        ("T_xcorr_det", budget.t_xcorr_det_ns, xcorr.t_xcorr_det_ns),
+        ("T_init", budget.t_init_ns, energy.worst(xcorr).t_init_ns),
         (
             "T_resp (energy path)",
             budget.t_resp_energy_ns,
-            worst_resp_energy,
+            energy.t_resp_ns,
         ),
         (
             "T_resp (xcorr path)",
             budget.t_resp_xcorr_ns,
-            worst_resp_xcorr,
+            xcorr.t_resp_ns,
         ),
     ];
     for (name, b, m) in rows {
+        let m = m.unwrap_or(0.0);
         let ok = if m <= b {
             "within budget"
         } else {

@@ -287,12 +287,6 @@ impl Harness {
         self.results.last().expect("just pushed")
     }
 
-    /// Results accumulated so far.
-    #[must_use]
-    pub fn results(&self) -> &[BenchRecord] {
-        &self.results
-    }
-
     /// Serializes all records to the JSON report format.
     #[must_use]
     pub fn to_json(&self) -> String {

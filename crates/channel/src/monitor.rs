@@ -195,11 +195,6 @@ impl ScopeTrace {
         self.len == 0
     }
 
-    /// Sample rate of the capture.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
     /// All markers with a given label, in time order.
     pub fn markers_labeled(&self, label: &str) -> Vec<usize> {
         let mut v: Vec<usize> = self

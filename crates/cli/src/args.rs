@@ -1,6 +1,7 @@
 //! Command-line argument model: the [`USAGE`] text is the flag table,
 //! read by [`rjam_obs::flags`].
 
+use rjam_core::campaign::JammerUnderTest;
 use rjam_obs::flags::{self, Flags};
 use std::fmt;
 
@@ -112,30 +113,16 @@ impl PresetName {
     }
 }
 
-/// Jammer variant names for the iperf command.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JammerName {
-    /// No jammer.
-    Off,
-    /// Continuous WGN.
-    Continuous,
-    /// Reactive, 0.1 ms uptime.
-    ReactiveLong,
-    /// Reactive, 0.01 ms uptime.
-    ReactiveShort,
-}
-
-impl JammerName {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "off" => Ok(JammerName::Off),
-            "continuous" => Ok(JammerName::Continuous),
-            "reactive-long" => Ok(JammerName::ReactiveLong),
-            "reactive-short" => Ok(JammerName::ReactiveShort),
-            other => Err(format!(
-                "unknown jammer '{other}' (expected off|continuous|reactive-long|reactive-short)"
-            )),
-        }
+/// The jammer variant a `--jammer` name selects.
+fn parse_jammer(s: &str) -> Result<JammerUnderTest, String> {
+    match s {
+        "off" => Ok(JammerUnderTest::Off),
+        "continuous" => Ok(JammerUnderTest::Continuous),
+        "reactive-long" => Ok(JammerUnderTest::ReactiveLong),
+        "reactive-short" => Ok(JammerUnderTest::ReactiveShort),
+        other => Err(format!(
+            "unknown jammer '{other}' (expected off|continuous|reactive-long|reactive-short)"
+        )),
     }
 }
 
@@ -186,7 +173,7 @@ pub enum Command {
     /// iperf-style jamming run at one SIR.
     Iperf {
         /// Jammer variant.
-        jammer: JammerName,
+        jammer: JammerUnderTest,
         /// SIR at the AP, dB.
         sir_db: f64,
         /// Test duration, seconds.
@@ -220,9 +207,10 @@ pub enum Command {
         /// Optional path to a saved `rjam-metrics-v1` JSON snapshot; when
         /// absent, a short live exercise is run and its metrics shown.
         input: Option<String>,
-        /// Response budget the trigger-to-TX p99 is judged against, in ns.
-        /// `None` derives it from the detection presets the live exercise
-        /// arms (the paper's xcorr budget when the correlator is in play).
+        /// Response budget the `timeline.t_resp_ns` p99 is judged against,
+        /// in ns. `None` derives it from the detection presets the live
+        /// exercise arms (the paper's xcorr budget when the correlator is in
+        /// play).
         budget_ns: Option<f64>,
     },
     /// Causal tracing: capture traced jam episodes, render the per-frame
@@ -246,7 +234,7 @@ pub enum Command {
     /// Exits 0 when the run ends healthy, 1 when an alarm was raised.
     Monitor {
         /// Jammer variant under test.
-        jammer: JammerName,
+        jammer: JammerUnderTest,
         /// SIR at the AP, dB.
         sir_db: f64,
         /// Scenario duration, seconds.
@@ -425,7 +413,7 @@ fn command(verb: &str, f: &Flags) -> Result<Command, String> {
         )
     };
     let jammer = || {
-        JammerName::parse(
+        parse_jammer(
             f.str("--jammer")
                 .ok_or(format!("{verb} requires --jammer"))?,
         )
@@ -603,9 +591,11 @@ NOTES:
   list over the *same* noise stream (one row per threshold); roc sweeps
   fractions 0.26 to 0.54, or 4 to 18 dB, over one noise and one emission
   stream.
-  stats without a file runs a short live exercise and renders its metrics,
-  including the trigger-to-TX latency histogram against the response budget
-  (derived from the armed presets unless --budget-ns overrides it).
+  stats without a file runs a short live exercise and renders its metrics;
+  with one it renders that snapshot. Either way it judges the p99 of the
+  measured response time (timeline.t_resp_ns: signal start to RF out, which
+  timeline and stats record) against the response budget: the paper's
+  2640 ns xcorr T_resp, or --budget-ns NS.
   trace captures causally-linked jam episodes: every frame gets a
   correlation ID at MAC emission and a per-stage latency decomposition;
   --out writes the rjam-trace-v1 document, --chrome writes a Perfetto /
@@ -693,10 +683,10 @@ mod tests {
     #[test]
     fn parses_iperf_jammers() {
         for (name, want) in [
-            ("off", JammerName::Off),
-            ("continuous", JammerName::Continuous),
-            ("reactive-long", JammerName::ReactiveLong),
-            ("reactive-short", JammerName::ReactiveShort),
+            ("off", JammerUnderTest::Off),
+            ("continuous", JammerUnderTest::Continuous),
+            ("reactive-long", JammerUnderTest::ReactiveLong),
+            ("reactive-short", JammerUnderTest::ReactiveShort),
         ] {
             let c = cmd(&argv(&format!("iperf --jammer {name} --sir 14"))).unwrap();
             match c {

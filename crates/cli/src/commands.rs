@@ -1,15 +1,15 @@
 //! Command implementations: each returns its report as a `String` so tests
 //! can assert on output without capturing stdout.
 
-use crate::args::{CliError, Command, JammerName, PresetName};
+use crate::args::{CliError, Command, PresetName};
 use rjam_core::campaign::{
-    false_alarm_rate, CampaignSpec, ChannelModel, JammerUnderTest, WifiEmission,
+    false_alarm_rate, CampaignSpec, FalseAlarmSpec, JammerUnderTest, JammingSweepSpec,
+    WifiDetectionSpec, WifiEmission,
 };
-use rjam_core::spec::CampaignRequest;
 use rjam_core::timeline::{
-    comparison_rows, episode_stream, measure, TimelineBudget, EPISODE_LEAD_SAMPLES,
+    comparison_rows, jam_episode, MeasuredTimeline, TimelineBudget, EPISODE_PRESETS,
 };
-use rjam_core::{CampaignEngine, DetectionPreset, JammerPreset, ReactiveJammer};
+use rjam_core::{CampaignEngine, DetectionPreset, SpecError};
 use rjam_daemon::{JobRequest, JobResponse};
 use std::fmt::Write as _;
 
@@ -61,56 +61,12 @@ fn sweep_preset_for(
     preset_for(name, grid[0], grid[0], cell, segment)
 }
 
-/// Checks a command's operating point with [`CampaignRequest::validate`],
-/// the rule `rjamd` applies to the same job, so a frame count, sample
-/// count, SNR, SIR or duration the service would refuse is a usage error
-/// here too, before any campaign runs. The rule reads no seed, so the
-/// requests below carry seed 0.
-fn check_request(req: CampaignRequest) -> Result<(), CliError> {
-    req.validate()
-        .map_err(|e| CliError::usage(format!("{} job: {e}", req.kind())))
-}
-
-/// The `wifi_detection` request behind `detect` and the detection half
-/// of `roc`: full 100-byte frames over AWGN at one SNR.
-fn wifi_request(preset: &DetectionPreset, snr_db: f64, frames: usize) -> CampaignRequest {
-    CampaignRequest::WifiDetection {
-        preset: preset.clone(),
-        emission: WifiEmission::FullFrames { psdu_len: 100 },
-        channel: ChannelModel::Awgn,
-        snrs_db: vec![snr_db],
-        frames_per_point: frames,
-        seed: 0,
-    }
-}
-
-/// The `false_alarm` request behind `fa` and the noise half of `roc`.
-fn fa_request(preset: &DetectionPreset, samples: usize) -> CampaignRequest {
-    CampaignRequest::FalseAlarm {
-        preset: preset.clone(),
-        samples,
-        seed: 0,
-    }
-}
-
-/// The `jamming` request behind `iperf` and `monitor`: one SIR point.
-fn jamming_request(jammer: JammerUnderTest, sir_db: f64, seconds: f64) -> CampaignRequest {
-    CampaignRequest::Jamming {
-        jammer,
-        sirs_db: vec![sir_db],
-        duration_s: seconds,
-        seed: 0,
-    }
-}
-
-/// The campaign jammer a `--jammer` name selects.
-fn jammer_under_test(jammer: JammerName) -> JammerUnderTest {
-    match jammer {
-        JammerName::Off => JammerUnderTest::Off,
-        JammerName::Continuous => JammerUnderTest::Continuous,
-        JammerName::ReactiveLong => JammerUnderTest::ReactiveLong,
-        JammerName::ReactiveShort => JammerUnderTest::ReactiveShort,
-    }
+/// The usage error for a campaign its builder's `validate` refuses — the
+/// rule `rjamd` applies to the same job of kind `kind`, so a frame count,
+/// sample count, SNR, SIR or duration the service would refuse is a usage
+/// error here too, before any campaign runs.
+fn refused(kind: &'static str) -> impl Fn(SpecError) -> CliError {
+    move |e| CliError::usage(format!("{kind} job: {e}"))
 }
 
 /// Executes a parsed command on the given campaign engine, returning the
@@ -130,13 +86,13 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
             segment,
         } => {
             let p = preset_for(*preset, *threshold, *energy_db, *cell, *segment)?;
-            check_request(wifi_request(&p, *snr_db, *frames))?;
-            let pts = CampaignSpec::wifi_detection(&p)
+            let spec = CampaignSpec::wifi_detection(&p)
                 .emission(WifiEmission::FullFrames { psdu_len: 100 })
                 .snrs(&[*snr_db])
                 .trials(*frames)
-                .seed(0xC11)
-                .run(engine);
+                .seed(0xC11);
+            spec.validate().map_err(refused(WifiDetectionSpec::KIND))?;
+            let pts = spec.run(engine);
             let mut out = String::new();
             let _ = writeln!(out, "detector: {p:?}");
             let _ = writeln!(
@@ -155,13 +111,14 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
             segment,
             grid,
         } => {
+            let p = match grid {
+                Some(grid) => sweep_preset_for(*preset, grid, *cell, *segment)?,
+                None => preset_for(*preset, *threshold, *energy_db, *cell, *segment)?,
+            };
+            let spec = CampaignSpec::false_alarm(&p).samples(*samples).seed(0xFA2);
+            spec.validate().map_err(refused(FalseAlarmSpec::KIND))?;
             if let Some(grid) = grid {
-                let p = sweep_preset_for(*preset, grid, *cell, *segment)?;
-                check_request(fa_request(&p, *samples))?;
-                let rows = CampaignSpec::false_alarm(&p)
-                    .samples(*samples)
-                    .seed(0xFA2)
-                    .run_grid_counts(engine, grid);
+                let rows = spec.run_grid_counts(engine, grid);
                 let mut out = format!(
                     "detector: {p:?}\n{} thresholds over one shared noise stream (single lane-bank pass):\n",
                     grid.len()
@@ -176,12 +133,7 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
                 }
                 return Ok(out);
             }
-            let p = preset_for(*preset, *threshold, *energy_db, *cell, *segment)?;
-            check_request(fa_request(&p, *samples))?;
-            let (triggers, processed) = CampaignSpec::false_alarm(&p)
-                .samples(*samples)
-                .seed(0xFA2)
-                .run_counts(engine);
+            let (triggers, processed) = spec.run_counts(engine);
             let air_s = processed as f64 / rjam_sdr::USRP_SAMPLE_RATE;
             let fa = false_alarm_rate(triggers, processed);
             Ok(format!(
@@ -193,19 +145,18 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
             sir_db,
             seconds,
         } => {
-            let jut = jammer_under_test(*jammer);
-            check_request(jamming_request(jut, *sir_db, *seconds))?;
-            let pts = CampaignSpec::jamming(jut)
+            let spec = CampaignSpec::jamming(*jammer)
                 .sirs(&[*sir_db])
                 .duration_s(*seconds)
-                .seed(0x1EF)
-                .run(engine);
+                .seed(0x1EF);
+            spec.validate().map_err(refused(JammingSweepSpec::KIND))?;
+            let pts = spec.run(engine);
             let r = &pts[0].report;
             let mut out = String::new();
             let _ = writeln!(
                 out,
                 "{} at SIR {sir_db:.2} dB for {seconds} s:",
-                jut.label()
+                jammer.label()
             );
             let _ = writeln!(out, "  {}", r.summary());
             let _ = writeln!(
@@ -256,16 +207,17 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
                 })
                 .collect();
             let base = sweep_preset_for(*preset, &thresholds, *cell, *segment)?;
-            check_request(wifi_request(&base, *snr_db, *frames))?;
-            check_request(fa_request(&base, *fa_samples))?;
-            let pts = CampaignSpec::roc(&base)
+            let spec = CampaignSpec::roc(&base)
                 .emission(WifiEmission::FullFrames { psdu_len: 100 })
                 .snr_db(*snr_db)
                 .thresholds(&thresholds)
                 .trials(*frames)
                 .fa_samples(*fa_samples)
-                .seed(0x20C)
-                .run(engine);
+                .seed(0x20C);
+            let (fa, det) = spec.halves();
+            det.validate().map_err(refused(WifiDetectionSpec::KIND))?;
+            fa.validate().map_err(refused(FalseAlarmSpec::KIND))?;
+            let pts = spec.run(engine);
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -309,47 +261,28 @@ fn resources_report() -> String {
     out
 }
 
-/// Drives one noisy WiFi frame, starting at stream index
-/// [`EPISODE_LEAD_SAMPLES`], through a freshly armed reactive jammer.
-/// Returns the jammer with its event logs populated.
-fn jam_episode(det: DetectionPreset, seed: u64) -> ReactiveJammer {
-    let mut j = ReactiveJammer::new(
-        det,
-        JammerPreset::Reactive {
-            uptime_s: 10e-6,
-            waveform: rjam_fpga::JamWaveform::Wgn,
-        },
-    );
-    j.process_block(&episode_stream(80, 200, seed).0);
-    j
+/// The live Fig. 5 exercise behind `timeline` and `stats`: `trials` jam
+/// episodes of an 80-byte frame per detection path, from seed `seed0` on.
+/// Each episode's response time goes to the `timeline.t_resp_ns` histogram
+/// and its core's counters and latencies to the registry, so a trailing
+/// `--metrics-out` snapshot reflects the run. Returns the worst timeline.
+fn exercise(trials: usize, seed0: u64) -> MeasuredTimeline {
+    let mut worst = MeasuredTimeline::default();
+    for k in 0..trials as u64 {
+        for det in &EPISODE_PRESETS {
+            let (mut j, m) = jam_episode(det, 80, seed0 + k);
+            if let Some(ns) = m.t_resp_ns {
+                rjam_obs::registry::histogram("timeline.t_resp_ns").record(ns as u64);
+            }
+            j.core_mut().flush_obs();
+            worst = worst.worst(m);
+        }
+    }
+    worst
 }
 
 fn timeline_report(trials: usize) -> String {
-    let mut worst = rjam_core::timeline::MeasuredTimeline::default();
-    let mut merge = |m: rjam_core::timeline::MeasuredTimeline| {
-        let max = |a: Option<f64>, b: Option<f64>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.max(y)),
-            (x, None) => x,
-            (None, y) => y,
-        };
-        worst.t_en_det_ns = max(worst.t_en_det_ns, m.t_en_det_ns);
-        worst.t_xcorr_det_ns = max(worst.t_xcorr_det_ns, m.t_xcorr_det_ns);
-        worst.t_init_ns = max(worst.t_init_ns, m.t_init_ns);
-        worst.t_resp_ns = max(worst.t_resp_ns, m.t_resp_ns);
-    };
-    for k in 0..trials as u64 {
-        for det in [
-            DetectionPreset::EnergyRise { threshold_db: 10.0 },
-            DetectionPreset::WifiShortPreamble { threshold: 0.35 },
-        ] {
-            let mut j = jam_episode(det, 500 + k);
-            let lead = EPISODE_LEAD_SAMPLES as u64;
-            merge(measure(j.events(), j.jam_events(), lead));
-            // Publish the episode's counters/latencies so a trailing
-            // --metrics-out snapshot reflects the run.
-            j.core_mut().flush_obs();
-        }
-    }
+    let worst = exercise(trials, 500);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -396,23 +329,15 @@ fn classify_report(path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The detection presets the live `stats` / `trace` exercises arm: both
-/// detector paths (energy rise and the WiFi short-preamble correlator).
-fn exercised_presets() -> [DetectionPreset; 2] {
-    [
-        DetectionPreset::EnergyRise { threshold_db: 10.0 },
-        DetectionPreset::WifiShortPreamble { threshold: 0.35 },
-    ]
-}
-
 /// The response budget to judge against: the operator's `--budget-ns` when
-/// given, otherwise derived from the armed presets (the slowest applicable
-/// path bounds the exercise). Returns the value and how it was obtained.
+/// given, otherwise derived from the Fig. 5 presets the exercises arm (the
+/// slowest path bounds the exercise). Returns the value and how it was
+/// obtained.
 fn resolve_budget(budget_ns: Option<f64>) -> (f64, &'static str) {
     match budget_ns {
         Some(ns) => (ns, "operator"),
         None => (
-            exercised_presets()
+            EPISODE_PRESETS
                 .iter()
                 .map(DetectionPreset::response_budget_ns)
                 .fold(0.0, f64::max),
@@ -421,27 +346,29 @@ fn resolve_budget(budget_ns: Option<f64>) -> (f64, &'static str) {
     }
 }
 
-/// Appends the Fig.-5 budget verdict for the trigger-to-TX histogram to a
-/// rendered snapshot.
+/// Appends the Fig.-5 budget verdict to a rendered snapshot: the p99 of
+/// the measured response time `timeline.t_resp_ns` (signal start to RF
+/// out, T_det + T_init) against the response budget. The trigger-to-TX
+/// turnaround (T_init alone) has its own 8-cycle check in the core.
 fn append_budget_line(out: &mut String, snap: &rjam_obs::MetricsSnapshot, budget: Option<f64>) {
     let (budget_ns, source) = resolve_budget(budget);
     let label = match source {
         "operator" => format!("the operator's {budget_ns:.0} ns response budget (--budget-ns)"),
         _ => format!("the paper's {budget_ns:.0} ns xcorr response budget"),
     };
-    match snap.histogram("fpga.trigger_to_tx_ns") {
+    match snap.histogram("timeline.t_resp_ns") {
         Some(h) if h.count > 0 => {
             let verdict = if (h.p99 as f64) <= budget_ns {
                 "within"
             } else {
                 "OVER"
             };
-            let _ = writeln!(out, "trigger-to-TX p99 = {} ns — {verdict} {label}", h.p99);
+            let _ = writeln!(out, "T_resp p99 = {} ns — {verdict} {label}", h.p99);
         }
         _ => {
             let _ = writeln!(
                 out,
-                "trigger-to-TX histogram empty (budget {budget_ns:.0} ns not exercised)"
+                "T_resp histogram empty (budget {budget_ns:.0} ns not exercised)"
             );
         }
     }
@@ -460,18 +387,7 @@ fn stats_report(input: Option<&str>, budget_ns: Option<f64>) -> Result<String, C
             })?
         }
         None => {
-            // Live exercise: both detection paths, a few episodes each.
-            for k in 0..4u64 {
-                for det in exercised_presets() {
-                    let mut j = jam_episode(det, 900 + k);
-                    let lead = EPISODE_LEAD_SAMPLES as u64;
-                    let m = measure(j.events(), j.jam_events(), lead);
-                    if let Some(ns) = m.t_resp_ns {
-                        rjam_obs::registry::histogram("timeline.t_resp_ns").record(ns as u64);
-                    }
-                    j.core_mut().flush_obs();
-                }
-            }
+            exercise(4, 900);
             rjam_obs::registry::snapshot()
         }
     };
@@ -645,7 +561,7 @@ fn engine_report(engine: &CampaignEngine, frames: usize, top: usize) -> Result<S
         .trials(frames)
         .seed(0x4E90)
         .run(engine);
-    let profile = engine.profile("wifi_detection").ok_or_else(|| {
+    let profile = engine.profile(WifiDetectionSpec::KIND).ok_or_else(|| {
         CliError::runtime("the campaign finished but published no engine profile")
     })?;
     let mut out = String::new();
@@ -665,7 +581,7 @@ fn engine_report(engine: &CampaignEngine, frames: usize, top: usize) -> Result<S
 /// so the process exits 1 while still printing the full report — the exit
 /// code *is* the verdict (healthy=0, alarmed=1, usage=2).
 fn monitor_report(
-    jammer: JammerName,
+    jammer: JammerUnderTest,
     sir_db: f64,
     seconds: f64,
     cadence: u64,
@@ -675,15 +591,20 @@ fn monitor_report(
     if cadence == 0 {
         return Err(CliError::usage("--cadence must be at least 1"));
     }
-    let jut = jammer_under_test(jammer);
-    check_request(jamming_request(jut, sir_db, seconds))?;
+    // The scenario below is this sweep's one point, so its check is the
+    // sweep's.
+    CampaignSpec::jamming(jammer)
+        .sirs(&[sir_db])
+        .duration_s(seconds)
+        .validate()
+        .map_err(refused(JammingSweepSpec::KIND))?;
     if !rjam_obs::enabled() {
         return Err(CliError::runtime(
             "health monitoring is compiled out (obs feature disabled); \
              rebuild with default features to use `rjamctl monitor`",
         ));
     }
-    let sc = rjam_core::campaign::scenario_for(jut, sir_db, seconds, 0x6EA17);
+    let sc = rjam_core::campaign::scenario_for(jammer, sir_db, seconds, 0x6EA17);
     let mut mon = rjam_obs::HealthMonitor::new(cadence);
     let report = rjam_mac::ScenarioRun::new(&sc).health(&mut mon).run();
     let verdict = mon.finish();
@@ -696,7 +617,7 @@ fn monitor_report(
     let _ = writeln!(
         buf,
         "{} at SIR {sir_db:.2} dB for {seconds} s, cadence {cadence} frames:",
-        jut.label()
+        jammer.label()
     );
     let _ = writeln!(buf, "  {}", report.summary());
     buf.push('\n');
@@ -1059,33 +980,6 @@ mod tests {
             assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
             assert!(err.message().contains("threshold"), "{cmd}: {err}");
         }
-        // Frame and sample counts, SNRs, SIRs and durations the service
-        // refuses, each named by its request field.
-        for (cmd, field) in [
-            ("detect --preset wifi-short --snr nan", "snrs_db"),
-            ("detect --preset wifi-short --frames 0", "trials"),
-            ("fa --preset wifi-short --samples 0", "samples"),
-            (
-                "fa --preset wifi-short --grid 0.3,0.4 --samples 0",
-                "samples",
-            ),
-            ("roc --preset wifi-short --snr nan", "snrs_db"),
-            ("roc --preset wifi-short --frames 0", "trials"),
-            ("roc --preset wifi-short --fa-samples 0", "samples"),
-            ("iperf --jammer off --seconds 0", "duration_s"),
-            ("iperf --jammer off --seconds -1", "duration_s"),
-            ("iperf --jammer off --seconds nan", "duration_s"),
-            ("iperf --jammer off --seconds 3601", "duration_s"),
-            ("iperf --jammer off --sir nan", "sirs_db"),
-            ("monitor --jammer off --seconds 0", "duration_s"),
-            ("monitor --jammer off --seconds 3601", "duration_s"),
-            ("monitor --jammer off --sir nan", "sirs_db"),
-        ] {
-            let err = execute_with(&parse(&argv(cmd)).unwrap(), &engine()).unwrap_err();
-            assert_eq!(err.kind(), crate::args::ErrorKind::Usage, "{cmd}: {err}");
-            assert_eq!(err.exit_code(), 2, "{cmd}");
-            assert!(err.message().contains(field), "{cmd}: {err}");
-        }
     }
 
     #[test]
@@ -1275,10 +1169,11 @@ mod tests {
         assert!(out.contains("== histograms =="), "{out}");
         if rjam_obs::enabled() {
             // The live exercise must surface the FPGA pipeline counters and
-            // a trigger-to-TX latency inside the paper budget.
+            // a response time inside the paper budget.
             assert!(out.contains("fpga.samples_in"), "{out}");
             assert!(
-                out.contains("within the paper's 2640 ns xcorr response budget"),
+                out.contains("T_resp p99 = ")
+                    && out.contains("within the paper's 2640 ns xcorr response budget"),
                 "{out}"
             );
         } else {
@@ -1314,6 +1209,41 @@ mod tests {
         if rjam_obs::enabled() {
             assert!(out.contains("fpga.samples_in"), "{out}");
         }
+    }
+
+    #[test]
+    fn stats_grades_the_response_time_not_the_turnaround() {
+        // An 80 ns trigger-to-TX turnaround inside a 3000 ns response: the
+        // response is what the 2640 ns budget bounds.
+        let hist = |p99| rjam_obs::HistSummary {
+            count: 8,
+            mean: p99 as f64,
+            min: p99,
+            max: p99,
+            p50: p99,
+            p95: p99,
+            p99,
+        };
+        let snap = rjam_obs::MetricsSnapshot {
+            histograms: vec![
+                ("fpga.trigger_to_tx_ns".into(), hist(80)),
+                ("timeline.t_resp_ns".into(), hist(3000)),
+            ],
+            ..Default::default()
+        };
+        let mut path = std::env::temp_dir();
+        path.push(format!("rjamctl_slow_{}.json", std::process::id()));
+        std::fs::write(&path, snap.to_json()).unwrap();
+        let stats = |budget_ns| {
+            let input = Some(path.to_string_lossy().into());
+            execute_with(&Command::Stats { input, budget_ns }, &engine()).unwrap()
+        };
+        let (paper, operator) = (stats(None), stats(Some(5000.0)));
+        std::fs::remove_file(&path).ok();
+        let verdict = "T_resp p99 = 3000 ns — OVER the paper's 2640 ns xcorr response budget";
+        assert!(paper.contains(verdict), "{paper}");
+        let verdict = "T_resp p99 = 3000 ns — within the operator's 5000 ns response budget";
+        assert!(operator.contains(verdict), "{operator}");
     }
 
     #[test]

@@ -28,15 +28,46 @@ fn bad_flag_value_exits_2() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--sir"));
 }
 
+/// Operating points the job service refuses, one per line: the command,
+/// then the first stderr line it must print. Each is the service's rule
+/// for the same job, prefixed with its kind: a NaN SNR or SIR and a zero
+/// count parse, but never reach a campaign. The detector is checked first
+/// (6 is no correlation fraction), and the detection half of `roc` before
+/// its false-alarm half.
+const REFUSALS: &str = "\
+detect --preset wifi-short --snr nan | wifi_detection job: invalid 'snrs_db': NaN is not finite
+detect --preset wifi-short --frames 0 | wifi_detection job: invalid 'trials': 0 frames per point
+fa --preset wifi-long --samples 0 | false_alarm job: invalid 'samples': 0 noise samples
+fa --preset wifi-short --samples 0 | false_alarm job: invalid 'samples': 0 noise samples
+fa --preset wifi-short --grid 0.3,0.4 --samples 0 | false_alarm job: invalid 'samples': 0 noise samples
+fa --preset energy --samples 0 --grid 6,10 | false_alarm job: invalid 'samples': 0 noise samples
+fa --preset wifi-long --samples 0 --grid 6,10 | invalid detector configuration: threshold: 6 is not in (0, 1]
+iperf --jammer off --seconds 0 | jamming job: invalid 'duration_s': 0 is not in (0, 3600] s
+iperf --jammer off --seconds -1 | jamming job: invalid 'duration_s': -1 is not in (0, 3600] s
+iperf --jammer off --seconds nan | jamming job: invalid 'duration_s': NaN is not in (0, 3600] s
+iperf --jammer off --seconds 3601 | jamming job: invalid 'duration_s': 3601 is not in (0, 3600] s
+iperf --jammer off --sir nan | jamming job: invalid 'sirs_db': NaN is not finite
+monitor --jammer off --sir nan | jamming job: invalid 'sirs_db': NaN is not finite
+monitor --jammer off --seconds 0 | jamming job: invalid 'duration_s': 0 is not in (0, 3600] s
+monitor --jammer off --seconds 3601 | jamming job: invalid 'duration_s': 3601 is not in (0, 3600] s
+monitor --jammer off --seconds 1e15 | jamming job: invalid 'duration_s': 1000000000000000 is not in (0, 3600] s
+roc --preset wifi-short --snr nan | wifi_detection job: invalid 'snrs_db': NaN is not finite
+roc --preset wifi-short --frames 0 | wifi_detection job: invalid 'trials': 0 frames per point
+roc --preset wifi-short --frames 0 --fa-samples 0 | wifi_detection job: invalid 'trials': 0 frames per point
+roc --preset wifi-short --fa-samples 0 | false_alarm job: invalid 'samples': 0 noise samples
+roc --preset energy --fa-samples 0 | false_alarm job: invalid 'samples': 0 noise samples";
+
 #[test]
 fn operating_point_the_service_refuses_exits_2_with_usage() {
-    // A NaN SNR parses as a number; the job service's rule refuses it
-    // before the noise source sees it.
-    let out = rjamctl(&["detect", "--preset", "wifi-short", "--snr", "nan"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("snrs_db"), "{err}");
-    assert!(err.contains("USAGE:"), "usage must accompany exit 2: {err}");
+    for case in REFUSALS.lines() {
+        let (args, want) = case.split_once(" | ").expect("command | first line");
+        let out = rjamctl(&args.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(2), "{args}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("error: {want}");
+        assert_eq!(err.lines().next(), Some(want.as_str()), "{args}");
+        assert!(err.contains("USAGE:"), "usage must accompany exit 2: {err}");
+    }
 }
 
 #[test]
@@ -110,7 +141,8 @@ fn stats_prints_counters_and_latency_histogram() {
         assert!(text.contains("fpga.samples_in"), "{text}");
         assert!(text.contains("fpga.trigger_to_tx_ns"), "{text}");
         assert!(
-            text.contains("within the paper's 2640 ns xcorr response budget"),
+            text.contains("T_resp p99 = ")
+                && text.contains("within the paper's 2640 ns xcorr response budget"),
             "{text}"
         );
     }
@@ -254,10 +286,18 @@ fn metrics_out_writes_parseable_snapshot() {
     std::fs::remove_file(&path).ok();
     let snap = rjam_obs::MetricsSnapshot::from_json(&text).expect("snapshot parses");
     #[cfg(feature = "obs")]
-    assert!(
-        snap.counter("fpga.samples_in").unwrap_or(0) > 0,
-        "timeline run must have streamed samples: {text}"
-    );
+    {
+        assert!(
+            snap.counter("fpga.samples_in").unwrap_or(0) > 0,
+            "timeline run must have streamed samples: {text}"
+        );
+        // Each episode's response time, for `stats FILE` to judge.
+        assert_eq!(
+            snap.histogram("timeline.t_resp_ns").map(|h| h.count),
+            Some(2),
+            "{text}"
+        );
+    }
     #[cfg(not(feature = "obs"))]
     assert!(snap.is_empty());
 }

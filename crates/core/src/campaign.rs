@@ -13,6 +13,7 @@
 use crate::engine::{CampaignEngine, CancelToken, FoldCheckpoint};
 use crate::jammer::{JamLane, DEFAULT_LOCKOUT};
 use crate::presets::{build_config, DetectionPreset, JammerPreset};
+use crate::spec::{field_err, SpecError, MAX_CHANNEL_TAPS, MAX_JAMMING_DURATION_S, MAX_JOB_UNITS};
 use crate::testbed::TestbedBudget;
 use rjam_channel::monitor::ScopeTrace;
 use rjam_channel::noise::NoiseSource;
@@ -291,6 +292,43 @@ impl MeasurePool {
     }
 }
 
+/// [`DetectionPreset::validate`], with the failing field named by its
+/// request path.
+fn check_preset(preset: &DetectionPreset) -> Result<(), SpecError> {
+    preset.validate().map_err(|e| {
+        let field = match e.field {
+            "threshold" => "preset.threshold",
+            "threshold_db" => "preset.threshold_db",
+            "energy_db" => "preset.energy_db",
+            "id_cell" => "preset.id_cell",
+            _ => "preset.segment",
+        };
+        field_err(field, e.reason)
+    })
+}
+
+/// Refuses an empty grid or one with a value that is not finite.
+fn check_grid(field: &'static str, grid: &[f64]) -> Result<(), SpecError> {
+    if grid.is_empty() {
+        return Err(field_err(field, "grid is empty"));
+    }
+    if let Some(bad) = grid.iter().find(|v| !v.is_finite()) {
+        return Err(field_err(field, format!("{bad} is not finite")));
+    }
+    Ok(())
+}
+
+/// Refuses a campaign of more than [`MAX_JOB_UNITS`] work units.
+fn check_units(field: &'static str, units: usize) -> Result<(), SpecError> {
+    if units > MAX_JOB_UNITS {
+        return Err(field_err(
+            field,
+            format!("the job needs {units} work units, over the limit of {MAX_JOB_UNITS}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Channel model for detection sweeps.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChannelModel {
@@ -421,6 +459,9 @@ pub struct WifiDetectionSpec {
 }
 
 impl WifiDetectionSpec {
+    /// The campaign's kind tag, on the wire and in telemetry.
+    pub const KIND: &'static str = "wifi_detection";
+
     /// What the transmitter emits each trial.
     pub fn emission(mut self, emission: WifiEmission) -> Self {
         self.emission = emission;
@@ -490,6 +531,38 @@ impl WifiDetectionSpec {
         self.snrs_db.len().saturating_mul(self.blocks_per_point())
     }
 
+    /// Checks the sweep against the limits the detector model and the job
+    /// service impose, naming the first offending request field: preset,
+    /// frame length, channel, SNR grid, frame count, then work units. A
+    /// sweep that validates will run.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        check_preset(&self.preset)?;
+        if let WifiEmission::FullFrames { psdu_len } = self.emission {
+            if psdu_len == 0 || psdu_len > 4095 {
+                return Err(field_err(
+                    "emission.psdu_len",
+                    format!("{psdu_len} is not in 1..=4095"),
+                ));
+            }
+        }
+        if let ChannelModel::Rayleigh { taps, rms } = self.channel {
+            if !(1..=MAX_CHANNEL_TAPS).contains(&taps) {
+                return Err(field_err(
+                    "channel.taps",
+                    format!("{taps} is not in 1..={MAX_CHANNEL_TAPS}"),
+                ));
+            }
+            if !rms.is_finite() || rms <= 0.0 {
+                return Err(field_err("channel.rms", format!("{rms} is not positive")));
+            }
+        }
+        check_grid("snrs_db", &self.snrs_db)?;
+        if self.frames_per_point == 0 {
+            return Err(field_err("trials", "0 frames per point"));
+        }
+        check_units("trials", self.n_units())
+    }
+
     /// Checkpointed, cancellable [`WifiDetectionSpec::run`]: `done` carries
     /// per-unit `(detected_frames, total_triggers)` cells (one per
     /// hypothesis; here, one) across interruptions and `cancel` stops the
@@ -507,7 +580,7 @@ impl WifiDetectionSpec {
     ) -> Option<Vec<DetectionPoint>> {
         let sums = self.measure(
             engine,
-            "wifi_detection",
+            Self::KIND,
             std::slice::from_ref(&self.preset),
             done,
             cancel,
@@ -651,6 +724,9 @@ pub struct FalseAlarmSpec {
 }
 
 impl FalseAlarmSpec {
+    /// The campaign's kind tag, on the wire and in telemetry.
+    pub const KIND: &'static str = "false_alarm";
+
     /// Total noise samples to stream.
     pub fn samples(mut self, samples: usize) -> Self {
         self.samples = samples;
@@ -685,6 +761,17 @@ impl FalseAlarmSpec {
         self.samples.div_ceil(FA_UNIT_SAMPLES)
     }
 
+    /// Checks the measurement against the detector model's and the job
+    /// service's limits, naming the first offending request field: preset,
+    /// sample count, then work units.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        check_preset(&self.preset)?;
+        if self.samples == 0 {
+            return Err(field_err("samples", "0 noise samples"));
+        }
+        check_units("samples", self.n_units())
+    }
+
     /// Runs the measurement and returns `(triggers, samples)` — the raw
     /// trigger count and the noise samples actually streamed. The
     /// denominator always equals the requested sample count: the campaign
@@ -707,7 +794,7 @@ impl FalseAlarmSpec {
     ) -> Option<(u64, u64)> {
         let counts = self.measure(
             engine,
-            "false_alarm",
+            Self::KIND,
             std::slice::from_ref(&self.preset),
             done,
             cancel,
@@ -855,6 +942,23 @@ impl RocSpec {
         self
     }
 
+    /// The two measurements every threshold is a hypothesis of, armed with
+    /// the base preset: the false-alarm half at seed `seed ^ 0xFA` and the
+    /// detection half at the probe SNR at seed `seed ^ 0xD7`. Their
+    /// `validate` is the sweep's check.
+    pub fn halves(&self) -> (FalseAlarmSpec, WifiDetectionSpec) {
+        (
+            CampaignSpec::false_alarm(&self.preset)
+                .samples(self.fa_samples)
+                .seed(self.seed ^ 0xFA),
+            CampaignSpec::wifi_detection(&self.preset)
+                .emission(self.emission)
+                .snrs(&[self.snr_db])
+                .trials(self.frames_per_point)
+                .seed(self.seed ^ 0xD7),
+        )
+    }
+
     /// Sweeps the threshold to trace the detector's ROC at one SNR: the
     /// quantitative form of Fig. 6's two-operating-point comparison
     /// ("aiming for a lower false alarm rate generally decreases the
@@ -873,16 +977,11 @@ impl RocSpec {
             .map(|&t| self.preset.with_threshold(t))
             .collect();
         let complete = "uncancelled campaign always completes";
-        let fa = CampaignSpec::false_alarm(&self.preset)
-            .samples(self.fa_samples)
-            .seed(self.seed ^ 0xFA)
+        let (fa, det) = self.halves();
+        let fa = fa
             .measure(engine, "roc_fa", &presets, &mut BTreeMap::new(), None)
             .expect(complete);
-        let det = CampaignSpec::wifi_detection(&self.preset)
-            .emission(self.emission)
-            .snrs(&[self.snr_db])
-            .trials(self.frames_per_point)
-            .seed(self.seed ^ 0xD7)
+        let det = det
             .measure(engine, "roc_detect", &presets, &mut BTreeMap::new(), None)
             .expect(complete);
         self.thresholds
@@ -1057,6 +1156,9 @@ pub struct WimaxDetectionSpec {
 }
 
 impl WimaxDetectionSpec {
+    /// The campaign's kind tag, on the wire and in telemetry.
+    pub const KIND: &'static str = "wimax";
+
     /// Use the fused correlator+energy detector (vs the correlator alone).
     pub fn fused(mut self, fused: bool) -> Self {
         self.fused = fused;
@@ -1133,6 +1235,25 @@ impl WimaxDetectionSpec {
         self.frames.div_ceil(WIMAX_FRAMES_PER_UNIT)
     }
 
+    /// Checks the experiment against the job service's limits and the
+    /// detector model, naming the first offending request field: frame
+    /// count, work units, SNR, then the armed detector's threshold.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.frames == 0 {
+            return Err(field_err("frames", "0 downlink frames"));
+        }
+        check_units("frames", self.n_units())?;
+        if !self.snr_db.is_finite() {
+            return Err(field_err(
+                "snr_db",
+                format!("{} is not finite", self.snr_db),
+            ));
+        }
+        self.detection()
+            .validate()
+            .map_err(|e| field_err("threshold", e.reason))
+    }
+
     /// Checkpointed, cancellable [`WimaxDetectionSpec::run`]: `ckpt`
     /// carries the folded prefix and the out-of-order units across
     /// interruptions and `cancel` stops the experiment between units,
@@ -1162,7 +1283,7 @@ impl WimaxDetectionSpec {
             detected,
             latency_acc,
         } = engine.fold_units(
-            "wimax",
+            Self::KIND,
             self.n_units(),
             self.seed,
             ckpt,
@@ -1278,6 +1399,9 @@ pub struct JammingSweepSpec {
 }
 
 impl JammingSweepSpec {
+    /// The campaign's kind tag, on the wire and in telemetry.
+    pub const KIND: &'static str = "jamming";
+
     /// SIR grid at the AP, dB.
     pub fn sirs(mut self, sirs_db: &[f64]) -> Self {
         self.sirs_db = sirs_db.to_vec();
@@ -1311,6 +1435,22 @@ impl JammingSweepSpec {
         self.sirs_db.len()
     }
 
+    /// Checks the sweep against the job service's limits, naming the first
+    /// offending request field: SIR grid, duration, then work units.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        check_grid("sirs_db", &self.sirs_db)?;
+        if !(self.duration_s > 0.0 && self.duration_s <= MAX_JAMMING_DURATION_S) {
+            return Err(field_err(
+                "duration_s",
+                format!(
+                    "{} is not in (0, {MAX_JAMMING_DURATION_S}] s",
+                    self.duration_s
+                ),
+            ));
+        }
+        check_units("sirs_db", self.n_units())
+    }
+
     /// Checkpointed, cancellable [`JammingSweepSpec::run`]: `done` carries
     /// per-point results and their MAC obs deltas across interruptions and
     /// `cancel` stops the sweep between SIR points, returning `None`
@@ -1322,7 +1462,7 @@ impl JammingSweepSpec {
         cancel: Option<&CancelToken>,
     ) -> Option<Vec<JammingPoint>> {
         let results = engine.run_units(
-            "jamming",
+            Self::KIND,
             self.n_units(),
             self.seed,
             done,
@@ -1342,18 +1482,26 @@ impl JammingSweepSpec {
                 )
             },
         )?;
-        let mut merged = MacObsDelta::new();
-        let mut out = Vec::with_capacity(results.len());
-        for (pt, delta) in results {
-            merged.absorb(delta);
-            out.push(pt);
-        }
-        merged.publish();
+        let out = publish_in_order(results);
         if rjam_obs::enabled() {
             rjam_obs::registry::counter("core.jamming_sweep_points").add(self.sirs_db.len() as u64);
         }
         Some(out)
     }
+}
+
+/// Splits a MAC sweep's per-unit results from their obs deltas: the deltas
+/// are absorbed in unit order and published once, so the obs registry sees
+/// the same totals as a serial run.
+fn publish_in_order<P>(results: Vec<(P, MacObsDelta)>) -> Vec<P> {
+    let mut merged = MacObsDelta::new();
+    let mut out = Vec::with_capacity(results.len());
+    for (pt, delta) in results {
+        merged.absorb(delta);
+        out.push(pt);
+    }
+    merged.publish();
+    out
 }
 
 /// One operating point of the health-monitor time-to-detect sweep.
@@ -1458,13 +1606,7 @@ impl HealthSweepSpec {
                 )
             },
         );
-        let mut merged = MacObsDelta::new();
-        let mut out = Vec::with_capacity(results.len());
-        for (pt, delta) in results {
-            merged.absorb(delta);
-            out.push(pt);
-        }
-        merged.publish();
+        let out = publish_in_order(results);
         if rjam_obs::enabled() {
             rjam_obs::registry::counter("core.health_ttd_points").add(grid.len() as u64);
         }

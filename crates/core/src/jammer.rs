@@ -132,16 +132,6 @@ impl ReactiveJammer {
         }
     }
 
-    /// Current detection personality.
-    pub fn detection(&self) -> &DetectionPreset {
-        &self.detection
-    }
-
-    /// Current jamming personality.
-    pub fn reaction(&self) -> &JammerPreset {
-        &self.reaction
-    }
-
     /// Switches the detection personality at run time. Returns the number
     /// of register writes it cost (the reconfiguration latency currency).
     pub fn set_detection(&mut self, detection: DetectionPreset) -> u64 {

@@ -24,8 +24,8 @@
 //! process.
 
 use crate::campaign::{
-    false_alarm_rate, CampaignSpec, ChannelModel, JammerUnderTest, JammingPoint, WifiEmission,
-    WimaxCheckpoint,
+    false_alarm_rate, CampaignSpec, ChannelModel, FalseAlarmSpec, JammerUnderTest, JammingPoint,
+    JammingSweepSpec, WifiDetectionSpec, WifiEmission, WimaxCheckpoint, WimaxDetectionSpec,
 };
 use crate::engine::{CampaignEngine, CancelToken};
 use crate::export;
@@ -98,7 +98,7 @@ pub const MAX_JAMMING_DURATION_S: f64 = 3600.0;
 /// frames is the markers and the export, about 0.1 KB per frame each.
 pub const MAX_JOB_UNITS: usize = 1 << 18;
 
-fn field_err(field: &'static str, reason: impl Into<String>) -> SpecError {
+pub(crate) fn field_err(field: &'static str, reason: impl Into<String>) -> SpecError {
     SpecError::Field {
         field,
         reason: reason.into(),
@@ -163,165 +163,102 @@ pub enum CampaignRequest {
     },
 }
 
+/// The builder a request runs, one per job kind.
+enum Builder {
+    WifiDetection(WifiDetectionSpec),
+    FalseAlarm(FalseAlarmSpec),
+    Wimax(WimaxDetectionSpec),
+    Jamming(JammingSweepSpec),
+}
+
 impl CampaignRequest {
     /// The campaign kind tag used on the wire and in telemetry.
     pub fn kind(&self) -> &'static str {
         match self {
-            CampaignRequest::WifiDetection { .. } => "wifi_detection",
-            CampaignRequest::FalseAlarm { .. } => "false_alarm",
-            CampaignRequest::Wimax { .. } => "wimax",
-            CampaignRequest::Jamming { .. } => "jamming",
+            CampaignRequest::WifiDetection { .. } => WifiDetectionSpec::KIND,
+            CampaignRequest::FalseAlarm { .. } => FalseAlarmSpec::KIND,
+            CampaignRequest::Wimax { .. } => WimaxDetectionSpec::KIND,
+            CampaignRequest::Jamming { .. } => JammingSweepSpec::KIND,
+        }
+    }
+
+    /// The [`CampaignSpec`] builder this request runs: the one place a
+    /// request's fields become a campaign.
+    fn builder(&self) -> Builder {
+        match self {
+            CampaignRequest::WifiDetection {
+                preset,
+                emission,
+                channel,
+                snrs_db,
+                frames_per_point,
+                seed,
+            } => Builder::WifiDetection(
+                CampaignSpec::wifi_detection(preset)
+                    .emission(*emission)
+                    .channel(*channel)
+                    .snrs(snrs_db)
+                    .trials(*frames_per_point)
+                    .seed(*seed),
+            ),
+            CampaignRequest::FalseAlarm {
+                preset,
+                samples,
+                seed,
+            } => Builder::FalseAlarm(
+                CampaignSpec::false_alarm(preset)
+                    .samples(*samples)
+                    .seed(*seed),
+            ),
+            CampaignRequest::Wimax {
+                fused,
+                frames,
+                snr_db,
+                threshold,
+                seed,
+            } => Builder::Wimax(
+                CampaignSpec::wimax_detection()
+                    .fused(*fused)
+                    .frames(*frames)
+                    .snr_db(*snr_db)
+                    .threshold(*threshold)
+                    .seed(*seed),
+            ),
+            CampaignRequest::Jamming {
+                jammer,
+                sirs_db,
+                duration_s,
+                seed,
+            } => Builder::Jamming(
+                CampaignSpec::jamming(*jammer)
+                    .sirs(sirs_db)
+                    .duration_s(*duration_s)
+                    .seed(*seed),
+            ),
         }
     }
 
     /// Number of engine work units the request will run — the progress
     /// denominator a job reports.
     pub fn n_units(&self) -> usize {
-        match self {
-            CampaignRequest::WifiDetection {
-                preset,
-                emission,
-                channel,
-                snrs_db,
-                frames_per_point,
-                seed,
-            } => CampaignSpec::wifi_detection(preset)
-                .emission(*emission)
-                .channel(*channel)
-                .snrs(snrs_db)
-                .trials(*frames_per_point)
-                .seed(*seed)
-                .n_units(),
-            CampaignRequest::FalseAlarm {
-                preset,
-                samples,
-                seed,
-            } => CampaignSpec::false_alarm(preset)
-                .samples(*samples)
-                .seed(*seed)
-                .n_units(),
-            CampaignRequest::Wimax { frames, .. } => {
-                CampaignSpec::wimax_detection().frames(*frames).n_units()
-            }
-            CampaignRequest::Jamming { sirs_db, .. } => sirs_db.len(),
+        match self.builder() {
+            Builder::WifiDetection(b) => b.n_units(),
+            Builder::FalseAlarm(b) => b.n_units(),
+            Builder::Wimax(b) => b.n_units(),
+            Builder::Jamming(b) => b.n_units(),
         }
     }
 
     /// Checks every field against the constraints the builders and the
-    /// detector hardware model impose, naming the first offender. A
-    /// request that validates will run; this is the reject-before-enqueue
-    /// gate the job queue relies on.
+    /// detector hardware model impose, naming the first offender: the
+    /// builder's own `validate`. A request that validates will run; this
+    /// is the reject-before-enqueue gate the job queue relies on.
     pub fn validate(&self) -> Result<(), SpecError> {
-        fn check_preset(preset: &DetectionPreset) -> Result<(), SpecError> {
-            preset.validate().map_err(|e| {
-                let field = match e.field {
-                    "threshold" => "preset.threshold",
-                    "threshold_db" => "preset.threshold_db",
-                    "energy_db" => "preset.energy_db",
-                    "id_cell" => "preset.id_cell",
-                    _ => "preset.segment",
-                };
-                field_err(field, e.reason)
-            })
-        }
-        fn check_grid(field: &'static str, grid: &[f64]) -> Result<(), SpecError> {
-            if grid.is_empty() {
-                return Err(field_err(field, "grid is empty"));
-            }
-            if let Some(bad) = grid.iter().find(|v| !v.is_finite()) {
-                return Err(field_err(field, format!("{bad} is not finite")));
-            }
-            Ok(())
-        }
-        fn check_units(field: &'static str, units: usize) -> Result<(), SpecError> {
-            if units > MAX_JOB_UNITS {
-                return Err(field_err(
-                    field,
-                    format!("the job needs {units} work units, over the limit of {MAX_JOB_UNITS}"),
-                ));
-            }
-            Ok(())
-        }
-
-        match self {
-            CampaignRequest::WifiDetection {
-                preset,
-                emission,
-                channel,
-                snrs_db,
-                frames_per_point,
-                ..
-            } => {
-                check_preset(preset)?;
-                if let WifiEmission::FullFrames { psdu_len } = emission {
-                    if *psdu_len == 0 || *psdu_len > 4095 {
-                        return Err(field_err(
-                            "emission.psdu_len",
-                            format!("{psdu_len} is not in 1..=4095"),
-                        ));
-                    }
-                }
-                if let ChannelModel::Rayleigh { taps, rms } = channel {
-                    if !(1..=MAX_CHANNEL_TAPS).contains(taps) {
-                        return Err(field_err(
-                            "channel.taps",
-                            format!("{taps} is not in 1..={MAX_CHANNEL_TAPS}"),
-                        ));
-                    }
-                    if !rms.is_finite() || *rms <= 0.0 {
-                        return Err(field_err("channel.rms", format!("{rms} is not positive")));
-                    }
-                }
-                check_grid("snrs_db", snrs_db)?;
-                if *frames_per_point == 0 {
-                    return Err(field_err("trials", "0 frames per point"));
-                }
-                check_units("trials", self.n_units())
-            }
-            CampaignRequest::FalseAlarm {
-                preset, samples, ..
-            } => {
-                check_preset(preset)?;
-                if *samples == 0 {
-                    return Err(field_err("samples", "0 noise samples"));
-                }
-                check_units("samples", self.n_units())
-            }
-            CampaignRequest::Wimax {
-                fused,
-                frames,
-                snr_db,
-                threshold,
-                ..
-            } => {
-                if *frames == 0 {
-                    return Err(field_err("frames", "0 downlink frames"));
-                }
-                check_units("frames", self.n_units())?;
-                if !snr_db.is_finite() {
-                    return Err(field_err("snr_db", format!("{snr_db} is not finite")));
-                }
-                CampaignSpec::wimax_detection()
-                    .fused(*fused)
-                    .threshold(*threshold)
-                    .detection()
-                    .validate()
-                    .map_err(|e| field_err("threshold", e.reason))
-            }
-            CampaignRequest::Jamming {
-                sirs_db,
-                duration_s,
-                ..
-            } => {
-                check_grid("sirs_db", sirs_db)?;
-                if !(*duration_s > 0.0 && *duration_s <= MAX_JAMMING_DURATION_S) {
-                    return Err(field_err(
-                        "duration_s",
-                        format!("{duration_s} is not in (0, {MAX_JAMMING_DURATION_S}] s"),
-                    ));
-                }
-                check_units("sirs_db", self.n_units())
-            }
+        match self.builder() {
+            Builder::WifiDetection(b) => b.validate(),
+            Builder::FalseAlarm(b) => b.validate(),
+            Builder::Wimax(b) => b.validate(),
+            Builder::Jamming(b) => b.validate(),
         }
     }
 
@@ -338,67 +275,21 @@ impl CampaignRequest {
         ckpt: &mut JobCheckpoint,
         cancel: Option<&CancelToken>,
     ) -> Option<String> {
-        match self {
-            CampaignRequest::WifiDetection {
-                preset,
-                emission,
-                channel,
-                snrs_db,
-                frames_per_point,
-                seed,
-            } => {
-                let points = CampaignSpec::wifi_detection(preset)
-                    .emission(*emission)
-                    .channel(*channel)
-                    .snrs(snrs_db)
-                    .trials(*frames_per_point)
-                    .seed(*seed)
-                    .run_ckpt(engine, &mut ckpt.wifi, cancel)?;
-                Some(export::detection_csv(&points))
+        Some(match self.builder() {
+            Builder::WifiDetection(b) => {
+                export::detection_csv(&b.run_ckpt(engine, &mut ckpt.wifi, cancel)?)
             }
-            CampaignRequest::FalseAlarm {
-                preset,
-                samples,
-                seed,
-            } => {
-                let (triggers, streamed) = CampaignSpec::false_alarm(preset)
-                    .samples(*samples)
-                    .seed(*seed)
-                    .run_ckpt(engine, &mut ckpt.fa, cancel)?;
-                Some(export::false_alarm_json(false_alarm_rate(
-                    triggers, streamed,
-                )))
+            Builder::FalseAlarm(b) => {
+                let (triggers, streamed) = b.run_ckpt(engine, &mut ckpt.fa, cancel)?;
+                export::false_alarm_json(false_alarm_rate(triggers, streamed))
             }
-            CampaignRequest::Wimax {
-                fused,
-                frames,
-                snr_db,
-                threshold,
-                seed,
-            } => {
-                let result = CampaignSpec::wimax_detection()
-                    .fused(*fused)
-                    .frames(*frames)
-                    .snr_db(*snr_db)
-                    .threshold(*threshold)
-                    .seed(*seed)
-                    .run_ckpt(engine, &mut ckpt.wimax, cancel)?;
-                Some(export::wimax_json(&result))
+            Builder::Wimax(b) => {
+                export::wimax_json(&b.run_ckpt(engine, &mut ckpt.wimax, cancel)?)
             }
-            CampaignRequest::Jamming {
-                jammer,
-                sirs_db,
-                duration_s,
-                seed,
-            } => {
-                let points = CampaignSpec::jamming(*jammer)
-                    .sirs(sirs_db)
-                    .duration_s(*duration_s)
-                    .seed(*seed)
-                    .run_ckpt(engine, &mut ckpt.jamming, cancel)?;
-                Some(export::jamming_csv(&points))
+            Builder::Jamming(b) => {
+                export::jamming_csv(&b.run_ckpt(engine, &mut ckpt.jamming, cancel)?)
             }
-        }
+        })
     }
 
     /// Serializes to the request's canonical JSON object (the `spec`
@@ -465,7 +356,7 @@ impl CampaignRequest {
     pub fn from_value(v: &Value) -> Result<Self, SpecError> {
         let o = Fields::of(v)?;
         match o.str("campaign")? {
-            "wifi_detection" => Ok(CampaignRequest::WifiDetection {
+            WifiDetectionSpec::KIND => Ok(CampaignRequest::WifiDetection {
                 preset: preset_from(&o.object("preset")?)?,
                 emission: emission_from(&o.object("emission")?)?,
                 channel: channel_from(&o.object("channel")?)?,
@@ -473,19 +364,19 @@ impl CampaignRequest {
                 frames_per_point: o.u64("trials")? as usize,
                 seed: o.u64("seed")?,
             }),
-            "false_alarm" => Ok(CampaignRequest::FalseAlarm {
+            FalseAlarmSpec::KIND => Ok(CampaignRequest::FalseAlarm {
                 preset: preset_from(&o.object("preset")?)?,
                 samples: o.u64("samples")? as usize,
                 seed: o.u64("seed")?,
             }),
-            "wimax" => Ok(CampaignRequest::Wimax {
+            WimaxDetectionSpec::KIND => Ok(CampaignRequest::Wimax {
                 fused: o.bool("fused")?,
                 frames: o.u64("frames")? as usize,
                 snr_db: o.f64("snr_db")?,
                 threshold: o.f64("threshold")?,
                 seed: o.u64("seed")?,
             }),
-            "jamming" => Ok(CampaignRequest::Jamming {
+            JammingSweepSpec::KIND => Ok(CampaignRequest::Jamming {
                 jammer: jammer_from_id(o.str("jammer")?)?,
                 sirs_db: o.f64s("sirs_db")?,
                 duration_s: o.f64("duration_s")?,

@@ -5,8 +5,11 @@
 //! static budget ([`TimelineBudget::paper`]) and the measured extraction of
 //! `T_en_det`, `T_xcorr_det`, `T_init` and `T_resp` from a core's event log
 //! given the known signal start. [`episode_stream`] builds the receive
-//! stream of one such episode.
+//! stream of one such episode, and [`jam_episode`] runs it through a
+//! jammer armed with one of [`EPISODE_PRESETS`] and [`EPISODE_REACTION`].
 
+use crate::jammer::{ReactiveJammer, DEFAULT_LOCKOUT};
+use crate::presets::{DetectionPreset, JammerPreset};
 use rjam_channel::NoiseSource;
 use rjam_fpga::jammer::JamEvent;
 use rjam_fpga::{CoreEvent, CLOCKS_PER_SAMPLE, ENERGY_WINDOW, TX_INIT_CYCLES, XCORR_LEN};
@@ -23,6 +26,22 @@ pub const EPISODE_LEAD_SAMPLES: usize = 400;
 /// Received frame power of an [`episode_stream`] (linear full-scale
 /// units), 20 dB above its noise floor.
 const EPISODE_RX_POWER: f64 = 0.02;
+
+/// The two detection paths a Fig. 5 exercise times: the 10 dB energy rise
+/// and the 0.35 WiFi short-preamble correlator.
+pub const EPISODE_PRESETS: [DetectionPreset; 2] = [
+    DetectionPreset::EnergyRise { threshold_db: 10.0 },
+    DetectionPreset::WifiShortPreamble { threshold: 0.35 },
+];
+
+/// The reaction a Fig. 5 episode arms: a 10 µs reactive WGN burst.
+pub const EPISODE_REACTION: JammerPreset = JammerPreset::Reactive {
+    uptime_s: 10e-6,
+    waveform: rjam_fpga::JamWaveform::Wgn,
+};
+
+/// Noise samples after the frame in a [`jam_episode`].
+const JAM_EPISODE_TAIL: usize = 200;
 
 /// The receive stream of one Fig. 5 episode: an R12 802.11g frame of
 /// `psdu_len` bytes drawn from `seed`, resampled to 25 MSPS at receive
@@ -43,6 +62,25 @@ pub fn episode_stream(psdu_len: usize, tail: usize, seed: u64) -> (Vec<Cf64>, us
     stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
     stream.extend(noise.block(tail));
     (stream, wave.len())
+}
+
+/// Runs one Fig. 5 episode: the [`episode_stream`] of a `psdu_len`-byte
+/// frame drawn from `seed` through a freshly armed [`ReactiveJammer`]
+/// detecting with `det` and reacting with [`EPISODE_REACTION`]. Returns the
+/// jammer, its event logs populated, and the episode's measured timeline.
+pub fn jam_episode(
+    det: &DetectionPreset,
+    psdu_len: usize,
+    seed: u64,
+) -> (ReactiveJammer, MeasuredTimeline) {
+    let mut jammer = ReactiveJammer::from_presets(det, &EPISODE_REACTION, DEFAULT_LOCKOUT);
+    jammer.process_block(&episode_stream(psdu_len, JAM_EPISODE_TAIL, seed).0);
+    let m = measure(
+        jammer.events(),
+        jammer.jam_events(),
+        EPISODE_LEAD_SAMPLES as u64,
+    );
+    (jammer, m)
 }
 
 /// The analytic timing budget of the platform.
@@ -90,6 +128,23 @@ pub struct MeasuredTimeline {
     pub t_init_ns: Option<f64>,
     /// Signal start to RF out, ns.
     pub t_resp_ns: Option<f64>,
+}
+
+impl MeasuredTimeline {
+    /// The worse of two timelines, latency by latency: the larger value
+    /// where both measured one, otherwise whichever did.
+    pub fn worst(self, other: Self) -> Self {
+        let max = |a: Option<f64>, b: Option<f64>| match (a, b) {
+            (Some(x), Some(y)) => Some(x.max(y)),
+            _ => a.or(b),
+        };
+        MeasuredTimeline {
+            t_en_det_ns: max(self.t_en_det_ns, other.t_en_det_ns),
+            t_xcorr_det_ns: max(self.t_xcorr_det_ns, other.t_xcorr_det_ns),
+            t_init_ns: max(self.t_init_ns, other.t_init_ns),
+            t_resp_ns: max(self.t_resp_ns, other.t_resp_ns),
+        }
+    }
 }
 
 /// Extracts the first episode's latencies from core logs.
@@ -252,6 +307,25 @@ mod tests {
         let m = measure(&events, &jams, 100);
         assert_eq!(m.t_resp_ns, Some(7000.0), "no clamping to the budget");
         assert_eq!(m.t_xcorr_det_ns, Some(6800.0));
+    }
+
+    #[test]
+    fn worst_keeps_the_larger_latency_and_fills_gaps() {
+        let tl = |t_en_det_ns, t_xcorr_det_ns, t_init_ns, t_resp_ns| MeasuredTimeline {
+            t_en_det_ns,
+            t_xcorr_det_ns,
+            t_init_ns,
+            t_resp_ns,
+        };
+        let energy = tl(Some(450.0), None, Some(80.0), Some(530.0));
+        let xcorr = tl(None, Some(2530.0), Some(90.0), Some(2610.0));
+        let both = tl(Some(450.0), Some(2530.0), Some(90.0), Some(2610.0));
+        assert_eq!(energy.worst(xcorr), both);
+        assert_eq!(xcorr.worst(energy), both);
+        let none = MeasuredTimeline::default();
+        assert_eq!(energy.worst(none), energy);
+        assert_eq!(none.worst(xcorr), xcorr);
+        assert_eq!(none.worst(none), none);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::jammer::{BlockScratch, ReactiveJammer};
 use crate::presets::{DetectionPreset, JammerPreset};
-use crate::timeline::{episode_stream, EPISODE_LEAD_SAMPLES};
+use crate::timeline::{episode_stream, EPISODE_LEAD_SAMPLES, EPISODE_PRESETS, EPISODE_REACTION};
 use rjam_channel::fiveport::{FivePortNetwork, Port};
 use rjam_fpga::trace::NS_PER_SAMPLE;
 use rjam_fpga::{CoreEvent, CLOCKS_PER_SAMPLE};
@@ -197,23 +197,17 @@ impl EpisodeTracer {
 }
 
 /// Runs the default traced capture: `episodes` frame episodes alternating
-/// the energy-rise and WiFi-short-preamble detection paths against a 10 µs
-/// reactive WGN burst — the same exercise `rjamctl stats` runs, now with
-/// the causal chain recorded. Returns the reports and the frozen trace.
+/// the WiFi-short-preamble and energy-rise detection paths of
+/// [`EPISODE_PRESETS`] against [`EPISODE_REACTION`] — the exercise
+/// `rjamctl stats` runs, now with the causal chain recorded. Returns the
+/// reports and the frozen trace.
 pub fn default_traced_capture(episodes: usize, seed0: u64) -> (Vec<EpisodeReport>, TraceDoc) {
     let mut tracer = EpisodeTracer::new(4096.max(episodes * 32));
-    let reaction = JammerPreset::Reactive {
-        uptime_s: 10e-6,
-        waveform: rjam_fpga::JamWaveform::Wgn,
-    };
+    let [energy, xcorr] = &EPISODE_PRESETS;
     let mut reports = Vec::with_capacity(episodes);
     for k in 0..episodes as u64 {
-        let det = if k % 2 == 0 {
-            DetectionPreset::WifiShortPreamble { threshold: 0.35 }
-        } else {
-            DetectionPreset::EnergyRise { threshold_db: 10.0 }
-        };
-        reports.push(tracer.run_episode(&det, &reaction, seed0 + k));
+        let det = if k % 2 == 0 { xcorr } else { energy };
+        reports.push(tracer.run_episode(det, &EPISODE_REACTION, seed0 + k));
     }
     (reports, tracer.to_doc())
 }
@@ -226,13 +220,9 @@ mod tests {
     fn episode_reports_are_deterministic_and_jammed() {
         let mut a = EpisodeTracer::new(1024);
         let mut b = EpisodeTracer::new(1024);
-        let det = DetectionPreset::WifiShortPreamble { threshold: 0.35 };
-        let reaction = JammerPreset::Reactive {
-            uptime_s: 10e-6,
-            waveform: rjam_fpga::JamWaveform::Wgn,
-        };
-        let ra = a.run_episode(&det, &reaction, 42);
-        let rb = b.run_episode(&det, &reaction, 42);
+        let det = &EPISODE_PRESETS[1];
+        let ra = a.run_episode(det, &EPISODE_REACTION, 42);
+        let rb = b.run_episode(det, &EPISODE_REACTION, 42);
         assert_eq!(ra, rb, "same seed, same episode");
         assert_eq!(ra.outcome, Outcome::Jammed);
         assert!(ra.detections > 0);

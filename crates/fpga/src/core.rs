@@ -95,16 +95,6 @@ impl CoreStats {
         self.energy_high_fires
     }
 
-    /// Energy-fall detection pulses.
-    pub fn energy_low_fires(&self) -> u64 {
-        self.energy_low_fires
-    }
-
-    /// Cross-correlation detection pulses.
-    pub fn xcorr_fires(&self) -> u64 {
-        self.xcorr_fires
-    }
-
     /// Completed jam-trigger combinations.
     pub fn jam_triggers(&self) -> u64 {
         self.jam_triggers
@@ -118,11 +108,6 @@ impl CoreStats {
     /// Samples dropped by the packet-assembly FIFO.
     pub fn capture_overflow(&self) -> u64 {
         self.capture_overflow
-    }
-
-    /// Packet-assembly FIFO high-water mark.
-    pub fn fifo_high_water(&self) -> u64 {
-        self.fifo_high_water
     }
 
     /// Lifetime trigger-to-TX latency histogram (ns; the programmed

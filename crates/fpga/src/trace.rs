@@ -26,12 +26,6 @@ pub fn cycle_ns(t0_ns: u64, cycle: u64) -> u64 {
     t0_ns + cycle * NS_PER_CYCLE
 }
 
-/// Episode time of a core sample index, given the episode time of cycle 0.
-#[inline]
-pub fn sample_ns(t0_ns: u64, sample: u64) -> u64 {
-    t0_ns + sample * NS_PER_SAMPLE
-}
-
 /// Emits the FPGA- and jam-stage trace for one frame.
 ///
 /// `events` and `jams` must be windowed by the caller to the slice that

@@ -181,24 +181,6 @@ mod enabled {
         }
     }
 
-    /// Clears every registered metric (values, not registrations) and the
-    /// global flight recorder. Test-and-CLI convenience; racing writers
-    /// flushing concurrently may leave residue, so tests should prefer
-    /// delta assertions.
-    pub fn reset() {
-        let g = global();
-        for v in g.counters.lock().expect("obs counter lock").values() {
-            v.store(0, Ordering::Relaxed);
-        }
-        for v in g.gauges.lock().expect("obs gauge lock").values() {
-            v.store(0, Ordering::Relaxed);
-        }
-        for v in g.hists.lock().expect("obs hist lock").values() {
-            v.lock().expect("obs hist lock").clear();
-        }
-        crate::recorder::global_reset();
-    }
-
     /// A plain-`u64` counter local to one component; flushed into the
     /// global registry with [`flush_counter`] / `Counter::add`.
     #[derive(Clone, Copy, Debug, Default)]
@@ -376,10 +358,6 @@ mod disabled {
     pub fn snapshot() -> MetricsSnapshot {
         MetricsSnapshot::default()
     }
-
-    /// No-op (`obs` feature disabled).
-    #[inline(always)]
-    pub fn reset() {}
 
     /// Zero-sized no-op counter (`obs` feature disabled).
     #[derive(Clone, Copy, Debug, Default)]

@@ -67,14 +67,3 @@ pub const LONG_PREAMBLE_LEN: usize = 160;
 
 /// Full PLCP preamble length in samples (16 us).
 pub const PREAMBLE_LEN: usize = SHORT_PREAMBLE_LEN + LONG_PREAMBLE_LEN;
-
-/// Canonical control/management frame sizes in bytes (incl. FCS), shared
-/// with the MAC simulator's airtime arithmetic.
-pub mod per_frame_sizes {
-    /// ACK PSDU length.
-    pub const ACK: usize = 14;
-    /// RTS PSDU length.
-    pub const RTS: usize = 20;
-    /// CTS PSDU length.
-    pub const CTS: usize = 14;
-}

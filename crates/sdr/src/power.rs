@@ -54,11 +54,6 @@ pub fn snr_db(signal_power: f64, noise_power: f64) -> f64 {
     lin_to_db(signal_power / noise_power)
 }
 
-/// Root-mean-square amplitude of a waveform.
-pub fn rms(buf: &[Cf64]) -> f64 {
-    mean_power(buf).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
