@@ -207,11 +207,6 @@ pub enum Command {
         /// Optional path to a saved `rjam-metrics-v1` JSON snapshot; when
         /// absent, a short live exercise is run and its metrics shown.
         input: Option<String>,
-        /// Response budget the `timeline.t_resp_ns` p99 is judged against,
-        /// in ns. `None` derives it from the detection presets the live
-        /// exercise arms (the paper's xcorr budget when the correlator is in
-        /// play).
-        budget_ns: Option<f64>,
     },
     /// Causal tracing: capture traced jam episodes, render the per-frame
     /// latency attribution, and export Perfetto-loadable timelines.
@@ -223,9 +218,6 @@ pub enum Command {
         /// Write Chrome trace-event JSON (Perfetto / `chrome://tracing`)
         /// here.
         chrome: Option<String>,
-        /// Response budget per frame, ns; `None` derives it from the armed
-        /// presets.
-        budget_ns: Option<f64>,
         /// How many of the slowest frames to detail.
         top: usize,
     },
@@ -473,13 +465,11 @@ fn command(verb: &str, f: &Flags) -> Result<Command, String> {
         "resources" => Command::Resources,
         "stats" => Command::Stats {
             input: rest.first().cloned(),
-            budget_ns: f.get("--budget-ns")?,
         },
         "trace" => Command::Trace {
             episodes: f.get_or("--episodes", 8)?,
             out: text("--out"),
             chrome: text("--chrome"),
-            budget_ns: f.get("--budget-ns")?,
             top: f.get_or("--top", 5)?,
         },
         "monitor" => Command::Monitor {
@@ -555,9 +545,9 @@ USAGE:
                     [--cell N] [--segment N]
   rjamctl classify  <capture.cf32>
   rjamctl resources
-  rjamctl stats     [snapshot.json] [--budget-ns NS]
+  rjamctl stats     [snapshot.json]
   rjamctl trace     [--episodes N] [--out trace.json] [--chrome chrome.json]
-                    [--budget-ns NS] [--top K]
+                    [--top K]
   rjamctl monitor   --jammer off|continuous|reactive-long|reactive-short
                     [--sir dB] [--seconds S] [--cadence FRAMES]
                     [--out health.ndjson]
@@ -571,8 +561,8 @@ USAGE:
   rjamctl help
 
 GLOBAL OPTIONS:
-  --metrics-out FILE   after any command, write a rjam-metrics-v1 JSON
-                       snapshot of the observability registry to FILE
+  --metrics-out FILE   after any command, write a one-line rjam-metrics-v1
+                       JSON snapshot of the observability registry to FILE
                        (inspect later with 'rjamctl stats FILE')
   --threads N          worker threads for the campaign engine (detect, fa,
                        roc, iperf); overrides RJAM_THREADS, defaults to all
@@ -591,13 +581,16 @@ NOTES:
   list over the *same* noise stream (one row per threshold); roc sweeps
   fractions 0.26 to 0.54, or 4 to 18 dB, over one noise and one emission
   stream.
+  timeline prints the Fig. 5 table: each latency's worst value over
+  --trials episodes per detection path against its budget, T_resp per path
+  (1360 ns through the energy detector, 2640 ns through the correlator).
   stats without a file runs a short live exercise and renders its metrics;
-  with one it renders that snapshot. Either way it judges the p99 of the
-  measured response time (timeline.t_resp_ns: signal start to RF out, which
-  timeline and stats record) against the response budget: the paper's
-  2640 ns xcorr T_resp, or --budget-ns NS.
+  with one it renders that snapshot. Either way it ends with the same
+  table, read from the p99s of the timeline.*_ns histograms that timeline
+  and stats record.
   trace captures causally-linked jam episodes: every frame gets a
-  correlation ID at MAC emission and a per-stage latency decomposition;
+  correlation ID at MAC emission, a per-stage latency decomposition and
+  its detection path's response budget;
   --out writes the rjam-trace-v1 document, --chrome writes a Perfetto /
   chrome://tracing loadable timeline with one track per pipeline stage.
   monitor attaches the online link-health monitor to one iperf-style
@@ -843,29 +836,13 @@ mod tests {
 
     #[test]
     fn parses_stats() {
-        assert_eq!(
-            cmd(&argv("stats")).unwrap(),
-            Command::Stats {
-                input: None,
-                budget_ns: None
-            }
-        );
+        assert_eq!(cmd(&argv("stats")).unwrap(), Command::Stats { input: None });
         assert_eq!(
             cmd(&argv("stats snap.json")).unwrap(),
             Command::Stats {
-                input: Some("snap.json".into()),
-                budget_ns: None
+                input: Some("snap.json".into())
             }
         );
-        assert_eq!(
-            cmd(&argv("stats --budget-ns 3000")).unwrap(),
-            Command::Stats {
-                input: None,
-                budget_ns: Some(3000.0)
-            }
-        );
-        let err = cmd(&argv("stats --budget-ns fast")).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Usage);
     }
 
     #[test]
@@ -876,20 +853,18 @@ mod tests {
                 episodes: 8,
                 out: None,
                 chrome: None,
-                budget_ns: None,
                 top: 5
             }
         );
         assert_eq!(
             cmd(&argv(
-                "trace --episodes 3 --out t.json --chrome c.json --budget-ns 2640 --top 2"
+                "trace --episodes 3 --out t.json --chrome c.json --top 2"
             ))
             .unwrap(),
             Command::Trace {
                 episodes: 3,
                 out: Some("t.json".into()),
                 chrome: Some("c.json".into()),
-                budget_ns: Some(2640.0),
                 top: 2
             }
         );

@@ -7,7 +7,7 @@ use rjam_core::campaign::{
     WifiDetectionSpec, WifiEmission,
 };
 use rjam_core::timeline::{
-    comparison_rows, jam_episode, MeasuredTimeline, TimelineBudget, EPISODE_PRESETS,
+    fig5_rows, jam_episode, render_rows, verdict, MeasuredTimeline, EPISODE_PRESETS,
 };
 use rjam_core::{CampaignEngine, DetectionPreset, SpecError};
 use rjam_daemon::{JobRequest, JobResponse};
@@ -177,20 +177,13 @@ pub fn execute_with(cmd: &Command, engine: &CampaignEngine) -> Result<String, Cl
         } => monitor_report(*jammer, *sir_db, *seconds, *cadence, out.as_deref()),
         Command::Classify { path } => classify_report(path),
         Command::Report { frames, top } => engine_report(engine, *frames, *top),
-        Command::Stats { input, budget_ns } => stats_report(input.as_deref(), *budget_ns),
+        Command::Stats { input } => stats_report(input.as_deref()),
         Command::Trace {
             episodes,
             out,
             chrome,
-            budget_ns,
             top,
-        } => trace_report(
-            *episodes,
-            out.as_deref(),
-            chrome.as_deref(),
-            *budget_ns,
-            *top,
-        ),
+        } => trace_report(*episodes, out.as_deref(), chrome.as_deref(), *top),
         Command::Roc {
             preset,
             snr_db,
@@ -262,44 +255,37 @@ fn resources_report() -> String {
 }
 
 /// The live Fig. 5 exercise behind `timeline` and `stats`: `trials` jam
-/// episodes of an 80-byte frame per detection path, from seed `seed0` on.
-/// Each episode's response time goes to the `timeline.t_resp_ns` histogram
-/// and its core's counters and latencies to the registry, so a trailing
-/// `--metrics-out` snapshot reflects the run. Returns the worst timeline.
-fn exercise(trials: usize, seed0: u64) -> MeasuredTimeline {
-    let mut worst = MeasuredTimeline::default();
+/// episodes per detection path, from seed `seed0` on. Each episode's
+/// latencies go to their rows' `timeline.*_ns` histograms and its core's
+/// counters and latencies to the registry, so a trailing `--metrics-out`
+/// snapshot reflects the run. Returns the energy path's and the
+/// correlator path's worst timelines.
+fn exercise(trials: usize, seed0: u64) -> (MeasuredTimeline, MeasuredTimeline) {
+    let [energy_det, xcorr_det] = &EPISODE_PRESETS;
+    let none = MeasuredTimeline::default();
+    let (mut energy, mut xcorr) = (none, none);
     for k in 0..trials as u64 {
-        for det in &EPISODE_PRESETS {
-            let (mut j, m) = jam_episode(det, 80, seed0 + k);
-            if let Some(ns) = m.t_resp_ns {
-                rjam_obs::registry::histogram("timeline.t_resp_ns").record(ns as u64);
+        let mut e = jam_episode(energy_det, seed0 + k);
+        let mut x = jam_episode(xcorr_det, seed0 + k);
+        for row in fig5_rows(&e.measured, &none)
+            .into_iter()
+            .chain(fig5_rows(&none, &x.measured))
+        {
+            if let Some(ns) = row.measured_ns {
+                rjam_obs::registry::histogram(row.histogram).record(ns as u64);
             }
-            j.core_mut().flush_obs();
-            worst = worst.worst(m);
         }
+        e.jammer.core_mut().flush_obs();
+        x.jammer.core_mut().flush_obs();
+        energy = energy.worst(e.measured);
+        xcorr = xcorr.worst(x.measured);
     }
-    worst
+    (energy, xcorr)
 }
 
 fn timeline_report(trials: usize) -> String {
-    let worst = exercise(trials, 500);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:>12} {:>14}",
-        "metric", "budget (ns)", "measured (ns)"
-    );
-    for (name, budget, meas) in comparison_rows(&TimelineBudget::paper(), &worst) {
-        match meas {
-            Some(m) => {
-                let _ = writeln!(out, "{name:<14} {budget:>12.0} {m:>14.0}");
-            }
-            None => {
-                let _ = writeln!(out, "{name:<14} {budget:>12.0} {:>14}", "-");
-            }
-        }
-    }
-    out
+    let (energy, xcorr) = exercise(trials, 500);
+    render_rows(&fig5_rows(&energy, &xcorr), "worst measured (ns)")
 }
 
 fn classify_report(path: &str) -> Result<String, CliError> {
@@ -329,55 +315,12 @@ fn classify_report(path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The response budget to judge against: the operator's `--budget-ns` when
-/// given, otherwise derived from the Fig. 5 presets the exercises arm (the
-/// slowest path bounds the exercise). Returns the value and how it was
-/// obtained.
-fn resolve_budget(budget_ns: Option<f64>) -> (f64, &'static str) {
-    match budget_ns {
-        Some(ns) => (ns, "operator"),
-        None => (
-            EPISODE_PRESETS
-                .iter()
-                .map(DetectionPreset::response_budget_ns)
-                .fold(0.0, f64::max),
-            "paper",
-        ),
-    }
-}
-
-/// Appends the Fig.-5 budget verdict to a rendered snapshot: the p99 of
-/// the measured response time `timeline.t_resp_ns` (signal start to RF
-/// out, T_det + T_init) against the response budget. The trigger-to-TX
-/// turnaround (T_init alone) has its own 8-cycle check in the core.
-fn append_budget_line(out: &mut String, snap: &rjam_obs::MetricsSnapshot, budget: Option<f64>) {
-    let (budget_ns, source) = resolve_budget(budget);
-    let label = match source {
-        "operator" => format!("the operator's {budget_ns:.0} ns response budget (--budget-ns)"),
-        _ => format!("the paper's {budget_ns:.0} ns xcorr response budget"),
-    };
-    match snap.histogram("timeline.t_resp_ns") {
-        Some(h) if h.count > 0 => {
-            let verdict = if (h.p99 as f64) <= budget_ns {
-                "within"
-            } else {
-                "OVER"
-            };
-            let _ = writeln!(out, "T_resp p99 = {} ns — {verdict} {label}", h.p99);
-        }
-        _ => {
-            let _ = writeln!(
-                out,
-                "T_resp histogram empty (budget {budget_ns:.0} ns not exercised)"
-            );
-        }
-    }
-}
-
 /// `rjamctl stats`: with a path, load and render a saved `rjam-metrics-v1`
 /// snapshot; without one, run a short live exercise (a handful of jam
 /// episodes through both detector paths) and render the resulting registry.
-fn stats_report(input: Option<&str>, budget_ns: Option<f64>) -> Result<String, CliError> {
+/// Either way it ends with the Fig. 5 table of the `timeline.*_ns`
+/// histograms' p99s, each row judged against its own budget.
+fn stats_report(input: Option<&str>) -> Result<String, CliError> {
     let snap = match input {
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -399,17 +342,26 @@ fn stats_report(input: Option<&str>, budget_ns: Option<f64>) -> Result<String, C
         );
     }
     out.push_str(&snap.render());
-    append_budget_line(&mut out, &snap, budget_ns);
+    let none = MeasuredTimeline::default();
+    let mut rows = fig5_rows(&none, &none);
+    for row in &mut rows {
+        row.measured_ns = snap
+            .histogram(row.histogram)
+            .filter(|h| h.count > 0)
+            .map(|h| h.p99 as f64);
+    }
+    out.push_str("== Fig. 5 timeline ==\n");
+    out.push_str(&render_rows(&rows, "p99 (ns)"));
     Ok(out)
 }
 
 /// `rjamctl trace`: capture traced jam episodes, export the requested
-/// documents and render the per-frame causal attribution.
+/// documents and render the per-frame causal attribution, each frame's
+/// response judged against its own detection path's budget.
 fn trace_report(
     episodes: usize,
     out_path: Option<&str>,
     chrome_path: Option<&str>,
-    budget_ns: Option<f64>,
     top: usize,
 ) -> Result<String, CliError> {
     use rjam_obs::trace::{stage, Outcome};
@@ -428,7 +380,6 @@ fn trace_report(
         })?;
     }
 
-    let (budget, _) = resolve_budget(budget_ns);
     let mut out = String::new();
     if !rjam_obs::enabled() {
         let _ = writeln!(
@@ -456,10 +407,13 @@ fn trace_report(
         .map(|ft| {
             let delay = ft.span(stage::FPGA, "delay").map_or(0, |(a, b)| b - a);
             let init = ft.span(stage::FPGA, "tx_init").map_or(0, |(a, b)| b - a);
+            let report = reports.iter().find(|r| r.frame == ft.frame);
+            let budget = report.expect("every traced frame is an episode").budget_ns;
             (
                 ft.frame,
                 ft.outcome(),
                 ft.response_ns(),
+                budget,
                 ft.trigger_to_tx_ns(),
                 delay,
                 init,
@@ -469,26 +423,24 @@ fn trace_report(
     rows.sort_by_key(|r| std::cmp::Reverse(r.2));
 
     if !rows.is_empty() {
+        let _ = writeln!(out, "\n== top {} slowest frames ==", top.min(rows.len()));
         let _ = writeln!(
             out,
-            "\n== top {} slowest frames (budget {budget:.0} ns) ==",
-            top.min(rows.len())
+            "{:>6} {:>10} {:>11} {:>11} {:>13} {:>10} {:>11}  verdict",
+            "frame",
+            "outcome",
+            "t_resp(ns)",
+            "budget(ns)",
+            "trig->tx(ns)",
+            "delay(ns)",
+            "tx_init(ns)"
         );
-        let _ = writeln!(
-            out,
-            "{:>6} {:>10} {:>11} {:>13} {:>10} {:>11}  verdict",
-            "frame", "outcome", "t_resp(ns)", "trig->tx(ns)", "delay(ns)", "tx_init(ns)"
-        );
-        for (fid, outcome, resp, t2t, delay, init) in rows.iter().take(top) {
-            let verdict = match resp {
-                Some(r) if (*r as f64) <= budget => "within",
-                Some(_) => "OVER",
-                None => "-",
-            };
+        for (fid, outcome, resp, budget, t2t, delay, init) in rows.iter().take(top) {
             let opt = |v: &Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
+            let verdict = verdict(resp.map(|r| r as f64), *budget);
             let _ = writeln!(
                 out,
-                "{:>6} {:>10} {:>11} {:>13} {:>10} {:>11}  {verdict}",
+                "{:>6} {:>10} {:>11} {budget:>11.0} {:>13} {:>10} {:>11}  {verdict}",
                 fid.raw(),
                 outcome.map_or("?", Outcome::as_str),
                 opt(resp),
@@ -680,10 +632,12 @@ fn monitor_report(
 }
 
 /// Writes a `rjam-metrics-v1` snapshot of the process-wide registry to
-/// `path` (the `--metrics-out` half of the observability loop).
+/// `path` as one line (the `--metrics-out` half of the observability loop).
 pub fn write_metrics_snapshot(path: &str) -> Result<(), CliError> {
-    let snap = rjam_obs::registry::snapshot();
-    std::fs::write(path, snap.to_json())
+    let mut text = String::new();
+    rjam_obs::registry::snapshot().write_compact(&mut text);
+    text.push('\n');
+    std::fs::write(path, text)
         .map_err(|e| CliError::runtime(format!("cannot write metrics to '{path}': {e}")))
 }
 
@@ -892,9 +846,14 @@ mod tests {
     #[test]
     fn timeline_within_budget() {
         let out = execute_with(&Command::Timeline { trials: 3 }, &engine()).unwrap();
-        assert!(out.contains("T_init"));
-        // Every measured column is populated.
-        assert!(!out.contains(" -\n"), "{out}");
+        // The header and the five Fig. 5 rows, every one measured and
+        // within its budget.
+        assert_eq!(out.lines().count(), 6, "{out}");
+        assert!(out.contains("T_init"), "{out}");
+        assert!(
+            out.lines().skip(1).all(|l| l.ends_with("   within budget")),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1157,25 +1116,23 @@ mod tests {
 
     #[test]
     fn stats_live_exercise_renders_registry() {
-        let out = execute_with(
-            &Command::Stats {
-                input: None,
-                budget_ns: None,
-            },
-            &engine(),
-        )
-        .unwrap();
+        let out = execute_with(&Command::Stats { input: None }, &engine()).unwrap();
         assert!(out.contains("== counters =="), "{out}");
         assert!(out.contains("== histograms =="), "{out}");
         if rjam_obs::enabled() {
             // The live exercise must surface the FPGA pipeline counters and
-            // a response time inside the paper budget.
+            // each path's response time inside its own budget.
             assert!(out.contains("fpga.samples_in"), "{out}");
-            assert!(
-                out.contains("T_resp p99 = ")
-                    && out.contains("within the paper's 2640 ns xcorr response budget"),
-                "{out}"
-            );
+            for path in [
+                "energy path)             1360",
+                "xcorr path)              2640",
+            ] {
+                let row = out.lines().find(|l| l.contains(path));
+                assert!(
+                    row.is_some_and(|l| l.ends_with("   within budget")),
+                    "{out}"
+                );
+            }
         } else {
             assert!(out.contains("observability disabled"), "{out}");
         }
@@ -1187,19 +1144,11 @@ mod tests {
         path.push(format!("rjamctl_metrics_{}.json", std::process::id()));
         let path_s = path.to_string_lossy().to_string();
         // Run an exercise so the registry holds something, then snapshot.
-        execute_with(
-            &Command::Stats {
-                input: None,
-                budget_ns: None,
-            },
-            &engine(),
-        )
-        .unwrap();
+        execute_with(&Command::Stats { input: None }, &engine()).unwrap();
         write_metrics_snapshot(&path_s).unwrap();
         let out = execute_with(
             &Command::Stats {
                 input: Some(path_s.clone()),
-                budget_ns: None,
             },
             &engine(),
         )
@@ -1213,8 +1162,10 @@ mod tests {
 
     #[test]
     fn stats_grades_the_response_time_not_the_turnaround() {
-        // An 80 ns trigger-to-TX turnaround inside a 3000 ns response: the
-        // response is what the 2640 ns budget bounds.
+        // An 80 ns trigger-to-TX turnaround inside responses of 2000 ns
+        // through the energy detector and 1800 ns through the correlator:
+        // each response is judged against its own path's budget, and the
+        // turnaround is not T_init's measurement.
         let hist = |p99| rjam_obs::HistSummary {
             count: 8,
             mean: p99 as f64,
@@ -1227,23 +1178,28 @@ mod tests {
         let snap = rjam_obs::MetricsSnapshot {
             histograms: vec![
                 ("fpga.trigger_to_tx_ns".into(), hist(80)),
-                ("timeline.t_resp_ns".into(), hist(3000)),
+                ("timeline.t_resp_energy_ns".into(), hist(2000)),
+                ("timeline.t_resp_xcorr_ns".into(), hist(1800)),
             ],
             ..Default::default()
         };
+        let mut text = String::new();
+        snap.write_compact(&mut text);
         let mut path = std::env::temp_dir();
         path.push(format!("rjamctl_slow_{}.json", std::process::id()));
-        std::fs::write(&path, snap.to_json()).unwrap();
-        let stats = |budget_ns| {
-            let input = Some(path.to_string_lossy().into());
-            execute_with(&Command::Stats { input, budget_ns }, &engine()).unwrap()
-        };
-        let (paper, operator) = (stats(None), stats(Some(5000.0)));
+        std::fs::write(&path, text).unwrap();
+        let input = Some(path.to_string_lossy().into());
+        let out = execute_with(&Command::Stats { input }, &engine()).unwrap();
         std::fs::remove_file(&path).ok();
-        let verdict = "T_resp p99 = 3000 ns — OVER the paper's 2640 ns xcorr response budget";
-        assert!(paper.contains(verdict), "{paper}");
-        let verdict = "T_resp p99 = 3000 ns — within the operator's 5000 ns response budget";
-        assert!(operator.contains(verdict), "{operator}");
+        for row in [
+            "T_en_det                         1280                      -   not measured",
+            "T_xcorr_det                      2560                      -   not measured",
+            "T_init                             80                      -   not measured",
+            "T_resp (energy path)             1360                   2000   OVER BUDGET",
+            "T_resp (xcorr path)              2640                   1800   within budget",
+        ] {
+            assert!(out.lines().any(|l| l == row), "{row}: {out}");
+        }
     }
 
     #[test]
@@ -1254,7 +1210,6 @@ mod tests {
         let err = execute_with(
             &Command::Stats {
                 input: Some(path.to_string_lossy().into()),
-                budget_ns: None,
             },
             &engine(),
         )
@@ -1265,31 +1220,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_operator_budget_overrides_default() {
-        let out = execute_with(
-            &Command::Stats {
-                input: None,
-                budget_ns: Some(5000.0),
-            },
-            &engine(),
-        )
-        .unwrap();
-        if rjam_obs::enabled() {
-            assert!(
-                out.contains("5000 ns response budget (--budget-ns)"),
-                "{out}"
-            );
-        }
-    }
-
-    #[test]
     fn trace_zero_episodes_is_usage_error() {
         let err = execute_with(
             &Command::Trace {
                 episodes: 0,
                 out: None,
                 chrome: None,
-                budget_ns: None,
                 top: 5,
             },
             &engine(),
@@ -1306,8 +1242,7 @@ mod tests {
                 episodes: 4,
                 out: None,
                 chrome: None,
-                budget_ns: None,
-                top: 3,
+                top: 4,
             },
             &engine(),
         )
@@ -1317,6 +1252,28 @@ mod tests {
             assert!(out.contains("slowest frames"), "{out}");
             assert!(out.contains("== per-stage attribution"), "{out}");
             assert!(out.contains("full causal chains"), "{out}");
+            // Episodes alternate the correlator (odd frames) and the energy
+            // detector (even frames); each frame reads its own path's
+            // budget.
+            let rows: Vec<Vec<&str>> = out
+                .lines()
+                .skip_while(|l| !l.contains("slowest frames"))
+                .skip(2)
+                .take(4)
+                .map(|l| l.split_whitespace().collect())
+                .collect();
+            let mut frames: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+            frames.sort();
+            assert_eq!(frames, ["1", "2", "3", "4"], "{out}");
+            for r in &rows {
+                let budget = if r[0].parse::<u64>().unwrap() % 2 == 1 {
+                    "2640"
+                } else {
+                    "1360"
+                };
+                assert_eq!(r[3], budget, "{out}");
+                assert_eq!(r[7..], ["within", "budget"], "{out}");
+            }
         } else {
             assert!(out.contains("observability disabled"), "{out}");
         }
@@ -1338,7 +1295,6 @@ mod tests {
                 episodes: 4,
                 out: Some(path_s.clone()),
                 chrome: Some(chrome_s.clone()),
-                budget_ns: None,
                 top: 2,
             },
             &engine(),

@@ -4,9 +4,10 @@
 //! latencies and then demonstrates it live. Both forms live here: the
 //! static budget ([`TimelineBudget::paper`]) and the measured extraction of
 //! `T_en_det`, `T_xcorr_det`, `T_init` and `T_resp` from a core's event log
-//! given the known signal start. [`episode_stream`] builds the receive
-//! stream of one such episode, and [`jam_episode`] runs it through a
-//! jammer armed with one of [`EPISODE_PRESETS`] and [`EPISODE_REACTION`].
+//! given the known signal start. [`jam_episode`] runs one episode through a
+//! jammer armed with one of [`EPISODE_PRESETS`] and [`EPISODE_REACTION`],
+//! and [`fig5_rows`] judges the two paths' measurements, each latency
+//! against its own budget.
 
 use crate::jammer::{ReactiveJammer, DEFAULT_LOCKOUT};
 use crate::presets::{DetectionPreset, JammerPreset};
@@ -15,16 +16,24 @@ use rjam_fpga::jammer::JamEvent;
 use rjam_fpga::{CoreEvent, CLOCKS_PER_SAMPLE, ENERGY_WINDOW, TX_INIT_CYCLES, XCORR_LEN};
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::rng::Rng;
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Nanoseconds per FPGA clock cycle (100 MHz).
 const NS_PER_CYCLE: f64 = 10.0;
 
-/// Noise samples ahead of the frame in an [`episode_stream`] (16 µs at
-/// 25 MSPS): the stream index where the signal starts.
+/// Noise samples ahead of the frame in an episode (16 µs at 25 MSPS): the
+/// stream index where the signal starts.
 pub const EPISODE_LEAD_SAMPLES: usize = 400;
 
-/// Received frame power of an [`episode_stream`] (linear full-scale
-/// units), 20 dB above its noise floor.
+/// PSDU bytes of an episode's frame.
+pub const EPISODE_PSDU_LEN: usize = 100;
+
+/// Noise samples after the frame in an episode.
+const EPISODE_TAIL_SAMPLES: usize = 200;
+
+/// Received frame power of an episode (linear full-scale units), 20 dB
+/// above its noise floor.
 const EPISODE_RX_POWER: f64 = 0.02;
 
 /// The two detection paths a Fig. 5 exercise times: the 10 dB energy rise
@@ -40,17 +49,14 @@ pub const EPISODE_REACTION: JammerPreset = JammerPreset::Reactive {
     waveform: rjam_fpga::JamWaveform::Wgn,
 };
 
-/// Noise samples after the frame in a [`jam_episode`].
-const JAM_EPISODE_TAIL: usize = 200;
-
 /// The receive stream of one Fig. 5 episode: an R12 802.11g frame of
-/// `psdu_len` bytes drawn from `seed`, resampled to 25 MSPS at receive
-/// power 0.02 (linear full-scale units) and 20 dB SNR, after
-/// [`EPISODE_LEAD_SAMPLES`] noise samples and followed by `tail` more.
+/// [`EPISODE_PSDU_LEN`] bytes drawn from `seed`, resampled to 25 MSPS at
+/// receive power 0.02 (linear full-scale units) and 20 dB SNR, between
+/// [`EPISODE_LEAD_SAMPLES`] and [`EPISODE_TAIL_SAMPLES`] noise samples.
 /// Returns the stream and the frame's length in samples.
-pub fn episode_stream(psdu_len: usize, tail: usize, seed: u64) -> (Vec<Cf64>, usize) {
+fn episode_stream(seed: u64) -> (Vec<Cf64>, usize) {
     let mut rng = Rng::seed_from(seed);
-    let mut psdu = vec![0u8; psdu_len];
+    let mut psdu = vec![0u8; EPISODE_PSDU_LEN];
     rng.fill_bytes(&mut psdu);
     let frame = rjam_phy80211::tx::Frame::new(rjam_phy80211::Rate::R12, psdu);
     let native = rjam_phy80211::tx::modulate_frame(&frame);
@@ -60,27 +66,44 @@ pub fn episode_stream(psdu_len: usize, tail: usize, seed: u64) -> (Vec<Cf64>, us
     let mut noise = NoiseSource::new(noise_p, rng.fork());
     let mut stream = noise.block(EPISODE_LEAD_SAMPLES);
     stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
-    stream.extend(noise.block(tail));
+    stream.extend(noise.block(EPISODE_TAIL_SAMPLES));
     (stream, wave.len())
 }
 
-/// Runs one Fig. 5 episode: the [`episode_stream`] of a `psdu_len`-byte
-/// frame drawn from `seed` through a freshly armed [`ReactiveJammer`]
-/// detecting with `det` and reacting with [`EPISODE_REACTION`]. Returns the
-/// jammer, its event logs populated, and the episode's measured timeline.
-pub fn jam_episode(
-    det: &DetectionPreset,
-    psdu_len: usize,
-    seed: u64,
-) -> (ReactiveJammer, MeasuredTimeline) {
+/// One Fig. 5 episode after it ran: what [`jam_episode`] returns.
+#[derive(Debug)]
+pub struct JamEpisode {
+    /// The jammer as the episode left it: event logs and capture FIFO
+    /// filled.
+    pub jammer: ReactiveJammer,
+    /// The episode's measured latencies.
+    pub measured: MeasuredTimeline,
+    /// The frame's samples within the receive stream.
+    pub frame: Range<usize>,
+    /// Receive-stream length in samples.
+    pub samples: usize,
+}
+
+/// Runs one Fig. 5 episode: the frame drawn from `seed`, between its noise
+/// lead and tail, through a freshly armed [`ReactiveJammer`] detecting with
+/// `det`, reacting with [`EPISODE_REACTION`] and capturing 16 samples
+/// before and 240 after each trigger into a 1024-sample FIFO.
+pub fn jam_episode(det: &DetectionPreset, seed: u64) -> JamEpisode {
+    let (stream, frame_len) = episode_stream(seed);
     let mut jammer = ReactiveJammer::from_presets(det, &EPISODE_REACTION, DEFAULT_LOCKOUT);
-    jammer.process_block(&episode_stream(psdu_len, JAM_EPISODE_TAIL, seed).0);
-    let m = measure(
+    jammer.core_mut().enable_capture(16, 240, 1024);
+    jammer.process_block(&stream);
+    let measured = measure(
         jammer.events(),
         jammer.jam_events(),
         EPISODE_LEAD_SAMPLES as u64,
     );
-    (jammer, m)
+    JamEpisode {
+        jammer,
+        measured,
+        frame: EPISODE_LEAD_SAMPLES..EPISODE_LEAD_SAMPLES + frame_len,
+        samples: stream.len(),
+    }
 }
 
 /// The analytic timing budget of the platform.
@@ -180,18 +203,66 @@ pub fn measure(
     out
 }
 
-/// Renders the Fig. 5 comparison as a table of rows
-/// `(name, budget_ns, measured_ns)`.
-pub fn comparison_rows(
-    budget: &TimelineBudget,
-    m: &MeasuredTimeline,
-) -> Vec<(&'static str, f64, Option<f64>)> {
-    vec![
-        ("T_en_det", budget.t_en_det_ns, m.t_en_det_ns),
-        ("T_xcorr_det", budget.t_xcorr_det_ns, m.t_xcorr_det_ns),
-        ("T_init", budget.t_init_ns, m.t_init_ns),
-        ("T_resp", budget.t_resp_xcorr_ns, m.t_resp_ns),
-    ]
+/// The verdict on a latency against its budget: `within budget`,
+/// `OVER BUDGET`, or `not measured` when nothing measured it.
+pub fn verdict(measured_ns: Option<f64>, budget_ns: f64) -> &'static str {
+    match measured_ns {
+        None => "not measured",
+        Some(m) if m <= budget_ns => "within budget",
+        Some(_) => "OVER BUDGET",
+    }
+}
+
+/// One row of the Fig. 5 table.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Fig5Row {
+    /// The latency as Fig. 5 names it.
+    pub name: &'static str,
+    /// The registry histogram `rjamctl` records the latency into.
+    pub histogram: &'static str,
+    /// The paper's budget for it, ns.
+    pub budget_ns: f64,
+    /// The measured value, ns; `None` when nothing measured it.
+    pub measured_ns: Option<f64>,
+}
+
+/// The Fig. 5 table from the energy path's and the correlator path's
+/// measurements: `T_en_det` from the energy path, `T_xcorr_det` from the
+/// correlator path, `T_init` from either, and each path's `T_resp` against
+/// that path's own budget.
+pub fn fig5_rows(energy: &MeasuredTimeline, xcorr: &MeasuredTimeline) -> [Fig5Row; 5] {
+    let b = TimelineBudget::paper();
+    let t_init = energy.worst(*xcorr).t_init_ns;
+    #[rustfmt::skip]
+    let rows = [
+        ("T_en_det", "timeline.t_en_det_ns", b.t_en_det_ns, energy.t_en_det_ns),
+        ("T_xcorr_det", "timeline.t_xcorr_det_ns", b.t_xcorr_det_ns, xcorr.t_xcorr_det_ns),
+        ("T_init", "timeline.t_init_ns", b.t_init_ns, t_init),
+        ("T_resp (energy path)", "timeline.t_resp_energy_ns", b.t_resp_energy_ns, energy.t_resp_ns),
+        ("T_resp (xcorr path)", "timeline.t_resp_xcorr_ns", b.t_resp_xcorr_ns, xcorr.t_resp_ns),
+    ];
+    rows.map(|(name, histogram, budget_ns, measured_ns)| Fig5Row {
+        name,
+        histogram,
+        budget_ns,
+        measured_ns,
+    })
+}
+
+/// Renders `rows` as the Fig. 5 table, `measured` heading the column of
+/// measured values.
+pub fn render_rows(rows: &[Fig5Row], measured: &str) -> String {
+    let mut out = format!("{:<22} {:>14} {:>22}\n", "metric", "budget (ns)", measured);
+    for r in rows {
+        let m = r.measured_ns.map_or("-".to_string(), |m| format!("{m:.0}"));
+        let verdict = verdict(r.measured_ns, r.budget_ns);
+        let _ = writeln!(
+            out,
+            "{:<22} {:>14.0} {m:>22}   {verdict}",
+            r.name, r.budget_ns
+        );
+    }
+    out
 }
 
 #[cfg(test)]
@@ -329,10 +400,52 @@ mod tests {
     }
 
     #[test]
-    fn comparison_rows_complete() {
-        let rows = comparison_rows(&TimelineBudget::paper(), &MeasuredTimeline::default());
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].0, "T_en_det");
-        assert!(rows.iter().all(|r| r.2.is_none()));
+    fn unmeasured_rows_read_not_measured() {
+        let none = MeasuredTimeline::default();
+        let rows = fig5_rows(&none, &none);
+        let names = rows.map(|r| r.name).join(", ");
+        let want = "T_en_det, T_xcorr_det, T_init, T_resp (energy path), T_resp (xcorr path)";
+        assert_eq!(names, want);
+        let table = render_rows(&rows, "worst measured (ns)");
+        assert_eq!(table.lines().count(), 6, "{table}");
+        assert!(table
+            .lines()
+            .skip(1)
+            .all(|l| l.ends_with(" -   not measured")));
+    }
+
+    #[test]
+    fn each_path_is_judged_against_its_own_budget() {
+        let energy = MeasuredTimeline {
+            t_en_det_ns: Some(1920.0),
+            t_resp_ns: Some(2000.0),
+            ..MeasuredTimeline::default()
+        };
+        let xcorr = MeasuredTimeline {
+            t_xcorr_det_ns: Some(1720.0),
+            t_init_ns: Some(80.0),
+            t_resp_ns: Some(1800.0),
+            ..MeasuredTimeline::default()
+        };
+        let rows = fig5_rows(&energy, &xcorr);
+        let verdicts = rows.map(|r| verdict(r.measured_ns, r.budget_ns)).join(", ");
+        let want = "OVER BUDGET, within budget, within budget, OVER BUDGET, within budget";
+        assert_eq!(verdicts, want);
+        // A path's T_resp budget is the one its preset states.
+        let [energy_det, xcorr_det] = &EPISODE_PRESETS;
+        assert_eq!(rows[3].budget_ns, energy_det.response_budget_ns());
+        assert_eq!(rows[4].budget_ns, xcorr_det.response_budget_ns());
+        let table = render_rows(&rows, "p99 (ns)");
+        let row = "T_resp (energy path)             1360                   2000   OVER BUDGET";
+        assert!(table.lines().any(|l| l == row), "{table}");
+    }
+
+    #[test]
+    fn an_episode_frames_its_frame_and_fills_the_capture_fifo() {
+        let mut ep = jam_episode(&EPISODE_PRESETS[0], 3);
+        assert_eq!(ep.frame.start, EPISODE_LEAD_SAMPLES);
+        assert_eq!(ep.samples, ep.frame.end + EPISODE_TAIL_SAMPLES);
+        assert!(ep.measured.t_resp_ns.is_some());
+        assert!(ep.jammer.core_mut().capture_occupancy() > 0);
     }
 }

@@ -2,33 +2,29 @@
 //! burst and back.
 //!
 //! [`EpisodeTracer`] is the episode driver the trace layer needs: it mints
-//! a [`FrameId`] when the MAC emits a frame, modulates it (PHY), carries it
-//! across the paper's five-port cabled network (channel, with the Table 1
-//! insertion loss on the span), streams it through a freshly armed
-//! [`ReactiveJammer`] (FPGA detection, trigger arbitration, capture-FIFO
-//! occupancy, jam-burst TX) and closes the chain with the MAC outcome —
-//! delivered, jammed, or missed. Every stage lands in one [`TraceSink`] on
-//! a shared nanosecond clock, so a single exported document shows *where*
-//! each frame's nanoseconds went.
+//! a [`FrameId`] when the MAC emits a frame, runs the Fig. 5 episode of
+//! [`jam_episode`] (the frame modulated, carried to the jammer and streamed
+//! through a freshly armed [`crate::ReactiveJammer`]) and lays its stages
+//! onto spans: PHY TX, the paper's five-port cabled network (channel, with
+//! the Table 1 insertion loss on the span), FPGA detection, trigger
+//! arbitration, capture-FIFO occupancy and jam-burst TX, closed by the MAC
+//! outcome — delivered, jammed, or missed. Every stage lands in one
+//! [`TraceSink`] on a shared nanosecond clock, so a single exported
+//! document shows *where* each frame's nanoseconds went.
 //!
 //! With observability compiled out (`--no-default-features`) the sink is a
 //! ZST and every recording call disappears; the episodes still run and the
 //! [`EpisodeReport`]s stay accurate because outcomes are derived from the
-//! jammer's activity mask, not from the trace.
+//! jammer's burst log, not from the trace.
 
-use crate::jammer::{BlockScratch, ReactiveJammer};
-use crate::presets::{DetectionPreset, JammerPreset};
-use crate::timeline::{episode_stream, EPISODE_LEAD_SAMPLES, EPISODE_PRESETS, EPISODE_REACTION};
+use crate::presets::DetectionPreset;
+use crate::timeline::{jam_episode, EPISODE_PRESETS, EPISODE_PSDU_LEN};
 use rjam_channel::fiveport::{FivePortNetwork, Port};
+use rjam_fpga::jammer::JamEvent;
 use rjam_fpga::trace::NS_PER_SAMPLE;
 use rjam_fpga::{CoreEvent, CLOCKS_PER_SAMPLE};
 use rjam_obs::trace::{stage, FrameId, FrameIdGen, Outcome, TraceDoc, TraceSink};
-
-/// PSDU bytes of each traced frame.
-const PSDU_LEN: usize = 80;
-
-/// Noise tail after each frame, in samples.
-const TAIL_SAMPLES: usize = 400;
+use std::ops::Range;
 
 /// What one traced episode did, independent of the trace itself.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,8 +37,9 @@ pub struct EpisodeReport {
     pub detections: usize,
     /// Jam bursts transmitted.
     pub jam_bursts: usize,
-    /// Episode length in receive samples.
-    pub stream_samples: usize,
+    /// The response budget of the episode's detection path, ns
+    /// ([`DetectionPreset::response_budget_ns`]).
+    pub budget_ns: f64,
 }
 
 /// Drives traced jam episodes onto one shared timeline.
@@ -57,7 +54,6 @@ pub struct EpisodeTracer {
     ids: FrameIdGen,
     net: FivePortNetwork,
     cursor_ns: u64,
-    scratch: BlockScratch,
 }
 
 impl EpisodeTracer {
@@ -68,37 +64,32 @@ impl EpisodeTracer {
             ids: FrameIdGen::new(),
             net: FivePortNetwork::paper_table1(),
             cursor_ns: 0,
-            scratch: BlockScratch::new(),
         }
     }
 
-    /// Events dropped by the sink for lack of capacity.
-    pub fn dropped(&self) -> u64 {
-        self.sink.dropped()
-    }
-
-    /// Runs one frame episode: emit, modulate, propagate, detect, jam,
-    /// resolve. Returns what happened; the causal trace accumulates in the
-    /// tracer's sink.
-    pub fn run_episode(
-        &mut self,
-        det: &DetectionPreset,
-        reaction: &JammerPreset,
-        seed: u64,
-    ) -> EpisodeReport {
+    /// Runs the [`jam_episode`] of `det` and `seed` and traces it: emit,
+    /// modulate, propagate, detect, jam, resolve. Returns what happened;
+    /// the causal trace accumulates in the tracer's sink.
+    pub fn run_episode(&mut self, det: &DetectionPreset, seed: u64) -> EpisodeReport {
         let fid = self.ids.mint();
         let t0 = self.cursor_ns; // episode FPGA cycle 0
+        let mut ep = jam_episode(det, seed);
+        let j = &mut ep.jammer;
 
-        // --- MAC emission, PHY and channel: the client's frame, modulated
-        // and resampled to the USRP rate, crosses the five-port network to
-        // the jammer's RX port, attenuated by the Table 1 insertion loss;
-        // its power is set at the *received* level.
-        let (stream, frame_len) = episode_stream(PSDU_LEN, TAIL_SAMPLES, seed);
-
-        let frame_t0 = t0 + EPISODE_LEAD_SAMPLES as u64 * NS_PER_SAMPLE;
-        let frame_t1 = frame_t0 + frame_len as u64 * NS_PER_SAMPLE;
-        self.sink
-            .instant(fid, frame_t0, stage::MAC, "emit", PSDU_LEN as i64, 0);
+        // --- MAC emission, PHY and channel: the episode's frame crosses
+        // the five-port network from the client to the jammer's RX port,
+        // attenuated by the Table 1 insertion loss (the episode sets its
+        // power at the *received* level).
+        let frame_t0 = t0 + ep.frame.start as u64 * NS_PER_SAMPLE;
+        let frame_t1 = t0 + ep.frame.end as u64 * NS_PER_SAMPLE;
+        self.sink.instant(
+            fid,
+            frame_t0,
+            stage::MAC,
+            "emit",
+            EPISODE_PSDU_LEN as i64,
+            0,
+        );
         self.sink.span_begin(fid, frame_t0, stage::PHY, "tx");
         self.sink.span_end(fid, frame_t1, stage::PHY, "tx");
         rjam_channel::trace::trace_propagation(
@@ -115,19 +106,13 @@ impl EpisodeTracer {
             frame_t0,
             stage::FPGA,
             "rx_first_sample",
-            EPISODE_LEAD_SAMPLES as i64,
+            ep.frame.start as i64,
             0,
         );
 
-        // --- FPGA + jammer: fresh core, armed with the requested
-        // personalities, capture FIFO live so occupancy is observable.
-        let mut j = ReactiveJammer::new(det.clone(), reaction.clone());
-        j.core_mut().enable_capture(16, 240, 1024);
-        // Allocation-free datapath: the tracer's scratch buffers are
-        // reused across episodes, same as the campaign engine's shards.
-        j.process_block_into(&stream, &mut self.scratch);
-        let active = self.scratch.active();
-        let eos_cycle = stream.len() as u64 * CLOCKS_PER_SAMPLE;
+        // --- FPGA + jammer: detections, trigger, bursts and the capture
+        // FIFO's occupancy.
+        let eos_cycle = ep.samples as u64 * CLOCKS_PER_SAMPLE;
         rjam_fpga::trace::trace_frame(
             &mut self.sink,
             fid,
@@ -138,22 +123,11 @@ impl EpisodeTracer {
         );
         let occupancy = j.core_mut().capture_occupancy();
         let overflow = j.core_mut().capture_overflow();
-        let t_end = t0 + stream.len() as u64 * NS_PER_SAMPLE;
+        let t_end = t0 + ep.samples as u64 * NS_PER_SAMPLE;
         rjam_fpga::trace::trace_fifo(&mut self.sink, fid, t_end, occupancy, overflow);
 
-        // --- MAC outcome: the burst either overlapped the frame on air
-        // (jammed), landed outside it (missed), or never happened
-        // (delivered).
-        let frame_range = EPISODE_LEAD_SAMPLES..EPISODE_LEAD_SAMPLES + frame_len;
-        let jam_in_frame = active[frame_range].iter().any(|&a| a);
-        let jam_any = active.iter().any(|&a| a);
-        let outcome = if jam_in_frame {
-            Outcome::Jammed
-        } else if jam_any {
-            Outcome::Missed
-        } else {
-            Outcome::Delivered
-        };
+        // --- MAC outcome.
+        let outcome = outcome(j.jam_events(), &ep.frame, eos_cycle);
         let detections = j
             .events()
             .iter()
@@ -186,7 +160,7 @@ impl EpisodeTracer {
             outcome,
             detections,
             jam_bursts,
-            stream_samples: stream.len(),
+            budget_ns: det.response_budget_ns(),
         }
     }
 
@@ -196,18 +170,33 @@ impl EpisodeTracer {
     }
 }
 
+/// How a frame ended: jammed when a burst was on air during its samples,
+/// missed when bursts went out only outside them, delivered when none went
+/// out. A burst still on air when the stream ended runs to `eos_cycle`.
+fn outcome(jams: &[JamEvent], frame: &Range<usize>, eos_cycle: u64) -> Outcome {
+    let frame = frame.start as u64 * CLOCKS_PER_SAMPLE..frame.end as u64 * CLOCKS_PER_SAMPLE;
+    let bursts = || jams.iter().filter(|b| b.start_cycle > 0);
+    if bursts().any(|b| b.start_cycle < frame.end && b.end_cycle.unwrap_or(eos_cycle) > frame.start)
+    {
+        Outcome::Jammed
+    } else if bursts().next().is_some() {
+        Outcome::Missed
+    } else {
+        Outcome::Delivered
+    }
+}
+
 /// Runs the default traced capture: `episodes` frame episodes alternating
 /// the WiFi-short-preamble and energy-rise detection paths of
-/// [`EPISODE_PRESETS`] against [`EPISODE_REACTION`] — the exercise
-/// `rjamctl stats` runs, now with the causal chain recorded. Returns the
-/// reports and the frozen trace.
+/// [`EPISODE_PRESETS`] — the episodes `rjamctl stats` runs, now with the
+/// causal chain recorded. Returns the reports and the frozen trace.
 pub fn default_traced_capture(episodes: usize, seed0: u64) -> (Vec<EpisodeReport>, TraceDoc) {
     let mut tracer = EpisodeTracer::new(4096.max(episodes * 32));
     let [energy, xcorr] = &EPISODE_PRESETS;
     let mut reports = Vec::with_capacity(episodes);
     for k in 0..episodes as u64 {
         let det = if k % 2 == 0 { xcorr } else { energy };
-        reports.push(tracer.run_episode(det, &EPISODE_REACTION, seed0 + k));
+        reports.push(tracer.run_episode(det, seed0 + k));
     }
     (reports, tracer.to_doc())
 }
@@ -221,8 +210,8 @@ mod tests {
         let mut a = EpisodeTracer::new(1024);
         let mut b = EpisodeTracer::new(1024);
         let det = &EPISODE_PRESETS[1];
-        let ra = a.run_episode(det, &EPISODE_REACTION, 42);
-        let rb = b.run_episode(det, &EPISODE_REACTION, 42);
+        let ra = a.run_episode(det, 42);
+        let rb = b.run_episode(det, 42);
         assert_eq!(ra, rb, "same seed, same episode");
         assert_eq!(ra.outcome, Outcome::Jammed);
         assert!(ra.detections > 0);
@@ -230,16 +219,37 @@ mod tests {
     }
 
     #[test]
-    fn monitor_mode_delivers() {
-        let mut t = EpisodeTracer::new(1024);
-        let r = t.run_episode(
-            &DetectionPreset::WifiShortPreamble { threshold: 0.35 },
-            &JammerPreset::Monitor,
-            7,
+    fn outcome_reads_the_burst_log() {
+        let burst = |start_cycle, end_cycle| JamEvent {
+            trigger_sample: 0,
+            trigger_cycle: 1,
+            start_cycle,
+            end_cycle,
+        };
+        // The frame's samples 100..200 are cycles 400..800.
+        let frame = 100..200;
+        let ends = |jams: &[JamEvent]| outcome(jams, &frame, 1_000);
+        assert_eq!(ends(&[]), Outcome::Delivered);
+        assert_eq!(ends(&[burst(0, None)]), Outcome::Delivered, "never on air");
+        assert_eq!(ends(&[burst(50, Some(400))]), Outcome::Missed);
+        assert_eq!(ends(&[burst(800, Some(900))]), Outcome::Missed);
+        assert_eq!(ends(&[burst(50, Some(401))]), Outcome::Jammed);
+        assert_eq!(ends(&[burst(799, None)]), Outcome::Jammed);
+        assert_eq!(
+            ends(&[burst(50, Some(300)), burst(600, Some(700))]),
+            Outcome::Jammed
         );
-        assert_eq!(r.outcome, Outcome::Delivered);
-        assert_eq!(r.jam_bursts, 0);
-        assert!(r.detections > 0, "monitor still detects");
+    }
+
+    #[test]
+    fn reports_carry_their_paths_budget() {
+        let (reports, _) = default_traced_capture(2, 5);
+        let budgets: Vec<f64> = reports.iter().map(|r| r.budget_ns).collect();
+        let [energy, xcorr] = &EPISODE_PRESETS;
+        assert_eq!(
+            budgets,
+            [xcorr.response_budget_ns(), energy.response_budget_ns()]
+        );
     }
 
     #[cfg(feature = "obs")]
@@ -273,9 +283,11 @@ mod tests {
             );
             let resp = ft.response_ns().expect("response latency");
             assert!(resp >= t2t, "response includes detection time");
+            let report = reports.iter().find(|r| r.frame == ft.frame).unwrap();
             assert!(
-                resp as f64 <= crate::timeline::TimelineBudget::paper().t_resp_xcorr_ns,
-                "response {resp} ns blows the paper budget"
+                resp as f64 <= report.budget_ns,
+                "response {resp} ns blows its path's {} ns budget",
+                report.budget_ns
             );
         }
         assert!(jammed >= 1, "at least one jammed frame in the capture");

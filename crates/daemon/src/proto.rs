@@ -506,19 +506,6 @@ mod tests {
         }
     }
 
-    /// The `job_metrics` line as `rjamd` wrote it when the line went
-    /// through an object tree: the snapshot's pretty document parsed back
-    /// and the whole tree written compact.
-    fn tree_metrics_line(job: &str, snapshot: &MetricsSnapshot) -> String {
-        let doc = json::parse(&snapshot.to_json()).expect("the pretty document parses");
-        let mut o = BTreeMap::new();
-        o.insert("v".into(), Value::String(SCHEMA.into()));
-        o.insert("job".into(), Value::String(job.into()));
-        o.insert("snapshot".into(), doc);
-        o.insert("ev".into(), Value::String("job_metrics".into()));
-        json::write_value(&Value::Object(o))
-    }
-
     fn hist(count: u64, mean: f64, max: u64) -> HistSummary {
         HistSummary {
             count,
@@ -585,14 +572,11 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn job_metrics_lines_keep_the_object_tree_bytes() {
-        let mut snapshots = registry_shaped_snapshots();
-        snapshots.push(rjam_obs::registry::snapshot());
-        // Fields a tree would reorder, merge or round: names out of order
-        // and repeated (the last wins), a count past 2^53 and means no JSON
-        // number holds.
-        snapshots.push(MetricsSnapshot {
+    /// A snapshot with the fields a tree would reorder, merge or round:
+    /// names out of order and repeated (the last wins), a count past 2^53
+    /// and means no JSON number holds.
+    fn unsorted_snapshot() -> MetricsSnapshot {
+        MetricsSnapshot {
             counters: vec![("b".into(), 1), ("a".into(), 2), ("b".into(), 3)],
             gauges: vec![
                 ("g".into(), 4),
@@ -607,17 +591,42 @@ mod tests {
                 ("huge".into(), hist(1, 1e300, 2)),
             ],
             ..MetricsSnapshot::default()
-        });
+        }
+    }
+
+    #[test]
+    fn job_metrics_lines_are_the_tree_writers_bytes() {
+        let mut snapshots = registry_shaped_snapshots();
+        snapshots.push(rjam_obs::registry::snapshot());
+        snapshots.push(unsorted_snapshot());
         for (k, snapshot) in snapshots.into_iter().enumerate() {
             for job in ["job-1", "job-\"7\""] {
-                let want = tree_metrics_line(job, &snapshot);
-                let resp = JobResponse::Metrics {
+                let line = JobResponse::Metrics {
                     job: job.into(),
                     snapshot: snapshot.clone(),
-                };
-                assert_eq!(resp.to_line(), want, "snapshot {k}");
+                }
+                .to_line();
+                let tree = json::parse(&line).expect("the line parses");
+                assert_eq!(json::write_value(&tree), line, "snapshot {k}");
             }
         }
+    }
+
+    #[test]
+    fn job_metrics_lines_sort_names_and_keep_the_last_of_equal_ones() {
+        let resp = JobResponse::Metrics {
+            job: "job-1".into(),
+            snapshot: unsorted_snapshot(),
+        };
+        let Ok(JobResponse::Metrics { snapshot, .. }) = JobResponse::from_line(&resp.to_line())
+        else {
+            panic!("the line reads back as job_metrics");
+        };
+        assert_eq!(snapshot.counters, [("a".into(), 2), ("b".into(), 3)]);
+        assert_eq!(snapshot.gauges, [("f".into(), 6), ("g".into(), 1 << 53)]);
+        // huge, inf, nan, neg_zero, tiny: a mean no JSON number holds is 0.
+        let means: Vec<f64> = snapshot.histograms.iter().map(|(_, h)| h.mean).collect();
+        assert_eq!(means, [1e300, 0.0, 0.0, 0.0, 1e-300]);
     }
 
     #[test]

@@ -19,15 +19,11 @@ use crate::regs::{host_feedback, jammer_control, RegisterBus, RegisterMap, StatR
 use crate::trigger::{Pulses, TriggerBuilder, TriggerMode, TriggerSource};
 use crate::xcorr::CrossCorrelator;
 use crate::{CLOCKS_PER_SAMPLE, NS_PER_CYCLE, TX_INIT_CYCLES};
-use rjam_obs::{FlightRecorder, LocalHistogram, LogHistogram};
+use rjam_obs::{LocalHistogram, LogHistogram};
 use rjam_sdr::complex::IqI16;
 
-/// Events the core's embedded flight recorder keeps per block.
-const CORE_RECORDER_CAPACITY: usize = 256;
-
 /// The core's statistics block: plain hardware-register counters on the
-/// per-sample path, a trigger-to-TX latency histogram, and an embedded
-/// cycle-indexed [`FlightRecorder`].
+/// per-sample path and a trigger-to-TX latency histogram.
 ///
 /// Counters are lifetime (power-on) totals, exactly like RTL status
 /// counters; [`DspCore::flush_obs`] publishes *deltas* into the global
@@ -48,7 +44,6 @@ pub struct CoreStats {
     lat_lifetime: LogHistogram,
     /// Observations since the last flush, drained into the registry.
     lat_pending: LocalHistogram,
-    recorder: FlightRecorder,
     /// Counter values already published to the global registry.
     flushed: FlushedMarks,
     /// First jammer event whose RF start has not yet been accounted.
@@ -79,7 +74,6 @@ impl CoreStats {
             fifo_high_water: 0,
             lat_lifetime: LogHistogram::new(),
             lat_pending: LocalHistogram::new(),
-            recorder: FlightRecorder::new(CORE_RECORDER_CAPACITY),
             flushed: FlushedMarks::default(),
             burst_cursor: 0,
         }
@@ -114,11 +108,6 @@ impl CoreStats {
     /// surgical delay is subtracted so it measures pipeline turnaround).
     pub fn trigger_to_tx(&self) -> &LogHistogram {
         &self.lat_lifetime
-    }
-
-    /// The core's embedded flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
     }
 }
 
@@ -411,7 +400,7 @@ pub struct DspCore {
     /// Optional packet-assembly FIFO (Fig. 1): captures the triggering
     /// signal toward the host.
     capture: Option<crate::fifo::TriggerCapture>,
-    /// Observability: counters, latency histogram, flight recorder.
+    /// Observability: counters and the latency histogram.
     stats: CoreStats,
 }
 
@@ -608,9 +597,6 @@ impl DspCore {
                 .set_bits(RegisterMap::HostFeedback, host_feedback::XCORR_DET);
             if rjam_obs::enabled() {
                 self.stats.xcorr_fires += 1;
-                self.stats
-                    .recorder
-                    .record(cycle, "xcorr_fire", xo.metric as i64, 0);
             }
         }
         if eo.trigger_high {
@@ -619,7 +605,6 @@ impl DspCore {
                 .set_bits(RegisterMap::HostFeedback, host_feedback::ENERGY_HIGH);
             if rjam_obs::enabled() {
                 self.stats.energy_high_fires += 1;
-                self.stats.recorder.record(cycle, "energy_high", 0, 0);
             }
         }
         if eo.trigger_low {
@@ -628,7 +613,6 @@ impl DspCore {
                 .set_bits(RegisterMap::HostFeedback, host_feedback::ENERGY_LOW);
             if rjam_obs::enabled() {
                 self.stats.energy_low_fires += 1;
-                self.stats.recorder.record(cycle, "energy_low", 0, 0);
             }
         }
 
@@ -639,7 +623,6 @@ impl DspCore {
             self.events.push(CoreEvent::JamTrigger { sample, cycle });
             if rjam_obs::enabled() {
                 self.stats.jam_triggers += 1;
-                self.stats.recorder.record(cycle, "jam_trigger", 0, 0);
             }
         }
         if let Some(cap) = self.capture.as_mut() {
@@ -654,10 +637,6 @@ impl DspCore {
                 let overflow = cap.fifo().overflow();
                 if overflow > self.stats.capture_overflow {
                     self.stats.capture_overflow = overflow;
-                    self.stats
-                        .recorder
-                        .record(cycle, "capture_overflow", overflow as i64, 0);
-                    self.stats.recorder.trip(cycle, "capture_fifo_overflow");
                     rjam_obs::recorder::trip_global(cycle, "capture_fifo_overflow");
                 }
             }
@@ -721,8 +700,8 @@ impl DspCore {
     }
 
     /// Accounts newly-started jam bursts: records the trigger-to-TX latency
-    /// (delay-compensated, in ns) and trips the flight recorder when the
-    /// turnaround exceeds the hardware's 8-cycle (80 ns) TX-init budget.
+    /// (delay-compensated, in ns) and trips the global flight recorder when
+    /// the turnaround exceeds the hardware's 8-cycle (80 ns) TX-init budget.
     fn account_burst_starts(&mut self) {
         let delay = self.bus.read_reg(RegisterMap::JammerDelay) as u64;
         let evs = self.jammer.events();
@@ -743,21 +722,14 @@ impl DspCore {
             self.stats.bursts_started += 1;
             self.stats.lat_lifetime.record(ns);
             self.stats.lat_pending.record(ns);
-            self.stats
-                .recorder
-                .record(ev.start_cycle, "burst_start", ns as i64, delay as i64);
             if net_cycles > TX_INIT_CYCLES {
-                self.stats
-                    .recorder
-                    .trip(ev.start_cycle, "trigger_to_tx_over_budget");
                 rjam_obs::recorder::trip_global(ev.start_cycle, "trigger_to_tx_over_budget");
             }
             self.stats.burst_cursor += 1;
         }
     }
 
-    /// The core's statistics block (lifetime counters, latency histogram,
-    /// embedded flight recorder).
+    /// The core's statistics block (lifetime counters, latency histogram).
     pub fn stats(&self) -> &CoreStats {
         &self.stats
     }
@@ -1116,14 +1088,10 @@ mod tests {
         assert!(h.count() >= 1);
         // The model's turnaround is exactly TX_INIT_CYCLES = 8 cycles = 80 ns.
         assert!(h.max() <= TX_INIT_CYCLES * NS_PER_CYCLE, "max={}", h.max());
-        assert!(
-            !core.stats().recorder().is_tripped(),
-            "nominal run must not trip the recorder"
-        );
-        // p99 readback register agrees and respects the paper's 2.64 us
-        // xcorr response budget with three orders of margin.
+        // The p99 readback register agrees: the nominal run stays inside
+        // the 8-cycle turnaround whose overrun trips the flight recorder.
         let p99 = core.read_stat(StatReg::TrigToTxP99Ns) as u64;
-        assert!(p99 <= 80, "p99={p99}");
+        assert!(p99 <= TX_INIT_CYCLES * NS_PER_CYCLE, "p99={p99}");
     }
 
     #[cfg(feature = "obs")]
@@ -1143,7 +1111,8 @@ mod tests {
             "programmed delay must not count as pipeline latency: {}",
             h.max()
         );
-        assert!(!core.stats().recorder().is_tripped());
+        let p99 = core.read_stat(StatReg::TrigToTxP99Ns) as u64;
+        assert!(p99 <= TX_INIT_CYCLES * NS_PER_CYCLE, "p99={p99}");
     }
 
     #[cfg(feature = "obs")]
@@ -1170,7 +1139,7 @@ mod tests {
 
     #[cfg(feature = "obs")]
     #[test]
-    fn capture_overflow_trips_flight_recorder() {
+    fn capture_overflow_reads_back() {
         let mut core = DspCore::new();
         core.configure(&energy_jam_config());
         // A tiny FIFO with a large post-trigger window must overflow.
@@ -1178,15 +1147,9 @@ mod tests {
         let mut stream = quiet(300);
         stream.extend(loud(500));
         core.process_block(&stream);
-        assert!(core.stats().capture_overflow() > 0);
-        let rec = core.stats().recorder();
-        assert!(rec.is_tripped());
-        assert_eq!(rec.trip_info().unwrap().reason, "capture_fifo_overflow");
-        // The frozen dump holds the events leading up to the anomaly.
-        assert!(rec
-            .dump()
-            .iter()
-            .any(|e| e.kind == "energy_high" || e.kind == "jam_trigger"));
+        let dropped = core.stats().capture_overflow();
+        assert!(dropped > 0);
+        assert_eq!(core.read_stat(StatReg::CaptureOverflow) as u64, dropped);
     }
 
     #[cfg(feature = "obs")]

@@ -1,7 +1,7 @@
 //! Minimal JSON writer/parser: the workspace's one dependency-free dialect.
 //!
 //! The writer side is a set of escaping/formatting helpers used by
-//! [`crate::snapshot::MetricsSnapshot::to_json`], the wire protocols and the
+//! [`crate::snapshot::MetricsSnapshot::write_compact`], the wire protocols and the
 //! bench harness's `BENCH_*.json` reports; the reader side is a small
 //! recursive-descent parser for loading all of them back (`rjam stats
 //! <file>`, `rjamd` request lines, the `check` CI tool). Numbers parse as

@@ -1,7 +1,9 @@
 //! Point-in-time snapshot of the registry + flight recorder, serialisable
 //! to the dependency-free JSON dialect shared with `rjam-bench::harness`.
 //!
-//! Schema (`rjam-metrics-v1`):
+//! Schema (`rjam-metrics-v1`), spread over lines here; the one writer,
+//! [`MetricsSnapshot::write_compact`], puts it on one line with every
+//! object's keys sorted:
 //!
 //! ```json
 //! {
@@ -125,102 +127,10 @@ impl MetricsSnapshot {
             && self.events.is_empty()
     }
 
-    /// Serialises to the `rjam-metrics-v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json::write_string(SCHEMA)));
-        out.push_str(&format!("  \"enabled\": {},\n", crate::enabled()));
-        out.push_str("  \"counters\": {");
-        for (k, (name, v)) in self.counters.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {}: {}",
-                json::write_string(name),
-                json::write_number(*v as f64)
-            ));
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (k, (name, v)) in self.gauges.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {}: {}",
-                json::write_string(name),
-                json::write_number(*v as f64)
-            ));
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"histograms\": {");
-        for (k, (name, h)) in self.histograms.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                json::write_string(name),
-                json::write_number(h.count as f64),
-                json::write_number(h.mean),
-                json::write_number(h.min as f64),
-                json::write_number(h.max as f64),
-                json::write_number(h.p50 as f64),
-                json::write_number(h.p95 as f64),
-                json::write_number(h.p99 as f64),
-            ));
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"events\": [");
-        for (k, e) in self.events.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"seq\": {}, \"t\": {}, \"kind\": {}, \"a\": {}, \"b\": {}}}",
-                json::write_number(e.seq as f64),
-                json::write_number(e.t as f64),
-                json::write_string(&e.kind),
-                json::write_number(e.a as f64),
-                json::write_number(e.b as f64),
-            ));
-        }
-        out.push_str(if self.events.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        match &self.trip {
-            None => out.push_str("  \"trip\": null\n"),
-            Some(t) => out.push_str(&format!(
-                "  \"trip\": {{\"t\": {}, \"reason\": {}, \"seq\": {}}}\n",
-                json::write_number(t.t as f64),
-                json::write_string(&t.reason),
-                json::write_number(t.seq as f64),
-            )),
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Appends the document compact, in one line, its objects' keys sorted:
-    /// the bytes [`json::write_value`] gives for the tree [`json::parse`]
-    /// makes of [`Self::to_json`], written straight from the fields.
+    /// Appends the `rjam-metrics-v1` document in one line, its objects'
+    /// keys sorted (of equal names, the last kept): the bytes
+    /// [`json::write_value`] gives for the document's tree, written
+    /// straight from the fields. `rjamctl --metrics-out` writes it, and
     /// `rjamd`'s `job_metrics` line embeds it.
     pub fn write_compact(&self, out: &mut String) {
         out.push_str("{\"counters\":");
@@ -453,10 +363,25 @@ mod tests {
         }
     }
 
+    fn compact(snap: &MetricsSnapshot) -> String {
+        let mut text = String::new();
+        snap.write_compact(&mut text);
+        text
+    }
+
+    #[test]
+    fn compact_document_is_the_tree_writers_bytes() {
+        for snap in [sample(), MetricsSnapshot::default()] {
+            let text = compact(&snap);
+            let tree = json::parse(&text).expect("the document parses");
+            assert_eq!(json::write_value(&tree), text);
+        }
+    }
+
     #[test]
     fn json_round_trip_preserves_everything() {
         let snap = sample();
-        let text = snap.to_json();
+        let text = compact(&snap);
         let back = MetricsSnapshot::from_json(&text).expect("parse back");
         assert_eq!(back.counters, snap.counters);
         assert_eq!(back.gauges, snap.gauges);
@@ -472,14 +397,14 @@ mod tests {
     #[test]
     fn empty_snapshot_round_trips() {
         let snap = MetricsSnapshot::default();
-        let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parse");
+        let back = MetricsSnapshot::from_json(&compact(&snap)).expect("parse");
         assert!(back.is_empty());
         assert!(back.trip.is_none());
     }
 
     #[test]
     fn schema_mismatch_rejected() {
-        let text = sample().to_json().replace(SCHEMA, "rjam-metrics-v0");
+        let text = compact(&sample()).replace(SCHEMA, "rjam-metrics-v0");
         assert!(MetricsSnapshot::from_json(&text).is_err());
     }
 

@@ -6,11 +6,11 @@
 //!
 //! Builds a reactive jammer armed with the WiFi short-preamble template,
 //! transmits one frame through an AWGN channel at 25 MSPS, and prints the
-//! detection events, the jam burst and the measured response timeline next
-//! to the paper's analytic budget (Fig. 5).
+//! detection events, the jam burst and the measured response timeline in
+//! the paper's Fig. 5 table, each latency against its budget.
 
 use rjam::core::campaign::WifiEmission;
-use rjam::core::timeline::{comparison_rows, measure, TimelineBudget};
+use rjam::core::timeline::{fig5_rows, measure, render_rows, MeasuredTimeline};
 use rjam::core::{DetectionPreset, JammerPreset, ReactiveJammer};
 use rjam::fpga::JamWaveform;
 use rjam::sdr::complex::Cf64;
@@ -58,16 +58,9 @@ fn main() {
     let burst: usize = activity.iter().filter(|&&a| a).count();
     println!("\njam burst: {burst} samples ({} us)", burst as f64 / 25.0);
 
-    // 4. Timeline vs the paper's budget.
+    // 4. Timeline vs the paper's budget: the correlator path's rows are
+    // measured, the energy path (not armed here) reads "not measured".
     let measured = measure(jammer.events(), jammer.jam_events(), lead as u64);
-    println!(
-        "\n{:<12} {:>12} {:>12}",
-        "metric", "budget (ns)", "measured (ns)"
-    );
-    for (name, budget, meas) in comparison_rows(&TimelineBudget::paper(), &measured) {
-        match meas {
-            Some(m) => println!("{name:<12} {budget:>12.0} {m:>12.0}"),
-            None => println!("{name:<12} {budget:>12.0} {:>12}", "-"),
-        }
-    }
+    let rows = fig5_rows(&MeasuredTimeline::default(), &measured);
+    print!("\n{}", render_rows(&rows, "measured (ns)"));
 }
